@@ -22,16 +22,16 @@ Two evaluation modes:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize
 from scipy.stats import qmc
 
-from .errors import SortCyclesError
+from .errors import DomainError, SortCyclesError
 from .firms import analytic_moments, revenue_concentration
-from .params import (AggregateShockState, MarkovChain2, ValidatedParams,
+from .params import (PUBLISHED_CHAIN, AggregateShockState, MarkovChain2, ValidatedParams,
                      stationary_distribution, validate)
 from .statics import measured_tfp, solve_static
 from . import dynamics
@@ -46,6 +46,11 @@ MOMENT_NAMES = ("labor_share", "wage_inequality", "rev_share_top10",
                 "rev_share_p50_p90", "std_tfp")
 
 
+def _is_finite_number(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class TargetSet:
     """Empirical targets with optional weights (defaults are the data column)."""
@@ -56,6 +61,15 @@ class TargetSet:
     rev_share_p50_p90: float = 0.0842
     std_tfp: float = 0.0090
     weights: tuple[float, float, float, float, float] = (1.0, 1.0, 1.0, 1.0, 1.0)
+
+    def __post_init__(self):
+        for name, value in zip(MOMENT_NAMES, self.values()):
+            if not _is_finite_number(value):
+                raise DomainError(f"target {name} must be a finite number, got {value!r}")
+        if not (isinstance(self.weights, (tuple, list)) and len(self.weights) == len(MOMENT_NAMES)
+                and all(_is_finite_number(w) and w >= 0.0 for w in self.weights)):
+            raise DomainError(f"weights must be a list of {len(MOMENT_NAMES)} finite nonnegative "
+                              f"numbers, one per moment, got {self.weights!r}")
 
     def values(self) -> tuple[float, ...]:
         return (self.labor_share, self.wage_inequality, self.rev_share_top10,
@@ -150,8 +164,7 @@ def objective(free_params, fixed_params: ValidatedParams, targets: TargetSet,
               sim_config: SimConfig, seed: int,
               chain_template: MarkovChain2 | None = None) -> float:
     """Weighted sum of squared proportional deviations; INFEASIBLE on guard failure."""
-    chain_template = chain_template or MarkovChain2(z_high=0.3984, p_stay_low=0.977,
-                                                    p_stay_high=0.688)
+    chain_template = chain_template or PUBLISHED_CHAIN
     for v, (lo, hi) in zip(free_params, DEFAULT_BOUNDS):
         if not lo <= v <= hi:
             return INFEASIBLE
@@ -172,7 +185,7 @@ def calibrate(fixed_params: ValidatedParams, targets: TargetSet,
               bounds=DEFAULT_BOUNDS, seed: int = 0, n_starts: int = 4,
               sim_config: SimConfig | None = None,
               chain_template: MarkovChain2 | None = None,
-              max_iter_per_start: int = 800, threads: int = 1,
+              max_iter_per_start: int = 800,
               x0: np.ndarray | None = None) -> CalibrationResult:
     """Derivative-free search: Nelder-Mead from Latin-hypercube starts.
 
@@ -183,8 +196,7 @@ def calibrate(fixed_params: ValidatedParams, targets: TargetSet,
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
     sim_config = sim_config or SimConfig()
-    chain_template = chain_template or MarkovChain2(z_high=0.3984, p_stay_low=0.977,
-                                                    p_stay_high=0.688)
+    chain_template = chain_template or PUBLISHED_CHAIN
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
     sampler = qmc.LatinHypercube(d=len(bounds), seed=seed)
@@ -202,11 +214,7 @@ def calibrate(fixed_params: ValidatedParams, targets: TargetSet,
                                  options={"maxiter": max_iter_per_start,
                                           "xatol": 1e-8, "fatol": 1e-12})
 
-    if threads > 1 and n_starts > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_start, list(starts)))
-    else:
-        results = [run_start(s) for s in starts]
+    results = [run_start(s) for s in starts]
 
     best = min(results, key=lambda r: (r.fun, tuple(r.x)))
     best_moments = model_moments(best.x, fixed_params, chain_template, sim_config, seed)

@@ -23,7 +23,7 @@ import numpy as np
 from . import calibrate as calibrate_mod
 from . import dynamics, firms, statics, verify
 from .errors import SortCyclesError
-from .params import AggregateShockState, load_config
+from .params import AggregateShockState, load_config, read_json_object
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -85,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--params", required=True, help="path to the params/chain JSON config")
         p.add_argument("--seed", type=int, default=12345, help="master seed (uint64)")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker-thread cap")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker-thread cap (used by moments and verify)")
 
     p = sub.add_parser("solve", help="one period's static equilibrium as JSON")
     common(p)
@@ -175,7 +176,7 @@ def _cmd_simulate(args, params, chain, out):
 def _cmd_irf(args, params, chain, out):
     policy = dynamics.solve_policy(params, chain, grid_spec=dynamics.GridSpec(n=args.grid_size))
     irf = dynamics.impulse_response(policy, params, chain, horizon=args.horizon,
-                                    n_sims=args.n_sims, seed=args.seed, threads=args.threads)
+                                    n_sims=args.n_sims, seed=args.seed)
     cols = {"h": np.arange(args.horizon + 1, dtype=float), "d_log_Y": irf.d_log_Y,
             "d_measured_tfp": irf.d_measured_tfp, "d_var_log_wage": irf.d_var_log_wage,
             "d_var_log_tfpq": irf.d_var_log_tfpq, "d_var_log_tfpr": irf.d_var_log_tfpr}
@@ -192,13 +193,13 @@ def _cmd_irf(args, params, chain, out):
 def _load_targets(path: str | None) -> calibrate_mod.TargetSet:
     if path is None:
         return calibrate_mod.TargetSet()
-    raw = json.loads(Path(path).read_text())
+    raw = read_json_object(path, "targets")
     allowed = {"labor_share", "wage_inequality", "rev_share_top10",
                "rev_share_p50_p90", "std_tfp", "weights"}
     unknown = sorted(set(raw) - allowed)
     if unknown:
         raise SortCyclesError(f"unknown key(s) in targets file: {', '.join(unknown)}")
-    if "weights" in raw:
+    if isinstance(raw.get("weights"), list):
         raw["weights"] = tuple(raw["weights"])
     return calibrate_mod.TargetSet(**raw)
 
@@ -209,8 +210,7 @@ def _cmd_calibrate(args, params, chain, out):
                                          grid_n=args.grid_size)
     result = calibrate_mod.calibrate(params, targets, seed=args.seed,
                                      n_starts=args.n_starts, sim_config=sim_config,
-                                     chain_template=chain, threads=args.threads,
-                                     max_iter_per_start=args.max_iter)
+                                     chain_template=chain, max_iter_per_start=args.max_iter)
     payload = {"params": result.params, "objective": result.objective,
                "moments": result.moments, "n_evaluations": result.n_evaluations,
                "seed": result.seed, "n_starts": result.n_starts}
@@ -242,6 +242,11 @@ _DISPATCH = {
 }
 
 
+#: lower bounds of integer options: (subcommand, or None for all; option; minimum)
+_MINIMUMS = ((None, "threads", 1), ("irf", "n_sims", 1), ("irf", "horizon", 0),
+             ("calibrate", "n_starts", 1), ("verify", "n_prop_points", 1))
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -251,12 +256,11 @@ def run(argv=None) -> int:
     if args.subcommand in ("simulate", "calibrate") and args.T <= args.burn_in:
         sys.stderr.write(f"usage error: --T ({args.T}) must exceed --burn-in ({args.burn_in})\n")
         return EXIT_USAGE
-    if args.subcommand == "irf" and args.n_sims < 1:
-        sys.stderr.write("usage error: --n-sims must be at least 1\n")
-        return EXIT_USAGE
-    if args.threads < 1:
-        sys.stderr.write("usage error: --threads must be at least 1\n")
-        return EXIT_USAGE
+    for subcommand, dest, lowest in _MINIMUMS:
+        if subcommand in (None, args.subcommand) and getattr(args, dest) < lowest:
+            flag = "--" + dest.replace("_", "-")
+            sys.stderr.write(f"usage error: {flag} must be at least {lowest}\n")
+            return EXIT_USAGE
     if args.seed < 0 or args.seed > 2 ** 64 - 1:
         sys.stderr.write("usage error: --seed must be a 64-bit unsigned value\n")
         return EXIT_USAGE

@@ -5,24 +5,27 @@ The aggregate economy behaves like a stochastic growth model whose period
 "technology" is the within-period equilibrium of :mod:`sortcycles.statics`.
 Two exact scale facts make the dynamic problem cheap: holding the shock state
 fixed, Y, factor incomes and w0 are homogeneous of degree alpha in K and R of
-degree alpha-1.  The policy solver therefore precomputes the K=1 statics for
-each z state and evaluates resources and rental rates off-grid exactly.  The
-solver itself is time iteration: given next period's consumption rule, the
-Euler equation is solved node by node with bisection (the Euler residual is
-strictly increasing in current consumption), and the rule is interpolated
-piecewise-linearly between nodes.
+degree alpha-1, while lambda_t, the labor share, measured TFP and the three
+dispersions do not depend on K at all.  The chain has two states, so one
+table of K=1 statics per state (:func:`state_table`) serves everything: the
+policy solver evaluates resources and rental rates off-grid from it, and
+simulations and impulse responses index it with the state path and scale by
+the matching power of K.  The solver itself is time iteration: given next
+period's consumption rule, the Euler equation is solved node by node with
+bisection (the Euler residual is strictly increasing in current consumption),
+and the rule is interpolated piecewise-linearly between nodes.
 
 Impulse responses are generalized: treated/control path pairs share every
 random innovation, the treated path is forced into the high-z state at
 horizon zero, the control into the boom state, and both follow the chain
 afterwards.  Common random numbers remove simulation noise from the
-difference at desk-scale replication counts.
+difference at desk-scale replication counts.  All pairs advance together,
+one horizon at a time.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +71,6 @@ class Policy:
 
     def consumption(self, state: int, K: float) -> float:
         return kernels.interp(self.K_grid, self.C[state], K)
-
-    def next_capital(self, state: int, K: float) -> float:
-        return kernels.interp(self.K_grid, self.K_next[state], K)
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,36 @@ class IRFResult:
     n_episodes: int
 
 
-def _shock_for(params: ValidatedParams, chain: MarkovChain2, state: int, A: float) -> AggregateShockState:
-    return AggregateShockState.from_params(params, z=chain.z_states[state], A=A)
+@dataclass(frozen=True)
+class StateTable:
+    """Within-period statics at K=1, one entry per chain state.
+
+    At capital K a period in state s has Y, household income and w0 equal to
+    the K=1 value times K**alpha and R equal to it times K**(alpha-1); the
+    other columns do not depend on K.
+    """
+
+    z: np.ndarray
+    Y: np.ndarray
+    income: np.ndarray
+    R: np.ndarray
+    w0: np.ndarray
+    lambda_t: np.ndarray
+    labor_share: np.ndarray
+    measured_tfp: np.ndarray
+    var_log_wage: np.ndarray
+    var_log_tfpq: np.ndarray
+    var_log_tfpr: np.ndarray
+
+
+def state_table(params: ValidatedParams, chain: MarkovChain2, A: float = 1.0) -> StateTable:
+    """Solve the statics once per chain state at K=1."""
+    rows = []
+    for z in chain.z_states:
+        eq = solve_static(params, AggregateShockState.from_params(params, z=z, A=A), 1.0)
+        rows.append((eq.shock.z, eq.Y, eq.household_income, eq.R, eq.w0, eq.lambda_t,
+                     eq.labor_share, measured_tfp(eq), *analytic_moments(eq, params, eq.shock)))
+    return StateTable(*(np.array(col) for col in zip(*rows)))
 
 
 def steady_state(params: ValidatedParams, z_fixed: float, A: float = 1.0) -> tuple[float, float]:
@@ -168,17 +196,6 @@ def steady_state(params: ValidatedParams, z_fixed: float, A: float = 1.0) -> tup
     return k_star, c_star
 
 
-def _state_constants(params: ValidatedParams, chain: MarkovChain2, A: float):
-    """R and household income at K=1 for each z state (exact in K by scaling)."""
-    R1 = np.empty(2)
-    income1 = np.empty(2)
-    for s in range(2):
-        eq = solve_static(params, _shock_for(params, chain, s, A), 1.0)
-        R1[s] = eq.R
-        income1[s] = eq.household_income
-    return R1, income1
-
-
 def solve_policy(params: ValidatedParams, chain: MarkovChain2, A: float = 1.0,
                  grid_spec: GridSpec | None = None, tol: float = 1e-9,
                  max_iter: int = 10_000) -> Policy:
@@ -191,7 +208,8 @@ def solve_policy(params: ValidatedParams, chain: MarkovChain2, A: float = 1.0,
     # pin the ends exactly so hull checks are not hostage to exp/log rounding
     K_grid[0], K_grid[-1] = K_lo, K_hi
 
-    R1, income1 = _state_constants(params, chain, A)
+    table = state_table(params, chain, A)
+    R1, income1 = table.R, table.income
     res = (1.0 - params.delta) * K_grid[None, :] + income1[:, None] * K_grid[None, :] ** params.alpha
     P = np.asarray(chain.transition_matrix, dtype=float)
 
@@ -238,9 +256,10 @@ def simulate(policy: Policy, params: ValidatedParams, chain: MarkovChain2,
              K0: float | None = None, s0: int = 0) -> SimulationPath:
     """Simulate the economy for T periods and record the full period statics.
 
-    The capital recursion interpolates the policy table; every recorded
-    period re-solves the within-period equilibrium at (z_t, K_t), so recorded
-    series satisfy the budget identity by construction rather than by grid
+    The capital recursion interpolates the policy table.  Each recorded
+    period's statics are the state's K=1 values from :func:`state_table`
+    scaled by the exact power of K_t, so consumption satisfies the budget
+    identity at the simulated capital stock rather than by grid
     interpolation.
     """
     if T <= burn_in:
@@ -254,60 +273,26 @@ def simulate(policy: Policy, params: ValidatedParams, chain: MarkovChain2,
     if bad.size:
         raise GridExit(int(bad[0]), float(kpath[bad[0]]))
 
-    shocks = (_shock_for(params, chain, 0, A), _shock_for(params, chain, 1, A))
-    cols = {name: np.empty(T) for name in
-            ("z", "K", "Y", "C", "measured_tfp", "lambda_t", "var_log_wage",
-             "var_log_tfpq", "var_log_tfpr", "labor_share", "R", "w0", "income")}
-    for t in range(T):
-        s = int(states[t])
-        K = kpath[t]
-        eq = solve_static(params, shocks[s], K)
-        vw, vq, vr = analytic_moments(eq, params, eq.shock)
-        income = eq.household_income
-        cols["z"][t] = eq.shock.z
-        cols["K"][t] = K
-        cols["Y"][t] = eq.Y
-        cols["C"][t] = (1.0 - params.delta) * K + income - kpath[t + 1]
-        cols["measured_tfp"][t] = measured_tfp(eq)
-        cols["lambda_t"][t] = eq.lambda_t
-        cols["var_log_wage"][t] = vw
-        cols["var_log_tfpq"][t] = vq
-        cols["var_log_tfpr"][t] = vr
-        cols["labor_share"][t] = eq.labor_share
-        cols["R"][t] = eq.R
-        cols["w0"][t] = eq.w0
-        cols["income"][t] = income
-    if np.any(cols["C"] <= 0.0):
-        t_bad = int(np.argmax(cols["C"] <= 0.0))
+    table = state_table(params, chain, A)
+    K = kpath[:-1]
+    K_alpha = K ** params.alpha
+    income = table.income[states] * K_alpha
+    C = (1.0 - params.delta) * K + income - kpath[1:]
+    if np.any(C <= 0.0):
+        t_bad = int(np.argmax(C <= 0.0))
         raise NoConvergence(f"nonpositive consumption at period {t_bad}; grid too narrow")
-    return SimulationPath(states=states, seed=seed, burn_in=burn_in, **cols)
-
-
-def _irf_episode(policy, params, chain, shocks, K0, u, horizon):
-    """One CRN pair; returns (H+1, 5) treated-minus-control records."""
-    out = np.empty((horizon + 1, 5))
-    s_treat, s_ctrl = 1, 0
-    K_t, K_c = K0, K0
-    for h in range(horizon + 1):
-        rec = []
-        for s, K in ((s_treat, K_t), (s_ctrl, K_c)):
-            eq = solve_static(params, shocks[s], K)
-            vw, vq, vr = analytic_moments(eq, params, eq.shock)
-            rec.append((math.log(eq.Y), measured_tfp(eq), vw, vq, vr))
-        out[h] = np.subtract(rec[0], rec[1])
-        if h == horizon:
-            break
-        K_t = policy.next_capital(s_treat, K_t)
-        K_c = policy.next_capital(s_ctrl, K_c)
-        stay = (chain.p_stay_low, chain.p_stay_high)
-        s_treat = s_treat if u[h] < stay[s_treat] else 1 - s_treat
-        s_ctrl = s_ctrl if u[h] < stay[s_ctrl] else 1 - s_ctrl
-    return out
+    return SimulationPath(
+        states=states, z=table.z[states], K=K, Y=table.Y[states] * K_alpha, C=C,
+        measured_tfp=table.measured_tfp[states], lambda_t=table.lambda_t[states],
+        var_log_wage=table.var_log_wage[states], var_log_tfpq=table.var_log_tfpq[states],
+        var_log_tfpr=table.var_log_tfpr[states], labor_share=table.labor_share[states],
+        R=table.R[states] * K ** (params.alpha - 1.0), w0=table.w0[states] * K_alpha,
+        income=income, seed=seed, burn_in=burn_in)
 
 
 def impulse_response(policy: Policy, params: ValidatedParams, chain: MarkovChain2,
                      horizon: int = 20, n_sims: int = 1000, seed: int = 0,
-                     A: float = 1.0, threads: int = 1) -> IRFResult:
+                     A: float = 1.0) -> IRFResult:
     """Generalized IRF to entering the high-z state, averaged over the
     ergodic boom distribution of capital.
 
@@ -317,6 +302,8 @@ def impulse_response(policy: Policy, params: ValidatedParams, chain: MarkovChain
     """
     if n_sims < 1:
         raise DomainError("n_sims must be at least 1")
+    if horizon < 0:
+        raise DomainError("horizon must be nonnegative")
     stride = 10
     presim_T = 200 + stride * n_sims
     pre_states = draw_state_path(chain, presim_T, seed, stream_label="irf-presim")
@@ -331,26 +318,23 @@ def impulse_response(policy: Policy, params: ValidatedParams, chain: MarkovChain
 
     u_all = block_uniforms(seed, "irf-chain", 0, n_sims * max(horizon, 1))[:, 0]
     u_all = u_all.reshape(n_sims, max(horizon, 1))
-    acc = np.zeros((horizon + 1, 5))
 
-    shocks = (_shock_for(params, chain, 0, A), _shock_for(params, chain, 1, A))
-
-    def run_block(rng_range):
-        a, b = rng_range
-        block = np.zeros((horizon + 1, 5))
-        for r in range(a, b):
-            block += _irf_episode(policy, params, chain, shocks, float(inits[r]), u_all[r], horizon)
-        return block
-
-    ranges = [(a, min(a + 64, n_sims)) for a in range(0, n_sims, 64)]
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(run_block, ranges))
-    else:
-        blocks = [run_block(r) for r in ranges]
-    for b in blocks:  # fixed chunk order keeps the sum deterministic
-        acc += b
-    acc /= n_sims
+    table = state_table(params, chain, A)
+    stay = np.array([chain.p_stay_low, chain.p_stay_high])
+    # row 0 is the treated path of every episode, row 1 its control
+    s = np.array([np.ones(n_sims, dtype=np.int64), np.zeros(n_sims, dtype=np.int64)])
+    K = np.array([inits, inits])
+    acc = np.empty((horizon + 1, 5))
+    for h in range(horizon + 1):
+        rec = np.array([np.log(table.Y[s] * K ** params.alpha), table.measured_tfp[s],
+                        table.var_log_wage[s], table.var_log_tfpq[s], table.var_log_tfpr[s]])
+        acc[h] = np.mean(rec[:, 0] - rec[:, 1], axis=1)
+        if h == horizon:
+            break
+        # np.interp clamps at the grid ends, as the kpath recursion does
+        K = np.where(s == 0, np.interp(K, policy.K_grid, policy.K_next[0]),
+                     np.interp(K, policy.K_grid, policy.K_next[1]))
+        s = np.where(u_all[:, h] < stay[s], s, 1 - s)
     return IRFResult(horizon=horizon, d_log_Y=acc[:, 0], d_measured_tfp=acc[:, 1],
                      d_var_log_wage=acc[:, 2], d_var_log_tfpq=acc[:, 3],
                      d_var_log_tfpr=acc[:, 4], n_episodes=n_sims)

@@ -145,19 +145,37 @@ def firm_outcome(eq: StaticEquilibrium, params: ValidatedParams, shock: Aggregat
     return FirmOutcome(**{name: float(vals[name]) for name in names})
 
 
-def analytic_moments(eq: StaticEquilibrium, params: ValidatedParams,
-                     shock: AggregateShockState) -> tuple[float, float, float]:
-    """(var_log_wage, var_log_tfpq, var_log_tfpr) in closed form."""
+def tfpr_type_loading(params: ValidatedParams, shock: AggregateShockState,
+                      lambda_t: float) -> float:
+    """Slope of log TFPR in firm type, (lambda_t/lambda_x)^psi - eta_q eta_q_theta / xi."""
     p = params
-    c = eq.coefficients
-    ratio = (eq.lambda_t / p.lambda_x) ** p.psi
-    var_wage = (p.psi / p.gamma) ** 2 * p.lambda_x ** (-2.0 * p.psi) * eq.lambda_t ** (2.0 * p.psi - 2.0)
+    ratio = (lambda_t / p.lambda_x) ** p.psi
+    eta_q_theta = -p.gamma * shock.z + (1.0 - p.psi) * ratio
+    return ratio - p.eta_q * eta_q_theta / p.xi
+
+
+def dispersions(params: ValidatedParams, shock: AggregateShockState,
+                lambda_t: float) -> tuple[float, float, float]:
+    """(var_log_wage, var_log_tfpq, var_log_tfpr) in closed form.
+
+    They need only lambda_t and the shock state, no prices, so they do not
+    depend on K.
+    """
+    p = params
+    ratio = (lambda_t / p.lambda_x) ** p.psi
+    var_wage = (p.psi / p.gamma) ** 2 * p.lambda_x ** (-2.0 * p.psi) * lambda_t ** (2.0 * p.psi - 2.0)
     var_tfpq = ratio ** 2 / shock.lambda_theta_t ** 2
-    bracket = ratio - c.eta_q * c.eta_q_theta / p.xi
+    bracket = tfpr_type_loading(params, shock, lambda_t)
     var_tfpr = (bracket ** 2 / shock.lambda_theta_t ** 2
-                + (c.eta_q / p.xi) ** 2 * (p.gamma ** 2 * shock.sigma1_t ** 2
+                + (p.eta_q / p.xi) ** 2 * (p.gamma ** 2 * shock.sigma1_t ** 2
                                            + p.alpha ** 2 * shock.sigma2_t ** 2))
     return (var_wage, var_tfpq, var_tfpr)
+
+
+def analytic_moments(eq: StaticEquilibrium, params: ValidatedParams,
+                     shock: AggregateShockState) -> tuple[float, float, float]:
+    """(var_log_wage, var_log_tfpq, var_log_tfpr) of a solved equilibrium."""
+    return dispersions(params, shock, eq.lambda_t)
 
 
 class FirmPanel:

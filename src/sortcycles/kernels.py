@@ -6,8 +6,13 @@ absent numba install) selects a pure-numpy path instead.  Both paths perform
 the same operations in the same order - the numpy fallback runs the bisection
 synchronously across all grid nodes - so they agree to a few ulps (the only
 divergence is the libm pow used for off-grid rental rates) and each path is
-bit-deterministic run to run.  benchmarks/bench_kernels.py compares their
-speed.
+bit-deterministic run to run.  To compare their speed, run the benchmark's
+layer trace under each setting, e.g.
+
+    SORTCYCLES_NUMBA=0 python3 perfbench/run.py --workload dynamics --trace 1 --seed 1 --seconds 28
+
+and read kernels.time_iteration.total_s and kernels.kpath.total_s; the runner
+passes its environment to the CLI and records kernels.USE_NUMBA.
 
 The chain is always two-state; expectation sums are written unrolled so the
 floating-point summation order is fixed.

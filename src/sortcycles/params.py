@@ -162,6 +162,10 @@ class MarkovChain2:
                 (1.0 - self.p_stay_high, self.p_stay_high))
 
 
+#: the published two-state chain: z in {0, 0.3984}, stay probabilities per state
+PUBLISHED_CHAIN = MarkovChain2(z_high=0.3984, p_stay_low=0.977, p_stay_high=0.688)
+
+
 def stationary_distribution(chain: MarkovChain2) -> tuple[float, float]:
     """Ergodic probabilities (prob_low, prob_high) solving pi = pi P.
 
@@ -254,6 +258,20 @@ def _require_keys(section: dict, allowed: tuple[str, ...], required: tuple[str, 
         raise DomainError(f"missing key(s) in {where}: {', '.join(missing)}")
 
 
+def read_json_object(path: str | Path, what: str) -> dict:
+    """Parse a JSON file whose root is an object; DomainError (naming ``what``)
+    if the file cannot be read, is not JSON, or has another root type."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise DomainError(f"cannot read {what} file {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise DomainError(f"{what} file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise DomainError(f"{what} root must be a JSON object")
+    return raw
+
+
 def load_config(path: str | Path) -> tuple[ValidatedParams, MarkovChain2]:
     """Read a {"params": {...}, "chain": {...}} JSON file.
 
@@ -261,14 +279,7 @@ def load_config(path: str | Path) -> tuple[ValidatedParams, MarkovChain2]:
     so that typos in calibration sweeps fail loudly instead of silently using
     defaults.
     """
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise DomainError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise DomainError("config root must be a JSON object")
+    raw = read_json_object(path, "config")
     _require_keys(raw, ("params", "chain"), ("params", "chain"), "config root")
     if not isinstance(raw["params"], dict) or not isinstance(raw["chain"], dict):
         raise DomainError("'params' and 'chain' must be JSON objects")
@@ -285,5 +296,4 @@ def published_calibration() -> tuple[ValidatedParams, MarkovChain2]:
         alpha=0.3, gamma=0.6, delta=0.10, beta=0.96, xi=9.0,
         psi=0.4022, lambda_x=0.8681, lambda_theta=2.6160, sigma1=0.2293, sigma2=0.0,
     ))
-    chain = MarkovChain2(z_high=0.3984, p_stay_low=0.977, p_stay_high=0.688)
-    return params, chain
+    return params, PUBLISHED_CHAIN

@@ -29,6 +29,7 @@ from .params import (AggregateShockState, ModelParams, ThetaRedrawProcess, Valid
                      validate)
 from .rng import block_uniforms, exponential_icdf
 from .errors import NoRoot
+from .firms import dispersions, tfpr_type_loading
 from .statics import (StaticEquilibrium, capital_margin, fixed_point_coefficients,
                       fixed_point_residual, solve_lambda, solve_static)
 
@@ -287,15 +288,9 @@ def proposition_suite(params_grid, n_z: int = 20, z_max: float = 1.2) -> Verific
         for z in z_grid:
             shock = AggregateShockState.from_params(p, z=z)
             lam = solve_lambda(p, shock)
-            ratio = (lam / p.lambda_x) ** p.psi
-            eta_q_theta = -p.gamma * z + (1.0 - p.psi) * ratio
-            bracket = ratio - p.eta_q * eta_q_theta / p.xi
-            if not bracket > 0.0:
+            if not tfpr_type_loading(p, shock, lam) > 0.0:
                 violations["tfpr_bracket_positive"] += 1
-            vw = (p.psi / p.gamma) ** 2 * p.lambda_x ** (-2 * p.psi) * lam ** (2 * p.psi - 2)
-            vq = ratio ** 2 / p.lambda_theta ** 2
-            vr = (bracket ** 2 / p.lambda_theta ** 2
-                  + (p.eta_q / p.xi) ** 2 * (p.gamma ** 2 * p.sigma1 ** 2 + p.alpha ** 2 * p.sigma2 ** 2))
+            vw, vq, vr = dispersions(p, shock, lam)
             lams.append(lam)
             vws.append(vw)
             vqs.append(vq)
@@ -328,13 +323,11 @@ def proposition_suite(params_grid, n_z: int = 20, z_max: float = 1.2) -> Verific
         for lt in lt_grid:
             shock = AggregateShockState.from_params(p, z=z_fix, lambda_theta_t=lt)
             lam = solve_lambda(p, shock)
+            vw, vq, vr = dispersions(p, shock, lam)
+            vq2.append(vq)
+            vr2.append(vr)
+            vw2.append(vw)
             ratio = (lam / p.lambda_x) ** p.psi
-            eta_q_theta = -p.gamma * z_fix + (1.0 - p.psi) * ratio
-            bracket = ratio - p.eta_q * eta_q_theta / p.xi
-            vq2.append(ratio ** 2 / lt ** 2)
-            vr2.append(bracket ** 2 / lt ** 2
-                       + (p.eta_q / p.xi) ** 2 * (p.gamma ** 2 * p.sigma1 ** 2 + p.alpha ** 2 * p.sigma2 ** 2))
-            vw2.append((p.psi / p.gamma) ** 2 * p.lambda_x ** (-2 * p.psi) * lam ** (2 * p.psi - 2))
             # composite from the redraw-shock analysis, with the type ratio at
             # the first power: that is the power its own step-1 bound covers,
             # and the one consistent with the TFPR dispersion bracket

@@ -174,14 +174,6 @@ class TestCalibrate:
         b = cal.calibrate(params, self_targets, **kw)
         assert a == b
 
-    def test_thread_invariance(self, table_module, self_targets):
-        params, chain = table_module
-        kw = dict(seed=11, n_starts=3, sim_config=FAST, chain_template=chain,
-                  max_iter_per_start=120)
-        a = cal.calibrate(params, self_targets, threads=1, **kw)
-        b = cal.calibrate(params, self_targets, threads=4, **kw)
-        assert a.params == b.params and a.objective == b.objective
-
     def test_reports_best_found_even_without_improvement(self, table_module, self_targets):
         params, chain = table_module
         res = cal.calibrate(params, self_targets, seed=5, n_starts=1,

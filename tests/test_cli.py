@@ -157,6 +157,42 @@ class TestUsageAndConfigErrors:
         assert cli.run(["solve", "--params", config_path, "--threads", "0"]) == 2
 
 
+TARGET_FILES = {
+    "missing": None,
+    "invalid-json": "{\"labor_share\": 0.6,",
+    "non-numeric": json.dumps({"labor_share": "high"}),
+    "short-weights": json.dumps({"weights": [1.0, 2.0]}),
+    "non-list-weights": json.dumps({"weights": 3}),
+    "negative-weight": json.dumps({"weights": [1.0, 1.0, 1.0, 1.0, -1.0]}),
+    "non-object": json.dumps([0.6]),
+}
+
+
+class TestInputHoles:
+    @pytest.mark.parametrize("case", [
+        ("irf", "--horizon", "-1"),
+        ("calibrate", "--fast", "--n-starts", "0"),
+        ("verify", "--n-prop-points", "0"),
+        *[("calibrate", "--fast", "--targets", name) for name in TARGET_FILES],
+    ], ids=lambda case: "-".join(case))
+    def test_exit_code_and_one_error_line(self, config_path, tmp_path, capsys, case):
+        sub, *flags = case
+        if "--targets" in flags:
+            name = flags[-1]
+            target = tmp_path / f"{name}.json"
+            if TARGET_FILES[name] is not None:
+                target.write_text(TARGET_FILES[name])
+            flags[-1] = str(target)
+            expected, prefix = 1, "error: "
+        else:
+            expected, prefix = 2, "usage error: "
+        rc = cli.run([sub, "--params", config_path, *flags, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == expected
+        assert "Traceback" not in err
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
 class TestDeterminism:
     def test_rerun_byte_identity_quick(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -6,6 +6,8 @@ import pytest
 import sortcycles as sc
 from sortcycles import dynamics
 
+from . import oracles
+
 R_STAR = 1.0 / 0.96 - 1.0 + 0.10  # Euler target rental rate, beta=0.96 delta=0.10
 
 # frozen from the bisection oracle (rerun live below)
@@ -141,6 +143,21 @@ class TestSimulate:
                         K0=policy.K_grid[0] * 0.5)
         assert err.value.period == 0
 
+    @pytest.mark.parametrize("seed,K0", [(1, None), (7, 0.8 * K_STAR_BOOM)],
+                             ids=["steady-state-start", "low-start"])
+    def test_matches_per_period_oracle(self, table, policy, seed, K0):
+        # scaled K=1 table vs a full static solve at every (s_t, K_t)
+        params, chain = table
+        path = sc.simulate(policy, params, chain, T=250, burn_in=20, seed=seed, K0=K0)
+        ref = oracles.simulate_oracle(policy, params, chain, T=250, burn_in=20, seed=seed,
+                                      K0=K0)
+        assert np.array_equal(path.states, ref["states"])
+        for name in ("z", "K", "lambda_t", "var_log_wage", "var_log_tfpq", "var_log_tfpr"):
+            assert np.array_equal(getattr(path, name), ref[name]), name
+        for name in ("Y", "C", "measured_tfp", "labor_share", "R", "w0", "income"):
+            np.testing.assert_allclose(getattr(path, name), ref[name], rtol=1e-12, atol=0,
+                                       err_msg=name)
+
     def test_state_path_marginals(self, table):
         _, chain = table
         states = dynamics.draw_state_path(chain, 200_000, seed=77)
@@ -178,12 +195,26 @@ class TestImpulseResponse:
         assert np.all(irf.d_log_Y[:6] < 0.0)
         assert np.all(irf.d_measured_tfp[:6] < 0.0)
 
-    def test_thread_invariance(self, table, policy):
+    @pytest.mark.parametrize("horizon,n_sims,seed", [(0, 9, 4), (1, 5, 8), (6, 70, 8)])
+    def test_matches_scalar_oracle(self, table, policy, horizon, n_sims, seed):
+        # every pair advanced together vs one pair at a time with a full
+        # static solve per record; each column measured against its largest
+        # magnitude, since K-free columns can cross zero
         params, chain = table
-        a = sc.impulse_response(policy, params, chain, horizon=5, n_sims=130, seed=8, threads=1)
-        b = sc.impulse_response(policy, params, chain, horizon=5, n_sims=130, seed=8, threads=8)
-        assert np.array_equal(a.d_log_Y, b.d_log_Y)
-        assert np.array_equal(a.d_var_log_tfpr, b.d_var_log_tfpr)
+        irf = sc.impulse_response(policy, params, chain, horizon=horizon, n_sims=n_sims,
+                                  seed=seed)
+        ref = oracles.irf_oracle(policy, params, chain, horizon, n_sims, seed)
+        cols = (irf.d_log_Y, irf.d_measured_tfp, irf.d_var_log_wage, irf.d_var_log_tfpq,
+                irf.d_var_log_tfpr)
+        for j, col in enumerate(cols):
+            assert col.shape == (horizon + 1,)
+            scale = np.max(np.abs(ref[:, j]))
+            assert np.max(np.abs(col - ref[:, j])) <= 1e-12 * scale, j
+
+    def test_negative_horizon_rejected(self, table, policy):
+        params, chain = table
+        with pytest.raises(sc.DomainError):
+            sc.impulse_response(policy, params, chain, horizon=-1, n_sims=4)
 
     @pytest.mark.parametrize("z_high", [0.05, 0.15, 0.3984, 0.7, 1.0])
     def test_impact_negative_for_any_positive_shock(self, table, z_high):

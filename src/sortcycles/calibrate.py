@@ -9,14 +9,16 @@ depends on the seed and on the transition probabilities alone, and the
 probabilities are not calibrated - so the objective is a smooth
 deterministic function of the parameters and simplex search applies.
 
-Two evaluation modes:
+All five moments are K-free, so each takes one closed-form value per z-state
+(:func:`sortcycles.dynamics.state_table`; the revenue-concentration moments
+come from the exact Pareto-lognormal share formulas).  Neither mode solves
+the dynamic model.  They differ only in how the two states are weighted:
 
-* fast - no dynamic solve.  Every moment is a closed-form function of the
-  two z-states mixed with the chain's stationary distribution (the
-  revenue-concentration moments come from the exact Pareto-lognormal share
-  formulas), so the fast objective involves no sampling at all.
-* full - policy solve plus simulation; state frequencies, the TFP path and
-  the per-period averages come from the simulated history.
+* fast - by the chain's stationary distribution, so the objective involves
+  no sampling at all.
+* full - by a sampled state path: the closed-form per-state values weighted
+  by the seeded path of T periods after burn-in, so TFP volatility and the
+  averages are those of that finite history.
 """
 
 from __future__ import annotations
@@ -30,10 +32,8 @@ from scipy import optimize
 from scipy.stats import qmc
 
 from .errors import DomainError, SortCyclesError
-from .firms import analytic_moments, revenue_concentration
-from .params import (PUBLISHED_CHAIN, AggregateShockState, MarkovChain2, ValidatedParams,
-                     stationary_distribution, validate)
-from .statics import measured_tfp, solve_static
+from .params import (PUBLISHED_CHAIN, MarkovChain2, ValidatedParams, stationary_distribution,
+                     validate)
 from . import dynamics
 
 FREE_PARAM_NAMES = ("psi", "z_high", "lambda_theta", "lambda_x", "sigma1")
@@ -78,12 +78,20 @@ class TargetSet:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Knobs of one objective evaluation."""
+    """Knobs of one objective evaluation.
+
+    ``fast`` weights the per-state values by the stationary distribution;
+    otherwise they are weighted by a sampled state path of ``T`` periods
+    whose first ``burn_in`` are dropped.
+    """
 
     T: int = 10_000
     burn_in: int = 100
-    grid_n: int = 200
     fast: bool = True
+
+    def __post_init__(self):
+        if not self.fast and self.T <= self.burn_in:
+            raise DomainError(f"T={self.T} must exceed burn_in={self.burn_in}")
 
 
 @dataclass(frozen=True)
@@ -106,56 +114,38 @@ def assemble(free_params, fixed_params: ValidatedParams,
     return params, chain
 
 
-def _state_moments(params: ValidatedParams, chain: MarkovChain2):
-    """Per-state cross-section moments and K-free aggregates (all closed form)."""
-    out = []
-    for z in chain.z_states:
-        shock = AggregateShockState.from_params(params, z=z)
-        eq = solve_static(params, shock, 1.0)
-        top10, p5090 = revenue_concentration(eq, params, shock)
-        vw, vq, vr = analytic_moments(eq, params, shock)
-        out.append({"labor_share": eq.labor_share, "var_log_wage": vw, "var_log_tfpq": vq,
-                    "var_log_tfpr": vr, "tfp": measured_tfp(eq), "rev_share_top10": top10,
-                    "rev_share_p50_p90": p5090})
-    return out
-
-
 def model_moments(free_params, fixed_params: ValidatedParams, chain_template: MarkovChain2,
                   sim_config: SimConfig, seed: int) -> dict[str, float]:
     """The five calibration moments at one parameter point."""
     params, chain = assemble(free_params, fixed_params, chain_template)
-    per_state = _state_moments(params, chain)
+    table = dynamics.state_table(params, chain)
 
     if sim_config.fast:
         pi = stationary_distribution(chain)
         freq = (pi[0], pi[1])
     else:
-        policy = dynamics.solve_policy(params, chain,
-                                       grid_spec=dynamics.GridSpec(n=sim_config.grid_n))
-        path = dynamics.simulate(policy, params, chain, T=sim_config.T,
-                                 burn_in=sim_config.burn_in, seed=seed)
-        f_high = float(np.mean(path.states[sim_config.burn_in:]))
+        states = dynamics.draw_state_path(chain, sim_config.T, seed)[sim_config.burn_in:]
+        f_high = float(np.mean(states))
         freq = (1.0 - f_high, f_high)
 
-    def mix(key):
-        return freq[0] * per_state[0][key] + freq[1] * per_state[1][key]
+    def mix(column):
+        return freq[0] * column[0] + freq[1] * column[1]
 
     if sim_config.fast:
-        std_tfp = abs(per_state[1]["tfp"] - per_state[0]["tfp"]) * math.sqrt(freq[0] * freq[1])
-        labor_share = mix("labor_share")
-        wage_ineq = mix("var_log_wage")
+        tfp = table.measured_tfp
+        std_tfp = abs(tfp[1] - tfp[0]) * math.sqrt(freq[0] * freq[1])
+        labor_share = mix(table.labor_share)
+        wage_ineq = mix(table.var_log_wage)
     else:
-        std_tfp = float(np.std(path.measured_tfp[sim_config.burn_in:]))
-        labor_share = float(np.mean(path.labor_share[sim_config.burn_in:]))
-        wage_ineq = float(np.mean(path.var_log_wage[sim_config.burn_in:]))
+        std_tfp = float(np.std(table.measured_tfp[states]))
+        labor_share = float(np.mean(table.labor_share[states]))
+        wage_ineq = float(np.mean(table.var_log_wage[states]))
 
-    top10 = mix("rev_share_top10")
-    p5090 = mix("rev_share_p50_p90")
     return {
         "labor_share": labor_share,
         "wage_inequality": wage_ineq,
-        "rev_share_top10": top10,
-        "rev_share_p50_p90": p5090,
+        "rev_share_top10": mix(table.rev_share_top10),
+        "rev_share_p50_p90": mix(table.rev_share_p50_p90),
         "std_tfp": std_tfp,
     }
 
@@ -185,8 +175,7 @@ def calibrate(fixed_params: ValidatedParams, targets: TargetSet,
               bounds=DEFAULT_BOUNDS, seed: int = 0, n_starts: int = 4,
               sim_config: SimConfig | None = None,
               chain_template: MarkovChain2 | None = None,
-              max_iter_per_start: int = 800,
-              x0: np.ndarray | None = None) -> CalibrationResult:
+              max_iter_per_start: int = 800) -> CalibrationResult:
     """Derivative-free search: Nelder-Mead from Latin-hypercube starts.
 
     Deterministic given the seed: starts come from a seeded LHS sampler and
@@ -201,8 +190,6 @@ def calibrate(fixed_params: ValidatedParams, targets: TargetSet,
     hi = np.array([b[1] for b in bounds])
     sampler = qmc.LatinHypercube(d=len(bounds), seed=seed)
     starts = lo + sampler.random(n=n_starts) * (hi - lo)
-    if x0 is not None:
-        starts[0] = np.asarray(x0, dtype=float)
 
     def fun(x):
         return objective(x, fixed_params, targets, sim_config, seed,

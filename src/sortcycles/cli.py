@@ -119,10 +119,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--targets", default=None, help="TargetSet JSON (default: data column)")
     p.add_argument("--n-starts", type=int, default=4)
-    p.add_argument("--fast", action="store_true", help="no dynamic solve inside the objective")
-    p.add_argument("--T", type=int, default=10_000, help="simulation length in full mode")
+    p.add_argument("--fast", action="store_true",
+                   help="weight the closed-form per-state moments by the stationary "
+                        "distribution (default: by a sampled state path of --T periods)")
+    p.add_argument("--T", type=int, default=10_000, help="state-path length in full mode")
     p.add_argument("--burn-in", type=int, default=100)
-    p.add_argument("--grid-size", type=int, default=200)
+    p.add_argument("--grid-size", type=int, default=200,
+                   help="ignored: calibration solves no policy")
     p.add_argument("--max-iter", type=int, default=800)
 
     p = sub.add_parser("verify", help="independent oracles; exit 3 unless all pass")
@@ -206,8 +209,7 @@ def _load_targets(path: str | None) -> calibrate_mod.TargetSet:
 
 def _cmd_calibrate(args, params, chain, out):
     targets = _load_targets(args.targets)
-    sim_config = calibrate_mod.SimConfig(fast=args.fast, T=args.T, burn_in=args.burn_in,
-                                         grid_n=args.grid_size)
+    sim_config = calibrate_mod.SimConfig(fast=args.fast, T=args.T, burn_in=args.burn_in)
     result = calibrate_mod.calibrate(params, targets, seed=args.seed,
                                      n_starts=args.n_starts, sim_config=sim_config,
                                      chain_template=chain, max_iter_per_start=args.max_iter)

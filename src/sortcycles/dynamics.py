@@ -5,12 +5,13 @@ The aggregate economy behaves like a stochastic growth model whose period
 "technology" is the within-period equilibrium of :mod:`sortcycles.statics`.
 Two exact scale facts make the dynamic problem cheap: holding the shock state
 fixed, Y, factor incomes and w0 are homogeneous of degree alpha in K and R of
-degree alpha-1, while lambda_t, the labor share, measured TFP and the three
-dispersions do not depend on K at all.  The chain has two states, so one
-table of K=1 statics per state (:func:`state_table`) serves everything: the
-policy solver evaluates resources and rental rates off-grid from it, and
-simulations and impulse responses index it with the state path and scale by
-the matching power of K.  The solver itself is time iteration: given next
+degree alpha-1, while lambda_t, the labor share, measured TFP, the three
+dispersions and the two revenue-concentration shares do not depend on K at
+all.  The chain has two states, so one table of K=1 statics per state
+(:func:`state_table`) serves everything: the policy solver evaluates
+resources and rental rates off-grid from it, simulations and impulse
+responses index it with the state path and scale by the matching power of K,
+and calibration reads its moments from it.  The solver itself is time iteration: given next
 period's consumption rule, the Euler equation is solved node by node with
 bisection (the Euler residual is strictly increasing in current consumption),
 and the rule is interpolated piecewise-linearly between nodes.
@@ -36,7 +37,7 @@ from .params import (AggregateShockState, LogVolProcess, MarkovChain2, ThetaRedr
                      ValidatedParams)
 from .rng import block_uniforms, normal_icdf
 from .statics import measured_tfp, solve_static
-from .firms import analytic_moments
+from .firms import analytic_moments, revenue_concentration
 
 
 @dataclass(frozen=True)
@@ -97,9 +98,6 @@ class SimulationPath:
     def __len__(self) -> int:
         return self.z.shape[0]
 
-    def post_burn(self, series: np.ndarray) -> np.ndarray:
-        return series[self.burn_in:]
-
     def moments(self) -> dict[str, float]:
         """Time-averaged moments over the post-burn-in sample."""
         sl = slice(self.burn_in, None)
@@ -135,7 +133,8 @@ class StateTable:
 
     At capital K a period in state s has Y, household income and w0 equal to
     the K=1 value times K**alpha and R equal to it times K**(alpha-1); the
-    other columns do not depend on K.
+    other columns, the two revenue-concentration shares included, do not
+    depend on K.
     """
 
     z: np.ndarray
@@ -149,6 +148,8 @@ class StateTable:
     var_log_wage: np.ndarray
     var_log_tfpq: np.ndarray
     var_log_tfpr: np.ndarray
+    rev_share_top10: np.ndarray
+    rev_share_p50_p90: np.ndarray
 
 
 def state_table(params: ValidatedParams, chain: MarkovChain2, A: float = 1.0) -> StateTable:
@@ -157,7 +158,8 @@ def state_table(params: ValidatedParams, chain: MarkovChain2, A: float = 1.0) ->
     for z in chain.z_states:
         eq = solve_static(params, AggregateShockState.from_params(params, z=z, A=A), 1.0)
         rows.append((eq.shock.z, eq.Y, eq.household_income, eq.R, eq.w0, eq.lambda_t,
-                     eq.labor_share, measured_tfp(eq), *analytic_moments(eq, params, eq.shock)))
+                     eq.labor_share, measured_tfp(eq), *analytic_moments(eq, params, eq.shock),
+                     *revenue_concentration(eq, params, eq.shock)))
     return StateTable(*(np.array(col) for col in zip(*rows)))
 
 

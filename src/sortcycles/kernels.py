@@ -148,16 +148,6 @@ def _kpath_scalar(K0, states, K_grid, K_next_tab):
     return out
 
 
-def _kpath_numpy(K0, states, K_grid, K_next_tab):
-    # the recursion is inherently sequential; reuse the scalar step
-    T = states.shape[0]
-    out = np.empty(T + 1)
-    out[0] = K0
-    for t in range(T):
-        out[t + 1] = _interp_scalar(K_grid, K_next_tab[states[t]], out[t])
-    return out
-
-
 def _state_path_scalar(u, p_stay_low, p_stay_high, s0):
     T = u.shape[0]
     s = np.empty(T, dtype=np.int64)
@@ -181,7 +171,7 @@ if USE_NUMBA:
     state_path = njit(cache=True)(_state_path_scalar)
 else:
     time_iteration = _time_iteration_numpy
-    kpath = _kpath_numpy
+    kpath = _kpath_scalar
     state_path = _state_path_scalar
 
 interp = _interp_scalar

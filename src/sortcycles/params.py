@@ -53,6 +53,13 @@ class ValidatedParams(ModelParams):
         return self.xi / (1.0 + (1.0 - self.alpha - self.gamma) * (self.xi - 1.0))
 
 
+def _require_finite_reals(obj, names: tuple[str, ...]) -> None:
+    for name in names:
+        v = getattr(obj, name)
+        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+            raise DomainError(f"{name} must be a finite real number, got {v!r}")
+
+
 def validate(params: ModelParams) -> ValidatedParams:
     """Check the maintained assumptions and wrap the values as validated.
 
@@ -60,10 +67,8 @@ def validate(params: ModelParams) -> ValidatedParams:
     a ValidatedParams returns an equal object.
     """
     p = params
-    for name in ("alpha", "gamma", "delta", "beta", "xi", "psi", "lambda_x", "lambda_theta", "sigma1", "sigma2"):
-        v = getattr(p, name)
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-            raise DomainError(f"{name} must be a finite real number, got {v!r}")
+    _require_finite_reals(p, ("alpha", "gamma", "delta", "beta", "xi", "psi", "lambda_x",
+                              "lambda_theta", "sigma1", "sigma2"))
     if not p.alpha > 0.0:
         raise DomainError(f"alpha must be positive, got {p.alpha}")
     if not p.gamma > 0.0:
@@ -143,6 +148,7 @@ class MarkovChain2:
     z_low: float = 0.0
 
     def __post_init__(self):
+        _require_finite_reals(self, ("z_high", "p_stay_low", "p_stay_high", "z_low"))
         if not 0.0 <= self.p_stay_low <= 1.0:
             raise DomainError(f"p_stay_low must lie in [0, 1], got {self.p_stay_low}")
         if not 0.0 <= self.p_stay_high <= 1.0:

@@ -1,8 +1,9 @@
 """Independent numerical oracles used to freeze expected values.
 
 Everything here is deliberately primitive: plain bisection, quadrature built
-on scipy, finite differences, and a full static solve at every simulated
-period.  None of it calls the closed forms or shortcuts it is used to check.
+on scipy, finite differences, a full static solve at every simulated period,
+and a policy solve plus simulation where calibration needs only the state
+path.  None of it calls the closed forms or shortcuts it is used to check.
 """
 
 import math
@@ -10,7 +11,9 @@ import math
 import numpy as np
 
 import sortcycles as sc
+import sortcycles.calibrate as cal
 from sortcycles import dynamics, kernels
+from sortcycles.firms import revenue_concentration
 from sortcycles.rng import block_uniforms
 
 
@@ -135,3 +138,28 @@ def irf_oracle(policy, params, chain, horizon, n_sims, seed, A=1.0):
             s_treat = s_treat if u_all[r, h] < stay[s_treat] else 1 - s_treat
             s_ctrl = s_ctrl if u_all[r, h] < stay[s_ctrl] else 1 - s_ctrl
     return acc / n_sims
+
+
+def full_mode_moments_oracle(free_params, fixed_params, chain_template, T, burn_in, grid_n,
+                             seed):
+    """Full-mode calibration moments the long way: a per-state static solve
+    for the revenue shares, then a policy solve on ``grid_n`` nodes and a
+    T-period simulation whose recorded path gives the state frequency, TFP
+    volatility and the period averages.  Raises what those solves raise
+    (``GridExit`` when the simulated capital leaves the grid)."""
+    params, chain = cal.assemble(free_params, fixed_params, chain_template)
+    shares = []
+    for z in chain.z_states:
+        shock = sc.AggregateShockState.from_params(params, z=z)
+        shares.append(revenue_concentration(sc.solve_static(params, shock, 1.0), params, shock))
+    policy = sc.solve_policy(params, chain, grid_spec=sc.GridSpec(n=grid_n))
+    path = sc.simulate(policy, params, chain, T=T, burn_in=burn_in, seed=seed)
+    f_high = float(np.mean(path.states[burn_in:]))
+    freq = (1.0 - f_high, f_high)
+    return {
+        "labor_share": float(np.mean(path.labor_share[burn_in:])),
+        "wage_inequality": float(np.mean(path.var_log_wage[burn_in:])),
+        "rev_share_top10": freq[0] * shares[0][0] + freq[1] * shares[1][0],
+        "rev_share_p50_p90": freq[0] * shares[0][1] + freq[1] * shares[1][1],
+        "std_tfp": float(np.std(path.measured_tfp[burn_in:])),
+    }

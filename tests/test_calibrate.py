@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 import sortcycles as sc
 import sortcycles.calibrate as cal
+from sortcycles import dynamics
+
+from .oracles import full_mode_moments_oracle
 
 
 @pytest.fixture(scope="module")
@@ -183,7 +187,7 @@ class TestCalibrate:
 
     def test_full_mode_runs_and_is_deterministic(self, table_module, truth, self_targets):
         params, chain = table_module
-        cfg = cal.SimConfig(fast=False, T=600, burn_in=60, grid_n=120)
+        cfg = cal.SimConfig(fast=False, T=600, burn_in=60)
         a = cal.objective(truth, params, self_targets, cfg, seed=0, chain_template=chain)
         b = cal.objective(truth, params, self_targets, cfg, seed=0, chain_template=chain)
         assert a == b
@@ -193,10 +197,67 @@ class TestCalibrate:
         params, chain = table_module
         fast = cal.model_moments(truth, params, chain, FAST, seed=0)
         full = cal.model_moments(truth, params, chain,
-                                 cal.SimConfig(fast=False, T=2000, burn_in=100, grid_n=120),
+                                 cal.SimConfig(fast=False, T=2000, burn_in=100),
                                  seed=0)
         for k in ("labor_share", "wage_inequality", "rev_share_top10", "rev_share_p50_p90"):
             assert full[k] == pytest.approx(fast[k], rel=0.10)
+
+
+def _lhs_points(n, seed):
+    lo = np.array([b[0] for b in cal.DEFAULT_BOUNDS])
+    hi = np.array([b[1] for b in cal.DEFAULT_BOUNDS])
+    return lo + qmc.LatinHypercube(d=len(lo), seed=seed).random(n) * (hi - lo)
+
+
+class TestFullModeAgainstOracle:
+    """Full mode reads the K=1 state table along the sampled state path; the
+    oracle solves a policy and simulates.  Wherever the oracle's simulation
+    stays on its grid, the two agree bit for bit."""
+
+    T, BURN_IN, GRID_N, SEED = 600, 60, 120, 0
+
+    def full(self, x, params, chain):
+        cfg = cal.SimConfig(fast=False, T=self.T, burn_in=self.BURN_IN)
+        return cal.model_moments(x, params, chain, cfg, seed=self.SEED)
+
+    @pytest.mark.parametrize("point", ["truth", *range(8)])
+    def test_equals_policy_and_simulation_oracle(self, table_module, truth, point):
+        params, chain = table_module
+        x = truth if point == "truth" else _lhs_points(8, seed=2026)[point]
+        want = full_mode_moments_oracle(x, params, chain, self.T, self.BURN_IN, self.GRID_N,
+                                        self.SEED)
+        assert self.full(x, params, chain) == want
+
+    def test_finite_where_the_oracle_leaves_its_grid(self, table_module):
+        # at this point capital falls below a 120-node grid's floor; the
+        # moments are still defined, and full mode no longer solves a policy
+        params, chain = table_module
+        x = np.array([0.0531, 1.585, 3.514, 17.03, 0.974])
+        with pytest.raises(sc.GridExit):
+            full_mode_moments_oracle(x, params, chain, self.T, self.BURN_IN, self.GRID_N,
+                                     self.SEED)
+        got = self.full(x, params, chain)
+        assert all(math.isfinite(v) for v in got.values())
+
+        new_params, new_chain = cal.assemble(x, params, chain)
+        table = dynamics.state_table(new_params, new_chain)
+        states = dynamics.draw_state_path(new_chain, self.T, self.SEED)[self.BURN_IN:]
+        f = float(np.mean(states))
+        assert 0.0 < f < 1.0
+
+        def mix(column):
+            return (1.0 - f) * column[0] + f * column[1]
+
+        gap = abs(table.measured_tfp[1] - table.measured_tfp[0])
+        assert got["labor_share"] == pytest.approx(mix(table.labor_share), rel=1e-12)
+        assert got["wage_inequality"] == pytest.approx(mix(table.var_log_wage), rel=1e-12)
+        assert got["rev_share_top10"] == mix(table.rev_share_top10)
+        assert got["rev_share_p50_p90"] == mix(table.rev_share_p50_p90)
+        assert got["std_tfp"] == pytest.approx(gap * math.sqrt(f * (1.0 - f)), rel=1e-10)
+
+    def test_t_not_above_burn_in_is_rejected(self):
+        with pytest.raises(sc.DomainError):
+            cal.SimConfig(fast=False, T=50, burn_in=100)
 
 
 class TestAssemble:

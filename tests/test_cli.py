@@ -1,20 +1,26 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from sortcycles import cli, verify
+
+
+PUBLISHED = {
+    "params": {"alpha": 0.3, "gamma": 0.6, "delta": 0.10, "beta": 0.96, "xi": 9,
+               "psi": 0.4022, "lambda_x": 0.8681, "lambda_theta": 2.6160,
+               "sigma1": 0.2293, "sigma2": 0},
+    "chain": {"z_high": 0.3984, "p_stay_low": 0.977, "p_stay_high": 0.688},
+}
 
 
 @pytest.fixture(scope="module")
 def config_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "published.json"
-    payload = {
-        "params": {"alpha": 0.3, "gamma": 0.6, "delta": 0.10, "beta": 0.96, "xi": 9,
-                   "psi": 0.4022, "lambda_x": 0.8681, "lambda_theta": 2.6160,
-                   "sigma1": 0.2293, "sigma2": 0},
-        "chain": {"z_high": 0.3984, "p_stay_low": 0.977, "p_stay_high": 0.688},
-    }
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(PUBLISHED))
     return str(path)
 
 
@@ -88,6 +94,19 @@ class TestIrf:
 
 
 class TestCalibrate:
+    def test_full_mode_recomputes_its_objective(self, config_path, tmp_path):
+        # --grid-size is accepted and ignored: full mode solves no policy
+        rc = cli.run(["calibrate", "--params", config_path, "--T", "600", "--burn-in", "60",
+                      "--n-starts", "1", "--max-iter", "4", "--grid-size", "120",
+                      "--out", str(tmp_path)])
+        assert rc == 0
+        payload = json.loads((tmp_path / "calibration.json").read_text())
+        targets = cli.calibrate_mod.TargetSet()
+        recomputed = sum(w * (payload["moments"][name] / target - 1.0) ** 2
+                         for w, name, target in zip(targets.weights, cli.calibrate_mod.MOMENT_NAMES,
+                                                    targets.values()))
+        assert payload["objective"] == pytest.approx(recomputed, rel=1e-12)
+
     def test_writes_result(self, config_path, tmp_path):
         rc = cli.run(["calibrate", "--params", config_path, "--fast", "--n-starts", "1",
                       "--max-iter", "40", "--out", str(tmp_path)])
@@ -150,6 +169,16 @@ class TestUsageAndConfigErrors:
         cfg.write_text(json.dumps(payload))
         assert cli.run(["solve", "--params", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("value", [None, "0.3", [0.3], True])
+    def test_non_numeric_config_value(self, tmp_path, capsys, value):
+        cfg = tmp_path / "bad.json"
+        payload = json.loads(json.dumps(PUBLISHED))
+        payload["chain"]["z_high"] = value
+        cfg.write_text(json.dumps(payload))
+        assert cli.run(["solve", "--params", str(cfg), "--out", str(tmp_path)]) == 1
+        want = f"error: z_high must be a finite real number, got {value!r}\n"
+        assert capsys.readouterr().err == want
+
     def test_bad_seed(self, config_path):
         assert cli.run(["solve", "--params", config_path, "--seed", "-5"]) == 2
 
@@ -191,6 +220,92 @@ class TestInputHoles:
         assert rc == expected
         assert "Traceback" not in err
         assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+#: values argparse cannot convert to an int or a float
+NOT_A_NUMBER = st.sampled_from(["", "abc", "1..5", "0x10"])
+INTS = st.one_of(st.integers(0, 2 ** 64 - 1), st.sampled_from([-1, 2 ** 64, -2 ** 63]))
+FLOATS = st.one_of(st.floats(0.0, 1.0), st.floats(allow_nan=True, allow_infinity=True),
+                   st.sampled_from([0.0, -0.0, 1e-320, 1e308, 0.3984]))
+
+
+@st.composite
+def config_files(draw):
+    """(kind, file contents or None where no file is written)."""
+    if draw(st.integers(0, 2)) == 0:
+        return "published", json.dumps(PUBLISHED).encode()
+    kind = draw(st.sampled_from(["number", "non-number", "missing", "not-json", "not-utf8",
+                                 "directory", "extra-key"]))
+    if kind in ("missing", "directory"):
+        return kind, None
+    if kind == "not-json":
+        return kind, b"{\"params\": {"
+    if kind == "not-utf8":
+        return kind, b"\xff\xfe\x00"
+    payload = json.loads(json.dumps(PUBLISHED))
+    if kind == "extra-key":
+        payload[draw(st.sampled_from(["params", "chain"]))]["spare"] = 1
+    if kind in ("number", "non-number"):
+        block = draw(st.sampled_from(["params", "chain"]))
+        key = draw(st.sampled_from(sorted(payload[block])))
+        payload[block][key] = draw(
+            st.one_of(FLOATS, INTS) if kind == "number" else
+            st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                      st.lists(st.integers(), max_size=2)))
+    return kind, json.dumps(payload).encode()
+
+
+@st.composite
+def cli_cases(draw):
+    """(subcommand, option pairs, config, whether the argv is a usage error).
+
+    Each option is (flag, values, whether a parsed value is in range)."""
+    sub = draw(st.sampled_from(["solve", "verify"]))
+    options = [("--seed", INTS, lambda v: 0 <= v < 2 ** 64),
+               ("--threads", st.integers(0, 4), lambda v: v >= 1)]
+    if sub == "solve":
+        options += [(flag, FLOATS, lambda v: True) for flag in ("--z", "--A", "--K")]
+    else:
+        options += [("--n-prop-points", st.integers(1, 3), lambda v: True)]
+    pairs, usage_error = [], False
+    for flag, values, in_range in options:
+        if draw(st.booleans()):
+            if draw(st.integers(0, 9)) == 0:
+                pairs.append((flag, draw(NOT_A_NUMBER)))
+                usage_error = True
+            else:
+                value = draw(values)
+                pairs.append((flag, repr(value)))
+                usage_error = usage_error or not in_range(value)
+    if sub == "verify" and not any(flag == "--n-prop-points" for flag, _ in pairs):
+        pairs.append(("--n-prop-points", "1"))
+    return sub, pairs, draw(config_files()), usage_error
+
+
+class TestContractProperty:
+    @settings(max_examples=50, deadline=None)
+    @given(case=cli_cases())
+    def test_every_argv_ends_in_a_documented_exit_code(self, tmp_path_factory, case):
+        sub, pairs, (kind, contents), usage_error = case
+        root = tmp_path_factory.mktemp("argv")
+        cfg = root / "config.json"
+        if kind == "directory":
+            cfg.mkdir()
+        elif contents is not None:
+            cfg.write_bytes(contents)
+        argv = [sub, "--params", str(cfg), "--out", str(root / "out")]
+        for flag, value in pairs:
+            argv.append(f"{flag}={value}")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.run(argv)
+        event(f"exit {rc}")
+        assert rc in (0, 1, 2, 3), (argv, rc)
+        assert "Traceback" not in err.getvalue(), err.getvalue()
+        if usage_error:
+            assert rc == 2, (argv, rc, err.getvalue())
+        if rc in (1, 2):
+            assert "error:" in err.getvalue(), (argv, rc)
 
 
 class TestDeterminism:

@@ -6,8 +6,8 @@ Exit codes: 0 success, 1 domain error, 2 usage error, 3 verification failure.
 Every file this tool writes is a pure function of (config, flags, seed):
 floats are emitted with 17 significant digits, key order is fixed, and no
 timestamps appear, so reruns are byte-identical.  All randomness descends
-from the single --seed through named streams; --threads only changes how
-work is scheduled, never what is computed.
+from the single --seed through named streams.  No subcommand starts worker
+threads; --threads is accepted (and must be at least 1) but has no effect.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=12345, help="master seed (uint64)")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker-thread cap (used by moments and verify)")
+                       help="ignored: no subcommand starts worker threads")
 
     p = sub.add_parser("solve", help="one period's static equilibrium as JSON")
     common(p)
@@ -148,8 +148,7 @@ def _cmd_moments(args, params, chain, out):
     shock = AggregateShockState.from_params(params, z=args.z, A=args.A)
     K = args.K if args.K is not None else dynamics.steady_state(params, args.z, args.A)[0]
     eq = statics.solve_static(params, shock, K)
-    panel = firms.sample_cross_section(eq, params, shock, args.n_firms, args.seed,
-                                       threads=args.threads)
+    panel = firms.sample_cross_section(eq, params, shock, args.n_firms, args.seed)
     m = firms.cross_section_moments(panel, eq)
     payload = dataclasses.asdict(m)
     _write_json(out / "moments.json", payload)
@@ -223,8 +222,7 @@ def _cmd_calibrate(args, params, chain, out):
 
 def _cmd_verify(args, params, chain, out):
     shocks = [AggregateShockState.from_params(params, z=z) for z in chain.z_states]
-    report = verify.run_verification(params, shocks, threads=args.threads,
-                                     n_prop_points=args.n_prop_points)
+    report = verify.run_verification(params, shocks, n_prop_points=args.n_prop_points)
     payload = {"passed": report.passed,
                "checks": [dataclasses.asdict(c) for c in report.checks]}
     _write_json(out / "verify.json", payload)

@@ -217,11 +217,10 @@ def solve_policy(params: ValidatedParams, chain: MarkovChain2, A: float = 1.0,
 
     C0 = np.maximum(res - K_grid[None, :], 0.05 * res)
     C, n_iter, sup = kernels.time_iteration(
-        C0.copy(), K_grid, res, R1, params.alpha - 1.0, 1.0 - params.delta,
+        C0, K_grid, res, R1, params.alpha - 1.0, 1.0 - params.delta,
         P, params.beta, tol, max_iter)
     if sup >= tol:
         raise NoConvergence(f"time iteration stalled after {n_iter} sweeps (sup diff {sup:.3g})")
-    C = np.asarray(C)
     return Policy(K_grid=K_grid, z_states=chain.z_states, P=P, C=C, K_next=res - C,
                   resources=res, R1=R1, income1=income1, n_iterations=int(n_iter),
                   sup_diff=float(sup))
@@ -250,7 +249,7 @@ def draw_state_path(chain: MarkovChain2, T: int, seed: int, s0: int = 0,
                     stream_label: str = "simulate-z") -> np.ndarray:
     """Seeded Markov path of state indices (0 = boom, 1 = recession)."""
     u = block_uniforms(seed, stream_label, 0, T)[:, 0]
-    return np.asarray(kernels.state_path(u, chain.p_stay_low, chain.p_stay_high, s0))
+    return kernels.state_path(u, chain.p_stay_low, chain.p_stay_high, s0)
 
 
 def simulate(policy: Policy, params: ValidatedParams, chain: MarkovChain2,
@@ -269,7 +268,7 @@ def simulate(policy: Policy, params: ValidatedParams, chain: MarkovChain2,
     states = draw_state_path(chain, T, seed)
     if K0 is None:
         K0 = steady_state(params, chain.z_states[s0], A)[0]
-    kpath = np.asarray(kernels.kpath(float(K0), states, policy.K_grid, policy.K_next))
+    kpath = kernels.kpath(float(K0), states, policy.K_grid, policy.K_next)
     lo, hi = policy.K_grid[0], policy.K_grid[-1]
     bad = np.where((kpath < lo) | (kpath > hi))[0]
     if bad.size:
@@ -310,7 +309,7 @@ def impulse_response(policy: Policy, params: ValidatedParams, chain: MarkovChain
     presim_T = 200 + stride * n_sims
     pre_states = draw_state_path(chain, presim_T, seed, stream_label="irf-presim")
     K0 = steady_state(params, chain.z_states[0], A)[0]
-    pre_k = np.asarray(kernels.kpath(K0, pre_states, policy.K_grid, policy.K_next))
+    pre_k = kernels.kpath(K0, pre_states, policy.K_grid, policy.K_next)
     boom_k = pre_k[:-1][pre_states == 0]
     boom_k = boom_k[200:] if boom_k.shape[0] > 200 + n_sims else boom_k
     if boom_k.shape[0] == 0:

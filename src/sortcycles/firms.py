@@ -6,13 +6,12 @@ of the equilibrium scale constants, so every firm-level statistic reduces to
 moments of an exponential type mixed with Gaussian wedges: log quantities are
 Pareto-lognormal convolutions with Pareto upper tails.  Sampling realizes the
 continuum as a finite panel with counter-based draws, which makes panels
-deterministic in (n, seed) and independent of chunking or thread count.
+deterministic in (n, seed) and independent of chunking.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -22,8 +21,8 @@ from .params import AggregateShockState, ValidatedParams
 from .rng import block_uniforms, chunk_ranges, exponential_icdf, normal_icdf
 from .statics import EXP_CAP, StaticEquilibrium
 
-#: firms per sampling chunk; any multiple of one Philox block keeps chunked
-#: sampling bit-identical across thread counts
+#: firms per sampling chunk; chunking bounds the temporaries' peak memory, and
+#: since each firm owns one Philox block the panel does not depend on it
 SAMPLE_CHUNK = 1 << 16
 
 
@@ -198,19 +197,17 @@ class FirmPanel:
 
 
 def sample_cross_section(eq: StaticEquilibrium, params: ValidatedParams, shock: AggregateShockState,
-                         n: int, seed: int, threads: int = 1, stream_label: str = "panel") -> FirmPanel:
+                         n: int, seed: int, stream_label: str = "panel") -> FirmPanel:
     """Seeded i.i.d. panel: theta ~ Exp(lambda_theta_t), eps_i ~ N(0, sigma_it^2).
 
     Firm i consumes exactly one counter block of the (seed, stream_label)
-    stream, so the panel is a pure function of (n, seed) regardless of how
-    the chunks are scheduled.
+    stream, so the panel is a pure function of (n, seed); it is filled in
+    chunks of SAMPLE_CHUNK firms to bound peak memory.
     """
     if n < 1:
         raise EmptyPanel("panel size must be at least 1")
     cols = {name: np.empty(n) for name in FirmPanel.COLUMNS}
-
-    def fill(rng_range):
-        start, stop = rng_range
+    for start, stop in chunk_ranges(n, SAMPLE_CHUNK):
         u = block_uniforms(seed, stream_label, start, stop - start)
         theta = exponential_icdf(u[:, 0], shock.lambda_theta_t)
         eps1 = shock.sigma1_t * normal_icdf(u[:, 1])
@@ -218,14 +215,6 @@ def sample_cross_section(eq: StaticEquilibrium, params: ValidatedParams, shock: 
         vals = _firm_arrays(eq, params, shock, theta, eps1, eps2)
         for name in FirmPanel.COLUMNS:
             cols[name][start:stop] = vals[name]
-
-    ranges = chunk_ranges(n, SAMPLE_CHUNK)
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, ranges))
-    else:
-        for r in ranges:
-            fill(r)
     return FirmPanel(cols, seed)
 
 
@@ -329,6 +318,8 @@ def pareto_lognormal_topshare(a: float, s: float, rate: float, q: float) -> floa
     hi = 60.0 * s + (60.0 * a / rate if a > 0.0 else 0.0) + 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # the bracket cannot shrink further; every later step keeps it
         if tail_prob(mid) > q:
             lo = mid
         else:

@@ -1,18 +1,13 @@
-"""Hot numeric kernels: Euler-equation time iteration and path recursion.
+"""Hot numeric kernels: Euler-equation time iteration and path recursions.
 
-Two implementations live here.  The default compiles the scalar loops with
-numba's @njit; setting the environment variable SORTCYCLES_NUMBA=0 (or an
-absent numba install) selects a pure-numpy path instead.  Both paths perform
-the same operations in the same order - the numpy fallback runs the bisection
-synchronously across all grid nodes - so they agree to a few ulps (the only
-divergence is the libm pow used for off-grid rental rates) and each path is
-bit-deterministic run to run.  To compare their speed, run the benchmark's
-layer trace under each setting, e.g.
+Plain numpy and Python.  The time iteration bisects every grid node's Euler
+equation at once; the capital and state-path recursions are scalar loops,
+since each step depends on the last.  Every kernel is bit-deterministic run
+to run.  The benchmark's layer trace times them:
 
-    SORTCYCLES_NUMBA=0 python3 perfbench/run.py --workload dynamics --trace 1 --seed 1 --seconds 28
+    python3 perfbench/run.py --workload dynamics --trace 1 --seed 1 --seconds 28
 
-and read kernels.time_iteration.total_s and kernels.kpath.total_s; the runner
-passes its environment to the CLI and records kernels.USE_NUMBA.
+reports kernels.time_iteration.total_s and kernels.kpath.total_s.
 
 The chain is always two-state; expectation sums are written unrolled so the
 floating-point summation order is fixed.
@@ -20,20 +15,10 @@ floating-point summation order is fixed.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 #: bisection steps per Euler solve; 2^-90 of the bracket is below one ulp
 BISECT_ITERS = 90
-
-_flag = os.environ.get("SORTCYCLES_NUMBA", "1").strip().lower()
-USE_NUMBA = _flag not in ("0", "false", "off")
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USE_NUMBA = False
 
 
 def _interp_scalar(xg, yg, x):
@@ -55,52 +40,17 @@ def _interp_scalar(xg, yg, x):
     return yg[lo] + w * (yg[lo + 1] - yg[lo])
 
 
-def _time_iteration_scalar(C, K_grid, res, R1, am1, one_minus_delta, P, beta, tol, max_iter):
-    """Scalar time iteration; written for numba."""
-    n = K_grid.shape[0]
-    K_min = K_grid[0]
-    K_max = K_grid[n - 1]
-    C_new = np.empty_like(C)
-    sup = 0.0
-    it = 0
-    for it in range(1, max_iter + 1):
-        sup = 0.0
-        for s in range(2):
-            for j in range(n):
-                re = res[s, j]
-                c_hi = re - K_min
-                c_lo = re - K_max
-                if c_lo < 1e-300:
-                    c_lo = 1e-300
-                if c_hi <= c_lo:
-                    C_new[s, j] = c_hi
-                else:
-                    for _ in range(BISECT_ITERS):
-                        c = 0.5 * (c_lo + c_hi)
-                        kp = re - c
-                        cp0 = _interp_scalar(K_grid, C[0], kp)
-                        cp1 = _interp_scalar(K_grid, C[1], kp)
-                        rk = kp ** am1
-                        q = (P[s, 0] * (R1[0] * rk + one_minus_delta) / cp0
-                             + P[s, 1] * (R1[1] * rk + one_minus_delta) / cp1)
-                        if beta * c * q - 1.0 < 0.0:
-                            c_lo = c
-                        else:
-                            c_hi = c
-                    C_new[s, j] = 0.5 * (c_lo + c_hi)
-                diff = abs(C_new[s, j] - C[s, j])
-                if diff > sup:
-                    sup = diff
-        for s in range(2):
-            for j in range(n):
-                C[s, j] = C_new[s, j]
-        if sup < tol:
-            break
-    return C, it, sup
+interp = _interp_scalar
 
 
-def _time_iteration_numpy(C, K_grid, res, R1, am1, one_minus_delta, P, beta, tol, max_iter):
-    """Vectorized fallback: bisection advances synchronously across nodes."""
+def time_iteration(C, K_grid, res, R1, am1, one_minus_delta, P, beta, tol, max_iter):
+    """Euler-equation time iteration on the (2, n) consumption table C.
+
+    Each sweep bisects every node's Euler equation at once, BISECT_ITERS
+    steps in lockstep, with next period's rule interpolated piecewise
+    linearly (clamped at the grid ends).  Returns (C, sweeps, sup diff) and
+    leaves the caller's C untouched.
+    """
     C = C.copy()
     K_min = K_grid[0]
     K_max = K_grid[-1]
@@ -139,7 +89,8 @@ def _time_iteration_numpy(C, K_grid, res, R1, am1, one_minus_delta, P, beta, tol
     return C, it, sup
 
 
-def _kpath_scalar(K0, states, K_grid, K_next_tab):
+def kpath(K0, states, K_grid, K_next_tab):
+    """Capital path K_0..K_T under the savings table, state by state."""
     T = states.shape[0]
     out = np.empty(T + 1)
     out[0] = K0
@@ -148,7 +99,8 @@ def _kpath_scalar(K0, states, K_grid, K_next_tab):
     return out
 
 
-def _state_path_scalar(u, p_stay_low, p_stay_high, s0):
+def state_path(u, p_stay_low, p_stay_high, s0):
+    """Two-state chain path: stay while u_t < the current stay probability."""
     T = u.shape[0]
     s = np.empty(T, dtype=np.int64)
     cur = s0
@@ -162,27 +114,3 @@ def _state_path_scalar(u, p_stay_low, p_stay_high, s0):
         s[t] = cur
     return s
 
-
-if USE_NUMBA:
-    # rebind the helper first so the jitted callers resolve the jitted symbol
-    _interp_scalar = njit(cache=True)(_interp_scalar)
-    time_iteration = njit(cache=True)(_time_iteration_scalar)
-    kpath = njit(cache=True)(_kpath_scalar)
-    state_path = njit(cache=True)(_state_path_scalar)
-else:
-    time_iteration = _time_iteration_numpy
-    kpath = _kpath_scalar
-    state_path = _state_path_scalar
-
-interp = _interp_scalar
-
-
-def warmup() -> None:
-    """Trigger JIT compilation so timing-sensitive callers pay it up front."""
-    grid = np.linspace(1.0, 2.0, 8)
-    res = np.vstack([grid + 1.0, grid + 1.1])
-    P = np.array([[0.9, 0.1], [0.2, 0.8]])
-    C0 = 0.5 * res
-    time_iteration(C0.copy(), grid, res, np.array([0.1, 0.2]), -0.7, 0.9, P, 0.96, 1e-6, 5)
-    kpath(1.5, np.zeros(4, dtype=np.int64), grid, res)
-    state_path(np.array([0.5, 0.99]), 0.9, 0.8, 0)

@@ -4,9 +4,9 @@ Every random quantity in the package is derived from a single 64-bit seed
 through named Philox streams.  A stream is addressed by (seed, label); within
 a stream, draws live in fixed-size *blocks* of four raw 64-bit words (one
 Philox counter tick), so any contiguous range of blocks can be produced
-independently of how the work is chunked across threads.  This is what makes
-panel sampling and impulse-response replicas bit-identical for any thread
-count.
+independently of how the work is chunked.  This is what makes a sampled
+panel bit-identical for any chunk size, and its first k firms equal to a
+k-firm panel.
 
 Normal deviates use inverse-CDF sampling.  The inverse normal CDF is
 Wichura's algorithm AS 241 (routine PPND16): three rational approximations in

@@ -19,7 +19,6 @@ the check could not detect the errors it exists to catch.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -390,8 +389,8 @@ def theta_process_check(process: ThetaRedrawProcess, n: int, T: int, seed: int) 
 
 
 def run_verification(params: ValidatedParams, shocks: list[AggregateShockState],
-                     K: float | None = None, threads: int = 1,
-                     n_prop_points: int = 100, prop_seed: int = 2718) -> VerificationReport:
+                     K: float | None = None, n_prop_points: int = 100,
+                     prop_seed: int = 2718) -> VerificationReport:
     """All oracles at the given shock states plus the proposition suite.
 
     Negative controls run alongside: a 1% perturbation of lambda_t must break
@@ -399,66 +398,33 @@ def run_verification(params: ValidatedParams, shocks: list[AggregateShockState],
     a perturbed rental rate the capital integral.  Their CheckResults report
     whether the detection fired.
     """
-    tasks = []
-
-    def add(fn, *args):
-        tasks.append((fn, args))
-
+    checks = []
+    K_s = K if K is not None else 1.0
     for i, shock in enumerate(shocks):
-        K_s = K if K is not None else 1.0
         eq = solve_static(params, shock, K_s)
         tag = f"[z={shock.z:g}]"
+        xs = exponential_icdf(block_uniforms(7, f"worker-x-{i}", 0, 20)[:, 0], params.lambda_x)
 
-        def density_checks(eq=eq, shock=shock, tag=tag):
-            a, b = check_job_density(eq, params, shock)
-            return [replace(a, name=a.name + tag), replace(b, name=b.name + tag)]
+        a, b = check_job_density(eq, params, shock)
+        checks += [replace(a, name=a.name + tag), replace(b, name=b.name + tag)]
+        checks.append(replace(check_goods_market(eq, params, shock), name="goods_market" + tag))
+        checks.append(replace(check_capital_market(eq, params, shock, K_s),
+                              name="capital_market" + tag))
+        checks.append(replace(check_worker_clearing(eq, params, xs), name="worker_clearing" + tag))
 
-        def goods_checks(eq=eq, shock=shock, tag=tag):
-            return [replace(check_goods_market(eq, params, shock), name="goods_market" + tag)]
+        _, shape = check_job_density(replace(eq, lambda_t=eq.lambda_t * 1.01), params, shock)
+        checks.append(CheckResult("negative_control_density_shape" + tag, shape.statistic,
+                                  1e-3, shape.statistic > 1e-3))
+        # Y = M Q_bar with Q_bar perturbed
+        g = check_goods_market(replace(eq, Y=eq.Y * 1.01), params, shock)
+        checks.append(CheckResult("negative_control_goods" + tag, g.statistic,
+                                  1e-8, g.statistic > 1e-8))
+        c = check_capital_market(replace(eq, R=eq.R * 1.01), params, shock, eq.K)
+        checks.append(CheckResult("negative_control_capital" + tag, c.statistic,
+                                  1e-8, c.statistic > 1e-8))
+        w = check_worker_clearing(eq, params, xs, slope_factor=1.01)
+        checks.append(CheckResult("negative_control_worker" + tag, w.statistic,
+                                  1e-12, w.statistic > 1e-12))
 
-        def capital_checks(eq=eq, shock=shock, K_s=K_s, tag=tag):
-            return [replace(check_capital_market(eq, params, shock, K_s), name="capital_market" + tag)]
-
-        def worker_checks(eq=eq, shock=shock, tag=tag, i=i):
-            xs = exponential_icdf(block_uniforms(7, f"worker-x-{i}", 0, 20)[:, 0], params.lambda_x)
-            return [replace(check_worker_clearing(eq, params, xs), name="worker_clearing" + tag)]
-
-        def negative_controls(eq=eq, shock=shock, tag=tag, i=i):
-            out = []
-            wrong = replace(eq, lambda_t=eq.lambda_t * 1.01)
-            _, shape = check_job_density(wrong, params, shock)
-            out.append(CheckResult("negative_control_density_shape" + tag, shape.statistic,
-                                   1e-3, shape.statistic > 1e-3))
-            wrong_y = replace(eq, Y=eq.Y * 1.01)  # Y = M Q_bar with Q_bar perturbed
-            g = check_goods_market(wrong_y, params, shock)
-            out.append(CheckResult("negative_control_goods" + tag, g.statistic,
-                                   1e-8, g.statistic > 1e-8))
-            wrong_r = replace(eq, R=eq.R * 1.01)
-            c = check_capital_market(wrong_r, params, shock, eq.K)
-            out.append(CheckResult("negative_control_capital" + tag, c.statistic,
-                                   1e-8, c.statistic > 1e-8))
-            xs = exponential_icdf(block_uniforms(7, f"worker-x-{i}", 0, 20)[:, 0], params.lambda_x)
-            w = check_worker_clearing(eq, params, xs, slope_factor=1.01)
-            out.append(CheckResult("negative_control_worker" + tag, w.statistic,
-                                   1e-12, w.statistic > 1e-12))
-            return out
-
-        add(density_checks)
-        add(goods_checks)
-        add(capital_checks)
-        add(worker_checks)
-        add(negative_controls)
-
-    def prop_checks():
-        report = proposition_suite(random_valid_params(n_prop_points, prop_seed))
-        return list(report.checks)
-
-    add(prop_checks)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda fa: fa[0](*fa[1]), tasks))
-    else:
-        results = [fn(*args) for fn, args in tasks]
-    flat = [c for sub in results for c in sub]
-    return VerificationReport.from_checks(flat)
+    checks += proposition_suite(random_valid_params(n_prop_points, prop_seed)).checks
+    return VerificationReport.from_checks(checks)

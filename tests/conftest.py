@@ -2,13 +2,6 @@ import numpy as np
 import pytest
 
 import sortcycles as sc
-from sortcycles import kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # pay JIT compilation before any timed test runs
-    kernels.warmup()
 
 
 @pytest.fixture(scope="session")

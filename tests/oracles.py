@@ -70,6 +70,56 @@ def topshare_mc(a, s, rate, q, n, seed):
     return r[-k:].sum() / r.sum()
 
 
+def topshare_fixed_bisection(a, s, rate, q):
+    """``firms.pareto_lognormal_topshare`` with its threshold bisection run
+    for all 200 steps, without stopping once the bracket stops shrinking."""
+    from scipy.special import log_ndtr, ndtr, ndtri
+
+    if s == 0.0:
+        if a > 0.0:
+            return q ** (1.0 - a / rate)
+        if a < 0.0:
+            cut = -math.log1p(-q) / rate
+            return 1.0 - math.exp((a - rate) * cut)
+        return q
+    if a == 0.0:
+        return float(ndtr(s - ndtri(1.0 - q)))
+    m = rate / abs(a)
+    if a > 0.0:
+        def tail_prob(t):
+            u = t / s
+            return float(ndtr(-u) + math.exp(min(-m * t + 0.5 * (m * s) ** 2
+                                                 + log_ndtr(u - m * s), 0.0)))
+
+        def upper_share(t):
+            u = t / s
+            lead = float(ndtr(s - u))
+            rest = math.exp(-(rate - a) * t / a + 0.5 * ((m * s) ** 2 - s * s)
+                            + log_ndtr(u - m * s))
+            return lead + rest
+    else:
+        def tail_prob(t):
+            u = t / s
+            return float(ndtr(-u)) - math.exp(min(m * t + 0.5 * (m * s) ** 2
+                                                  + log_ndtr(-u - m * s), 0.0))
+
+        def upper_share(t):
+            u = t / s
+            lead = float(ndtr(s - u))
+            rest = math.exp((rate + abs(a)) * t / abs(a) + 0.5 * ((m * s) ** 2 - s * s)
+                            + log_ndtr(-u - m * s))
+            return lead - rest
+    lo = -60.0 * s - 60.0 / m * (a < 0.0) - 1.0
+    hi = 60.0 * s + (60.0 * a / rate if a > 0.0 else 0.0) + 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if tail_prob(mid) > q:
+            lo = mid
+        else:
+            hi = mid
+    return upper_share(0.5 * (lo + hi))
+
+
 
 def simulate_oracle(policy, params, chain, T, burn_in, seed, A=1.0, K0=None, s0=0):
     """Per-period recorder: a full static solve at every (s_t, K_t).

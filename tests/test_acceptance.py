@@ -257,7 +257,7 @@ def test_criterion7_monte_carlo_analytic_equivalence(table):
     t0 = time.perf_counter()
     shock = sc.AggregateShockState.from_params(params, z=chain.z_low)
     eq = sc.solve_static(params, shock, 1.0)
-    panel = sc.sample_cross_section(eq, params, shock, 1_000_000, seed=SEED, threads=4)
+    panel = sc.sample_cross_section(eq, params, shock, 1_000_000, seed=SEED)
     vw, vq, vr = sc.analytic_moments(eq, params, shock)
 
     def within_3se(series, target):

@@ -143,6 +143,15 @@ class TestSimulate:
                         K0=policy.K_grid[0] * 0.5)
         assert err.value.period == 0
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_long_path_stays_on_the_default_grid(self, table, policy, seed):
+        # the recession savings rule sits exactly on the grid floor at its
+        # lowest node, so a long path can reach the floor but never leave
+        params, chain = table
+        assert np.all(policy.K_next[:, 0] >= policy.K_grid[0])
+        path = sc.simulate(policy, params, chain, T=100_000, burn_in=100, seed=seed)
+        assert path.K.min() >= policy.K_grid[0]
+
     @pytest.mark.parametrize("seed,K0", [(1, None), (7, 0.8 * K_STAR_BOOM)],
                              ids=["steady-state-start", "low-start"])
     def test_matches_per_period_oracle(self, table, policy, seed, K0):

@@ -7,7 +7,7 @@ import pytest
 import sortcycles as sc
 from sortcycles import firms
 
-from .oracles import central_diff, topshare_mc
+from .oracles import central_diff, topshare_fixed_bisection, topshare_mc
 from .test_statics import LAMBDA_BOOM, with_params
 
 
@@ -177,19 +177,23 @@ class TestAnalyticMoments:
 
 
 class TestSampling:
-    def test_deterministic_and_thread_invariant(self, table, boom_eq):
+    def test_deterministic_rerun(self, table, boom_eq):
+        # 150,000 firms span three sampling chunks
         params, _ = table
-        a = sc.sample_cross_section(boom_eq, params, boom_eq.shock, 150_000, seed=8, threads=1)
-        b = sc.sample_cross_section(boom_eq, params, boom_eq.shock, 150_000, seed=8, threads=8)
+        a = sc.sample_cross_section(boom_eq, params, boom_eq.shock, 150_000, seed=8)
+        b = sc.sample_cross_section(boom_eq, params, boom_eq.shock, 150_000, seed=8)
         for col in firms.FirmPanel.COLUMNS:
             assert np.array_equal(getattr(a, col), getattr(b, col)), col
 
     def test_prefix_property(self, table, boom_eq):
-        # the first k draws of a size-n panel equal the size-k panel
+        # the first k draws of a size-n panel equal the size-k panel, also
+        # when n and k fall on different sides of a SAMPLE_CHUNK boundary
         params, _ = table
-        big = sc.sample_cross_section(boom_eq, params, boom_eq.shock, 3000, seed=8)
-        small = sc.sample_cross_section(boom_eq, params, boom_eq.shock, 1000, seed=8)
-        assert np.array_equal(big.theta[:1000], small.theta)
+        for n, k in ((3000, 1000), (150_000, 70_000)):
+            big = sc.sample_cross_section(boom_eq, params, boom_eq.shock, n, seed=8)
+            small = sc.sample_cross_section(boom_eq, params, boom_eq.shock, k, seed=8)
+            for col in firms.FirmPanel.COLUMNS:
+                assert np.array_equal(getattr(big, col)[:k], getattr(small, col)), (n, k, col)
 
     def test_single_firm_satisfies_focs(self, table, boom_eq):
         params, _ = table
@@ -280,6 +284,24 @@ class TestRevenueConcentration:
         got = firms.pareto_lognormal_topshare(a, s, rate, 0.10)
         mc = topshare_mc(a, s, rate, 0.10, n=2_000_000, seed=44)
         assert got == pytest.approx(mc, abs=3e-3)
+
+    @pytest.mark.parametrize("branch", ["a<0", "a>0", "s=0", "a=0"])
+    def test_early_stop_equals_fixed_bisection(self, branch):
+        # the bisection stops once the bracket cannot shrink; from there the
+        # fixed 200 steps would return the same midpoint, so results are ==
+        g = np.random.default_rng({"a<0": 1, "a>0": 2, "s=0": 3, "a=0": 4}[branch])
+        for _ in range(300):
+            rate, q, s = g.uniform(0.3, 8.0), g.uniform(0.005, 0.995), g.uniform(0.01, 2.5)
+            if branch == "a<0":
+                a = -g.uniform(0.01, 4.0)
+            elif branch == "a>0":
+                a = g.uniform(0.01, 0.97) * rate
+            elif branch == "s=0":
+                a, s = g.choice([-1.0, 0.0, 1.0]) * g.uniform(0.01, 0.97) * rate, 0.0
+            else:
+                a = 0.0
+            got = firms.pareto_lognormal_topshare(a, s, rate, q)
+            assert got == topshare_fixed_bisection(a, s, rate, q), (a, s, rate, q)
 
     def test_divergent_mean_rejected(self):
         with pytest.raises(ValueError):

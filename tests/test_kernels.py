@@ -1,13 +1,11 @@
-import os
-import subprocess
+import builtins
+import importlib
+import pkgutil
 import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import sortcycles
 from sortcycles import kernels
 
 
@@ -62,51 +60,33 @@ class TestStatePath:
         assert list(s) == [0, 1, 1, 0, 0]
 
 
-class TestFallbackParity:
-    def test_numpy_fallback_matches_numba_to_rounding(self, tmp_path):
-        # the fallback runs the same bisection synchronously; the only ulp
-        # divergence comes from the vectorized pow. Solve the toy problem in
-        # one child per path, each asserting which path it runs, and compare.
-        pytest.importorskip("numba")
-        grid, res, R1, P, C0 = toy_problem()
-        np.savez(tmp_path / "toy.npz", grid=grid, res=res, R1=R1, P=P, C0=C0)
-        ref = solve_toy_in_child(tmp_path, use_numba=True)
-        got = solve_toy_in_child(tmp_path, use_numba=False)
-        assert int(got["it"]) == int(ref["it"])
-        np.testing.assert_allclose(got["C"], ref["C"], rtol=1e-13, atol=0)
+class TestImports:
+    def test_only_numpy_scipy_and_the_standard_library(self, monkeypatch):
+        # re-import every submodule from scratch and record the top-level
+        # package of each import statement the package itself runs, whether
+        # or not it succeeds; the original module objects are restored
+        # afterwards so the rest of the session keeps them
+        requested = set()
+        real_import = builtins.__import__
 
-    def test_env_flag_selects_fallback(self, tmp_path):
-        script = ("from sortcycles import kernels; "
-                  "print(int(kernels.USE_NUMBA))")
-        out = run_child(script, tmp_path, SORTCYCLES_NUMBA="0")
-        assert out.strip() == "0"
+        def spy(name, globals=None, locals=None, fromlist=(), level=0):
+            if level == 0 and (globals or {}).get("__name__", "").startswith("sortcycles"):
+                requested.add(name.split(".")[0])
+            return real_import(name, globals, locals, fromlist, level)
 
+        def ours():
+            return [n for n in sys.modules if n == "sortcycles" or n.startswith("sortcycles.")]
 
-def run_child(script, cwd, **env):
-    """Run `script` in a fresh interpreter that imports the sortcycles this
-    process imported, whatever the working directory; return its stdout."""
-    src_dir = str(Path(sortcycles.__file__).resolve().parents[1])
-    inherited = os.environ.get("PYTHONPATH")
-    pythonpath = os.pathsep.join([src_dir, inherited]) if inherited else src_dir
-    child_env = dict(os.environ, PYTHONPATH=pythonpath, **env)
-    out = subprocess.run([sys.executable, "-c", script], env=child_env, cwd=cwd,
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    return out.stdout
-
-
-def solve_toy_in_child(tmp_path, use_numba):
-    """Solve the saved toy problem in a child with SORTCYCLES_NUMBA set to
-    `use_numba`; the child fails unless that path is the one it runs."""
-    result = tmp_path / f"numba{int(use_numba)}.npz"
-    script = textwrap.dedent("""
-        import numpy as np
-        from sortcycles import kernels
-        assert bool(kernels.USE_NUMBA) == %r, f"USE_NUMBA is {kernels.USE_NUMBA}"
-        d = np.load(r"%s")
-        C, it, sup = kernels.time_iteration(d["C0"].copy(), d["grid"], d["res"],
-                                            d["R1"], -0.7, 0.9, d["P"], 0.96, 1e-10, 5000)
-        np.savez(r"%s", C=C, it=it)
-    """ % (use_numba, tmp_path / "toy.npz", result))
-    run_child(script, tmp_path, SORTCYCLES_NUMBA=str(int(use_numba)))
-    return np.load(result)
+        saved = {name: sys.modules.pop(name) for name in ours()}
+        monkeypatch.setattr(builtins, "__import__", spy)
+        try:
+            package = importlib.import_module("sortcycles")
+            for info in pkgutil.iter_modules(package.__path__):
+                importlib.import_module(f"sortcycles.{info.name}")
+        finally:
+            monkeypatch.undo()
+            for name in ours():
+                del sys.modules[name]
+            sys.modules.update(saved)
+        assert {"numpy", "scipy"} <= requested
+        assert requested - {"numpy", "scipy"} - set(sys.stdlib_module_names) == set()

@@ -142,9 +142,9 @@ class TestRunVerification:
         names = [c.name for c in report.checks]
         assert names == sorted(names)
 
-    def test_thread_invariance(self, table):
+    def test_deterministic_rerun(self, table):
         params, chain = table
         shocks = [sc.AggregateShockState.from_params(params, z=z) for z in chain.z_states]
-        a = verify.run_verification(params, shocks, n_prop_points=10, threads=1)
-        b = verify.run_verification(params, shocks, n_prop_points=10, threads=8)
+        a = verify.run_verification(params, shocks, n_prop_points=10)
+        b = verify.run_verification(params, shocks, n_prop_points=10)
         assert a == b

@@ -11,8 +11,9 @@ deterministic function of the parameters and simplex search applies.
 
 All five moments are K-free, so each takes one closed-form value per z-state
 (:func:`sortcycles.dynamics.state_table`; the revenue-concentration moments
-come from the exact Pareto-lognormal share formulas).  Neither mode solves
-the dynamic model.  They differ only in how the two states are weighted:
+come from the exact Pareto-lognormal share formulas applied to the table's
+per-state equilibria).  Neither mode solves the dynamic model.  They differ
+only in how the two states are weighted:
 
 * fast - by the chain's stationary distribution, so the objective involves
   no sampling at all.
@@ -28,10 +29,9 @@ import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
-from scipy.stats import qmc
 
 from .errors import DomainError, SortCyclesError
+from .firms import revenue_concentration
 from .params import (PUBLISHED_CHAIN, MarkovChain2, ValidatedParams, stationary_distribution,
                      validate)
 from . import dynamics
@@ -131,6 +131,9 @@ def model_moments(free_params, fixed_params: ValidatedParams, chain_template: Ma
     def mix(column):
         return freq[0] * column[0] + freq[1] * column[1]
 
+    top10, p50_p90 = zip(*(revenue_concentration(eq, params, eq.shock)
+                           for eq in table.equilibria))
+
     if sim_config.fast:
         tfp = table.measured_tfp
         std_tfp = abs(tfp[1] - tfp[0]) * math.sqrt(freq[0] * freq[1])
@@ -144,8 +147,8 @@ def model_moments(free_params, fixed_params: ValidatedParams, chain_template: Ma
     return {
         "labor_share": labor_share,
         "wage_inequality": wage_ineq,
-        "rev_share_top10": mix(table.rev_share_top10),
-        "rev_share_p50_p90": mix(table.rev_share_p50_p90),
+        "rev_share_top10": mix(top10),
+        "rev_share_p50_p90": mix(p50_p90),
         "std_tfp": std_tfp,
     }
 
@@ -182,6 +185,11 @@ def calibrate(fixed_params: ValidatedParams, targets: TargetSet,
     every objective evaluation reuses the same random draws.  Reports the
     best point found even if no start improves.
     """
+    # scipy is imported here, not at module level, so that every other
+    # subcommand starts without paying for it
+    from scipy import optimize
+    from scipy.stats import qmc
+
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
     sim_config = sim_config or SimConfig()

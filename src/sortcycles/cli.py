@@ -50,11 +50,10 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
-    names = list(columns)
-    n = len(next(iter(columns.values())))
-    lines = [",".join(names)]
-    for i in range(n):
-        lines.append(",".join(f"{float(columns[name][i]):.17g}" for name in names))
+    rows = np.column_stack([np.asarray(col, dtype=np.float64)
+                            for col in columns.values()]).tolist()
+    row_format = ",".join(["%.17g"] * len(columns))
+    lines = [",".join(columns), *(row_format % tuple(row) for row in rows)]
     path.write_text("\n".join(lines) + "\n")
 
 

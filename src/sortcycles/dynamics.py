@@ -5,13 +5,14 @@ The aggregate economy behaves like a stochastic growth model whose period
 "technology" is the within-period equilibrium of :mod:`sortcycles.statics`.
 Two exact scale facts make the dynamic problem cheap: holding the shock state
 fixed, Y, factor incomes and w0 are homogeneous of degree alpha in K and R of
-degree alpha-1, while lambda_t, the labor share, measured TFP, the three
-dispersions and the two revenue-concentration shares do not depend on K at
-all.  The chain has two states, so one table of K=1 statics per state
-(:func:`state_table`) serves everything: the policy solver evaluates
-resources and rental rates off-grid from it, simulations and impulse
-responses index it with the state path and scale by the matching power of K,
-and calibration reads its moments from it.  The solver itself is time iteration: given next
+degree alpha-1, while lambda_t, the labor share, measured TFP and the three
+dispersions do not depend on K at all.  The chain has two states, so one
+table of K=1 statics per state (:func:`state_table`) serves everything: the
+policy solver evaluates resources and rental rates off-grid from it,
+simulations and impulse responses index it with the state path and scale by
+the matching power of K, and calibration reads its moments from it (the
+revenue-concentration shares, which no path records, from the table's
+per-state equilibria).  The solver itself is time iteration: given next
 period's consumption rule, the Euler equation is solved node by node with
 bisection (the Euler residual is strictly increasing in current consumption),
 and the rule is interpolated piecewise-linearly between nodes.
@@ -36,8 +37,8 @@ from .errors import BracketFailure, DomainError, GridExit, NoConvergence
 from .params import (AggregateShockState, LogVolProcess, MarkovChain2, ThetaRedrawProcess,
                      ValidatedParams)
 from .rng import block_uniforms, normal_icdf
-from .statics import measured_tfp, solve_static
-from .firms import analytic_moments, revenue_concentration
+from .statics import StaticEquilibrium, measured_tfp, solve_static
+from .firms import analytic_moments
 
 
 @dataclass(frozen=True)
@@ -133,8 +134,9 @@ class StateTable:
 
     At capital K a period in state s has Y, household income and w0 equal to
     the K=1 value times K**alpha and R equal to it times K**(alpha-1); the
-    other columns, the two revenue-concentration shares included, do not
-    depend on K.
+    other columns do not depend on K.  ``equilibria`` keeps each state's K=1
+    solve, for K-free statistics the columns do not carry (the calibration's
+    revenue-concentration shares).
     """
 
     z: np.ndarray
@@ -148,19 +150,17 @@ class StateTable:
     var_log_wage: np.ndarray
     var_log_tfpq: np.ndarray
     var_log_tfpr: np.ndarray
-    rev_share_top10: np.ndarray
-    rev_share_p50_p90: np.ndarray
+    equilibria: tuple[StaticEquilibrium, ...]
 
 
 def state_table(params: ValidatedParams, chain: MarkovChain2, A: float = 1.0) -> StateTable:
     """Solve the statics once per chain state at K=1."""
-    rows = []
-    for z in chain.z_states:
-        eq = solve_static(params, AggregateShockState.from_params(params, z=z, A=A), 1.0)
-        rows.append((eq.shock.z, eq.Y, eq.household_income, eq.R, eq.w0, eq.lambda_t,
-                     eq.labor_share, measured_tfp(eq), *analytic_moments(eq, params, eq.shock),
-                     *revenue_concentration(eq, params, eq.shock)))
-    return StateTable(*(np.array(col) for col in zip(*rows)))
+    eqs = tuple(solve_static(params, AggregateShockState.from_params(params, z=z, A=A), 1.0)
+                for z in chain.z_states)
+    rows = [(eq.shock.z, eq.Y, eq.household_income, eq.R, eq.w0, eq.lambda_t,
+             eq.labor_share, measured_tfp(eq), *analytic_moments(eq, params, eq.shock))
+            for eq in eqs]
+    return StateTable(*(np.array(col) for col in zip(*rows)), equilibria=eqs)
 
 
 def steady_state(params: ValidatedParams, z_fixed: float, A: float = 1.0) -> tuple[float, float]:

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
 
 from .params import (AggregateShockState, ModelParams, ThetaRedrawProcess, ValidatedParams,
                      validate)
@@ -98,6 +97,8 @@ def independent_firm_solution(eq: StaticEquilibrium, params: ValidatedParams,
 
 def _type_integral(eq, params, shock, which: str, theta_max: float) -> float:
     """Integrate exp-weighted firm quantities against the type density."""
+    from scipy import integrate
+
     n1, w1 = _gauss_hermite(shock.sigma1_t)
     n2, w2 = _gauss_hermite(shock.sigma2_t)
     E1, E2 = np.meshgrid(n1, n2, indexing="ij")
@@ -136,6 +137,8 @@ def check_job_density(eq: StaticEquilibrium, params: ValidatedParams,
     f(h) is built from the independent firm solver: the wedge-averaged
     employment of type-h firms times the type density.
     """
+    from scipy import integrate
+
     n1, w1 = _gauss_hermite(shock.sigma1_t)
     n2, w2 = _gauss_hermite(shock.sigma2_t)
     E1, E2 = np.meshgrid(n1, n2, indexing="ij")

@@ -1,11 +1,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import sortcycles
 from sortcycles import cli, verify
 
 
@@ -315,3 +321,58 @@ class TestDeterminism:
             assert cli.run(["moments", "--params", config_path, "--n-firms", "4000",
                             "--out", str(out)]) == 0
         assert (out1 / "moments.json").read_bytes() == (out2 / "moments.json").read_bytes()
+
+
+class TestWriteCsv:
+    def test_matches_cell_by_cell_formatting(self, tmp_path):
+        rng = np.random.default_rng(7)
+        mixed = rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)
+        special = np.array([0.0, -0.0, 1.0, -1e-320, 5e-324, 1.7976931348623157e308,
+                            np.inf, -np.inf, np.nan, 0.1, 1 / 3, 2.0 ** 53 + 1])
+        columns = {"t": np.arange(mixed.size), "mixed": mixed,
+                   "special": np.resize(special, mixed.size)}
+        cli._write_csv(tmp_path / "out.csv", columns)
+        # reference: one f-string per cell
+        lines = [",".join(columns)]
+        for i in range(mixed.size):
+            lines.append(",".join(f"{float(col[i]):.17g}" for col in columns.values()))
+        assert (tmp_path / "out.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def _fresh_python(*args, cwd):
+    """Run a new interpreter that imports sortcycles from the same source tree."""
+    src = str(Path(sortcycles.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+_NO_SCIPY_SCRIPT = """
+import json, sys
+import sortcycles
+from sortcycles import cli
+config, out = sys.argv[1:]
+for argv in (["solve"], ["moments", "--n-firms", "2000", "--panel-csv"],
+             ["simulate", "--T", "300", "--burn-in", "10", "--grid-size", "60"],
+             ["irf", "--horizon", "4", "--n-sims", "20", "--grid-size", "60"]):
+    if cli.run([*argv, "--params", config, "--out", out]) != 0:
+        raise SystemExit(f"{argv[0]} failed")
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+class TestFreshInterpreter:
+    def test_solve_moments_and_dynamics_never_import_scipy(self, config_path, tmp_path):
+        # scipy is imported only by calibrate, verify and the revenue shares;
+        # importing it costs about a second at every CLI start
+        proc = _fresh_python("-c", _NO_SCIPY_SCRIPT, config_path, str(tmp_path), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+    def test_python_dash_m_runs_the_cli(self, config_path, tmp_path):
+        proc = _fresh_python("-m", "sortcycles", "solve", "--params", config_path,
+                             "--out", str(tmp_path), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["subcommand"] == "solve"
+        assert "lambda_t" in json.loads((tmp_path / "equilibrium.json").read_text())

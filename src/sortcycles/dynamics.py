@@ -12,10 +12,15 @@ policy solver evaluates resources and rental rates off-grid from it,
 simulations and impulse responses index it with the state path and scale by
 the matching power of K, and calibration reads its moments from it (the
 revenue-concentration shares, which no path records, from the table's
-per-state equilibria).  The solver itself is time iteration: given next
-period's consumption rule, the Euler equation is solved node by node with
-bisection (the Euler residual is strictly increasing in current consumption),
-and the rule is interpolated piecewise-linearly between nodes.
+per-state equilibria).  A solved :class:`Policy` carries its table and the
+steady-state capital of each state, so nothing downstream re-solves them.
+
+The solver is time iteration: given next period's consumption rule, each
+sweep solves the Euler equation at every node at once by a lockstep
+bisection of BISECT_ITERS steps (the Euler residual is strictly increasing
+in current consumption).  Every rule in this module -- consumption in the
+solver and the residuals, savings along simulated paths -- is interpolated
+piecewise-linearly with ``np.interp``, which clamps at the grid ends.
 
 Impulse responses are generalized: treated/control path pairs share every
 random innovation, the treated path is forced into the high-z state at
@@ -32,13 +37,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import BracketFailure, DomainError, GridExit, NoConvergence
 from .params import (AggregateShockState, LogVolProcess, MarkovChain2, ThetaRedrawProcess,
                      ValidatedParams)
 from .rng import block_uniforms, normal_icdf
 from .statics import StaticEquilibrium, measured_tfp, solve_static
 from .firms import analytic_moments
+
+#: bisection steps per Euler solve; 2^-90 of the bracket is below one ulp
+BISECT_ITERS = 90
 
 
 @dataclass(frozen=True)
@@ -58,7 +65,8 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Policy:
-    """Converged savings/consumption rule on the capital grid."""
+    """Converged savings/consumption rule on the capital grid, with the K=1
+    state table and the per-state steady-state capital it was solved with."""
 
     K_grid: np.ndarray
     z_states: tuple[float, float]
@@ -66,13 +74,10 @@ class Policy:
     C: np.ndarray        # (2, n) consumption at nodes
     K_next: np.ndarray   # (2, n) savings at nodes; C + K_next = resources exactly
     resources: np.ndarray
-    R1: np.ndarray       # rental rate at K=1 per state
-    income1: np.ndarray  # household income at K=1 per state
+    table: StateTable
+    k_star: tuple[float, float]  # steady-state capital per state
     n_iterations: int
     sup_diff: float
-
-    def consumption(self, state: int, K: float) -> float:
-        return kernels.interp(self.K_grid, self.C[state], K)
 
 
 @dataclass(frozen=True)
@@ -201,64 +206,105 @@ def steady_state(params: ValidatedParams, z_fixed: float, A: float = 1.0) -> tup
 def solve_policy(params: ValidatedParams, chain: MarkovChain2, A: float = 1.0,
                  grid_spec: GridSpec | None = None, tol: float = 1e-9,
                  max_iter: int = 10_000) -> Policy:
-    """Time iteration on the Euler equation until the consumption rule is fixed."""
+    """Time iteration on the Euler equation until the consumption rule is fixed.
+
+    Each sweep bisects every node's Euler equation at once, BISECT_ITERS
+    steps in lockstep, between saving the grid ceiling and saving the grid
+    floor, with next period's rule interpolated by ``np.interp``.
+    """
     spec = grid_spec or GridSpec()
-    k_stars = [steady_state(params, z, A)[0] for z in chain.z_states]
-    K_lo = spec.lo_frac * min(k_stars)
-    K_hi = spec.hi_frac * max(k_stars)
+    k_star = tuple(steady_state(params, z, A)[0] for z in chain.z_states)
+    K_lo = spec.lo_frac * min(k_star)
+    K_hi = spec.hi_frac * max(k_star)
     K_grid = np.exp(np.linspace(math.log(K_lo), math.log(K_hi), spec.n))
     # pin the ends exactly so hull checks are not hostage to exp/log rounding
     K_grid[0], K_grid[-1] = K_lo, K_hi
 
     table = state_table(params, chain, A)
-    R1, income1 = table.R, table.income
-    res = (1.0 - params.delta) * K_grid[None, :] + income1[:, None] * K_grid[None, :] ** params.alpha
+    R1 = table.R
+    omd, am1 = 1.0 - params.delta, params.alpha - 1.0
+    res = omd * K_grid[None, :] + table.income[:, None] * K_grid[None, :] ** params.alpha
     P = np.asarray(chain.transition_matrix, dtype=float)
 
-    C0 = np.maximum(res - K_grid[None, :], 0.05 * res)
-    C, n_iter, sup = kernels.time_iteration(
-        C0, K_grid, res, R1, params.alpha - 1.0, 1.0 - params.delta,
-        P, params.beta, tol, max_iter)
+    C = np.maximum(res - K_grid[None, :], 0.05 * res)
+    c_top = res - K_lo                         # save the grid floor
+    c_bottom = np.maximum(res - K_hi, 1e-300)  # save the grid ceiling
+    degenerate = c_top <= c_bottom
+    sup = math.inf
+    sweep = 0
+    for sweep in range(1, max_iter + 1):
+        c_lo, c_hi = c_bottom, c_top
+        for _ in range(BISECT_ITERS):
+            c = 0.5 * (c_lo + c_hi)
+            kp = res - c
+            rk = kp ** am1
+            q = (P[:, 0][:, None] * (R1[0] * rk + omd) / np.interp(kp, K_grid, C[0])
+                 + P[:, 1][:, None] * (R1[1] * rk + omd) / np.interp(kp, K_grid, C[1]))
+            neg = params.beta * c * q - 1.0 < 0.0
+            c_lo = np.where(neg, c, c_lo)
+            c_hi = np.where(neg, c_hi, c)
+        C_new = np.where(degenerate, c_top, 0.5 * (c_lo + c_hi))
+        sup = float(np.max(np.abs(C_new - C)))
+        C = C_new
+        if sup < tol:
+            break
     if sup >= tol:
-        raise NoConvergence(f"time iteration stalled after {n_iter} sweeps (sup diff {sup:.3g})")
+        raise NoConvergence(f"time iteration stalled after {sweep} sweeps (sup diff {sup:.3g})")
     return Policy(K_grid=K_grid, z_states=chain.z_states, P=P, C=C, K_next=res - C,
-                  resources=res, R1=R1, income1=income1, n_iterations=int(n_iter),
-                  sup_diff=float(sup))
+                  resources=res, table=table, k_star=k_star, n_iterations=sweep,
+                  sup_diff=sup)
 
 
 def euler_residuals(policy: Policy, params: ValidatedParams, points: np.ndarray,
                     states: np.ndarray) -> np.ndarray:
     """Unit-free Euler residuals |beta E[(C/C')(R'+1-delta)] - 1| off grid."""
-    out = np.empty(points.shape[0])
+    K = np.asarray(points, dtype=float)
+    s = np.asarray(states, dtype=np.int64)
     omd = 1.0 - params.delta
-    am1 = params.alpha - 1.0
-    for i, (K, s) in enumerate(zip(points, states)):
-        s = int(s)
-        c = policy.consumption(s, K)
-        resources = omd * K + policy.income1[s] * K ** params.alpha
-        kp = resources - c
-        q = 0.0
-        for sp in range(2):
-            cp = policy.consumption(sp, kp)
-            q += policy.P[s, sp] * (policy.R1[sp] * kp ** am1 + omd) / cp
-        out[i] = abs(params.beta * c * q - 1.0)
+    c = np.where(s == 0, np.interp(K, policy.K_grid, policy.C[0]),
+                 np.interp(K, policy.K_grid, policy.C[1]))
+    kp = omd * K + policy.table.income[s] * K ** params.alpha - c
+    rk = kp ** (params.alpha - 1.0)
+    R1 = policy.table.R
+    q = (policy.P[s, 0] * (R1[0] * rk + omd) / np.interp(kp, policy.K_grid, policy.C[0])
+         + policy.P[s, 1] * (R1[1] * rk + omd) / np.interp(kp, policy.K_grid, policy.C[1]))
+    return np.abs(params.beta * c * q - 1.0)
+
+
+def draw_state_path(chain: MarkovChain2 | ThetaRedrawProcess, T: int, seed: int, s0: int = 0,
+                    stream_label: str = "simulate-z") -> np.ndarray:
+    """Seeded path s_1..s_T of a two-state chain's state indices (0 = boom,
+    1 = recession, for the z chain) that starts in s0: the chain stays while
+    u_t is below the current state's stay probability and switches otherwise.
+    """
+    u = block_uniforms(seed, stream_label, 0, T)[:, 0]
+    stay = (chain.p_stay_low, chain.p_stay_high)
+    s = np.empty(T, dtype=np.int64)
+    cur = s0
+    for t, u_t in enumerate(u.tolist()):
+        if u_t >= stay[cur]:
+            cur = 1 - cur
+        s[t] = cur
+    return s
+
+
+def _capital_path(policy: Policy, K0: float, states: np.ndarray) -> np.ndarray:
+    """Capital path K_0..K_T under the savings rule, state by state."""
+    out = np.empty(states.shape[0] + 1)
+    out[0] = K0
+    for t, s in enumerate(states.tolist()):
+        out[t + 1] = np.interp(out[t], policy.K_grid, policy.K_next[s])
     return out
 
 
-def draw_state_path(chain: MarkovChain2, T: int, seed: int, s0: int = 0,
-                    stream_label: str = "simulate-z") -> np.ndarray:
-    """Seeded Markov path of state indices (0 = boom, 1 = recession)."""
-    u = block_uniforms(seed, stream_label, 0, T)[:, 0]
-    return kernels.state_path(u, chain.p_stay_low, chain.p_stay_high, s0)
-
-
 def simulate(policy: Policy, params: ValidatedParams, chain: MarkovChain2,
-             T: int = 10_000, burn_in: int = 100, seed: int = 0, A: float = 1.0,
+             T: int = 10_000, burn_in: int = 100, seed: int = 0,
              K0: float | None = None, s0: int = 0) -> SimulationPath:
     """Simulate the economy for T periods and record the full period statics.
 
-    The capital recursion interpolates the policy table.  Each recorded
-    period's statics are the state's K=1 values from :func:`state_table`
+    The capital recursion interpolates the policy's savings rule and starts,
+    unless K0 is given, at the steady state of state s0.  Each recorded
+    period's statics are the state's K=1 values from the policy's state table
     scaled by the exact power of K_t, so consumption satisfies the budget
     identity at the simulated capital stock rather than by grid
     interpolation.
@@ -266,15 +312,13 @@ def simulate(policy: Policy, params: ValidatedParams, chain: MarkovChain2,
     if T <= burn_in:
         raise DomainError(f"T={T} must exceed burn_in={burn_in}")
     states = draw_state_path(chain, T, seed)
-    if K0 is None:
-        K0 = steady_state(params, chain.z_states[s0], A)[0]
-    kpath = kernels.kpath(float(K0), states, policy.K_grid, policy.K_next)
+    kpath = _capital_path(policy, policy.k_star[s0] if K0 is None else float(K0), states)
     lo, hi = policy.K_grid[0], policy.K_grid[-1]
     bad = np.where((kpath < lo) | (kpath > hi))[0]
     if bad.size:
         raise GridExit(int(bad[0]), float(kpath[bad[0]]))
 
-    table = state_table(params, chain, A)
+    table = policy.table
     K = kpath[:-1]
     K_alpha = K ** params.alpha
     income = table.income[states] * K_alpha
@@ -292,8 +336,7 @@ def simulate(policy: Policy, params: ValidatedParams, chain: MarkovChain2,
 
 
 def impulse_response(policy: Policy, params: ValidatedParams, chain: MarkovChain2,
-                     horizon: int = 20, n_sims: int = 1000, seed: int = 0,
-                     A: float = 1.0) -> IRFResult:
+                     horizon: int = 20, n_sims: int = 1000, seed: int = 0) -> IRFResult:
     """Generalized IRF to entering the high-z state, averaged over the
     ergodic boom distribution of capital.
 
@@ -308,8 +351,8 @@ def impulse_response(policy: Policy, params: ValidatedParams, chain: MarkovChain
     stride = 10
     presim_T = 200 + stride * n_sims
     pre_states = draw_state_path(chain, presim_T, seed, stream_label="irf-presim")
-    K0 = steady_state(params, chain.z_states[0], A)[0]
-    pre_k = kernels.kpath(K0, pre_states, policy.K_grid, policy.K_next)
+    K0 = policy.k_star[0]
+    pre_k = _capital_path(policy, K0, pre_states)
     boom_k = pre_k[:-1][pre_states == 0]
     boom_k = boom_k[200:] if boom_k.shape[0] > 200 + n_sims else boom_k
     if boom_k.shape[0] == 0:
@@ -320,7 +363,7 @@ def impulse_response(policy: Policy, params: ValidatedParams, chain: MarkovChain
     u_all = block_uniforms(seed, "irf-chain", 0, n_sims * max(horizon, 1))[:, 0]
     u_all = u_all.reshape(n_sims, max(horizon, 1))
 
-    table = state_table(params, chain, A)
+    table = policy.table
     stay = np.array([chain.p_stay_low, chain.p_stay_high])
     # row 0 is the treated path of every episode, row 1 its control
     s = np.array([np.ones(n_sims, dtype=np.int64), np.zeros(n_sims, dtype=np.int64)])
@@ -332,7 +375,6 @@ def impulse_response(policy: Policy, params: ValidatedParams, chain: MarkovChain
         acc[h] = np.mean(rec[:, 0] - rec[:, 1], axis=1)
         if h == horizon:
             break
-        # np.interp clamps at the grid ends, as the kpath recursion does
         K = np.where(s == 0, np.interp(K, policy.K_grid, policy.K_next[0]),
                      np.interp(K, policy.K_grid, policy.K_next[1]))
         s = np.where(u_all[:, h] < stay[s], s, 1 - s)
@@ -355,9 +397,7 @@ def generate_shock_path(params: ValidatedParams,
         return [AggregateShockState.from_params(params, z=process.z_states[int(s)]) for s in states]
     if isinstance(process, ThetaRedrawProcess):
         process.check_valid()
-        chain = MarkovChain2(z_high=0.0, p_stay_low=process.p_stay_low,
-                             p_stay_high=process.p_stay_high)
-        states = draw_state_path(chain, T, seed, stream_label="shock-lambda")
+        states = draw_state_path(process, T, seed, stream_label="shock-lambda")
         return [AggregateShockState.from_params(params, z=0.0,
                                                 lambda_theta_t=process.rates[int(s)])
                 for s in states]

@@ -81,7 +81,10 @@ def solve_lambda(params: ValidatedParams, shock: AggregateShockState) -> float:
     def Gprime(lam: float) -> float:
         if psi == 0.0 or lam == 0.0:
             return 1.0
-        return b * psi / lam_x * (lam / lam_x) ** (psi - 1.0) + 1.0
+        try:
+            return b * psi / lam_x * (lam / lam_x) ** (psi - 1.0) + 1.0
+        except OverflowError:  # denormal lam with psi near 0: the slope overflows
+            return math.copysign(math.inf, b)
 
     # degenerate psi edges make G affine; the uniqueness argument needs 0 < psi < 1
     if psi == 0.0:

@@ -26,6 +26,7 @@ import numpy as np
 from .params import (AggregateShockState, ModelParams, ThetaRedrawProcess, ValidatedParams,
                      validate)
 from .rng import block_uniforms, exponential_icdf
+from .dynamics import draw_state_path
 from .errors import NoRoot
 from .firms import dispersions, tfpr_type_loading
 from .statics import (StaticEquilibrium, capital_margin, fixed_point_coefficients,
@@ -358,15 +359,8 @@ def theta_process_check(process: ThetaRedrawProcess, n: int, T: int, seed: int) 
     checkpoints.  Passing requires sqrt(n) * KS < 1.95 at >= 4 of 5.
     """
     process.check_valid()
-    state_u = block_uniforms(seed, "theta-state", 0, T)[:, 0]
-    rates = np.empty(T + 1)
-    rates[0] = process.lambda_low
-    cur = 0
-    stay = (process.p_stay_low, process.p_stay_high)
-    for t in range(T):
-        if state_u[t] >= stay[cur]:
-            cur = 1 - cur
-        rates[t + 1] = process.rates[cur]
+    states = draw_state_path(process, T, seed, stream_label="theta-state")
+    rates = np.array(process.rates)[np.concatenate(([0], states))]
 
     theta = exponential_icdf(block_uniforms(seed, "theta-init", 0, n)[:, 0], rates[0])
     checkpoints = sorted(set(np.linspace(T // 5, T, 5, dtype=int)))

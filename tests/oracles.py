@@ -2,8 +2,9 @@
 
 Everything here is deliberately primitive: plain bisection, quadrature built
 on scipy, finite differences, a full static solve at every simulated period,
-and a policy solve plus simulation where calibration needs only the state
-path.  None of it calls the closed forms or shortcuts it is used to check.
+hand-written interpolation in the policy solver and the impulse response, and
+a policy solve plus simulation where calibration needs only the state path.
+None of it calls the closed forms or shortcuts it is used to check.
 """
 
 import math
@@ -12,7 +13,7 @@ import numpy as np
 
 import sortcycles as sc
 import sortcycles.calibrate as cal
-from sortcycles import dynamics, kernels
+from sortcycles import dynamics
 from sortcycles.firms import revenue_concentration
 from sortcycles.rng import block_uniforms
 
@@ -29,6 +30,97 @@ def bisect_root(f, lo, hi, iters=200):
             lo = mid
             flo = f(lo)
     return 0.5 * (lo + hi)
+
+
+def interp_scalar(xg, yg, x):
+    """Linear interpolation with edge clamping; index via binary search."""
+    n = xg.shape[0]
+    if x <= xg[0]:
+        return yg[0]
+    if x >= xg[n - 1]:
+        return yg[n - 1]
+    lo = 0
+    hi = n - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if xg[mid] <= x:
+            lo = mid
+        else:
+            hi = mid
+    w = (x - xg[lo]) / (xg[lo + 1] - xg[lo])
+    return yg[lo] + w * (yg[lo + 1] - yg[lo])
+
+
+def time_iteration_oracle(C, K_grid, res, R1, am1, one_minus_delta, P, beta, tol, max_iter,
+                          bisect_iters=90):
+    """Euler-equation time iteration on the (2, n) consumption table C.
+
+    Each sweep bisects every node's Euler equation at once, ``bisect_iters``
+    steps in lockstep, with next period's rule interpolated by a
+    searchsorted lookup and an explicit clamp at the grid ends.  Returns
+    (C, sweeps, sup diff) and leaves the caller's C untouched.
+    """
+    C = C.copy()
+    K_min = K_grid[0]
+    K_max = K_grid[-1]
+    n = K_grid.shape[0]
+    sup = 0.0
+    it = 0
+
+    def interp_rows(yg, x):
+        idx = np.clip(np.searchsorted(K_grid, x, side="right") - 1, 0, n - 2)
+        w = (x - K_grid[idx]) / (K_grid[idx + 1] - K_grid[idx])
+        out = yg[idx] + w * (yg[idx + 1] - yg[idx])
+        out = np.where(x <= K_min, yg[0], out)
+        out = np.where(x >= K_max, yg[-1], out)
+        return out
+
+    for it in range(1, max_iter + 1):
+        c_hi = res - K_min
+        c_lo = np.maximum(res - K_max, 1e-300)
+        degenerate = c_hi <= c_lo
+        for _ in range(bisect_iters):
+            c = 0.5 * (c_lo + c_hi)
+            kp = res - c
+            cp0 = interp_rows(C[0], kp)
+            cp1 = interp_rows(C[1], kp)
+            rk = kp ** am1
+            q = (P[:, 0][:, None] * (R1[0] * rk + one_minus_delta) / cp0
+                 + P[:, 1][:, None] * (R1[1] * rk + one_minus_delta) / cp1)
+            neg = beta * c * q - 1.0 < 0.0
+            c_lo = np.where(neg, c, c_lo)
+            c_hi = np.where(neg, c_hi, c)
+        C_new = np.where(degenerate, res - K_min, 0.5 * (c_lo + c_hi))
+        sup = float(np.max(np.abs(C_new - C)))
+        C = C_new
+        if sup < tol:
+            break
+    return C, it, sup
+
+
+def policy_oracle(params, policy, tol=1e-9, max_iter=10_000):
+    """(C, sweeps, sup diff) of the oracle time iteration on ``policy``'s grid,
+    resources and state table, from the solver's starting rule."""
+    res = policy.resources
+    C0 = np.maximum(res - policy.K_grid[None, :], 0.05 * res)
+    return time_iteration_oracle(C0, policy.K_grid, res, policy.table.R, params.alpha - 1.0,
+                                 1.0 - params.delta, policy.P, params.beta, tol, max_iter)
+
+
+def euler_residuals_oracle(policy, params, points, states):
+    """``dynamics.euler_residuals`` one point at a time with ``interp_scalar``."""
+    omd = 1.0 - params.delta
+    R1, income1 = policy.table.R, policy.table.income
+    out = np.empty(len(points))
+    for i, (K, s) in enumerate(zip(points, states)):
+        c = interp_scalar(policy.K_grid, policy.C[s], K)
+        kp = omd * K + income1[s] * K ** params.alpha - c
+        q = 0.0
+        for sp in range(2):
+            cp = interp_scalar(policy.K_grid, policy.C[sp], kp)
+            q += policy.P[s, sp] * (R1[sp] * kp ** (params.alpha - 1.0) + omd) / cp
+        out[i] = abs(params.beta * c * q - 1.0)
+    return out
 
 
 def lambda_oracle(params, z, lambda_theta=None):
@@ -124,13 +216,14 @@ def topshare_fixed_bisection(a, s, rate, q):
 def simulate_oracle(policy, params, chain, T, burn_in, seed, A=1.0, K0=None, s0=0):
     """Per-period recorder: a full static solve at every (s_t, K_t).
 
-    Shares the state path and the capital recursion with ``simulate`` and
-    re-solves each period's statics instead of scaling a K=1 table.
+    Shares the state path and the capital recursion with ``simulate`` (its
+    subject is the per-period statics) and re-solves each period's statics
+    instead of scaling a K=1 table.
     """
     states = dynamics.draw_state_path(chain, T, seed)
     if K0 is None:
         K0 = sc.steady_state(params, chain.z_states[s0], A)[0]
-    kpath = np.asarray(kernels.kpath(float(K0), states, policy.K_grid, policy.K_next))
+    kpath = dynamics._capital_path(policy, float(K0), states)
     shocks = [sc.AggregateShockState.from_params(params, z=z, A=A) for z in chain.z_states]
     cols = {name: np.empty(T) for name in
             ("z", "K", "Y", "C", "measured_tfp", "lambda_t", "var_log_wage",
@@ -153,12 +246,16 @@ def simulate_oracle(policy, params, chain, T, burn_in, seed, A=1.0, K0=None, s0=
 
 def irf_oracle(policy, params, chain, horizon, n_sims, seed, A=1.0):
     """Scalar IRF: one treated/control pair at a time, a full static solve per
-    record and ``kernels.interp`` for each capital step.  Returns the
-    (horizon+1, 5) mean differences in IRFResult column order."""
+    record and ``interp_scalar`` for each capital step, presimulation
+    included.  Returns the (horizon+1, 5) mean differences in IRFResult
+    column order."""
     presim_T = 200 + 10 * n_sims
     pre_states = dynamics.draw_state_path(chain, presim_T, seed, stream_label="irf-presim")
     K0 = sc.steady_state(params, chain.z_states[0], A)[0]
-    pre_k = np.asarray(kernels.kpath(K0, pre_states, policy.K_grid, policy.K_next))
+    pre_k = np.empty(presim_T + 1)
+    pre_k[0] = K0
+    for t in range(presim_T):
+        pre_k[t + 1] = interp_scalar(policy.K_grid, policy.K_next[pre_states[t]], pre_k[t])
     boom_k = pre_k[:-1][pre_states == 0]
     boom_k = boom_k[200:] if boom_k.shape[0] > 200 + n_sims else boom_k
     if boom_k.shape[0] == 0:
@@ -183,8 +280,8 @@ def irf_oracle(policy, params, chain, horizon, n_sims, seed, A=1.0):
             acc[h] += np.subtract(rec[0], rec[1])
             if h == horizon:
                 break
-            K_t = kernels.interp(policy.K_grid, policy.K_next[s_treat], K_t)
-            K_c = kernels.interp(policy.K_grid, policy.K_next[s_ctrl], K_c)
+            K_t = interp_scalar(policy.K_grid, policy.K_next[s_treat], K_t)
+            K_c = interp_scalar(policy.K_grid, policy.K_next[s_ctrl], K_c)
             s_treat = s_treat if u_all[r, h] < stay[s_treat] else 1 - s_treat
             s_ctrl = s_ctrl if u_all[r, h] < stay[s_ctrl] else 1 - s_ctrl
     return acc / n_sims

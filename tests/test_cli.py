@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import sortcycles
@@ -28,6 +28,10 @@ def config_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "published.json"
     path.write_text(json.dumps(PUBLISHED))
     return str(path)
+
+
+#: the published config at a psi whose job-distribution root underflows
+TINY_PSI = {**PUBLISHED, "params": {**PUBLISHED["params"], "psi": 1.8463183175100548e-05}}
 
 
 EQ_KEYS = ["lambda_t", "coefficients", "w0", "R", "Y", "Q_bar", "k_bar", "chi_bar",
@@ -209,10 +213,16 @@ class TestInputHoles:
         ("calibrate", "--fast", "--n-starts", "0"),
         ("verify", "--n-prop-points", "0"),
         *[("calibrate", "--fast", "--targets", name) for name in TARGET_FILES],
+        *[(sub, "--params", "tiny-psi") for sub in ("solve", "moments", "simulate", "verify")],
     ], ids=lambda case: "-".join(case))
     def test_exit_code_and_one_error_line(self, config_path, tmp_path, capsys, case):
         sub, *flags = case
-        if "--targets" in flags:
+        if "--params" in flags:
+            config = tmp_path / "tiny-psi.json"
+            config.write_text(json.dumps(TINY_PSI))
+            config_path, flags = str(config), []
+            expected, prefix = 1, "error: "
+        elif "--targets" in flags:
             name = flags[-1]
             target = tmp_path / f"{name}.json"
             if TARGET_FILES[name] is not None:
@@ -291,6 +301,7 @@ def cli_cases(draw):
 class TestContractProperty:
     @settings(max_examples=50, deadline=None)
     @given(case=cli_cases())
+    @example(case=("solve", [], ("number", json.dumps(TINY_PSI).encode()), False))
     def test_every_argv_ends_in_a_documented_exit_code(self, tmp_path_factory, case):
         sub, pairs, (kind, contents), usage_error = case
         root = tmp_path_factory.mktemp("argv")

@@ -86,10 +86,57 @@ class TestPolicy:
         resid = sc.euler_residuals(policy, params, pts, states)
         assert np.quantile(resid, 0.99) < 1e-5
 
+    def test_euler_residuals_match_pointwise_oracle(self, table, policy):
+        # all points at once vs one at a time, grid ends included
+        params, _ = table
+        g = np.random.default_rng(7)
+        pts = np.concatenate([g.uniform(policy.K_grid[0], policy.K_grid[-1], 300),
+                              [policy.K_grid[0], policy.K_grid[-1]] * 2])
+        states = np.concatenate([g.integers(0, 2, 300), [0, 0, 1, 1]])
+        got = sc.euler_residuals(policy, params, pts, states)
+        ref = oracles.euler_residuals_oracle(policy, params, pts, states)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
     def test_no_convergence_raises(self, table):
         params, chain = table
         with pytest.raises(sc.NoConvergence):
             sc.solve_policy(params, chain, grid_spec=sc.GridSpec(n=80), max_iter=3)
+
+    def test_carries_its_state_table_and_steady_states(self, table, policy):
+        params, chain = table
+        ref = dynamics.state_table(params, chain)
+        for name in ("z", "Y", "income", "R", "w0", "measured_tfp"):
+            assert np.array_equal(getattr(policy.table, name), getattr(ref, name)), name
+        assert policy.k_star == tuple(sc.steady_state(params, z)[0] for z in chain.z_states)
+
+
+class TestTimeIteration:
+    def test_matches_oracle_on_the_published_grid(self, table, policy):
+        # np.interp vs the searchsorted-and-clamp interpolation of the
+        # reference time iteration, from the same start on the same tables
+        params, _ = table
+        assert policy.K_grid.shape[0] == 400
+        C, sweeps, sup = oracles.policy_oracle(params, policy)
+        np.testing.assert_allclose(policy.C, C, rtol=1e-12, atol=0)
+        assert policy.n_iterations == sweeps
+        assert np.array_equal(policy.K_next[:, 0], policy.resources[:, 0] - C[:, 0])
+        floor = policy.K_grid[0]
+        assert np.array_equal(policy.K_next <= floor, policy.resources - C <= floor)
+
+    def test_converges_and_is_feasible(self, table):
+        params, chain = table
+        pol = sc.solve_policy(params, chain, grid_spec=sc.GridSpec(n=60), tol=1e-10)
+        assert pol.sup_diff < 1e-10
+        assert np.all(pol.C > 0.0)
+        assert np.all(pol.K_next >= pol.K_grid[0] - 1e-12)
+        assert np.all(pol.K_next <= pol.K_grid[-1] + 1e-12)
+
+    def test_deterministic_rerun(self, table):
+        params, chain = table
+        a = sc.solve_policy(params, chain, grid_spec=sc.GridSpec(n=60), tol=1e-10)
+        b = sc.solve_policy(params, chain, grid_spec=sc.GridSpec(n=60), tol=1e-10)
+        assert np.array_equal(a.C, b.C)
+        assert a.n_iterations == b.n_iterations
 
 
 class TestSimulate:
@@ -172,6 +219,16 @@ class TestSimulate:
         states = dynamics.draw_state_path(chain, 200_000, seed=77)
         pi = sc.stationary_distribution(chain)
         assert np.mean(states) == pytest.approx(pi[1], abs=0.01)
+
+
+class TestStatePath:
+    def test_transition_rule(self, monkeypatch):
+        u = np.array([0.1, 0.98, 0.5, 0.99, 0.1])
+        monkeypatch.setattr(dynamics, "block_uniforms", lambda *args: u[:, None])
+        chain = sc.MarkovChain2(z_high=0.4, p_stay_low=0.9, p_stay_high=0.8)
+        s = dynamics.draw_state_path(chain, u.shape[0], seed=0)
+        # stays while u < p_stay, flips otherwise
+        assert list(s) == [0, 1, 1, 0, 0]
 
 
 class TestImpulseResponse:

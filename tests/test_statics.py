@@ -62,6 +62,14 @@ class TestSolveLambda:
         with pytest.raises(sc.NoRoot):
             sc.solve_lambda(p0, sc.AggregateShockState.from_params(p0, z=0.0))
 
+    def test_tiny_psi_underflowing_root_raises(self, table):
+        # b = 4.44 > target = 2.616, so the root lambda_x (target/b)^(1/psi)
+        # underflows; the Newton slope overflows on the way down
+        params, _ = table
+        p = with_params(params, psi=1.8463183175100548e-05)
+        with pytest.raises(sc.NoRoot):
+            sc.solve_lambda(p, sc.AggregateShockState.from_params(p, z=0.0))
+
     def test_monotone_in_z_on_grid(self, table):
         params, _ = table
         zs = np.linspace(0.0, 1.5, 50)

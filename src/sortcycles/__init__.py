@@ -15,7 +15,7 @@ from .params import (AggregateShockState, LogVolProcess, MarkovChain2, ModelPara
                      ThetaRedrawProcess, ValidatedParams, load_config,
                      stationary_distribution, published_calibration, validate)
 from .statics import (Coefficients, StaticEquilibrium, aggregates, coefficients,
-                      factor_incomes, measured_tfp, solve_lambda, solve_static)
+                      measured_tfp, solve_lambda, solve_static)
 from .firms import (CrossSectionMoments, FirmDraw, FirmOutcome, FirmPanel,
                     analytic_moments, cross_section_moments, firm_outcome, matching,
                     sample_cross_section, wage)

@@ -90,6 +90,8 @@ class SimConfig:
     fast: bool = True
 
     def __post_init__(self):
+        if self.burn_in < 0:
+            raise DomainError(f"burn_in={self.burn_in} must be nonnegative")
         if not self.fast and self.T <= self.burn_in:
             raise DomainError(f"T={self.T} must exceed burn_in={self.burn_in}")
 
@@ -131,8 +133,7 @@ def model_moments(free_params, fixed_params: ValidatedParams, chain_template: Ma
     def mix(column):
         return freq[0] * column[0] + freq[1] * column[1]
 
-    top10, p50_p90 = zip(*(revenue_concentration(eq, params, eq.shock)
-                           for eq in table.equilibria))
+    top10, p50_p90 = zip(*(revenue_concentration(eq) for eq in table.equilibria))
 
     if sim_config.fast:
         tfp = table.measured_tfp

@@ -147,7 +147,7 @@ def _cmd_moments(args, params, chain, out):
     shock = AggregateShockState.from_params(params, z=args.z, A=args.A)
     K = args.K if args.K is not None else dynamics.steady_state(params, args.z, args.A)[0]
     eq = statics.solve_static(params, shock, K)
-    panel = firms.sample_cross_section(eq, params, shock, args.n_firms, args.seed)
+    panel = firms.sample_cross_section(eq, args.n_firms, args.seed)
     m = firms.cross_section_moments(panel, eq)
     payload = dataclasses.asdict(m)
     _write_json(out / "moments.json", payload)
@@ -162,8 +162,7 @@ def _cmd_moments(args, params, chain, out):
 
 def _cmd_simulate(args, params, chain, out):
     policy = dynamics.solve_policy(params, chain, grid_spec=dynamics.GridSpec(n=args.grid_size))
-    path = dynamics.simulate(policy, params, chain, T=args.T, burn_in=args.burn_in,
-                             seed=args.seed)
+    path = dynamics.simulate(policy, T=args.T, burn_in=args.burn_in, seed=args.seed)
     cols = {"t": np.arange(args.T, dtype=float), "z": path.z, "K": path.K, "Y": path.Y,
             "C": path.C, "measured_tfp": path.measured_tfp, "lambda_t": path.lambda_t,
             "var_log_wage": path.var_log_wage, "var_log_tfpq": path.var_log_tfpq,
@@ -176,8 +175,8 @@ def _cmd_simulate(args, params, chain, out):
 
 def _cmd_irf(args, params, chain, out):
     policy = dynamics.solve_policy(params, chain, grid_spec=dynamics.GridSpec(n=args.grid_size))
-    irf = dynamics.impulse_response(policy, params, chain, horizon=args.horizon,
-                                    n_sims=args.n_sims, seed=args.seed)
+    irf = dynamics.impulse_response(policy, horizon=args.horizon, n_sims=args.n_sims,
+                                    seed=args.seed)
     cols = {"h": np.arange(args.horizon + 1, dtype=float), "d_log_Y": irf.d_log_Y,
             "d_measured_tfp": irf.d_measured_tfp, "d_var_log_wage": irf.d_var_log_wage,
             "d_var_log_tfpq": irf.d_var_log_tfpq, "d_var_log_tfpr": irf.d_var_log_tfpr}
@@ -243,6 +242,7 @@ _DISPATCH = {
 
 #: lower bounds of integer options: (subcommand, or None for all; option; minimum)
 _MINIMUMS = ((None, "threads", 1), ("irf", "n_sims", 1), ("irf", "horizon", 0),
+             ("simulate", "burn_in", 0), ("calibrate", "burn_in", 0),
              ("calibrate", "n_starts", 1), ("verify", "n_prop_points", 1))
 
 

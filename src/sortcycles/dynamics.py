@@ -12,8 +12,9 @@ policy solver evaluates resources and rental rates off-grid from it,
 simulations and impulse responses index it with the state path and scale by
 the matching power of K, and calibration reads its moments from it (the
 revenue-concentration shares, which no path records, from the table's
-per-state equilibria).  A solved :class:`Policy` carries its table and the
-steady-state capital of each state, so nothing downstream re-solves them.
+per-state equilibria).  A solved :class:`Policy` carries its parameters,
+chain, table and per-state steady-state capital, so simulations and impulse
+responses take the policy alone and nothing downstream re-solves them.
 
 The solver is time iteration: given next period's consumption rule, each
 sweep solves the Euler equation at every node at once by a lockstep
@@ -65,11 +66,12 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Policy:
-    """Converged savings/consumption rule on the capital grid, with the K=1
-    state table and the per-state steady-state capital it was solved with."""
+    """Converged savings/consumption rule on the capital grid, with the
+    parameters, chain, K=1 state table and per-state K* it was solved with."""
 
+    params: ValidatedParams
+    chain: MarkovChain2
     K_grid: np.ndarray
-    z_states: tuple[float, float]
     P: np.ndarray
     C: np.ndarray        # (2, n) consumption at nodes
     K_next: np.ndarray   # (2, n) savings at nodes; C + K_next = resources exactly
@@ -158,12 +160,12 @@ class StateTable:
     equilibria: tuple[StaticEquilibrium, ...]
 
 
-def state_table(params: ValidatedParams, chain: MarkovChain2, A: float = 1.0) -> StateTable:
+def state_table(params: ValidatedParams, chain: MarkovChain2) -> StateTable:
     """Solve the statics once per chain state at K=1."""
-    eqs = tuple(solve_static(params, AggregateShockState.from_params(params, z=z, A=A), 1.0)
+    eqs = tuple(solve_static(params, AggregateShockState.from_params(params, z=z), 1.0)
                 for z in chain.z_states)
     rows = [(eq.shock.z, eq.Y, eq.household_income, eq.R, eq.w0, eq.lambda_t,
-             eq.labor_share, measured_tfp(eq), *analytic_moments(eq, params, eq.shock))
+             eq.labor_share, measured_tfp(eq), *analytic_moments(eq))
             for eq in eqs]
     return StateTable(*(np.array(col) for col in zip(*rows)), equilibria=eqs)
 
@@ -203,7 +205,7 @@ def steady_state(params: ValidatedParams, z_fixed: float, A: float = 1.0) -> tup
     return k_star, c_star
 
 
-def solve_policy(params: ValidatedParams, chain: MarkovChain2, A: float = 1.0,
+def solve_policy(params: ValidatedParams, chain: MarkovChain2,
                  grid_spec: GridSpec | None = None, tol: float = 1e-9,
                  max_iter: int = 10_000) -> Policy:
     """Time iteration on the Euler equation until the consumption rule is fixed.
@@ -213,14 +215,14 @@ def solve_policy(params: ValidatedParams, chain: MarkovChain2, A: float = 1.0,
     floor, with next period's rule interpolated by ``np.interp``.
     """
     spec = grid_spec or GridSpec()
-    k_star = tuple(steady_state(params, z, A)[0] for z in chain.z_states)
+    k_star = tuple(steady_state(params, z)[0] for z in chain.z_states)
     K_lo = spec.lo_frac * min(k_star)
     K_hi = spec.hi_frac * max(k_star)
     K_grid = np.exp(np.linspace(math.log(K_lo), math.log(K_hi), spec.n))
     # pin the ends exactly so hull checks are not hostage to exp/log rounding
     K_grid[0], K_grid[-1] = K_lo, K_hi
 
-    table = state_table(params, chain, A)
+    table = state_table(params, chain)
     R1 = table.R
     omd, am1 = 1.0 - params.delta, params.alpha - 1.0
     res = omd * K_grid[None, :] + table.income[:, None] * K_grid[None, :] ** params.alpha
@@ -250,7 +252,7 @@ def solve_policy(params: ValidatedParams, chain: MarkovChain2, A: float = 1.0,
             break
     if sup >= tol:
         raise NoConvergence(f"time iteration stalled after {sweep} sweeps (sup diff {sup:.3g})")
-    return Policy(K_grid=K_grid, z_states=chain.z_states, P=P, C=C, K_next=res - C,
+    return Policy(params=params, chain=chain, K_grid=K_grid, P=P, C=C, K_next=res - C,
                   resources=res, table=table, k_star=k_star, n_iterations=sweep,
                   sup_diff=sup)
 
@@ -258,6 +260,8 @@ def solve_policy(params: ValidatedParams, chain: MarkovChain2, A: float = 1.0,
 def euler_residuals(policy: Policy, params: ValidatedParams, points: np.ndarray,
                     states: np.ndarray) -> np.ndarray:
     """Unit-free Euler residuals |beta E[(C/C')(R'+1-delta)] - 1| off grid."""
+    if params != policy.params:
+        raise DomainError("euler_residuals: params differ from those the policy was solved with")
     K = np.asarray(points, dtype=float)
     s = np.asarray(states, dtype=np.int64)
     omd = 1.0 - params.delta
@@ -297,28 +301,29 @@ def _capital_path(policy: Policy, K0: float, states: np.ndarray) -> np.ndarray:
     return out
 
 
-def simulate(policy: Policy, params: ValidatedParams, chain: MarkovChain2,
-             T: int = 10_000, burn_in: int = 100, seed: int = 0,
+def simulate(policy: Policy, T: int = 10_000, burn_in: int = 100, seed: int = 0,
              K0: float | None = None, s0: int = 0) -> SimulationPath:
     """Simulate the economy for T periods and record the full period statics.
 
-    The capital recursion interpolates the policy's savings rule and starts,
-    unless K0 is given, at the steady state of state s0.  Each recorded
-    period's statics are the state's K=1 values from the policy's state table
-    scaled by the exact power of K_t, so consumption satisfies the budget
-    identity at the simulated capital stock rather than by grid
-    interpolation.
+    The states follow the policy's chain.  The capital recursion interpolates
+    the policy's savings rule and starts, unless K0 is given, at the steady
+    state of state s0.  Each recorded period's statics are the state's K=1
+    values from the policy's state table scaled by the exact power of K_t, so
+    consumption satisfies the budget identity at the simulated capital stock
+    rather than by grid interpolation.
     """
+    if burn_in < 0:
+        raise DomainError(f"burn_in={burn_in} must be nonnegative")
     if T <= burn_in:
         raise DomainError(f"T={T} must exceed burn_in={burn_in}")
-    states = draw_state_path(chain, T, seed)
+    states = draw_state_path(policy.chain, T, seed)
     kpath = _capital_path(policy, policy.k_star[s0] if K0 is None else float(K0), states)
     lo, hi = policy.K_grid[0], policy.K_grid[-1]
     bad = np.where((kpath < lo) | (kpath > hi))[0]
     if bad.size:
         raise GridExit(int(bad[0]), float(kpath[bad[0]]))
 
-    table = policy.table
+    table, params = policy.table, policy.params
     K = kpath[:-1]
     K_alpha = K ** params.alpha
     income = table.income[states] * K_alpha
@@ -335,14 +340,15 @@ def simulate(policy: Policy, params: ValidatedParams, chain: MarkovChain2,
         income=income, seed=seed, burn_in=burn_in)
 
 
-def impulse_response(policy: Policy, params: ValidatedParams, chain: MarkovChain2,
-                     horizon: int = 20, n_sims: int = 1000, seed: int = 0) -> IRFResult:
+def impulse_response(policy: Policy, horizon: int = 20, n_sims: int = 1000,
+                     seed: int = 0) -> IRFResult:
     """Generalized IRF to entering the high-z state, averaged over the
     ergodic boom distribution of capital.
 
     Initial capital stocks are boom-period values from a presimulated path;
     each episode then runs a treated path (forced z = z_high at horizon 0)
-    and a control path (z = z_low) under common chain innovations.
+    and a control path (z = z_low) under common innovations of the policy's
+    own chain.
     """
     if n_sims < 1:
         raise DomainError("n_sims must be at least 1")
@@ -350,7 +356,7 @@ def impulse_response(policy: Policy, params: ValidatedParams, chain: MarkovChain
         raise DomainError("horizon must be nonnegative")
     stride = 10
     presim_T = 200 + stride * n_sims
-    pre_states = draw_state_path(chain, presim_T, seed, stream_label="irf-presim")
+    pre_states = draw_state_path(policy.chain, presim_T, seed, stream_label="irf-presim")
     K0 = policy.k_star[0]
     pre_k = _capital_path(policy, K0, pre_states)
     boom_k = pre_k[:-1][pre_states == 0]
@@ -363,14 +369,14 @@ def impulse_response(policy: Policy, params: ValidatedParams, chain: MarkovChain
     u_all = block_uniforms(seed, "irf-chain", 0, n_sims * max(horizon, 1))[:, 0]
     u_all = u_all.reshape(n_sims, max(horizon, 1))
 
-    table = policy.table
-    stay = np.array([chain.p_stay_low, chain.p_stay_high])
+    table, alpha = policy.table, policy.params.alpha
+    stay = np.array([policy.chain.p_stay_low, policy.chain.p_stay_high])
     # row 0 is the treated path of every episode, row 1 its control
     s = np.array([np.ones(n_sims, dtype=np.int64), np.zeros(n_sims, dtype=np.int64)])
     K = np.array([inits, inits])
     acc = np.empty((horizon + 1, 5))
     for h in range(horizon + 1):
-        rec = np.array([np.log(table.Y[s] * K ** params.alpha), table.measured_tfp[s],
+        rec = np.array([np.log(table.Y[s] * K ** alpha), table.measured_tfp[s],
                         table.var_log_wage[s], table.var_log_tfpq[s], table.var_log_tfpr[s]])
         acc[h] = np.mean(rec[:, 0] - rec[:, 1], axis=1)
         if h == horizon:

@@ -7,6 +7,10 @@ moments of an exponential type mixed with Gaussian wedges: log quantities are
 Pareto-lognormal convolutions with Pareto upper tails.  Sampling realizes the
 continuum as a finite panel with counter-based draws, which makes panels
 deterministic in (n, seed) and independent of chunking.
+
+Functions of a solved equilibrium read ``eq.params`` and ``eq.shock``; only
+the lambda-level formulas (:func:`dispersions`, :func:`tfpr_type_loading`)
+take them as arguments, since they also serve where no equilibrium is solved.
 """
 
 from __future__ import annotations
@@ -88,9 +92,9 @@ def wage(eq: StaticEquilibrium, x) -> float | np.ndarray:
     return eq.w0 * np.exp(slope * np.asarray(x, dtype=float))[()]
 
 
-def _firm_arrays(eq: StaticEquilibrium, params: ValidatedParams, shock: AggregateShockState,
-                 theta, eps1, eps2) -> dict[str, np.ndarray]:
+def _firm_arrays(eq: StaticEquilibrium, theta, eps1, eps2) -> dict[str, np.ndarray]:
     """Vectorized closed forms; shared by the scalar op and the sampler."""
+    params = eq.params
     a, g, xi, psi = params.alpha, params.gamma, params.xi, params.psi
     c = eq.coefficients
     kappa, eta_q = c.kappa, c.eta_q
@@ -126,7 +130,7 @@ def _firm_arrays(eq: StaticEquilibrium, params: ValidatedParams, shock: Aggregat
     return {
         "theta": theta, "eps1": eps1, "eps2": eps2,
         "Q": Q, "k": k, "l": l, "chi": chi, "P": P,
-        "tau1": np.exp(shock.z * theta + eps1),
+        "tau1": np.exp(eq.shock.z * theta + eps1),
         "tau2": np.exp(eps2),
         "revenue": P * Q,
         "wage_bill": wage(eq, matched_x) * l,
@@ -136,10 +140,9 @@ def _firm_arrays(eq: StaticEquilibrium, params: ValidatedParams, shock: Aggregat
     }
 
 
-def firm_outcome(eq: StaticEquilibrium, params: ValidatedParams, shock: AggregateShockState,
-                 draw: FirmDraw) -> FirmOutcome:
+def firm_outcome(eq: StaticEquilibrium, draw: FirmDraw) -> FirmOutcome:
     """Evaluate one firm's closed-form allocation under a solved equilibrium."""
-    vals = _firm_arrays(eq, params, shock, draw.theta, draw.eps1, draw.eps2)
+    vals = _firm_arrays(eq, draw.theta, draw.eps1, draw.eps2)
     names = [f.name for f in fields(FirmOutcome)]
     return FirmOutcome(**{name: float(vals[name]) for name in names})
 
@@ -171,10 +174,9 @@ def dispersions(params: ValidatedParams, shock: AggregateShockState,
     return (var_wage, var_tfpq, var_tfpr)
 
 
-def analytic_moments(eq: StaticEquilibrium, params: ValidatedParams,
-                     shock: AggregateShockState) -> tuple[float, float, float]:
+def analytic_moments(eq: StaticEquilibrium) -> tuple[float, float, float]:
     """(var_log_wage, var_log_tfpq, var_log_tfpr) of a solved equilibrium."""
-    return dispersions(params, shock, eq.lambda_t)
+    return dispersions(eq.params, eq.shock, eq.lambda_t)
 
 
 class FirmPanel:
@@ -196,23 +198,23 @@ class FirmPanel:
         return FirmOutcome(**{name: float(getattr(self, name)[i]) for name in names})
 
 
-def sample_cross_section(eq: StaticEquilibrium, params: ValidatedParams, shock: AggregateShockState,
-                         n: int, seed: int, stream_label: str = "panel") -> FirmPanel:
+def sample_cross_section(eq: StaticEquilibrium, n: int, seed: int) -> FirmPanel:
     """Seeded i.i.d. panel: theta ~ Exp(lambda_theta_t), eps_i ~ N(0, sigma_it^2).
 
-    Firm i consumes exactly one counter block of the (seed, stream_label)
-    stream, so the panel is a pure function of (n, seed); it is filled in
-    chunks of SAMPLE_CHUNK firms to bound peak memory.
+    Firm i consumes exactly one counter block of the (seed, "panel") stream,
+    so the panel is a pure function of (n, seed); it is filled in chunks of
+    SAMPLE_CHUNK firms to bound peak memory.
     """
     if n < 1:
         raise EmptyPanel("panel size must be at least 1")
+    shock = eq.shock
     cols = {name: np.empty(n) for name in FirmPanel.COLUMNS}
     for start, stop in chunk_ranges(n, SAMPLE_CHUNK):
-        u = block_uniforms(seed, stream_label, start, stop - start)
+        u = block_uniforms(seed, "panel", start, stop - start)
         theta = exponential_icdf(u[:, 0], shock.lambda_theta_t)
         eps1 = shock.sigma1_t * normal_icdf(u[:, 1])
         eps2 = shock.sigma2_t * normal_icdf(u[:, 2])
-        vals = _firm_arrays(eq, params, shock, theta, eps1, eps2)
+        vals = _firm_arrays(eq, theta, eps1, eps2)
         for name in FirmPanel.COLUMNS:
             cols[name][start:stop] = vals[name]
     return FirmPanel(cols, seed)
@@ -327,8 +329,7 @@ def pareto_lognormal_topshare(a: float, s: float, rate: float, q: float) -> floa
     return upper_share(0.5 * (lo + hi))
 
 
-def revenue_concentration(eq: StaticEquilibrium, params: ValidatedParams,
-                          shock: AggregateShockState) -> tuple[float, float]:
+def revenue_concentration(eq: StaticEquilibrium) -> tuple[float, float]:
     """(top-10% share, top-50%-minus-top-10% share) of the firm continuum.
 
     log revenue is kappa eta_q (eta_q_theta theta - gamma eps1 - alpha eps2)
@@ -337,7 +338,7 @@ def revenue_concentration(eq: StaticEquilibrium, params: ValidatedParams,
     finite panels understate concentration at any feasible size, while the
     continuum value is what the model's cross-section actually implies.
     """
-    c = eq.coefficients
+    c, params, shock = eq.coefficients, eq.params, eq.shock
     a = c.kappa * c.eta_q * c.eta_q_theta
     s = c.kappa * c.eta_q * math.sqrt((params.gamma * shock.sigma1_t) ** 2
                                       + (params.alpha * shock.sigma2_t) ** 2)

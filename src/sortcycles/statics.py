@@ -158,7 +158,7 @@ class Coefficients:
     kappa: float
 
 
-def capital_margin(params: ValidatedParams, shock: AggregateShockState, coeffs: Coefficients) -> float:
+def capital_margin(shock: AggregateShockState, coeffs: Coefficients) -> float:
     """lambda_theta_t - kappa*eta_q*eta_q_theta, the boundedness margin."""
     return shock.lambda_theta_t - coeffs.kappa * coeffs.eta_q * coeffs.eta_q_theta
 
@@ -282,6 +282,11 @@ def aggregates(params: ValidatedParams, shock: AggregateShockState, lambda_t: fl
 
 def _factor_incomes_from(params: ValidatedParams, shock: AggregateShockState,
                          coeffs: Coefficients, chi_q: float) -> tuple[float, float, float]:
+    """(Y_l, Y_k, Y_d): labor income, capital income, distributed profits.
+
+    The labor-income denominator carries the extra +z relative to the capital
+    margin because workers are paid net of the type-correlated wedge.
+    """
     margin = shock.lambda_theta_t - coeffs.kappa * coeffs.eta_q * coeffs.eta_q_theta
     if margin <= 0.0:
         raise UnboundedCapitalDemand(f"capital margin {margin:.6g} <= 0")
@@ -292,16 +297,6 @@ def _factor_incomes_from(params: ValidatedParams, shock: AggregateShockState,
     y_k = params.alpha * lt * coeffs.b2 * chi_q
     y_d = (params.xi / (params.xi - 1.0) - params.gamma - params.alpha) * lt * coeffs.b3 * chi_q
     return (y_l, y_k, y_d)
-
-
-def factor_incomes(params: ValidatedParams, shock: AggregateShockState,
-                   eq: StaticEquilibrium) -> tuple[float, float, float]:
-    """(Y_l, Y_k, Y_d): labor income, capital income, distributed profits.
-
-    The labor-income denominator carries the extra +z relative to the capital
-    margin because workers are paid net of the type-correlated wedge.
-    """
-    return _factor_incomes_from(params, shock, eq.coefficients, eq.chi_bar * eq.Q_bar)
 
 
 def solve_static(params: ValidatedParams, shock: AggregateShockState, K: float) -> StaticEquilibrium:

@@ -14,6 +14,9 @@ mass, so quadrature tolerances dominate the reported residuals.
 Every check ships with a negative control: the same residual evaluated under
 a deliberately perturbed equilibrium object must breach tolerance, otherwise
 the check could not detect the errors it exists to catch.
+
+Each check takes the solved equilibrium alone and reads its inputs from it
+(``eq.params``, ``eq.shock``, ``eq.K``), never from a second copy.
 """
 
 from __future__ import annotations
@@ -62,8 +65,7 @@ def _gauss_hermite(sigma: float) -> tuple[np.ndarray, np.ndarray]:
     return sigma * x, w / math.sqrt(2.0 * math.pi)
 
 
-def independent_firm_solution(eq: StaticEquilibrium, params: ValidatedParams,
-                              shock: AggregateShockState, theta, eps1, eps2) -> dict[str, np.ndarray]:
+def independent_firm_solution(eq: StaticEquilibrium, theta, eps1, eps2) -> dict[str, np.ndarray]:
     """Solve the firm's problem from prices alone; no closed-form tilts.
 
     Cost minimization gives l = gamma*chi*Q/(tau1 w(x)) and
@@ -71,6 +73,7 @@ def independent_firm_solution(eq: StaticEquilibrium, params: ValidatedParams,
     chi = ((xi-1)/xi) (Y/Q)^(1/xi).  Substituting into the production
     function leaves one equation linear in log Q.
     """
+    params, shock = eq.params, eq.shock
     a, g, xi, psi = params.alpha, params.gamma, params.xi, params.psi
     theta = np.asarray(theta, dtype=float)
     eps1 = np.asarray(eps1, dtype=float)
@@ -96,19 +99,21 @@ def independent_firm_solution(eq: StaticEquilibrium, params: ValidatedParams,
     return {"log_Q": log_Q, "log_chi": log_chi, "log_l": log_l, "log_k": log_k}
 
 
-def _type_integral(eq, params, shock, which: str, theta_max: float) -> float:
-    """Integrate exp-weighted firm quantities against the type density."""
+def _type_integral(eq: StaticEquilibrium, which: str) -> float:
+    """Integrate exp-weighted firm quantities against the type density, up to
+    the type at which the integrand's exponential tail is ~exp(-40)."""
     from scipy import integrate
 
+    shock = eq.shock
     n1, w1 = _gauss_hermite(shock.sigma1_t)
     n2, w2 = _gauss_hermite(shock.sigma2_t)
     E1, E2 = np.meshgrid(n1, n2, indexing="ij")
     W = np.outer(w1, w2)
     lt = shock.lambda_theta_t
-    xi = params.xi
+    xi = eq.params.xi
 
     def inner(theta: float) -> float:
-        sol = independent_firm_solution(eq, params, shock, theta, E1, E2)
+        sol = independent_firm_solution(eq, theta, E1, E2)
         if which == "labor":
             logs = sol["log_l"]
         elif which == "capital":
@@ -121,18 +126,12 @@ def _type_integral(eq, params, shock, which: str, theta_max: float) -> float:
         # even where the firm-level quantity alone would overflow
         return float(np.sum(W * np.exp(logs + math.log(lt) - lt * theta)))
 
+    theta_max = 40.0 / max(capital_margin(shock, eq.coefficients), 1e-3)
     val, _ = integrate.quad(inner, 0.0, theta_max, epsabs=1e-12, epsrel=1e-11, limit=400)
     return val
 
 
-def _tail_cut(eq, params, shock) -> float:
-    """Upper limit at which the integrand's exponential tail is ~exp(-40)."""
-    rate = capital_margin(params, shock, eq.coefficients)
-    return 40.0 / max(rate, 1e-3)
-
-
-def check_job_density(eq: StaticEquilibrium, params: ValidatedParams,
-                      shock: AggregateShockState) -> tuple[CheckResult, CheckResult]:
+def check_job_density(eq: StaticEquilibrium) -> tuple[CheckResult, CheckResult]:
     """(a) total employment mass is one; (b) f(h) e^{lambda_t h} is flat.
 
     f(h) is built from the independent firm solver: the wedge-averaged
@@ -140,6 +139,7 @@ def check_job_density(eq: StaticEquilibrium, params: ValidatedParams,
     """
     from scipy import integrate
 
+    shock = eq.shock
     n1, w1 = _gauss_hermite(shock.sigma1_t)
     n2, w2 = _gauss_hermite(shock.sigma2_t)
     E1, E2 = np.meshgrid(n1, n2, indexing="ij")
@@ -147,7 +147,7 @@ def check_job_density(eq: StaticEquilibrium, params: ValidatedParams,
     lt = shock.lambda_theta_t
 
     def density(h: float) -> float:
-        sol = independent_firm_solution(eq, params, shock, h, E1, E2)
+        sol = independent_firm_solution(eq, h, E1, E2)
         return float(np.sum(W * np.exp(sol["log_l"] + math.log(lt) - lt * h)))
 
     h_max = 40.0 / eq.lambda_t
@@ -161,31 +161,29 @@ def check_job_density(eq: StaticEquilibrium, params: ValidatedParams,
             CheckResult("job_density_shape", cv, 1e-8, cv < 1e-8))
 
 
-def check_goods_market(eq: StaticEquilibrium, params: ValidatedParams,
-                       shock: AggregateShockState) -> CheckResult:
+def check_goods_market(eq: StaticEquilibrium) -> CheckResult:
     """Final-good zero-profit: the price-index integral equals one."""
-    val = _type_integral(eq, params, shock, "goods", _tail_cut(eq, params, shock))
+    val = _type_integral(eq, "goods")
     resid = abs(val - 1.0)
     return CheckResult("goods_market", resid, 1e-8, resid < 1e-8)
 
 
-def check_capital_market(eq: StaticEquilibrium, params: ValidatedParams,
-                         shock: AggregateShockState, K: float) -> CheckResult:
-    """Aggregate capital demand integrates back to the supplied stock."""
-    val = _type_integral(eq, params, shock, "capital", _tail_cut(eq, params, shock))
-    resid = abs(val / K - 1.0)
+def check_capital_market(eq: StaticEquilibrium) -> CheckResult:
+    """Aggregate capital demand integrates back to the stock ``eq.K``."""
+    val = _type_integral(eq, "capital")
+    resid = abs(val / eq.K - 1.0)
     return CheckResult("capital_market", resid, 1e-8, resid < 1e-8)
 
 
-def check_worker_clearing(eq: StaticEquilibrium, params: ValidatedParams,
-                          x_samples: np.ndarray, slope_factor: float = 1.0) -> CheckResult:
+def check_worker_clearing(eq: StaticEquilibrium, x_samples: np.ndarray,
+                          slope_factor: float = 1.0) -> CheckResult:
     """Type-by-type labor market clearing under the matching function.
 
     |lambda_x e^{-lambda_x x} - lambda_t mu'(x) e^{-lambda_t mu(x)}| at each
     sampled x, with mu(x) = slope_factor * (lambda_x/lambda_t) x
     (slope_factor != 1 is the negative control's wrong assignment).
     """
-    lx, lt = params.lambda_x, eq.lambda_t
+    lx, lt = eq.params.lambda_x, eq.lambda_t
     mu_slope = slope_factor * lx / lt
     supply = lx * np.exp(-lx * x_samples)
     demand = lt * mu_slope * np.exp(-lt * mu_slope * x_samples)
@@ -386,9 +384,9 @@ def theta_process_check(process: ThetaRedrawProcess, n: int, T: int, seed: int) 
 
 
 def run_verification(params: ValidatedParams, shocks: list[AggregateShockState],
-                     K: float | None = None, n_prop_points: int = 100,
-                     prop_seed: int = 2718) -> VerificationReport:
-    """All oracles at the given shock states plus the proposition suite.
+                     n_prop_points: int = 100) -> VerificationReport:
+    """All oracles at the given shock states, each solved at K=1, plus the
+    proposition suite on ``n_prop_points`` parameter draws of seed 2718.
 
     Negative controls run alongside: a 1% perturbation of lambda_t must break
     the density shape check, a perturbed output level the goods integral, and
@@ -396,32 +394,30 @@ def run_verification(params: ValidatedParams, shocks: list[AggregateShockState],
     whether the detection fired.
     """
     checks = []
-    K_s = K if K is not None else 1.0
     for i, shock in enumerate(shocks):
-        eq = solve_static(params, shock, K_s)
+        eq = solve_static(params, shock, 1.0)
         tag = f"[z={shock.z:g}]"
         xs = exponential_icdf(block_uniforms(7, f"worker-x-{i}", 0, 20)[:, 0], params.lambda_x)
 
-        a, b = check_job_density(eq, params, shock)
+        a, b = check_job_density(eq)
         checks += [replace(a, name=a.name + tag), replace(b, name=b.name + tag)]
-        checks.append(replace(check_goods_market(eq, params, shock), name="goods_market" + tag))
-        checks.append(replace(check_capital_market(eq, params, shock, K_s),
-                              name="capital_market" + tag))
-        checks.append(replace(check_worker_clearing(eq, params, xs), name="worker_clearing" + tag))
+        checks.append(replace(check_goods_market(eq), name="goods_market" + tag))
+        checks.append(replace(check_capital_market(eq), name="capital_market" + tag))
+        checks.append(replace(check_worker_clearing(eq, xs), name="worker_clearing" + tag))
 
-        _, shape = check_job_density(replace(eq, lambda_t=eq.lambda_t * 1.01), params, shock)
+        _, shape = check_job_density(replace(eq, lambda_t=eq.lambda_t * 1.01))
         checks.append(CheckResult("negative_control_density_shape" + tag, shape.statistic,
                                   1e-3, shape.statistic > 1e-3))
         # Y = M Q_bar with Q_bar perturbed
-        g = check_goods_market(replace(eq, Y=eq.Y * 1.01), params, shock)
+        g = check_goods_market(replace(eq, Y=eq.Y * 1.01))
         checks.append(CheckResult("negative_control_goods" + tag, g.statistic,
                                   1e-8, g.statistic > 1e-8))
-        c = check_capital_market(replace(eq, R=eq.R * 1.01), params, shock, eq.K)
+        c = check_capital_market(replace(eq, R=eq.R * 1.01))
         checks.append(CheckResult("negative_control_capital" + tag, c.statistic,
                                   1e-8, c.statistic > 1e-8))
-        w = check_worker_clearing(eq, params, xs, slope_factor=1.01)
+        w = check_worker_clearing(eq, xs, slope_factor=1.01)
         checks.append(CheckResult("negative_control_worker" + tag, w.statistic,
                                   1e-12, w.statistic > 1e-12))
 
-    checks += proposition_suite(random_valid_params(n_prop_points, prop_seed)).checks
+    checks += proposition_suite(random_valid_params(n_prop_points, seed=2718)).checks
     return VerificationReport.from_checks(checks)

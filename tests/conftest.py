@@ -31,9 +31,8 @@ def policy(table):
 
 
 @pytest.fixture(scope="session")
-def table_path(policy, table):
-    params, chain = table
-    return sc.simulate(policy, params, chain, T=10_000, burn_in=100, seed=20_240_101)
+def table_path(policy):
+    return sc.simulate(policy, T=10_000, burn_in=100, seed=20_240_101)
 
 
 @pytest.fixture()

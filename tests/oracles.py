@@ -213,7 +213,7 @@ def topshare_fixed_bisection(a, s, rate, q):
 
 
 
-def simulate_oracle(policy, params, chain, T, burn_in, seed, A=1.0, K0=None, s0=0):
+def simulate_oracle(policy, params, chain, T, burn_in, seed, K0=None, s0=0):
     """Per-period recorder: a full static solve at every (s_t, K_t).
 
     Shares the state path and the capital recursion with ``simulate`` (its
@@ -222,16 +222,16 @@ def simulate_oracle(policy, params, chain, T, burn_in, seed, A=1.0, K0=None, s0=
     """
     states = dynamics.draw_state_path(chain, T, seed)
     if K0 is None:
-        K0 = sc.steady_state(params, chain.z_states[s0], A)[0]
+        K0 = sc.steady_state(params, chain.z_states[s0])[0]
     kpath = dynamics._capital_path(policy, float(K0), states)
-    shocks = [sc.AggregateShockState.from_params(params, z=z, A=A) for z in chain.z_states]
+    shocks = [sc.AggregateShockState.from_params(params, z=z) for z in chain.z_states]
     cols = {name: np.empty(T) for name in
             ("z", "K", "Y", "C", "measured_tfp", "lambda_t", "var_log_wage",
              "var_log_tfpq", "var_log_tfpr", "labor_share", "R", "w0", "income")}
     for t in range(T):
         K = kpath[t]
         eq = sc.solve_static(params, shocks[int(states[t])], K)
-        vw, vq, vr = sc.analytic_moments(eq, params, eq.shock)
+        vw, vq, vr = sc.analytic_moments(eq)
         income = eq.household_income
         row = {"z": eq.shock.z, "K": K, "Y": eq.Y,
                "C": (1.0 - params.delta) * K + income - kpath[t + 1],
@@ -244,14 +244,14 @@ def simulate_oracle(policy, params, chain, T, burn_in, seed, A=1.0, K0=None, s0=
     return cols
 
 
-def irf_oracle(policy, params, chain, horizon, n_sims, seed, A=1.0):
+def irf_oracle(policy, params, chain, horizon, n_sims, seed):
     """Scalar IRF: one treated/control pair at a time, a full static solve per
     record and ``interp_scalar`` for each capital step, presimulation
     included.  Returns the (horizon+1, 5) mean differences in IRFResult
     column order."""
     presim_T = 200 + 10 * n_sims
     pre_states = dynamics.draw_state_path(chain, presim_T, seed, stream_label="irf-presim")
-    K0 = sc.steady_state(params, chain.z_states[0], A)[0]
+    K0 = sc.steady_state(params, chain.z_states[0])[0]
     pre_k = np.empty(presim_T + 1)
     pre_k[0] = K0
     for t in range(presim_T):
@@ -264,7 +264,7 @@ def irf_oracle(policy, params, chain, horizon, n_sims, seed, A=1.0):
     inits = boom_k[idx]
     u_all = block_uniforms(seed, "irf-chain", 0, n_sims * max(horizon, 1))[:, 0]
     u_all = u_all.reshape(n_sims, max(horizon, 1))
-    shocks = [sc.AggregateShockState.from_params(params, z=z, A=A) for z in chain.z_states]
+    shocks = [sc.AggregateShockState.from_params(params, z=z) for z in chain.z_states]
     stay = (chain.p_stay_low, chain.p_stay_high)
 
     acc = np.zeros((horizon + 1, 5))
@@ -276,7 +276,7 @@ def irf_oracle(policy, params, chain, horizon, n_sims, seed, A=1.0):
             for s, K in ((s_treat, K_t), (s_ctrl, K_c)):
                 eq = sc.solve_static(params, shocks[s], K)
                 rec.append((math.log(eq.Y), sc.measured_tfp(eq),
-                            *sc.analytic_moments(eq, params, eq.shock)))
+                            *sc.analytic_moments(eq)))
             acc[h] += np.subtract(rec[0], rec[1])
             if h == horizon:
                 break
@@ -298,9 +298,9 @@ def full_mode_moments_oracle(free_params, fixed_params, chain_template, T, burn_
     shares = []
     for z in chain.z_states:
         shock = sc.AggregateShockState.from_params(params, z=z)
-        shares.append(revenue_concentration(sc.solve_static(params, shock, 1.0), params, shock))
+        shares.append(revenue_concentration(sc.solve_static(params, shock, 1.0)))
     policy = sc.solve_policy(params, chain, grid_spec=sc.GridSpec(n=grid_n))
-    path = sc.simulate(policy, params, chain, T=T, burn_in=burn_in, seed=seed)
+    path = sc.simulate(policy, T=T, burn_in=burn_in, seed=seed)
     f_high = float(np.mean(path.states[burn_in:]))
     freq = (1.0 - f_high, f_high)
     return {

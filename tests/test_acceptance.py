@@ -96,7 +96,7 @@ def test_criterion2_firm_foc_oracle():
     worst = 0.0
     per_eq = 10_000 // len(equilibria)
     for j, (p, shock, eq) in enumerate(equilibria):
-        panel = sc.sample_cross_section(eq, p, shock, per_eq, seed=SEED + j)
+        panel = sc.sample_cross_section(eq, per_eq, seed=SEED + j)
         w = sc.wage(eq, panel.matched_x)
         labor = panel.tau1 * w * panel.l / (p.gamma * panel.chi * panel.Q) - 1.0
         capital = panel.tau2 * eq.R * panel.k / (p.alpha * panel.chi * panel.Q) - 1.0
@@ -123,18 +123,18 @@ def test_criterion3_market_clearing_quadrature(table):
     for z in chain.z_states:
         shock = sc.AggregateShockState.from_params(params, z=z)
         eq = sc.solve_static(params, shock, 1.0)
-        mass, shape = verify.check_job_density(eq, params, shock)
-        goods = verify.check_goods_market(eq, params, shock)
-        capital = verify.check_capital_market(eq, params, shock, 1.0)
+        mass, shape = verify.check_job_density(eq)
+        goods = verify.check_goods_market(eq)
+        capital = verify.check_capital_market(eq)
         for c in (mass, shape, goods, capital):
             worst = max(worst, c.statistic)
         wrong_lambda = dataclasses.replace(eq, lambda_t=eq.lambda_t * 1.01)
-        _, bad_shape = verify.check_job_density(wrong_lambda, params, shock)
+        _, bad_shape = verify.check_job_density(wrong_lambda)
         controls_fired &= bad_shape.statistic > 1e-3
         controls_fired &= verify.check_goods_market(
-            dataclasses.replace(eq, Y=eq.Y * 1.01), params, shock).statistic > 1e-8
+            dataclasses.replace(eq, Y=eq.Y * 1.01)).statistic > 1e-8
         controls_fired &= verify.check_capital_market(
-            dataclasses.replace(eq, R=eq.R * 1.01), params, shock, 1.0).statistic > 1e-8
+            dataclasses.replace(eq, R=eq.R * 1.01)).statistic > 1e-8
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-8 and controls_fired and elapsed < 30.0
     report("criterion 3 (market-clearing quadrature)", ok, elapsed,
@@ -162,12 +162,12 @@ def published_targets_run(table, timed_policy):
     params, chain = table
     policy, solve_time = timed_policy
     t0 = time.perf_counter()
-    path = sc.simulate(policy, params, chain, T=10_000, burn_in=100, seed=SEED)
+    path = sc.simulate(policy, T=10_000, burn_in=100, seed=SEED)
     boom = sc.solve_static(params, sc.AggregateShockState.from_params(params, z=chain.z_low), 1.0)
     rec = sc.solve_static(params, sc.AggregateShockState.from_params(params, z=chain.z_high), 1.0)
     shares = {
-        0: firms.revenue_concentration(boom, params, boom.shock),
-        1: firms.revenue_concentration(rec, params, rec.shock),
+        0: firms.revenue_concentration(boom),
+        1: firms.revenue_concentration(rec),
     }
     freq_high = float(np.mean(path.states[100:]))
     moments = path.moments()
@@ -224,11 +224,11 @@ def test_criterion6_irf_qualitative(table, timed_policy):
     params, chain = table
     policy, solve_time = timed_policy
     t0 = time.perf_counter()
-    irf = sc.impulse_response(policy, params, chain, horizon=20, n_sims=1000, seed=SEED)
+    irf = sc.impulse_response(policy, horizon=20, n_sims=1000, seed=SEED)
     boom = sc.solve_static(params, sc.AggregateShockState.from_params(params, z=chain.z_low), 1.0)
     rec = sc.solve_static(params, sc.AggregateShockState.from_params(params, z=chain.z_high), 1.0)
-    vw0, vq0, vr0 = sc.analytic_moments(boom, params, boom.shock)
-    vwh, vqh, vrh = sc.analytic_moments(rec, params, rec.shock)
+    vw0, vq0, vr0 = sc.analytic_moments(boom)
+    vwh, vqh, vrh = sc.analytic_moments(rec)
     elapsed = solve_time + (time.perf_counter() - t0)
 
     signs_ok = (irf.d_log_Y[0] < -0.05 and irf.d_measured_tfp[0] < 0.0
@@ -257,8 +257,8 @@ def test_criterion7_monte_carlo_analytic_equivalence(table):
     t0 = time.perf_counter()
     shock = sc.AggregateShockState.from_params(params, z=chain.z_low)
     eq = sc.solve_static(params, shock, 1.0)
-    panel = sc.sample_cross_section(eq, params, shock, 1_000_000, seed=SEED)
-    vw, vq, vr = sc.analytic_moments(eq, params, shock)
+    panel = sc.sample_cross_section(eq, 1_000_000, seed=SEED)
+    vw, vq, vr = sc.analytic_moments(eq)
 
     def within_3se(series, target):
         centered = (series - series.mean()) ** 2
@@ -293,14 +293,14 @@ def test_criterion8_dynamic_accuracy(table, timed_policy):
     states = g.integers(0, 2, 1000)
     p99 = float(np.quantile(sc.euler_residuals(policy, params, pts, states), 0.99))
 
-    path = sc.simulate(policy, params, chain, T=2000, burn_in=100, seed=SEED + 8)
+    path = sc.simulate(policy, T=2000, burn_in=100, seed=SEED + 8)
     budget = np.max(np.abs((path.C[:-1] + path.K[1:] - (1.0 - params.delta) * path.K[:-1]
                             - path.income[:-1]) / path.income[:-1]))
 
     quiet = dataclasses.replace(chain, p_stay_low=1.0, p_stay_high=0.0)
     pol0 = sc.solve_policy(params, quiet, grid_spec=sc.GridSpec(n=300))
     k_star = sc.steady_state(params, 0.0)[0]
-    path0 = sc.simulate(pol0, params, quiet, T=501, burn_in=1, seed=2, K0=0.6 * k_star)
+    path0 = sc.simulate(pol0, T=501, burn_in=1, seed=2, K0=0.6 * k_star)
     conv = abs(path0.K[-1] / k_star - 1.0)
     elapsed = solve_time + (time.perf_counter() - t0)
     ok = p99 < 1e-5 and budget <= 1e-10 and conv < 1e-3 and elapsed < 300.0

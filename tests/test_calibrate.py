@@ -113,7 +113,7 @@ class TestSigma1Inversion:
         sigma_star = 0.31
         shock = sc.AggregateShockState.from_params(params, z=0.0, sigma1_t=sigma_star)
         eq = sc.solve_static(params, shock, 1.0)
-        _, _, vr = sc.analytic_moments(eq, params, shock)
+        _, _, vr = sc.analytic_moments(eq)
         c = eq.coefficients
         ratio = (eq.lambda_t / params.lambda_x) ** params.psi
         bracket = ratio - c.eta_q * c.eta_q_theta / params.xi
@@ -249,8 +249,7 @@ class TestFullModeAgainstOracle:
             return (1.0 - f) * column[0] + f * column[1]
 
         gap = abs(table.measured_tfp[1] - table.measured_tfp[0])
-        top10, p50_p90 = zip(*(firms.revenue_concentration(eq, new_params, eq.shock)
-                               for eq in table.equilibria))
+        top10, p50_p90 = zip(*(firms.revenue_concentration(eq) for eq in table.equilibria))
         assert got["labor_share"] == pytest.approx(mix(table.labor_share), rel=1e-12)
         assert got["wage_inequality"] == pytest.approx(mix(table.var_log_wage), rel=1e-12)
         assert got["rev_share_top10"] == mix(top10)
@@ -260,6 +259,11 @@ class TestFullModeAgainstOracle:
     def test_t_not_above_burn_in_is_rejected(self):
         with pytest.raises(sc.DomainError):
             cal.SimConfig(fast=False, T=50, burn_in=100)
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_negative_burn_in_is_rejected(self, fast):
+        with pytest.raises(sc.DomainError):
+            cal.SimConfig(fast=fast, T=1, burn_in=-3)
 
 
 class TestAssemble:

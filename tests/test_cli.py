@@ -212,6 +212,9 @@ class TestInputHoles:
         ("irf", "--horizon", "-1"),
         ("calibrate", "--fast", "--n-starts", "0"),
         ("verify", "--n-prop-points", "0"),
+        ("simulate", "--T", "0", "--burn-in", "-1"),
+        ("simulate", "--T", "20", "--burn-in", "-5"),
+        ("calibrate", "--T", "1", "--burn-in", "-3", "--n-starts", "1", "--max-iter", "2"),
         *[("calibrate", "--fast", "--targets", name) for name in TARGET_FILES],
         *[(sub, "--params", "tiny-psi") for sub in ("solve", "moments", "simulate", "verify")],
     ], ids=lambda case: "-".join(case))

@@ -7,6 +7,7 @@ import sortcycles as sc
 from sortcycles import dynamics
 
 from . import oracles
+from .test_statics import with_params
 
 R_STAR = 1.0 / 0.96 - 1.0 + 0.10  # Euler target rental rate, beta=0.96 delta=0.10
 
@@ -17,6 +18,28 @@ K_STAR_RECESSION = 17.759463379189704
 
 def absorbing_boom(chain):
     return dataclasses.replace(chain, p_stay_low=1.0, p_stay_high=0.0)
+
+
+def variant_chain(chain):
+    """A chain unlike the published one in its z values and stay probabilities."""
+    return dataclasses.replace(chain, z_high=0.1, p_stay_low=0.5)
+
+
+@pytest.fixture(scope="module")
+def variant_policy(table):
+    params, chain = table
+    return sc.solve_policy(params, variant_chain(chain), grid_spec=sc.GridSpec(n=120))
+
+
+def assert_irf_matches_oracle(irf, ref, horizon):
+    # each column measured against its largest magnitude, since K-free
+    # columns can cross zero
+    cols = (irf.d_log_Y, irf.d_measured_tfp, irf.d_var_log_wage, irf.d_var_log_tfpq,
+            irf.d_var_log_tfpr)
+    for j, col in enumerate(cols):
+        assert col.shape == (horizon + 1,)
+        scale = np.max(np.abs(ref[:, j]))
+        assert np.max(np.abs(col - ref[:, j])) <= 1e-12 * scale, j
 
 
 class TestSteadyState:
@@ -97,6 +120,14 @@ class TestPolicy:
         ref = oracles.euler_residuals_oracle(policy, params, pts, states)
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
+    def test_euler_residuals_reject_other_params(self, table, policy):
+        # the residuals are the policy's own; other parameters are an error,
+        # not a different answer
+        params, _ = table
+        other = with_params(params, psi=0.6)
+        with pytest.raises(sc.DomainError):
+            sc.euler_residuals(policy, other, policy.K_grid[:3], np.zeros(3, dtype=np.int64))
+
     def test_no_convergence_raises(self, table):
         params, chain = table
         with pytest.raises(sc.NoConvergence):
@@ -144,7 +175,7 @@ class TestSimulate:
         params, chain = table
         quiet = absorbing_boom(chain)
         pol = sc.solve_policy(params, quiet, grid_spec=sc.GridSpec(n=300))
-        path = sc.simulate(pol, params, quiet, T=600, burn_in=100, seed=5, K0=K_STAR_BOOM)
+        path = sc.simulate(pol, T=600, burn_in=100, seed=5, K0=K_STAR_BOOM)
         assert np.all(path.z == 0.0)
         # the recorded series settle to the grid's fixed point, within 0.1%
         # of the analytic steady state, and stop moving
@@ -156,7 +187,7 @@ class TestSimulate:
         params, chain = table
         quiet = absorbing_boom(chain)
         pol = sc.solve_policy(params, quiet, grid_spec=sc.GridSpec(n=300))
-        path = sc.simulate(pol, params, quiet, T=501, burn_in=1, seed=5, K0=0.6 * K_STAR_BOOM)
+        path = sc.simulate(pol, T=501, burn_in=1, seed=5, K0=0.6 * K_STAR_BOOM)
         assert abs(path.K[-1] / K_STAR_BOOM - 1.0) < 1e-3
 
     def test_budget_identity_every_period(self, table, table_path):
@@ -166,10 +197,9 @@ class TestSimulate:
                  - path.income[:-1])
         assert np.max(np.abs(resid / path.income[:-1])) < 1e-10
 
-    def test_bit_identical_reruns(self, table, policy):
-        params, chain = table
-        a = sc.simulate(policy, params, chain, T=400, burn_in=50, seed=9)
-        b = sc.simulate(policy, params, chain, T=400, burn_in=50, seed=9)
+    def test_bit_identical_reruns(self, policy):
+        a = sc.simulate(policy, T=400, burn_in=50, seed=9)
+        b = sc.simulate(policy, T=400, burn_in=50, seed=9)
         for name in ("K", "Y", "C", "measured_tfp", "z"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
@@ -178,25 +208,35 @@ class TestSimulate:
         assert m["labor_share"] == pytest.approx(0.6102, abs=0.02)
         assert m["wage_inequality"] == pytest.approx(0.7666, rel=0.15)
 
-    def test_t_must_exceed_burn_in(self, table, policy):
-        params, chain = table
+    def test_t_must_exceed_burn_in(self, policy):
         with pytest.raises(sc.DomainError):
-            sc.simulate(policy, params, chain, T=50, burn_in=100, seed=1)
+            sc.simulate(policy, T=50, burn_in=100, seed=1)
 
-    def test_grid_exit_reported_with_period(self, table, policy):
-        params, chain = table
+    @pytest.mark.parametrize("T,burn_in", [(0, -1), (20, -5)])
+    def test_negative_burn_in_is_rejected(self, policy, T, burn_in):
+        with pytest.raises(sc.DomainError):
+            sc.simulate(policy, T=T, burn_in=burn_in, seed=1)
+
+    def test_draws_states_from_the_policy_chain(self, table, variant_policy):
+        # the chain comes with the policy: its z values and its stay
+        # probabilities, never those of another chain
+        _, chain = table
+        variant = variant_chain(chain)
+        path = sc.simulate(variant_policy, T=2000, burn_in=10, seed=11)
+        assert set(np.unique(path.z)) <= {0.0, 0.1}
+        assert np.array_equal(path.states, dynamics.draw_state_path(variant, 2000, 11))
+
+    def test_grid_exit_reported_with_period(self, policy):
         with pytest.raises(sc.GridExit) as err:
-            sc.simulate(policy, params, chain, T=200, burn_in=10, seed=1,
-                        K0=policy.K_grid[0] * 0.5)
+            sc.simulate(policy, T=200, burn_in=10, seed=1, K0=policy.K_grid[0] * 0.5)
         assert err.value.period == 0
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
-    def test_long_path_stays_on_the_default_grid(self, table, policy, seed):
+    def test_long_path_stays_on_the_default_grid(self, policy, seed):
         # the recession savings rule sits exactly on the grid floor at its
         # lowest node, so a long path can reach the floor but never leave
-        params, chain = table
         assert np.all(policy.K_next[:, 0] >= policy.K_grid[0])
-        path = sc.simulate(policy, params, chain, T=100_000, burn_in=100, seed=seed)
+        path = sc.simulate(policy, T=100_000, burn_in=100, seed=seed)
         assert path.K.min() >= policy.K_grid[0]
 
     @pytest.mark.parametrize("seed,K0", [(1, None), (7, 0.8 * K_STAR_BOOM)],
@@ -204,7 +244,7 @@ class TestSimulate:
     def test_matches_per_period_oracle(self, table, policy, seed, K0):
         # scaled K=1 table vs a full static solve at every (s_t, K_t)
         params, chain = table
-        path = sc.simulate(policy, params, chain, T=250, burn_in=20, seed=seed, K0=K0)
+        path = sc.simulate(policy, T=250, burn_in=20, seed=seed, K0=K0)
         ref = oracles.simulate_oracle(policy, params, chain, T=250, burn_in=20, seed=seed,
                                       K0=K0)
         assert np.array_equal(path.states, ref["states"])
@@ -236,65 +276,62 @@ class TestImpulseResponse:
         params, chain = table
         flat = dataclasses.replace(chain, z_high=0.0)
         pol = sc.solve_policy(params, flat, grid_spec=sc.GridSpec(n=250))
-        irf = sc.impulse_response(pol, params, flat, horizon=6, n_sims=40, seed=3)
+        irf = sc.impulse_response(pol, horizon=6, n_sims=40, seed=3)
         # the two (identical) states mix the expectation with different
         # weights, so the policy rows differ by ulps; zero holds to 1e-13
         for series in (irf.d_log_Y, irf.d_measured_tfp, irf.d_var_log_wage,
                        irf.d_var_log_tfpq, irf.d_var_log_tfpr):
             assert np.max(np.abs(series)) < 1e-13
 
-    def test_impact_signs_and_magnitude(self, table, policy):
-        params, chain = table
-        irf = sc.impulse_response(policy, params, chain, horizon=10, n_sims=300, seed=6)
+    def test_impact_signs_and_magnitude(self, policy):
+        irf = sc.impulse_response(policy, horizon=10, n_sims=300, seed=6)
         assert irf.d_log_Y[0] < -0.05
         assert irf.d_measured_tfp[0] < 0.0
         assert irf.d_var_log_tfpq[0] > 0.0
         assert irf.d_var_log_tfpr[0] > 0.0
         assert irf.d_var_log_wage[0] < 0.0
 
-    def test_output_gap_persists_beyond_impact(self, table, policy):
+    def test_output_gap_persists_beyond_impact(self, policy):
         # the treated path carries a lower capital stock for several periods
         # (the mean gap shrinks as treated episodes exit the recession, so
         # persistence, not deepening, is the testable statement)
-        params, chain = table
-        irf = sc.impulse_response(policy, params, chain, horizon=10, n_sims=300, seed=6)
+        irf = sc.impulse_response(policy, horizon=10, n_sims=300, seed=6)
         assert np.all(irf.d_log_Y[:6] < 0.0)
         assert np.all(irf.d_measured_tfp[:6] < 0.0)
 
     @pytest.mark.parametrize("horizon,n_sims,seed", [(0, 9, 4), (1, 5, 8), (6, 70, 8)])
     def test_matches_scalar_oracle(self, table, policy, horizon, n_sims, seed):
         # every pair advanced together vs one pair at a time with a full
-        # static solve per record; each column measured against its largest
-        # magnitude, since K-free columns can cross zero
+        # static solve per record
         params, chain = table
-        irf = sc.impulse_response(policy, params, chain, horizon=horizon, n_sims=n_sims,
-                                  seed=seed)
+        irf = sc.impulse_response(policy, horizon=horizon, n_sims=n_sims, seed=seed)
         ref = oracles.irf_oracle(policy, params, chain, horizon, n_sims, seed)
-        cols = (irf.d_log_Y, irf.d_measured_tfp, irf.d_var_log_wage, irf.d_var_log_tfpq,
-                irf.d_var_log_tfpr)
-        for j, col in enumerate(cols):
-            assert col.shape == (horizon + 1,)
-            scale = np.max(np.abs(ref[:, j]))
-            assert np.max(np.abs(col - ref[:, j])) <= 1e-12 * scale, j
+        assert_irf_matches_oracle(irf, ref, horizon)
 
-    def test_negative_horizon_rejected(self, table, policy):
+    def test_follows_the_policy_chain(self, table, variant_policy):
+        # the oracle is handed the variant chain itself, so the policy must
+        # supply the same chain to the presimulation and the episodes
         params, chain = table
+        irf = sc.impulse_response(variant_policy, horizon=6, n_sims=70, seed=8)
+        ref = oracles.irf_oracle(variant_policy, params, variant_chain(chain), 6, 70, 8)
+        assert_irf_matches_oracle(irf, ref, 6)
+
+    def test_negative_horizon_rejected(self, policy):
         with pytest.raises(sc.DomainError):
-            sc.impulse_response(policy, params, chain, horizon=-1, n_sims=4)
+            sc.impulse_response(policy, horizon=-1, n_sims=4)
 
     @pytest.mark.parametrize("z_high", [0.05, 0.15, 0.3984, 0.7, 1.0])
     def test_impact_negative_for_any_positive_shock(self, table, z_high):
         params, chain = table
         variant = dataclasses.replace(chain, z_high=z_high)
         pol = sc.solve_policy(params, variant, grid_spec=sc.GridSpec(n=120))
-        irf = sc.impulse_response(pol, params, variant, horizon=0, n_sims=8, seed=2)
+        irf = sc.impulse_response(pol, horizon=0, n_sims=8, seed=2)
         assert irf.d_log_Y[0] < 0.0
         assert irf.d_measured_tfp[0] < 0.0
 
-    def test_requires_at_least_one_episode(self, table, policy):
-        params, chain = table
+    def test_requires_at_least_one_episode(self, policy):
         with pytest.raises(sc.DomainError):
-            sc.impulse_response(policy, params, chain, n_sims=0)
+            sc.impulse_response(policy, n_sims=0)
 
 
 class TestGenerateShockPath:
@@ -317,8 +354,8 @@ class TestGenerateShockPath:
         hi = sc.AggregateShockState.from_params(params, z=0.0, lambda_theta_t=3.6)
         eq_lo = sc.solve_static(params, lo, 1.0)
         eq_hi = sc.solve_static(params, hi, 1.0)
-        vw_lo, vq_lo, _ = sc.analytic_moments(eq_lo, params, lo)
-        vw_hi, vq_hi, _ = sc.analytic_moments(eq_hi, params, hi)
+        vw_lo, vq_lo, _ = sc.analytic_moments(eq_lo)
+        vw_hi, vq_hi, _ = sc.analytic_moments(eq_hi)
         assert vw_lo > vw_hi
         assert vq_lo > vq_hi
 
@@ -343,7 +380,7 @@ class TestGenerateShockPath:
         vqs, vrs = [], []
         for shock in path:
             eq = sc.solve_static(params, shock, 1.0)
-            _, vq, vr = sc.analytic_moments(eq, params, shock)
+            _, vq, vr = sc.analytic_moments(eq)
             vqs.append(vq)
             vrs.append(vr)
         assert np.ptp(vqs) == 0.0      # TFPQ dispersion untouched

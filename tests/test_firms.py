@@ -54,7 +54,7 @@ class TestWage:
         u = block_uniforms(99, "wage-var", 0, 1_000_000)[:, 0]
         x = exponential_icdf(u, params.lambda_x)
         logw = np.log(sc.wage(boom_eq, x))
-        vw, _, _ = sc.analytic_moments(boom_eq, params, boom_eq.shock)
+        vw, _, _ = sc.analytic_moments(boom_eq)
         sample_var = float(np.var(logw))
         centered = (logw - logw.mean()) ** 2
         se = float(np.std(centered) / math.sqrt(len(logw)))
@@ -62,9 +62,8 @@ class TestWage:
 
 
 class TestFirmOutcome:
-    def test_zero_type_firm_sits_at_scale_constants(self, table, boom_eq):
-        params, _ = table
-        out = sc.firm_outcome(boom_eq, params, boom_eq.shock, sc.FirmDraw(0.0, 0.0, 0.0))
+    def test_zero_type_firm_sits_at_scale_constants(self, boom_eq):
+        out = sc.firm_outcome(boom_eq, sc.FirmDraw(0.0, 0.0, 0.0))
         assert out.Q == boom_eq.Q_bar
         assert out.k == boom_eq.k_bar
         assert out.chi == boom_eq.chi_bar
@@ -74,7 +73,7 @@ class TestFirmOutcome:
         # labor FOC, capital FOC, production identity, demand/markup identity
         params, _ = table
         eq, shock = recession_eq, recession_eq.shock
-        panel = sc.sample_cross_section(eq, params, shock, 5000, seed=17)
+        panel = sc.sample_cross_section(eq, 5000, seed=17)
         w = sc.wage(eq, panel.matched_x)
         labor_foc = panel.tau1 * w * panel.l / (params.gamma * panel.chi * panel.Q) - 1.0
         capital_foc = panel.tau2 * eq.R * panel.k / (params.alpha * panel.chi * panel.Q) - 1.0
@@ -86,7 +85,7 @@ class TestFirmOutcome:
 
     def test_markup_and_demand_invariants(self, table, boom_eq):
         params, _ = table
-        panel = sc.sample_cross_section(boom_eq, params, boom_eq.shock, 2000, seed=3)
+        panel = sc.sample_cross_section(boom_eq, 2000, seed=3)
         assert np.allclose(panel.P, params.xi / (params.xi - 1.0) * panel.chi, rtol=1e-14)
         assert np.max(np.abs(panel.P ** (-params.xi) * boom_eq.Y / panel.Q - 1.0)) < 1e-10
 
@@ -94,13 +93,12 @@ class TestFirmOutcome:
         # wage_bill/revenue = gamma*(xi-1)/(xi*tau1); the gamma follows from
         # the labor FOC (the source text drops it)
         params, _ = table
-        panel = sc.sample_cross_section(boom_eq, params, boom_eq.shock, 2000, seed=3)
+        panel = sc.sample_cross_section(boom_eq, 2000, seed=3)
         expected = params.gamma * (params.xi - 1.0) / (params.xi * panel.tau1)
         assert np.max(np.abs(panel.wage_bill / panel.revenue - expected)) < 1e-10
 
-    def test_tfpr_is_price_times_tfpq(self, table, boom_eq):
-        params, _ = table
-        panel = sc.sample_cross_section(boom_eq, params, boom_eq.shock, 2000, seed=5)
+    def test_tfpr_is_price_times_tfpq(self, boom_eq):
+        panel = sc.sample_cross_section(boom_eq, 2000, seed=5)
         assert np.max(np.abs(np.log(panel.P) + panel.log_tfpq - panel.log_tfpr)) < 1e-12
 
     def test_tfpr_type_loading_is_positive(self, table):
@@ -112,10 +110,9 @@ class TestFirmOutcome:
             ratio = (eq.lambda_t / params.lambda_x) ** params.psi
             assert ratio - c.eta_q * c.eta_q_theta / params.xi > 0.0
 
-    def test_overflow_raises_nonfinite(self, table, boom_eq):
-        params, _ = table
+    def test_overflow_raises_nonfinite(self, boom_eq):
         with pytest.raises(sc.NonFinite):
-            sc.firm_outcome(boom_eq, params, boom_eq.shock, sc.FirmDraw(500.0, 0.0, 0.0))
+            sc.firm_outcome(boom_eq, sc.FirmDraw(500.0, 0.0, 0.0))
 
     def test_draw_validation(self):
         with pytest.raises(ValueError):
@@ -128,25 +125,24 @@ class TestAnalyticMoments:
     def test_psi_zero_kills_wage_heterogeneity(self, table):
         params, _ = table
         p0 = with_params(params, psi=0.0, lambda_theta=6.0)
-        eq, shock = solve_at(p0, 0.0)
-        vw, vq, vr = sc.analytic_moments(eq, p0, shock)
+        eq, _ = solve_at(p0, 0.0)
+        vw, vq, vr = sc.analytic_moments(eq)
         assert vw == 0.0
         assert vq > 0.0 and vr > 0.0
 
-    def test_published_dispersion_levels(self, table, boom_eq):
+    def test_published_dispersion_levels(self, boom_eq):
         # rounded published parameters reproduce the reported boom-state
         # moments to within 15%
-        params, _ = table
-        vw, vq, vr = sc.analytic_moments(boom_eq, params, boom_eq.shock)
+        vw, vq, vr = sc.analytic_moments(boom_eq)
         assert vq == pytest.approx(0.1203, rel=0.15)
         assert vw == pytest.approx(0.7901, rel=0.15)
 
     def test_sigma_separation(self, table, boom_eq):
         # perturbing the wedge volatilities moves TFPR dispersion only
         params, _ = table
-        base = sc.analytic_moments(boom_eq, params, boom_eq.shock)
+        base = sc.analytic_moments(boom_eq)
         bumped_shock = dataclasses.replace(boom_eq.shock, sigma1_t=0.4, sigma2_t=0.2)
-        bumped = sc.analytic_moments(boom_eq, params, bumped_shock)
+        bumped = firms.dispersions(params, bumped_shock, boom_eq.lambda_t)
         assert bumped[0] == base[0]
         assert bumped[1] == base[1]
         assert bumped[2] > base[2]
@@ -155,8 +151,8 @@ class TestAnalyticMoments:
         params, _ = table
         rows = []
         for z in np.linspace(0.0, 1.0, 20):
-            eq, shock = solve_at(params, z)
-            rows.append(sc.analytic_moments(eq, params, shock))
+            eq, _ = solve_at(params, z)
+            rows.append(sc.analytic_moments(eq))
         vw, vq, vr = map(np.array, zip(*rows))
         assert np.all(np.diff(vw) < 0.0)
         assert np.all(np.diff(vq) > 0.0)
@@ -169,7 +165,7 @@ class TestAnalyticMoments:
         for lt in np.linspace(3.0, 6.0, 20):
             shock = sc.AggregateShockState.from_params(params, z=0.2, lambda_theta_t=lt)
             eq = sc.solve_static(params, shock, 1.0)
-            rows.append(sc.analytic_moments(eq, params, shock))
+            rows.append(sc.analytic_moments(eq))
         vw, vq, vr = map(np.array, zip(*rows))
         assert np.all(np.diff(vw) < 0.0)
         assert np.all(np.diff(vq) < 0.0)
@@ -177,36 +173,33 @@ class TestAnalyticMoments:
 
 
 class TestSampling:
-    def test_deterministic_rerun(self, table, boom_eq):
+    def test_deterministic_rerun(self, boom_eq):
         # 150,000 firms span three sampling chunks
-        params, _ = table
-        a = sc.sample_cross_section(boom_eq, params, boom_eq.shock, 150_000, seed=8)
-        b = sc.sample_cross_section(boom_eq, params, boom_eq.shock, 150_000, seed=8)
+        a = sc.sample_cross_section(boom_eq, 150_000, seed=8)
+        b = sc.sample_cross_section(boom_eq, 150_000, seed=8)
         for col in firms.FirmPanel.COLUMNS:
             assert np.array_equal(getattr(a, col), getattr(b, col)), col
 
-    def test_prefix_property(self, table, boom_eq):
+    def test_prefix_property(self, boom_eq):
         # the first k draws of a size-n panel equal the size-k panel, also
         # when n and k fall on different sides of a SAMPLE_CHUNK boundary
-        params, _ = table
         for n, k in ((3000, 1000), (150_000, 70_000)):
-            big = sc.sample_cross_section(boom_eq, params, boom_eq.shock, n, seed=8)
-            small = sc.sample_cross_section(boom_eq, params, boom_eq.shock, k, seed=8)
+            big = sc.sample_cross_section(boom_eq, n, seed=8)
+            small = sc.sample_cross_section(boom_eq, k, seed=8)
             for col in firms.FirmPanel.COLUMNS:
                 assert np.array_equal(getattr(big, col)[:k], getattr(small, col)), (n, k, col)
 
     def test_single_firm_satisfies_focs(self, table, boom_eq):
         params, _ = table
-        panel = sc.sample_cross_section(boom_eq, params, boom_eq.shock, 1, seed=123)
+        panel = sc.sample_cross_section(boom_eq, 1, seed=123)
         out = panel.row(0)
         w = sc.wage(boom_eq, out.matched_x)
         assert out.tau1 * w * out.l == pytest.approx(params.gamma * out.chi * out.Q, rel=1e-9)
         assert out.tau2 * boom_eq.R * out.k == pytest.approx(params.alpha * out.chi * out.Q, rel=1e-9)
 
-    def test_moments_match_analytic_within_3se(self, table, boom_eq):
-        params, _ = table
-        panel = sc.sample_cross_section(boom_eq, params, boom_eq.shock, 1_000_000, seed=31)
-        _, vq, vr = sc.analytic_moments(boom_eq, params, boom_eq.shock)
+    def test_moments_match_analytic_within_3se(self, boom_eq):
+        panel = sc.sample_cross_section(boom_eq, 1_000_000, seed=31)
+        _, vq, vr = sc.analytic_moments(boom_eq)
         for series, target in ((panel.log_tfpq, vq), (panel.log_tfpr, vr)):
             centered = (series - series.mean()) ** 2
             se = float(np.std(centered) / math.sqrt(series.shape[0]))
@@ -218,15 +211,14 @@ class TestSampling:
         # by the continuum share tests
         params, _ = table
         p = with_params(params, xi=4.0, psi=0.25, lambda_theta=5.0, lambda_x=1.0, sigma1=0.1)
-        eq, shock = solve_at(p, 0.1, K=2.0)
-        panel = sc.sample_cross_section(eq, p, shock, 400_000, seed=12)
+        eq, _ = solve_at(p, 0.1, K=2.0)
+        panel = sc.sample_cross_section(eq, 400_000, seed=12)
         se = float(np.std(panel.revenue) / math.sqrt(len(panel)))
         assert abs(float(np.mean(panel.revenue)) - eq.Y) < 3.0 * se
 
-    def test_empty_panel_rejected(self, table, boom_eq):
-        params, _ = table
+    def test_empty_panel_rejected(self, boom_eq):
         with pytest.raises(sc.EmptyPanel):
-            sc.sample_cross_section(boom_eq, params, boom_eq.shock, 0, seed=1)
+            sc.sample_cross_section(boom_eq, 0, seed=1)
 
 
 class TestCrossSectionMoments:
@@ -237,7 +229,7 @@ class TestCrossSectionMoments:
         shock = sc.AggregateShockState.from_params(clean, z=0.0, lambda_theta_t=1e12,
                                                    sigma1_t=0.0, sigma2_t=0.0)
         eq = sc.solve_static(clean, shock, 1.0)
-        panel = sc.sample_cross_section(eq, clean, shock, 1000, seed=2)
+        panel = sc.sample_cross_section(eq, 1000, seed=2)
         m = sc.cross_section_moments(panel, eq)
         assert m.rev_share_top10 == pytest.approx(0.10, abs=1e-6)
 
@@ -246,22 +238,21 @@ class TestCrossSectionMoments:
         # l-weights are bounded and the weighted estimator obeys the CLT
         params, _ = table
         p = with_params(params, xi=4.0, psi=0.3, lambda_theta=4.0, lambda_x=1.0, sigma1=0.1)
-        eq, shock = solve_at(p, 0.8)
+        eq, _ = solve_at(p, 0.8)
         assert eq.lambda_t > p.lambda_theta
-        panel = sc.sample_cross_section(eq, p, shock, 400_000, seed=9)
+        panel = sc.sample_cross_section(eq, 400_000, seed=9)
         m = sc.cross_section_moments(panel, eq)
-        vw, _, _ = sc.analytic_moments(eq, p, shock)
+        vw, _, _ = sc.analytic_moments(eq)
         assert m.var_log_wage == pytest.approx(vw, rel=0.02)
 
-    def test_labor_share_is_aggregate(self, table, boom_eq):
-        params, _ = table
-        panel = sc.sample_cross_section(boom_eq, params, boom_eq.shock, 100, seed=4)
+    def test_labor_share_is_aggregate(self, boom_eq):
+        panel = sc.sample_cross_section(boom_eq, 100, seed=4)
         m = sc.cross_section_moments(panel, boom_eq)
         assert m.labor_share == boom_eq.labor_share
 
     def test_empty_panel_rejected(self, boom_eq):
         params = boom_eq.params
-        panel = sc.sample_cross_section(boom_eq, params, boom_eq.shock, 10, seed=1)
+        panel = sc.sample_cross_section(boom_eq, 10, seed=1)
         for col in firms.FirmPanel.COLUMNS:
             setattr(panel, col, getattr(panel, col)[:0])
         with pytest.raises(sc.EmptyPanel):
@@ -309,10 +300,10 @@ class TestRevenueConcentration:
 
     def test_published_concentration_targets(self, table, boom_eq, recession_eq):
         # ergodic mix of the two state-level continuum shares
-        params, chain = table
+        _, chain = table
         pi = sc.stationary_distribution(chain)
-        b10, b5090 = firms.revenue_concentration(boom_eq, params, boom_eq.shock)
-        r10, r5090 = firms.revenue_concentration(recession_eq, params, recession_eq.shock)
+        b10, b5090 = firms.revenue_concentration(boom_eq)
+        r10, r5090 = firms.revenue_concentration(recession_eq)
         top10 = pi[0] * b10 + pi[1] * r10
         p5090 = pi[0] * b5090 + pi[1] * r5090
         assert top10 == pytest.approx(0.8906, abs=0.03)
@@ -323,9 +314,9 @@ class TestParetoTails:
     def test_log_outcomes_linear_in_type_without_wedge_noise(self, table):
         params, _ = table
         clean = with_params(params, sigma1=0.0, sigma2=0.0)
-        eq, shock = solve_at(clean, 0.0)
+        eq, _ = solve_at(clean, 0.0)
         theta = np.linspace(0.1, 3.0, 7)
-        panel = firms._firm_arrays(eq, clean, shock, theta, np.zeros(7), np.zeros(7))
+        panel = firms._firm_arrays(eq, theta, np.zeros(7), np.zeros(7))
         for col in ("revenue", "l", "Q"):
             logs = np.log(panel[col])
             slopes = np.diff(logs) / np.diff(theta)
@@ -333,7 +324,7 @@ class TestParetoTails:
 
     def test_hill_tail_index_within_5pct(self, table, boom_eq):
         params, _ = table
-        panel = sc.sample_cross_section(boom_eq, params, boom_eq.shock, 1_000_000, seed=77)
+        panel = sc.sample_cross_section(boom_eq, 1_000_000, seed=77)
         ratio = (boom_eq.lambda_t / params.lambda_x) ** params.psi
         analytic = boom_eq.shock.lambda_theta_t / ratio
         est = firms.tfpq_tail_index(panel)

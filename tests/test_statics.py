@@ -143,7 +143,7 @@ class TestCoefficients:
         lam = sc.solve_lambda(p, shock)
         c = sc.coefficients(p, shock, lam)
         ke = p.kappa * p.eta_q
-        margin = capital_margin(p, shock, c)
+        margin = capital_margin(shock, c)
 
         e1_l = gaussian_expectation(lambda e: np.exp(-(ke * p.gamma + 1.0) * e), p.sigma1)
         e2_l = gaussian_expectation(lambda e: np.exp(-ke * p.alpha * e), p.sigma2)
@@ -240,11 +240,6 @@ class TestAggregates:
 
 
 class TestFactorIncomes:
-    def test_definition_matches_stored_fields(self, table, boom_eq):
-        params, _ = table
-        y_l, y_k, y_d = sc.factor_incomes(params, boom_eq.shock, boom_eq)
-        assert (y_l, y_k, y_d) == (boom_eq.Y_l, boom_eq.Y_k, boom_eq.Y_d)
-
     def test_no_wedges_no_resource_loss(self, table):
         # z=0 and sigma1=sigma2=0: factor incomes exhaust output
         params, _ = table
@@ -279,7 +274,7 @@ class TestFactorIncomes:
         c = eq.coefficients
         ke = params.kappa * c.eta_q
         lt = shock.lambda_theta_t
-        margin = capital_margin(params, shock, c)
+        margin = capital_margin(shock, c)
 
         gauss_l = gaussian_expectation(
             lambda e: np.exp(-(ke * params.gamma + 1.0) * e), shock.sigma1_t)

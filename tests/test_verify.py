@@ -10,17 +10,15 @@ from .test_statics import with_params
 
 
 class TestIndependentFirmSolver:
-    def test_agrees_with_closed_forms(self, table, recession_eq):
+    def test_agrees_with_closed_forms(self, recession_eq):
         # the price-based solve and the closed-form tilts are separate routes to
         # the same allocation
-        params, _ = table
-        shock = recession_eq.shock
         theta = np.array([0.0, 0.4, 1.7, 5.0])
         eps1 = np.array([0.1, -0.3, 0.0, 0.2])
         eps2 = np.zeros(4)
-        sol = verify.independent_firm_solution(recession_eq, params, shock, theta, eps1, eps2)
+        sol = verify.independent_firm_solution(recession_eq, theta, eps1, eps2)
         from sortcycles.firms import _firm_arrays
-        closed = _firm_arrays(recession_eq, params, shock, theta, eps1, eps2)
+        closed = _firm_arrays(recession_eq, theta, eps1, eps2)
         assert np.allclose(np.exp(sol["log_Q"]), closed["Q"], rtol=1e-9)
         assert np.allclose(np.exp(sol["log_l"]), closed["l"], rtol=1e-9)
         assert np.allclose(np.exp(sol["log_k"]), closed["k"], rtol=1e-9)
@@ -34,7 +32,7 @@ class TestMarketClearingChecks:
         clean = with_params(params, sigma1=0.0, sigma2=0.0)
         shock = sc.AggregateShockState.from_params(clean, z=0.0)
         eq = sc.solve_static(clean, shock, 1.0)
-        mass, shape = verify.check_job_density(eq, clean, shock)
+        mass, shape = verify.check_job_density(eq)
         assert mass.statistic < 1e-12
         assert shape.passed
 
@@ -43,36 +41,33 @@ class TestMarketClearingChecks:
         params, _ = table
         shock = sc.AggregateShockState.from_params(params, z=z)
         eq = sc.solve_static(params, shock, 1.0)
-        mass, shape = verify.check_job_density(eq, params, shock)
+        mass, shape = verify.check_job_density(eq)
         assert mass.passed and mass.statistic < 1e-8
         assert shape.passed and shape.statistic < 1e-8
-        goods = verify.check_goods_market(eq, params, shock)
+        goods = verify.check_goods_market(eq)
         assert goods.passed and goods.statistic < 1e-8
-        capital = verify.check_capital_market(eq, params, shock, 1.0)
+        capital = verify.check_capital_market(eq)
         assert capital.passed and capital.statistic < 1e-8
 
-    def test_wrong_lambda_breaks_density_shape(self, table, boom_eq):
-        params, _ = table
+    def test_wrong_lambda_breaks_density_shape(self, boom_eq):
         wrong = dataclasses.replace(boom_eq, lambda_t=boom_eq.lambda_t * 1.01)
-        _, shape = verify.check_job_density(wrong, params, boom_eq.shock)
+        _, shape = verify.check_job_density(wrong)
         assert shape.statistic > 1e-3
 
-    def test_wrong_output_breaks_goods_integral(self, table, boom_eq):
-        params, _ = table
+    def test_wrong_output_breaks_goods_integral(self, boom_eq):
         wrong = dataclasses.replace(boom_eq, Y=boom_eq.Y * 1.01)
-        assert verify.check_goods_market(wrong, params, boom_eq.shock).statistic > 1e-8
+        assert verify.check_goods_market(wrong).statistic > 1e-8
 
-    def test_wrong_rental_breaks_capital_integral(self, table, boom_eq):
-        params, _ = table
+    def test_wrong_rental_breaks_capital_integral(self, boom_eq):
         wrong = dataclasses.replace(boom_eq, R=boom_eq.R * 1.01)
-        assert verify.check_capital_market(wrong, params, boom_eq.shock, 1.0).statistic > 1e-8
+        assert verify.check_capital_market(wrong).statistic > 1e-8
 
     def test_worker_clearing(self, table, boom_eq, rng):
         params, _ = table
         xs = rng.exponential(1.0 / params.lambda_x, 20)
-        res = verify.check_worker_clearing(boom_eq, params, np.append(xs, 0.0))
+        res = verify.check_worker_clearing(boom_eq, np.append(xs, 0.0))
         assert res.passed and res.statistic < 1e-12
-        bad = verify.check_worker_clearing(boom_eq, params, xs, slope_factor=1.01)
+        bad = verify.check_worker_clearing(boom_eq, xs, slope_factor=1.01)
         assert bad.statistic > 1e-12
 
 
@@ -102,7 +97,7 @@ class TestPropositionSuite:
         p0 = with_params(params, psi=0.0, lambda_theta=6.0)
         for z in np.linspace(0.0, 1.0, 5):
             eq = sc.solve_static(p0, sc.AggregateShockState.from_params(p0, z=z), 1.0)
-            vw, _, _ = sc.analytic_moments(eq, p0, eq.shock)
+            vw, _, _ = sc.analytic_moments(eq)
             assert vw == 0.0
 
     def test_random_params_are_reproducible(self):

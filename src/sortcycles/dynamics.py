@@ -8,7 +8,7 @@ fixed, Y, factor incomes and w0 are homogeneous of degree alpha in K and R of
 degree alpha-1, while lambda_t, the labor share, measured TFP and the three
 dispersions do not depend on K at all.  The chain has two states, so one
 table of K=1 statics per state (:func:`state_table`) serves everything: the
-policy solver evaluates resources and rental rates off-grid from it,
+policy solver evaluates resources and rental rates at the nodes from it,
 simulations and impulse responses index it with the state path and scale by
 the matching power of K, and calibration reads its moments from it (the
 revenue-concentration shares, which no path records, from the table's
@@ -16,12 +16,14 @@ per-state equilibria).  A solved :class:`Policy` carries its parameters,
 chain, table and per-state steady-state capital, so simulations and impulse
 responses take the policy alone and nothing downstream re-solves them.
 
-The solver is time iteration: given next period's consumption rule, each
-sweep solves the Euler equation at every node at once by a lockstep
-bisection of BISECT_ITERS steps (the Euler residual is strictly increasing
-in current consumption).  Every rule in this module -- consumption in the
-solver and the residuals, savings along simulated paths -- is interpolated
-piecewise-linearly with ``np.interp``, which clamps at the grid ends.
+The solver is Carroll's endogenous grid method on resources: given next
+period's consumption rule at the K' nodes, the Euler equation gives today's
+consumption in closed form, and so the resources that choose each node; one
+``np.interp`` of every node's own resources against them is the new savings
+rule, with the grid floor and ceiling saved where resources fall outside.
+Every rule in this module -- consumption in the residuals, savings in the
+solver and along simulated paths -- is interpolated piecewise-linearly with
+``np.interp``, which clamps at the grid ends.
 
 Impulse responses are generalized: treated/control path pairs share every
 random innovation, the treated path is forced into the high-z state at
@@ -44,10 +46,6 @@ from .params import (AggregateShockState, LogVolProcess, MarkovChain2, ThetaRedr
 from .rng import block_uniforms, normal_icdf
 from .statics import StaticEquilibrium, measured_tfp, solve_static
 from .firms import analytic_moments
-
-#: bisection steps per Euler solve; 2^-90 of the bracket is below one ulp
-BISECT_ITERS = 90
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -72,9 +70,8 @@ class Policy:
     params: ValidatedParams
     chain: MarkovChain2
     K_grid: np.ndarray
-    P: np.ndarray
     C: np.ndarray        # (2, n) consumption at nodes
-    K_next: np.ndarray   # (2, n) savings at nodes; C + K_next = resources exactly
+    K_next: np.ndarray   # (2, n) savings at nodes; C = resources - K_next
     resources: np.ndarray
     table: StateTable
     k_star: tuple[float, float]  # steady-state capital per state
@@ -208,11 +205,15 @@ def steady_state(params: ValidatedParams, z_fixed: float, A: float = 1.0) -> tup
 def solve_policy(params: ValidatedParams, chain: MarkovChain2,
                  grid_spec: GridSpec | None = None, tol: float = 1e-9,
                  max_iter: int = 10_000) -> Policy:
-    """Time iteration on the Euler equation until the consumption rule is fixed.
+    """Endogenous-grid iteration on the Euler equation until the consumption
+    rule is fixed.
 
-    Each sweep bisects every node's Euler equation at once, BISECT_ITERS
-    steps in lockstep, between saving the grid ceiling and saving the grid
-    floor, with next period's rule interpolated by ``np.interp``.
+    Each sweep takes next period's rule at the K' nodes, reads today's
+    consumption c = 1/(beta E[(R' + 1 - delta)/C']) from the Euler equation,
+    and so the resources m = c + K' that choose each node.  Inverting m by
+    ``np.interp`` at every node's own resources gives the savings rule; its
+    clamping saves the grid floor or ceiling where resources fall outside
+    the endogenous grid.
     """
     spec = grid_spec or GridSpec()
     k_star = tuple(steady_state(params, z)[0] for z in chain.z_states)
@@ -223,36 +224,30 @@ def solve_policy(params: ValidatedParams, chain: MarkovChain2,
     K_grid[0], K_grid[-1] = K_lo, K_hi
 
     table = state_table(params, chain)
-    R1 = table.R
-    omd, am1 = 1.0 - params.delta, params.alpha - 1.0
+    omd = 1.0 - params.delta
     res = omd * K_grid[None, :] + table.income[:, None] * K_grid[None, :] ** params.alpha
+    gross = table.R[:, None] * K_grid[None, :] ** (params.alpha - 1.0) + omd  # R' + 1 - delta
     P = np.asarray(chain.transition_matrix, dtype=float)
 
-    C = np.maximum(res - K_grid[None, :], 0.05 * res)
-    c_top = res - K_lo                         # save the grid floor
-    c_bottom = np.maximum(res - K_hi, 1e-300)  # save the grid ceiling
-    degenerate = c_top <= c_bottom
+    # Start from saving the grid floor, a rule increasing in K.  If C rises in
+    # K', gross/C falls, so m rises strictly and np.interp may invert it; the
+    # new K_next then rises by less than res, so C rises again: every sweep
+    # keeps m increasing.
+    C = res - K_lo
     sup = math.inf
     sweep = 0
     for sweep in range(1, max_iter + 1):
-        c_lo, c_hi = c_bottom, c_top
-        for _ in range(BISECT_ITERS):
-            c = 0.5 * (c_lo + c_hi)
-            kp = res - c
-            rk = kp ** am1
-            q = (P[:, 0][:, None] * (R1[0] * rk + omd) / np.interp(kp, K_grid, C[0])
-                 + P[:, 1][:, None] * (R1[1] * rk + omd) / np.interp(kp, K_grid, C[1]))
-            neg = params.beta * c * q - 1.0 < 0.0
-            c_lo = np.where(neg, c, c_lo)
-            c_hi = np.where(neg, c_hi, c)
-        C_new = np.where(degenerate, c_top, 0.5 * (c_lo + c_hi))
+        m = 1.0 / (params.beta * (P @ (gross / C))) + K_grid
+        K_next = np.array([np.interp(res[s], m[s], K_grid) for s in range(2)])
+        C_new = res - K_next
         sup = float(np.max(np.abs(C_new - C)))
         C = C_new
         if sup < tol:
             break
     if sup >= tol:
-        raise NoConvergence(f"time iteration stalled after {sweep} sweeps (sup diff {sup:.3g})")
-    return Policy(params=params, chain=chain, K_grid=K_grid, P=P, C=C, K_next=res - C,
+        raise NoConvergence(f"endogenous-grid iteration stalled after {sweep} sweeps "
+                            f"(sup diff {sup:.3g})")
+    return Policy(params=params, chain=chain, K_grid=K_grid, C=C, K_next=K_next,
                   resources=res, table=table, k_star=k_star, n_iterations=sweep,
                   sup_diff=sup)
 
@@ -265,13 +260,14 @@ def euler_residuals(policy: Policy, params: ValidatedParams, points: np.ndarray,
     K = np.asarray(points, dtype=float)
     s = np.asarray(states, dtype=np.int64)
     omd = 1.0 - params.delta
+    P = np.asarray(policy.chain.transition_matrix, dtype=float)
     c = np.where(s == 0, np.interp(K, policy.K_grid, policy.C[0]),
                  np.interp(K, policy.K_grid, policy.C[1]))
     kp = omd * K + policy.table.income[s] * K ** params.alpha - c
     rk = kp ** (params.alpha - 1.0)
     R1 = policy.table.R
-    q = (policy.P[s, 0] * (R1[0] * rk + omd) / np.interp(kp, policy.K_grid, policy.C[0])
-         + policy.P[s, 1] * (R1[1] * rk + omd) / np.interp(kp, policy.K_grid, policy.C[1]))
+    q = (P[s, 0] * (R1[0] * rk + omd) / np.interp(kp, policy.K_grid, policy.C[0])
+         + P[s, 1] * (R1[1] * rk + omd) / np.interp(kp, policy.K_grid, policy.C[1]))
     return np.abs(params.beta * c * q - 1.0)
 
 

@@ -287,7 +287,7 @@ def _factor_incomes_from(params: ValidatedParams, shock: AggregateShockState,
     The labor-income denominator carries the extra +z relative to the capital
     margin because workers are paid net of the type-correlated wedge.
     """
-    margin = shock.lambda_theta_t - coeffs.kappa * coeffs.eta_q * coeffs.eta_q_theta
+    margin = capital_margin(shock, coeffs)
     if margin <= 0.0:
         raise UnboundedCapitalDemand(f"capital margin {margin:.6g} <= 0")
     if margin + shock.z <= 0.0:

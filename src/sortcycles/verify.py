@@ -22,6 +22,7 @@ Each check takes the solved equilibrium alone and reads its inputs from it
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -99,35 +100,34 @@ def independent_firm_solution(eq: StaticEquilibrium, theta, eps1, eps2) -> dict[
     return {"log_Q": log_Q, "log_chi": log_chi, "log_l": log_l, "log_k": log_k}
 
 
-def _type_integral(eq: StaticEquilibrium, which: str) -> float:
-    """Integrate exp-weighted firm quantities against the type density, up to
-    the type at which the integrand's exponential tail is ~exp(-40)."""
-    from scipy import integrate
-
+def _type_density_integrand(eq: StaticEquilibrium,
+                            firm_log: Callable[[dict], np.ndarray]) -> Callable[[float], float]:
+    """theta -> the wedge average of exp(firm_log(firm solution)) times the
+    type density at theta, by Gauss-Hermite over both wedges."""
     shock = eq.shock
     n1, w1 = _gauss_hermite(shock.sigma1_t)
     n2, w2 = _gauss_hermite(shock.sigma2_t)
     E1, E2 = np.meshgrid(n1, n2, indexing="ij")
     W = np.outer(w1, w2)
     lt = shock.lambda_theta_t
-    xi = eq.params.xi
 
-    def inner(theta: float) -> float:
-        sol = independent_firm_solution(eq, theta, E1, E2)
-        if which == "labor":
-            logs = sol["log_l"]
-        elif which == "capital":
-            logs = sol["log_k"]
-        elif which == "goods":
-            logs = (1.0 - xi) * (math.log(xi / (xi - 1.0)) + sol["log_chi"])
-        else:  # pragma: no cover
-            raise ValueError(which)
+    def integrand(theta: float) -> float:
+        logs = firm_log(independent_firm_solution(eq, theta, E1, E2))
         # keep the type density inside the exponent: the integrand is tame
         # even where the firm-level quantity alone would overflow
         return float(np.sum(W * np.exp(logs + math.log(lt) - lt * theta)))
 
-    theta_max = 40.0 / max(capital_margin(shock, eq.coefficients), 1e-3)
-    val, _ = integrate.quad(inner, 0.0, theta_max, epsabs=1e-12, epsrel=1e-11, limit=400)
+    return integrand
+
+
+def _type_integral(eq: StaticEquilibrium, firm_log: Callable[[dict], np.ndarray]) -> float:
+    """Integrate an exp-weighted firm quantity against the type density, up
+    to the type at which the integrand's exponential tail is ~exp(-40)."""
+    from scipy import integrate
+
+    theta_max = 40.0 / max(capital_margin(eq.shock, eq.coefficients), 1e-3)
+    val, _ = integrate.quad(_type_density_integrand(eq, firm_log), 0.0, theta_max,
+                            epsabs=1e-12, epsrel=1e-11, limit=400)
     return val
 
 
@@ -139,17 +139,7 @@ def check_job_density(eq: StaticEquilibrium) -> tuple[CheckResult, CheckResult]:
     """
     from scipy import integrate
 
-    shock = eq.shock
-    n1, w1 = _gauss_hermite(shock.sigma1_t)
-    n2, w2 = _gauss_hermite(shock.sigma2_t)
-    E1, E2 = np.meshgrid(n1, n2, indexing="ij")
-    W = np.outer(w1, w2)
-    lt = shock.lambda_theta_t
-
-    def density(h: float) -> float:
-        sol = independent_firm_solution(eq, h, E1, E2)
-        return float(np.sum(W * np.exp(sol["log_l"] + math.log(lt) - lt * h)))
-
+    density = _type_density_integrand(eq, lambda sol: sol["log_l"])
     h_max = 40.0 / eq.lambda_t
     mass, _ = integrate.quad(density, 0.0, h_max, epsabs=1e-12, epsrel=1e-11, limit=400)
     mass_resid = abs(mass - 1.0)
@@ -163,14 +153,16 @@ def check_job_density(eq: StaticEquilibrium) -> tuple[CheckResult, CheckResult]:
 
 def check_goods_market(eq: StaticEquilibrium) -> CheckResult:
     """Final-good zero-profit: the price-index integral equals one."""
-    val = _type_integral(eq, "goods")
+    xi = eq.params.xi
+    val = _type_integral(
+        eq, lambda sol: (1.0 - xi) * (math.log(xi / (xi - 1.0)) + sol["log_chi"]))
     resid = abs(val - 1.0)
     return CheckResult("goods_market", resid, 1e-8, resid < 1e-8)
 
 
 def check_capital_market(eq: StaticEquilibrium) -> CheckResult:
     """Aggregate capital demand integrates back to the stock ``eq.K``."""
-    val = _type_integral(eq, "capital")
+    val = _type_integral(eq, lambda sol: sol["log_k"])
     resid = abs(val / eq.K - 1.0)
     return CheckResult("capital_market", resid, 1e-8, resid < 1e-8)
 

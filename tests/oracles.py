@@ -100,17 +100,19 @@ def time_iteration_oracle(C, K_grid, res, R1, am1, one_minus_delta, P, beta, tol
 
 def policy_oracle(params, policy, tol=1e-9, max_iter=10_000):
     """(C, sweeps, sup diff) of the oracle time iteration on ``policy``'s grid,
-    resources and state table, from the solver's starting rule."""
+    resources, state table and chain, from the rule max(res - K, 0.05 res)."""
     res = policy.resources
     C0 = np.maximum(res - policy.K_grid[None, :], 0.05 * res)
+    P = np.asarray(policy.chain.transition_matrix, dtype=float)
     return time_iteration_oracle(C0, policy.K_grid, res, policy.table.R, params.alpha - 1.0,
-                                 1.0 - params.delta, policy.P, params.beta, tol, max_iter)
+                                 1.0 - params.delta, P, params.beta, tol, max_iter)
 
 
 def euler_residuals_oracle(policy, params, points, states):
     """``dynamics.euler_residuals`` one point at a time with ``interp_scalar``."""
     omd = 1.0 - params.delta
     R1, income1 = policy.table.R, policy.table.income
+    P = policy.chain.transition_matrix
     out = np.empty(len(points))
     for i, (K, s) in enumerate(zip(points, states)):
         c = interp_scalar(policy.K_grid, policy.C[s], K)
@@ -118,7 +120,7 @@ def euler_residuals_oracle(policy, params, points, states):
         q = 0.0
         for sp in range(2):
             cp = interp_scalar(policy.K_grid, policy.C[sp], kp)
-            q += policy.P[s, sp] * (R1[sp] * kp ** (params.alpha - 1.0) + omd) / cp
+            q += P[s][sp] * (R1[sp] * kp ** (params.alpha - 1.0) + omd) / cp
         out[i] = abs(params.beta * c * q - 1.0)
     return out
 

@@ -228,18 +228,21 @@ class TestFullModeAgainstOracle:
                                         self.SEED)
         assert self.full(x, params, chain) == want
 
-    def test_finite_where_the_oracle_leaves_its_grid(self, table_module):
-        # at this point capital falls below a 120-node grid's floor; the
-        # moments are still defined, and full mode no longer solves a policy
+    def test_equals_the_oracle_on_the_grid_floor(self, table_module):
+        # at this point the 120-node policy saves the grid floor in the
+        # recession and the oracle's capital path reaches it; the floor is
+        # saved exactly, so the path stays on the grid and the moments agree
         params, chain = table_module
         x = np.array([0.0531, 1.585, 3.514, 17.03, 0.974])
-        with pytest.raises(sc.GridExit):
-            full_mode_moments_oracle(x, params, chain, self.T, self.BURN_IN, self.GRID_N,
-                                     self.SEED)
+        new_params, new_chain = cal.assemble(x, params, chain)
+        policy = sc.solve_policy(new_params, new_chain, grid_spec=sc.GridSpec(n=self.GRID_N))
+        path = sc.simulate(policy, T=self.T, burn_in=self.BURN_IN, seed=self.SEED)
+        assert np.min(path.K) == policy.K_grid[0]
         got = self.full(x, params, chain)
+        assert got == full_mode_moments_oracle(x, params, chain, self.T, self.BURN_IN,
+                                               self.GRID_N, self.SEED)
         assert all(math.isfinite(v) for v in got.values())
 
-        new_params, new_chain = cal.assemble(x, params, chain)
         table = dynamics.state_table(new_params, new_chain)
         states = dynamics.draw_state_path(new_chain, self.T, self.SEED)[self.BURN_IN:]
         f = float(np.mean(states))

@@ -6,8 +6,11 @@ absolute squares would let the large concentration moments drown out TFP
 volatility.  All randomness is held fixed across evaluations (common random
 numbers): the only stochastic input, the z-state path of the full mode,
 depends on the seed and on the transition probabilities alone, and the
-probabilities are not calibrated - so the objective is a smooth
-deterministic function of the parameters and simplex search applies.
+probabilities are not calibrated - so the residuals are smooth deterministic
+functions of the parameters and least squares with finite-difference
+Jacobians applies.  The moments identify psi, sigma1 and two combinations of
+(z_high, lambda_theta, lambda_x) (an exact scaling symmetry leaves them
+unchanged), so the search holds lambda_theta at its configured value.
 
 All five moments are K-free, so each takes one closed-form value per z-state
 (:func:`sortcycles.dynamics.state_table`; the revenue-concentration moments
@@ -34,13 +37,16 @@ from .errors import DomainError, SortCyclesError
 from .firms import revenue_concentration
 from .params import (PUBLISHED_CHAIN, MarkovChain2, ValidatedParams, stationary_distribution,
                      validate)
+from .rng import latin_hypercube
 from . import dynamics
 
 FREE_PARAM_NAMES = ("psi", "z_high", "lambda_theta", "lambda_x", "sigma1")
 DEFAULT_BOUNDS = ((0.01, 0.99), (0.0, 2.0), (0.1, 20.0), (0.1, 20.0), (0.0, 2.0))
 
-#: finite sentinel returned when a guard fails, so the simplex can retreat
+#: finite value the objective returns when a guard fails
 INFEASIBLE = 1e10
+#: Latin hypercubes of n_starts points drawn, at most, to find n_starts feasible starts
+START_BATCHES = 8
 
 MOMENT_NAMES = ("labor_share", "wage_inequality", "rev_share_top10",
                 "rev_share_p50_p90", "std_tfp")
@@ -154,25 +160,48 @@ def model_moments(free_params, fixed_params: ValidatedParams, chain_template: Ma
     }
 
 
-def objective(free_params, fixed_params: ValidatedParams, targets: TargetSet,
+def residuals(free_params, fixed_params: ValidatedParams, targets: TargetSet,
               sim_config: SimConfig, seed: int,
-              chain_template: MarkovChain2 | None = None) -> float:
-    """Weighted sum of squared proportional deviations; INFEASIBLE on guard failure."""
+              chain_template: MarkovChain2 | None = None) -> np.ndarray:
+    """Weighted proportional deviations sqrt(w)·(m/t - 1), sqrt(w)·m where a
+    target is 0, one per moment; all infinite on guard failure."""
     chain_template = chain_template or PUBLISHED_CHAIN
+    infeasible = np.full(len(MOMENT_NAMES), np.inf)
     for v, (lo, hi) in zip(free_params, DEFAULT_BOUNDS):
         if not lo <= v <= hi:
-            return INFEASIBLE
+            return infeasible
     try:
         moments = model_moments(free_params, fixed_params, chain_template, sim_config, seed)
     except SortCyclesError:
-        return INFEASIBLE
-    total = 0.0
-    for w, name, target in zip(targets.weights, MOMENT_NAMES, targets.values()):
-        if target == 0.0:
-            total += w * moments[name] ** 2
-        else:
-            total += w * (moments[name] / target - 1.0) ** 2
-    return float(total)
+        return infeasible
+    return np.array([math.sqrt(w) * (moments[name] if target == 0.0
+                                     else moments[name] / target - 1.0)
+                     for w, name, target in zip(targets.weights, MOMENT_NAMES, targets.values())])
+
+
+def objective(free_params, fixed_params: ValidatedParams, targets: TargetSet,
+              sim_config: SimConfig, seed: int,
+              chain_template: MarkovChain2 | None = None) -> float:
+    """Squared norm of the residuals: the weighted sum of squared proportional
+    deviations, or INFEASIBLE on guard failure."""
+    r = residuals(free_params, fixed_params, targets, sim_config, seed, chain_template)
+    total = float(r @ r)
+    return total if math.isfinite(total) else INFEASIBLE
+
+
+def _feasible_starts(fun, lo, hi, seed: int, n_starts: int) -> list[np.ndarray]:
+    """The first n_starts feasible points of successive seeded Latin hypercubes
+    over the box [lo, hi]: an infeasible start is replaced by the stream's next."""
+    starts = []
+    for batch in range(START_BATCHES):
+        for u in latin_hypercube(seed, "calibrate-starts", n_starts, len(lo), batch):
+            x = lo + u * (hi - lo)
+            if np.all(np.isfinite(fun(x))):
+                starts.append(x)
+                if len(starts) == n_starts:
+                    return starts
+    raise DomainError(f"found {len(starts)} of {n_starts} feasible starts in "
+                      f"{START_BATCHES * n_starts} Latin-hypercube draws")
 
 
 def calibrate(fixed_params: ValidatedParams, targets: TargetSet,
@@ -180,45 +209,64 @@ def calibrate(fixed_params: ValidatedParams, targets: TargetSet,
               sim_config: SimConfig | None = None,
               chain_template: MarkovChain2 | None = None,
               max_iter_per_start: int = 800) -> CalibrationResult:
-    """Derivative-free search: Nelder-Mead from Latin-hypercube starts.
+    """Bounded least squares on the residuals from Latin-hypercube starts.
 
-    Deterministic given the seed: starts come from a seeded LHS sampler and
-    every objective evaluation reuses the same random draws.  Reports the
-    best point found even if no start improves.
+    ``lambda_theta`` is held at ``fixed_params.lambda_theta``, the
+    normalization that removes the scaling symmetry, and any parameter whose
+    bounds have lo == hi is held at that value; the search runs over the
+    rest.  Each start is a feasible point of a seeded Latin hypercube and
+    runs scipy's trust-region-reflective least squares with at most
+    ``max_iter_per_start`` evaluations of its steps (the finite-difference
+    Jacobians come on top).  Deterministic given the seed.  ``n_evaluations``
+    counts every residual evaluation, including the starts' screening, the
+    Jacobians and the final one that reports the objective.
     """
     # scipy is imported here, not at module level, so that every other
     # subcommand starts without paying for it
     from scipy import optimize
-    from scipy.stats import qmc
 
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
+    if max_iter_per_start < 1:
+        raise ValueError("max_iter_per_start must be at least 1")
     sim_config = sim_config or SimConfig()
     chain_template = chain_template or PUBLISHED_CHAIN
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    sampler = qmc.LatinHypercube(d=len(bounds), seed=seed)
-    starts = lo + sampler.random(n=n_starts) * (hi - lo)
+    lo = np.array([float(b[0]) for b in bounds])
+    hi = np.array([float(b[1]) for b in bounds])
+    if lo.shape != (len(FREE_PARAM_NAMES),) or not np.all(lo <= hi):
+        raise DomainError(f"bounds must be {len(FREE_PARAM_NAMES)} (lo, hi) pairs with "
+                          f"lo <= hi, got {bounds!r}")
+    theta = FREE_PARAM_NAMES.index("lambda_theta")
+    if not lo[theta] <= fixed_params.lambda_theta <= hi[theta]:
+        raise DomainError(f"lambda_theta is held at {fixed_params.lambda_theta}, outside its "
+                          f"bounds [{lo[theta]}, {hi[theta]}]")
+    lo[theta] = hi[theta] = fixed_params.lambda_theta
+    free = lo < hi
+    if not np.any(free):
+        raise DomainError("every parameter is pinned: nothing to calibrate")
+    n_calls = 0
+
+    def expand(x):
+        point = lo.copy()
+        point[free] = x
+        return point
 
     def fun(x):
-        return objective(x, fixed_params, targets, sim_config, seed,
-                         chain_template=chain_template)
+        nonlocal n_calls
+        n_calls += 1
+        return residuals(expand(x), fixed_params, targets, sim_config, seed, chain_template)
 
-    def run_start(x_start):
-        return optimize.minimize(fun, x_start, method="Nelder-Mead",
-                                 bounds=list(zip(lo, hi)),
-                                 options={"maxiter": max_iter_per_start,
-                                          "xatol": 1e-8, "fatol": 1e-12})
-
-    results = [run_start(s) for s in starts]
-
-    best = min(results, key=lambda r: (r.fun, tuple(r.x)))
-    best_moments = model_moments(best.x, fixed_params, chain_template, sim_config, seed)
+    starts = _feasible_starts(fun, lo[free], hi[free], seed, n_starts)
+    fits = [optimize.least_squares(fun, x0, bounds=(lo[free], hi[free]), method="trf",
+                                   max_nfev=max_iter_per_start)
+            for x0 in starts]
+    best = min(fits, key=lambda r: (r.cost, tuple(r.x)))
+    point = expand(best.x)
     return CalibrationResult(
-        params={name: float(v) for name, v in zip(FREE_PARAM_NAMES, best.x)},
-        objective=float(best.fun),
-        moments=best_moments,
-        n_evaluations=int(sum(r.nfev for r in results)),
+        params={name: float(v) for name, v in zip(FREE_PARAM_NAMES, point)},
+        objective=objective(point, fixed_params, targets, sim_config, seed, chain_template),
+        moments=model_moments(point, fixed_params, chain_template, sim_config, seed),
+        n_evaluations=n_calls + 1,
         seed=seed,
         n_starts=n_starts,
     )

@@ -125,7 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burn-in", type=int, default=100)
     p.add_argument("--grid-size", type=int, default=200,
                    help="ignored: calibration solves no policy")
-    p.add_argument("--max-iter", type=int, default=800)
+    p.add_argument("--max-iter", type=int, default=800,
+                   help="evaluations per start of the least-squares steps; the "
+                        "finite-difference Jacobians come on top")
 
     p = sub.add_parser("verify", help="independent oracles; exit 3 unless all pass")
     common(p)
@@ -243,7 +245,8 @@ _DISPATCH = {
 #: lower bounds of integer options: (subcommand, or None for all; option; minimum)
 _MINIMUMS = ((None, "threads", 1), ("irf", "n_sims", 1), ("irf", "horizon", 0),
              ("simulate", "burn_in", 0), ("calibrate", "burn_in", 0),
-             ("calibrate", "n_starts", 1), ("verify", "n_prop_points", 1))
+             ("calibrate", "n_starts", 1), ("calibrate", "max_iter", 1),
+             ("verify", "n_prop_points", 1))
 
 
 def run(argv=None) -> int:

@@ -213,7 +213,8 @@ def solve_policy(params: ValidatedParams, chain: MarkovChain2,
     and so the resources m = c + K' that choose each node.  Inverting m by
     ``np.interp`` at every node's own resources gives the savings rule; its
     clamping saves the grid floor or ceiling where resources fall outside
-    the endogenous grid.
+    the endogenous grid.  A grid whose floor is not below every node's
+    resources leaves no consumption there and raises DomainError.
     """
     spec = grid_spec or GridSpec()
     k_star = tuple(steady_state(params, z)[0] for z in chain.z_states)
@@ -226,6 +227,9 @@ def solve_policy(params: ValidatedParams, chain: MarkovChain2,
     table = state_table(params, chain)
     omd = 1.0 - params.delta
     res = omd * K_grid[None, :] + table.income[:, None] * K_grid[None, :] ** params.alpha
+    if np.any(res <= K_lo):
+        raise DomainError(f"grid floor K={K_lo:.6g} leaves no consumption at "
+                          f"{int(np.sum(res <= K_lo))} nodes: resources there do not exceed it")
     gross = table.R[:, None] * K_grid[None, :] ** (params.alpha - 1.0) + omd  # R' + 1 - delta
     P = np.asarray(chain.transition_matrix, dtype=float)
 

@@ -53,6 +53,23 @@ def block_uniforms(seed: int, label: str, start_block: int, n_blocks: int) -> np
     return u.reshape(n_blocks, WORDS_PER_BLOCK)
 
 
+def latin_hypercube(seed: int, label: str, n: int, d: int, batch: int = 0) -> np.ndarray:
+    """n points in (0, 1)^d, shape (n, d), one in each of the n equal strata
+    of every axis (McKay, Beckman & Conover 1979).
+
+    Each axis takes a random permutation of the strata (the ranks of n
+    uniforms) and a uniform position inside each stratum.  Batch b reads the
+    b-th run of 2·n·d uniforms of the (seed, label) stream, so successive
+    batches are independent hypercubes of one stream.
+    """
+    k = 2 * n * d
+    n_blocks = -(-k // WORDS_PER_BLOCK)
+    u = block_uniforms(seed, label, batch * n_blocks, n_blocks).ravel()[:k]
+    keys, jitter = u[:n * d].reshape(d, n), u[n * d:].reshape(d, n)
+    strata = np.argsort(keys, axis=1, kind="stable")
+    return ((strata + jitter) / n).T
+
+
 def normal_icdf(p):
     """Inverse standard-normal CDF, AS 241 (PPND16), vectorized.
 

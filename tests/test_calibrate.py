@@ -1,12 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from scipy.stats import qmc
 
 import sortcycles as sc
 import sortcycles.calibrate as cal
-from sortcycles import dynamics, firms
+from sortcycles import dynamics, firms, rng
 
 from .oracles import full_mode_moments_oracle
 
@@ -152,9 +152,10 @@ class TestCalibrate:
 
     def test_full_search_recovers_identified_quantities(self, table_module, truth,
                                                         self_targets):
-        # multistart over all five: psi and sigma1 come back exactly, and the
-        # other three land on the truth's scaling curve (the only thing the
-        # five moments identify); the moment fit is essentially perfect
+        # multistart over the default box, lambda_theta held at the truth's
+        # value: psi and sigma1 come back exactly, and the other three lie on
+        # the truth's scaling curve (the only thing the five moments
+        # identify); the moment fit is essentially perfect
         params, chain = table_module
         res = cal.calibrate(params, self_targets, seed=7, n_starts=6,
                             sim_config=FAST, chain_template=chain,
@@ -185,6 +186,75 @@ class TestCalibrate:
         assert math.isfinite(res.objective)
         assert res.n_evaluations > 0
 
+    def test_fast_mode_reaches_one_optimum_from_every_seed(self, table_module):
+        # with lambda_theta normalized the default targets have one best fit;
+        # every seed's Latin-hypercube starts find it
+        params, chain = table_module
+        fits = [cal.calibrate(params, sc.TargetSet(), seed=seed, sim_config=FAST,
+                              chain_template=chain) for seed in range(1, 13)]
+        ref = fits[0]
+        assert ref.objective < 6e-4
+        for fit in fits[1:]:
+            assert fit.objective == pytest.approx(ref.objective, rel=1e-6)
+            for name in cal.FREE_PARAM_NAMES:
+                assert fit.params[name] == pytest.approx(ref.params[name], rel=1e-6), name
+
+    @pytest.mark.parametrize("seed", range(21))
+    def test_one_start_never_reports_infeasible(self, table_module, seed):
+        # infeasible Latin-hypercube draws (about 1 in 8 of the box; seed 20's
+        # first) are replaced before the search
+        params, chain = table_module
+        res = cal.calibrate(params, sc.TargetSet(), seed=seed, n_starts=1, sim_config=FAST,
+                            chain_template=chain)
+        assert res.objective < cal.INFEASIBLE
+        assert all(math.isfinite(v) for v in res.moments.values())
+
+    def test_lambda_theta_is_reported_at_its_config_value(self, table_module):
+        params, chain = table_module
+        varied = dataclasses.replace(params, lambda_theta=3.1)
+        res = cal.calibrate(varied, sc.TargetSet(), seed=4, n_starts=1, sim_config=FAST,
+                            chain_template=chain, max_iter_per_start=20)
+        assert tuple(res.params) == cal.FREE_PARAM_NAMES
+        assert res.params["lambda_theta"] == 3.1
+
+    def test_bounds_excluding_lambda_theta_raise(self, table_module):
+        params, chain = table_module
+        bounds = list(cal.DEFAULT_BOUNDS)
+        bounds[2] = (params.lambda_theta + 0.5, 20.0)
+        with pytest.raises(sc.DomainError, match="lambda_theta"):
+            cal.calibrate(params, sc.TargetSet(), bounds=bounds, seed=0, n_starts=1,
+                          sim_config=FAST, chain_template=chain)
+
+    def test_no_feasible_start_raises(self, table_module):
+        # lambda_theta = 0.11 trips the capital-demand guard whatever sigma1 is
+        params, chain = table_module
+        tiny = dataclasses.replace(params, lambda_theta=0.11)
+        bounds = [(0.4022, 0.4022), (0.3984, 0.3984), (0.1, 20.0), (0.8681, 0.8681),
+                  (0.0, 2.0)]
+        with pytest.raises(sc.DomainError, match="feasible start"):
+            cal.calibrate(tiny, sc.TargetSet(), bounds=bounds, seed=0, n_starts=2,
+                          sim_config=FAST, chain_template=chain)
+
+    @pytest.mark.parametrize("sim_config", [FAST, cal.SimConfig(fast=False, T=600,
+                                                                burn_in=60)],
+                             ids=["fast", "full"])
+    def test_n_evaluations_counts_every_residual_call(self, table_module, monkeypatch,
+                                                      sim_config):
+        params, chain = table_module
+        calls = []
+        residuals = cal.residuals
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return residuals(*args, **kwargs)
+
+        monkeypatch.setattr(cal, "residuals", counted)
+        res = cal.calibrate(params, sc.TargetSet(), seed=6, n_starts=2, sim_config=sim_config,
+                            chain_template=chain, max_iter_per_start=6)
+        assert res.n_evaluations == len(calls)
+        # the cap bounds the search steps; each Jacobian adds four more calls
+        assert len(calls) > 2 * 6
+
     def test_full_mode_runs_and_is_deterministic(self, table_module, truth, self_targets):
         params, chain = table_module
         cfg = cal.SimConfig(fast=False, T=600, burn_in=60)
@@ -206,7 +276,7 @@ class TestCalibrate:
 def _lhs_points(n, seed):
     lo = np.array([b[0] for b in cal.DEFAULT_BOUNDS])
     hi = np.array([b[1] for b in cal.DEFAULT_BOUNDS])
-    return lo + qmc.LatinHypercube(d=len(lo), seed=seed).random(n) * (hi - lo)
+    return lo + rng.latin_hypercube(seed, "test-points", n, len(lo)) * (hi - lo)
 
 
 class TestFullModeAgainstOracle:
@@ -224,8 +294,15 @@ class TestFullModeAgainstOracle:
     def test_equals_policy_and_simulation_oracle(self, table_module, truth, point):
         params, chain = table_module
         x = truth if point == "truth" else _lhs_points(8, seed=2026)[point]
-        want = full_mode_moments_oracle(x, params, chain, self.T, self.BURN_IN, self.GRID_N,
-                                        self.SEED)
+        try:
+            want = full_mode_moments_oracle(x, params, chain, self.T, self.BURN_IN,
+                                            self.GRID_N, self.SEED)
+        except sc.SortCyclesError as exc:
+            # an infeasible point (point 2 trips the capital-demand guard)
+            # fails the same way in both
+            with pytest.raises(type(exc)):
+                self.full(x, params, chain)
+            return
         assert self.full(x, params, chain) == want
 
     def test_equals_the_oracle_on_the_grid_floor(self, table_module):

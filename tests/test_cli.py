@@ -211,6 +211,7 @@ class TestInputHoles:
     @pytest.mark.parametrize("case", [
         ("irf", "--horizon", "-1"),
         ("calibrate", "--fast", "--n-starts", "0"),
+        ("calibrate", "--fast", "--max-iter", "0"),
         ("verify", "--n-prop-points", "0"),
         ("simulate", "--T", "0", "--burn-in", "-1"),
         ("simulate", "--T", "20", "--burn-in", "-5"),
@@ -376,6 +377,17 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
+_NO_SCIPY_STATS_SCRIPT = """
+import json, sys
+from sortcycles import cli
+config, out = sys.argv[1:]
+argv = ["calibrate", "--fast", "--n-starts", "1", "--params", config, "--out", out]
+if cli.run(argv) != 0:
+    raise SystemExit("calibrate failed")
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
+"""
+
+
 class TestFreshInterpreter:
     def test_solve_moments_and_dynamics_never_import_scipy(self, config_path, tmp_path):
         # scipy is imported only by calibrate, verify and the revenue shares;
@@ -383,6 +395,16 @@ class TestFreshInterpreter:
         proc = _fresh_python("-c", _NO_SCIPY_SCRIPT, config_path, str(tmp_path), cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+    def test_calibrate_never_imports_scipy_stats(self, config_path, tmp_path):
+        # the Latin-hypercube starts are drawn with numpy; scipy.stats costs
+        # about half a second to import
+        proc = _fresh_python("-c", _NO_SCIPY_STATS_SCRIPT, config_path, str(tmp_path),
+                             cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert "scipy.optimize" in loaded
+        assert not [m for m in loaded if m.split(".")[1] == "stats"]
 
     def test_python_dash_m_runs_the_cli(self, config_path, tmp_path):
         proc = _fresh_python("-m", "sortcycles", "solve", "--params", config_path,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sortcycles as sc
-from sortcycles import dynamics
+from sortcycles import calibrate, dynamics
 
 from . import oracles
 from .test_statics import with_params
@@ -14,6 +14,10 @@ R_STAR = 1.0 / 0.96 - 1.0 + 0.10  # Euler target rental rate, beta=0.96 delta=0.
 # frozen from the bisection oracle (rerun live below)
 K_STAR_BOOM = 30.6347042358609
 K_STAR_RECESSION = 17.759463379189704
+
+# (psi, z_high, lambda_theta, lambda_x, sigma1) where a 120-node recession
+# policy saves the grid floor
+CALIBRATION_POINT = np.array([0.0531, 1.585, 3.514, 17.03, 0.974])
 
 
 def absorbing_boom(chain):
@@ -154,24 +158,39 @@ class TestPolicy:
 
 
 class TestTimeIteration:
-    @pytest.mark.parametrize("delta, spec", [(None, None),
-                                             (0.9, sc.GridSpec(n=400, hi_frac=30.0))],
-                             ids=["published", "delta-0.9-hi-frac-30"])
-    def test_matches_oracle_on_the_published_grid(self, table, policy, delta, spec):
+    @pytest.mark.parametrize("case", ["published", "delta-0.9-hi-frac-30", "calibration-point"])
+    def test_matches_oracle_on_the_published_grid(self, table, policy, case):
         # the endogenous-grid solver against the reference bisection time
         # iteration on the same grid and tables: the two converge to rules a
         # tolerance apart, not in the same number of sweeps.  With delta 0.9
         # on the wide grid, the start max(res - K, 0.05 res) would give the
-        # endogenous grid a non-monotone first sweep.
+        # endogenous grid a non-monotone first sweep; at the calibration
+        # point 15 recession nodes save the floor of the 120-node grid.
         params, chain = table
-        if delta is not None:
-            params = with_params(params, delta=delta)
-            policy = sc.solve_policy(params, chain, grid_spec=spec)
-        assert policy.K_grid.shape[0] == 400
+        if case == "delta-0.9-hi-frac-30":
+            params = with_params(params, delta=0.9)
+            policy = sc.solve_policy(params, chain, grid_spec=sc.GridSpec(n=400, hi_frac=30.0))
+        elif case == "calibration-point":
+            params, chain = calibrate.assemble(CALIBRATION_POINT, params, chain)
+            policy = sc.solve_policy(params, chain, grid_spec=sc.GridSpec(n=120))
+        assert policy.K_grid.shape[0] == (120 if case == "calibration-point" else 400)
         C, _, _ = oracles.policy_oracle(params, policy)
         np.testing.assert_allclose(policy.C, C, rtol=1e-5, atol=0)
+        # the oracle's savings res - C at floor-binding nodes scatter by
+        # rounding on both sides of the floor (-2 to +6 ulps at the
+        # calibration point), so binding means within 16 ulps of it
         floor = policy.K_grid[0]
-        assert np.array_equal(policy.K_next <= floor, policy.resources - C <= floor)
+        oracle_binds = policy.resources - C <= floor + 16 * np.spacing(floor)
+        assert np.array_equal(policy.K_next <= floor, oracle_binds)
+        if case == "calibration-point":
+            assert np.sum(oracle_binds) == 15
+
+    def test_floor_above_resources_raises(self, table):
+        # a grid from 20 to 21 times K* has nodes whose resources do not cover
+        # saving the floor: no consumption is feasible there
+        params, chain = table
+        with pytest.raises(sc.DomainError, match="grid floor"):
+            sc.solve_policy(params, chain, grid_spec=sc.GridSpec(n=50, lo_frac=20, hi_frac=21))
 
     def test_converges_and_is_feasible(self, table):
         params, chain = table

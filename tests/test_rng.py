@@ -55,6 +55,21 @@ class TestNormalICDF:
         assert out[0] < -35.0 and out[1] > 8.0
 
 
+class TestLatinHypercube:
+    def test_one_point_per_stratum_of_every_axis(self):
+        pts = rng.latin_hypercube(7, "lhs", 9, 4)
+        assert pts.shape == (9, 4)
+        assert np.all((pts > 0.0) & (pts < 1.0))
+        for col in pts.T:
+            assert sorted(np.floor(col * 9).astype(int)) == list(range(9))
+
+    def test_deterministic_and_batches_differ(self):
+        a = rng.latin_hypercube(7, "lhs", 5, 3, batch=1)
+        assert np.array_equal(a, rng.latin_hypercube(7, "lhs", 5, 3, batch=1))
+        assert not np.any(a == rng.latin_hypercube(7, "lhs", 5, 3, batch=0))
+        assert not np.any(a == rng.latin_hypercube(8, "lhs", 5, 3, batch=1))
+
+
 class TestExponential:
     def test_inverse_cdf_round_trip(self):
         u = np.linspace(1e-6, 1 - 1e-6, 1000)

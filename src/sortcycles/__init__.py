@@ -11,17 +11,16 @@ closed form against independent quadrature and simulation oracles.
 from .errors import (BracketFailure, DomainError, EmptyPanel, GridExit, InvalidProcess,
                      NoConvergence, NonFinite, NoRoot, SortCyclesError,
                      UnboundedCapitalDemand)
-from .params import (AggregateShockState, LogVolProcess, MarkovChain2, ModelParams,
-                     ThetaRedrawProcess, ValidatedParams, load_config,
-                     stationary_distribution, published_calibration, validate)
+from .params import (AggregateShockState, MarkovChain2, ModelParams, ThetaRedrawProcess,
+                     ValidatedParams, load_config, stationary_distribution,
+                     published_calibration, validate)
 from .statics import (Coefficients, StaticEquilibrium, aggregates, coefficients,
                       measured_tfp, solve_lambda, solve_static)
 from .firms import (CrossSectionMoments, FirmDraw, FirmOutcome, FirmPanel,
                     analytic_moments, cross_section_moments, firm_outcome, matching,
                     sample_cross_section, wage)
 from .dynamics import (GridSpec, IRFResult, Policy, SimulationPath, euler_residuals,
-                       generate_shock_path, impulse_response, simulate, solve_policy,
-                       steady_state)
+                       impulse_response, simulate, solve_policy, steady_state)
 # the calibrate() entry point stays on its submodule (sortcycles.calibrate.calibrate)
 # so the submodule itself is not shadowed by a function of the same name
 from .calibrate import CalibrationResult, SimConfig, TargetSet, model_moments, objective

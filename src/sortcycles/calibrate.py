@@ -47,6 +47,13 @@ DEFAULT_BOUNDS = ((0.01, 0.99), (0.0, 2.0), (0.1, 20.0), (0.1, 20.0), (0.0, 2.0)
 INFEASIBLE = 1e10
 #: Latin hypercubes of n_starts points drawn, at most, to find n_starts feasible starts
 START_BATCHES = 8
+#: stop tolerances of each least-squares start: relative cost decrease, step
+#: length relative to the point, and largest entry of the scaled gradient
+FTOL = XTOL = GTOL = 1e-8
+#: forward-difference step of the Jacobian, relative to max(1, |x|)
+FD_STEP = math.sqrt(np.finfo(float).eps)
+#: fraction of the distance to the nearest bound that a step stops at
+STEP_BACK = 0.995
 
 MOMENT_NAMES = ("labor_share", "wage_inequality", "rev_share_top10",
                 "rev_share_p50_p90", "std_tfp")
@@ -204,6 +211,87 @@ def _feasible_starts(fun, lo, hi, seed: int, n_starts: int) -> list[np.ndarray]:
                       f"{START_BATCHES * n_starts} Latin-hypercube draws")
 
 
+def _jacobian(fun, x: np.ndarray, f: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Forward-difference Jacobian of fun at x, where fun(x) = f.  A column
+    steps backward where the forward point passes the upper bound or is
+    infeasible, and is zero where neither side is feasible."""
+    J = np.zeros((f.size, x.size))
+    for j in range(x.size):
+        h = FD_STEP * max(1.0, abs(x[j]))
+        for step in ((-h, h) if x[j] + h > hi[j] else (h, -h)):
+            xh = x.copy()
+            xh[j] += step
+            fh = fun(xh)
+            if np.all(np.isfinite(fh)):
+                J[:, j] = (fh - f) / (xh[j] - x[j])
+                break
+    return J
+
+
+def _least_squares(fun, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                   max_nfev: int) -> tuple[float, np.ndarray]:
+    """Minimize 0.5·|fun(x)|² over the box [lo, hi] from the interior point x0;
+    returns (cost, x).
+
+    Levenberg-Marquardt steps (Moré 1978) taken in the affine scaling of
+    Coleman & Li (1996): each variable is scaled by the square root of its
+    distance to the bound that the descent direction -g heads for, so steps
+    shrink along a coordinate as it nears the bound it presses against and
+    stay free along the others.  A step that would leave the box stops at
+    STEP_BACK of the distance to it.  The damping follows Nielsen's update
+    (Madsen, Nielsen & Tingleff 2004).  An infeasible trial point (non-finite
+    residuals) is a rejected step.  Stops on the FTOL, XTOL and GTOL tests or
+    after max_nfev evaluations of fun at x0 and at trial points; the
+    Jacobians' evaluations are not counted.
+    """
+    x = x0.copy()
+    f = fun(x)
+    cost = 0.5 * float(f @ f)
+    nfev, mu, nu = 1, 0.0, 2.0
+    while nfev < max_nfev:
+        J = _jacobian(fun, x, f, hi)
+        g = J.T @ f
+        v = np.where(g < 0.0, hi - x, np.where(g > 0.0, x - lo, 1.0))
+        if np.max(np.abs(g * v)) < GTOL:
+            break
+        d = np.sqrt(v)
+        Js, gs = J * d, g * d
+        A = Js.T @ Js
+        # the first damping is 1e-3 of the largest curvature, Nielsen's
+        # choice for a start far from the fit
+        mu = mu or 1e-3 * float(np.max(np.diag(A)))
+        while nfev < max_nfev:
+            ps = np.linalg.solve(A + mu * np.eye(x.size), -gs)
+            step = d * ps
+            with np.errstate(divide="ignore", invalid="ignore"):
+                room = np.where(step > 0.0, (hi - x) / step,
+                                np.where(step < 0.0, (lo - x) / step, np.inf))
+            reach = float(np.min(room))
+            if reach < 1.0:
+                ps, step = ps * STEP_BACK * reach, step * STEP_BACK * reach
+            f_new = fun(x + step)
+            nfev += 1
+            cost_new = 0.5 * float(f_new @ f_new)
+            model = Js @ ps
+            predicted = -float(gs @ ps + 0.5 * model @ model)
+            ratio = ((cost - cost_new) / predicted
+                     if math.isfinite(cost_new) and predicted > 0.0 else -1.0)
+            small_step = np.linalg.norm(step) < XTOL * (XTOL + np.linalg.norm(x))
+            if ratio > 0.0:
+                converged = small_step or (cost - cost_new < FTOL * cost and ratio > 0.25)
+                x, f, cost = x + step, f_new, cost_new
+                mu *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+                nu = 2.0
+                if converged:
+                    return cost, x
+                break
+            if small_step:
+                return cost, x
+            mu *= nu
+            nu *= 2.0
+    return cost, x
+
+
 def calibrate(fixed_params: ValidatedParams, targets: TargetSet,
               bounds=DEFAULT_BOUNDS, seed: int = 0, n_starts: int = 4,
               sim_config: SimConfig | None = None,
@@ -215,16 +303,13 @@ def calibrate(fixed_params: ValidatedParams, targets: TargetSet,
     normalization that removes the scaling symmetry, and any parameter whose
     bounds have lo == hi is held at that value; the search runs over the
     rest.  Each start is a feasible point of a seeded Latin hypercube and
-    runs scipy's trust-region-reflective least squares with at most
-    ``max_iter_per_start`` evaluations of its steps (the finite-difference
+    runs a bounded Levenberg-Marquardt search in Coleman-Li scaling
+    (:func:`_least_squares`) with at most ``max_iter_per_start``
+    evaluations of its start and its trial steps (the finite-difference
     Jacobians come on top).  Deterministic given the seed.  ``n_evaluations``
     counts every residual evaluation, including the starts' screening, the
     Jacobians and the final one that reports the objective.
     """
-    # scipy is imported here, not at module level, so that every other
-    # subcommand starts without paying for it
-    from scipy import optimize
-
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
     if max_iter_per_start < 1:
@@ -257,11 +342,10 @@ def calibrate(fixed_params: ValidatedParams, targets: TargetSet,
         return residuals(expand(x), fixed_params, targets, sim_config, seed, chain_template)
 
     starts = _feasible_starts(fun, lo[free], hi[free], seed, n_starts)
-    fits = [optimize.least_squares(fun, x0, bounds=(lo[free], hi[free]), method="trf",
-                                   max_nfev=max_iter_per_start)
+    fits = [_least_squares(fun, x0, lo[free], hi[free], max_iter_per_start)
             for x0 in starts]
-    best = min(fits, key=lambda r: (r.cost, tuple(r.x)))
-    point = expand(best.x)
+    _, best = min(fits, key=lambda fit: (fit[0], tuple(fit[1])))
+    point = expand(best)
     return CalibrationResult(
         params={name: float(v) for name, v in zip(FREE_PARAM_NAMES, point)},
         objective=objective(point, fixed_params, targets, sim_config, seed, chain_template),

@@ -41,9 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketFailure, DomainError, GridExit, NoConvergence
-from .params import (AggregateShockState, LogVolProcess, MarkovChain2, ThetaRedrawProcess,
-                     ValidatedParams)
-from .rng import block_uniforms, normal_icdf
+from .params import AggregateShockState, MarkovChain2, ThetaRedrawProcess, ValidatedParams
+from .rng import block_uniforms
 from .statics import StaticEquilibrium, measured_tfp, solve_static
 from .firms import analytic_moments
 
@@ -387,40 +386,3 @@ def impulse_response(policy: Policy, horizon: int = 20, n_sims: int = 1000,
     return IRFResult(horizon=horizon, d_log_Y=acc[:, 0], d_measured_tfp=acc[:, 1],
                      d_var_log_wage=acc[:, 2], d_var_log_tfpq=acc[:, 3],
                      d_var_log_tfpr=acc[:, 4], n_episodes=n_sims)
-
-
-def generate_shock_path(params: ValidatedParams,
-                        process: MarkovChain2 | ThetaRedrawProcess | LogVolProcess,
-                        T: int, seed: int) -> list[AggregateShockState]:
-    """Aggregate shock-state sequences for any of the supported driver laws.
-
-    MarkovChain2 varies z; ThetaRedrawProcess varies lambda_theta_t (the
-    aggregate law only; the firm-level redraw construction is exercised by
-    the verification module); LogVolProcess varies the wedge volatilities.
-    """
-    if isinstance(process, MarkovChain2):
-        states = draw_state_path(process, T, seed, stream_label="shock-z")
-        return [AggregateShockState.from_params(params, z=process.z_states[int(s)]) for s in states]
-    if isinstance(process, ThetaRedrawProcess):
-        process.check_valid()
-        states = draw_state_path(process, T, seed, stream_label="shock-lambda")
-        return [AggregateShockState.from_params(params, z=0.0,
-                                                lambda_theta_t=process.rates[int(s)])
-                for s in states]
-    if isinstance(process, LogVolProcess):
-        u = block_uniforms(seed, "shock-vol", 0, T)
-        e1 = process.sigma_l * normal_icdf(u[:, 0])
-        e2 = process.sigma_k * normal_icdf(u[:, 1])
-        out = []
-        log_s1 = math.log(params.sigma1) if params.sigma1 > 0 else 0.0
-        log_s2 = math.log(params.sigma2) if params.sigma2 > 0 else 0.0
-        anchor1, anchor2 = log_s1, log_s2
-        for t in range(T):
-            log_s1 = anchor1 + process.rho1 * (log_s1 - anchor1) + e1[t]
-            log_s2 = anchor2 + process.rho2 * (log_s2 - anchor2) + e2[t]
-            out.append(AggregateShockState.from_params(
-                params, z=0.0,
-                sigma1_t=math.exp(log_s1) if params.sigma1 > 0 else 0.0,
-                sigma2_t=math.exp(log_s2) if params.sigma2 > 0 else 0.0))
-        return out
-    raise DomainError(f"unsupported shock process type {type(process).__name__}")

@@ -29,6 +29,9 @@ from .statics import EXP_CAP, StaticEquilibrium
 #: since each firm owns one Philox block the panel does not depend on it
 SAMPLE_CHUNK = 1 << 16
 
+_SQRT_HALF = math.sqrt(0.5)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
 
 @dataclass(frozen=True)
 class FirmDraw:
@@ -161,16 +164,21 @@ def dispersions(params: ValidatedParams, shock: AggregateShockState,
     """(var_log_wage, var_log_tfpq, var_log_tfpr) in closed form.
 
     They need only lambda_t and the shock state, no prices, so they do not
-    depend on K.
+    depend on K.  A power beyond the float range raises NonFinite.
     """
     p = params
-    ratio = (lambda_t / p.lambda_x) ** p.psi
-    var_wage = (p.psi / p.gamma) ** 2 * p.lambda_x ** (-2.0 * p.psi) * lambda_t ** (2.0 * p.psi - 2.0)
-    var_tfpq = ratio ** 2 / shock.lambda_theta_t ** 2
-    bracket = tfpr_type_loading(params, shock, lambda_t)
-    var_tfpr = (bracket ** 2 / shock.lambda_theta_t ** 2
-                + (p.eta_q / p.xi) ** 2 * (p.gamma ** 2 * shock.sigma1_t ** 2
-                                           + p.alpha ** 2 * shock.sigma2_t ** 2))
+    try:
+        ratio = (lambda_t / p.lambda_x) ** p.psi
+        var_wage = ((p.psi / p.gamma) ** 2 * p.lambda_x ** (-2.0 * p.psi)
+                    * lambda_t ** (2.0 * p.psi - 2.0))
+        var_tfpq = ratio ** 2 / shock.lambda_theta_t ** 2
+        bracket = tfpr_type_loading(params, shock, lambda_t)
+        var_tfpr = (bracket ** 2 / shock.lambda_theta_t ** 2
+                    + (p.eta_q / p.xi) ** 2 * (p.gamma ** 2 * shock.sigma1_t ** 2
+                                               + p.alpha ** 2 * shock.sigma2_t ** 2))
+    except OverflowError as exc:
+        raise NonFinite(f"a dispersion overflows at lambda_t={lambda_t:.6g}, "
+                        f"lambda_theta_t={shock.lambda_theta_t:.6g}") from exc
     return (var_wage, var_tfpq, var_tfpr)
 
 
@@ -260,6 +268,32 @@ def cross_section_moments(panel: FirmPanel, eq: StaticEquilibrium) -> CrossSecti
     )
 
 
+def _ndtr(x: float) -> float:
+    """Standard normal cdf, 0.5·erfc(-x/sqrt 2)."""
+    return 0.5 * math.erfc(-x * _SQRT_HALF)
+
+
+def _log_ndtr(x: float) -> float:
+    """log of the standard normal cdf, accurate in both tails.
+
+    Above 0 it is log1p of minus the upper tail, so that it keeps its
+    relative accuracy where the cdf rounds to one; below -20, where the cdf
+    nears underflow, it is the asymptotic series of Abramowitz & Stegun
+    26.2.12, log Phi(x) = -x²/2 - log(-x·sqrt(2 pi)) + log(1 - 1/x² + 3/x⁴ - ...),
+    whose terms fall below 1e-17 of the first by the eleventh.
+    """
+    if x > 0.0:
+        return math.log1p(-_ndtr(-x))
+    if x > -20.0:
+        return math.log(_ndtr(x))
+    inv = 1.0 / (x * x)
+    term = series = 1.0
+    for k in range(1, 12):
+        term *= -(2 * k - 1) * inv
+        series += term
+    return -0.5 * x * x - math.log(-x) - _LOG_SQRT_2PI + math.log(series)
+
+
 def pareto_lognormal_topshare(a: float, s: float, rate: float, q: float) -> float:
     """Share of E[exp(a*theta + s*Z)] earned above its upper q-quantile,
     theta ~ Exp(rate), Z ~ N(0,1) independent.
@@ -270,8 +304,6 @@ def pareto_lognormal_topshare(a: float, s: float, rate: float, q: float) -> floa
     assembled through log_ndtr to avoid overflow.  Requires rate > a for a
     finite mean, which the capital-demand guard already enforces.
     """
-    from scipy.special import log_ndtr, ndtr
-
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie strictly between 0 and 1")
     if a >= rate:
@@ -286,34 +318,33 @@ def pareto_lognormal_topshare(a: float, s: float, rate: float, q: float) -> floa
         return q
     if a == 0.0:
         # pure lognormal
-        from scipy.special import ndtri
-        return float(ndtr(s - ndtri(1.0 - q)))
+        return _ndtr(s - float(normal_icdf(1.0 - q)))
 
     m = rate / abs(a)  # type-tail rate per unit of log revenue
 
     if a > 0.0:
         def tail_prob(t: float) -> float:
             u = t / s
-            return float(ndtr(-u) + math.exp(min(-m * t + 0.5 * (m * s) ** 2
-                                                 + log_ndtr(u - m * s), 0.0)))
+            return _ndtr(-u) + math.exp(min(-m * t + 0.5 * (m * s) ** 2
+                                           + _log_ndtr(u - m * s), 0.0))
 
         def upper_share(t: float) -> float:
             u = t / s
-            lead = float(ndtr(s - u))
+            lead = _ndtr(s - u)
             rest = math.exp(-(rate - a) * t / a + 0.5 * ((m * s) ** 2 - s * s)
-                            + log_ndtr(u - m * s))
+                            + _log_ndtr(u - m * s))
             return lead + rest
     else:
         def tail_prob(t: float) -> float:
             u = t / s
-            return float(ndtr(-u)) - math.exp(min(m * t + 0.5 * (m * s) ** 2
-                                                  + log_ndtr(-u - m * s), 0.0))
+            return _ndtr(-u) - math.exp(min(m * t + 0.5 * (m * s) ** 2
+                                           + _log_ndtr(-u - m * s), 0.0))
 
         def upper_share(t: float) -> float:
             u = t / s
-            lead = float(ndtr(s - u))
+            lead = _ndtr(s - u)
             rest = math.exp((rate + abs(a)) * t / abs(a) + 0.5 * ((m * s) ** 2 - s * s)
-                            + log_ndtr(-u - m * s))
+                            + _log_ndtr(-u - m * s))
             return lead - rest
 
     lo = -60.0 * s - 60.0 / m * (a < 0.0) - 1.0

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import DomainError, InvalidProcess
@@ -130,9 +130,6 @@ class AggregateShockState:
             sigma2_t=params.sigma2 if sigma2_t is None else float(sigma2_t),
         )
 
-    def with_z(self, z: float) -> "AggregateShockState":
-        return replace(self, z=float(z))
-
 
 @dataclass(frozen=True)
 class MarkovChain2:
@@ -226,27 +223,6 @@ class ThetaRedrawProcess:
                         f"keep probability rho*lambda'/lambda = {p:.6g} outside [0, 1] "
                         f"(requires lambda_low < lambda_high < lambda_low/rho; got "
                         f"lambda_low={self.lambda_low}, lambda_high={self.lambda_high}, rho={self.rho})")
-
-
-@dataclass(frozen=True)
-class LogVolProcess:
-    """AR(1) laws for the log wedge volatilities, anchored at the baseline levels.
-
-    log sigma_it - log sigma_i = rho_i (log sigma_{i,t-1} - log sigma_i) + eps,
-    eps ~ N(0, sigma_l^2) resp. N(0, sigma_k^2).  Anchoring keeps the path
-    constant at the calibrated sigmas when the innovation variances are zero.
-    """
-
-    rho1: float
-    rho2: float
-    sigma_l: float
-    sigma_k: float
-
-    def __post_init__(self):
-        if not (-1.0 < self.rho1 < 1.0 and -1.0 < self.rho2 < 1.0):
-            raise DomainError("log-volatility persistences must lie in (-1, 1)")
-        if self.sigma_l < 0.0 or self.sigma_k < 0.0:
-            raise DomainError("innovation std devs must be nonnegative")
 
 
 # --- JSON configuration -----------------------------------------------------

@@ -180,9 +180,9 @@ def coefficients(params: ValidatedParams, shock: AggregateShockState, lambda_t: 
             f"lambda_theta_t - kappa*eta_q*eta_q_theta = {margin:.6g} <= 0")
 
     ke = kappa * eta_q
-    b1 = math.exp(0.5 * ((ke * g + 1.0) ** 2 * s1 * s1 + (ke * a) ** 2 * s2 * s2))
-    b2 = math.exp(0.5 * ((ke * g) ** 2 * s1 * s1 + (ke * a + 1.0) ** 2 * s2 * s2)) / margin
-    b3 = math.exp(0.5 * ((ke * g) ** 2 * s1 * s1 + (ke * a) ** 2 * s2 * s2)) / margin
+    b1 = _exp_checked(0.5 * ((ke * g + 1.0) ** 2 * s1 * s1 + (ke * a) ** 2 * s2 * s2))
+    b2 = _exp_checked(0.5 * ((ke * g) ** 2 * s1 * s1 + (ke * a + 1.0) ** 2 * s2 * s2)) / margin
+    b3 = _exp_checked(0.5 * ((ke * g) ** 2 * s1 * s1 + (ke * a) ** 2 * s2 * s2)) / margin
     return Coefficients(eta_q=eta_q, eta_q_theta=eta_q_theta, eta_l_theta=eta_l_theta,
                         b1=b1, b2=b2, b3=b3, kappa=kappa)
 

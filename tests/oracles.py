@@ -1,7 +1,7 @@
 """Independent numerical oracles used to freeze expected values.
 
-Everything here is deliberately primitive: plain bisection, quadrature built
-on scipy, finite differences, a full static solve at every simulated period,
+Everything here is deliberately primitive: plain bisection, Gauss-Hermite
+quadrature, finite differences, a full static solve at every simulated period,
 hand-written interpolation in the policy solver and the impulse response, and
 a policy solve plus simulation where calibration needs only the state path.
 None of it calls the closed forms or shortcuts it is used to check.
@@ -14,8 +14,8 @@ import numpy as np
 import sortcycles as sc
 import sortcycles.calibrate as cal
 from sortcycles import dynamics
-from sortcycles.firms import revenue_concentration
-from sortcycles.rng import block_uniforms
+from sortcycles.firms import _log_ndtr, _ndtr, revenue_concentration
+from sortcycles.rng import block_uniforms, normal_icdf
 
 
 def bisect_root(f, lo, hi, iters=200):
@@ -166,9 +166,8 @@ def topshare_mc(a, s, rate, q, n, seed):
 
 def topshare_fixed_bisection(a, s, rate, q):
     """``firms.pareto_lognormal_topshare`` with its threshold bisection run
-    for all 200 steps, without stopping once the bracket stops shrinking."""
-    from scipy.special import log_ndtr, ndtr, ndtri
-
+    for all 200 steps, without stopping once the bracket stops shrinking.
+    Its subject is the early stop, so it shares the package's normal cdfs."""
     if s == 0.0:
         if a > 0.0:
             return q ** (1.0 - a / rate)
@@ -177,31 +176,31 @@ def topshare_fixed_bisection(a, s, rate, q):
             return 1.0 - math.exp((a - rate) * cut)
         return q
     if a == 0.0:
-        return float(ndtr(s - ndtri(1.0 - q)))
+        return _ndtr(s - float(normal_icdf(1.0 - q)))
     m = rate / abs(a)
     if a > 0.0:
         def tail_prob(t):
             u = t / s
-            return float(ndtr(-u) + math.exp(min(-m * t + 0.5 * (m * s) ** 2
-                                                 + log_ndtr(u - m * s), 0.0)))
+            return _ndtr(-u) + math.exp(min(-m * t + 0.5 * (m * s) ** 2
+                                           + _log_ndtr(u - m * s), 0.0))
 
         def upper_share(t):
             u = t / s
-            lead = float(ndtr(s - u))
+            lead = _ndtr(s - u)
             rest = math.exp(-(rate - a) * t / a + 0.5 * ((m * s) ** 2 - s * s)
-                            + log_ndtr(u - m * s))
+                            + _log_ndtr(u - m * s))
             return lead + rest
     else:
         def tail_prob(t):
             u = t / s
-            return float(ndtr(-u)) - math.exp(min(m * t + 0.5 * (m * s) ** 2
-                                                  + log_ndtr(-u - m * s), 0.0))
+            return _ndtr(-u) - math.exp(min(m * t + 0.5 * (m * s) ** 2
+                                           + _log_ndtr(-u - m * s), 0.0))
 
         def upper_share(t):
             u = t / s
-            lead = float(ndtr(s - u))
+            lead = _ndtr(s - u)
             rest = math.exp((rate + abs(a)) * t / abs(a) + 0.5 * ((m * s) ** 2 - s * s)
-                            + log_ndtr(-u - m * s))
+                            + _log_ndtr(-u - m * s))
             return lead - rest
     lo = -60.0 * s - 60.0 / m * (a < 0.0) - 1.0
     hi = 60.0 * s + (60.0 * a / rate if a > 0.0 else 0.0) + 1.0

@@ -32,6 +32,24 @@ def self_targets(table_module, truth):
 
 FAST = cal.SimConfig(fast=True)
 
+#: the best fit's objective on the published config and the default targets
+OPTIMUM = 5.256774e-4
+
+
+@pytest.fixture(scope="module")
+def one_start_fit(table_module):
+    """seed -> the one-start fast calibration on the default targets, cached."""
+    params, chain = table_module
+    fits = {}
+
+    def fit(seed):
+        if seed not in fits:
+            fits[seed] = cal.calibrate(params, sc.TargetSet(), seed=seed, n_starts=1,
+                                       sim_config=FAST, chain_template=chain)
+        return fits[seed]
+
+    return fit
+
 
 def curve_invariants(x):
     """The two combinations of (z_h, lambda_theta, lambda_x) the moments identify."""
@@ -200,14 +218,19 @@ class TestCalibrate:
                 assert fit.params[name] == pytest.approx(ref.params[name], rel=1e-6), name
 
     @pytest.mark.parametrize("seed", range(21))
-    def test_one_start_never_reports_infeasible(self, table_module, seed):
+    def test_one_start_never_reports_infeasible(self, one_start_fit, seed):
         # infeasible Latin-hypercube draws (about 1 in 8 of the box; seed 20's
         # first) are replaced before the search
-        params, chain = table_module
-        res = cal.calibrate(params, sc.TargetSet(), seed=seed, n_starts=1, sim_config=FAST,
-                            chain_template=chain)
+        res = one_start_fit(seed)
         assert res.objective < cal.INFEASIBLE
         assert all(math.isfinite(v) for v in res.moments.values())
+
+    @pytest.mark.parametrize("seed", range(21))
+    def test_one_start_reaches_the_optimum(self, one_start_fit, seed):
+        # no single start ends on a corner of the box and is reported as the
+        # fit (a trust-region-reflective search ended seed 18's start at
+        # objective 16.17 with psi on its upper bound)
+        assert one_start_fit(seed).objective == pytest.approx(OPTIMUM, rel=1e-6)
 
     def test_lambda_theta_is_reported_at_its_config_value(self, table_module):
         params, chain = table_module

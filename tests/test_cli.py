@@ -33,6 +33,16 @@ def config_path(tmp_path_factory):
 #: the published config at a psi whose job-distribution root underflows
 TINY_PSI = {**PUBLISHED, "params": {**PUBLISHED["params"], "psi": 1.8463183175100548e-05}}
 
+#: configs that every subcommand named with them must reject with exit 1: an
+#: underflowing root, wedge moments beyond exp's range, and a squared
+#: type rate beyond the float range
+BAD_CONFIGS = {
+    "tiny-psi": TINY_PSI,
+    "sigma1-20": {**PUBLISHED, "params": {**PUBLISHED["params"], "sigma1": 20}},
+    "lambda-theta-1e300": {**PUBLISHED, "params": {**PUBLISHED["params"],
+                                                   "lambda_theta": 1e300}},
+}
+
 
 EQ_KEYS = ["lambda_t", "coefficients", "w0", "R", "Y", "Q_bar", "k_bar", "chi_bar",
            "l_bar", "M", "C_in", "Y_l", "Y_k", "Y_d", "shock", "K"]
@@ -218,12 +228,15 @@ class TestInputHoles:
         ("calibrate", "--T", "1", "--burn-in", "-3", "--n-starts", "1", "--max-iter", "2"),
         *[("calibrate", "--fast", "--targets", name) for name in TARGET_FILES],
         *[(sub, "--params", "tiny-psi") for sub in ("solve", "moments", "simulate", "verify")],
+        *[(sub, "--params", "sigma1-20") for sub in ("solve", "moments", "simulate", "irf",
+                                                     "verify")],
+        *[(sub, "--params", "lambda-theta-1e300") for sub in ("simulate", "irf")],
     ], ids=lambda case: "-".join(case))
     def test_exit_code_and_one_error_line(self, config_path, tmp_path, capsys, case):
         sub, *flags = case
         if "--params" in flags:
-            config = tmp_path / "tiny-psi.json"
-            config.write_text(json.dumps(TINY_PSI))
+            config = tmp_path / f"{flags[-1]}.json"
+            config.write_text(json.dumps(BAD_CONFIGS[flags[-1]]))
             config_path, flags = str(config), []
             expected, prefix = 1, "error: "
         elif "--targets" in flags:
@@ -377,34 +390,65 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-_NO_SCIPY_STATS_SCRIPT = """
+_NO_SCIPY_CALIBRATE_VERIFY_SCRIPT = """
 import json, sys
 from sortcycles import cli
 config, out = sys.argv[1:]
-argv = ["calibrate", "--fast", "--n-starts", "1", "--params", config, "--out", out]
-if cli.run(argv) != 0:
-    raise SystemExit("calibrate failed")
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
+for argv in (["calibrate", "--fast", "--n-starts", "1"], ["verify", "--n-prop-points", "2"]):
+    if cli.run([*argv, "--params", config, "--out", out]) != 0:
+        raise SystemExit(f"{argv[0]} failed")
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+_SCIPY_REFUSED_SCRIPT = """
+import importlib.abc, sys
+
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+from sortcycles import cli
+config, out = sys.argv[1:]
+for argv in (["solve"], ["moments", "--n-firms", "2000", "--panel-csv"],
+             ["simulate", "--T", "300", "--burn-in", "10", "--grid-size", "60"],
+             ["irf", "--horizon", "4", "--n-sims", "20", "--grid-size", "60"],
+             ["calibrate", "--fast", "--n-starts", "1", "--max-iter", "20"],
+             ["calibrate", "--T", "600", "--burn-in", "60", "--n-starts", "1",
+              "--max-iter", "4"],
+             ["verify", "--n-prop-points", "2"]):
+    if cli.run([*argv, "--params", config, "--out", out]) != 0:
+        raise SystemExit(f"{argv[0]} failed")
 """
 
 
 class TestFreshInterpreter:
     def test_solve_moments_and_dynamics_never_import_scipy(self, config_path, tmp_path):
-        # scipy is imported only by calibrate, verify and the revenue shares;
-        # importing it costs about a second at every CLI start
+        # importing scipy would cost a large part of every CLI start
         proc = _fresh_python("-c", _NO_SCIPY_SCRIPT, config_path, str(tmp_path), cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == []
 
-    def test_calibrate_never_imports_scipy_stats(self, config_path, tmp_path):
-        # the Latin-hypercube starts are drawn with numpy; scipy.stats costs
-        # about half a second to import
-        proc = _fresh_python("-c", _NO_SCIPY_STATS_SCRIPT, config_path, str(tmp_path),
+    def test_calibrate_and_verify_never_import_scipy(self, config_path, tmp_path):
+        # the least-squares search, the normal cdfs of the revenue shares and
+        # the type quadrature are numpy and the standard library alone
+        proc = _fresh_python("-c", _NO_SCIPY_CALIBRATE_VERIFY_SCRIPT, config_path,
+                             str(tmp_path), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+    def test_every_subcommand_runs_where_scipy_cannot_be_imported(self, config_path,
+                                                                  tmp_path):
+        # scipy is a test dependency only: with every scipy import refused,
+        # each subcommand still exits 0
+        proc = _fresh_python("-c", _SCIPY_REFUSED_SCRIPT, config_path, str(tmp_path),
                              cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        loaded = json.loads(proc.stdout.splitlines()[-1])
-        assert "scipy.optimize" in loaded
-        assert not [m for m in loaded if m.split(".")[1] == "stats"]
 
     def test_python_dash_m_runs_the_cli(self, config_path, tmp_path):
         proc = _fresh_python("-m", "sortcycles", "solve", "--params", config_path,

@@ -370,61 +370,3 @@ class TestImpulseResponse:
     def test_requires_at_least_one_episode(self, policy):
         with pytest.raises(sc.DomainError):
             sc.impulse_response(policy, n_sims=0)
-
-
-class TestGenerateShockPath:
-    def test_z_chain_path(self, table):
-        params, chain = table
-        path = sc.generate_shock_path(params, chain, T=500, seed=4)
-        zs = {s.z for s in path}
-        assert zs <= {chain.z_low, chain.z_high}
-        assert all(s.lambda_theta_t == params.lambda_theta for s in path)
-
-    def test_theta_chain_path_and_comovement(self, table):
-        params, _ = table
-        proc = sc.ThetaRedrawProcess(rho=0.7, lambda_low=3.0, lambda_high=3.6,
-                                     p_stay_low=0.9, p_stay_high=0.8)
-        path = sc.generate_shock_path(params, proc, T=400, seed=4)
-        rates = {s.lambda_theta_t for s in path}
-        assert rates <= {3.0, 3.6}
-        # frozen at each rate: the lower rate raises wage AND tfpq dispersion
-        lo = sc.AggregateShockState.from_params(params, z=0.0, lambda_theta_t=3.0)
-        hi = sc.AggregateShockState.from_params(params, z=0.0, lambda_theta_t=3.6)
-        eq_lo = sc.solve_static(params, lo, 1.0)
-        eq_hi = sc.solve_static(params, hi, 1.0)
-        vw_lo, vq_lo, _ = sc.analytic_moments(eq_lo)
-        vw_hi, vq_hi, _ = sc.analytic_moments(eq_hi)
-        assert vw_lo > vw_hi
-        assert vq_lo > vq_hi
-
-    def test_invalid_theta_process_rejected(self, table):
-        params, _ = table
-        bad = sc.ThetaRedrawProcess(rho=0.7, lambda_low=2.0, lambda_high=3.0,
-                                    p_stay_low=0.9, p_stay_high=0.8)
-        with pytest.raises(sc.InvalidProcess):
-            sc.generate_shock_path(params, bad, T=10, seed=1)
-
-    def test_constant_volatility_when_innovations_are_off(self, table):
-        params, _ = table
-        proc = sc.LogVolProcess(rho1=0.9, rho2=0.5, sigma_l=0.0, sigma_k=0.0)
-        path = sc.generate_shock_path(params, proc, T=50, seed=2)
-        assert all(s.sigma1_t == pytest.approx(params.sigma1, rel=1e-14) for s in path)
-        assert all(s.sigma2_t == params.sigma2 for s in path)
-
-    def test_volatility_shocks_move_tfpr_only(self, table):
-        params, _ = table
-        proc = sc.LogVolProcess(rho1=0.8, rho2=0.8, sigma_l=0.3, sigma_k=0.0)
-        path = sc.generate_shock_path(params, proc, T=30, seed=6)
-        vqs, vrs = [], []
-        for shock in path:
-            eq = sc.solve_static(params, shock, 1.0)
-            _, vq, vr = sc.analytic_moments(eq)
-            vqs.append(vq)
-            vrs.append(vr)
-        assert np.ptp(vqs) == 0.0      # TFPQ dispersion untouched
-        assert np.ptp(vrs) > 1e-4      # TFPR dispersion moves period to period
-
-    def test_unsupported_process_rejected(self, table):
-        params, _ = table
-        with pytest.raises(sc.DomainError):
-            sc.generate_shock_path(params, object(), T=5, seed=0)

@@ -259,6 +259,62 @@ class TestCrossSectionMoments:
             sc.cross_section_moments(panel, boom_eq)
 
 
+BRANCHES = ["a<0", "a>0", "s=0", "a=0"]
+
+
+def topshare_cases(branch):
+    """300 seeded (a, s, rate, q) of one branch of the top-share formula."""
+    g = np.random.default_rng({"a<0": 1, "a>0": 2, "s=0": 3, "a=0": 4}[branch])
+    cases = []
+    for _ in range(300):
+        rate, q, s = g.uniform(0.3, 8.0), g.uniform(0.005, 0.995), g.uniform(0.01, 2.5)
+        if branch == "a<0":
+            a = -g.uniform(0.01, 4.0)
+        elif branch == "a>0":
+            a = g.uniform(0.01, 0.97) * rate
+        elif branch == "s=0":
+            a, s = g.choice([-1.0, 0.0, 1.0]) * g.uniform(0.01, 0.97) * rate, 0.0
+        else:
+            a = 0.0
+        cases.append((a, s, rate, q))
+    return cases
+
+
+def _use_scipys_normal_functions(monkeypatch):
+    from scipy import special
+    monkeypatch.setattr(firms, "_ndtr", special.ndtr)
+    monkeypatch.setattr(firms, "_log_ndtr", special.log_ndtr)
+    monkeypatch.setattr(firms, "normal_icdf", special.ndtri)
+
+
+class TestNormalCdfs:
+    """The standard library's erfc-based cdfs against scipy's."""
+
+    def test_ndtr_matches_scipy(self):
+        from scipy.special import ndtr
+        x = np.linspace(-37.0, 37.0, 20_001)
+        got = np.array([firms._ndtr(float(v)) for v in x])
+        # measured within 5.8e-14; erfc's argument x/sqrt 2 is rounded, and
+        # the cdf's relative error grows as x² times that rounding
+        np.testing.assert_allclose(got, ndtr(x), rtol=5e-13, atol=0.0)
+
+    def test_log_ndtr_matches_scipy_in_the_lower_tail(self):
+        # log(ndtr) above -20, the asymptotic series below, past the point
+        # where the cdf itself underflows; measured within 6.6e-16
+        from scipy.special import log_ndtr
+        x = np.concatenate([np.linspace(-100.0, 0.0, 20_001), -np.logspace(-6.0, 3.0, 500)])
+        got = np.array([firms._log_ndtr(float(v)) for v in x])
+        np.testing.assert_allclose(got, log_ndtr(x), rtol=1e-15, atol=0.0)
+
+    def test_log_ndtr_matches_scipy_in_the_upper_tail(self):
+        # log1p of the upper tail keeps its relative accuracy where the cdf
+        # rounds to one; measured within 1.5e-13, the erfc error above
+        from scipy.special import log_ndtr
+        x = np.concatenate([np.linspace(1e-6, 37.0, 20_001), np.logspace(-6.0, 1.5, 500)])
+        got = np.array([firms._log_ndtr(float(v)) for v in x])
+        np.testing.assert_allclose(got, log_ndtr(x), rtol=5e-13, atol=0.0)
+
+
 class TestRevenueConcentration:
     def test_pure_pareto_closed_form(self):
         # s = 0: top-q share of a Pareto with index rate/a is q^(1 - a/rate)
@@ -276,23 +332,29 @@ class TestRevenueConcentration:
         mc = topshare_mc(a, s, rate, 0.10, n=2_000_000, seed=44)
         assert got == pytest.approx(mc, abs=3e-3)
 
-    @pytest.mark.parametrize("branch", ["a<0", "a>0", "s=0", "a=0"])
+    @pytest.mark.parametrize("branch", BRANCHES)
     def test_early_stop_equals_fixed_bisection(self, branch):
         # the bisection stops once the bracket cannot shrink; from there the
         # fixed 200 steps would return the same midpoint, so results are ==
-        g = np.random.default_rng({"a<0": 1, "a>0": 2, "s=0": 3, "a=0": 4}[branch])
-        for _ in range(300):
-            rate, q, s = g.uniform(0.3, 8.0), g.uniform(0.005, 0.995), g.uniform(0.01, 2.5)
-            if branch == "a<0":
-                a = -g.uniform(0.01, 4.0)
-            elif branch == "a>0":
-                a = g.uniform(0.01, 0.97) * rate
-            elif branch == "s=0":
-                a, s = g.choice([-1.0, 0.0, 1.0]) * g.uniform(0.01, 0.97) * rate, 0.0
-            else:
-                a = 0.0
+        for a, s, rate, q in topshare_cases(branch):
             got = firms.pareto_lognormal_topshare(a, s, rate, q)
             assert got == topshare_fixed_bisection(a, s, rate, q), (a, s, rate, q)
+
+    @pytest.mark.parametrize("branch", ["a<0", "a>0", "a=0"])
+    def test_shares_match_scipys_normal_cdfs(self, branch, monkeypatch):
+        # the package's erfc-based cdfs and AS 241 inverse against scipy's
+        # special functions in the same formulas: measured within 1.3e-15
+        ours = [firms.pareto_lognormal_topshare(*case) for case in topshare_cases(branch)]
+        _use_scipys_normal_functions(monkeypatch)
+        theirs = [firms.pareto_lognormal_topshare(*case) for case in topshare_cases(branch)]
+        np.testing.assert_allclose(ours, theirs, rtol=0.0, atol=1e-14)
+
+    def test_published_shares_match_scipys_normal_cdfs(self, boom_eq, recession_eq,
+                                                       monkeypatch):
+        ours = [firms.revenue_concentration(eq) for eq in (boom_eq, recession_eq)]
+        _use_scipys_normal_functions(monkeypatch)
+        theirs = [firms.revenue_concentration(eq) for eq in (boom_eq, recession_eq)]
+        np.testing.assert_allclose(ours, theirs, rtol=0.0, atol=1e-14)
 
     def test_divergent_mean_rejected(self):
         with pytest.raises(ValueError):

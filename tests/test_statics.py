@@ -117,7 +117,7 @@ class TestSolveLambda:
         assert lam >= 0.0
         assume(lam < 1e4)
         assert abs(float(fixed_point_residual(p, shock, lam))) <= 1e-12 * max(1.0, lam_th)
-        lam_up = sc.solve_lambda(p, shock.with_z(z + 0.05))
+        lam_up = sc.solve_lambda(p, sc.AggregateShockState.from_params(p, z=z + 0.05))
         assert lam_up > lam
 
 

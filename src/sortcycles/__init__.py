@@ -18,7 +18,7 @@ from .statics import (Coefficients, StaticEquilibrium, aggregates, coefficients,
                       measured_tfp, solve_lambda, solve_static)
 from .firms import (CrossSectionMoments, FirmDraw, FirmOutcome, FirmPanel,
                     analytic_moments, cross_section_moments, firm_outcome, matching,
-                    sample_cross_section, wage)
+                    panel_chunks, sample_cross_section, streamed_moments, wage)
 from .dynamics import (GridSpec, IRFResult, Policy, SimulationPath, euler_residuals,
                        impulse_response, simulate, solve_policy, steady_state)
 # the calibrate() entry point stays on its submodule (sortcycles.calibrate.calibrate)

@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 domain error, 2 usage error, 3 verification failure.
 
 Every file this tool writes is a pure function of (config, flags, seed):
 floats are emitted with 17 significant digits, key order is fixed, and no
-timestamps appear, so reruns are byte-identical.  All randomness descends
+timestamps appear, so reruns are byte-identical.  A JSON artifact that would
+hold NaN or Infinity is a domain error instead.  All randomness descends
 from the single --seed through named streams.  No subcommand starts worker
 threads; --threads is accepted (and must be at least 1) but has no effect.
 """
@@ -16,19 +17,27 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
 import numpy as np
 
 from . import calibrate as calibrate_mod
 from . import dynamics, firms, statics, verify
-from .errors import SortCyclesError
+from .errors import NonFinite, SortCyclesError
 from .params import AggregateShockState, load_config, read_json_object
+from .rng import chunk_ranges
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
+
+#: rows formatted per write of a CSV file
+CSV_BLOCK_ROWS = 4096
+#: the columns of panel.csv, in order
+PANEL_CSV_COLUMNS = ("theta", "eps1", "eps2", "Q", "k", "l", "chi", "revenue",
+                     "log_tfpq", "log_tfpr")
 
 
 def _fmt(value):
@@ -46,15 +55,43 @@ def _fmt(value):
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_fmt(payload), indent=2, sort_keys=False) + "\n")
+    try:
+        text = json.dumps(_fmt(payload), indent=2, sort_keys=False, allow_nan=False)
+    except ValueError as exc:
+        raise NonFinite(f"{path.name} would hold a non-finite number") from exc
+    path.write_text(text + "\n")
+
+
+def _csv_rows(cols: list[np.ndarray]) -> str:
+    """CSV lines of equal-length columns, each cell with 17 significant digits."""
+    cells = np.column_stack(cols).ravel().tolist()
+    return (",".join(["%.17g"] * len(cols)) + "\n") * cols[0].shape[0] % tuple(cells)
+
+
+def _csv_chunks(path: Path, names: Sequence[str],
+                chunks: Iterable[dict[str, np.ndarray]]) -> Iterator[dict[str, np.ndarray]]:
+    """Yield each of ``chunks`` after appending its ``names`` columns to the CSV file ``path``.
+
+    The header comes first; rows are formatted CSV_BLOCK_ROWS at a time, so
+    the text held at once is bounded.  If the chunks fail, the file is removed.
+    """
+    try:
+        with path.open("w") as fh:
+            fh.write(",".join(names) + "\n")
+            for chunk in chunks:
+                cols = [np.asarray(chunk[name], dtype=np.float64) for name in names]
+                for start, stop in chunk_ranges(cols[0].shape[0], CSV_BLOCK_ROWS):
+                    fh.write(_csv_rows([col[start:stop] for col in cols]))
+                yield chunk
+                del chunk, cols  # before the next chunk is drawn
+    except Exception:
+        path.unlink(missing_ok=True)
+        raise
 
 
 def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
-    rows = np.column_stack([np.asarray(col, dtype=np.float64)
-                            for col in columns.values()]).tolist()
-    row_format = ",".join(["%.17g"] * len(columns))
-    lines = [",".join(columns), *(row_format % tuple(row) for row in rows)]
-    path.write_text("\n".join(lines) + "\n")
+    for _ in _csv_chunks(path, list(columns), [columns]):
+        pass
 
 
 def _summary(payload: dict) -> None:
@@ -150,15 +187,11 @@ def _cmd_moments(args, params, chain, out):
     shock = AggregateShockState.from_params(params, z=args.z, A=args.A)
     K = args.K if args.K is not None else dynamics.steady_state(params, args.z, args.A)[0]
     eq = statics.solve_static(params, shock, K)
-    panel = firms.sample_cross_section(eq, args.n_firms, args.seed)
-    m = firms.cross_section_moments(panel, eq)
-    payload = dataclasses.asdict(m)
-    _write_json(out / "moments.json", payload)
+    chunks = firms.panel_chunks(eq, args.n_firms, args.seed)
     if args.panel_csv:
-        cols = {name: getattr(panel, name) for name in
-                ("theta", "eps1", "eps2", "Q", "k", "l", "chi", "revenue",
-                 "log_tfpq", "log_tfpr")}
-        _write_csv(out / "panel.csv", cols)
+        chunks = _csv_chunks(out / "panel.csv", PANEL_CSV_COLUMNS, chunks)
+    payload = dataclasses.asdict(firms.streamed_moments(chunks, eq, args.n_firms, args.seed))
+    _write_json(out / "moments.json", payload)
     _summary({"subcommand": "moments", **payload})
     return EXIT_OK
 

@@ -6,7 +6,8 @@ of the equilibrium scale constants, so every firm-level statistic reduces to
 moments of an exponential type mixed with Gaussian wedges: log quantities are
 Pareto-lognormal convolutions with Pareto upper tails.  Sampling realizes the
 continuum as a finite panel with counter-based draws, which makes panels
-deterministic in (n, seed) and independent of chunking.
+deterministic in (n, seed) and independent of chunking; its moments are
+reduced chunk by chunk, so a panel need never be held whole.
 
 Functions of a solved equilibrium read ``eq.params`` and ``eq.shock``; only
 the lambda-level formulas (:func:`dispersions`, :func:`tfpr_type_loading`)
@@ -16,6 +17,7 @@ take them as arguments, since they also serve where no equilibrium is solved.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -25,7 +27,7 @@ from .params import AggregateShockState, ValidatedParams
 from .rng import block_uniforms, chunk_ranges, exponential_icdf, normal_icdf
 from .statics import EXP_CAP, StaticEquilibrium
 
-#: firms per sampling chunk; chunking bounds the temporaries' peak memory, and
+#: firms per sampling chunk, the unit of the streamed moments and of panel.csv;
 #: since each firm owns one Philox block the panel does not depend on it
 SAMPLE_CHUNK = 1 << 16
 
@@ -206,66 +208,124 @@ class FirmPanel:
         return FirmOutcome(**{name: float(getattr(self, name)[i]) for name in names})
 
 
-def sample_cross_section(eq: StaticEquilibrium, n: int, seed: int) -> FirmPanel:
-    """Seeded i.i.d. panel: theta ~ Exp(lambda_theta_t), eps_i ~ N(0, sigma_it^2).
+def _sample_chunk(eq: StaticEquilibrium, seed: int, start: int,
+                  stop: int) -> dict[str, np.ndarray]:
+    shock = eq.shock
+    u = block_uniforms(seed, "panel", start, stop - start)
+    theta = exponential_icdf(u[:, 0], shock.lambda_theta_t)
+    eps1 = shock.sigma1_t * normal_icdf(u[:, 1])
+    eps2 = shock.sigma2_t * normal_icdf(u[:, 2])
+    return _firm_arrays(eq, theta, eps1, eps2)
 
-    Firm i consumes exactly one counter block of the (seed, "panel") stream,
-    so the panel is a pure function of (n, seed); it is filled in chunks of
-    SAMPLE_CHUNK firms to bound peak memory.
+
+def panel_chunks(eq: StaticEquilibrium, n: int, seed: int) -> Iterator[dict[str, np.ndarray]]:
+    """The seeded n-firm panel as column dicts of at most SAMPLE_CHUNK firms, in draw order.
+
+    theta ~ Exp(lambda_theta_t) and eps_i ~ N(0, sigma_it^2), i.i.d.  Firm i
+    consumes exactly one counter block of the (seed, "panel") stream, so the
+    panel is a pure function of (n, seed) whatever the chunk size.  Chunks are
+    drawn as they are consumed; the size is checked at the call.
     """
     if n < 1:
         raise EmptyPanel("panel size must be at least 1")
-    shock = eq.shock
+    return (_sample_chunk(eq, seed, start, stop)
+            for start, stop in chunk_ranges(n, SAMPLE_CHUNK))
+
+
+def sample_cross_section(eq: StaticEquilibrium, n: int, seed: int) -> FirmPanel:
+    """The seeded n-firm panel of :func:`panel_chunks`, held whole.
+
+    It holds all 15 columns, 120 bytes per firm; chunking bounds only the
+    sampler's temporaries.  :func:`streamed_moments` needs none of it.
+    """
+    chunks = panel_chunks(eq, n, seed)
     cols = {name: np.empty(n) for name in FirmPanel.COLUMNS}
-    for start, stop in chunk_ranges(n, SAMPLE_CHUNK):
-        u = block_uniforms(seed, "panel", start, stop - start)
-        theta = exponential_icdf(u[:, 0], shock.lambda_theta_t)
-        eps1 = shock.sigma1_t * normal_icdf(u[:, 1])
-        eps2 = shock.sigma2_t * normal_icdf(u[:, 2])
-        vals = _firm_arrays(eq, theta, eps1, eps2)
+    start = 0
+    for chunk in chunks:
+        stop = start + chunk["theta"].shape[0]
         for name in FirmPanel.COLUMNS:
-            cols[name][start:stop] = vals[name]
+            cols[name][start:stop] = chunk[name]
+        start = stop
     return FirmPanel(cols, seed)
 
 
-def _weighted_variance(values: np.ndarray, weights: np.ndarray) -> float:
-    mean = float(np.average(values, weights=weights))
-    return float(np.average((values - mean) ** 2, weights=weights))
+def _spread(values: np.ndarray, weights: np.ndarray | None = None) -> tuple[float, float, float]:
+    """(total weight, mean, M2) of one chunk, with unit weights where none are given."""
+    if weights is None:
+        mean = values.mean()
+        return float(values.shape[0]), float(mean), float(((values - mean) ** 2).sum())
+    total = weights.sum()
+    mean = (values * weights).sum() / total
+    return float(total), float(mean), float((((values - mean) ** 2) * weights).sum())
+
+
+def _merge_spread(a: tuple[float, float, float],
+                  b: tuple[float, float, float]) -> tuple[float, float, float]:
+    """Pairwise update of Chan, Golub & LeVeque (1979); exact when a is (0, 0, 0)."""
+    wa, ma, qa = a
+    wb, mb, qb = b
+    w = wa + wb
+    delta = mb - ma
+    return w, ma + delta * (wb / w), qa + qb + delta * delta * (wa * wb / w)
+
+
+def streamed_moments(chunks: Iterable[dict[str, np.ndarray]], eq: StaticEquilibrium,
+                     n: int, seed: int) -> CrossSectionMoments:
+    """Empirical dispersion and concentration moments of an n-firm panel given in chunks.
+
+    Each chunk is reduced to a weight, mean and M2 per log-variance, merged
+    pairwise; only the revenue column, 8 bytes per firm, outlives its chunk.
+    Revenue ranks are descending; percentile boundaries use the nearest-rank
+    convention, so the top-10% block of n firms is exactly round(n/10) firms,
+    and tied revenues are equal values, so the shares do not depend on how
+    ties are ordered.  The wage variance weights each firm's (single) worker
+    type by its employment l, which reproduces the worker-level variance
+    through labor-market clearing.  The labor share is the aggregate Y_l/Y of
+    the underlying equilibrium, matching the way the empirical target is
+    constructed.
+    """
+    if n < 1:
+        raise EmptyPanel("cannot compute moments of an empty panel")
+    revenue = np.empty(n)
+    wage = tfpq = tfpr = (0.0, 0.0, 0.0)
+    start = 0
+    for chunk in chunks:
+        stop = start + chunk["revenue"].shape[0]
+        if stop > n:
+            raise ValueError(f"the chunks hold more than the {n} firms announced")
+        revenue[start:stop] = chunk["revenue"]
+        start = stop
+        log_wage = np.log(chunk["wage_bill"] / chunk["l"])
+        wage = _merge_spread(wage, _spread(log_wage, chunk["l"]))
+        tfpq = _merge_spread(tfpq, _spread(chunk["log_tfpq"]))
+        tfpr = _merge_spread(tfpr, _spread(chunk["log_tfpr"]))
+        del chunk, log_wage  # before the next chunk is drawn
+    if start != n:
+        raise ValueError(f"the chunks hold {start} firms, not the {n} announced")
+
+    revenue.sort()
+    descending = revenue[::-1]
+    total = float(descending.sum())
+    k10 = int(round(0.10 * n))
+    k50 = int(round(0.50 * n))
+    return CrossSectionMoments(
+        var_log_wage=wage[2] / wage[0],
+        var_log_tfpq=tfpq[2] / tfpq[0],
+        var_log_tfpr=tfpr[2] / tfpr[0],
+        labor_share=eq.labor_share,
+        rev_share_top10=float(descending[:k10].sum()) / total,
+        rev_share_p50_p90=float(descending[k10:k50].sum()) / total,
+        n_firms=n,
+        seed=seed,
+    )
 
 
 def cross_section_moments(panel: FirmPanel, eq: StaticEquilibrium) -> CrossSectionMoments:
-    """Empirical dispersion and concentration moments of a panel.
-
-    Revenue ranks are descending with ties broken by draw order; percentile
-    boundaries use the nearest-rank convention, so the top-10% block of n
-    firms is exactly round(n/10) firms.  The wage variance weights each
-    firm's (single) worker type by its employment l, which reproduces the
-    worker-level variance through labor-market clearing.  The labor share is
-    the aggregate Y_l/Y of the underlying equilibrium, matching the way the
-    empirical target is constructed.
-    """
+    """:func:`streamed_moments` of a held panel, fed in SAMPLE_CHUNK slices."""
     n = len(panel)
-    if n == 0:
-        raise EmptyPanel("cannot compute moments of an empty panel")
-    order = np.argsort(-panel.revenue, kind="stable")
-    rev_sorted = panel.revenue[order]
-    total = float(rev_sorted.sum())
-    k10 = int(round(0.10 * n))
-    k50 = int(round(0.50 * n))
-    top10 = float(rev_sorted[:k10].sum()) / total
-    p50_p90 = float(rev_sorted[k10:k50].sum()) / total
-
-    log_wage = np.log(panel.wage_bill / panel.l)
-    return CrossSectionMoments(
-        var_log_wage=_weighted_variance(log_wage, panel.l),
-        var_log_tfpq=float(np.var(panel.log_tfpq)),
-        var_log_tfpr=float(np.var(panel.log_tfpr)),
-        labor_share=eq.labor_share,
-        rev_share_top10=top10,
-        rev_share_p50_p90=p50_p90,
-        n_firms=n,
-        seed=panel.seed,
-    )
+    chunks = ({name: getattr(panel, name)[start:stop] for name in FirmPanel.COLUMNS}
+              for start, stop in chunk_ranges(n, SAMPLE_CHUNK))
+    return streamed_moments(chunks, eq, n, panel.seed)
 
 
 def _ndtr(x: float) -> float:

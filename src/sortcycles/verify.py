@@ -153,6 +153,8 @@ def check_job_density(eq: StaticEquilibrium) -> tuple[CheckResult, CheckResult]:
 
     hs = np.linspace(0.05, 20.0, 20) / eq.lambda_t
     shaped = np.array([density(h) * math.exp(eq.lambda_t * h) for h in hs])
+    # scale-free: f(h) carries a factor lambda_t, whose square can overflow
+    shaped /= shaped.max()
     cv = float(np.std(shaped) / np.mean(shaped))
     return (CheckResult("job_density_mass", mass_resid, 1e-8, mass_resid < 1e-8),
             CheckResult("job_density_shape", cv, 1e-8, cv < 1e-8))

@@ -311,3 +311,35 @@ def full_mode_moments_oracle(free_params, fixed_params, chain_template, T, burn_
         "rev_share_p50_p90": freq[0] * shares[0][1] + freq[1] * shares[1][1],
         "std_tfp": float(np.std(path.measured_tfp[burn_in:])),
     }
+
+
+def cross_section_moments_oracle(panel, eq):
+    """Moments of a held panel the whole-array way: a stable argsort of
+    minus revenue for the shares and ``np.average`` / ``np.var`` over every
+    firm at once for the log-variances."""
+    n = len(panel)
+    rev_sorted = panel.revenue[np.argsort(-panel.revenue, kind="stable")]
+    total = float(rev_sorted.sum())
+    k10 = int(round(0.10 * n))
+    k50 = int(round(0.50 * n))
+    log_wage = np.log(panel.wage_bill / panel.l)
+    mean = float(np.average(log_wage, weights=panel.l))
+    return sc.CrossSectionMoments(
+        var_log_wage=float(np.average((log_wage - mean) ** 2, weights=panel.l)),
+        var_log_tfpq=float(np.var(panel.log_tfpq)),
+        var_log_tfpr=float(np.var(panel.log_tfpr)),
+        labor_share=eq.labor_share,
+        rev_share_top10=float(rev_sorted[:k10].sum()) / total,
+        rev_share_p50_p90=float(rev_sorted[k10:k50].sum()) / total,
+        n_firms=n,
+        seed=panel.seed,
+    )
+
+
+def write_csv_oracle(path, columns):
+    """A CSV table formatted whole: every row's text is built before one write."""
+    rows = np.column_stack([np.asarray(col, dtype=np.float64)
+                            for col in columns.values()]).tolist()
+    row_format = ",".join(["%.17g"] * len(columns))
+    lines = [",".join(columns), *(row_format % tuple(row) for row in rows)]
+    path.write_text("\n".join(lines) + "\n")

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,10 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import sortcycles
-from sortcycles import cli, verify
+from sortcycles import cli, firms, verify
+
+from .oracles import cross_section_moments_oracle, write_csv_oracle
+from .test_firms import CHUNK_BYTES, assert_moments_agree
 
 
 PUBLISHED = {
@@ -83,6 +88,39 @@ class TestMoments:
         header = (tmp_path / "panel.csv").read_text().splitlines()[0]
         assert header == "theta,eps1,eps2,Q,k,l,chi,revenue,log_tfpq,log_tfpr"
         assert len((tmp_path / "panel.csv").read_text().splitlines()) == 5001
+
+    def test_streamed_panel_csv_is_the_whole_file_writer_on_the_held_panel(self, config_path,
+                                                                           tmp_path):
+        n = firms.SAMPLE_CHUNK + 3
+        rc = cli.run(["moments", "--params", config_path, "--n-firms", str(n), "--seed", "5",
+                      "--out", str(tmp_path), "--panel-csv"])
+        assert rc == 0
+        # the CLI's equilibrium: z = 0, A = 1, capital at its steady state
+        params, _ = sortcycles.load_config(config_path)
+        shock = sortcycles.AggregateShockState.from_params(params, z=0.0, A=1.0)
+        K = sortcycles.steady_state(params, 0.0, 1.0)[0]
+        eq = sortcycles.solve_static(params, shock, K)
+        panel = sortcycles.sample_cross_section(eq, n, seed=5)
+        write_csv_oracle(tmp_path / "whole.csv",
+                         {name: getattr(panel, name) for name in cli.PANEL_CSV_COLUMNS})
+        assert (tmp_path / "panel.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        got = json.loads((tmp_path / "moments.json").read_text())
+        assert_moments_agree(sortcycles.CrossSectionMoments(**got),
+                             cross_section_moments_oracle(panel, eq))
+
+    def test_panel_csv_peak_memory_is_bounded(self, config_path, tmp_path):
+        # the held panel and its whole-file text took over 1 kB per firm;
+        # streaming keeps the revenue column, one chunk and one row block
+        n = 1 << 17
+        tracemalloc.start()
+        try:
+            rc = cli.run(["moments", "--params", config_path, "--n-firms", str(n),
+                          "--out", str(tmp_path), "--panel-csv"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 2 * 8 * n + CHUNK_BYTES, peak
 
 
 class TestSimulate:
@@ -166,6 +204,17 @@ class TestVerify:
                             lambda *a, **k: broken)
         rc = cli.run(["verify", "--params", config_path, "--out", str(tmp_path)])
         assert rc == 3
+
+    def test_non_finite_artifact_is_a_domain_error(self, config_path, tmp_path, monkeypatch,
+                                                   capsys):
+        broken = verify.VerificationReport.from_checks(
+            [verify.CheckResult("stub", float("inf"), 0.5, False)])
+        monkeypatch.setattr(verify, "run_verification", lambda *a, **k: broken)
+        rc = cli.run(["verify", "--params", config_path, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: verify.json would hold a non-finite number\n"
+        assert not (tmp_path / "verify.json").exists()
 
 
 class TestUsageAndConfigErrors:
@@ -254,6 +303,27 @@ class TestInputHoles:
         assert "Traceback" not in err
         assert err.startswith(prefix) and err.count("\n") == 1, err
 
+    def test_huge_type_rate_verifies_to_strict_json(self, tmp_path, capsys):
+        # lambda_t ~ 1e300 once overflowed the job-density shape check's
+        # squares and wrote Infinity into verify.json
+        config = tmp_path / "lambda-theta-1e300.json"
+        config.write_text(json.dumps(BAD_CONFIGS["lambda-theta-1e300"]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.run(["verify", "--params", str(config), "--n-prop-points", "2",
+                          "--out", str(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        report = strict_json((tmp_path / "verify.json").read_text())
+        assert report["passed"] is True
+
+
+def strict_json(text: str):
+    """Parse JSON, refusing the non-standard NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
 
 #: values argparse cannot convert to an int or a float
 NOT_A_NUMBER = st.sampled_from(["", "abc", "1..5", "0x10"])
@@ -293,12 +363,14 @@ def cli_cases(draw):
     """(subcommand, option pairs, config, whether the argv is a usage error).
 
     Each option is (flag, values, whether a parsed value is in range)."""
-    sub = draw(st.sampled_from(["solve", "verify"]))
+    sub = draw(st.sampled_from(["solve", "moments", "verify"]))
     options = [("--seed", INTS, lambda v: 0 <= v < 2 ** 64),
                ("--threads", st.integers(0, 4), lambda v: v >= 1)]
-    if sub == "solve":
+    if sub in ("solve", "moments"):
         options += [(flag, FLOATS, lambda v: True) for flag in ("--z", "--A", "--K")]
-    else:
+    if sub == "moments":
+        options += [("--n-firms", st.integers(1, 1000), lambda v: True)]
+    if sub == "verify":
         options += [("--n-prop-points", st.integers(1, 3), lambda v: True)]
     pairs, usage_error = [], False
     for flag, values, in_range in options:
@@ -312,6 +384,11 @@ def cli_cases(draw):
                 usage_error = usage_error or not in_range(value)
     if sub == "verify" and not any(flag == "--n-prop-points" for flag, _ in pairs):
         pairs.append(("--n-prop-points", "1"))
+    if sub == "moments":
+        if not any(flag == "--n-firms" for flag, _ in pairs):
+            pairs.append(("--n-firms", "100"))
+        if draw(st.booleans()):
+            pairs.append(("--panel-csv", None))
     return sub, pairs, draw(config_files()), usage_error
 
 
@@ -319,6 +396,8 @@ class TestContractProperty:
     @settings(max_examples=50, deadline=None)
     @given(case=cli_cases())
     @example(case=("solve", [], ("number", json.dumps(TINY_PSI).encode()), False))
+    @example(case=("moments", [("--n-firms", "10"), ("--panel-csv", None)],
+                   ("number", json.dumps(BAD_CONFIGS["sigma1-20"]).encode()), False))
     def test_every_argv_ends_in_a_documented_exit_code(self, tmp_path_factory, case):
         sub, pairs, (kind, contents), usage_error = case
         root = tmp_path_factory.mktemp("argv")
@@ -329,7 +408,7 @@ class TestContractProperty:
             cfg.write_bytes(contents)
         argv = [sub, "--params", str(cfg), "--out", str(root / "out")]
         for flag, value in pairs:
-            argv.append(f"{flag}={value}")
+            argv.append(flag if value is None else f"{flag}={value}")
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             rc = cli.run(argv)
@@ -340,6 +419,12 @@ class TestContractProperty:
             assert rc == 2, (argv, rc, err.getvalue())
         if rc in (1, 2):
             assert "error:" in err.getvalue(), (argv, rc)
+        if rc in (0, 3):
+            for artifact in (root / "out").glob("*.json"):
+                strict_json(artifact.read_text())
+        if rc == 0 and ("--panel-csv", None) in pairs:
+            n_firms = int(dict(pairs)["--n-firms"])
+            assert len((root / "out" / "panel.csv").read_text().splitlines()) == n_firms + 1
 
 
 class TestDeterminism:
@@ -365,6 +450,32 @@ class TestWriteCsv:
         for i in range(mixed.size):
             lines.append(",".join(f"{float(col[i]):.17g}" for col in columns.values()))
         assert (tmp_path / "out.csv").read_text() == "\n".join(lines) + "\n"
+
+    def test_more_rows_than_one_block_match_the_whole_file_writer(self, tmp_path):
+        rng = np.random.default_rng(11)
+        n = 2 * cli.CSV_BLOCK_ROWS + 3
+        columns = {"t": np.arange(n), "a": rng.standard_normal(n),
+                   "b": np.exp(50.0 * rng.standard_normal(n))}
+        cli._write_csv(tmp_path / "blocks.csv", columns)
+        write_csv_oracle(tmp_path / "whole.csv", columns)
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        # the same rows handed over in uneven chunks
+        cuts = [0, 5, cli.CSV_BLOCK_ROWS + 6, n]
+        chunks = [{name: col[a:b] for name, col in columns.items()}
+                  for a, b in zip(cuts, cuts[1:])]
+        passed = list(cli._csv_chunks(tmp_path / "chunks.csv", list(columns), chunks))
+        assert len(passed) == len(chunks) and all(p is c for p, c in zip(passed, chunks))
+        assert (tmp_path / "chunks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    def test_failed_chunks_leave_no_file(self, tmp_path):
+        def failing():
+            yield {"x": np.arange(3.0)}
+            raise sortcycles.NonFinite("stub")
+
+        with pytest.raises(sortcycles.NonFinite):
+            for _ in cli._csv_chunks(tmp_path / "x.csv", ["x"], failing()):
+                pass
+        assert not (tmp_path / "x.csv").exists()
 
 
 def _fresh_python(*args, cwd):

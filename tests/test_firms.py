@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import pytest
 import sortcycles as sc
 from sortcycles import firms
 
-from .oracles import central_diff, topshare_fixed_bisection, topshare_mc
+from .oracles import (central_diff, cross_section_moments_oracle, topshare_fixed_bisection,
+                      topshare_mc)
 from .test_statics import LAMBDA_BOOM, with_params
 
 
@@ -257,6 +259,110 @@ class TestCrossSectionMoments:
             setattr(panel, col, getattr(panel, col)[:0])
         with pytest.raises(sc.EmptyPanel):
             sc.cross_section_moments(panel, boom_eq)
+
+
+VARIANCES = ("var_log_wage", "var_log_tfpq", "var_log_tfpr")
+SHARES = ("rev_share_top10", "rev_share_p50_p90")
+#: a sampled chunk's 15 columns plus the sampler's temporaries, with room to spare
+CHUNK_BYTES = 40 * 8 * firms.SAMPLE_CHUNK
+
+
+def assert_moments_agree(got, want):
+    """Log-variances within 1e-13 relative, everything else bit for bit."""
+    for name in VARIANCES:
+        assert math.isclose(getattr(got, name), getattr(want, name), rel_tol=1e-13,
+                            abs_tol=0.0), name
+    for name in (*SHARES, "labor_share", "n_firms", "seed"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def held_chunks(panel, size):
+    """A held panel's columns in consecutive slices of ``size`` firms."""
+    for start in range(0, len(panel), size):
+        yield {name: getattr(panel, name)[start:start + size] for name in firms.FirmPanel.COLUMNS}
+
+
+def tied_panel(revenue):
+    """A hand-built panel with the given revenues and unit everything else."""
+    ones = np.ones(len(revenue))
+    data = {name: ones for name in firms.FirmPanel.COLUMNS}
+    return firms.FirmPanel({**data, "revenue": np.asarray(revenue, dtype=float)}, seed=0)
+
+
+class TestStreamedMoments:
+    @pytest.mark.parametrize("n", [1, firms.SAMPLE_CHUNK - 1, firms.SAMPLE_CHUNK + 1,
+                                   3 * firms.SAMPLE_CHUNK + 5])
+    def test_matches_the_whole_array_oracle(self, boom_eq, n):
+        panel = sc.sample_cross_section(boom_eq, n, seed=21)
+        want = cross_section_moments_oracle(panel, boom_eq)
+        streamed = sc.streamed_moments(sc.panel_chunks(boom_eq, n, seed=21), boom_eq, n, 21)
+        assert_moments_agree(streamed, want)
+        assert sc.cross_section_moments(panel, boom_eq) == streamed
+
+    def test_one_chunk_is_bit_identical_to_the_oracle(self, boom_eq):
+        panel = sc.sample_cross_section(boom_eq, 5000, seed=4)
+        assert sc.cross_section_moments(panel, boom_eq) == cross_section_moments_oracle(
+            panel, boom_eq)
+
+    @pytest.mark.parametrize("size", [7, 1000, firms.SAMPLE_CHUNK - 1])
+    def test_chunk_invariance(self, boom_eq, size):
+        n = firms.SAMPLE_CHUNK + 1001
+        panel = sc.sample_cross_section(boom_eq, n, seed=13)
+        chunked = sc.streamed_moments(held_chunks(panel, size), boom_eq, n, 13)
+        assert_moments_agree(chunked, sc.cross_section_moments(panel, boom_eq))
+
+    def test_tied_revenues_give_exact_shares(self, boom_eq):
+        # 20 firms: the top two are a 5 and one of four 4s, the p50-p90
+        # block the other three 4s and five of the eight 3s; total 55
+        revenue = [4, 3, 5, 1, 3, 4, 2, 3, 1, 4, 3, 2, 1, 3, 4, 3, 3, 2, 1, 3]
+        m = sc.cross_section_moments(tied_panel(revenue), boom_eq)
+        assert m.rev_share_top10 == 9.0 / 55.0
+        assert m.rev_share_p50_p90 == 27.0 / 55.0
+
+    def test_ties_across_chunks_match_the_oracle_exactly(self, boom_eq):
+        n = 2 * firms.SAMPLE_CHUNK + 7
+        panel = tied_panel(np.resize([3.0, 1.0, 2.0, 3.0, 2.0], n))
+        m = sc.cross_section_moments(panel, boom_eq)
+        want = cross_section_moments_oracle(panel, boom_eq)
+        assert (m.rev_share_top10, m.rev_share_p50_p90) == (want.rev_share_top10,
+                                                            want.rev_share_p50_p90)
+        # integer revenues: every partial sum is exact
+        ranked = np.sort(panel.revenue)[::-1]
+        k10, k50 = round(0.1 * n), round(0.5 * n)
+        total = int(ranked.sum())
+        assert m.rev_share_top10 == int(ranked[:k10].sum()) / total
+        assert m.rev_share_p50_p90 == int(ranked[k10:k50].sum()) / total
+
+    def test_count_must_match_the_chunks(self, boom_eq):
+        with pytest.raises(ValueError):
+            sc.streamed_moments(sc.panel_chunks(boom_eq, 10, seed=1), boom_eq, 9, 1)
+        with pytest.raises(ValueError):
+            sc.streamed_moments(sc.panel_chunks(boom_eq, 10, seed=1), boom_eq, 11, 1)
+
+    def test_chunks_are_the_held_panel(self, boom_eq):
+        n = firms.SAMPLE_CHUNK + 3
+        panel = sc.sample_cross_section(boom_eq, n, seed=6)
+        chunks = list(sc.panel_chunks(boom_eq, n, seed=6))
+        assert [len(c["theta"]) for c in chunks] == [firms.SAMPLE_CHUNK, 3]
+        for name in firms.FirmPanel.COLUMNS:
+            assert np.array_equal(np.concatenate([c[name] for c in chunks]),
+                                  getattr(panel, name)), name
+
+    def test_empty_panel_rejected_at_the_call(self, boom_eq):
+        with pytest.raises(sc.EmptyPanel):
+            sc.panel_chunks(boom_eq, 0, seed=1)
+
+    def test_peak_memory_is_the_revenue_column_plus_a_chunk(self, boom_eq):
+        # the held panel takes 15 x 8 bytes per firm; streaming keeps the
+        # revenue column, 8 bytes per firm, and one chunk at a time
+        n = 1 << 20
+        tracemalloc.start()
+        try:
+            sc.streamed_moments(sc.panel_chunks(boom_eq, n, seed=2), boom_eq, n, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * n + CHUNK_BYTES, peak
 
 
 BRANCHES = ["a<0", "a>0", "s=0", "a=0"]

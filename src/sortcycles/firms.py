@@ -17,6 +17,7 @@ take them as arguments, since they also serve where no equilibrium is solved.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 
@@ -33,6 +34,8 @@ SAMPLE_CHUNK = 1 << 16
 
 _SQRT_HALF = math.sqrt(0.5)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+#: the top-share threshold is found once its step is this fraction of |t| + s
+_TOPSHARE_XTOL = 4.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -354,15 +357,46 @@ def _log_ndtr(x: float) -> float:
     return -0.5 * x * x - math.log(-x) - _LOG_SQRT_2PI + math.log(series)
 
 
+def _tail_prob(t: float, a: float, s: float, m: float) -> tuple[float, float]:
+    """(P(a*theta + s*Z > t), m*rest) for a != 0 and s > 0, where m is the
+    rate of |a|*theta and rest the tail probability's type term.
+
+    The tail probability's slope in t is -m*rest: differentiating rest also
+    gives a normal density that cancels the one of the first term once the
+    square is completed.
+    """
+    u = t / s
+    if a > 0.0:
+        rest = math.exp(min(-m * t + 0.5 * (m * s) ** 2 + _log_ndtr(u - m * s), 0.0))
+        return _ndtr(-u) + rest, m * rest
+    rest = math.exp(min(m * t + 0.5 * (m * s) ** 2 + _log_ndtr(-u - m * s), 0.0))
+    return _ndtr(-u) - rest, m * rest
+
+
+def _upper_share(t: float, a: float, s: float, rate: float, m: float) -> float:
+    """Share of E[exp(a*theta + s*Z)] earned where a*theta + s*Z > t."""
+    u = t / s
+    lead = _ndtr(s - u)
+    if a > 0.0:
+        return lead + math.exp(-(rate - a) * t / a + 0.5 * ((m * s) ** 2 - s * s)
+                               + _log_ndtr(u - m * s))
+    return lead - math.exp((rate + abs(a)) * t / abs(a) + 0.5 * ((m * s) ** 2 - s * s)
+                           + _log_ndtr(-u - m * s))
+
+
 def pareto_lognormal_topshare(a: float, s: float, rate: float, q: float) -> float:
     """Share of E[exp(a*theta + s*Z)] earned above its upper q-quantile,
     theta ~ Exp(rate), Z ~ N(0,1) independent.
 
-    Conditioning on Z makes both the tail probability and the truncated mean
-    closed forms (exponential survival times normal cdfs), so only the
-    threshold requires a scalar bisection.  Products exp(big)*ndtr(-big) are
-    assembled through log_ndtr to avoid overflow.  Requires rate > a for a
-    finite mean, which the capital-demand guard already enforces.
+    Conditioning on Z makes the tail probability, its slope and the truncated
+    mean closed forms (exponential survival times normal cdfs), so the
+    threshold is found by safeguarded Newton on the tail probability
+    (``rtsafe``, Press et al., Numerical Recipes, 9.4): a Newton step is
+    taken while it stays inside the sign-change bracket and at least halves
+    the step before last, a bisection step otherwise.  Products
+    exp(big)*ndtr(-big) are assembled through log_ndtr to avoid overflow.
+    Requires rate > a for a finite mean, which the capital-demand guard
+    already enforces.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie strictly between 0 and 1")
@@ -381,43 +415,30 @@ def pareto_lognormal_topshare(a: float, s: float, rate: float, q: float) -> floa
         return _ndtr(s - float(normal_icdf(1.0 - q)))
 
     m = rate / abs(a)  # type-tail rate per unit of log revenue
-
-    if a > 0.0:
-        def tail_prob(t: float) -> float:
-            u = t / s
-            return _ndtr(-u) + math.exp(min(-m * t + 0.5 * (m * s) ** 2
-                                           + _log_ndtr(u - m * s), 0.0))
-
-        def upper_share(t: float) -> float:
-            u = t / s
-            lead = _ndtr(s - u)
-            rest = math.exp(-(rate - a) * t / a + 0.5 * ((m * s) ** 2 - s * s)
-                            + _log_ndtr(u - m * s))
-            return lead + rest
-    else:
-        def tail_prob(t: float) -> float:
-            u = t / s
-            return _ndtr(-u) - math.exp(min(m * t + 0.5 * (m * s) ** 2
-                                           + _log_ndtr(-u - m * s), 0.0))
-
-        def upper_share(t: float) -> float:
-            u = t / s
-            lead = _ndtr(s - u)
-            rest = math.exp((rate + abs(a)) * t / abs(a) + 0.5 * ((m * s) ** 2 - s * s)
-                            + _log_ndtr(-u - m * s))
-            return lead - rest
-
     lo = -60.0 * s - 60.0 / m * (a < 0.0) - 1.0
     hi = 60.0 * s + (60.0 * a / rate if a > 0.0 else 0.0) + 1.0
+    # the pure-Pareto quantile for a > 0, the top of the type term for a < 0:
+    # math-only guesses, since one scalar numpy call costs more than the
+    # steps a better guess would save
+    t = -math.log(q) / m if a > 0.0 else 0.0
+    if not lo < t < hi:
+        t = 0.5 * (lo + hi)
+    step = before = hi - lo  # the last step and the one before it
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # the bracket cannot shrink further; every later step keeps it
-        if tail_prob(mid) > q:
-            lo = mid
+        p, slope = _tail_prob(t, a, s, m)
+        excess = p - q  # the root is above t while the tail holds more than q
+        if excess > 0.0:
+            lo = t
         else:
-            hi = mid
-    return upper_share(0.5 * (lo + hi))
+            hi = t
+        dt = excess / slope if slope > 0.0 else math.inf  # the Newton step
+        if not (lo <= t + dt <= hi and 2.0 * abs(dt) <= abs(before)):
+            dt = 0.5 * (lo + hi) - t  # bisect
+        before, step = step, dt
+        t += dt
+        if abs(dt) <= _TOPSHARE_XTOL * (abs(t) + s):
+            break
+    return _upper_share(t, a, s, rate, m)
 
 
 def revenue_concentration(eq: StaticEquilibrium) -> tuple[float, float]:

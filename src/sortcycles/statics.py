@@ -20,6 +20,7 @@ calibrations.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,8 @@ EXP_CAP = 700.0
 
 #: residual tolerance for the fixed point, scaled by max(1, lambda_theta_t)
 LAMBDA_TOL = 1e-12
+
+_EPS = sys.float_info.epsilon
 
 
 def _exp_checked(logx: float) -> float:
@@ -120,7 +123,7 @@ def solve_lambda(params: ValidatedParams, shock: AggregateShockState) -> float:
             hi = x
         else:
             lo = x
-        if hi - lo <= 8.0 * np.finfo(float).eps * hi:
+        if hi - lo <= 8.0 * _EPS * hi:
             # bracket collapsed to relative machine precision: the residual
             # floor is set by cancellation among G's terms, not by the root
             return 0.5 * (lo + hi)

@@ -165,9 +165,9 @@ def topshare_mc(a, s, rate, q, n, seed):
 
 
 def topshare_fixed_bisection(a, s, rate, q):
-    """``firms.pareto_lognormal_topshare`` with its threshold bisection run
-    for all 200 steps, without stopping once the bracket stops shrinking.
-    Its subject is the early stop, so it shares the package's normal cdfs."""
+    """``firms.pareto_lognormal_topshare`` with its threshold found by a
+    fixed 200-step bisection instead of safeguarded Newton.  Its subject is
+    the threshold search, so it shares the package's normal cdfs."""
     if s == 0.0:
         if a > 0.0:
             return q ** (1.0 - a / rate)

@@ -363,7 +363,7 @@ def cli_cases(draw):
     """(subcommand, option pairs, config, whether the argv is a usage error).
 
     Each option is (flag, values, whether a parsed value is in range)."""
-    sub = draw(st.sampled_from(["solve", "moments", "verify"]))
+    sub = draw(st.sampled_from(["solve", "moments", "verify", "calibrate"]))
     options = [("--seed", INTS, lambda v: 0 <= v < 2 ** 64),
                ("--threads", st.integers(0, 4), lambda v: v >= 1)]
     if sub in ("solve", "moments"):
@@ -384,6 +384,9 @@ def cli_cases(draw):
                 usage_error = usage_error or not in_range(value)
     if sub == "verify" and not any(flag == "--n-prop-points" for flag, _ in pairs):
         pairs.append(("--n-prop-points", "1"))
+    if sub == "calibrate":
+        pairs += [("--fast", None), ("--n-starts", "1"),
+                  ("--max-iter", repr(draw(st.integers(1, 5))))]
     if sub == "moments":
         if not any(flag == "--n-firms" for flag, _ in pairs):
             pairs.append(("--n-firms", "100"))
@@ -393,11 +396,13 @@ def cli_cases(draw):
 
 
 class TestContractProperty:
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(case=cli_cases())
     @example(case=("solve", [], ("number", json.dumps(TINY_PSI).encode()), False))
     @example(case=("moments", [("--n-firms", "10"), ("--panel-csv", None)],
                    ("number", json.dumps(BAD_CONFIGS["sigma1-20"]).encode()), False))
+    @example(case=("calibrate", [("--fast", None), ("--n-starts", "1"), ("--max-iter", "5")],
+                   ("published", json.dumps(PUBLISHED).encode()), False))
     def test_every_argv_ends_in_a_documented_exit_code(self, tmp_path_factory, case):
         sub, pairs, (kind, contents), usage_error = case
         root = tmp_path_factory.mktemp("argv")
@@ -412,16 +417,18 @@ class TestContractProperty:
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             rc = cli.run(argv)
-        event(f"exit {rc}")
+        event(f"{sub} exit {rc}")
         assert rc in (0, 1, 2, 3), (argv, rc)
         assert "Traceback" not in err.getvalue(), err.getvalue()
         if usage_error:
             assert rc == 2, (argv, rc, err.getvalue())
         if rc in (1, 2):
-            assert "error:" in err.getvalue(), (argv, rc)
+            assert err.getvalue().count("error:") == 1, (argv, rc, err.getvalue())
         if rc in (0, 3):
             for artifact in (root / "out").glob("*.json"):
                 strict_json(artifact.read_text())
+        if rc == 0 and sub == "calibrate":
+            assert strict_json((root / "out" / "calibration.json").read_text())["n_starts"] == 1
         if rc == 0 and ("--panel-csv", None) in pairs:
             n_firms = int(dict(pairs)["--n-firms"])
             assert len((root / "out" / "panel.csv").read_text().splitlines()) == n_firms + 1

@@ -386,6 +386,15 @@ def topshare_cases(branch):
     return cases
 
 
+@pytest.fixture()
+def log_ndtr_calls(monkeypatch):
+    """Arguments of every ``firms._log_ndtr`` call: one per tail evaluation or share."""
+    calls = []
+    log_ndtr = firms._log_ndtr
+    monkeypatch.setattr(firms, "_log_ndtr", lambda x: calls.append(x) or log_ndtr(x))
+    return calls
+
+
 def _use_scipys_normal_functions(monkeypatch):
     from scipy import special
     monkeypatch.setattr(firms, "_ndtr", special.ndtr)
@@ -439,12 +448,43 @@ class TestRevenueConcentration:
         assert got == pytest.approx(mc, abs=3e-3)
 
     @pytest.mark.parametrize("branch", BRANCHES)
-    def test_early_stop_equals_fixed_bisection(self, branch):
-        # the bisection stops once the bracket cannot shrink; from there the
-        # fixed 200 steps would return the same midpoint, so results are ==
-        for a, s, rate, q in topshare_cases(branch):
-            got = firms.pareto_lognormal_topshare(a, s, rate, q)
-            assert got == topshare_fixed_bisection(a, s, rate, q), (a, s, rate, q)
+    def test_matches_fixed_bisection(self, branch):
+        # not bit for bit: within a few ulps of the root tail_prob(t) - q
+        # changes sign back and forth between adjacent floats, so each
+        # search's last float depends on its own iterates; measured 8.9e-16
+        cases = topshare_cases(branch)
+        got = [firms.pareto_lognormal_topshare(*case) for case in cases]
+        want = [topshare_fixed_bisection(*case) for case in cases]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("branch", ["a<0", "a>0"])
+    def test_tail_slope_is_a_central_difference(self, branch):
+        # d tail_prob / dt = -m·rest, since the normal densities cancel;
+        # measured within 3.5e-7 relative, or 2.7e-10 where the slope is tiny
+        for a, s, rate, _ in topshare_cases(branch):
+            m = rate / abs(a)
+            for t in (-s - 1.0 / m, -0.5 * s, 0.0, 0.7 * s, s + 1.0 / m):
+                h = 1e-5 * (abs(t) + s)
+                fd = central_diff(lambda x: firms._tail_prob(x, a, s, m)[0], t, h)
+                slope = firms._tail_prob(t, a, s, m)[1]
+                assert -fd == pytest.approx(slope, rel=1e-6, abs=1e-9), (a, s, rate, t)
+
+    def test_tail_evaluations_per_concentration(self, boom_eq, recession_eq, log_ndtr_calls):
+        # two thresholds, each Newton's tail evaluations plus one share: 12
+        # at both published states, against about 120 for the bisection
+        for eq in (boom_eq, recession_eq):
+            log_ndtr_calls.clear()
+            firms.revenue_concentration(eq)
+            assert len(log_ndtr_calls) <= 40, len(log_ndtr_calls)
+
+    @pytest.mark.parametrize("branch", ["a<0", "a>0"])
+    def test_threshold_search_stays_far_below_its_cap(self, branch, log_ndtr_calls):
+        # the 200-step cap never binds: measured at most 15 tail evaluations
+        # and the share
+        for case in topshare_cases(branch):
+            log_ndtr_calls.clear()
+            firms.pareto_lognormal_topshare(*case)
+            assert len(log_ndtr_calls) <= 40, (case, len(log_ndtr_calls))
 
     @pytest.mark.parametrize("branch", ["a<0", "a>0", "a=0"])
     def test_shares_match_scipys_normal_cdfs(self, branch, monkeypatch):

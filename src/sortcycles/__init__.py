@@ -6,26 +6,55 @@ rate that is the model's central fixed point.  The package solves the
 within-period equilibrium in closed form, simulates the stochastic economy,
 calibrates it to cross-sectional and volatility targets, and verifies every
 closed form against independent quadrature and simulation oracles.
+
+The package namespace is lazy (PEP 562): ``import sortcycles`` runs no
+submodule, and each exported name or submodule is imported on first use, so
+``sortcycles.load_config`` needs the standard library alone.
 """
 
-from .errors import (BracketFailure, DomainError, EmptyPanel, GridExit, InvalidProcess,
-                     NoConvergence, NonFinite, NoRoot, SortCyclesError,
-                     UnboundedCapitalDemand)
-from .params import (AggregateShockState, MarkovChain2, ModelParams, ThetaRedrawProcess,
-                     ValidatedParams, load_config, stationary_distribution,
-                     published_calibration, validate)
-from .statics import (Coefficients, StaticEquilibrium, aggregates, coefficients,
-                      measured_tfp, solve_lambda, solve_static)
-from .firms import (CrossSectionMoments, FirmDraw, FirmOutcome, FirmPanel,
-                    analytic_moments, cross_section_moments, firm_outcome, matching,
-                    panel_chunks, sample_cross_section, streamed_moments, wage)
-from .dynamics import (GridSpec, IRFResult, Policy, SimulationPath, euler_residuals,
-                       impulse_response, simulate, solve_policy, steady_state)
-# the calibrate() entry point stays on its submodule (sortcycles.calibrate.calibrate)
-# so the submodule itself is not shadowed by a function of the same name
-from .calibrate import CalibrationResult, SimConfig, TargetSet, model_moments, objective
-from .verify import (CheckResult, VerificationReport, check_capital_market,
-                     check_goods_market, check_job_density, check_worker_clearing,
-                     proposition_suite, run_verification, theta_process_check)
+import importlib
 
 __version__ = "0.1.0"
+
+#: the submodule that defines each exported name
+_EXPORTS = {
+    **dict.fromkeys(("BracketFailure", "DomainError", "EmptyPanel", "GridExit",
+                     "InvalidProcess", "NoConvergence", "NonFinite", "NoRoot",
+                     "SortCyclesError", "UnboundedCapitalDemand"), "errors"),
+    **dict.fromkeys(("AggregateShockState", "MarkovChain2", "ModelParams",
+                     "ThetaRedrawProcess", "ValidatedParams", "load_config",
+                     "stationary_distribution", "published_calibration", "validate"), "params"),
+    **dict.fromkeys(("Coefficients", "StaticEquilibrium", "aggregates", "coefficients",
+                     "measured_tfp", "solve_lambda", "solve_static"), "statics"),
+    **dict.fromkeys(("CrossSectionMoments", "FirmDraw", "FirmOutcome", "FirmPanel",
+                     "analytic_moments", "cross_section_moments", "firm_outcome", "matching",
+                     "panel_chunks", "sample_cross_section", "streamed_moments", "wage"),
+                    "firms"),
+    **dict.fromkeys(("GridSpec", "IRFResult", "Policy", "SimulationPath", "euler_residuals",
+                     "impulse_response", "simulate", "solve_policy", "steady_state"),
+                    "dynamics"),
+    # the calibrate() entry point stays on its submodule (sortcycles.calibrate.calibrate)
+    # so the submodule itself is not shadowed by a function of the same name
+    **dict.fromkeys(("CalibrationResult", "SimConfig", "TargetSet", "model_moments",
+                     "objective"), "calibrate"),
+    **dict.fromkeys(("CheckResult", "VerificationReport", "check_capital_market",
+                     "check_goods_market", "check_job_density", "check_worker_clearing",
+                     "proposition_suite", "run_verification", "theta_process_check"), "verify"),
+}
+_SUBMODULES = ("errors", "params", "rng", "statics", "firms", "dynamics", "calibrate", "verify")
+
+__all__ = sorted([*_EXPORTS, *_SUBMODULES])
+
+
+def __getattr__(name):
+    # resolved on every access, never stored here, so a name rebound on its
+    # submodule (a test's monkeypatch, a tracing wrapper) is seen at once
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -9,6 +9,10 @@ timestamps appear, so reruns are byte-identical.  A JSON artifact that would
 hold NaN or Infinity is a domain error instead.  All randomness descends
 from the single --seed through named streams.  No subcommand starts worker
 threads; --threads is accepted (and must be at least 1) but has no effect.
+
+Each subcommand imports the modules it runs, numpy among them, when it runs.
+Parsing, --help and every usage error (exit 2) load the standard library
+alone, and reading the config adds only ``errors`` and ``params``.
 """
 
 from __future__ import annotations
@@ -19,14 +23,16 @@ import json
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import calibrate as calibrate_mod
-from . import dynamics, firms, statics, verify
 from .errors import NonFinite, SortCyclesError
 from .params import AggregateShockState, load_config, read_json_object
-from .rng import chunk_ranges
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .calibrate import TargetSet
+    from .statics import StaticEquilibrium
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -41,6 +47,8 @@ PANEL_CSV_COLUMNS = ("theta", "eps1", "eps2", "Q", "k", "l", "chi", "revenue",
 
 
 def _fmt(value):
+    import numpy as np
+
     if isinstance(value, float):
         return float(f"{value:.17g}")
     if isinstance(value, (np.floating,)):
@@ -64,6 +72,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _csv_rows(cols: list[np.ndarray]) -> str:
     """CSV lines of equal-length columns, each cell with 17 significant digits."""
+    import numpy as np
+
     cells = np.column_stack(cols).ravel().tolist()
     return (",".join(["%.17g"] * len(cols)) + "\n") * cols[0].shape[0] % tuple(cells)
 
@@ -75,6 +85,10 @@ def _csv_chunks(path: Path, names: Sequence[str],
     The header comes first; rows are formatted CSV_BLOCK_ROWS at a time, so
     the text held at once is bounded.  If the chunks fail, the file is removed.
     """
+    import numpy as np
+
+    from .rng import chunk_ranges
+
     try:
         with path.open("w") as fh:
             fh.write(",".join(names) + "\n")
@@ -98,7 +112,7 @@ def _summary(payload: dict) -> None:
     sys.stdout.write(json.dumps(_fmt(payload), sort_keys=False) + "\n")
 
 
-def _equilibrium_payload(eq: statics.StaticEquilibrium) -> dict:
+def _equilibrium_payload(eq: StaticEquilibrium) -> dict:
     c = eq.coefficients
     return {
         "lambda_t": eq.lambda_t,
@@ -174,6 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args, params, chain, out):
+    from . import dynamics, statics
+
     shock = AggregateShockState.from_params(params, z=args.z, A=args.A)
     K = args.K if args.K is not None else dynamics.steady_state(params, args.z, args.A)[0]
     eq = statics.solve_static(params, shock, K)
@@ -184,6 +200,8 @@ def _cmd_solve(args, params, chain, out):
 
 
 def _cmd_moments(args, params, chain, out):
+    from . import dynamics, firms, statics
+
     shock = AggregateShockState.from_params(params, z=args.z, A=args.A)
     K = args.K if args.K is not None else dynamics.steady_state(params, args.z, args.A)[0]
     eq = statics.solve_static(params, shock, K)
@@ -197,6 +215,10 @@ def _cmd_moments(args, params, chain, out):
 
 
 def _cmd_simulate(args, params, chain, out):
+    import numpy as np
+
+    from . import dynamics
+
     policy = dynamics.solve_policy(params, chain, grid_spec=dynamics.GridSpec(n=args.grid_size))
     path = dynamics.simulate(policy, T=args.T, burn_in=args.burn_in, seed=args.seed)
     cols = {"t": np.arange(args.T, dtype=float), "z": path.z, "K": path.K, "Y": path.Y,
@@ -210,6 +232,10 @@ def _cmd_simulate(args, params, chain, out):
 
 
 def _cmd_irf(args, params, chain, out):
+    import numpy as np
+
+    from . import dynamics
+
     policy = dynamics.solve_policy(params, chain, grid_spec=dynamics.GridSpec(n=args.grid_size))
     irf = dynamics.impulse_response(policy, horizon=args.horizon, n_sims=args.n_sims,
                                     seed=args.seed)
@@ -226,9 +252,11 @@ def _cmd_irf(args, params, chain, out):
     return EXIT_OK
 
 
-def _load_targets(path: str | None) -> calibrate_mod.TargetSet:
+def _load_targets(path: str | None) -> TargetSet:
+    from .calibrate import TargetSet
+
     if path is None:
-        return calibrate_mod.TargetSet()
+        return TargetSet()
     raw = read_json_object(path, "targets")
     allowed = {"labor_share", "wage_inequality", "rev_share_top10",
                "rev_share_p50_p90", "std_tfp", "weights"}
@@ -237,15 +265,17 @@ def _load_targets(path: str | None) -> calibrate_mod.TargetSet:
         raise SortCyclesError(f"unknown key(s) in targets file: {', '.join(unknown)}")
     if isinstance(raw.get("weights"), list):
         raw["weights"] = tuple(raw["weights"])
-    return calibrate_mod.TargetSet(**raw)
+    return TargetSet(**raw)
 
 
 def _cmd_calibrate(args, params, chain, out):
+    from . import calibrate
+
     targets = _load_targets(args.targets)
-    sim_config = calibrate_mod.SimConfig(fast=args.fast, T=args.T, burn_in=args.burn_in)
-    result = calibrate_mod.calibrate(params, targets, seed=args.seed,
-                                     n_starts=args.n_starts, sim_config=sim_config,
-                                     chain_template=chain, max_iter_per_start=args.max_iter)
+    sim_config = calibrate.SimConfig(fast=args.fast, T=args.T, burn_in=args.burn_in)
+    result = calibrate.calibrate(params, targets, seed=args.seed,
+                                 n_starts=args.n_starts, sim_config=sim_config,
+                                 chain_template=chain, max_iter_per_start=args.max_iter)
     payload = {"params": result.params, "objective": result.objective,
                "moments": result.moments, "n_evaluations": result.n_evaluations,
                "seed": result.seed, "n_starts": result.n_starts}
@@ -255,6 +285,8 @@ def _cmd_calibrate(args, params, chain, out):
 
 
 def _cmd_verify(args, params, chain, out):
+    from . import verify
+
     shocks = [AggregateShockState.from_params(params, z=z) for z in chain.z_states]
     report = verify.run_verification(params, shocks, n_prop_points=args.n_prop_points)
     payload = {"passed": report.passed,

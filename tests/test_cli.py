@@ -14,7 +14,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import sortcycles
-from sortcycles import cli, firms, verify
+from sortcycles import calibrate, cli, firms, verify
 
 from .oracles import cross_section_moments_oracle, write_csv_oracle
 from .test_firms import CHUNK_BYTES, assert_moments_agree
@@ -159,9 +159,9 @@ class TestCalibrate:
                       "--out", str(tmp_path)])
         assert rc == 0
         payload = json.loads((tmp_path / "calibration.json").read_text())
-        targets = cli.calibrate_mod.TargetSet()
+        targets = calibrate.TargetSet()
         recomputed = sum(w * (payload["moments"][name] / target - 1.0) ** 2
-                         for w, name, target in zip(targets.weights, cli.calibrate_mod.MOMENT_NAMES,
+                         for w, name, target in zip(targets.weights, calibrate.MOMENT_NAMES,
                                                     targets.values()))
         assert payload["objective"] == pytest.approx(recomputed, rel=1e-12)
 
@@ -328,7 +328,8 @@ def strict_json(text: str):
 #: values argparse cannot convert to an int or a float
 NOT_A_NUMBER = st.sampled_from(["", "abc", "1..5", "0x10"])
 INTS = st.one_of(st.integers(0, 2 ** 64 - 1), st.sampled_from([-1, 2 ** 64, -2 ** 63]))
-FLOATS = st.one_of(st.floats(0.0, 1.0), st.floats(allow_nan=True, allow_infinity=True),
+FLOATS = st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 1e6),
+                   st.floats(allow_nan=True, allow_infinity=True),
                    st.sampled_from([0.0, -0.0, 1e-320, 1e308, 0.3984]))
 
 
@@ -363,7 +364,7 @@ def cli_cases(draw):
     """(subcommand, option pairs, config, whether the argv is a usage error).
 
     Each option is (flag, values, whether a parsed value is in range)."""
-    sub = draw(st.sampled_from(["solve", "moments", "verify", "calibrate"]))
+    sub = draw(st.sampled_from(["solve", "moments", "simulate", "irf", "verify", "calibrate"]))
     options = [("--seed", INTS, lambda v: 0 <= v < 2 ** 64),
                ("--threads", st.integers(0, 4), lambda v: v >= 1)]
     if sub in ("solve", "moments"):
@@ -387,6 +388,16 @@ def cli_cases(draw):
     if sub == "calibrate":
         pairs += [("--fast", None), ("--n-starts", "1"),
                   ("--max-iter", repr(draw(st.integers(1, 5))))]
+    if sub in ("simulate", "irf"):
+        pairs.append(("--grid-size", repr(draw(st.integers(2, 100)))))
+    if sub == "simulate":
+        T = draw(st.integers(1, 500))
+        burn_in = draw(st.integers(0, min(T, 50)))
+        pairs += [("--T", repr(T)), ("--burn-in", repr(burn_in))]
+        usage_error = usage_error or T <= burn_in
+    if sub == "irf":
+        pairs += [("--horizon", repr(draw(st.integers(0, 20)))),
+                  ("--n-sims", repr(draw(st.integers(1, 10))))]
     if sub == "moments":
         if not any(flag == "--n-firms" for flag, _ in pairs):
             pairs.append(("--n-firms", "100"))
@@ -396,13 +407,15 @@ def cli_cases(draw):
 
 
 class TestContractProperty:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(case=cli_cases())
     @example(case=("solve", [], ("number", json.dumps(TINY_PSI).encode()), False))
     @example(case=("moments", [("--n-firms", "10"), ("--panel-csv", None)],
                    ("number", json.dumps(BAD_CONFIGS["sigma1-20"]).encode()), False))
     @example(case=("calibrate", [("--fast", None), ("--n-starts", "1"), ("--max-iter", "5")],
                    ("published", json.dumps(PUBLISHED).encode()), False))
+    @example(case=("simulate", [("--grid-size", "20"), ("--T", "50"), ("--burn-in", "10")],
+                   ("number", json.dumps(BAD_CONFIGS["lambda-theta-1e300"]).encode()), False))
     def test_every_argv_ends_in_a_documented_exit_code(self, tmp_path_factory, case):
         sub, pairs, (kind, contents), usage_error = case
         root = tmp_path_factory.mktemp("argv")
@@ -432,6 +445,12 @@ class TestContractProperty:
         if rc == 0 and ("--panel-csv", None) in pairs:
             n_firms = int(dict(pairs)["--n-firms"])
             assert len((root / "out" / "panel.csv").read_text().splitlines()) == n_firms + 1
+        if rc == 0 and sub == "simulate":
+            T = int(dict(pairs)["--T"])
+            assert len((root / "out" / "path.csv").read_text().splitlines()) == T + 1
+        if rc == 0 and sub == "irf":
+            horizon = int(dict(pairs)["--horizon"])
+            assert len((root / "out" / "irf.csv").read_text().splitlines()) == horizon + 2
 
 
 class TestDeterminism:
@@ -495,27 +514,46 @@ def _fresh_python(*args, cwd):
 
 
 _NO_SCIPY_SCRIPT = """
-import json, sys
-import sortcycles
-from sortcycles import cli
+import contextlib, io, json, sys
 config, out = sys.argv[1:]
+
+
+def loaded(*packages):
+    return sorted(m for m in sys.modules if m.split(".")[0] in packages)
+
+
+import sortcycles
+sortcycles.load_config(config)
+report = {"load_config": loaded("numpy", "sortcycles")}
+from sortcycles import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.run(["--help"]), cli.run(["solve", "--help"]), cli.run(["no-such-command"]),
+             cli.run(["solve", "--params", config, "--z", "abc"]),
+             cli.run(["irf", "--params", config, "--n-sims", "0"]),
+             cli.run(["simulate", "--params", config, "--T", "5", "--burn-in", "5"]),
+             cli.run(["verify", "--params", config, "--seed", "-1"])]
+report["usage"] = {"codes": codes, "numpy": loaded("numpy")}
 for argv in (["solve"], ["moments", "--n-firms", "2000", "--panel-csv"],
              ["simulate", "--T", "300", "--burn-in", "10", "--grid-size", "60"],
              ["irf", "--horizon", "4", "--n-sims", "20", "--grid-size", "60"]):
     if cli.run([*argv, "--params", config, "--out", out]) != 0:
         raise SystemExit(f"{argv[0]} failed")
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+report["scipy"] = loaded("scipy")
+report["sortcycles"] = loaded("sortcycles")
+print(json.dumps(report))
 """
 
 
 _NO_SCIPY_CALIBRATE_VERIFY_SCRIPT = """
 import json, sys
 from sortcycles import cli
-config, out = sys.argv[1:]
-for argv in (["calibrate", "--fast", "--n-starts", "1"], ["verify", "--n-prop-points", "2"]):
-    if cli.run([*argv, "--params", config, "--out", out]) != 0:
-        raise SystemExit(f"{argv[0]} failed")
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+config, out, subcommand = sys.argv[1:]
+argv = {"calibrate": ["calibrate", "--fast", "--n-starts", "1"],
+        "verify": ["verify", "--n-prop-points", "2"]}[subcommand]
+if cli.run([*argv, "--params", config, "--out", out]) != 0:
+    raise SystemExit(f"{subcommand} failed")
+print(json.dumps({package: sorted(m for m in sys.modules if m.split(".")[0] == package)
+                  for package in ("scipy", "sortcycles")}))
 """
 
 
@@ -545,20 +583,60 @@ for argv in (["solve"], ["moments", "--n-firms", "2000", "--panel-csv"],
 """
 
 
-class TestFreshInterpreter:
-    def test_solve_moments_and_dynamics_never_import_scipy(self, config_path, tmp_path):
-        # importing scipy would cost a large part of every CLI start
-        proc = _fresh_python("-c", _NO_SCIPY_SCRIPT, config_path, str(tmp_path), cwd=tmp_path)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == []
+@pytest.fixture(scope="module")
+def solve_to_irf_report(config_path, tmp_path_factory):
+    """What a fresh interpreter loaded at each stage of _NO_SCIPY_SCRIPT."""
+    out = tmp_path_factory.mktemp("no-scipy")
+    proc = _fresh_python("-c", _NO_SCIPY_SCRIPT, config_path, str(out), cwd=out)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
-    def test_calibrate_and_verify_never_import_scipy(self, config_path, tmp_path):
+
+@pytest.fixture(scope="module")
+def calibrate_verify_reports(config_path, tmp_path_factory):
+    """Subcommand -> what a fresh interpreter that ran it alone loaded."""
+    reports = {}
+    for subcommand in ("calibrate", "verify"):
+        out = tmp_path_factory.mktemp(subcommand)
+        proc = _fresh_python("-c", _NO_SCIPY_CALIBRATE_VERIFY_SCRIPT, config_path, str(out),
+                             subcommand, cwd=out)
+        assert proc.returncode == 0, proc.stderr
+        reports[subcommand] = json.loads(proc.stdout.splitlines()[-1])
+    return reports
+
+
+class TestFreshInterpreter:
+    def test_solve_moments_and_dynamics_never_import_scipy(self, solve_to_irf_report):
+        # importing scipy would cost a large part of every CLI start
+        assert solve_to_irf_report["scipy"] == []
+
+    def test_load_config_loads_no_numpy_and_no_model_layer(self, solve_to_irf_report):
+        # the package namespace is lazy, and the config reader needs the
+        # standard library alone
+        assert solve_to_irf_report["load_config"] == [
+            "sortcycles", "sortcycles.errors", "sortcycles.params"]
+
+    def test_help_and_usage_errors_load_no_numpy(self, solve_to_irf_report):
+        assert solve_to_irf_report["usage"] == {"codes": [0, 0, 2, 2, 2, 2, 2], "numpy": []}
+
+    def test_solve_moments_and_dynamics_never_load_calibrate_or_verify(self,
+                                                                       solve_to_irf_report):
+        loaded = set(solve_to_irf_report["sortcycles"])
+        assert {"sortcycles.dynamics", "sortcycles.firms"} <= loaded
+        assert loaded & {"sortcycles.calibrate", "sortcycles.verify"} == set()
+
+    def test_calibrate_and_verify_never_import_scipy(self, calibrate_verify_reports):
         # the least-squares search, the normal cdfs of the revenue shares and
         # the type quadrature are numpy and the standard library alone
-        proc = _fresh_python("-c", _NO_SCIPY_CALIBRATE_VERIFY_SCRIPT, config_path,
-                             str(tmp_path), cwd=tmp_path)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == []
+        assert [r["scipy"] for r in calibrate_verify_reports.values()] == [[], []]
+
+    def test_calibrate_and_verify_never_load_each_other(self, calibrate_verify_reports):
+        calibrate_loaded = calibrate_verify_reports["calibrate"]["sortcycles"]
+        verify_loaded = calibrate_verify_reports["verify"]["sortcycles"]
+        assert "sortcycles.calibrate" in calibrate_loaded
+        assert "sortcycles.verify" not in calibrate_loaded
+        assert "sortcycles.verify" in verify_loaded
+        assert "sortcycles.calibrate" not in verify_loaded
 
     def test_every_subcommand_runs_where_scipy_cannot_be_imported(self, config_path,
                                                                   tmp_path):

@@ -1,6 +1,9 @@
 import ast
+import importlib
 import sys
 from pathlib import Path
+
+import pytest
 
 import sortcycles
 
@@ -19,3 +22,61 @@ class TestImports:
                     requested.add(node.module.split(".")[0])
         assert "numpy" in requested
         assert requested - {"numpy"} - set(sys.stdlib_module_names) == set()
+
+
+#: the package's exported names, by the submodule that defines them
+EXPORTED = {
+    "errors": ("BracketFailure", "DomainError", "EmptyPanel", "GridExit", "InvalidProcess",
+               "NoConvergence", "NonFinite", "NoRoot", "SortCyclesError",
+               "UnboundedCapitalDemand"),
+    "params": ("AggregateShockState", "MarkovChain2", "ModelParams", "ThetaRedrawProcess",
+               "ValidatedParams", "load_config", "stationary_distribution",
+               "published_calibration", "validate"),
+    "statics": ("Coefficients", "StaticEquilibrium", "aggregates", "coefficients",
+                "measured_tfp", "solve_lambda", "solve_static"),
+    "firms": ("CrossSectionMoments", "FirmDraw", "FirmOutcome", "FirmPanel", "analytic_moments",
+              "cross_section_moments", "firm_outcome", "matching", "panel_chunks",
+              "sample_cross_section", "streamed_moments", "wage"),
+    "dynamics": ("GridSpec", "IRFResult", "Policy", "SimulationPath", "euler_residuals",
+                 "impulse_response", "simulate", "solve_policy", "steady_state"),
+    "calibrate": ("CalibrationResult", "SimConfig", "TargetSet", "model_moments", "objective"),
+    "verify": ("CheckResult", "VerificationReport", "check_capital_market",
+               "check_goods_market", "check_job_density", "check_worker_clearing",
+               "proposition_suite", "run_verification", "theta_process_check"),
+}
+SUBMODULES = (*EXPORTED, "rng")
+
+
+class TestNamespace:
+    def test_each_name_is_its_submodules_object(self):
+        for module, names in EXPORTED.items():
+            submodule = importlib.import_module(f"sortcycles.{module}")
+            for name in names:
+                assert getattr(sortcycles, name) is getattr(submodule, name), name
+
+    def test_each_submodule_is_an_attribute(self):
+        for module in SUBMODULES:
+            assert sortcycles.__getattr__(module) is sys.modules[f"sortcycles.{module}"]
+            assert getattr(sortcycles, module) is sys.modules[f"sortcycles.{module}"]
+        # the calibrate() entry point stays on its submodule
+        assert sortcycles.calibrate.calibrate.__module__ == "sortcycles.calibrate"
+
+    def test_dir_and_all_list_every_name(self):
+        names = {*SUBMODULES, *(n for names in EXPORTED.values() for n in names)}
+        assert set(sortcycles.__all__) == names
+        assert names | {"__version__"} <= set(dir(sortcycles))
+
+    def test_unknown_names_raise(self):
+        with pytest.raises(AttributeError, match="no attribute 'kernels'"):
+            sortcycles.kernels
+        with pytest.raises(ImportError):
+            from sortcycles import kernels  # noqa: F401
+
+    def test_a_name_rebound_on_its_submodule_is_seen(self, monkeypatch):
+        # nothing is cached on the package, so a wrapper installed on the
+        # defining module (as the benchmark's tracer does) is what callers get
+        def wrapped(*args, **kwargs):
+            return None
+
+        monkeypatch.setattr(sortcycles.statics, "solve_static", wrapped)
+        assert sortcycles.solve_static is wrapped

@@ -28,7 +28,8 @@ _EXPORTS = {
                      "measured_tfp", "solve_lambda", "solve_static"), "statics"),
     **dict.fromkeys(("CrossSectionMoments", "FirmDraw", "FirmOutcome", "FirmPanel",
                      "analytic_moments", "cross_section_moments", "firm_outcome", "matching",
-                     "panel_chunks", "sample_cross_section", "streamed_moments", "wage"),
+                     "panel_chunks", "panel_moments", "sample_cross_section",
+                     "streamed_moments", "wage"),
                     "firms"),
     **dict.fromkeys(("GridSpec", "IRFResult", "Policy", "SimulationPath", "euler_residuals",
                      "impulse_response", "simulate", "solve_policy", "steady_state"),

@@ -7,8 +7,11 @@ Every file this tool writes is a pure function of (config, flags, seed):
 floats are emitted with 17 significant digits, key order is fixed, and no
 timestamps appear, so reruns are byte-identical.  A JSON artifact that would
 hold NaN or Infinity is a domain error instead.  All randomness descends
-from the single --seed through named streams.  No subcommand starts worker
-threads; --threads is accepted (and must be at least 1) but has no effect.
+from the single --seed through named streams.  --threads (at least 1) sets
+the processes ``moments`` reduces its panel with, capped at the cores
+available and the panel's chunks; the other subcommands ignore it, and every
+artifact is the same for every value.  A run that needs more memory than it
+can have is a domain error.
 
 Each subcommand imports the modules it runs, numpy among them, when it runs.
 Parsing, --help and every usage error (exit 2) load the standard library
@@ -18,12 +21,14 @@ alone, and reading the config adds only ``errors`` and ``params``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import os
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TextIO
 
 from .errors import NonFinite, SortCyclesError
 from .params import AggregateShockState, load_config, read_json_object
@@ -78,34 +83,36 @@ def _csv_rows(cols: list[np.ndarray]) -> str:
     return (",".join(["%.17g"] * len(cols)) + "\n") * cols[0].shape[0] % tuple(cells)
 
 
-def _csv_chunks(path: Path, names: Sequence[str],
-                chunks: Iterable[dict[str, np.ndarray]]) -> Iterator[dict[str, np.ndarray]]:
-    """Yield each of ``chunks`` after appending its ``names`` columns to the CSV file ``path``.
-
-    The header comes first; rows are formatted CSV_BLOCK_ROWS at a time, so
-    the text held at once is bounded.  If the chunks fail, the file is removed.
-    """
+def _write_rows(fh: TextIO, cols: Sequence[np.ndarray]) -> None:
+    """Append the rows of equal-length columns to ``fh``, CSV_BLOCK_ROWS at a time,
+    so the text held at once is bounded."""
     import numpy as np
 
-    from .rng import chunk_ranges
+    cols = [np.asarray(col, dtype=np.float64) for col in cols]
+    for start in range(0, cols[0].shape[0], CSV_BLOCK_ROWS):
+        fh.write(_csv_rows([col[start:start + CSV_BLOCK_ROWS] for col in cols]))
 
+
+def _write_panel_rows(fh: TextIO, chunk: dict[str, np.ndarray]) -> None:
+    _write_rows(fh, [chunk[name] for name in PANEL_CSV_COLUMNS])
+
+
+@contextlib.contextmanager
+def _csv_file(path: Path, names: Sequence[str]) -> Iterator[TextIO]:
+    """The CSV file ``path``, open for writing after its header; it is removed
+    if the block fails, whatever the exception."""
     try:
         with path.open("w") as fh:
             fh.write(",".join(names) + "\n")
-            for chunk in chunks:
-                cols = [np.asarray(chunk[name], dtype=np.float64) for name in names]
-                for start, stop in chunk_ranges(cols[0].shape[0], CSV_BLOCK_ROWS):
-                    fh.write(_csv_rows([col[start:stop] for col in cols]))
-                yield chunk
-                del chunk, cols  # before the next chunk is drawn
-    except Exception:
+            yield fh
+    except BaseException:
         path.unlink(missing_ok=True)
         raise
 
 
 def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
-    for _ in _csv_chunks(path, list(columns), [columns]):
-        pass
+    with _csv_file(path, list(columns)) as fh:
+        _write_rows(fh, list(columns.values()))
 
 
 def _summary(payload: dict) -> None:
@@ -136,7 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=12345, help="master seed (uint64)")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="ignored: no subcommand starts worker threads")
+                       help="processes that moments reduces its panel with, at most the "
+                            "cores available and the panel's chunks; other subcommands "
+                            "ignore it, and artifacts are the same for every value")
 
     p = sub.add_parser("solve", help="one period's static equilibrium as JSON")
     common(p)
@@ -199,16 +208,29 @@ def _cmd_solve(args, params, chain, out):
     return EXIT_OK
 
 
+def _cores() -> int:
+    """Cores this process may run on; 1 where it cannot fork workers."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _cmd_moments(args, params, chain, out):
     from . import dynamics, firms, statics
 
     shock = AggregateShockState.from_params(params, z=args.z, A=args.A)
     K = args.K if args.K is not None else dynamics.steady_state(params, args.z, args.A)[0]
     eq = statics.solve_static(params, shock, K)
-    chunks = firms.panel_chunks(eq, args.n_firms, args.seed)
+    workers = min(args.threads, _cores())
     if args.panel_csv:
-        chunks = _csv_chunks(out / "panel.csv", PANEL_CSV_COLUMNS, chunks)
-    payload = dataclasses.asdict(firms.streamed_moments(chunks, eq, args.n_firms, args.seed))
+        with _csv_file(out / "panel.csv", PANEL_CSV_COLUMNS) as fh:
+            moments = firms.panel_moments(eq, args.n_firms, args.seed, workers,
+                                          fh, _write_panel_rows)
+    else:
+        moments = firms.panel_moments(eq, args.n_firms, args.seed, workers)
+    payload = dataclasses.asdict(moments)
     _write_json(out / "moments.json", payload)
     _summary({"subcommand": "moments", **payload})
     return EXIT_OK
@@ -342,6 +364,9 @@ def run(argv=None) -> int:
         return _DISPATCH[args.subcommand](args, params, chain, out)
     except SortCyclesError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_DOMAIN
+    except MemoryError as exc:
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return EXIT_DOMAIN
 
 

@@ -7,7 +7,8 @@ moments of an exponential type mixed with Gaussian wedges: log quantities are
 Pareto-lognormal convolutions with Pareto upper tails.  Sampling realizes the
 continuum as a finite panel with counter-based draws, which makes panels
 deterministic in (n, seed) and independent of chunking; its moments are
-reduced chunk by chunk, so a panel need never be held whole.
+reduced chunk by chunk, so a panel need never be held whole, and runs of
+chunks can be reduced by forked worker processes with the same result.
 
 Functions of a solved equilibrium read ``eq.params`` and ``eq.shock``; only
 the lambda-level formulas (:func:`dispersions`, :func:`tfpr_type_loading`)
@@ -17,20 +18,24 @@ take them as arguments, since they also serve where no equilibrium is solved.
 from __future__ import annotations
 
 import math
+import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, fields
+from typing import NoReturn, TextIO
 
 import numpy as np
 
-from .errors import EmptyPanel, NonFinite
+from .errors import EmptyPanel, NonFinite, SortCyclesError
 from .params import AggregateShockState, ValidatedParams
 from .rng import block_uniforms, chunk_ranges, exponential_icdf, normal_icdf
 from .statics import EXP_CAP, StaticEquilibrium
 
-#: firms per sampling chunk, the unit of the streamed moments and of panel.csv;
-#: since each firm owns one Philox block the panel does not depend on it
-SAMPLE_CHUNK = 1 << 16
+#: firms per sampling chunk, the unit of the streamed moments, of panel.csv and
+#: of the runs that worker processes reduce; a chunk's 15 columns and their
+#: temporaries peak at about 4 MB.  Since each firm owns one Philox block the
+#: panel does not depend on it
+SAMPLE_CHUNK = 1 << 14
 
 _SQRT_HALF = math.sqrt(0.5)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -221,6 +226,13 @@ def _sample_chunk(eq: StaticEquilibrium, seed: int, start: int,
     return _firm_arrays(eq, theta, eps1, eps2)
 
 
+def _chunks(eq: StaticEquilibrium, seed: int, start: int,
+            stop: int) -> Iterator[dict[str, np.ndarray]]:
+    """Firms start to stop - 1 of the seeded panel, drawn lazily in chunks of SAMPLE_CHUNK."""
+    return (_sample_chunk(eq, seed, a, min(a + SAMPLE_CHUNK, stop))
+            for a in range(start, stop, SAMPLE_CHUNK))
+
+
 def panel_chunks(eq: StaticEquilibrium, n: int, seed: int) -> Iterator[dict[str, np.ndarray]]:
     """The seeded n-firm panel as column dicts of at most SAMPLE_CHUNK firms, in draw order.
 
@@ -231,8 +243,7 @@ def panel_chunks(eq: StaticEquilibrium, n: int, seed: int) -> Iterator[dict[str,
     """
     if n < 1:
         raise EmptyPanel("panel size must be at least 1")
-    return (_sample_chunk(eq, seed, start, stop)
-            for start, stop in chunk_ranges(n, SAMPLE_CHUNK))
+    return _chunks(eq, seed, 0, n)
 
 
 def sample_cross_section(eq: StaticEquilibrium, n: int, seed: int) -> FirmPanel:
@@ -252,7 +263,10 @@ def sample_cross_section(eq: StaticEquilibrium, n: int, seed: int) -> FirmPanel:
     return FirmPanel(cols, seed)
 
 
-def _spread(values: np.ndarray, weights: np.ndarray | None = None) -> tuple[float, float, float]:
+_Spread = tuple[float, float, float]
+
+
+def _spread(values: np.ndarray, weights: np.ndarray | None = None) -> _Spread:
     """(total weight, mean, M2) of one chunk, with unit weights where none are given."""
     if weights is None:
         mean = values.mean()
@@ -262,8 +276,7 @@ def _spread(values: np.ndarray, weights: np.ndarray | None = None) -> tuple[floa
     return float(total), float(mean), float((((values - mean) ** 2) * weights).sum())
 
 
-def _merge_spread(a: tuple[float, float, float],
-                  b: tuple[float, float, float]) -> tuple[float, float, float]:
+def _merge_spread(a: _Spread, b: _Spread) -> _Spread:
     """Pairwise update of Chan, Golub & LeVeque (1979); exact when a is (0, 0, 0)."""
     wa, ma, qa = a
     wb, mb, qb = b
@@ -272,25 +285,13 @@ def _merge_spread(a: tuple[float, float, float],
     return w, ma + delta * (wb / w), qa + qb + delta * delta * (wa * wb / w)
 
 
-def streamed_moments(chunks: Iterable[dict[str, np.ndarray]], eq: StaticEquilibrium,
-                     n: int, seed: int) -> CrossSectionMoments:
-    """Empirical dispersion and concentration moments of an n-firm panel given in chunks.
-
-    Each chunk is reduced to a weight, mean and M2 per log-variance, merged
-    pairwise; only the revenue column, 8 bytes per firm, outlives its chunk.
-    Revenue ranks are descending; percentile boundaries use the nearest-rank
-    convention, so the top-10% block of n firms is exactly round(n/10) firms,
-    and tied revenues are equal values, so the shares do not depend on how
-    ties are ordered.  The wage variance weights each firm's (single) worker
-    type by its employment l, which reproduces the worker-level variance
-    through labor-market clearing.  The labor share is the aggregate Y_l/Y of
-    the underlying equilibrium, matching the way the empirical target is
-    constructed.
-    """
-    if n < 1:
-        raise EmptyPanel("cannot compute moments of an empty panel")
-    revenue = np.empty(n)
-    wage = tfpq = tfpr = (0.0, 0.0, 0.0)
+def _reduce(chunks: Iterable[dict[str, np.ndarray]],
+            revenue: np.ndarray) -> list[tuple[_Spread, _Spread, _Spread]]:
+    """Each chunk's (log wage, log TFPQ, log TFPR) spreads, in order, with its
+    revenues copied into the next slice of ``revenue``, which the chunks must
+    fill exactly."""
+    n = revenue.shape[0]
+    spreads = []
     start = 0
     for chunk in chunks:
         stop = start + chunk["revenue"].shape[0]
@@ -299,13 +300,24 @@ def streamed_moments(chunks: Iterable[dict[str, np.ndarray]], eq: StaticEquilibr
         revenue[start:stop] = chunk["revenue"]
         start = stop
         log_wage = np.log(chunk["wage_bill"] / chunk["l"])
-        wage = _merge_spread(wage, _spread(log_wage, chunk["l"]))
-        tfpq = _merge_spread(tfpq, _spread(chunk["log_tfpq"]))
-        tfpr = _merge_spread(tfpr, _spread(chunk["log_tfpr"]))
+        spreads.append((_spread(log_wage, chunk["l"]), _spread(chunk["log_tfpq"]),
+                        _spread(chunk["log_tfpr"])))
         del chunk, log_wage  # before the next chunk is drawn
     if start != n:
         raise ValueError(f"the chunks hold {start} firms, not the {n} announced")
+    return spreads
 
+
+def _moments(revenue: np.ndarray, spreads: Iterable[tuple[_Spread, _Spread, _Spread]],
+             eq: StaticEquilibrium, seed: int) -> CrossSectionMoments:
+    """The moments of a panel from its revenues, which are sorted in place, and
+    its chunks' spreads, which are merged in the order given."""
+    n = revenue.shape[0]
+    wage = tfpq = tfpr = (0.0, 0.0, 0.0)
+    for w, q, r in spreads:
+        wage = _merge_spread(wage, w)
+        tfpq = _merge_spread(tfpq, q)
+        tfpr = _merge_spread(tfpr, r)
     revenue.sort()
     descending = revenue[::-1]
     total = float(descending.sum())
@@ -321,6 +333,169 @@ def streamed_moments(chunks: Iterable[dict[str, np.ndarray]], eq: StaticEquilibr
         n_firms=n,
         seed=seed,
     )
+
+
+def streamed_moments(chunks: Iterable[dict[str, np.ndarray]], eq: StaticEquilibrium,
+                     n: int, seed: int) -> CrossSectionMoments:
+    """Empirical dispersion and concentration moments of an n-firm panel given in chunks.
+
+    Each chunk is reduced to a weight, mean and M2 per log-variance, merged
+    pairwise; only the revenue column, 8 bytes per firm, outlives its chunk,
+    so the memory needed is that column plus one chunk (about 4 MB for a
+    SAMPLE_CHUNK of sampled firms with the sampler's temporaries).
+    Revenue ranks are descending; percentile boundaries use the nearest-rank
+    convention, so the top-10% block of n firms is exactly round(n/10) firms,
+    and tied revenues are equal values, so the shares do not depend on how
+    ties are ordered.  The wage variance weights each firm's (single) worker
+    type by its employment l, which reproduces the worker-level variance
+    through labor-market clearing.  The labor share is the aggregate Y_l/Y of
+    the underlying equilibrium, matching the way the empirical target is
+    constructed.
+    """
+    if n < 1:
+        raise EmptyPanel("cannot compute moments of an empty panel")
+    revenue = np.empty(n)
+    return _moments(revenue, _reduce(chunks, revenue), eq, seed)
+
+
+def panel_moments(eq: StaticEquilibrium, n: int, seed: int, workers: int = 1,
+                  out: TextIO | None = None,
+                  write_rows: Callable[[TextIO, dict[str, np.ndarray]], None] | None = None,
+                  ) -> CrossSectionMoments:
+    """:func:`streamed_moments` of the seeded n-firm panel, its chunks shared among processes.
+
+    The chunks are cut into min(workers, number of chunks) contiguous runs,
+    equal to within one chunk.  The calling process reduces the first run and
+    a process forked for each later run reduces that one (POSIX only); each
+    holds one chunk, about 4 MB, at a time.  All of them write their revenues
+    into one shared anonymous map, 8 bytes per firm, and their chunks'
+    spreads are merged in chunk order, so the moments are bit for bit those
+    of :func:`streamed_moments` on :func:`panel_chunks`, whatever ``workers``.
+
+    With ``out``, ``write_rows(fh, chunk)`` writes each chunk: the calling
+    process's straight into ``out``, each worker's into an unnamed temporary
+    file that is then appended to ``out``, so ``out`` receives the chunks in
+    draw order.  A worker's exception is raised here with its own class, the
+    lowest failing chunk's first, as in one process.  A revenue map that the
+    system refuses raises MemoryError at the call.
+    """
+    import mmap
+
+    if n < 1:
+        raise EmptyPanel("panel size must be at least 1")
+    n_chunks = -(-n // SAMPLE_CHUNK)
+    runs = max(1, min(workers, n_chunks))
+    bounds = [min(k * n_chunks // runs * SAMPLE_CHUNK, n) for k in range(runs + 1)]
+    try:
+        shared = mmap.mmap(-1, 8 * n)
+    except (OSError, OverflowError) as exc:
+        raise MemoryError(f"cannot map {8 * n} bytes for the revenue column: {exc}") from exc
+    revenue = np.frombuffer(shared, dtype=np.float64)
+
+    def reduce_run(k: int, fh: TextIO | None) -> list[tuple[_Spread, _Spread, _Spread]]:
+        chunks = _chunks(eq, seed, bounds[k], bounds[k + 1])
+        if fh is not None:
+            chunks = _written(chunks, fh, write_rows)
+        return _reduce(chunks, revenue[bounds[k]:bounds[k + 1]])
+
+    spreads = [s for run in _in_workers(reduce_run, runs, out) for s in run]
+    return _moments(revenue, spreads, eq, seed)
+
+
+def _written(chunks: Iterable[dict[str, np.ndarray]], fh: TextIO,
+             write_rows: Callable[[TextIO, dict[str, np.ndarray]], None],
+             ) -> Iterator[dict[str, np.ndarray]]:
+    """Pass on each of ``chunks`` after writing its rows to ``fh``."""
+    for chunk in chunks:
+        write_rows(fh, chunk)
+        yield chunk
+        del chunk  # before the next chunk is drawn
+
+
+def _in_workers(task: Callable[[int, TextIO | None], object], count: int,
+                out: TextIO | None) -> list:
+    """[task(k, fh_k) for k in range(count)]: task 0 runs here with fh_0 = out,
+    each later one in a process forked for it.
+
+    Where ``out`` is given, each later fh_k is an unnamed temporary file,
+    appended to ``out`` after the output of the tasks before k; otherwise it
+    is None.  A worker sends back its result, or the exception it raised,
+    pickled through a pipe.  Results are taken in task order, so the first
+    failure in that order is raised.  Workers write nothing to stdout or
+    stderr and end through os._exit; every worker is reaped, and one still
+    running when this returns or raises is killed first.
+    """
+    import pickle
+    import shutil
+    import signal
+    import tempfile
+
+    files = [out]
+    workers, reaped = [], set()  # workers: (pid, read end of its pipe)
+    try:
+        for _ in range(1, count):
+            files.append(None if out is None else tempfile.TemporaryFile("w+"))
+        sys.stdout.flush()  # so that no worker holds a copy of unwritten output
+        sys.stderr.flush()
+        for k in range(1, count):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _work(task, k, files[k], write)
+            os.close(write)
+            workers.append((pid, read))
+        results = [task(0, out)]
+        for (pid, read), fh in zip(workers, files[1:]):
+            with open(read, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            reaped.add(pid)
+            if not payload:
+                raise SortCyclesError(f"worker process {pid} ended without a result "
+                                      f"(exit status {os.waitstatus_to_exitcode(status)})")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            results.append(value)
+            if fh is not None:
+                fh.seek(0)
+                shutil.copyfileobj(fh, out)
+        return results
+    finally:
+        for pid, read in workers:
+            os.close(read)
+            if pid not in reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for fh in files[1:]:
+            if fh is not None:
+                fh.close()
+
+
+def _work(task: Callable[[int, TextIO | None], object], k: int, fh: TextIO | None,
+          write: int) -> NoReturn:
+    """A forked worker: run task(k, fh), send its outcome down the pipe ``write``
+    and end the process without the clean-up that belongs to its parent."""
+    import pickle
+
+    status = 1
+    try:
+        try:
+            outcome = (True, task(k, fh))
+            if fh is not None:
+                fh.flush()
+        except BaseException as exc:  # the parent raises it again
+            outcome = (False, exc)
+        with open(write, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def cross_section_moments(panel: FirmPanel, eq: StaticEquilibrium) -> CrossSectionMoments:

@@ -17,7 +17,7 @@ import sortcycles
 from sortcycles import calibrate, cli, firms, verify
 
 from .oracles import cross_section_moments_oracle, write_csv_oracle
-from .test_firms import CHUNK_BYTES, assert_moments_agree
+from .test_firms import CHUNK_BYTES, assert_moments_agree, failing_chunks, no_child_process_left
 
 
 PUBLISHED = {
@@ -121,6 +121,40 @@ class TestMoments:
             tracemalloc.stop()
         assert rc == 0
         assert peak < 2 * 8 * n + CHUNK_BYTES, peak
+
+    def test_artifacts_are_the_same_for_every_thread_count(self, config_path, tmp_path):
+        n = 3 * firms.SAMPLE_CHUNK + 5
+        for threads in ("1", "2", "8"):
+            assert cli.run(["moments", "--params", config_path, "--n-firms", str(n),
+                            "--seed", "8", "--threads", threads, "--panel-csv",
+                            "--out", str(tmp_path / threads)]) == 0
+        for name in ("moments.json", "panel.csv"):
+            assert len({(tmp_path / threads / name).read_bytes()
+                        for threads in ("1", "2", "8")}) == 1, name
+
+    def test_a_failing_worker_leaves_no_panel_and_no_process(self, config_path, tmp_path,
+                                                             monkeypatch, capfd):
+        # the last of four chunks fails, in the worker's run of two; fd-level
+        # capture would also catch output written by a worker
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        n = 4 * firms.SAMPLE_CHUNK
+        failing_chunks(monkeypatch, {3 * firms.SAMPLE_CHUNK})
+        argv = ["moments", "--params", config_path, "--n-firms", str(n), "--panel-csv"]
+        errors = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            assert cli.run([*argv, "--threads", threads, "--out", str(out)]) == 1
+            captured = capfd.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+            errors.append(captured.err)
+            assert not (out / "panel.csv").exists()
+            assert no_child_process_left()
+        assert errors[0] == errors[1]
+        monkeypatch.undo()
+        assert cli.run([*argv, "--threads", "2", "--out", str(tmp_path / "2")]) == 0
+        assert len(capfd.readouterr().out.splitlines()) == 1
+        assert no_child_process_left()
 
 
 class TestSimulate:
@@ -255,6 +289,9 @@ class TestUsageAndConfigErrors:
         assert cli.run(["solve", "--params", config_path, "--threads", "0"]) == 2
 
 
+#: a panel, path or episode count whose arrays, 8 TB and more, the system refuses at the call
+HUGE = str(10 ** 12)
+
 TARGET_FILES = {
     "missing": None,
     "invalid-json": "{\"labor_share\": 0.6,",
@@ -280,6 +317,9 @@ class TestInputHoles:
         *[(sub, "--params", "sigma1-20") for sub in ("solve", "moments", "simulate", "irf",
                                                      "verify")],
         *[(sub, "--params", "lambda-theta-1e300") for sub in ("simulate", "irf")],
+        # sizes refused at allocation, so nothing is allocated
+        ("moments", "--n-firms", HUGE), ("moments", "--n-firms", HUGE, "--threads", "2"),
+        ("simulate", "--T", HUGE), ("irf", "--n-sims", HUGE),
     ], ids=lambda case: "-".join(case))
     def test_exit_code_and_one_error_line(self, config_path, tmp_path, capsys, case):
         sub, *flags = case
@@ -294,6 +334,8 @@ class TestInputHoles:
             if TARGET_FILES[name] is not None:
                 target.write_text(TARGET_FILES[name])
             flags[-1] = str(target)
+            expected, prefix = 1, "error: "
+        elif HUGE in flags:
             expected, prefix = 1, "error: "
         else:
             expected, prefix = 2, "usage error: "
@@ -485,23 +527,21 @@ class TestWriteCsv:
         cli._write_csv(tmp_path / "blocks.csv", columns)
         write_csv_oracle(tmp_path / "whole.csv", columns)
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
-        # the same rows handed over in uneven chunks
+        # the same rows appended in uneven chunks, as panel.csv is written
         cuts = [0, 5, cli.CSV_BLOCK_ROWS + 6, n]
-        chunks = [{name: col[a:b] for name, col in columns.items()}
-                  for a, b in zip(cuts, cuts[1:])]
-        passed = list(cli._csv_chunks(tmp_path / "chunks.csv", list(columns), chunks))
-        assert len(passed) == len(chunks) and all(p is c for p, c in zip(passed, chunks))
+        with cli._csv_file(tmp_path / "chunks.csv", list(columns)) as fh:
+            for a, b in zip(cuts, cuts[1:]):
+                cli._write_rows(fh, [col[a:b] for col in columns.values()])
         assert (tmp_path / "chunks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
     def test_failed_chunks_leave_no_file(self, tmp_path):
-        def failing():
-            yield {"x": np.arange(3.0)}
-            raise sortcycles.NonFinite("stub")
-
-        with pytest.raises(sortcycles.NonFinite):
-            for _ in cli._csv_chunks(tmp_path / "x.csv", ["x"], failing()):
-                pass
-        assert not (tmp_path / "x.csv").exists()
+        # a failure after rows were written, of any class, removes the file
+        for failure in (sortcycles.NonFinite, KeyboardInterrupt):
+            with pytest.raises(failure):
+                with cli._csv_file(tmp_path / "x.csv", ["x"]) as fh:
+                    cli._write_rows(fh, [np.arange(3.0)])
+                    raise failure("stub")
+            assert not (tmp_path / "x.csv").exists(), failure
 
 
 def _fresh_python(*args, cwd):

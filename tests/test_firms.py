@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -176,7 +178,7 @@ class TestAnalyticMoments:
 
 class TestSampling:
     def test_deterministic_rerun(self, boom_eq):
-        # 150,000 firms span three sampling chunks
+        # 150,000 firms span ten sampling chunks
         a = sc.sample_cross_section(boom_eq, 150_000, seed=8)
         b = sc.sample_cross_section(boom_eq, 150_000, seed=8)
         for col in firms.FirmPanel.COLUMNS:
@@ -289,10 +291,16 @@ def tied_panel(revenue):
     return firms.FirmPanel({**data, "revenue": np.asarray(revenue, dtype=float)}, seed=0)
 
 
+#: 2^16: a chunk boundary for every power-of-two SAMPLE_CHUNK up to it
+BOUNDARY = 1 << 16
+
+
 class TestStreamedMoments:
-    @pytest.mark.parametrize("n", [1, firms.SAMPLE_CHUNK - 1, firms.SAMPLE_CHUNK + 1,
-                                   3 * firms.SAMPLE_CHUNK + 5])
+    # one firm, and panels that end one firm short of, one past and five past a
+    # chunk boundary, over four to twelve chunks
+    @pytest.mark.parametrize("n", [1, BOUNDARY - 1, BOUNDARY + 1, 3 * BOUNDARY + 5])
     def test_matches_the_whole_array_oracle(self, boom_eq, n):
+        assert BOUNDARY % firms.SAMPLE_CHUNK == 0
         panel = sc.sample_cross_section(boom_eq, n, seed=21)
         want = cross_section_moments_oracle(panel, boom_eq)
         streamed = sc.streamed_moments(sc.panel_chunks(boom_eq, n, seed=21), boom_eq, n, 21)
@@ -304,9 +312,9 @@ class TestStreamedMoments:
         assert sc.cross_section_moments(panel, boom_eq) == cross_section_moments_oracle(
             panel, boom_eq)
 
-    @pytest.mark.parametrize("size", [7, 1000, firms.SAMPLE_CHUNK - 1])
+    @pytest.mark.parametrize("size", [7, 1000, BOUNDARY - 1])
     def test_chunk_invariance(self, boom_eq, size):
-        n = firms.SAMPLE_CHUNK + 1001
+        n = BOUNDARY + 1001
         panel = sc.sample_cross_section(boom_eq, n, seed=13)
         chunked = sc.streamed_moments(held_chunks(panel, size), boom_eq, n, 13)
         assert_moments_agree(chunked, sc.cross_section_moments(panel, boom_eq))
@@ -363,6 +371,80 @@ class TestStreamedMoments:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 8 * n + CHUNK_BYTES, peak
+
+
+def no_child_process_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+_SAMPLE_CHUNK = firms._sample_chunk
+
+
+def failing_chunks(monkeypatch, starts):
+    """Make the sampler raise NonFinite, naming the chunk, at each chunk start in
+    ``starts``; forked workers inherit the patch."""
+    def sample(eq, seed, start, stop):
+        if start in starts:
+            raise sc.NonFinite(f"chunk at firm {start}")
+        return _SAMPLE_CHUNK(eq, seed, start, stop)
+
+    monkeypatch.setattr(firms, "_sample_chunk", sample)
+
+
+class TestPanelMoments:
+    # the worker count is passed as is, so a one-core machine forks too
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [firms.SAMPLE_CHUNK + 1, 3 * firms.SAMPLE_CHUNK + 5,
+                                   100_000])
+    def test_bit_identical_to_the_streamed_moments(self, boom_eq, n, workers):
+        want = sc.streamed_moments(sc.panel_chunks(boom_eq, n, seed=17), boom_eq, n, 17)
+        assert sc.panel_moments(boom_eq, n, 17, workers) == want
+        assert no_child_process_left()
+
+    def test_rows_arrive_in_draw_order(self, boom_eq):
+        n = 3 * firms.SAMPLE_CHUNK + 5
+
+        def write_rows(fh, chunk):
+            fh.write("".join(f"{x!r}\n" for x in chunk["theta"]))
+
+        texts = []
+        for workers in (1, 3):
+            with tempfile.TemporaryFile("w+") as fh:
+                sc.panel_moments(boom_eq, n, 4, workers, fh, write_rows)
+                fh.seek(0)
+                texts.append(fh.read())
+        panel = sc.sample_cross_section(boom_eq, n, seed=4)
+        assert texts == ["".join(f"{x!r}\n" for x in panel.theta)] * 2
+
+    def test_one_worker_forks_nothing(self, boom_eq, monkeypatch):
+        def refuse():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        n = 3 * firms.SAMPLE_CHUNK
+        assert sc.panel_moments(boom_eq, n, 2, workers=1) == sc.streamed_moments(
+            sc.panel_chunks(boom_eq, n, seed=2), boom_eq, n, 2)
+
+    def test_the_lowest_failing_chunk_wins(self, boom_eq, monkeypatch):
+        # four chunks in three runs: [0], [1], [2, 3]
+        chunk = firms.SAMPLE_CHUNK
+        n = 4 * chunk
+        for starts, first in (({3 * chunk, chunk}, chunk), ({3 * chunk}, 3 * chunk),
+                              ({2 * chunk, 0}, 0)):
+            failing_chunks(monkeypatch, starts)
+            with pytest.raises(sc.NonFinite, match=f"^chunk at firm {first}$"):
+                sc.panel_moments(boom_eq, n, 9, workers=3)
+            assert no_child_process_left()
+
+    def test_a_refused_revenue_map_is_a_memory_error(self, boom_eq):
+        # 8 TB, which the system refuses at the call, before any firm is drawn
+        with pytest.raises(MemoryError, match="revenue column"):
+            sc.panel_moments(boom_eq, 10 ** 12, 1, workers=2)
 
 
 BRANCHES = ["a<0", "a>0", "s=0", "a=0"]

@@ -1,5 +1,8 @@
 import ast
 import importlib
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,7 +39,7 @@ EXPORTED = {
                 "measured_tfp", "solve_lambda", "solve_static"),
     "firms": ("CrossSectionMoments", "FirmDraw", "FirmOutcome", "FirmPanel", "analytic_moments",
               "cross_section_moments", "firm_outcome", "matching", "panel_chunks",
-              "sample_cross_section", "streamed_moments", "wage"),
+              "panel_moments", "sample_cross_section", "streamed_moments", "wage"),
     "dynamics": ("GridSpec", "IRFResult", "Policy", "SimulationPath", "euler_residuals",
                  "impulse_response", "simulate", "solve_policy", "steady_state"),
     "calibrate": ("CalibrationResult", "SimConfig", "TargetSet", "model_moments", "objective"),
@@ -80,3 +83,57 @@ class TestNamespace:
 
         monkeypatch.setattr(sortcycles.statics, "solve_static", wrapped)
         assert sortcycles.solve_static is wrapped
+
+
+#: standard modules that only the worker processes of ``moments`` need: the
+#: shared revenue map, the workers' temporary files, the results' pickles
+WORKER_MODULES = ("mmap", "tempfile", "pickle", "_pickle")
+
+_WORKER_MODULES_SCRIPT = """
+import sys
+before = set(sys.modules)  # what the interpreter's own start-up loaded
+import contextlib, io, json
+config, out = sys.argv[1:]
+modules = %r
+
+
+def loaded():
+    return sorted(m for m in (*modules, "numpy") if m in sys.modules and m not in before)
+
+
+import sortcycles
+sortcycles.load_config(config)
+from sortcycles import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.run(["--help"])
+report = {"load_config and --help": loaded()}
+for argv in (["solve"], ["simulate", "--T", "50", "--burn-in", "5", "--grid-size", "40"],
+             ["irf", "--horizon", "2", "--n-sims", "4", "--grid-size", "40"],
+             ["calibrate", "--fast", "--n-starts", "1", "--max-iter", "2"],
+             ["verify", "--n-prop-points", "2"],
+             ["moments", "--n-firms", "40000", "--panel-csv"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.run([*argv, "--params", config, "--threads", "2", "--out", out]) not in (0, 3):
+            raise SystemExit(f"{argv[0]} failed")
+    report[argv[0]] = loaded()
+print(json.dumps(report))
+"""
+
+
+class TestWorkerModules:
+    def test_only_moments_loads_the_worker_modules(self, tmp_path):
+        src = Path(sortcycles.__file__).resolve().parents[1]
+        config = src.parent / "configs" / "published.json"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-c", _WORKER_MODULES_SCRIPT % (WORKER_MODULES,),
+                               str(config), str(tmp_path)],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        # without numpy nothing loads them; numpy itself loads tempfile and
+        # pickle, so after it only mmap tells whether the workers' code ran
+        assert report.pop("load_config and --help") == []
+        assert "mmap" in report.pop("moments")
+        for subcommand, modules in report.items():
+            assert "numpy" in modules and "mmap" not in modules, subcommand

@@ -26,11 +26,8 @@ _EXPORTS = {
                      "stationary_distribution", "published_calibration", "validate"), "params"),
     **dict.fromkeys(("Coefficients", "StaticEquilibrium", "aggregates", "coefficients",
                      "measured_tfp", "solve_lambda", "solve_static"), "statics"),
-    **dict.fromkeys(("CrossSectionMoments", "FirmDraw", "FirmOutcome", "FirmPanel",
-                     "analytic_moments", "cross_section_moments", "firm_outcome", "matching",
-                     "panel_chunks", "panel_moments", "sample_cross_section",
-                     "streamed_moments", "wage"),
-                    "firms"),
+    **dict.fromkeys(("CrossSectionMoments", "analytic_moments", "matching", "panel_moments",
+                     "wage"), "firms"),
     **dict.fromkeys(("GridSpec", "IRFResult", "Policy", "SimulationPath", "euler_residuals",
                      "impulse_response", "simulate", "solve_policy", "steady_state"),
                     "dynamics"),

@@ -1,14 +1,16 @@
 """Firm-level closed forms, the wage schedule, analytic dispersion measures,
-and seeded Monte-Carlo cross-sections.
+and the moments of a seeded Monte-Carlo cross-section.
 
 A firm is a point (theta, eps1, eps2).  Its allocation is an exponential tilt
 of the equilibrium scale constants, so every firm-level statistic reduces to
 moments of an exponential type mixed with Gaussian wedges: log quantities are
 Pareto-lognormal convolutions with Pareto upper tails.  Sampling realizes the
 continuum as a finite panel with counter-based draws, which makes panels
-deterministic in (n, seed) and independent of chunking; its moments are
-reduced chunk by chunk, so a panel need never be held whole, and runs of
-chunks can be reduced by forked worker processes with the same result.
+deterministic in (n, seed) and independent of chunking.  :func:`panel_moments`
+is the one reduction of a panel: it draws and reduces it chunk by chunk, each
+chunk holding only the columns of panel.csv, so a panel is never held whole,
+and runs of chunks can be reduced by forked worker processes with the same
+result.
 
 Functions of a solved equilibrium read ``eq.params`` and ``eq.shock``; only
 the lambda-level formulas (:func:`dispersions`, :func:`tfpr_type_loading`)
@@ -20,20 +22,20 @@ from __future__ import annotations
 import math
 import os
 import sys
-from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, fields
+from collections.abc import Callable
+from dataclasses import dataclass
 from typing import NoReturn, TextIO
 
 import numpy as np
 
 from .errors import EmptyPanel, NonFinite, SortCyclesError
 from .params import AggregateShockState, ValidatedParams
-from .rng import block_uniforms, chunk_ranges, exponential_icdf, normal_icdf
+from .rng import block_uniforms, exponential_icdf, normal_icdf
 from .statics import EXP_CAP, StaticEquilibrium
 
-#: firms per sampling chunk, the unit of the streamed moments, of panel.csv and
-#: of the runs that worker processes reduce; a chunk's 15 columns and their
-#: temporaries peak at about 4 MB.  Since each firm owns one Philox block the
+#: firms per sampling chunk, the unit of the moments' reduction, of panel.csv
+#: and of the runs that worker processes reduce; a chunk's 10 columns and their
+#: temporaries peak at about 3 MB.  Since each firm owns one Philox block the
 #: panel does not depend on it
 SAMPLE_CHUNK = 1 << 14
 
@@ -41,37 +43,6 @@ _SQRT_HALF = math.sqrt(0.5)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 #: the top-share threshold is found once its step is this fraction of |t| + s
 _TOPSHARE_XTOL = 4.0 * sys.float_info.epsilon
-
-
-@dataclass(frozen=True)
-class FirmDraw:
-    """One firm's state: type and the two wedge shocks."""
-
-    theta: float
-    eps1: float
-    eps2: float
-
-    def __post_init__(self):
-        if not (self.theta >= 0.0 and math.isfinite(self.eps1) and math.isfinite(self.eps2)):
-            raise ValueError("theta must be nonnegative and wedge shocks finite")
-
-
-@dataclass(frozen=True)
-class FirmOutcome:
-    """Closed-form allocation and productivity measures of one firm."""
-
-    Q: float
-    k: float
-    l: float
-    chi: float
-    P: float
-    tau1: float
-    tau2: float
-    revenue: float
-    wage_bill: float
-    log_tfpq: float
-    log_tfpr: float
-    matched_x: float
 
 
 @dataclass(frozen=True)
@@ -93,71 +64,21 @@ def matching(eq: StaticEquilibrium, x) -> float | np.ndarray:
     return (eq.params.lambda_x / eq.lambda_t) * np.asarray(x, dtype=float)[()]
 
 
-def matched_worker(eq: StaticEquilibrium, theta) -> float | np.ndarray:
-    """Inverse assignment: the worker type employed by a type-theta firm."""
-    return (eq.lambda_t / eq.params.lambda_x) * np.asarray(theta, dtype=float)[()]
+def _wage_slope(eq: StaticEquilibrium) -> float:
+    """d log w / dx = (psi/gamma)(lambda_x/lambda_t)^(1-psi)."""
+    p = eq.params
+    return (p.psi / p.gamma) * (p.lambda_x / eq.lambda_t) ** (1.0 - p.psi)
 
 
 def wage(eq: StaticEquilibrium, x) -> float | np.ndarray:
     """Wage schedule w(x) = w0 exp((psi/gamma)(lambda_x/lambda_t)^(1-psi) x)."""
-    p = eq.params
-    slope = (p.psi / p.gamma) * (p.lambda_x / eq.lambda_t) ** (1.0 - p.psi)
-    return eq.w0 * np.exp(slope * np.asarray(x, dtype=float))[()]
+    return eq.w0 * np.exp(_wage_slope(eq) * np.asarray(x, dtype=float))[()]
 
 
-def _firm_arrays(eq: StaticEquilibrium, theta, eps1, eps2) -> dict[str, np.ndarray]:
-    """Vectorized closed forms; shared by the scalar op and the sampler."""
-    params = eq.params
-    a, g, xi, psi = params.alpha, params.gamma, params.xi, params.psi
-    c = eq.coefficients
-    kappa, eta_q = c.kappa, c.eta_q
-    theta = np.asarray(theta, dtype=float)
-    eps1 = np.asarray(eps1, dtype=float)
-    eps2 = np.asarray(eps2, dtype=float)
-
-    ratio = (eq.lambda_t / params.lambda_x) ** psi
-    core = c.eta_q_theta * theta - g * eps1 - a * eps2
-    log_q = math.log(eq.Q_bar) + eta_q * core
-    log_k = math.log(eq.k_bar) + kappa * eta_q * core - eps2
-    log_chi = math.log(eq.chi_bar) - (eta_q / xi) * core
-    log_l = (math.log(eq.l_bar) + c.eta_l_theta * theta
-             - (kappa * eta_q * g + 1.0) * eps1 - kappa * eta_q * a * eps2)
-
-    worst = max(np.max(np.abs(log_q), initial=0.0), np.max(np.abs(log_k), initial=0.0),
-                np.max(np.abs(log_chi), initial=0.0), np.max(np.abs(log_l), initial=0.0))
-    if worst > EXP_CAP:
-        raise NonFinite(f"firm log magnitude {worst:.3g} exceeds the exp cap {EXP_CAP:g}")
-
-    Q = np.exp(log_q)
-    k = np.exp(log_k)
-    l = np.exp(log_l)
-    chi = np.exp(log_chi)
-    P = (xi / (xi - 1.0)) * chi
-    matched_x = (eq.lambda_t / params.lambda_x) * theta
-    log_tfpq = ratio * theta
-    # log P + log TFPQ; the chi_bar term keeps it a true revenue residual
-    # rather than the dispersion-only display that drops the period constant
-    log_tfpr = (math.log(xi / (xi - 1.0)) + math.log(eq.chi_bar)
-                + (ratio - eta_q * c.eta_q_theta / xi) * theta
-                + (eta_q / xi) * (g * eps1 + a * eps2))
-    return {
-        "theta": theta, "eps1": eps1, "eps2": eps2,
-        "Q": Q, "k": k, "l": l, "chi": chi, "P": P,
-        "tau1": np.exp(eq.shock.z * theta + eps1),
-        "tau2": np.exp(eps2),
-        "revenue": P * Q,
-        "wage_bill": wage(eq, matched_x) * l,
-        "log_tfpq": log_tfpq,
-        "log_tfpr": log_tfpr,
-        "matched_x": matched_x,
-    }
-
-
-def firm_outcome(eq: StaticEquilibrium, draw: FirmDraw) -> FirmOutcome:
-    """Evaluate one firm's closed-form allocation under a solved equilibrium."""
-    vals = _firm_arrays(eq, draw.theta, draw.eps1, draw.eps2)
-    names = [f.name for f in fields(FirmOutcome)]
-    return FirmOutcome(**{name: float(vals[name]) for name in names})
+def _log_wage(eq: StaticEquilibrium, theta: np.ndarray) -> np.ndarray:
+    """log w(x) of the worker type x = (lambda_t/lambda_x) theta that a type-theta
+    firm employs, log w0 + slope x in closed form, so nothing is exponentiated."""
+    return math.log(eq.w0) + (_wage_slope(eq) * (eq.lambda_t / eq.params.lambda_x)) * theta
 
 
 def tfpr_type_loading(params: ValidatedParams, shock: AggregateShockState,
@@ -197,70 +118,44 @@ def analytic_moments(eq: StaticEquilibrium) -> tuple[float, float, float]:
     return dispersions(eq.params, eq.shock, eq.lambda_t)
 
 
-class FirmPanel:
-    """A sampled cross-section held as column arrays, in draw order."""
-
-    COLUMNS = ("theta", "eps1", "eps2", "Q", "k", "l", "chi", "P", "tau1", "tau2",
-               "revenue", "wage_bill", "log_tfpq", "log_tfpr", "matched_x")
-
-    def __init__(self, data: dict[str, np.ndarray], seed: int):
-        for name in self.COLUMNS:
-            setattr(self, name, data[name])
-        self.seed = seed
-
-    def __len__(self) -> int:
-        return self.theta.shape[0]
-
-    def row(self, i: int) -> FirmOutcome:
-        names = [f.name for f in fields(FirmOutcome)]
-        return FirmOutcome(**{name: float(getattr(self, name)[i]) for name in names})
-
-
 def _sample_chunk(eq: StaticEquilibrium, seed: int, start: int,
                   stop: int) -> dict[str, np.ndarray]:
-    shock = eq.shock
+    """Firms start to stop - 1 of the seeded panel: the columns of panel.csv, in its order.
+
+    theta ~ Exp(lambda_theta_t) and eps_i ~ N(0, sigma_it^2), i.i.d.  Firm i
+    consumes exactly one counter block of the (seed, "panel") stream, so the
+    panel is a pure function of (n, seed) whatever the chunk size.  A log
+    quantity beyond EXP_CAP raises NonFinite.
+    """
+    params, shock, c = eq.params, eq.shock, eq.coefficients
+    a, g, xi = params.alpha, params.gamma, params.xi
+    kappa, eta_q = c.kappa, c.eta_q
     u = block_uniforms(seed, "panel", start, stop - start)
     theta = exponential_icdf(u[:, 0], shock.lambda_theta_t)
     eps1 = shock.sigma1_t * normal_icdf(u[:, 1])
     eps2 = shock.sigma2_t * normal_icdf(u[:, 2])
-    return _firm_arrays(eq, theta, eps1, eps2)
 
-
-def _chunks(eq: StaticEquilibrium, seed: int, start: int,
-            stop: int) -> Iterator[dict[str, np.ndarray]]:
-    """Firms start to stop - 1 of the seeded panel, drawn lazily in chunks of SAMPLE_CHUNK."""
-    return (_sample_chunk(eq, seed, a, min(a + SAMPLE_CHUNK, stop))
-            for a in range(start, stop, SAMPLE_CHUNK))
-
-
-def panel_chunks(eq: StaticEquilibrium, n: int, seed: int) -> Iterator[dict[str, np.ndarray]]:
-    """The seeded n-firm panel as column dicts of at most SAMPLE_CHUNK firms, in draw order.
-
-    theta ~ Exp(lambda_theta_t) and eps_i ~ N(0, sigma_it^2), i.i.d.  Firm i
-    consumes exactly one counter block of the (seed, "panel") stream, so the
-    panel is a pure function of (n, seed) whatever the chunk size.  Chunks are
-    drawn as they are consumed; the size is checked at the call.
-    """
-    if n < 1:
-        raise EmptyPanel("panel size must be at least 1")
-    return _chunks(eq, seed, 0, n)
-
-
-def sample_cross_section(eq: StaticEquilibrium, n: int, seed: int) -> FirmPanel:
-    """The seeded n-firm panel of :func:`panel_chunks`, held whole.
-
-    It holds all 15 columns, 120 bytes per firm; chunking bounds only the
-    sampler's temporaries.  :func:`streamed_moments` needs none of it.
-    """
-    chunks = panel_chunks(eq, n, seed)
-    cols = {name: np.empty(n) for name in FirmPanel.COLUMNS}
-    start = 0
-    for chunk in chunks:
-        stop = start + chunk["theta"].shape[0]
-        for name in FirmPanel.COLUMNS:
-            cols[name][start:stop] = chunk[name]
-        start = stop
-    return FirmPanel(cols, seed)
+    core = c.eta_q_theta * theta - g * eps1 - a * eps2
+    logs = (math.log(eq.Q_bar) + eta_q * core,
+            math.log(eq.k_bar) + kappa * eta_q * core - eps2,
+            (math.log(eq.l_bar) + c.eta_l_theta * theta
+             - (kappa * eta_q * g + 1.0) * eps1 - kappa * eta_q * a * eps2),
+            math.log(eq.chi_bar) - (eta_q / xi) * core)
+    worst = max(np.max(np.abs(v), initial=0.0) for v in logs)
+    if worst > EXP_CAP:
+        raise NonFinite(f"firm log magnitude {worst:.3g} exceeds the exp cap {EXP_CAP:g}")
+    Q, k, l, chi = (np.exp(v) for v in logs)
+    ratio = (eq.lambda_t / params.lambda_x) ** params.psi
+    return {
+        "theta": theta, "eps1": eps1, "eps2": eps2, "Q": Q, "k": k, "l": l, "chi": chi,
+        "revenue": (xi / (xi - 1.0)) * chi * Q,  # price times quantity
+        "log_tfpq": ratio * theta,
+        # log P + log TFPQ; the chi_bar term keeps it a true revenue residual
+        # rather than the dispersion-only display that drops the period constant
+        "log_tfpr": (math.log(xi / (xi - 1.0)) + math.log(eq.chi_bar)
+                     + (ratio - eta_q * c.eta_q_theta / xi) * theta
+                     + (eta_q / xi) * (g * eps1 + a * eps2)),
+    }
 
 
 _Spread = tuple[float, float, float]
@@ -285,92 +180,32 @@ def _merge_spread(a: _Spread, b: _Spread) -> _Spread:
     return w, ma + delta * (wb / w), qa + qb + delta * delta * (wa * wb / w)
 
 
-def _reduce(chunks: Iterable[dict[str, np.ndarray]],
-            revenue: np.ndarray) -> list[tuple[_Spread, _Spread, _Spread]]:
-    """Each chunk's (log wage, log TFPQ, log TFPR) spreads, in order, with its
-    revenues copied into the next slice of ``revenue``, which the chunks must
-    fill exactly."""
-    n = revenue.shape[0]
-    spreads = []
-    start = 0
-    for chunk in chunks:
-        stop = start + chunk["revenue"].shape[0]
-        if stop > n:
-            raise ValueError(f"the chunks hold more than the {n} firms announced")
-        revenue[start:stop] = chunk["revenue"]
-        start = stop
-        log_wage = np.log(chunk["wage_bill"] / chunk["l"])
-        spreads.append((_spread(log_wage, chunk["l"]), _spread(chunk["log_tfpq"]),
-                        _spread(chunk["log_tfpr"])))
-        del chunk, log_wage  # before the next chunk is drawn
-    if start != n:
-        raise ValueError(f"the chunks hold {start} firms, not the {n} announced")
-    return spreads
-
-
-def _moments(revenue: np.ndarray, spreads: Iterable[tuple[_Spread, _Spread, _Spread]],
-             eq: StaticEquilibrium, seed: int) -> CrossSectionMoments:
-    """The moments of a panel from its revenues, which are sorted in place, and
-    its chunks' spreads, which are merged in the order given."""
-    n = revenue.shape[0]
-    wage = tfpq = tfpr = (0.0, 0.0, 0.0)
-    for w, q, r in spreads:
-        wage = _merge_spread(wage, w)
-        tfpq = _merge_spread(tfpq, q)
-        tfpr = _merge_spread(tfpr, r)
-    revenue.sort()
-    descending = revenue[::-1]
-    total = float(descending.sum())
-    k10 = int(round(0.10 * n))
-    k50 = int(round(0.50 * n))
-    return CrossSectionMoments(
-        var_log_wage=wage[2] / wage[0],
-        var_log_tfpq=tfpq[2] / tfpq[0],
-        var_log_tfpr=tfpr[2] / tfpr[0],
-        labor_share=eq.labor_share,
-        rev_share_top10=float(descending[:k10].sum()) / total,
-        rev_share_p50_p90=float(descending[k10:k50].sum()) / total,
-        n_firms=n,
-        seed=seed,
-    )
-
-
-def streamed_moments(chunks: Iterable[dict[str, np.ndarray]], eq: StaticEquilibrium,
-                     n: int, seed: int) -> CrossSectionMoments:
-    """Empirical dispersion and concentration moments of an n-firm panel given in chunks.
-
-    Each chunk is reduced to a weight, mean and M2 per log-variance, merged
-    pairwise; only the revenue column, 8 bytes per firm, outlives its chunk,
-    so the memory needed is that column plus one chunk (about 4 MB for a
-    SAMPLE_CHUNK of sampled firms with the sampler's temporaries).
-    Revenue ranks are descending; percentile boundaries use the nearest-rank
-    convention, so the top-10% block of n firms is exactly round(n/10) firms,
-    and tied revenues are equal values, so the shares do not depend on how
-    ties are ordered.  The wage variance weights each firm's (single) worker
-    type by its employment l, which reproduces the worker-level variance
-    through labor-market clearing.  The labor share is the aggregate Y_l/Y of
-    the underlying equilibrium, matching the way the empirical target is
-    constructed.
-    """
-    if n < 1:
-        raise EmptyPanel("cannot compute moments of an empty panel")
-    revenue = np.empty(n)
-    return _moments(revenue, _reduce(chunks, revenue), eq, seed)
-
-
 def panel_moments(eq: StaticEquilibrium, n: int, seed: int, workers: int = 1,
                   out: TextIO | None = None,
                   write_rows: Callable[[TextIO, dict[str, np.ndarray]], None] | None = None,
                   ) -> CrossSectionMoments:
-    """:func:`streamed_moments` of the seeded n-firm panel, its chunks shared among processes.
+    """Empirical dispersion and concentration moments of the seeded n-firm panel.
+
+    The panel is drawn in chunks of SAMPLE_CHUNK firms (:func:`_sample_chunk`),
+    each reduced to a weight, mean and M2 per log-variance as it comes; the
+    chunks' spreads are merged pairwise in chunk order.  Only the revenue
+    column, 8 bytes per firm, outlives its chunk.  Revenue ranks are
+    descending; percentile boundaries use the nearest-rank convention, so the
+    top-10% block of n firms is exactly round(n/10) firms, and tied revenues
+    are equal values, so the shares do not depend on how ties are ordered.
+    The wage variance weights each firm's (single) worker type by its
+    employment l, which reproduces the worker-level variance through
+    labor-market clearing; the log wage is the closed form of
+    :func:`_log_wage`.  The labor share is the aggregate Y_l/Y of the
+    underlying equilibrium, matching the way the empirical target is
+    constructed.
 
     The chunks are cut into min(workers, number of chunks) contiguous runs,
     equal to within one chunk.  The calling process reduces the first run and
     a process forked for each later run reduces that one (POSIX only); each
-    holds one chunk, about 4 MB, at a time.  All of them write their revenues
-    into one shared anonymous map, 8 bytes per firm, and their chunks'
-    spreads are merged in chunk order, so the moments are bit for bit those
-    of :func:`streamed_moments` on :func:`panel_chunks`, whatever ``workers``.
+    holds one chunk at a time.  All of them write their revenues into one
+    shared anonymous map, and their chunks' spreads are merged in chunk order,
+    so the moments are bit for bit the same whatever ``workers``.
 
     With ``out``, ``write_rows(fh, chunk)`` writes each chunk: the calling
     process's straight into ``out``, each worker's into an unnamed temporary
@@ -393,23 +228,41 @@ def panel_moments(eq: StaticEquilibrium, n: int, seed: int, workers: int = 1,
     revenue = np.frombuffer(shared, dtype=np.float64)
 
     def reduce_run(k: int, fh: TextIO | None) -> list[tuple[_Spread, _Spread, _Spread]]:
-        chunks = _chunks(eq, seed, bounds[k], bounds[k + 1])
-        if fh is not None:
-            chunks = _written(chunks, fh, write_rows)
-        return _reduce(chunks, revenue[bounds[k]:bounds[k + 1]])
+        """Each chunk's (log wage, log TFPQ, log TFPR) spreads in run k, in order,
+        with its revenues copied into the shared column."""
+        spreads = []
+        for start in range(bounds[k], bounds[k + 1], SAMPLE_CHUNK):
+            stop = min(start + SAMPLE_CHUNK, bounds[k + 1])
+            chunk = _sample_chunk(eq, seed, start, stop)
+            if fh is not None:
+                write_rows(fh, chunk)
+            revenue[start:stop] = chunk["revenue"]
+            spreads.append((_spread(_log_wage(eq, chunk["theta"]), chunk["l"]),
+                            _spread(chunk["log_tfpq"]), _spread(chunk["log_tfpr"])))
+            del chunk  # before the next chunk is drawn
+        return spreads
 
-    spreads = [s for run in _in_workers(reduce_run, runs, out) for s in run]
-    return _moments(revenue, spreads, eq, seed)
-
-
-def _written(chunks: Iterable[dict[str, np.ndarray]], fh: TextIO,
-             write_rows: Callable[[TextIO, dict[str, np.ndarray]], None],
-             ) -> Iterator[dict[str, np.ndarray]]:
-    """Pass on each of ``chunks`` after writing its rows to ``fh``."""
-    for chunk in chunks:
-        write_rows(fh, chunk)
-        yield chunk
-        del chunk  # before the next chunk is drawn
+    log_w = log_q = log_r = (0.0, 0.0, 0.0)
+    for run in _in_workers(reduce_run, runs, out):
+        for w, q, r in run:
+            log_w = _merge_spread(log_w, w)
+            log_q = _merge_spread(log_q, q)
+            log_r = _merge_spread(log_r, r)
+    revenue.sort()
+    descending = revenue[::-1]
+    total = float(descending.sum())
+    k10 = int(round(0.10 * n))
+    k50 = int(round(0.50 * n))
+    return CrossSectionMoments(
+        var_log_wage=log_w[2] / log_w[0],
+        var_log_tfpq=log_q[2] / log_q[0],
+        var_log_tfpr=log_r[2] / log_r[0],
+        labor_share=eq.labor_share,
+        rev_share_top10=float(descending[:k10].sum()) / total,
+        rev_share_p50_p90=float(descending[k10:k50].sum()) / total,
+        n_firms=n,
+        seed=seed,
+    )
 
 
 def _in_workers(task: Callable[[int, TextIO | None], object], count: int,
@@ -496,14 +349,6 @@ def _work(task: Callable[[int, TextIO | None], object], k: int, fh: TextIO | Non
         status = 0
     finally:
         os._exit(status)
-
-
-def cross_section_moments(panel: FirmPanel, eq: StaticEquilibrium) -> CrossSectionMoments:
-    """:func:`streamed_moments` of a held panel, fed in SAMPLE_CHUNK slices."""
-    n = len(panel)
-    chunks = ({name: getattr(panel, name)[start:stop] for name in FirmPanel.COLUMNS}
-              for start, stop in chunk_ranges(n, SAMPLE_CHUNK))
-    return streamed_moments(chunks, eq, n, panel.seed)
 
 
 def _ndtr(x: float) -> float:
@@ -633,15 +478,3 @@ def revenue_concentration(eq: StaticEquilibrium) -> tuple[float, float]:
     top50 = pareto_lognormal_topshare(a, s, shock.lambda_theta_t, 0.50)
     return top10, top50 - top10
 
-
-def tfpq_tail_index(panel: FirmPanel, top_fraction: float = 0.1) -> float:
-    """Hill estimator of the Pareto tail index of TFPQ levels.
-
-    log TFPQ is exactly exponential, so levels are exact Pareto with index
-    lambda_theta_t / (lambda_t/lambda_x)^psi; the Hill estimate over the top
-    order statistics is the natural empirical counterpart.
-    """
-    logs = np.sort(panel.log_tfpq)
-    k = max(int(top_fraction * logs.shape[0]), 2)
-    tail = logs[-k:]
-    return 1.0 / float(np.mean(tail[1:] - tail[0]))

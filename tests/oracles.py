@@ -2,19 +2,23 @@
 
 Everything here is deliberately primitive: plain bisection, Gauss-Hermite
 quadrature, finite differences, a full static solve at every simulated period,
-hand-written interpolation in the policy solver and the impulse response, and
-a policy solve plus simulation where calibration needs only the state path.
-None of it calls the closed forms or shortcuts it is used to check.
+hand-written interpolation in the policy solver and the impulse response, a
+policy solve plus simulation where calibration needs only the state path, a
+sampled panel held whole with every firm-level column, and the inverse normal
+cdf with its branches gathered by masks.  None of it calls the closed forms or
+shortcuts it is used to check; the held panel is the library's own sampler,
+whose closed forms the firm-level tests check.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 import sortcycles as sc
 import sortcycles.calibrate as cal
 from sortcycles import dynamics
-from sortcycles.firms import _log_ndtr, _ndtr, revenue_concentration
+from sortcycles.firms import SAMPLE_CHUNK, _log_ndtr, _ndtr, _sample_chunk, revenue_concentration
 from sortcycles.rng import block_uniforms, normal_icdf
 
 
@@ -313,16 +317,78 @@ def full_mode_moments_oracle(free_params, fixed_params, chain_template, T, burn_
     }
 
 
-def cross_section_moments_oracle(panel, eq):
+def firm_columns(eq, chunk):
+    """A chunk of the library's sampler with the columns only the tests read:
+    the price P, the wedges tau1 and tau2, the matched worker type and the
+    wage bill w(x)·l."""
+    params = eq.params
+    theta = chunk["theta"]
+    matched_x = (eq.lambda_t / params.lambda_x) * theta
+    return {**chunk,
+            "P": (params.xi / (params.xi - 1.0)) * chunk["chi"],
+            "tau1": np.exp(eq.shock.z * theta + chunk["eps1"]),
+            "tau2": np.exp(chunk["eps2"]),
+            "matched_x": matched_x,
+            "wage_bill": sc.wage(eq, matched_x) * chunk["l"]}
+
+
+class HeldPanel:
+    """A cross-section held whole, one attribute per column, in draw order."""
+
+    def __init__(self, columns, seed):
+        self.columns = tuple(columns)
+        for name, col in columns.items():
+            setattr(self, name, col)
+        self.seed = seed
+
+    def __len__(self):
+        return self.theta.shape[0]
+
+    def row(self, i):
+        """One firm: each column's value as a float attribute."""
+        return SimpleNamespace(**{name: float(getattr(self, name)[i]) for name in self.columns})
+
+
+def held_panel(eq, n, seed):
+    """The seeded n-firm panel (n >= 1) with every column of ``firm_columns``,
+    drawn by the library's sampler in chunks of SAMPLE_CHUNK, as the moments
+    draw it, and held whole: 15 columns, 120 bytes per firm."""
+    cols = None
+    for start in range(0, n, SAMPLE_CHUNK):
+        stop = min(start + SAMPLE_CHUNK, n)
+        chunk = firm_columns(eq, _sample_chunk(eq, seed, start, stop))
+        if cols is None:
+            cols = {name: np.empty(n) for name in chunk}
+        for name, col in chunk.items():
+            cols[name][start:stop] = col
+    return HeldPanel(cols, seed)
+
+
+def tfpq_tail_index(log_tfpq, top_fraction=0.1):
+    """Hill estimator of the Pareto tail index of TFPQ levels.
+
+    log TFPQ is exactly exponential, so levels are exact Pareto with index
+    lambda_theta_t / (lambda_t/lambda_x)^psi; the Hill estimate over the top
+    order statistics is the natural empirical counterpart.
+    """
+    logs = np.sort(log_tfpq)
+    k = max(int(top_fraction * logs.shape[0]), 2)
+    tail = logs[-k:]
+    return 1.0 / float(np.mean(tail[1:] - tail[0]))
+
+
+def cross_section_moments_oracle(panel, eq, log_wage=None):
     """Moments of a held panel the whole-array way: a stable argsort of
     minus revenue for the shares and ``np.average`` / ``np.var`` over every
-    firm at once for the log-variances."""
+    firm at once for the log-variances.  The log wage is log(wage_bill / l)
+    unless given."""
     n = len(panel)
     rev_sorted = panel.revenue[np.argsort(-panel.revenue, kind="stable")]
     total = float(rev_sorted.sum())
     k10 = int(round(0.10 * n))
     k50 = int(round(0.50 * n))
-    log_wage = np.log(panel.wage_bill / panel.l)
+    if log_wage is None:
+        log_wage = np.log(panel.wage_bill / panel.l)
     mean = float(np.average(log_wage, weights=panel.l))
     return sc.CrossSectionMoments(
         var_log_wage=float(np.average((log_wage - mean) ** 2, weights=panel.l)),
@@ -343,3 +409,57 @@ def write_csv_oracle(path, columns):
     row_format = ",".join(["%.17g"] * len(columns))
     lines = [",".join(columns), *(row_format % tuple(row) for row in rows)]
     path.write_text("\n".join(lines) + "\n")
+
+
+def normal_icdf_masked(p):
+    """AS 241 (PPND16) with each branch's points gathered by boolean masks: the
+    central rational on the central points, both tail rationals on every tail
+    point, the r <= 5 one kept where r <= 5."""
+    p = np.asarray(p, dtype=np.float64)
+    scalar = p.ndim == 0
+    p = np.atleast_1d(p)
+    q = p - 0.5
+    out = np.empty_like(p)
+
+    central = np.abs(q) <= 0.425
+    if np.any(central):
+        r = 0.180625 - q[central] * q[central]
+        num = (((((((2.5090809287301226727e3 * r + 3.3430575583588128105e4) * r
+                    + 6.7265770927008700853e4) * r + 4.5921953931549871457e4) * r
+                  + 1.3731693765509461125e4) * r + 1.9715909503065514427e3) * r
+                + 1.3314166789178437745e2) * r + 3.3871328727963666080e0)
+        den = (((((((5.2264952788528545610e3 * r + 2.8729085735721942674e4) * r
+                    + 3.9307895800092710610e4) * r + 2.1213794301586595867e4) * r
+                  + 5.3941960214247511077e3) * r + 6.8718700749205790830e2) * r
+                + 4.2313330701600911252e1) * r + 1.0)
+        out[central] = q[central] * num / den
+
+    tails = ~central
+    if np.any(tails):
+        pt = p[tails]
+        qt = q[tails]
+        r = np.where(qt < 0.0, pt, 1.0 - pt)
+        r = np.sqrt(-np.log(r))
+        near = r <= 5.0
+        r1 = r - 1.6
+        num1 = (((((((7.74545014278341407640e-4 * r1 + 2.27238449892691845833e-2) * r1
+                     + 2.41780725177450611770e-1) * r1 + 1.27045825245236838258e0) * r1
+                   + 3.64784832476320460504e0) * r1 + 5.76949722146069140550e0) * r1
+                 + 4.63033784615654529590e0) * r1 + 1.42343711074968357734e0)
+        den1 = (((((((1.05075007164441684324e-9 * r1 + 5.47593808499534494600e-4) * r1
+                     + 1.51986665636164571966e-2) * r1 + 1.48103976427480074590e-1) * r1
+                   + 6.89767334985100004550e-1) * r1 + 1.67638483018380384940e0) * r1
+                 + 2.05319162663775882187e0) * r1 + 1.0)
+        r2 = r - 5.0
+        num2 = (((((((2.01033439929228813265e-7 * r2 + 2.71155556874348757815e-5) * r2
+                     + 1.24266094738807843860e-3) * r2 + 2.65321895265761230930e-2) * r2
+                   + 2.96560571828504891230e-1) * r2 + 1.78482653991729133580e0) * r2
+                 + 5.46378491116411436990e0) * r2 + 6.65790464350110377720e0)
+        den2 = (((((((2.04426310338993978564e-15 * r2 + 1.42151175831644588870e-7) * r2
+                     + 1.84631831751005468180e-5) * r2 + 7.86869131145613259100e-4) * r2
+                   + 1.48753612908506148525e-2) * r2 + 1.36929880922735805310e-1) * r2
+                 + 5.99832206555887937690e-1) * r2 + 1.0)
+        val = np.where(near, num1 / den1, num2 / den2)
+        out[tails] = np.where(qt < 0.0, -val, val)
+
+    return out[0] if scalar else out

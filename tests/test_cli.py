@@ -1,6 +1,8 @@
 import contextlib
+import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 import sortcycles
 from sortcycles import calibrate, cli, firms, verify
 
-from .oracles import cross_section_moments_oracle, write_csv_oracle
+from .oracles import cross_section_moments_oracle, held_panel, write_csv_oracle
 from .test_firms import CHUNK_BYTES, assert_moments_agree, failing_chunks, no_child_process_left
 
 
@@ -100,7 +102,7 @@ class TestMoments:
         shock = sortcycles.AggregateShockState.from_params(params, z=0.0, A=1.0)
         K = sortcycles.steady_state(params, 0.0, 1.0)[0]
         eq = sortcycles.solve_static(params, shock, K)
-        panel = sortcycles.sample_cross_section(eq, n, seed=5)
+        panel = held_panel(eq, n, seed=5)
         write_csv_oracle(tmp_path / "whole.csv",
                          {name: getattr(panel, name) for name in cli.PANEL_CSV_COLUMNS})
         assert (tmp_path / "panel.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
@@ -155,6 +157,54 @@ class TestMoments:
         assert cli.run([*argv, "--threads", "2", "--out", str(tmp_path / "2")]) == 0
         assert len(capfd.readouterr().out.splitlines()) == 1
         assert no_child_process_left()
+
+
+#: the published config, as shipped
+SHIPPED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "published.json"
+MOMENT_NAMES = ("var_log_wage", "var_log_tfpq", "var_log_tfpr", "labor_share",
+                "rev_share_top10", "rev_share_p50_p90")
+#: (--z, --seed): sha256 of panel.csv and the moments of ``moments`` with
+#: --n-firms 3·2^14+5 on the shipped config, as written before the sampler
+#: kept only panel.csv's columns and took the log wage in closed form
+PINNED = {
+    ("0", 1): ("d1cb046548b30b8e5a85feb55300546165575dc14298c96c68052fa4ded40330",
+               (0.4143983012580394, 0.12731504383301032, 0.06274277768761916,
+                0.629952973414982, 0.7793997855465499, 0.16444645126349738)),
+    ("0", 5): ("de0043aa8c9224f7336c7a5e41433b5bef58ec6af905dc04b4a18ca6fb06be76",
+               (0.370492550783985, 0.13231898836280429, 0.06496075667083921,
+                0.629952973414982, 0.7743212341402959, 0.1681915272061471)),
+    ("0", 12): ("7528d648151f7bf808488e3569833589fc97d00b7fbf4ba1612f5a72944418a0",
+                (0.616687414645342, 0.13129450586677646, 0.06453299884716569,
+                 0.629952973414982, 0.8378246604264399, 0.12058500456187471)),
+    ("0.3984", 1): ("0723136a40afd4b5227d82ea2a4df9e95952b0c22a40eb9855c30f8bb9d39ce3",
+                    (0.27258209311642867, 0.23049795508165055, 0.14364499901593286,
+                     0.27769209836312975, 0.7034397285587041, 0.21749388092072564)),
+    ("0.3984", 5): ("e5cae7c9c6de66f53f9c0ad05968a39b67442f1fe9ece952a27a7b8800764321",
+                    (0.28585761997615766, 0.23955736351238055, 0.14906850909133515,
+                     0.27769209836312975, 0.7044425634435266, 0.21667552574378024)),
+    ("0.3984", 12): ("eb336f62269b8b05f8657c769c65090c0d5f4c984073dcc673b5d450d1585806",
+                     (0.32837737291526403, 0.23770258568533056, 0.14801376099045005,
+                      0.27769209836312975, 0.7598732858341641, 0.17567100065501726)),
+}
+
+
+class TestPinnedArtifacts:
+    @pytest.mark.parametrize("z,seed", list(PINNED), ids=lambda v: str(v))
+    def test_panel_bytes_and_moments_for_every_thread_count(self, tmp_path, capsys, z, seed):
+        sha, moments = PINNED[z, seed]
+        n = 3 * firms.SAMPLE_CHUNK + 5
+        for threads in ("1", "2", "3"):
+            out = tmp_path / threads
+            assert cli.run(["moments", "--params", str(SHIPPED_CONFIG), "--n-firms", str(n),
+                            "--z", z, "--seed", str(seed), "--threads", threads,
+                            "--panel-csv", "--out", str(out)]) == 0
+            assert hashlib.sha256((out / "panel.csv").read_bytes()).hexdigest() == sha, threads
+            got = json.loads((out / "moments.json").read_text())
+            for name, want in zip(MOMENT_NAMES, moments):
+                assert math.isclose(got[name], want, rel_tol=1e-12, abs_tol=0.0), (threads, name)
+            assert (got["n_firms"], got["seed"]) == (n, seed)
+        assert len({(tmp_path / t / "moments.json").read_bytes() for t in "123"}) == 1
+        capsys.readouterr()
 
 
 class TestSimulate:
@@ -289,8 +339,12 @@ class TestUsageAndConfigErrors:
         assert cli.run(["solve", "--params", config_path, "--threads", "0"]) == 2
 
 
-#: a panel, path or episode count whose arrays, 8 TB and more, the system refuses at the call
-HUGE = str(10 ** 12)
+#: panel, path or episode counts that end in exit 1 with nothing of their size
+#: allocated: 10^12, whose arrays (8 TB and more) the system refuses at the
+#: call, and counts whose arrays would pass the 2^63 - 1 bytes a numpy array
+#: can span, refused before anything is drawn
+HUGE, BEYOND_INDEX, BEYOND = REFUSED = (str(10 ** 12), str(10 ** 19), str(10 ** 30))
+REFUSED_COUNTS = st.integers(10 ** 12, 10 ** 30)
 
 TARGET_FILES = {
     "missing": None,
@@ -317,9 +371,12 @@ class TestInputHoles:
         *[(sub, "--params", "sigma1-20") for sub in ("solve", "moments", "simulate", "irf",
                                                      "verify")],
         *[(sub, "--params", "lambda-theta-1e300") for sub in ("simulate", "irf")],
-        # sizes refused at allocation, so nothing is allocated
+        # sizes refused at allocation, so nothing is allocated, and counts
+        # beyond numpy's array range, refused before anything is drawn
         ("moments", "--n-firms", HUGE), ("moments", "--n-firms", HUGE, "--threads", "2"),
         ("simulate", "--T", HUGE), ("irf", "--n-sims", HUGE),
+        ("moments", "--n-firms", BEYOND), ("simulate", "--T", BEYOND_INDEX),
+        ("simulate", "--T", BEYOND), ("irf", "--n-sims", BEYOND),
     ], ids=lambda case: "-".join(case))
     def test_exit_code_and_one_error_line(self, config_path, tmp_path, capsys, case):
         sub, *flags = case
@@ -335,7 +392,7 @@ class TestInputHoles:
                 target.write_text(TARGET_FILES[name])
             flags[-1] = str(target)
             expected, prefix = 1, "error: "
-        elif HUGE in flags:
+        elif set(flags) & set(REFUSED):
             expected, prefix = 1, "error: "
         else:
             expected, prefix = 2, "usage error: "
@@ -412,7 +469,8 @@ def cli_cases(draw):
     if sub in ("solve", "moments"):
         options += [(flag, FLOATS, lambda v: True) for flag in ("--z", "--A", "--K")]
     if sub == "moments":
-        options += [("--n-firms", st.integers(1, 1000), lambda v: True)]
+        options += [("--n-firms", st.one_of(st.integers(1, 1000), REFUSED_COUNTS),
+                     lambda v: True)]
     if sub == "verify":
         options += [("--n-prop-points", st.integers(1, 3), lambda v: True)]
     pairs, usage_error = [], False
@@ -433,13 +491,13 @@ def cli_cases(draw):
     if sub in ("simulate", "irf"):
         pairs.append(("--grid-size", repr(draw(st.integers(2, 100)))))
     if sub == "simulate":
-        T = draw(st.integers(1, 500))
+        T = draw(st.one_of(st.integers(1, 500), REFUSED_COUNTS))
         burn_in = draw(st.integers(0, min(T, 50)))
         pairs += [("--T", repr(T)), ("--burn-in", repr(burn_in))]
         usage_error = usage_error or T <= burn_in
     if sub == "irf":
         pairs += [("--horizon", repr(draw(st.integers(0, 20)))),
-                  ("--n-sims", repr(draw(st.integers(1, 10))))]
+                  ("--n-sims", repr(draw(st.one_of(st.integers(1, 10), REFUSED_COUNTS))))]
     if sub == "moments":
         if not any(flag == "--n-firms" for flag, _ in pairs):
             pairs.append(("--n-firms", "100"))
@@ -458,6 +516,11 @@ class TestContractProperty:
                    ("published", json.dumps(PUBLISHED).encode()), False))
     @example(case=("simulate", [("--grid-size", "20"), ("--T", "50"), ("--burn-in", "10")],
                    ("number", json.dumps(BAD_CONFIGS["lambda-theta-1e300"]).encode()), False))
+    # 2.9e17 presimulated periods: fewer elements than an array can index, but
+    # more bytes than it can span
+    @example(case=("irf", [("--grid-size", "2"), ("--horizon", "0"),
+                           ("--n-sims", "28823037615171155")],
+                   ("published", json.dumps(PUBLISHED).encode()), False))
     def test_every_argv_ends_in_a_documented_exit_code(self, tmp_path_factory, case):
         sub, pairs, (kind, contents), usage_error = case
         root = tmp_path_factory.mktemp("argv")

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import os
@@ -8,11 +9,14 @@ import numpy as np
 import pytest
 
 import sortcycles as sc
-from sortcycles import firms
+from sortcycles import cli, firms, verify
+from sortcycles.rng import block_uniforms
 
-from .oracles import (central_diff, cross_section_moments_oracle, topshare_fixed_bisection,
-                      topshare_mc)
+from .oracles import (HeldPanel, central_diff, cross_section_moments_oracle, held_panel,
+                      tfpq_tail_index, topshare_fixed_bisection, topshare_mc)
 from .test_statics import LAMBDA_BOOM, with_params
+
+SEED = 20_260_816
 
 
 def solve_at(params, z, K=1.0, **shock_overrides):
@@ -36,9 +40,8 @@ class TestMatching:
         assert h == pytest.approx(1.163, abs=2e-3)  # 0.8681 / 0.74647
 
     def test_matched_worker_inverts(self, boom_eq):
-        theta = np.array([0.1, 1.0, 4.0])
-        x = firms.matched_worker(boom_eq, theta)
-        assert np.allclose(sc.matching(boom_eq, x), theta, rtol=1e-14)
+        panel = held_panel(boom_eq, 100, seed=1)
+        assert np.allclose(sc.matching(boom_eq, panel.matched_x), panel.theta, rtol=1e-14)
 
 
 class TestWage:
@@ -54,7 +57,7 @@ class TestWage:
     def test_worker_population_variance_matches_analytic(self, table, boom_eq):
         # Var over x ~ Exp(lambda_x) of log w(x), seeded 10^6-draw Monte Carlo
         params, _ = table
-        from sortcycles.rng import block_uniforms, exponential_icdf
+        from sortcycles.rng import exponential_icdf
         u = block_uniforms(99, "wage-var", 0, 1_000_000)[:, 0]
         x = exponential_icdf(u, params.lambda_x)
         logw = np.log(sc.wage(boom_eq, x))
@@ -65,19 +68,71 @@ class TestWage:
         assert abs(sample_var - vw) < 3.0 * se
 
 
+def drawn_from(eq, **shock_overrides):
+    """``eq`` with its panel drawn from another type rate or wedge volatility;
+    the allocation's constants stay those of ``eq``."""
+    return dataclasses.replace(eq, shock=dataclasses.replace(eq.shock, **shock_overrides))
+
+
+@pytest.fixture(scope="module")
+def equilibria(table):
+    """Both published states at K = 1 and the first 20 solvable equilibria of
+    seeded valid parameters, z in [0, 0.8) and K in [0.5, 15.5)."""
+    params, chain = table
+    out = [sc.solve_static(params, sc.AggregateShockState.from_params(params, z=z), 1.0)
+           for z in chain.z_states]
+    u = block_uniforms(SEED, "log-wage", 0, 1000)
+    i = 0
+    while len(out) < 22:
+        p = verify.random_valid_params(1, seed=SEED + 17 * i)[0]
+        z, K = 0.8 * float(u[i, 0]), 0.5 + 15.0 * float(u[i, 1])
+        i += 1
+        with contextlib.suppress(sc.SortCyclesError):
+            out.append(sc.solve_static(p, sc.AggregateShockState.from_params(p, z=z), K))
+    return out
+
+
+class TestClosedFormLogWage:
+    def test_matches_the_log_of_the_wage_bill_per_worker(self, equilibria):
+        # log w0 + slope·x against log(w0 exp(slope·x) l / l): within 4 ulps
+        # of the largest term, measured at most 3
+        for j, eq in enumerate(equilibria):
+            panel = held_panel(eq, 2 * firms.SAMPLE_CHUNK + 3, seed=j)
+            closed = firms._log_wage(eq, panel.theta)
+            old = np.log(panel.wage_bill / panel.l)
+            slope_x = firms._wage_slope(eq) * panel.matched_x
+            scale = np.maximum.reduce([np.abs(closed), np.abs(slope_x),
+                                       np.full(len(panel), max(abs(math.log(eq.w0)), 1.0))])
+            assert np.all(np.abs(closed - old) <= 4.0 * np.spacing(scale)), j
+
+    def test_moments_match_the_whole_array_oracle(self, equilibria):
+        # measured within 4.5e-16 relative
+        n = 2 * firms.SAMPLE_CHUNK + 3
+        for j, eq in enumerate(equilibria):
+            got = sc.panel_moments(eq, n, j)
+            want = cross_section_moments_oracle(held_panel(eq, n, seed=j), eq)
+            for name in (*VARIANCES, *SHARES):
+                assert math.isclose(getattr(got, name), getattr(want, name), rel_tol=1e-12,
+                                    abs_tol=0.0), (j, name)
+
+
 class TestFirmOutcome:
     def test_zero_type_firm_sits_at_scale_constants(self, boom_eq):
-        out = sc.firm_outcome(boom_eq, sc.FirmDraw(0.0, 0.0, 0.0))
-        assert out.Q == boom_eq.Q_bar
-        assert out.k == boom_eq.k_bar
-        assert out.chi == boom_eq.chi_bar
-        assert out.l == boom_eq.l_bar
+        # a type rate of 1e300 draws types below 1e-298 and no wedges: every
+        # firm is the zero-type firm, to the last bit of its log quantities
+        eq = drawn_from(boom_eq, lambda_theta_t=1e300, sigma1_t=0.0, sigma2_t=0.0)
+        chunk = firms._sample_chunk(eq, 1, 0, 100)
+        assert np.all(chunk["theta"] < 1e-298)
+        assert np.all(chunk["Q"] == boom_eq.Q_bar)
+        assert np.all(chunk["k"] == boom_eq.k_bar)
+        assert np.all(chunk["chi"] == boom_eq.chi_bar)
+        assert np.all(chunk["l"] == boom_eq.l_bar)
 
     def test_foc_residual_suite(self, table, recession_eq):
         # labor FOC, capital FOC, production identity, demand/markup identity
         params, _ = table
         eq, shock = recession_eq, recession_eq.shock
-        panel = sc.sample_cross_section(eq, 5000, seed=17)
+        panel = held_panel(eq, 5000, seed=17)
         w = sc.wage(eq, panel.matched_x)
         labor_foc = panel.tau1 * w * panel.l / (params.gamma * panel.chi * panel.Q) - 1.0
         capital_foc = panel.tau2 * eq.R * panel.k / (params.alpha * panel.chi * panel.Q) - 1.0
@@ -89,7 +144,7 @@ class TestFirmOutcome:
 
     def test_markup_and_demand_invariants(self, table, boom_eq):
         params, _ = table
-        panel = sc.sample_cross_section(boom_eq, 2000, seed=3)
+        panel = held_panel(boom_eq, 2000, seed=3)
         assert np.allclose(panel.P, params.xi / (params.xi - 1.0) * panel.chi, rtol=1e-14)
         assert np.max(np.abs(panel.P ** (-params.xi) * boom_eq.Y / panel.Q - 1.0)) < 1e-10
 
@@ -97,12 +152,12 @@ class TestFirmOutcome:
         # wage_bill/revenue = gamma*(xi-1)/(xi*tau1); the gamma follows from
         # the labor FOC (the source text drops it)
         params, _ = table
-        panel = sc.sample_cross_section(boom_eq, 2000, seed=3)
+        panel = held_panel(boom_eq, 2000, seed=3)
         expected = params.gamma * (params.xi - 1.0) / (params.xi * panel.tau1)
         assert np.max(np.abs(panel.wage_bill / panel.revenue - expected)) < 1e-10
 
     def test_tfpr_is_price_times_tfpq(self, boom_eq):
-        panel = sc.sample_cross_section(boom_eq, 2000, seed=5)
+        panel = held_panel(boom_eq, 2000, seed=5)
         assert np.max(np.abs(np.log(panel.P) + panel.log_tfpq - panel.log_tfpr)) < 1e-12
 
     def test_tfpr_type_loading_is_positive(self, table):
@@ -115,14 +170,10 @@ class TestFirmOutcome:
             assert ratio - c.eta_q * c.eta_q_theta / params.xi > 0.0
 
     def test_overflow_raises_nonfinite(self, boom_eq):
-        with pytest.raises(sc.NonFinite):
-            sc.firm_outcome(boom_eq, sc.FirmDraw(500.0, 0.0, 0.0))
-
-    def test_draw_validation(self):
-        with pytest.raises(ValueError):
-            sc.FirmDraw(-1.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            sc.FirmDraw(1.0, float("nan"), 0.0)
+        # a type rate of 0.001 draws types in the thousands, whose log
+        # quantities pass the exp cap
+        with pytest.raises(sc.NonFinite, match="exp cap"):
+            firms._sample_chunk(drawn_from(boom_eq, lambda_theta_t=0.001), 1, 0, 1000)
 
 
 class TestAnalyticMoments:
@@ -179,30 +230,30 @@ class TestAnalyticMoments:
 class TestSampling:
     def test_deterministic_rerun(self, boom_eq):
         # 150,000 firms span ten sampling chunks
-        a = sc.sample_cross_section(boom_eq, 150_000, seed=8)
-        b = sc.sample_cross_section(boom_eq, 150_000, seed=8)
-        for col in firms.FirmPanel.COLUMNS:
+        a = held_panel(boom_eq, 150_000, seed=8)
+        b = held_panel(boom_eq, 150_000, seed=8)
+        for col in a.columns:
             assert np.array_equal(getattr(a, col), getattr(b, col)), col
 
     def test_prefix_property(self, boom_eq):
         # the first k draws of a size-n panel equal the size-k panel, also
         # when n and k fall on different sides of a SAMPLE_CHUNK boundary
         for n, k in ((3000, 1000), (150_000, 70_000)):
-            big = sc.sample_cross_section(boom_eq, n, seed=8)
-            small = sc.sample_cross_section(boom_eq, k, seed=8)
-            for col in firms.FirmPanel.COLUMNS:
+            big = held_panel(boom_eq, n, seed=8)
+            small = held_panel(boom_eq, k, seed=8)
+            for col in big.columns:
                 assert np.array_equal(getattr(big, col)[:k], getattr(small, col)), (n, k, col)
 
     def test_single_firm_satisfies_focs(self, table, boom_eq):
         params, _ = table
-        panel = sc.sample_cross_section(boom_eq, 1, seed=123)
+        panel = held_panel(boom_eq, 1, seed=123)
         out = panel.row(0)
         w = sc.wage(boom_eq, out.matched_x)
         assert out.tau1 * w * out.l == pytest.approx(params.gamma * out.chi * out.Q, rel=1e-9)
         assert out.tau2 * boom_eq.R * out.k == pytest.approx(params.alpha * out.chi * out.Q, rel=1e-9)
 
     def test_moments_match_analytic_within_3se(self, boom_eq):
-        panel = sc.sample_cross_section(boom_eq, 1_000_000, seed=31)
+        panel = held_panel(boom_eq, 1_000_000, seed=31)
         _, vq, vr = sc.analytic_moments(boom_eq)
         for series, target in ((panel.log_tfpq, vq), (panel.log_tfpr, vr)):
             centered = (series - series.mean()) ** 2
@@ -216,13 +267,13 @@ class TestSampling:
         params, _ = table
         p = with_params(params, xi=4.0, psi=0.25, lambda_theta=5.0, lambda_x=1.0, sigma1=0.1)
         eq, _ = solve_at(p, 0.1, K=2.0)
-        panel = sc.sample_cross_section(eq, 400_000, seed=12)
+        panel = held_panel(eq, 400_000, seed=12)
         se = float(np.std(panel.revenue) / math.sqrt(len(panel)))
         assert abs(float(np.mean(panel.revenue)) - eq.Y) < 3.0 * se
 
     def test_empty_panel_rejected(self, boom_eq):
         with pytest.raises(sc.EmptyPanel):
-            sc.sample_cross_section(boom_eq, 0, seed=1)
+            sc.panel_moments(boom_eq, 0, seed=1)
 
 
 class TestCrossSectionMoments:
@@ -233,8 +284,7 @@ class TestCrossSectionMoments:
         shock = sc.AggregateShockState.from_params(clean, z=0.0, lambda_theta_t=1e12,
                                                    sigma1_t=0.0, sigma2_t=0.0)
         eq = sc.solve_static(clean, shock, 1.0)
-        panel = sc.sample_cross_section(eq, 1000, seed=2)
-        m = sc.cross_section_moments(panel, eq)
+        m = sc.panel_moments(eq, 1000, seed=2)
         assert m.rev_share_top10 == pytest.approx(0.10, abs=1e-6)
 
     def test_weighted_wage_variance_consistent_when_weights_are_light(self, table):
@@ -244,28 +294,23 @@ class TestCrossSectionMoments:
         p = with_params(params, xi=4.0, psi=0.3, lambda_theta=4.0, lambda_x=1.0, sigma1=0.1)
         eq, _ = solve_at(p, 0.8)
         assert eq.lambda_t > p.lambda_theta
-        panel = sc.sample_cross_section(eq, 400_000, seed=9)
-        m = sc.cross_section_moments(panel, eq)
+        m = sc.panel_moments(eq, 400_000, seed=9)
         vw, _, _ = sc.analytic_moments(eq)
         assert m.var_log_wage == pytest.approx(vw, rel=0.02)
 
     def test_labor_share_is_aggregate(self, boom_eq):
-        panel = sc.sample_cross_section(boom_eq, 100, seed=4)
-        m = sc.cross_section_moments(panel, boom_eq)
+        m = sc.panel_moments(boom_eq, 100, seed=4)
         assert m.labor_share == boom_eq.labor_share
 
     def test_empty_panel_rejected(self, boom_eq):
-        params = boom_eq.params
-        panel = sc.sample_cross_section(boom_eq, 10, seed=1)
-        for col in firms.FirmPanel.COLUMNS:
-            setattr(panel, col, getattr(panel, col)[:0])
+        # a negative size too, before any revenue map is asked for
         with pytest.raises(sc.EmptyPanel):
-            sc.cross_section_moments(panel, boom_eq)
+            sc.panel_moments(boom_eq, -5, seed=1, workers=3)
 
 
 VARIANCES = ("var_log_wage", "var_log_tfpq", "var_log_tfpr")
 SHARES = ("rev_share_top10", "rev_share_p50_p90")
-#: a sampled chunk's 15 columns plus the sampler's temporaries, with room to spare
+#: a sampled chunk's columns plus the sampler's temporaries, with room to spare
 CHUNK_BYTES = 40 * 8 * firms.SAMPLE_CHUNK
 
 
@@ -278,17 +323,18 @@ def assert_moments_agree(got, want):
         assert getattr(got, name) == getattr(want, name), name
 
 
-def held_chunks(panel, size):
-    """A held panel's columns in consecutive slices of ``size`` firms."""
-    for start in range(0, len(panel), size):
-        yield {name: getattr(panel, name)[start:start + size] for name in firms.FirmPanel.COLUMNS}
-
-
 def tied_panel(revenue):
     """A hand-built panel with the given revenues and unit everything else."""
     ones = np.ones(len(revenue))
-    data = {name: ones for name in firms.FirmPanel.COLUMNS}
-    return firms.FirmPanel({**data, "revenue": np.asarray(revenue, dtype=float)}, seed=0)
+    names = (*cli.PANEL_CSV_COLUMNS, "wage_bill")
+    return HeldPanel({**dict.fromkeys(names, ones), "revenue": np.asarray(revenue, dtype=float)},
+                     seed=0)
+
+
+def sample_from(monkeypatch, panel):
+    """Make the sampler hand out slices of ``panel``'s columns."""
+    monkeypatch.setattr(firms, "_sample_chunk", lambda eq, seed, start, stop: {
+        name: getattr(panel, name)[start:stop] for name in cli.PANEL_CSV_COLUMNS})
 
 
 #: 2^16: a chunk boundary for every power-of-two SAMPLE_CHUNK up to it
@@ -301,36 +347,39 @@ class TestStreamedMoments:
     @pytest.mark.parametrize("n", [1, BOUNDARY - 1, BOUNDARY + 1, 3 * BOUNDARY + 5])
     def test_matches_the_whole_array_oracle(self, boom_eq, n):
         assert BOUNDARY % firms.SAMPLE_CHUNK == 0
-        panel = sc.sample_cross_section(boom_eq, n, seed=21)
+        panel = held_panel(boom_eq, n, seed=21)
         want = cross_section_moments_oracle(panel, boom_eq)
-        streamed = sc.streamed_moments(sc.panel_chunks(boom_eq, n, seed=21), boom_eq, n, 21)
-        assert_moments_agree(streamed, want)
-        assert sc.cross_section_moments(panel, boom_eq) == streamed
+        assert_moments_agree(sc.panel_moments(boom_eq, n, 21), want)
 
     def test_one_chunk_is_bit_identical_to_the_oracle(self, boom_eq):
-        panel = sc.sample_cross_section(boom_eq, 5000, seed=4)
-        assert sc.cross_section_moments(panel, boom_eq) == cross_section_moments_oracle(
-            panel, boom_eq)
+        # the oracle given the closed-form log wage, so that only the
+        # reduction's arithmetic is compared
+        panel = held_panel(boom_eq, 5000, seed=4)
+        assert sc.panel_moments(boom_eq, 5000, 4) == cross_section_moments_oracle(
+            panel, boom_eq, firms._log_wage(boom_eq, panel.theta))
 
     @pytest.mark.parametrize("size", [7, 1000, BOUNDARY - 1])
-    def test_chunk_invariance(self, boom_eq, size):
+    def test_chunk_invariance(self, boom_eq, size, monkeypatch):
+        # the same panel reduced in chunks of another size
         n = BOUNDARY + 1001
-        panel = sc.sample_cross_section(boom_eq, n, seed=13)
-        chunked = sc.streamed_moments(held_chunks(panel, size), boom_eq, n, 13)
-        assert_moments_agree(chunked, sc.cross_section_moments(panel, boom_eq))
+        want = sc.panel_moments(boom_eq, n, 13)
+        monkeypatch.setattr(firms, "SAMPLE_CHUNK", size)
+        assert_moments_agree(sc.panel_moments(boom_eq, n, 13), want)
 
-    def test_tied_revenues_give_exact_shares(self, boom_eq):
+    def test_tied_revenues_give_exact_shares(self, boom_eq, monkeypatch):
         # 20 firms: the top two are a 5 and one of four 4s, the p50-p90
         # block the other three 4s and five of the eight 3s; total 55
         revenue = [4, 3, 5, 1, 3, 4, 2, 3, 1, 4, 3, 2, 1, 3, 4, 3, 3, 2, 1, 3]
-        m = sc.cross_section_moments(tied_panel(revenue), boom_eq)
+        sample_from(monkeypatch, tied_panel(revenue))
+        m = sc.panel_moments(boom_eq, len(revenue), 0)
         assert m.rev_share_top10 == 9.0 / 55.0
         assert m.rev_share_p50_p90 == 27.0 / 55.0
 
-    def test_ties_across_chunks_match_the_oracle_exactly(self, boom_eq):
+    def test_ties_across_chunks_match_the_oracle_exactly(self, boom_eq, monkeypatch):
         n = 2 * firms.SAMPLE_CHUNK + 7
         panel = tied_panel(np.resize([3.0, 1.0, 2.0, 3.0, 2.0], n))
-        m = sc.cross_section_moments(panel, boom_eq)
+        sample_from(monkeypatch, panel)
+        m = sc.panel_moments(boom_eq, n, 0)
         want = cross_section_moments_oracle(panel, boom_eq)
         assert (m.rev_share_top10, m.rev_share_p50_p90) == (want.rev_share_top10,
                                                             want.rev_share_p50_p90)
@@ -341,32 +390,38 @@ class TestStreamedMoments:
         assert m.rev_share_top10 == int(ranked[:k10].sum()) / total
         assert m.rev_share_p50_p90 == int(ranked[k10:k50].sum()) / total
 
-    def test_count_must_match_the_chunks(self, boom_eq):
-        with pytest.raises(ValueError):
-            sc.streamed_moments(sc.panel_chunks(boom_eq, 10, seed=1), boom_eq, 9, 1)
-        with pytest.raises(ValueError):
-            sc.streamed_moments(sc.panel_chunks(boom_eq, 10, seed=1), boom_eq, 11, 1)
-
-    def test_chunks_are_the_held_panel(self, boom_eq):
+    def test_chunks_are_the_held_panel(self, boom_eq, monkeypatch):
+        # the chunks the moments reduce hold exactly the columns of panel.csv
         n = firms.SAMPLE_CHUNK + 3
-        panel = sc.sample_cross_section(boom_eq, n, seed=6)
-        chunks = list(sc.panel_chunks(boom_eq, n, seed=6))
+        chunks = []
+        monkeypatch.setattr(firms, "_sample_chunk", lambda *args: chunks.append(
+            _SAMPLE_CHUNK(*args)) or chunks[-1])
+        sc.panel_moments(boom_eq, n, 6)
         assert [len(c["theta"]) for c in chunks] == [firms.SAMPLE_CHUNK, 3]
-        for name in firms.FirmPanel.COLUMNS:
+        assert all(tuple(c) == cli.PANEL_CSV_COLUMNS for c in chunks)
+        panel = held_panel(boom_eq, n, seed=6)
+        for name in cli.PANEL_CSV_COLUMNS:
             assert np.array_equal(np.concatenate([c[name] for c in chunks]),
                                   getattr(panel, name)), name
 
-    def test_empty_panel_rejected_at_the_call(self, boom_eq):
-        with pytest.raises(sc.EmptyPanel):
-            sc.panel_chunks(boom_eq, 0, seed=1)
+    def test_empty_panel_rejected_at_the_call(self, boom_eq, monkeypatch):
+        # before any firm is drawn or any row written
+        def refuse(*args):
+            raise AssertionError("drew a chunk")
+
+        monkeypatch.setattr(firms, "_sample_chunk", refuse)
+        with tempfile.TemporaryFile("w+") as fh:
+            with pytest.raises(sc.EmptyPanel):
+                sc.panel_moments(boom_eq, 0, 1, 2, fh, cli._write_panel_rows)
+            assert fh.tell() == 0
 
     def test_peak_memory_is_the_revenue_column_plus_a_chunk(self, boom_eq):
-        # the held panel takes 15 x 8 bytes per firm; streaming keeps the
+        # the held panel takes 15 x 8 bytes per firm; the moments keep the
         # revenue column, 8 bytes per firm, and one chunk at a time
         n = 1 << 20
         tracemalloc.start()
         try:
-            sc.streamed_moments(sc.panel_chunks(boom_eq, n, seed=2), boom_eq, n, 2)
+            sc.panel_moments(boom_eq, n, 2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -402,7 +457,8 @@ class TestPanelMoments:
     @pytest.mark.parametrize("n", [firms.SAMPLE_CHUNK + 1, 3 * firms.SAMPLE_CHUNK + 5,
                                    100_000])
     def test_bit_identical_to_the_streamed_moments(self, boom_eq, n, workers):
-        want = sc.streamed_moments(sc.panel_chunks(boom_eq, n, seed=17), boom_eq, n, 17)
+        # the streamed moments: one process reducing every chunk in turn
+        want = sc.panel_moments(boom_eq, n, 17, workers=1)
         assert sc.panel_moments(boom_eq, n, 17, workers) == want
         assert no_child_process_left()
 
@@ -418,17 +474,17 @@ class TestPanelMoments:
                 sc.panel_moments(boom_eq, n, 4, workers, fh, write_rows)
                 fh.seek(0)
                 texts.append(fh.read())
-        panel = sc.sample_cross_section(boom_eq, n, seed=4)
+        panel = held_panel(boom_eq, n, seed=4)
         assert texts == ["".join(f"{x!r}\n" for x in panel.theta)] * 2
 
     def test_one_worker_forks_nothing(self, boom_eq, monkeypatch):
         def refuse():
             raise AssertionError("forked")
 
-        monkeypatch.setattr(os, "fork", refuse)
         n = 3 * firms.SAMPLE_CHUNK
-        assert sc.panel_moments(boom_eq, n, 2, workers=1) == sc.streamed_moments(
-            sc.panel_chunks(boom_eq, n, seed=2), boom_eq, n, 2)
+        want = sc.panel_moments(boom_eq, n, 2, workers=3)
+        monkeypatch.setattr(os, "fork", refuse)
+        assert sc.panel_moments(boom_eq, n, 2, workers=1) == want
 
     def test_the_lowest_failing_chunk_wins(self, boom_eq, monkeypatch):
         # four chunks in three runs: [0], [1], [2, 3]
@@ -605,17 +661,20 @@ class TestParetoTails:
         params, _ = table
         clean = with_params(params, sigma1=0.0, sigma2=0.0)
         eq, _ = solve_at(clean, 0.0)
-        theta = np.linspace(0.1, 3.0, 7)
-        panel = firms._firm_arrays(eq, theta, np.zeros(7), np.zeros(7))
+        chunk = firms._sample_chunk(eq, 1, 0, 1000)
+        # seven firms at type sextiles, from the smallest type to the largest
+        picked = np.argsort(chunk["theta"])[np.linspace(0, 999, 7).astype(int)]
+        theta = chunk["theta"][picked]
+        assert np.all(np.diff(theta) > 0.05)
         for col in ("revenue", "l", "Q"):
-            logs = np.log(panel[col])
+            logs = np.log(chunk[col][picked])
             slopes = np.diff(logs) / np.diff(theta)
             assert np.ptp(slopes) < 1e-9  # exactly log-linear in theta
 
     def test_hill_tail_index_within_5pct(self, table, boom_eq):
         params, _ = table
-        panel = sc.sample_cross_section(boom_eq, 1_000_000, seed=77)
+        panel = held_panel(boom_eq, 1_000_000, seed=77)
         ratio = (boom_eq.lambda_t / params.lambda_x) ** params.psi
         analytic = boom_eq.shock.lambda_theta_t / ratio
-        est = firms.tfpq_tail_index(panel)
+        est = tfpq_tail_index(panel.log_tfpq)
         assert est == pytest.approx(analytic, rel=0.05)

@@ -37,9 +37,7 @@ EXPORTED = {
                "published_calibration", "validate"),
     "statics": ("Coefficients", "StaticEquilibrium", "aggregates", "coefficients",
                 "measured_tfp", "solve_lambda", "solve_static"),
-    "firms": ("CrossSectionMoments", "FirmDraw", "FirmOutcome", "FirmPanel", "analytic_moments",
-              "cross_section_moments", "firm_outcome", "matching", "panel_chunks",
-              "panel_moments", "sample_cross_section", "streamed_moments", "wage"),
+    "firms": ("CrossSectionMoments", "analytic_moments", "matching", "panel_moments", "wage"),
     "dynamics": ("GridSpec", "IRFResult", "Policy", "SimulationPath", "euler_residuals",
                  "impulse_response", "simulate", "solve_policy", "steady_state"),
     "calibrate": ("CalibrationResult", "SimConfig", "TargetSet", "model_moments", "objective"),

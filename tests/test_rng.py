@@ -1,8 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
 from sortcycles import rng
+from sortcycles.errors import SortCyclesError
+
+from .oracles import normal_icdf_masked
+
+#: the ends of the uniforms' range and of each AS 241 branch: 2^-53 and
+#: 1 - 2^-53, |p - 0.5| = 0.425 (central or tail), r = sqrt(-log p) = 5 (near
+#: or far tail), and a p far below any uniform drawn
+EDGE_POINTS = np.array([2.0 ** -53, 1.0 - 2.0 ** -53, 0.075, 0.925, 0.5 - 0.425, 0.5 + 0.425,
+                        math.exp(-25.0), 1.0 - math.exp(-25.0), 1e-300])
 
 
 class TestBlockUniforms:
@@ -32,6 +43,12 @@ class TestBlockUniforms:
     def test_empty(self):
         assert rng.block_uniforms(1, "x", 0, 0).shape == (0, 4)
 
+    @pytest.mark.parametrize("n_blocks", [2 ** 58, 10 ** 30])
+    def test_counts_beyond_the_index_range_are_refused(self, n_blocks):
+        # 2^58 blocks are 2^63 bytes of raw words, one more than an array can span
+        with pytest.raises(SortCyclesError, match="largest array"):
+            rng.block_uniforms(1, "x", 0, n_blocks)
+
 
 class TestNormalICDF:
     def test_matches_scipy_to_machine_precision(self):
@@ -47,6 +64,15 @@ class TestNormalICDF:
     def test_scalar_and_median(self):
         assert rng.normal_icdf(0.5) == 0.0
         assert rng.normal_icdf(0.975) == pytest.approx(1.959963984540054, abs=1e-12)
+
+    def test_bit_identical_to_the_masked_evaluation(self):
+        # 2^22 Philox uniforms, the edge points and each as a scalar
+        u = np.concatenate([rng.block_uniforms(16, "icdf", 0, 1 << 20).ravel(), EDGE_POINTS])
+        got, want = rng.normal_icdf(u), normal_icdf_masked(u)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for p in EDGE_POINTS:
+            assert np.float64(rng.normal_icdf(p)).view(np.uint64) == \
+                np.float64(normal_icdf_masked(p)).view(np.uint64), p
 
     def test_deep_tails_finite(self):
         u = np.array([1e-300, 1.0 - 1e-16])
@@ -82,8 +108,3 @@ class TestExponential:
         assert np.mean(x) == pytest.approx(0.5, rel=0.01)
         assert np.var(x) == pytest.approx(0.25, rel=0.02)
 
-
-def test_chunk_ranges_cover_exactly():
-    assert rng.chunk_ranges(10, 4) == [(0, 4), (4, 8), (8, 10)]
-    assert rng.chunk_ranges(4, 4) == [(0, 4)]
-    assert rng.chunk_ranges(0, 4) == []

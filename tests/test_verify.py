@@ -6,6 +6,7 @@ import pytest
 import sortcycles as sc
 from sortcycles import verify
 
+from .oracles import held_panel
 from .test_statics import with_params
 
 
@@ -13,16 +14,13 @@ class TestIndependentFirmSolver:
     def test_agrees_with_closed_forms(self, recession_eq):
         # the price-based solve and the closed-form tilts are separate routes to
         # the same allocation
-        theta = np.array([0.0, 0.4, 1.7, 5.0])
-        eps1 = np.array([0.1, -0.3, 0.0, 0.2])
-        eps2 = np.zeros(4)
-        sol = verify.independent_firm_solution(recession_eq, theta, eps1, eps2)
-        from sortcycles.firms import _firm_arrays
-        closed = _firm_arrays(recession_eq, theta, eps1, eps2)
-        assert np.allclose(np.exp(sol["log_Q"]), closed["Q"], rtol=1e-9)
-        assert np.allclose(np.exp(sol["log_l"]), closed["l"], rtol=1e-9)
-        assert np.allclose(np.exp(sol["log_k"]), closed["k"], rtol=1e-9)
-        assert np.allclose(np.exp(sol["log_chi"]), closed["chi"], rtol=1e-9)
+        closed = held_panel(recession_eq, 200, seed=3)
+        sol = verify.independent_firm_solution(recession_eq, closed.theta, closed.eps1,
+                                               closed.eps2)
+        assert np.allclose(np.exp(sol["log_Q"]), closed.Q, rtol=1e-9)
+        assert np.allclose(np.exp(sol["log_l"]), closed.l, rtol=1e-9)
+        assert np.allclose(np.exp(sol["log_k"]), closed.k, rtol=1e-9)
+        assert np.allclose(np.exp(sol["log_chi"]), closed.chi, rtol=1e-9)
 
 
 class TestMarketClearingChecks:

@@ -43,8 +43,8 @@ from . import dynamics
 FREE_PARAM_NAMES = ("psi", "z_high", "lambda_theta", "lambda_x", "sigma1")
 DEFAULT_BOUNDS = ((0.01, 0.99), (0.0, 2.0), (0.1, 20.0), (0.1, 20.0), (0.0, 2.0))
 
-#: finite value the objective returns when a guard fails
-INFEASIBLE = 1e10
+#: the objective where a guard fails: no feasible point reaches it
+INFEASIBLE = math.inf
 #: Latin hypercubes of n_starts points drawn, at most, to find n_starts feasible starts
 START_BATCHES = 8
 #: stop tolerances of each least-squares start: relative cost decrease, step
@@ -129,9 +129,21 @@ def assemble(free_params, fixed_params: ValidatedParams,
     return params, chain
 
 
+def state_path(chain: MarkovChain2, sim_config: SimConfig, seed: int) -> np.ndarray | None:
+    """The full mode's state path after burn-in (None in fast mode).  It reads
+    only the chain's stay probabilities, which are not calibrated, so one
+    draw serves every parameter point."""
+    if sim_config.fast:
+        return None
+    return dynamics.draw_state_path(chain, sim_config.T, seed)[sim_config.burn_in:]
+
+
 def model_moments(free_params, fixed_params: ValidatedParams, chain_template: MarkovChain2,
-                  sim_config: SimConfig, seed: int) -> dict[str, float]:
-    """The five calibration moments at one parameter point."""
+                  sim_config: SimConfig, seed: int, *,
+                  states: np.ndarray | None = None) -> dict[str, float]:
+    """The five calibration moments at one parameter point.  In full mode
+    ``states`` is the :func:`state_path` of the chain, sim_config and seed,
+    drawn here if not given."""
     params, chain = assemble(free_params, fixed_params, chain_template)
     table = dynamics.state_table(params, chain)
 
@@ -139,7 +151,8 @@ def model_moments(free_params, fixed_params: ValidatedParams, chain_template: Ma
         pi = stationary_distribution(chain)
         freq = (pi[0], pi[1])
     else:
-        states = dynamics.draw_state_path(chain, sim_config.T, seed)[sim_config.burn_in:]
+        if states is None:
+            states = state_path(chain, sim_config, seed)
         f_high = float(np.mean(states))
         freq = (1.0 - f_high, f_high)
 
@@ -169,16 +182,19 @@ def model_moments(free_params, fixed_params: ValidatedParams, chain_template: Ma
 
 def residuals(free_params, fixed_params: ValidatedParams, targets: TargetSet,
               sim_config: SimConfig, seed: int,
-              chain_template: MarkovChain2 | None = None) -> np.ndarray:
+              chain_template: MarkovChain2 | None = None, *,
+              states: np.ndarray | None = None) -> np.ndarray:
     """Weighted proportional deviations sqrt(w)·(m/t - 1), sqrt(w)·m where a
-    target is 0, one per moment; all infinite on guard failure."""
+    target is 0, one per moment; all infinite on guard failure.  ``states``
+    is passed on to :func:`model_moments`."""
     chain_template = chain_template or PUBLISHED_CHAIN
     infeasible = np.full(len(MOMENT_NAMES), np.inf)
     for v, (lo, hi) in zip(free_params, DEFAULT_BOUNDS):
         if not lo <= v <= hi:
             return infeasible
     try:
-        moments = model_moments(free_params, fixed_params, chain_template, sim_config, seed)
+        moments = model_moments(free_params, fixed_params, chain_template, sim_config, seed,
+                                states=states)
     except SortCyclesError:
         return infeasible
     return np.array([math.sqrt(w) * (moments[name] if target == 0.0
@@ -190,21 +206,24 @@ def objective(free_params, fixed_params: ValidatedParams, targets: TargetSet,
               sim_config: SimConfig, seed: int,
               chain_template: MarkovChain2 | None = None) -> float:
     """Squared norm of the residuals: the weighted sum of squared proportional
-    deviations, or INFEASIBLE on guard failure."""
+    deviations, or INFEASIBLE (infinite) on guard failure."""
     r = residuals(free_params, fixed_params, targets, sim_config, seed, chain_template)
     total = float(r @ r)
     return total if math.isfinite(total) else INFEASIBLE
 
 
-def _feasible_starts(fun, lo, hi, seed: int, n_starts: int) -> list[np.ndarray]:
+def _feasible_starts(fun, lo, hi, seed: int,
+                     n_starts: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """The first n_starts feasible points of successive seeded Latin hypercubes
-    over the box [lo, hi]: an infeasible start is replaced by the stream's next."""
+    over the box [lo, hi], each with its residuals: an infeasible start is
+    replaced by the stream's next."""
     starts = []
     for batch in range(START_BATCHES):
         for u in latin_hypercube(seed, "calibrate-starts", n_starts, len(lo), batch):
             x = lo + u * (hi - lo)
-            if np.all(np.isfinite(fun(x))):
-                starts.append(x)
+            f = fun(x)
+            if np.all(np.isfinite(f)):
+                starts.append((x, f))
                 if len(starts) == n_starts:
                     return starts
     raise DomainError(f"found {len(starts)} of {n_starts} feasible starts in "
@@ -228,10 +247,10 @@ def _jacobian(fun, x: np.ndarray, f: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return J
 
 
-def _least_squares(fun, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                   max_nfev: int) -> tuple[float, np.ndarray]:
-    """Minimize 0.5·|fun(x)|² over the box [lo, hi] from the interior point x0;
-    returns (cost, x).
+def _least_squares(fun, x0: np.ndarray, f0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                   max_nfev: int) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize 0.5·|fun(x)|² over the box [lo, hi] from the interior point x0,
+    where fun(x0) = f0; returns (x, fun(x)).
 
     Levenberg-Marquardt steps (Moré 1978) taken in the affine scaling of
     Coleman & Li (1996): each variable is scaled by the square root of its
@@ -240,20 +259,31 @@ def _least_squares(fun, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     stay free along the others.  A step that would leave the box stops at
     STEP_BACK of the distance to it.  The damping follows Nielsen's update
     (Madsen, Nielsen & Tingleff 2004).  An infeasible trial point (non-finite
-    residuals) is a rejected step.  Stops on the FTOL, XTOL and GTOL tests or
-    after max_nfev evaluations of fun at x0 and at trial points; the
-    Jacobians' evaluations are not counted.
+    residuals) is a rejected step.
+
+    The Jacobian is a forward-difference one (:func:`_jacobian`) only where
+    it must be: at the start, and at the current point when a step made with
+    an updated Jacobian is rejected, when such a step would be cut short at a
+    bound, or when a stopping test passes on it.  After every accepted step
+    it takes Broyden's rank-one update instead (Transtrum & Sethna 2012), so
+    every fit ends on a fresh finite-difference Jacobian.  Stops on the
+    FTOL, XTOL and GTOL tests or after max_nfev evaluations of fun at x0 and
+    at trial points; the Jacobians' evaluations are not counted.
     """
-    x = x0.copy()
-    f = fun(x)
+    x, f = x0.copy(), f0
     cost = 0.5 * float(f @ f)
     nfev, mu, nu = 1, 0.0, 2.0
+    J, fresh = None, False  # fresh: J is the finite-difference Jacobian at x
     while nfev < max_nfev:
-        J = _jacobian(fun, x, f, hi)
+        if J is None:
+            J, fresh = _jacobian(fun, x, f, hi), True
         g = J.T @ f
         v = np.where(g < 0.0, hi - x, np.where(g > 0.0, x - lo, 1.0))
         if np.max(np.abs(g * v)) < GTOL:
-            break
+            if fresh:
+                break
+            J = None
+            continue
         d = np.sqrt(v)
         Js, gs = J * d, g * d
         A = Js.T @ Js
@@ -268,6 +298,9 @@ def _least_squares(fun, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                                 np.where(step < 0.0, (lo - x) / step, np.inf))
             reach = float(np.min(room))
             if reach < 1.0:
+                if not fresh:  # an updated Jacobian would run into a bound
+                    J = None
+                    break
                 ps, step = ps * STEP_BACK * reach, step * STEP_BACK * reach
             f_new = fun(x + step)
             nfev += 1
@@ -279,17 +312,24 @@ def _least_squares(fun, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             small_step = np.linalg.norm(step) < XTOL * (XTOL + np.linalg.norm(x))
             if ratio > 0.0:
                 converged = small_step or (cost - cost_new < FTOL * cost and ratio > 0.25)
+                if converged and fresh:
+                    return x + step, f_new
+                # Broyden's update, or a fresh Jacobian where a stopping test
+                # passed on an updated one
+                J = None if converged else J + np.outer(f_new - f - J @ step, step) / (step @ step)
+                fresh = False
                 x, f, cost = x + step, f_new, cost_new
                 mu *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
                 nu = 2.0
-                if converged:
-                    return cost, x
+                break
+            if not fresh:  # rejected on an updated Jacobian
+                J = None
                 break
             if small_step:
-                return cost, x
+                return x, f
             mu *= nu
             nu *= 2.0
-    return cost, x
+    return x, f
 
 
 def calibrate(fixed_params: ValidatedParams, targets: TargetSet,
@@ -305,10 +345,12 @@ def calibrate(fixed_params: ValidatedParams, targets: TargetSet,
     rest.  Each start is a feasible point of a seeded Latin hypercube and
     runs a bounded Levenberg-Marquardt search in Coleman-Li scaling
     (:func:`_least_squares`) with at most ``max_iter_per_start``
-    evaluations of its start and its trial steps (the finite-difference
-    Jacobians come on top).  Deterministic given the seed.  ``n_evaluations``
-    counts every residual evaluation, including the starts' screening, the
-    Jacobians and the final one that reports the objective.
+    evaluations of its start, made once when the start is screened, and of
+    its trial steps (the finite-difference Jacobians come on top).  In full
+    mode the state path is drawn once (:func:`state_path`).  Deterministic
+    given the seed.  ``n_evaluations`` counts every residual evaluation: the
+    starts' screening, the trial steps and the Jacobians; the reported
+    objective is the best fit's own.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
@@ -329,6 +371,7 @@ def calibrate(fixed_params: ValidatedParams, targets: TargetSet,
     free = lo < hi
     if not np.any(free):
         raise DomainError("every parameter is pinned: nothing to calibrate")
+    states = state_path(chain_template, sim_config, seed)
     n_calls = 0
 
     def expand(x):
@@ -339,18 +382,20 @@ def calibrate(fixed_params: ValidatedParams, targets: TargetSet,
     def fun(x):
         nonlocal n_calls
         n_calls += 1
-        return residuals(expand(x), fixed_params, targets, sim_config, seed, chain_template)
+        return residuals(expand(x), fixed_params, targets, sim_config, seed, chain_template,
+                         states=states)
 
     starts = _feasible_starts(fun, lo[free], hi[free], seed, n_starts)
-    fits = [_least_squares(fun, x0, lo[free], hi[free], max_iter_per_start)
-            for x0 in starts]
-    _, best = min(fits, key=lambda fit: (fit[0], tuple(fit[1])))
+    fits = [_least_squares(fun, x0, f0, lo[free], hi[free], max_iter_per_start)
+            for x0, f0 in starts]
+    best, f = min(fits, key=lambda fit: (float(fit[1] @ fit[1]), tuple(fit[0])))
     point = expand(best)
     return CalibrationResult(
         params={name: float(v) for name, v in zip(FREE_PARAM_NAMES, point)},
-        objective=objective(point, fixed_params, targets, sim_config, seed, chain_template),
-        moments=model_moments(point, fixed_params, chain_template, sim_config, seed),
-        n_evaluations=n_calls + 1,
+        objective=float(f @ f),
+        moments=model_moments(point, fixed_params, chain_template, sim_config, seed,
+                              states=states),
+        n_evaluations=n_calls,
         seed=seed,
         n_starts=n_starts,
     )

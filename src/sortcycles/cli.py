@@ -186,9 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-size", type=int, default=200,
                    help="ignored: calibration solves no policy")
     p.add_argument("--max-iter", type=int, default=800,
-                   help="evaluations per start of its point and of the trial steps "
-                        "of the Levenberg-Marquardt search; the finite-difference "
-                        "Jacobians come on top")
+                   help="residual evaluations per start at its point and at the trial "
+                        "steps of the Levenberg-Marquardt search; the finite-difference "
+                        "Jacobians come on top, one at the start and one wherever a "
+                        "Broyden-updated Jacobian fails or passes a stopping test")
 
     p = sub.add_parser("verify", help="independent oracles; exit 3 unless all pass")
     common(p)

@@ -23,7 +23,8 @@ consumption in closed form, and so the resources that choose each node; one
 rule, with the grid floor and ceiling saved where resources fall outside.
 Every rule in this module -- consumption in the residuals, savings in the
 solver and along simulated paths -- is interpolated piecewise-linearly with
-``np.interp``, which clamps at the grid ends.
+``np.interp``, which clamps at the grid ends; a simulated path, one scalar
+per period, steps by a plain-Python copy of its rule.
 
 Impulse responses are generalized: treated/control path pairs share every
 random innovation, the treated path is forced into the high-z state at
@@ -36,6 +37,7 @@ one horizon at a time.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,12 +294,29 @@ def draw_state_path(chain: MarkovChain2 | ThetaRedrawProcess, T: int, seed: int,
 
 
 def _capital_path(policy: Policy, K0: float, states: np.ndarray) -> np.ndarray:
-    """Capital path K_0..K_T under the savings rule, state by state."""
-    out = np.empty(states.shape[0] + 1)
-    out[0] = K0
-    for t, s in enumerate(states.tolist()):
-        out[t + 1] = np.interp(out[t], policy.K_grid, policy.K_next[s])
-    return out
+    """Capital path K_0..K_T under the savings rule, state by state.
+
+    Each period is the scalar ``np.interp(K, K_grid, K_next[s])`` in plain
+    Python, bit for bit on a finite grid: the same clamps at the grid ends
+    and np.interp's formula slope·(K - x_j) + y_j from the node x_j at or
+    below K, which gives y_j at a node.  A NaN stays NaN.
+    """
+    xp = policy.K_grid.tolist()
+    rules = policy.K_next.tolist()
+    lo, hi = xp[0], xp[-1]
+    k = float(K0)
+    out = [k]
+    for s in states.tolist():
+        fp = rules[s]
+        if k < lo:
+            k = fp[0]
+        elif k < hi:
+            j = bisect_right(xp, k) - 1
+            k = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (k - xp[j]) + fp[j]
+        elif k >= hi:
+            k = fp[-1]
+        out.append(k)
+    return np.array(out)
 
 
 def simulate(policy: Policy, T: int = 10_000, burn_in: int = 100, seed: int = 0,

@@ -34,6 +34,26 @@ FAST = cal.SimConfig(fast=True)
 
 #: the best fit's objective on the published config and the default targets
 OPTIMUM = 5.256774e-4
+#: its parameters (lambda_theta is held at the config's 2.616)
+OPTIMUM_PARAMS = {"psi": 0.5387192031, "z_high": 0.1079615775, "lambda_theta": 2.616,
+                  "lambda_x": 0.8698281871, "sigma1": 0.2257815428}
+
+
+def assert_at_the_optimum(res):
+    assert res.objective == pytest.approx(OPTIMUM, rel=1e-6)
+    for name in cal.FREE_PARAM_NAMES:
+        assert res.params[name] == pytest.approx(OPTIMUM_PARAMS[name], rel=1e-6), name
+
+
+def start_point(seed, n_starts, lambda_theta):
+    """The first Latin-hypercube start of calibrate(seed, n_starts) on the default box."""
+    lo = np.array([b[0] for b in cal.DEFAULT_BOUNDS])
+    hi = np.array([b[1] for b in cal.DEFAULT_BOUNDS])
+    free = np.arange(len(lo)) != cal.FREE_PARAM_NAMES.index("lambda_theta")
+    u = rng.latin_hypercube(seed, "calibrate-starts", n_starts, int(free.sum()), 0)[0]
+    point = np.full(len(lo), lambda_theta)
+    point[free] = lo[free] + u * (hi[free] - lo[free])
+    return point
 
 
 @pytest.fixture(scope="module")
@@ -77,19 +97,31 @@ class TestObjective:
         assert cal.objective(bumped, params, self_targets, FAST, seed=0,
                              chain_template=chain) > 0.0
 
-    def test_out_of_bounds_returns_finite_sentinel(self, table_module, truth, self_targets):
+    def test_out_of_bounds_returns_the_infinite_sentinel(self, table_module, truth,
+                                                         self_targets):
         params, chain = table_module
         bad = truth.copy()
         bad[0] = 1.5  # psi above its bound
         val = cal.objective(bad, params, self_targets, FAST, seed=0, chain_template=chain)
-        assert val == cal.INFEASIBLE and math.isfinite(val)
+        assert val == cal.INFEASIBLE == math.inf
 
-    def test_guard_failure_returns_finite_sentinel(self, table_module, self_targets):
+    def test_guard_failure_returns_the_infinite_sentinel(self, table_module, self_targets):
         # tiny lambda_theta trips the capital-demand guard inside the solve
         params, chain = table_module
         bad = np.array([0.4022, 0.3984, 0.11, 0.8681, 0.2293])
         val = cal.objective(bad, params, self_targets, FAST, seed=0, chain_template=chain)
-        assert val == cal.INFEASIBLE
+        assert val == cal.INFEASIBLE == math.inf
+
+    def test_a_far_feasible_point_is_not_infeasible(self, table_module):
+        # seed 13's one-start draw is feasible, with an objective above the
+        # finite sentinel 1e10 that once marked guard failures
+        params, chain = table_module
+        x = start_point(13, 1, params.lambda_theta)
+        assert np.all(np.isfinite(cal.residuals(x, params, sc.TargetSet(), FAST, seed=13,
+                                                chain_template=chain)))
+        val = cal.objective(x, params, sc.TargetSet(), FAST, seed=13, chain_template=chain)
+        assert math.isfinite(val) and val < cal.INFEASIBLE
+        assert val == pytest.approx(1.07e10, rel=0.01)
 
     def test_scaling_symmetry_gives_equal_objective(self, table_module, truth, self_targets):
         # (z, lambda_theta) -> (cz, c lambda_theta), lambda_x -> c^{-(1-psi)/psi} lambda_x
@@ -208,14 +240,9 @@ class TestCalibrate:
         # with lambda_theta normalized the default targets have one best fit;
         # every seed's Latin-hypercube starts find it
         params, chain = table_module
-        fits = [cal.calibrate(params, sc.TargetSet(), seed=seed, sim_config=FAST,
-                              chain_template=chain) for seed in range(1, 13)]
-        ref = fits[0]
-        assert ref.objective < 6e-4
-        for fit in fits[1:]:
-            assert fit.objective == pytest.approx(ref.objective, rel=1e-6)
-            for name in cal.FREE_PARAM_NAMES:
-                assert fit.params[name] == pytest.approx(ref.params[name], rel=1e-6), name
+        for seed in range(21):
+            assert_at_the_optimum(cal.calibrate(params, sc.TargetSet(), seed=seed, n_starts=4,
+                                                sim_config=FAST, chain_template=chain))
 
     @pytest.mark.parametrize("seed", range(21))
     def test_one_start_never_reports_infeasible(self, one_start_fit, seed):
@@ -230,7 +257,7 @@ class TestCalibrate:
         # no single start ends on a corner of the box and is reported as the
         # fit (a trust-region-reflective search ended seed 18's start at
         # objective 16.17 with psi on its upper bound)
-        assert one_start_fit(seed).objective == pytest.approx(OPTIMUM, rel=1e-6)
+        assert_at_the_optimum(one_start_fit(seed))
 
     def test_lambda_theta_is_reported_at_its_config_value(self, table_module):
         params, chain = table_module
@@ -275,8 +302,50 @@ class TestCalibrate:
         res = cal.calibrate(params, sc.TargetSet(), seed=6, n_starts=2, sim_config=sim_config,
                             chain_template=chain, max_iter_per_start=6)
         assert res.n_evaluations == len(calls)
-        # the cap bounds the search steps; each Jacobian adds four more calls
+        # the cap bounds each start's point and trial steps; every start
+        # begins with a finite-difference Jacobian, four calls or more
         assert len(calls) > 2 * 6
+
+    def test_default_fit_makes_at_most_800_residual_calls(self, table_module, monkeypatch):
+        # forward-difference Jacobians at every step took 1,121 calls here;
+        # Broyden updates between refreshes take about 700
+        params, chain = table_module
+        calls = []
+        residuals = cal.residuals
+
+        def counted(*args, **kwargs):
+            calls.append(tuple(args[0]))
+            return residuals(*args, **kwargs)
+
+        monkeypatch.setattr(cal, "residuals", counted)
+        res = cal.calibrate(params, sc.TargetSet(), seed=12345, n_starts=4, sim_config=FAST,
+                            chain_template=chain)
+        assert_at_the_optimum(res)
+        assert res.n_evaluations == len(calls) <= 800
+        # the screened start points go into the fits, and the objective is
+        # the best fit's own: no point is evaluated twice
+        assert len(set(calls)) == len(calls)
+        assert calls.count(tuple(start_point(12345, 4, params.lambda_theta))) == 1
+
+    def test_full_mode_draws_its_state_path_once(self, table_module, monkeypatch):
+        params, chain = table_module
+        cfg = cal.SimConfig(fast=False, T=600, burn_in=60)
+        draws = []
+        draw = dynamics.draw_state_path
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "draw_state_path", counted)
+        res = cal.calibrate(params, sc.TargetSet(), seed=6, n_starts=2, sim_config=cfg,
+                            chain_template=chain, max_iter_per_start=6)
+        assert len(draws) == 1 and res.n_evaluations > 2 * 6
+        # the one path is the path each evaluation would draw for itself
+        point = np.array([res.params[name] for name in cal.FREE_PARAM_NAMES])
+        assert res.moments == cal.model_moments(point, params, chain, cfg, seed=6)
+        assert res.objective == cal.objective(point, params, sc.TargetSet(), cfg, seed=6,
+                                              chain_template=chain)
 
     def test_full_mode_runs_and_is_deterministic(self, table_module, truth, self_targets):
         params, chain = table_module

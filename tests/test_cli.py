@@ -19,7 +19,8 @@ import sortcycles
 from sortcycles import calibrate, cli, firms, verify
 
 from .oracles import cross_section_moments_oracle, held_panel, write_csv_oracle
-from .test_firms import CHUNK_BYTES, assert_moments_agree, failing_chunks, no_child_process_left
+from .test_firms import (CHUNK_BYTES, assert_moments_agree, failing_chunks,
+                         no_child_process_left, recorded_maps)
 
 
 PUBLISHED = {
@@ -110,10 +111,12 @@ class TestMoments:
         assert_moments_agree(sortcycles.CrossSectionMoments(**got),
                              cross_section_moments_oracle(panel, eq))
 
-    def test_panel_csv_peak_memory_is_bounded(self, config_path, tmp_path):
+    def test_panel_csv_peak_memory_is_bounded(self, config_path, tmp_path, monkeypatch):
         # the held panel and its whole-file text took over 1 kB per firm;
-        # streaming keeps the revenue column, one chunk and one row block
+        # streaming keeps the revenue column in one anonymous map, and one
+        # chunk and one row block on the heap
         n = 1 << 17
+        maps = recorded_maps(monkeypatch)
         tracemalloc.start()
         try:
             rc = cli.run(["moments", "--params", config_path, "--n-firms", str(n),
@@ -122,7 +125,8 @@ class TestMoments:
         finally:
             tracemalloc.stop()
         assert rc == 0
-        assert peak < 2 * 8 * n + CHUNK_BYTES, peak
+        assert maps == [(-1, 8 * n)]
+        assert peak < CHUNK_BYTES, peak
 
     def test_artifacts_are_the_same_for_every_thread_count(self, config_path, tmp_path):
         n = 3 * firms.SAMPLE_CHUNK + 5
@@ -257,6 +261,20 @@ class TestCalibrate:
         assert list(payload) == ["params", "objective", "moments", "n_evaluations",
                                  "seed", "n_starts"]
         assert list(payload["params"]) == ["psi", "z_high", "lambda_theta", "lambda_x", "sigma1"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--fast", "--seed", "13", "--max-iter", "1"],  # reports its start, objective 1.07e10
+        ["--fast", "--seed", "20", "--max-iter", "3"],  # its first draw is infeasible
+        ["--seed", "13", "--T", "600", "--burn-in", "60", "--max-iter", "4"],
+    ], ids=["seed-13-start", "seed-20-replaced-start", "full"])
+    def test_objective_is_always_finite(self, config_path, tmp_path, flags):
+        # every fit runs from a feasible start and accepts only feasible
+        # steps, so the infinite guard-failure sentinel never reaches the file
+        rc = cli.run(["calibrate", "--params", config_path, "--n-starts", "1", *flags,
+                      "--out", str(tmp_path)])
+        assert rc == 0
+        objective = strict_json((tmp_path / "calibration.json").read_text())["objective"]
+        assert math.isfinite(objective) and 0.0 <= objective < calibrate.INFEASIBLE
 
     def test_custom_targets_and_unknown_key(self, config_path, tmp_path):
         good = tmp_path / "targets.json"

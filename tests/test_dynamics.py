@@ -309,6 +309,53 @@ class TestStatePath:
         assert list(s) == [0, 1, 1, 0, 0]
 
 
+def interp_capital_path(policy, K0, states):
+    """The capital recursion as one scalar np.interp per period."""
+    out = np.empty(states.shape[0] + 1)
+    out[0] = K0
+    for t, s in enumerate(states.tolist()):
+        out[t + 1] = np.interp(out[t], policy.K_grid, policy.K_next[s])
+    return out
+
+
+class TestCapitalPath:
+    def one_step(self, policy, K, s):
+        return dynamics._capital_path(policy, K, np.array([s]))[1]
+
+    @pytest.mark.parametrize("s", [0, 1])
+    def test_is_np_interp_bit_for_bit(self, policy, s):
+        # random points inside and beyond the grid, every node, both ends,
+        # points just inside and outside them
+        grid = policy.K_grid
+        lo, hi = grid[0], grid[-1]
+        points = np.concatenate([
+            np.random.default_rng(5).uniform(0.5 * lo, 1.5 * hi, 2000), grid,
+            [lo, hi, np.nextafter(lo, 0.0), np.nextafter(lo, np.inf),
+             np.nextafter(hi, 0.0), np.nextafter(hi, np.inf), 0.0, 1e300]])
+        got = np.array([self.one_step(policy, K, s) for K in points])
+        want = np.interp(points, grid, policy.K_next[s])
+        assert np.array_equal(got, want)
+        assert np.array_equal(got[2000:2000 + grid.size], policy.K_next[s])
+
+    def test_clamps_at_both_grid_ends(self, policy):
+        grid, rule = policy.K_grid, policy.K_next
+        for s in (0, 1):
+            assert self.one_step(policy, 0.5 * grid[0], s) == rule[s, 0]
+            assert self.one_step(policy, 2.0 * grid[-1], s) == rule[s, -1]
+
+    def test_nan_stays_nan(self, policy):
+        path = dynamics._capital_path(policy, float("nan"), np.array([0, 1, 0]))
+        assert np.all(np.isnan(path))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_long_path_is_the_np_interp_recursion(self, table, policy, variant_policy, seed):
+        _, chain = table
+        states = dynamics.draw_state_path(chain, 10_000, seed)
+        for pol, K0 in ((policy, policy.k_star[0]), (variant_policy, 0.7 * K_STAR_BOOM)):
+            assert np.array_equal(dynamics._capital_path(pol, K0, states),
+                                  interp_capital_path(pol, K0, states))
+
+
 class TestImpulseResponse:
     def test_zero_shock_means_zero_irf(self, table):
         params, chain = table

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import math
+import mmap
 import os
 import tempfile
 import tracemalloc
@@ -314,6 +315,20 @@ SHARES = ("rev_share_top10", "rev_share_p50_p90")
 CHUNK_BYTES = 40 * 8 * firms.SAMPLE_CHUNK
 
 
+def recorded_maps(monkeypatch) -> list[tuple[int, int]]:
+    """The (fileno, length) of each memory map opened from here on, in order;
+    tracemalloc does not see what a map holds."""
+    maps = []
+    real = mmap.mmap
+
+    def recording(fileno, length, *args, **kwargs):
+        maps.append((fileno, length))
+        return real(fileno, length, *args, **kwargs)
+
+    monkeypatch.setattr(mmap, "mmap", recording)
+    return maps
+
+
 def assert_moments_agree(got, want):
     """Log-variances within 1e-13 relative, everything else bit for bit."""
     for name in VARIANCES:
@@ -415,17 +430,20 @@ class TestStreamedMoments:
                 sc.panel_moments(boom_eq, 0, 1, 2, fh, cli._write_panel_rows)
             assert fh.tell() == 0
 
-    def test_peak_memory_is_the_revenue_column_plus_a_chunk(self, boom_eq):
+    def test_peak_memory_is_the_revenue_column_plus_a_chunk(self, boom_eq, monkeypatch):
         # the held panel takes 15 x 8 bytes per firm; the moments keep the
-        # revenue column, 8 bytes per firm, and one chunk at a time
+        # revenue column, 8 bytes per firm, in one anonymous map, and one
+        # chunk at a time on the heap
         n = 1 << 20
+        maps = recorded_maps(monkeypatch)
         tracemalloc.start()
         try:
             sc.panel_moments(boom_eq, n, 2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 8 * n + CHUNK_BYTES, peak
+        assert maps == [(-1, 8 * n)]
+        assert peak < CHUNK_BYTES, peak
 
 
 def no_child_process_left():

@@ -4,7 +4,7 @@ The objective is the weighted sum of squared proportional deviations of five
 model moments from their targets: targets span two orders of magnitude, so
 absolute squares would let the large concentration moments drown out TFP
 volatility.  All randomness is held fixed across evaluations (common random
-numbers): the only stochastic input, the z-state path of the full mode,
+numbers): the only stochastic input, the state weights of the full mode,
 depends on the seed and on the transition probabilities alone, and the
 probabilities are not calibrated - so the residuals are smooth deterministic
 functions of the parameters and least squares with finite-difference
@@ -15,14 +15,15 @@ unchanged), so the search holds lambda_theta at its configured value.
 All five moments are K-free, so each takes one closed-form value per z-state
 (:func:`sortcycles.dynamics.state_table`; the revenue-concentration moments
 come from the exact Pareto-lognormal share formulas applied to the table's
-per-state equilibria).  Neither mode solves the dynamic model.  They differ
-only in how the two states are weighted:
+per-state equilibria).  Neither mode solves the dynamic model.  Each moment
+weights its two per-state values by two state weights (w_boom, w_recession),
+and TFP volatility, a two-valued series, is the gap times sqrt(w_boom ·
+w_recession).  The modes differ only in those weights (:func:`state_weights`):
 
-* fast - by the chain's stationary distribution, so the objective involves
-  no sampling at all.
-* full - by a sampled state path: the closed-form per-state values weighted
-  by the seeded path of T periods after burn-in, so TFP volatility and the
-  averages are those of that finite history.
+* fast - the chain's stationary distribution, so the objective involves no
+  sampling at all.
+* full - the state shares of the seeded path of T periods after burn-in, so
+  TFP volatility and the averages are those of that finite history.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ import numpy as np
 
 from .errors import DomainError, SortCyclesError
 from .firms import revenue_concentration
-from .params import (PUBLISHED_CHAIN, MarkovChain2, ValidatedParams, stationary_distribution,
-                     validate)
+from .params import MarkovChain2, ValidatedParams, stationary_distribution, validate
 from .rng import latin_hypercube
 from . import dynamics
 
@@ -94,8 +94,8 @@ class SimConfig:
     """Knobs of one objective evaluation.
 
     ``fast`` weights the per-state values by the stationary distribution;
-    otherwise they are weighted by a sampled state path of ``T`` periods
-    whose first ``burn_in`` are dropped.
+    otherwise by the state shares of a sampled path of ``T`` periods whose
+    first ``burn_in`` are dropped (:func:`state_weights`).
     """
 
     T: int = 10_000
@@ -129,85 +129,60 @@ def assemble(free_params, fixed_params: ValidatedParams,
     return params, chain
 
 
-def state_path(chain: MarkovChain2, sim_config: SimConfig, seed: int) -> np.ndarray | None:
-    """The full mode's state path after burn-in (None in fast mode).  It reads
-    only the chain's stay probabilities, which are not calibrated, so one
-    draw serves every parameter point."""
+def state_weights(chain: MarkovChain2, sim_config: SimConfig,
+                  seed: int) -> tuple[float, float]:
+    """(w_boom, w_recession), the weights of the two z-states in every
+    moment: the one place where the modes differ.  Fast mode takes the
+    chain's stationary distribution; full mode the state shares of the seeded
+    path of T periods after burn-in.  Only the stay probabilities are read,
+    and they are not calibrated, so one draw serves every parameter point."""
     if sim_config.fast:
-        return None
-    return dynamics.draw_state_path(chain, sim_config.T, seed)[sim_config.burn_in:]
+        return stationary_distribution(chain)
+    states = dynamics.draw_state_path(chain, sim_config.T, seed)[sim_config.burn_in:]
+    f = float(np.mean(states))
+    return (1.0 - f, f)
 
 
-def model_moments(free_params, fixed_params: ValidatedParams, chain_template: MarkovChain2,
-                  sim_config: SimConfig, seed: int, *,
-                  states: np.ndarray | None = None) -> dict[str, float]:
-    """The five calibration moments at one parameter point.  In full mode
-    ``states`` is the :func:`state_path` of the chain, sim_config and seed,
-    drawn here if not given."""
-    params, chain = assemble(free_params, fixed_params, chain_template)
+def model_moments(free_params, fixed_params: ValidatedParams, chain: MarkovChain2,
+                  weights: tuple[float, float]) -> dict[str, float]:
+    """The five calibration moments at one parameter point: the closed-form
+    per-state values weighted by the :func:`state_weights`."""
+    params, chain = assemble(free_params, fixed_params, chain)
     table = dynamics.state_table(params, chain)
-
-    if sim_config.fast:
-        pi = stationary_distribution(chain)
-        freq = (pi[0], pi[1])
-    else:
-        if states is None:
-            states = state_path(chain, sim_config, seed)
-        f_high = float(np.mean(states))
-        freq = (1.0 - f_high, f_high)
+    w0, w1 = weights
 
     def mix(column):
-        return freq[0] * column[0] + freq[1] * column[1]
+        return w0 * column[0] + w1 * column[1]
 
     top10, p50_p90 = zip(*(revenue_concentration(eq) for eq in table.equilibria))
-
-    if sim_config.fast:
-        tfp = table.measured_tfp
-        std_tfp = abs(tfp[1] - tfp[0]) * math.sqrt(freq[0] * freq[1])
-        labor_share = mix(table.labor_share)
-        wage_ineq = mix(table.var_log_wage)
-    else:
-        std_tfp = float(np.std(table.measured_tfp[states]))
-        labor_share = float(np.mean(table.labor_share[states]))
-        wage_ineq = float(np.mean(table.var_log_wage[states]))
-
+    tfp = table.measured_tfp
     return {
-        "labor_share": labor_share,
-        "wage_inequality": wage_ineq,
+        "labor_share": mix(table.labor_share),
+        "wage_inequality": mix(table.var_log_wage),
         "rev_share_top10": mix(top10),
         "rev_share_p50_p90": mix(p50_p90),
-        "std_tfp": std_tfp,
+        "std_tfp": abs(tfp[1] - tfp[0]) * math.sqrt(w0 * w1),
     }
 
 
 def residuals(free_params, fixed_params: ValidatedParams, targets: TargetSet,
-              sim_config: SimConfig, seed: int,
-              chain_template: MarkovChain2 | None = None, *,
-              states: np.ndarray | None = None) -> np.ndarray:
+              chain: MarkovChain2, weights: tuple[float, float]) -> np.ndarray:
     """Weighted proportional deviations sqrt(w)·(m/t - 1), sqrt(w)·m where a
-    target is 0, one per moment; all infinite on guard failure.  ``states``
-    is passed on to :func:`model_moments`."""
-    chain_template = chain_template or PUBLISHED_CHAIN
-    infeasible = np.full(len(MOMENT_NAMES), np.inf)
-    for v, (lo, hi) in zip(free_params, DEFAULT_BOUNDS):
-        if not lo <= v <= hi:
-            return infeasible
+    target is 0, one per moment; all infinite on guard failure."""
     try:
-        moments = model_moments(free_params, fixed_params, chain_template, sim_config, seed,
-                                states=states)
+        moments = model_moments(free_params, fixed_params, chain, weights)
     except SortCyclesError:
-        return infeasible
+        return np.full(len(MOMENT_NAMES), np.inf)
     return np.array([math.sqrt(w) * (moments[name] if target == 0.0
                                      else moments[name] / target - 1.0)
                      for w, name, target in zip(targets.weights, MOMENT_NAMES, targets.values())])
 
 
 def objective(free_params, fixed_params: ValidatedParams, targets: TargetSet,
-              sim_config: SimConfig, seed: int,
-              chain_template: MarkovChain2 | None = None) -> float:
+              chain: MarkovChain2, weights: tuple[float, float]) -> float:
     """Squared norm of the residuals: the weighted sum of squared proportional
     deviations, or INFEASIBLE (infinite) on guard failure."""
-    r = residuals(free_params, fixed_params, targets, sim_config, seed, chain_template)
+    r = residuals(free_params, fixed_params, targets, chain, weights)
     total = float(r @ r)
     return total if math.isfinite(total) else INFEASIBLE
 
@@ -334,30 +309,29 @@ def _least_squares(fun, x0: np.ndarray, f0: np.ndarray, lo: np.ndarray, hi: np.n
 
 def calibrate(fixed_params: ValidatedParams, targets: TargetSet,
               bounds=DEFAULT_BOUNDS, seed: int = 0, n_starts: int = 4,
-              sim_config: SimConfig | None = None,
-              chain_template: MarkovChain2 | None = None,
+              sim_config: SimConfig | None = None, *, chain_template: MarkovChain2,
               max_iter_per_start: int = 800) -> CalibrationResult:
     """Bounded least squares on the residuals from Latin-hypercube starts.
 
     ``lambda_theta`` is held at ``fixed_params.lambda_theta``, the
     normalization that removes the scaling symmetry, and any parameter whose
     bounds have lo == hi is held at that value; the search runs over the
-    rest.  Each start is a feasible point of a seeded Latin hypercube and
-    runs a bounded Levenberg-Marquardt search in Coleman-Li scaling
+    rest, and a point outside the bounds is infeasible.  Each start is a
+    feasible point of a seeded Latin hypercube and runs a bounded
+    Levenberg-Marquardt search in Coleman-Li scaling
     (:func:`_least_squares`) with at most ``max_iter_per_start``
     evaluations of its start, made once when the start is screened, and of
-    its trial steps (the finite-difference Jacobians come on top).  In full
-    mode the state path is drawn once (:func:`state_path`).  Deterministic
-    given the seed.  ``n_evaluations`` counts every residual evaluation: the
-    starts' screening, the trial steps and the Jacobians; the reported
-    objective is the best fit's own.
+    its trial steps (the finite-difference Jacobians come on top).  The
+    :func:`state_weights` are computed once.  Deterministic given the seed.
+    ``n_evaluations`` counts every residual evaluation: the starts'
+    screening, the trial steps and the Jacobians; the reported objective is
+    the best fit's own.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
     if max_iter_per_start < 1:
         raise ValueError("max_iter_per_start must be at least 1")
     sim_config = sim_config or SimConfig()
-    chain_template = chain_template or PUBLISHED_CHAIN
     lo = np.array([float(b[0]) for b in bounds])
     hi = np.array([float(b[1]) for b in bounds])
     if lo.shape != (len(FREE_PARAM_NAMES),) or not np.all(lo <= hi):
@@ -371,7 +345,7 @@ def calibrate(fixed_params: ValidatedParams, targets: TargetSet,
     free = lo < hi
     if not np.any(free):
         raise DomainError("every parameter is pinned: nothing to calibrate")
-    states = state_path(chain_template, sim_config, seed)
+    weights = state_weights(chain_template, sim_config, seed)
     n_calls = 0
 
     def expand(x):
@@ -382,8 +356,10 @@ def calibrate(fixed_params: ValidatedParams, targets: TargetSet,
     def fun(x):
         nonlocal n_calls
         n_calls += 1
-        return residuals(expand(x), fixed_params, targets, sim_config, seed, chain_template,
-                         states=states)
+        point = expand(x)
+        if not np.all((lo <= point) & (point <= hi)):
+            return np.full(len(MOMENT_NAMES), np.inf)
+        return residuals(point, fixed_params, targets, chain_template, weights)
 
     starts = _feasible_starts(fun, lo[free], hi[free], seed, n_starts)
     fits = [_least_squares(fun, x0, f0, lo[free], hi[free], max_iter_per_start)
@@ -393,8 +369,7 @@ def calibrate(fixed_params: ValidatedParams, targets: TargetSet,
     return CalibrationResult(
         params={name: float(v) for name, v in zip(FREE_PARAM_NAMES, point)},
         objective=float(f @ f),
-        moments=model_moments(point, fixed_params, chain_template, sim_config, seed,
-                              states=states),
+        moments=model_moments(point, fixed_params, chain_template, weights),
         n_evaluations=n_calls,
         seed=seed,
         n_starts=n_starts,

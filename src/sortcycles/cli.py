@@ -179,8 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", default=None, help="TargetSet JSON (default: data column)")
     p.add_argument("--n-starts", type=int, default=4)
     p.add_argument("--fast", action="store_true",
-                   help="weight the closed-form per-state moments by the stationary "
-                        "distribution (default: by a sampled state path of --T periods)")
+                   help="weight the two states' closed-form moments by the stationary "
+                        "distribution (default: by their shares of a sampled state path "
+                        "of --T periods); the modes differ in these two weights only")
     p.add_argument("--T", type=int, default=10_000, help="state-path length in full mode")
     p.add_argument("--burn-in", type=int, default=100)
     p.add_argument("--grid-size", type=int, default=200,

@@ -153,7 +153,7 @@ def _sample_chunk(eq: StaticEquilibrium, seed: int, start: int,
         # log P + log TFPQ; the chi_bar term keeps it a true revenue residual
         # rather than the dispersion-only display that drops the period constant
         "log_tfpr": (math.log(xi / (xi - 1.0)) + math.log(eq.chi_bar)
-                     + (ratio - eta_q * c.eta_q_theta / xi) * theta
+                     + tfpr_type_loading(params, shock, eq.lambda_t) * theta
                      + (eta_q / xi) * (g * eps1 + a * eps2)),
     }
 

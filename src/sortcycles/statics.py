@@ -64,15 +64,31 @@ def fixed_point_residual(params: ValidatedParams, shock: AggregateShockState, la
     return b * (lam / params.lambda_x) ** params.psi + lam - target
 
 
+def _root_bracket(params: ValidatedParams, shock: AggregateShockState) -> float:
+    """The top of the sign-change bracket [0, hi] of G.  It starts at the
+    analytic upper bound T + |b| (1 + T/lambda_x)^psi + 1 with
+    T = lambda_theta_t + d z and is doubled while G is still negative there,
+    which can happen for extreme (psi near 1, tiny lambda_x) corners of the
+    parameter space."""
+    psi, lam_x = params.psi, params.lambda_x
+    b, d = fixed_point_coefficients(params)
+    target = d * shock.z + shock.lambda_theta_t
+    hi = target + abs(b) * (1.0 + target / lam_x) ** psi + 1.0
+    for _ in range(2000):
+        if b * (hi / lam_x) ** psi + hi - target > 0.0:
+            return hi
+        hi *= 2.0
+    # G grows without bound, but with b < 0, psi near 1 and a tiny lambda_x
+    # its root can lie beyond the float range
+    raise NoRoot("failed to bracket the job-distribution root")
+
+
 def solve_lambda(params: ValidatedParams, shock: AggregateShockState) -> float:
     """Unique nonnegative root of the job-distribution equation.
 
     The root always lies on the increasing branch of G (strict convexity when
-    b < 0), so a sign-change bracket plus safeguarded Newton converges
-    unconditionally.  The bracket starts at the analytic upper bound
-    T + |b| (1 + T/lambda_x)^psi + 1 with T = lambda_theta_t + d z and is
-    doubled if G is still negative there, which can happen for extreme
-    (psi near 1, tiny lambda_x) corners of the parameter space.
+    b < 0), so a sign-change bracket (:func:`_root_bracket`) plus safeguarded
+    Newton converges unconditionally.
     """
     psi, lam_x = params.psi, params.lambda_x
     b, d = fixed_point_coefficients(params)
@@ -101,14 +117,7 @@ def solve_lambda(params: ValidatedParams, shock: AggregateShockState) -> float:
             raise NoRoot("psi=1 equation has nonpositive slope; no nonnegative root")
         return target / slope
 
-    lo = 0.0
-    hi = target + abs(b) * (1.0 + target / lam_x) ** psi + 1.0
-    for _ in range(2000):
-        if G(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:  # pragma: no cover - G grows without bound, expansion must succeed
-        raise NoRoot("failed to bracket the job-distribution root")
+    lo, hi = 0.0, _root_bracket(params, shock)
 
     # bisection depth covers roots down to the denormal range: for psi near 0
     # with b > target the root is lambda_x (target/b)^(1/psi), which can be

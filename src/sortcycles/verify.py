@@ -35,8 +35,8 @@ from .rng import block_uniforms, exponential_icdf
 from .dynamics import draw_state_path
 from .errors import NoRoot
 from .firms import dispersions, tfpr_type_loading
-from .statics import (StaticEquilibrium, capital_margin, fixed_point_coefficients,
-                      fixed_point_residual, solve_lambda, solve_static)
+from .statics import (StaticEquilibrium, _root_bracket, capital_margin, fixed_point_residual,
+                      solve_lambda, solve_static)
 
 GH_ORDER = 64
 #: composite Gauss-Legendre rule of the type integrals: panels, nodes per panel
@@ -240,18 +240,8 @@ def _strictly_monotone(values: np.ndarray, increasing: bool) -> bool:
 
 def bracket_scan_sign_changes(params: ValidatedParams, shock: AggregateShockState,
                               n_points: int = 10_000) -> int:
-    """Count sign changes of G over the solve bracket on a uniform scan.
-
-    The bracket is the solver's: the analytic upper bound, doubled while G is
-    still negative there (needed in the negative-b corner).
-    """
-    b, d = fixed_point_coefficients(params)
-    target = d * shock.z + shock.lambda_theta_t
-    hi = target + abs(b) * (1.0 + target / params.lambda_x) ** params.psi + 1.0
-    for _ in range(2000):
-        if float(fixed_point_residual(params, shock, hi)) > 0.0:
-            break
-        hi *= 2.0
+    """Count sign changes of G over the solver's bracket on a uniform scan."""
+    hi = _root_bracket(params, shock)
     g = fixed_point_residual(params, shock, np.linspace(0.0, hi, n_points))
     signs = np.sign(g)
     signs = signs[signs != 0.0]

@@ -7,6 +7,7 @@ import pytest
 import sortcycles as sc
 import sortcycles.calibrate as cal
 from sortcycles import dynamics, firms, rng
+from sortcycles.params import stationary_distribution
 
 from .oracles import full_mode_moments_oracle
 
@@ -24,13 +25,20 @@ def truth(table_module):
 
 
 @pytest.fixture(scope="module")
-def self_targets(table_module, truth):
+def pi(table_module):
+    """The fast mode's state weights: the chain's stationary distribution."""
+    return stationary_distribution(table_module[1])
+
+
+@pytest.fixture(scope="module")
+def self_targets(table_module, truth, pi):
     params, chain = table_module
-    m = cal.model_moments(truth, params, chain, cal.SimConfig(fast=True), seed=0)
+    m = cal.model_moments(truth, params, chain, pi)
     return sc.TargetSet(**{k: m[k] for k in cal.MOMENT_NAMES})
 
 
 FAST = cal.SimConfig(fast=True)
+
 
 #: the best fit's objective on the published config and the default targets
 OPTIMUM = 5.256774e-4
@@ -78,81 +86,76 @@ def curve_invariants(x):
 
 
 class TestObjective:
-    def test_self_target_is_exactly_zero(self, table_module, truth, self_targets):
+    def test_self_target_is_exactly_zero(self, table_module, truth, self_targets, pi):
         params, chain = table_module
-        assert cal.objective(truth, params, self_targets, FAST, seed=0,
-                             chain_template=chain) == 0.0
+        assert cal.objective(truth, params, self_targets, chain, pi) == 0.0
 
-    def test_common_random_numbers_make_it_deterministic(self, table_module, truth):
+    def test_common_random_numbers_make_it_deterministic(self, table_module, truth, pi):
         params, chain = table_module
         x = truth * 1.07
-        a = cal.objective(x, params, sc.TargetSet(), FAST, seed=0, chain_template=chain)
-        b = cal.objective(x, params, sc.TargetSet(), FAST, seed=0, chain_template=chain)
+        a = cal.objective(x, params, sc.TargetSet(), chain, pi)
+        b = cal.objective(x, params, sc.TargetSet(), chain, pi)
         assert a == b
 
-    def test_lambda_x_perturbation_strictly_increases(self, table_module, truth, self_targets):
+    def test_lambda_x_perturbation_strictly_increases(self, table_module, truth, self_targets, pi):
         # local identification in the lambda_x direction (off the scaling curve)
         params, chain = table_module
         bumped = truth * np.array([1.0, 1.0, 1.0, 1.1, 1.0])
-        assert cal.objective(bumped, params, self_targets, FAST, seed=0,
-                             chain_template=chain) > 0.0
+        assert cal.objective(bumped, params, self_targets, chain, pi) > 0.0
 
     def test_out_of_bounds_returns_the_infinite_sentinel(self, table_module, truth,
-                                                         self_targets):
+                                                         self_targets, pi):
         params, chain = table_module
         bad = truth.copy()
         bad[0] = 1.5  # psi above its bound
-        val = cal.objective(bad, params, self_targets, FAST, seed=0, chain_template=chain)
+        val = cal.objective(bad, params, self_targets, chain, pi)
         assert val == cal.INFEASIBLE == math.inf
 
-    def test_guard_failure_returns_the_infinite_sentinel(self, table_module, self_targets):
+    def test_guard_failure_returns_the_infinite_sentinel(self, table_module, self_targets, pi):
         # tiny lambda_theta trips the capital-demand guard inside the solve
         params, chain = table_module
         bad = np.array([0.4022, 0.3984, 0.11, 0.8681, 0.2293])
-        val = cal.objective(bad, params, self_targets, FAST, seed=0, chain_template=chain)
+        val = cal.objective(bad, params, self_targets, chain, pi)
         assert val == cal.INFEASIBLE == math.inf
 
-    def test_a_far_feasible_point_is_not_infeasible(self, table_module):
+    def test_a_far_feasible_point_is_not_infeasible(self, table_module, pi):
         # seed 13's one-start draw is feasible, with an objective above the
         # finite sentinel 1e10 that once marked guard failures
         params, chain = table_module
         x = start_point(13, 1, params.lambda_theta)
-        assert np.all(np.isfinite(cal.residuals(x, params, sc.TargetSet(), FAST, seed=13,
-                                                chain_template=chain)))
-        val = cal.objective(x, params, sc.TargetSet(), FAST, seed=13, chain_template=chain)
+        assert np.all(np.isfinite(cal.residuals(x, params, sc.TargetSet(), chain, pi)))
+        val = cal.objective(x, params, sc.TargetSet(), chain, pi)
         assert math.isfinite(val) and val < cal.INFEASIBLE
         assert val == pytest.approx(1.07e10, rel=0.01)
 
-    def test_scaling_symmetry_gives_equal_objective(self, table_module, truth, self_targets):
+    def test_scaling_symmetry_gives_equal_objective(self, table_module, truth, self_targets, pi):
         # (z, lambda_theta) -> (cz, c lambda_theta), lambda_x -> c^{-(1-psi)/psi} lambda_x
         # leaves every moment unchanged: the targets identify only the curve
         params, chain = table_module
         c = 1.8
         x = truth * np.array([1.0, c, c, c ** (-(1.0 - truth[0]) / truth[0]), 1.0])
-        val = cal.objective(x, params, self_targets, FAST, seed=0, chain_template=chain)
+        val = cal.objective(x, params, self_targets, chain, pi)
         assert val < 1e-18
 
-    def test_panel_a_fits_the_attainable_targets(self, table_module, truth):
+    def test_panel_a_fits_the_attainable_targets(self, table_module, truth, pi):
         # at the published parameters the four attainable rows of the data
         # column fit to < 0.05; the full objective is dominated by the TFP
         # volatility row, which the model cannot produce (decisions ledger)
         params, chain = table_module
         no_tfp = sc.TargetSet(weights=(1.0, 1.0, 1.0, 1.0, 0.0))
-        assert cal.objective(truth, params, no_tfp, FAST, seed=0,
-                             chain_template=chain) < 0.05
-        full = cal.objective(truth, params, sc.TargetSet(), FAST, seed=0,
-                             chain_template=chain)
+        assert cal.objective(truth, params, no_tfp, chain, pi) < 0.05
+        full = cal.objective(truth, params, sc.TargetSet(), chain, pi)
         assert full > 50.0  # the documented inconsistency, kept visible
 
-    def test_proportional_deviations_weighting(self, table_module, truth):
+    def test_proportional_deviations_weighting(self, table_module, truth, pi):
         # doubling one weight doubles that term's contribution
         params, chain = table_module
         x = truth * 1.05
-        base = cal.objective(x, params, sc.TargetSet(), FAST, seed=0, chain_template=chain)
+        base = cal.objective(x, params, sc.TargetSet(), chain, pi)
         heavy = sc.TargetSet(weights=(2.0, 1.0, 1.0, 1.0, 1.0))
-        m = cal.model_moments(x, params, chain, FAST, seed=0)
+        m = cal.model_moments(x, params, chain, pi)
         extra = (m["labor_share"] / heavy.labor_share - 1.0) ** 2
-        got = cal.objective(x, params, heavy, FAST, seed=0, chain_template=chain)
+        got = cal.objective(x, params, heavy, chain, pi)
         assert got == pytest.approx(base + extra, rel=1e-12)
 
 
@@ -171,14 +174,14 @@ class TestSigma1Inversion:
                             / ((c.eta_q / params.xi) ** 2 * params.gamma ** 2))
         assert implied == pytest.approx(sigma_star, rel=1e-10)
 
-    def test_one_dimensional_recovery_within_1pct(self, table_module, truth):
+    def test_one_dimensional_recovery_within_1pct(self, table_module, truth, pi):
         # all other parameters pinned; the search recovers sigma1 from the
         # five-moment objective
         params, chain = table_module
         sigma_star = 0.31
         x_star = truth.copy()
         x_star[4] = sigma_star
-        m = cal.model_moments(x_star, params, chain, FAST, seed=0)
+        m = cal.model_moments(x_star, params, chain, pi)
         targets = sc.TargetSet(**{k: m[k] for k in cal.MOMENT_NAMES})
         bounds = [(v, v) for v in truth[:4]] + [(0.0, 2.0)]
         res = cal.calibrate(params, targets, bounds=bounds, seed=2, n_starts=3,
@@ -267,6 +270,28 @@ class TestCalibrate:
         assert tuple(res.params) == cal.FREE_PARAM_NAMES
         assert res.params["lambda_theta"] == 3.1
 
+    def test_the_search_box_is_the_callers(self, table_module):
+        # lambda_theta = 25 lies outside the default box but inside these
+        # bounds; the scaling symmetry moves the fit along its curve, so the
+        # objective, psi and sigma1 are the default normalization's
+        params, chain = table_module
+        varied = dataclasses.replace(params, lambda_theta=25.0)
+        bounds = list(cal.DEFAULT_BOUNDS)
+        bounds[2] = (0.1, 30.0)
+        res = cal.calibrate(varied, sc.TargetSet(), bounds=bounds, seed=0, n_starts=1,
+                            sim_config=FAST, chain_template=chain)
+        assert res.params["lambda_theta"] == 25.0
+        assert res.objective == pytest.approx(OPTIMUM, rel=1e-6)
+        for name in ("psi", "sigma1"):
+            assert res.params[name] == pytest.approx(OPTIMUM_PARAMS[name], rel=1e-6), name
+
+    def test_residuals_know_no_search_box(self, table_module, truth, pi):
+        # z_high = 2.5 lies outside the default box, and the model is fine there
+        params, chain = table_module
+        x = truth.copy()
+        x[1] = 2.5
+        assert np.all(np.isfinite(cal.residuals(x, params, sc.TargetSet(), chain, pi)))
+
     def test_bounds_excluding_lambda_theta_raise(self, table_module):
         params, chain = table_module
         bounds = list(cal.DEFAULT_BOUNDS)
@@ -341,28 +366,53 @@ class TestCalibrate:
         res = cal.calibrate(params, sc.TargetSet(), seed=6, n_starts=2, sim_config=cfg,
                             chain_template=chain, max_iter_per_start=6)
         assert len(draws) == 1 and res.n_evaluations > 2 * 6
-        # the one path is the path each evaluation would draw for itself
+        # the one draw's weights are the weights of every evaluation
         point = np.array([res.params[name] for name in cal.FREE_PARAM_NAMES])
-        assert res.moments == cal.model_moments(point, params, chain, cfg, seed=6)
-        assert res.objective == cal.objective(point, params, sc.TargetSet(), cfg, seed=6,
-                                              chain_template=chain)
+        weights = cal.state_weights(chain, cfg, seed=6)
+        assert res.moments == cal.model_moments(point, params, chain, weights)
+        assert res.objective == cal.objective(point, params, sc.TargetSet(), chain, weights)
 
     def test_full_mode_runs_and_is_deterministic(self, table_module, truth, self_targets):
         params, chain = table_module
         cfg = cal.SimConfig(fast=False, T=600, burn_in=60)
-        a = cal.objective(truth, params, self_targets, cfg, seed=0, chain_template=chain)
-        b = cal.objective(truth, params, self_targets, cfg, seed=0, chain_template=chain)
+        a = cal.objective(truth, params, self_targets, chain, cal.state_weights(chain, cfg, 0))
+        b = cal.objective(truth, params, self_targets, chain, cal.state_weights(chain, cfg, 0))
         assert a == b
         assert 0.0 <= a < 1.0  # realized frequencies differ from ergodic ones
 
-    def test_full_mode_moments_near_fast_mode(self, table_module, truth):
+    def test_full_mode_moments_near_fast_mode(self, table_module, truth, pi):
         params, chain = table_module
-        fast = cal.model_moments(truth, params, chain, FAST, seed=0)
-        full = cal.model_moments(truth, params, chain,
-                                 cal.SimConfig(fast=False, T=2000, burn_in=100),
-                                 seed=0)
+        fast = cal.model_moments(truth, params, chain, pi)
+        cfg = cal.SimConfig(fast=False, T=2000, burn_in=100)
+        full = cal.model_moments(truth, params, chain, cal.state_weights(chain, cfg, seed=0))
         for k in ("labor_share", "wage_inequality", "rev_share_top10", "rev_share_p50_p90"):
             assert full[k] == pytest.approx(fast[k], rel=0.10)
+
+
+class TestStateWeights:
+    @pytest.mark.parametrize("seed", [0, 6, 12345])
+    def test_fast_mode_weights_are_the_stationary_distribution(self, table_module, seed):
+        _, chain = table_module
+        assert cal.state_weights(chain, FAST, seed) == stationary_distribution(chain)
+
+    @pytest.mark.parametrize("T, burn_in, seed", [(600, 60, 0), (2000, 100, 6),
+                                                  (10_000, 100, 12345)])
+    def test_full_mode_weights_are_the_paths_state_shares(self, table_module, T, burn_in,
+                                                          seed):
+        _, chain = table_module
+        cfg = cal.SimConfig(fast=False, T=T, burn_in=burn_in)
+        states = dynamics.draw_state_path(chain, T, seed)[burn_in:]
+        f = float(np.mean(states))
+        assert cal.state_weights(chain, cfg, seed) == (1.0 - f, f)
+        assert f == np.count_nonzero(states) / states.size
+
+    def test_weights_read_only_the_stay_probabilities(self, table_module):
+        _, chain = table_module
+        cfg = cal.SimConfig(fast=False, T=600, burn_in=60)
+        moved = dataclasses.replace(chain, z_high=2.5 * chain.z_high)
+        for sim_config in (FAST, cfg):
+            assert (cal.state_weights(moved, sim_config, 3)
+                    == cal.state_weights(chain, sim_config, 3))
 
 
 def _lhs_points(n, seed):
@@ -372,15 +422,16 @@ def _lhs_points(n, seed):
 
 
 class TestFullModeAgainstOracle:
-    """Full mode reads the K=1 state table along the sampled state path; the
-    oracle solves a policy and simulates.  Wherever the oracle's simulation
-    stays on its grid, the two agree bit for bit."""
+    """Full mode weights the K=1 state table by the sampled path's state
+    shares; the oracle solves a policy, simulates and averages along the
+    path.  Wherever the oracle's simulation stays on its grid, the two agree
+    to rounding: 1e-14 relative."""
 
     T, BURN_IN, GRID_N, SEED = 600, 60, 120, 0
 
     def full(self, x, params, chain):
         cfg = cal.SimConfig(fast=False, T=self.T, burn_in=self.BURN_IN)
-        return cal.model_moments(x, params, chain, cfg, seed=self.SEED)
+        return cal.model_moments(x, params, chain, cal.state_weights(chain, cfg, self.SEED))
 
     @pytest.mark.parametrize("point", ["truth", *range(8)])
     def test_equals_policy_and_simulation_oracle(self, table_module, truth, point):
@@ -395,7 +446,7 @@ class TestFullModeAgainstOracle:
             with pytest.raises(type(exc)):
                 self.full(x, params, chain)
             return
-        assert self.full(x, params, chain) == want
+        assert self.full(x, params, chain) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_equals_the_oracle_on_the_grid_floor(self, table_module):
         # at this point the 120-node policy saves the grid floor in the
@@ -408,8 +459,9 @@ class TestFullModeAgainstOracle:
         path = sc.simulate(policy, T=self.T, burn_in=self.BURN_IN, seed=self.SEED)
         assert np.min(path.K) == policy.K_grid[0]
         got = self.full(x, params, chain)
-        assert got == full_mode_moments_oracle(x, params, chain, self.T, self.BURN_IN,
-                                               self.GRID_N, self.SEED)
+        want = full_mode_moments_oracle(x, params, chain, self.T, self.BURN_IN, self.GRID_N,
+                                        self.SEED)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
         assert all(math.isfinite(v) for v in got.values())
 
         table = dynamics.state_table(new_params, new_chain)
@@ -422,11 +474,11 @@ class TestFullModeAgainstOracle:
 
         gap = abs(table.measured_tfp[1] - table.measured_tfp[0])
         top10, p50_p90 = zip(*(firms.revenue_concentration(eq) for eq in table.equilibria))
-        assert got["labor_share"] == pytest.approx(mix(table.labor_share), rel=1e-12)
-        assert got["wage_inequality"] == pytest.approx(mix(table.var_log_wage), rel=1e-12)
+        assert got["labor_share"] == mix(table.labor_share)
+        assert got["wage_inequality"] == mix(table.var_log_wage)
         assert got["rev_share_top10"] == mix(top10)
         assert got["rev_share_p50_p90"] == mix(p50_p90)
-        assert got["std_tfp"] == pytest.approx(gap * math.sqrt(f * (1.0 - f)), rel=1e-10)
+        assert got["std_tfp"] == gap * math.sqrt(f * (1.0 - f))
 
     def test_t_not_above_burn_in_is_rejected(self):
         with pytest.raises(sc.DomainError):

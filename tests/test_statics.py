@@ -70,6 +70,15 @@ class TestSolveLambda:
         with pytest.raises(sc.NoRoot):
             sc.solve_lambda(p, sc.AggregateShockState.from_params(p, z=0.0))
 
+    def test_root_beyond_the_float_range_raises(self, table):
+        # b = -3.6 and (lam/lambda_x)^psi ~ 4700 lam: G stays negative while
+        # the bracket doubles up to the float range
+        params, _ = table
+        p = with_params(params, psi=0.99039, lambda_x=2.1066e-4, lambda_theta=0.9087,
+                        gamma=0.27466, xi=1.8848)
+        with pytest.raises(sc.NoRoot, match="bracket"):
+            sc.solve_lambda(p, sc.AggregateShockState.from_params(p, z=0.1463))
+
     def test_monotone_in_z_on_grid(self, table):
         params, _ = table
         zs = np.linspace(0.0, 1.5, 50)

@@ -25,12 +25,12 @@ _EXPORTS = {
                      "ThetaRedrawProcess", "ValidatedParams", "load_config",
                      "stationary_distribution", "published_calibration", "validate"), "params"),
     **dict.fromkeys(("Coefficients", "StaticEquilibrium", "aggregates", "coefficients",
-                     "measured_tfp", "solve_lambda", "solve_static"), "statics"),
+                     "measured_tfp", "solve_lambda", "solve_static", "steady_state"),
+                    "statics"),
     **dict.fromkeys(("CrossSectionMoments", "analytic_moments", "matching", "panel_moments",
                      "wage"), "firms"),
     **dict.fromkeys(("GridSpec", "IRFResult", "Policy", "SimulationPath", "euler_residuals",
-                     "impulse_response", "simulate", "solve_policy", "steady_state"),
-                    "dynamics"),
+                     "impulse_response", "simulate", "solve_policy"), "dynamics"),
     # the calibrate() entry point stays on its submodule (sortcycles.calibrate.calibrate)
     # so the submodule itself is not shadowed by a function of the same name
     **dict.fromkeys(("CalibrationResult", "SimConfig", "TargetSet", "model_moments",

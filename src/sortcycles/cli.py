@@ -13,9 +13,11 @@ available and the panel's chunks; the other subcommands ignore it, and every
 artifact is the same for every value.  A run that needs more memory than it
 can have is a domain error.
 
-Each subcommand imports the modules it runs, numpy among them, when it runs.
-Parsing, --help and every usage error (exit 2) load the standard library
-alone, and reading the config adds only ``errors`` and ``params``.
+Each subcommand imports the modules it runs when it runs.  Parsing, --help
+and every usage error (exit 2) load the standard library alone, and reading
+the config adds only ``errors`` and ``params``.  ``solve`` adds ``statics``
+and so needs the standard library alone too; every other subcommand loads
+numpy.
 """
 
 from __future__ import annotations
@@ -52,18 +54,19 @@ PANEL_CSV_COLUMNS = ("theta", "eps1", "eps2", "Q", "k", "l", "chi", "revenue",
 
 
 def _fmt(value):
-    import numpy as np
-
     if isinstance(value, float):
         return float(f"{value:.17g}")
-    if isinstance(value, (np.floating,)):
-        return float(f"{float(value):.17g}")
-    if isinstance(value, (np.integer,)):
-        return int(value)
     if isinstance(value, dict):
         return {k: _fmt(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_fmt(v) for v in value]
+    # a numpy scalar can only come from a run that has loaded numpy
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(value, np.floating):
+            return float(f"{float(value):.17g}")
+        if isinstance(value, np.integer):
+            return int(value)
     return value
 
 
@@ -199,10 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args, params, chain, out):
-    from . import dynamics, statics
+    from . import statics
 
     shock = AggregateShockState.from_params(params, z=args.z, A=args.A)
-    K = args.K if args.K is not None else dynamics.steady_state(params, args.z, args.A)[0]
+    K = args.K if args.K is not None else statics.steady_state(params, args.z, args.A)[0]
     eq = statics.solve_static(params, shock, K)
     _write_json(out / "equilibrium.json", _equilibrium_payload(eq))
     _summary({"subcommand": "solve", "z": args.z, "lambda_t": eq.lambda_t, "Y": eq.Y,
@@ -220,10 +223,10 @@ def _cores() -> int:
 
 
 def _cmd_moments(args, params, chain, out):
-    from . import dynamics, firms, statics
+    from . import firms, statics
 
     shock = AggregateShockState.from_params(params, z=args.z, A=args.A)
-    K = args.K if args.K is not None else dynamics.steady_state(params, args.z, args.A)[0]
+    K = args.K if args.K is not None else statics.steady_state(params, args.z, args.A)[0]
     eq = statics.solve_static(params, shock, K)
     workers = min(args.threads, _cores())
     if args.panel_csv:

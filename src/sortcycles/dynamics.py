@@ -1,5 +1,5 @@
-"""Household dynamics: steady states, the consumption policy on a (K, z)
-grid, stochastic simulation, and generalized impulse responses.
+"""Household dynamics: the consumption policy on a (K, z) grid, stochastic
+simulation, and generalized impulse responses.
 
 The aggregate economy behaves like a stochastic growth model whose period
 "technology" is the within-period equilibrium of :mod:`sortcycles.statics`.
@@ -42,10 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketFailure, DomainError, GridExit, NoConvergence
+from .errors import DomainError, GridExit, NoConvergence
 from .params import AggregateShockState, MarkovChain2, ThetaRedrawProcess, ValidatedParams
 from .rng import block_uniforms
-from .statics import StaticEquilibrium, measured_tfp, solve_static
+from .statics import StaticEquilibrium, measured_tfp, solve_static, steady_state
 from .firms import analytic_moments
 
 @dataclass(frozen=True)
@@ -166,41 +166,6 @@ def state_table(params: ValidatedParams, chain: MarkovChain2) -> StateTable:
              eq.labor_share, measured_tfp(eq), *analytic_moments(eq))
             for eq in eqs]
     return StateTable(*(np.array(col) for col in zip(*rows)), equilibria=eqs)
-
-
-def steady_state(params: ValidatedParams, z_fixed: float, A: float = 1.0) -> tuple[float, float]:
-    """Deterministic steady state (K*, C*) of the fixed-shock economy.
-
-    K* solves beta (R(K*) + 1 - delta) = 1 by bisection; R is strictly
-    decreasing in K (its elasticity is alpha - 1 < 0).  C* then follows from
-    the budget constraint with investment at replacement level.
-    """
-    shock = AggregateShockState.from_params(params, z=z_fixed, A=A)
-    r_star = 1.0 / params.beta - 1.0 + params.delta
-
-    def rental(K: float) -> float:
-        return solve_static(params, shock, K).R
-
-    lo = 1e-8
-    if rental(lo) <= r_star:
-        raise BracketFailure("rental rate below the Euler target even at minimal capital")
-    hi = 1.0
-    for _ in range(200):
-        if rental(hi) < r_star:
-            break
-        hi *= 2.0
-    else:  # pragma: no cover
-        raise BracketFailure("could not bracket the steady-state capital stock")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if rental(mid) > r_star:
-            lo = mid
-        else:
-            hi = mid
-    k_star = 0.5 * (lo + hi)
-    eq = solve_static(params, shock, k_star)
-    c_star = eq.household_income - params.delta * k_star
-    return k_star, c_star
 
 
 def solve_policy(params: ValidatedParams, chain: MarkovChain2,

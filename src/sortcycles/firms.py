@@ -118,6 +118,15 @@ def analytic_moments(eq: StaticEquilibrium) -> tuple[float, float, float]:
     return dispersions(eq.params, eq.shock, eq.lambda_t)
 
 
+def _wedge(sigma: float, u: np.ndarray) -> np.ndarray:
+    """sigma * normal_icdf(u).  A zero-width wedge skips the inverse cdf: the
+    normal deviate has the sign of u - 0.5 (+0 at u = 0.5), so the product's
+    signed zeros are sigma times that sign."""
+    if sigma == 0.0:
+        return sigma * np.copysign(1.0, u - 0.5)
+    return sigma * normal_icdf(u)
+
+
 def _sample_chunk(eq: StaticEquilibrium, seed: int, start: int,
                   stop: int) -> dict[str, np.ndarray]:
     """Firms start to stop - 1 of the seeded panel: the columns of panel.csv, in its order.
@@ -132,8 +141,8 @@ def _sample_chunk(eq: StaticEquilibrium, seed: int, start: int,
     kappa, eta_q = c.kappa, c.eta_q
     u = block_uniforms(seed, "panel", start, stop - start)
     theta = exponential_icdf(u[:, 0], shock.lambda_theta_t)
-    eps1 = shock.sigma1_t * normal_icdf(u[:, 1])
-    eps2 = shock.sigma2_t * normal_icdf(u[:, 2])
+    eps1 = _wedge(shock.sigma1_t, u[:, 1])
+    eps2 = _wedge(shock.sigma2_t, u[:, 2])
 
     core = c.eta_q_theta * theta - g * eps1 - a * eps2
     logs = (math.log(eq.Q_bar) + eta_q * core,

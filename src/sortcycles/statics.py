@@ -1,5 +1,6 @@
 """Within-period equilibrium: the job-distribution rate, coefficient block,
-and aggregate prices and quantities given (K, shock state).
+aggregate prices and quantities given (K, shock state), and the
+deterministic steady state of a fixed shock state.
 
 The period problem separates cleanly.  The employment-weighted distribution
 of job types is exponential with rate lambda_t, and lambda_t solves a single
@@ -15,6 +16,9 @@ an exponential tilt of the scale constants Q_bar, k_bar, chi_bar, l_bar.
 All powers are evaluated in log space: the xi/(xi-1)-type exponents applied
 to large market constants would otherwise overflow for thick-tailed
 calibrations.
+
+Everything here is scalar and needs the standard library alone; numpy is
+imported only by the array form of :func:`fixed_point_residual`.
 """
 
 from __future__ import annotations
@@ -23,9 +27,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DomainError, NonFinite, NoRoot, UnboundedCapitalDemand
+from .errors import BracketFailure, DomainError, NonFinite, NoRoot, UnboundedCapitalDemand
 from .params import AggregateShockState, ValidatedParams
 
 #: |log x| above which exp(x) is treated as an overflow rather than a value
@@ -58,6 +60,8 @@ def fixed_point_coefficients(params: ValidatedParams) -> tuple[float, float]:
 
 def fixed_point_residual(params: ValidatedParams, shock: AggregateShockState, lam) -> float:
     """G(lam); the equilibrium lambda_t is its unique nonnegative root."""
+    import numpy as np
+
     b, d = fixed_point_coefficients(params)
     target = d * shock.z + shock.lambda_theta_t
     lam = np.asarray(lam, dtype=float)
@@ -102,7 +106,9 @@ def solve_lambda(params: ValidatedParams, shock: AggregateShockState) -> float:
             return 1.0
         try:
             return b * psi / lam_x * (lam / lam_x) ** (psi - 1.0) + 1.0
-        except OverflowError:  # denormal lam with psi near 0: the slope overflows
+        except (OverflowError, ZeroDivisionError):
+            # psi near 0: a denormal lam overflows the slope, and a lam/lam_x
+            # that underflows to 0 leaves 0 to a negative power
             return math.copysign(math.inf, b)
 
     # degenerate psi edges make G affine; the uniqueness argument needs 0 < psi < 1
@@ -325,3 +331,42 @@ def measured_tfp(eq: StaticEquilibrium) -> float:
     log L term of the usual Solow residual vanishes.
     """
     return math.log(eq.Y) - eq.params.alpha * math.log(eq.K)
+
+
+def steady_state(params: ValidatedParams, z_fixed: float, A: float = 1.0) -> tuple[float, float]:
+    """Deterministic steady state (K*, C*) of the fixed-shock economy.
+
+    K* solves beta (R(K*) + 1 - delta) = 1 by bisection; R is strictly
+    decreasing in K (its elasticity is alpha - 1 < 0).  The bisection stops
+    once the midpoint rounds to an end of the bracket, after which no step
+    could move it.  C* then follows from the budget constraint with
+    investment at replacement level.
+    """
+    shock = AggregateShockState.from_params(params, z=z_fixed, A=A)
+    r_star = 1.0 / params.beta - 1.0 + params.delta
+
+    def rental(K: float) -> float:
+        return solve_static(params, shock, K).R
+
+    lo = 1e-8
+    if rental(lo) <= r_star:
+        raise BracketFailure("rental rate below the Euler target even at minimal capital")
+    hi = 1.0
+    for _ in range(200):
+        if rental(hi) < r_star:
+            break
+        hi *= 2.0
+    else:  # pragma: no cover
+        raise BracketFailure("could not bracket the steady-state capital stock")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if rental(mid) > r_star:
+            lo = mid
+        else:
+            hi = mid
+    k_star = 0.5 * (lo + hi)
+    eq = solve_static(params, shock, k_star)
+    c_star = eq.household_income - params.delta * k_star
+    return k_star, c_star

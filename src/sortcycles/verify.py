@@ -7,9 +7,10 @@ problem - cost minimization against the wage schedule, rental rate and CES
 demand - given only the equilibrium prices (w0, R, Y, lambda_t).  Market
 clearing is then checked by numerical integration: a composite Gauss-Legendre
 rule (8 panels of 20 nodes) over the firm-type dimension and order-64
-Gauss-Hermite in each wedge dimension.  The truncation point of the type
-integral is set where the integrand's exponential tail is below 1e-17 of its
-mass.  On this smooth, exponentially damped integrand the fixed rule agrees
+Gauss-Hermite in each wedge dimension; the firm problem is solved at all of
+an integral's type nodes in one array evaluation.  The truncation point of
+the type integral is set where the integrand's exponential tail is below
+1e-17 of its mass.  On this smooth, exponentially damped integrand the fixed rule agrees
 with adaptive Gauss-Kronrod quadrature to a few 1e-15, so the reported
 residuals are those of the closed forms, not of the rule.
 
@@ -23,6 +24,7 @@ Each check takes the solved equilibrium alone and reads its inputs from it
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -32,7 +34,6 @@ import numpy as np
 from .params import (AggregateShockState, ModelParams, ThetaRedrawProcess, ValidatedParams,
                      validate)
 from .rng import block_uniforms, exponential_icdf
-from .dynamics import draw_state_path
 from .errors import NoRoot
 from .firms import dispersions, tfpr_type_loading
 from .statics import (StaticEquilibrium, _root_bracket, capital_margin, fixed_point_residual,
@@ -62,12 +63,32 @@ class VerificationReport:
         return VerificationReport(checks=ordered, passed=all(c.passed for c in ordered))
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, locked against writes: a cached rule is every caller's."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.cache
+def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes/weights of order GH_ORDER integrating E[f(eps)], eps ~ N(0, 1)."""
+    x, w = np.polynomial.hermite_e.hermegauss(GH_ORDER)
+    return _read_only(x, w / math.sqrt(2.0 * math.pi))
+
+
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes/weights of the GL_NODES-point Gauss-Legendre rule on [-1, 1]."""
+    return _read_only(*np.polynomial.legendre.leggauss(GL_NODES))
+
+
 def _gauss_hermite(sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights integrating E[f(eps)], eps ~ N(0, sigma^2)."""
     if sigma == 0.0:
         return np.zeros(1), np.ones(1)
-    x, w = np.polynomial.hermite_e.hermegauss(GH_ORDER)
-    return sigma * x, w / math.sqrt(2.0 * math.pi)
+    x, w = _hermite_rule()
+    return sigma * x, w
 
 
 def independent_firm_solution(eq: StaticEquilibrium, theta, eps1, eps2) -> dict[str, np.ndarray]:
@@ -104,10 +125,11 @@ def independent_firm_solution(eq: StaticEquilibrium, theta, eps1, eps2) -> dict[
     return {"log_Q": log_Q, "log_chi": log_chi, "log_l": log_l, "log_k": log_k}
 
 
-def _type_density_integrand(eq: StaticEquilibrium,
-                            firm_log: Callable[[dict], np.ndarray]) -> Callable[[float], float]:
-    """theta -> the wedge average of exp(firm_log(firm solution)) times the
-    type density at theta, by Gauss-Hermite over both wedges."""
+def _type_density_integrand(eq: StaticEquilibrium, firm_log: Callable[[dict], np.ndarray]
+                            ) -> Callable[[np.ndarray], np.ndarray]:
+    """thetas -> the wedge average of exp(firm_log(firm solution)) times the
+    type density at each theta, by Gauss-Hermite over both wedges.  All the
+    thetas are solved in one call, broadcast against the wedge grid."""
     shock = eq.shock
     n1, w1 = _gauss_hermite(shock.sigma1_t)
     n2, w2 = _gauss_hermite(shock.sigma2_t)
@@ -115,23 +137,25 @@ def _type_density_integrand(eq: StaticEquilibrium,
     W = np.outer(w1, w2)
     lt = shock.lambda_theta_t
 
-    def integrand(theta: float) -> float:
+    def integrand(thetas: np.ndarray) -> np.ndarray:
+        theta = np.asarray(thetas, dtype=float)[:, None, None]
         logs = firm_log(independent_firm_solution(eq, theta, E1, E2))
         # keep the type density inside the exponent: the integrand is tame
         # even where the firm-level quantity alone would overflow
-        return float(np.sum(W * np.exp(logs + math.log(lt) - lt * theta)))
+        return np.sum(W * np.exp(logs + math.log(lt) - lt * theta), axis=(1, 2))
 
     return integrand
 
 
-def _gauss_legendre(f: Callable[[float], float], upper: float) -> float:
+def _gauss_legendre(f: Callable[[np.ndarray], np.ndarray], upper: float) -> float:
     """Integral of f over [0, upper] by the composite Gauss-Legendre rule of
-    GL_PANELS equal panels with GL_NODES nodes each."""
-    x, w = np.polynomial.legendre.leggauss(GL_NODES)
+    GL_PANELS equal panels with GL_NODES nodes each; f takes all the nodes
+    at once."""
+    x, w = _legendre_rule()
     half = 0.5 * upper / GL_PANELS
     left = np.arange(GL_PANELS)[:, None] * (2.0 * half)
     nodes = (left + half * (x + 1.0)).ravel()
-    return float(np.dot(np.tile(half * w, GL_PANELS), [f(t) for t in nodes]))
+    return float(np.dot(np.tile(half * w, GL_PANELS), f(nodes)))
 
 
 def _type_integral(eq: StaticEquilibrium, firm_log: Callable[[dict], np.ndarray]) -> float:
@@ -152,7 +176,7 @@ def check_job_density(eq: StaticEquilibrium) -> tuple[CheckResult, CheckResult]:
     mass_resid = abs(mass - 1.0)
 
     hs = np.linspace(0.05, 20.0, 20) / eq.lambda_t
-    shaped = np.array([density(h) * math.exp(eq.lambda_t * h) for h in hs])
+    shaped = density(hs) * np.exp(eq.lambda_t * hs)
     # scale-free: f(h) carries a factor lambda_t, whose square can overflow
     shaped /= shaped.max()
     cv = float(np.std(shaped) / np.mean(shaped))
@@ -347,6 +371,8 @@ def theta_process_check(process: ThetaRedrawProcess, n: int, T: int, seed: int) 
     and compare the empirical distribution against Exp(lambda_t) at five
     checkpoints.  Passing requires sqrt(n) * KS < 1.95 at >= 4 of 5.
     """
+    from .dynamics import draw_state_path
+
     process.check_valid()
     states = draw_state_path(process, T, seed, stream_label="theta-state")
     rates = np.array(process.rates)[np.concatenate(([0], states))]

@@ -4,8 +4,10 @@ Everything here is deliberately primitive: plain bisection, Gauss-Hermite
 quadrature, finite differences, a full static solve at every simulated period,
 hand-written interpolation in the policy solver and the impulse response, a
 policy solve plus simulation where calibration needs only the state path, a
-sampled panel held whole with every firm-level column, and the inverse normal
-cdf with its branches gathered by masks.  None of it calls the closed forms or
+sampled panel held whole with every firm-level column, the inverse normal
+cdf with its branches gathered by masks, the steady-state bisection with all
+of its 200 steps, and verify's type integrals one type node at a time.  None
+of it calls the closed forms or
 shortcuts it is used to check; the held panel is the library's own sampler,
 whose closed forms the firm-level tests check.
 """
@@ -17,7 +19,7 @@ import numpy as np
 
 import sortcycles as sc
 import sortcycles.calibrate as cal
-from sortcycles import dynamics
+from sortcycles import dynamics, verify
 from sortcycles.firms import SAMPLE_CHUNK, _log_ndtr, _ndtr, _sample_chunk, revenue_concentration
 from sortcycles.rng import block_uniforms, normal_icdf
 
@@ -144,6 +146,65 @@ def lambda_oracle(params, z, lambda_theta=None):
     while g(hi) <= 0.0:
         hi *= 2.0
     return bisect_root(g, 0.0, hi)
+
+
+def steady_state_oracle(params, z_fixed, A=1.0):
+    """(K*, C*) by the full 200-step bisection on beta (R(K) + 1 - delta) = 1,
+    every step taken even after the bracket has stopped shrinking."""
+    shock = sc.AggregateShockState.from_params(params, z=z_fixed, A=A)
+    r_star = 1.0 / params.beta - 1.0 + params.delta
+
+    def rental(K):
+        return sc.solve_static(params, shock, K).R
+
+    lo = 1e-8
+    assert rental(lo) > r_star, "oracle bracket does not straddle the steady state"
+    hi = 1.0
+    while rental(hi) >= r_star:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if rental(mid) > r_star:
+            lo = mid
+        else:
+            hi = mid
+    k_star = 0.5 * (lo + hi)
+    eq = sc.solve_static(params, shock, k_star)
+    return k_star, eq.household_income - params.delta * k_star
+
+
+def type_density_oracle(eq, firm_log):
+    """theta -> verify's type-density integrand at one theta, by one firm
+    solve on the wedge grid."""
+    shock = eq.shock
+    grids = []
+    for sigma in (shock.sigma1_t, shock.sigma2_t):
+        if sigma == 0.0:
+            grids.append((np.zeros(1), np.ones(1)))
+        else:
+            x, w = np.polynomial.hermite_e.hermegauss(verify.GH_ORDER)
+            grids.append((sigma * x, w / math.sqrt(2.0 * math.pi)))
+    (n1, w1), (n2, w2) = grids
+    E1, E2 = np.meshgrid(n1, n2, indexing="ij")
+    W = np.outer(w1, w2)
+    lt = shock.lambda_theta_t
+
+    def integrand(theta):
+        logs = firm_log(verify.independent_firm_solution(eq, theta, E1, E2))
+        return float(np.sum(W * np.exp(logs + math.log(lt) - lt * theta)))
+
+    return integrand
+
+
+def type_integral_oracle(eq, firm_log, upper):
+    """verify's composite Gauss-Legendre type integral over [0, upper], one
+    integrand evaluation per node."""
+    integrand = type_density_oracle(eq, firm_log)
+    x, w = np.polynomial.legendre.leggauss(verify.GL_NODES)
+    half = 0.5 * upper / verify.GL_PANELS
+    left = np.arange(verify.GL_PANELS)[:, None] * (2.0 * half)
+    nodes = (left + half * (x + 1.0)).ravel()
+    return float(np.dot(np.tile(half * w, verify.GL_PANELS), [integrand(t) for t in nodes]))
 
 
 def gaussian_expectation(f, sigma, order=96):

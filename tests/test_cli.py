@@ -41,11 +41,20 @@ def config_path(tmp_path_factory):
 #: the published config at a psi whose job-distribution root underflows
 TINY_PSI = {**PUBLISHED, "params": {**PUBLISHED["params"], "psi": 1.8463183175100548e-05}}
 
+#: a psi near 0 with a large lambda_x, where the Newton slope of the
+#: job-distribution equation meets a lam/lambda_x that underflows to 0
+#: (at z = UNDERFLOWING_SLOPE_Z) and once raised ZeroDivisionError
+UNDERFLOWING_SLOPE = {**PUBLISHED, "params": {
+    **PUBLISHED["params"], "psi": 0.0005470035633374955, "lambda_x": 36.60824475548099,
+    "lambda_theta": 0.3088276072852493, "gamma": 0.23570371159269, "xi": 4.304384207882934}}
+UNDERFLOWING_SLOPE_Z = "0.06250966489027221"
+
 #: configs that every subcommand named with them must reject with exit 1: an
-#: underflowing root, wedge moments beyond exp's range, and a squared
-#: type rate beyond the float range
+#: underflowing root or Newton slope, wedge moments beyond exp's range, and a
+#: squared type rate beyond the float range
 BAD_CONFIGS = {
     "tiny-psi": TINY_PSI,
+    "underflowing-slope": UNDERFLOWING_SLOPE,
     "sigma1-20": {**PUBLISHED, "params": {**PUBLISHED["params"], "sigma1": 20}},
     "lambda-theta-1e300": {**PUBLISHED, "params": {**PUBLISHED["params"],
                                                    "lambda_theta": 1e300}},
@@ -389,6 +398,7 @@ class TestInputHoles:
         *[(sub, "--params", "sigma1-20") for sub in ("solve", "moments", "simulate", "irf",
                                                      "verify")],
         *[(sub, "--params", "lambda-theta-1e300") for sub in ("simulate", "irf")],
+        ("solve", "--z", UNDERFLOWING_SLOPE_Z, "--params", "underflowing-slope"),
         # sizes refused at allocation, so nothing is allocated, and counts
         # beyond numpy's array range, refused before anything is drawn
         ("moments", "--n-firms", HUGE), ("moments", "--n-firms", HUGE, "--threads", "2"),
@@ -401,7 +411,7 @@ class TestInputHoles:
         if "--params" in flags:
             config = tmp_path / f"{flags[-1]}.json"
             config.write_text(json.dumps(BAD_CONFIGS[flags[-1]]))
-            config_path, flags = str(config), []
+            config_path, flags = str(config), flags[:-2]
             expected, prefix = 1, "error: "
         elif "--targets" in flags:
             name = flags[-1]
@@ -583,6 +593,12 @@ class TestDeterminism:
             assert cli.run(["moments", "--params", config_path, "--n-firms", "4000",
                             "--out", str(out)]) == 0
         assert (out1 / "moments.json").read_bytes() == (out2 / "moments.json").read_bytes()
+
+    def test_numpy_scalars_are_written_as_plain_numbers(self):
+        got = cli._fmt({"a": np.float32(0.1), "b": [np.int64(3), (np.float64(1 / 3),)],
+                        "c": 0.1, "d": "text"})
+        assert json.dumps(got) == ('{"a": 0.10000000149011612, "b": [3, [0.3333333333333333]], '
+                                   '"c": 0.1, "d": "text"}')
 
 
 class TestWriteCsv:

@@ -1,10 +1,11 @@
+import contextlib
 import dataclasses
 
 import numpy as np
 import pytest
 
 import sortcycles as sc
-from sortcycles import calibrate, dynamics
+from sortcycles import calibrate, dynamics, statics, verify
 
 from . import oracles
 from .test_statics import with_params
@@ -70,6 +71,38 @@ class TestSteadyState:
         r1 = sc.solve_static(params, sc.AggregateShockState.from_params(params, z=0.0), 1.0).R
         implied = (r1 / R_STAR) ** (1.0 / (1.0 - params.alpha))
         assert sc.steady_state(params, 0.0)[0] == pytest.approx(implied, rel=1e-9)
+
+    def test_bit_identical_to_the_full_bisection(self, steady_states):
+        # the bisection stops once its bracket stops shrinking; the 200 steps
+        # it used to take all the same land on the same bits
+        for params, z, want in steady_states:
+            assert sc.steady_state(params, z) == want, (params, z)
+
+    def test_at_most_70_static_solves(self, steady_states, monkeypatch):
+        # the 200-step bisection took 208
+        calls = []
+        solve_static = statics.solve_static
+        monkeypatch.setattr(statics, "solve_static",
+                            lambda *args: calls.append(1) or solve_static(*args))
+        for params, z, _ in steady_states:
+            calls.clear()
+            sc.steady_state(params, z)
+            assert len(calls) <= 70, (params, z, len(calls))
+
+
+@pytest.fixture(scope="module")
+def steady_states(table):
+    """(params, z, (K*, C*) of the full bisection) at z = 0 and at the
+    published z_high, for the published parameters and the first 20 seeded
+    valid parameter points whose capital demand is bounded at both."""
+    params, chain = table
+    out = [(params, z, oracles.steady_state_oracle(params, z)) for z in chain.z_states]
+    for p in verify.random_valid_params(40, seed=20_261_019):
+        with contextlib.suppress(sc.UnboundedCapitalDemand):
+            out += [(p, z, oracles.steady_state_oracle(p, z)) for z in chain.z_states]
+        if len(out) == 42:
+            return out
+    raise AssertionError("fewer than 20 of 40 parameter points have steady states")
 
 
 class TestPolicy:

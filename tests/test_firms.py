@@ -11,7 +11,7 @@ import pytest
 
 import sortcycles as sc
 from sortcycles import cli, firms, verify
-from sortcycles.rng import block_uniforms
+from sortcycles.rng import block_uniforms, normal_icdf
 
 from .oracles import (HeldPanel, central_diff, cross_section_moments_oracle, held_panel,
                       tfpq_tail_index, topshare_fixed_bisection, topshare_mc)
@@ -275,6 +275,29 @@ class TestSampling:
     def test_empty_panel_rejected(self, boom_eq):
         with pytest.raises(sc.EmptyPanel):
             sc.panel_moments(boom_eq, 0, seed=1)
+
+    @pytest.mark.parametrize("sigma", [0.0, -0.0, 0.2293])
+    def test_a_wedge_is_sigma_times_the_normal_deviate(self, sigma):
+        # a zero-width wedge skips the inverse cdf but keeps every signed
+        # zero of the product, u = 0.5 (which the sampler can draw) included
+        u = np.concatenate((block_uniforms(5, "wedge", 0, 4096).ravel(),
+                            [0.5, 0.5 - 2.0 ** -54, 0.5 + 2.0 ** -53, 2.0 ** -54,
+                             1.0 - 2.0 ** -53, 0.02, 0.98]))
+        got = firms._wedge(sigma, u)
+        want = sigma * normal_icdf(u)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_a_zero_width_wedge_draws_no_normal_deviates(self, boom_eq, monkeypatch):
+        # the published sigma2 is 0: only the eps1 column needs AS 241
+        assert boom_eq.shock.sigma2_t == 0.0
+        calls = []
+        monkeypatch.setattr(firms, "normal_icdf",
+                            lambda u: calls.append(u.shape) or normal_icdf(u))
+        chunk = firms._sample_chunk(boom_eq, 3, 0, 1000)
+        assert calls == [(1000,)]
+        assert np.array_equal(np.signbit(chunk["eps2"]),
+                              np.signbit(block_uniforms(3, "panel", 0, 1000)[:, 2] - 0.5))
 
 
 class TestCrossSectionMoments:

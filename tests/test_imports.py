@@ -36,10 +36,10 @@ EXPORTED = {
                "ValidatedParams", "load_config", "stationary_distribution",
                "published_calibration", "validate"),
     "statics": ("Coefficients", "StaticEquilibrium", "aggregates", "coefficients",
-                "measured_tfp", "solve_lambda", "solve_static"),
+                "measured_tfp", "solve_lambda", "solve_static", "steady_state"),
     "firms": ("CrossSectionMoments", "analytic_moments", "matching", "panel_moments", "wage"),
     "dynamics": ("GridSpec", "IRFResult", "Policy", "SimulationPath", "euler_residuals",
-                 "impulse_response", "simulate", "solve_policy", "steady_state"),
+                 "impulse_response", "simulate", "solve_policy"),
     "calibrate": ("CalibrationResult", "SimConfig", "TargetSet", "model_moments", "objective"),
     "verify": ("CheckResult", "VerificationReport", "check_capital_market",
                "check_goods_market", "check_job_density", "check_worker_clearing",
@@ -87,51 +87,71 @@ class TestNamespace:
 #: shared revenue map, the workers' temporary files, the results' pickles
 WORKER_MODULES = ("mmap", "tempfile", "pickle", "_pickle")
 
-_WORKER_MODULES_SCRIPT = """
+#: the command lines whose loaded modules are compared; "help" is ``--help``
+#: after ``load_config``
+COMMANDS = {
+    "help": [],
+    "solve": ["solve"],
+    "simulate": ["simulate", "--T", "50", "--burn-in", "5", "--grid-size", "40"],
+    "irf": ["irf", "--horizon", "2", "--n-sims", "4", "--grid-size", "40"],
+    "calibrate": ["calibrate", "--fast", "--n-starts", "1", "--max-iter", "2"],
+    "verify": ["verify", "--n-prop-points", "2"],
+    "moments": ["moments", "--n-firms", "40000", "--panel-csv"],
+}
+
+_LOADED_SCRIPT = """
 import sys
 before = set(sys.modules)  # what the interpreter's own start-up loaded
 import contextlib, io, json
-config, out = sys.argv[1:]
-modules = %r
-
-
-def loaded():
-    return sorted(m for m in (*modules, "numpy") if m in sys.modules and m not in before)
-
-
+config, out, *argv = sys.argv[1:]
 import sortcycles
 sortcycles.load_config(config)
 from sortcycles import cli
+if argv:
+    argv += ["--params", config, "--threads", "2", "--out", out]
 with contextlib.redirect_stdout(io.StringIO()):
-    cli.run(["--help"])
-report = {"load_config and --help": loaded()}
-for argv in (["solve"], ["simulate", "--T", "50", "--burn-in", "5", "--grid-size", "40"],
-             ["irf", "--horizon", "2", "--n-sims", "4", "--grid-size", "40"],
-             ["calibrate", "--fast", "--n-starts", "1", "--max-iter", "2"],
-             ["verify", "--n-prop-points", "2"],
-             ["moments", "--n-firms", "40000", "--panel-csv"]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        if cli.run([*argv, "--params", config, "--threads", "2", "--out", out]) not in (0, 3):
-            raise SystemExit(f"{argv[0]} failed")
-    report[argv[0]] = loaded()
-print(json.dumps(report))
+    if cli.run(argv or ["--help"]) not in (0, 3):
+        raise SystemExit(f"{argv} failed")
+print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 
-class TestWorkerModules:
-    def test_only_moments_loads_the_worker_modules(self, tmp_path):
-        src = Path(sortcycles.__file__).resolve().parents[1]
-        config = src.parent / "configs" / "published.json"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
-        proc = subprocess.run([sys.executable, "-c", _WORKER_MODULES_SCRIPT % (WORKER_MODULES,),
-                               str(config), str(tmp_path)],
-                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+@pytest.fixture(scope="class")
+def loaded(tmp_path_factory):
+    """Command -> the modules a fresh interpreter that ran it alone loaded."""
+    src = Path(sortcycles.__file__).resolve().parents[1]
+    config = src.parent / "configs" / "published.json"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    report = {}
+    for name, argv in COMMANDS.items():
+        out = tmp_path_factory.mktemp(name)
+        proc = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT, str(config), str(out),
+                               *argv], cwd=out, env=env, capture_output=True, text=True,
+                              timeout=300)
         assert proc.returncode == 0, proc.stderr
-        report = json.loads(proc.stdout.splitlines()[-1])
+        report[name] = set(json.loads(proc.stdout.splitlines()[-1]))
+    return report
+
+
+class TestWorkerModules:
+    def test_only_moments_loads_the_worker_modules(self, loaded):
         # without numpy nothing loads them; numpy itself loads tempfile and
         # pickle, so after it only mmap tells whether the workers' code ran
-        assert report.pop("load_config and --help") == []
-        assert "mmap" in report.pop("moments")
-        for subcommand, modules in report.items():
-            assert "numpy" in modules and "mmap" not in modules, subcommand
+        assert loaded["help"] & {"numpy", *WORKER_MODULES} == set()
+        assert loaded["solve"] & {"numpy", *WORKER_MODULES} == set()
+        assert "mmap" in loaded["moments"]
+        for name in ("simulate", "irf", "calibrate", "verify"):
+            assert "numpy" in loaded[name] and "mmap" not in loaded[name], name
+
+    def test_solve_loads_the_standard_library_alone(self, loaded):
+        # the within-period equilibrium and the steady state are scalar
+        assert {m.split(".")[0] for m in loaded["solve"]} <= {
+            "sortcycles", *sys.stdlib_module_names}
+        assert loaded["solve"] & {"sortcycles.dynamics", "sortcycles.firms",
+                                  "sortcycles.rng"} == set()
+        assert "sortcycles.statics" in loaded["solve"]
+
+    def test_moments_and_verify_load_no_dynamics(self, loaded):
+        for name in ("moments", "verify"):
+            assert "sortcycles.dynamics" not in loaded[name], name

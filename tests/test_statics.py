@@ -70,6 +70,16 @@ class TestSolveLambda:
         with pytest.raises(sc.NoRoot):
             sc.solve_lambda(p, sc.AggregateShockState.from_params(p, z=0.0))
 
+    def test_underflowing_slope_raises_the_underflowing_root(self, table):
+        # psi near 0 and a large lambda_x: the Newton slope meets a
+        # lam/lambda_x that underflows to 0, once a ZeroDivisionError
+        params, _ = table
+        p = with_params(params, psi=0.0005470035633374955, lambda_x=36.60824475548099,
+                        lambda_theta=0.3088276072852493, gamma=0.23570371159269,
+                        xi=4.304384207882934)
+        with pytest.raises(sc.NoRoot, match="underflows"):
+            sc.solve_lambda(p, sc.AggregateShockState.from_params(p, z=0.06250966489027221))
+
     def test_root_beyond_the_float_range_raises(self, table):
         # b = -3.6 and (lam/lambda_x)^psi ~ 4700 lam: G stays negative while
         # the bracket doubles up to the float range

@@ -1,11 +1,15 @@
+import contextlib
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import sortcycles as sc
 from sortcycles import verify
+from sortcycles.statics import capital_margin
 
+from . import oracles
 from .oracles import held_panel
 from .test_statics import with_params
 
@@ -141,3 +145,60 @@ class TestRunVerification:
         a = verify.run_verification(params, shocks, n_prop_points=10)
         b = verify.run_verification(params, shocks, n_prop_points=10)
         assert a == b
+
+
+@pytest.fixture(scope="module")
+def verified_equilibria(table):
+    """Both published states at K = 1 and the first 10 solvable equilibria of
+    seeded valid parameters at z = 0 or the published z_high, K = 1."""
+    params, chain = table
+    out = [sc.solve_static(params, sc.AggregateShockState.from_params(params, z=z), 1.0)
+           for z in chain.z_states]
+    for i, p in enumerate(verify.random_valid_params(30, seed=20_261_019)):
+        with contextlib.suppress(sc.SortCyclesError):
+            z = chain.z_states[i % 2]
+            out.append(sc.solve_static(p, sc.AggregateShockState.from_params(p, z=z), 1.0))
+        if len(out) == 12:
+            return out
+    raise AssertionError("fewer than 10 of 30 parameter points solve")
+
+
+#: verify's three type integrands at an equilibrium, by the firm quantity each integrates
+FIRM_LOGS = {
+    "employment": lambda eq: lambda sol: sol["log_l"],
+    "price index": lambda eq: lambda sol: (1.0 - eq.params.xi) * (
+        math.log(eq.params.xi / (eq.params.xi - 1.0)) + sol["log_chi"]),
+    "capital": lambda eq: lambda sol: sol["log_k"],
+}
+
+
+class TestTypeQuadrature:
+    # every type node is solved in one broadcast call; the per-node loop it
+    # replaced is the oracle
+    @pytest.mark.parametrize("quantity", list(FIRM_LOGS))
+    def test_integrals_match_the_per_node_oracle(self, verified_equilibria, quantity):
+        for j, eq in enumerate(verified_equilibria):
+            firm_log = FIRM_LOGS[quantity](eq)
+            for upper in (40.0 / eq.lambda_t,
+                          40.0 / max(capital_margin(eq.shock, eq.coefficients), 1e-3)):
+                got = verify._gauss_legendre(verify._type_density_integrand(eq, firm_log),
+                                             upper)
+                want = oracles.type_integral_oracle(eq, firm_log, upper)
+                assert math.isclose(got, want, rel_tol=1e-14, abs_tol=0.0), (j, upper)
+
+    def test_density_points_match_the_per_node_oracle(self, verified_equilibria):
+        for j, eq in enumerate(verified_equilibria):
+            firm_log = FIRM_LOGS["employment"](eq)
+            hs = np.linspace(0.05, 20.0, 20) / eq.lambda_t
+            got = verify._type_density_integrand(eq, firm_log)(hs)
+            want = [oracles.type_density_oracle(eq, firm_log)(h) for h in hs]
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0, err_msg=str(j))
+
+    def test_the_rules_are_computed_once(self, boom_eq, monkeypatch):
+        verify.check_job_density(boom_eq)
+        verify.check_goods_market(boom_eq)
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", None)
+        monkeypatch.setattr(np.polynomial.hermite_e, "hermegauss", None)
+        eq = dataclasses.replace(boom_eq, shock=dataclasses.replace(boom_eq.shock,
+                                                                    sigma2_t=0.1))
+        verify.check_capital_market(eq)

@@ -12,7 +12,7 @@ submodule, and each exported name or submodule is imported on first use, so
 ``sortcycles.load_config`` needs the standard library alone.
 """
 
-import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -25,10 +25,9 @@ _EXPORTS = {
                      "ThetaRedrawProcess", "ValidatedParams", "load_config",
                      "stationary_distribution", "published_calibration", "validate"), "params"),
     **dict.fromkeys(("Coefficients", "StaticEquilibrium", "aggregates", "coefficients",
-                     "measured_tfp", "solve_lambda", "solve_static", "steady_state"),
-                    "statics"),
-    **dict.fromkeys(("CrossSectionMoments", "analytic_moments", "matching", "panel_moments",
-                     "wage"), "firms"),
+                     "dispersions", "measured_tfp", "solve_lambda", "solve_static",
+                     "steady_state"), "statics"),
+    **dict.fromkeys(("CrossSectionMoments", "matching", "panel_moments", "wage"), "firms"),
     **dict.fromkeys(("GridSpec", "IRFResult", "Policy", "SimulationPath", "euler_residuals",
                      "impulse_response", "simulate", "solve_policy"), "dynamics"),
     # the calibrate() entry point stays on its submodule (sortcycles.calibrate.calibrate)
@@ -47,11 +46,14 @@ __all__ = sorted([*_EXPORTS, *_SUBMODULES])
 def __getattr__(name):
     # resolved on every access, never stored here, so a name rebound on its
     # submodule (a test's monkeypatch, a tracing wrapper) is seen at once
-    if name in _SUBMODULES:
-        return importlib.import_module(f"{__name__}.{name}")
-    if name in _EXPORTS:
-        return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = name if name in _SUBMODULES else _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__ is the import statement's machinery, which ``python -X importtime``
+    # logs; importlib.import_module bypasses that log
+    qualified = f"{__name__}.{module}"
+    __import__(qualified)
+    return sys.modules[qualified] if module == name else getattr(sys.modules[qualified], name)
 
 
 def __dir__():

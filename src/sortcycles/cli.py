@@ -126,9 +126,9 @@ def _equilibrium_payload(eq: StaticEquilibrium) -> dict:
     c = eq.coefficients
     return {
         "lambda_t": eq.lambda_t,
-        "coefficients": {"eta_Q": c.eta_q, "eta_Q_theta": c.eta_q_theta,
+        "coefficients": {"eta_Q": eq.params.eta_q, "eta_Q_theta": c.eta_q_theta,
                          "eta_l_theta": c.eta_l_theta, "B1": c.b1, "B2": c.b2,
-                         "B3": c.b3, "kappa": c.kappa},
+                         "B3": c.b3, "kappa": eq.params.kappa},
         "w0": eq.w0, "R": eq.R, "Y": eq.Y, "Q_bar": eq.Q_bar, "k_bar": eq.k_bar,
         "chi_bar": eq.chi_bar, "l_bar": eq.l_bar, "M": eq.M, "C_in": eq.C_in,
         "Y_l": eq.Y_l, "Y_k": eq.Y_k, "Y_d": eq.Y_d,
@@ -285,8 +285,7 @@ def _load_targets(path: str | None) -> TargetSet:
     if path is None:
         return TargetSet()
     raw = read_json_object(path, "targets")
-    allowed = {"labor_share", "wage_inequality", "rev_share_top10",
-               "rev_share_p50_p90", "std_tfp", "weights"}
+    allowed = {field.name for field in dataclasses.fields(TargetSet)}
     unknown = sorted(set(raw) - allowed)
     if unknown:
         raise SortCyclesError(f"unknown key(s) in targets file: {', '.join(unknown)}")

@@ -45,8 +45,8 @@ import numpy as np
 from .errors import DomainError, GridExit, NoConvergence
 from .params import AggregateShockState, MarkovChain2, ThetaRedrawProcess, ValidatedParams
 from .rng import block_uniforms
-from .statics import StaticEquilibrium, measured_tfp, solve_static, steady_state
-from .firms import analytic_moments
+from .statics import StaticEquilibrium, dispersions, measured_tfp, solve_static, steady_state
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -163,7 +163,7 @@ def state_table(params: ValidatedParams, chain: MarkovChain2) -> StateTable:
     eqs = tuple(solve_static(params, AggregateShockState.from_params(params, z=z), 1.0)
                 for z in chain.z_states)
     rows = [(eq.shock.z, eq.Y, eq.household_income, eq.R, eq.w0, eq.lambda_t,
-             eq.labor_share, measured_tfp(eq), *analytic_moments(eq))
+             eq.labor_share, measured_tfp(eq), *dispersions(eq.params, eq.shock, eq.lambda_t))
             for eq in eqs]
     return StateTable(*(np.array(col) for col in zip(*rows)), equilibria=eqs)
 

@@ -1,5 +1,5 @@
-"""Firm-level closed forms, the wage schedule, analytic dispersion measures,
-and the moments of a seeded Monte-Carlo cross-section.
+"""Firm-level closed forms, the wage schedule, the moments of a seeded
+Monte-Carlo cross-section, and the exact revenue-concentration shares.
 
 A firm is a point (theta, eps1, eps2).  Its allocation is an exponential tilt
 of the equilibrium scale constants, so every firm-level statistic reduces to
@@ -12,9 +12,9 @@ chunk holding only the columns of panel.csv, so a panel is never held whole,
 and runs of chunks can be reduced by forked worker processes with the same
 result.
 
-Functions of a solved equilibrium read ``eq.params`` and ``eq.shock``; only
-the lambda-level formulas (:func:`dispersions`, :func:`tfpr_type_loading`)
-take them as arguments, since they also serve where no equilibrium is solved.
+Every function here takes a solved equilibrium and reads ``eq.params`` and
+``eq.shock`` from it.  The closed-form dispersions, which need lambda_t
+alone, live in :mod:`sortcycles.statics`.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ from typing import NoReturn, TextIO
 import numpy as np
 
 from .errors import EmptyPanel, NonFinite, SortCyclesError
-from .params import AggregateShockState, ValidatedParams
 from .rng import block_uniforms, exponential_icdf, normal_icdf
-from .statics import EXP_CAP, StaticEquilibrium
+from .statics import EXP_CAP, StaticEquilibrium, _type_loadings, tfpr_type_loading
 
 #: firms per sampling chunk, the unit of the moments' reduction, of panel.csv
 #: and of the runs that worker processes reduce; a chunk's 10 columns and their
@@ -81,43 +80,6 @@ def _log_wage(eq: StaticEquilibrium, theta: np.ndarray) -> np.ndarray:
     return math.log(eq.w0) + (_wage_slope(eq) * (eq.lambda_t / eq.params.lambda_x)) * theta
 
 
-def tfpr_type_loading(params: ValidatedParams, shock: AggregateShockState,
-                      lambda_t: float) -> float:
-    """Slope of log TFPR in firm type, (lambda_t/lambda_x)^psi - eta_q eta_q_theta / xi."""
-    p = params
-    ratio = (lambda_t / p.lambda_x) ** p.psi
-    eta_q_theta = -p.gamma * shock.z + (1.0 - p.psi) * ratio
-    return ratio - p.eta_q * eta_q_theta / p.xi
-
-
-def dispersions(params: ValidatedParams, shock: AggregateShockState,
-                lambda_t: float) -> tuple[float, float, float]:
-    """(var_log_wage, var_log_tfpq, var_log_tfpr) in closed form.
-
-    They need only lambda_t and the shock state, no prices, so they do not
-    depend on K.  A power beyond the float range raises NonFinite.
-    """
-    p = params
-    try:
-        ratio = (lambda_t / p.lambda_x) ** p.psi
-        var_wage = ((p.psi / p.gamma) ** 2 * p.lambda_x ** (-2.0 * p.psi)
-                    * lambda_t ** (2.0 * p.psi - 2.0))
-        var_tfpq = ratio ** 2 / shock.lambda_theta_t ** 2
-        bracket = tfpr_type_loading(params, shock, lambda_t)
-        var_tfpr = (bracket ** 2 / shock.lambda_theta_t ** 2
-                    + (p.eta_q / p.xi) ** 2 * (p.gamma ** 2 * shock.sigma1_t ** 2
-                                               + p.alpha ** 2 * shock.sigma2_t ** 2))
-    except OverflowError as exc:
-        raise NonFinite(f"a dispersion overflows at lambda_t={lambda_t:.6g}, "
-                        f"lambda_theta_t={shock.lambda_theta_t:.6g}") from exc
-    return (var_wage, var_tfpq, var_tfpr)
-
-
-def analytic_moments(eq: StaticEquilibrium) -> tuple[float, float, float]:
-    """(var_log_wage, var_log_tfpq, var_log_tfpr) of a solved equilibrium."""
-    return dispersions(eq.params, eq.shock, eq.lambda_t)
-
-
 def _wedge(sigma: float, u: np.ndarray) -> np.ndarray:
     """sigma * normal_icdf(u).  A zero-width wedge skips the inverse cdf: the
     normal deviate has the sign of u - 0.5 (+0 at u = 0.5), so the product's
@@ -138,7 +100,7 @@ def _sample_chunk(eq: StaticEquilibrium, seed: int, start: int,
     """
     params, shock, c = eq.params, eq.shock, eq.coefficients
     a, g, xi = params.alpha, params.gamma, params.xi
-    kappa, eta_q = c.kappa, c.eta_q
+    kappa, eta_q = params.kappa, params.eta_q
     u = block_uniforms(seed, "panel", start, stop - start)
     theta = exponential_icdf(u[:, 0], shock.lambda_theta_t)
     eps1 = _wedge(shock.sigma1_t, u[:, 1])
@@ -154,7 +116,7 @@ def _sample_chunk(eq: StaticEquilibrium, seed: int, start: int,
     if worst > EXP_CAP:
         raise NonFinite(f"firm log magnitude {worst:.3g} exceeds the exp cap {EXP_CAP:g}")
     Q, k, l, chi = (np.exp(v) for v in logs)
-    ratio = (eq.lambda_t / params.lambda_x) ** params.psi
+    ratio, _ = _type_loadings(params, shock, eq.lambda_t)
     return {
         "theta": theta, "eps1": eps1, "eps2": eps2, "Q": Q, "k": k, "l": l, "chi": chi,
         "revenue": (xi / (xi - 1.0)) * chi * Q,  # price times quantity
@@ -480,9 +442,10 @@ def revenue_concentration(eq: StaticEquilibrium) -> tuple[float, float]:
     continuum value is what the model's cross-section actually implies.
     """
     c, params, shock = eq.coefficients, eq.params, eq.shock
-    a = c.kappa * c.eta_q * c.eta_q_theta
-    s = c.kappa * c.eta_q * math.sqrt((params.gamma * shock.sigma1_t) ** 2
-                                      + (params.alpha * shock.sigma2_t) ** 2)
+    ke = params.kappa * params.eta_q
+    a = ke * c.eta_q_theta
+    s = ke * math.sqrt((params.gamma * shock.sigma1_t) ** 2
+                       + (params.alpha * shock.sigma2_t) ** 2)
     top10 = pareto_lognormal_topshare(a, s, shock.lambda_theta_t, 0.10)
     top50 = pareto_lognormal_topshare(a, s, shock.lambda_theta_t, 0.50)
     return top10, top50 - top10

@@ -27,6 +27,8 @@ from .errors import SortCyclesError
 WORDS_PER_BLOCK = 4
 
 _INV_2_53 = 2.0 ** -53
+#: the largest double below 1
+_BELOW_ONE = 1.0 - _INV_2_53
 
 
 def derive_key(seed: int, label: str) -> int:
@@ -55,9 +57,14 @@ def block_uniforms(seed: int, label: str, start_block: int, n_blocks: int) -> np
     bitgen = np.random.Philox(key=derive_key(seed, label))
     bitgen.advance(int(start_block))
     raw = bitgen.random_raw(n_blocks * WORDS_PER_BLOCK)
-    # 53 significant bits, shifted off zero so the inverse CDF never sees 0 or 1
+    return _word_uniforms(raw).reshape(n_blocks, WORDS_PER_BLOCK)
+
+
+def _word_uniforms(raw: np.ndarray) -> np.ndarray:
+    """Uniforms in (0, 1) from raw 64-bit words: the top 53 bits, half a step off
+    zero; the top word, whose (2^53 - 1/2) 2^-53 rounds to 1, is clamped below 1."""
     u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
-    return u.reshape(n_blocks, WORDS_PER_BLOCK)
+    return np.minimum(u, _BELOW_ONE, out=u)
 
 
 def latin_hypercube(seed: int, label: str, n: int, d: int, batch: int = 0) -> np.ndarray:

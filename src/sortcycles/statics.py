@@ -1,6 +1,6 @@
 """Within-period equilibrium: the job-distribution rate, coefficient block,
-aggregate prices and quantities given (K, shock state), and the
-deterministic steady state of a fixed shock state.
+the K-free dispersions, aggregate prices and quantities given (K, shock
+state), and the deterministic steady state of a fixed shock state.
 
 The period problem separates cleanly.  The employment-weighted distribution
 of job types is exponential with rate lambda_t, and lambda_t solves a single
@@ -13,12 +13,17 @@ lognormal market constants (B1, B2, B3) turns the three market-clearing
 conditions into closed forms for w0, R and Y; every firm-level object is then
 an exponential tilt of the scale constants Q_bar, k_bar, chi_bar, l_bar.
 
+Each K-free formula is written here once: G, the type ratio with eta_q_theta,
+the coefficients and the dispersions.  The lambda-level formulas
+(:func:`dispersions`, :func:`tfpr_type_loading`) take (params, shock,
+lambda_t), since they also serve where no equilibrium is solved.
+
 All powers are evaluated in log space: the xi/(xi-1)-type exponents applied
 to large market constants would otherwise overflow for thick-tailed
 calibrations.
 
-Everything here is scalar and needs the standard library alone; numpy is
-imported only by the array form of :func:`fixed_point_residual`.
+Everything here is scalar and needs the standard library alone;
+:func:`fixed_point_residual` also takes a numpy array, without importing numpy.
 """
 
 from __future__ import annotations
@@ -45,41 +50,35 @@ def _exp_checked(logx: float) -> float:
     return math.exp(logx)
 
 
-def fixed_point_coefficients(params: ValidatedParams) -> tuple[float, float]:
-    """(b, d) of the job-distribution equation.
-
-    b scales the (lam/lambda_x)^psi term and may take either sign; d > 0
-    scales the market-efficiency shock.
-    """
-    a, g, psi, xi = params.alpha, params.gamma, params.psi, params.xi
+def _job_equation(params: ValidatedParams, shock: AggregateShockState):
+    """(G, b, T): the job-distribution residual G(lam) = b (lam/lambda_x)^psi + lam - T,
+    with b, d and T = d z + lambda_theta_t computed once for every evaluation.
+    b may take either sign; d > 0 scales the market-efficiency shock."""
+    a, g, psi, xi, lam_x = params.alpha, params.gamma, params.psi, params.xi, params.lambda_x
     denom = 1.0 + (1.0 - a - g) * (xi - 1.0)
     b = ((xi - 1.0) * (g - psi * (1.0 - a)) - psi) / (g * denom)
     d = (1.0 + (xi - 1.0) * (1.0 - a)) / denom
-    return b, d
-
-
-def fixed_point_residual(params: ValidatedParams, shock: AggregateShockState, lam) -> float:
-    """G(lam); the equilibrium lambda_t is its unique nonnegative root."""
-    import numpy as np
-
-    b, d = fixed_point_coefficients(params)
     target = d * shock.z + shock.lambda_theta_t
-    lam = np.asarray(lam, dtype=float)
-    return b * (lam / params.lambda_x) ** params.psi + lam - target
+
+    def G(lam):
+        return b * (lam / lam_x) ** psi + lam - target
+
+    return G, b, target
 
 
-def _root_bracket(params: ValidatedParams, shock: AggregateShockState) -> float:
-    """The top of the sign-change bracket [0, hi] of G.  It starts at the
-    analytic upper bound T + |b| (1 + T/lambda_x)^psi + 1 with
-    T = lambda_theta_t + d z and is doubled while G is still negative there,
-    which can happen for extreme (psi near 1, tiny lambda_x) corners of the
-    parameter space."""
-    psi, lam_x = params.psi, params.lambda_x
-    b, d = fixed_point_coefficients(params)
-    target = d * shock.z + shock.lambda_theta_t
-    hi = target + abs(b) * (1.0 + target / lam_x) ** psi + 1.0
+def fixed_point_residual(params: ValidatedParams, shock: AggregateShockState, lam):
+    """G(lam), lam a float or an array; lambda_t is its unique nonnegative root."""
+    return _job_equation(params, shock)[0](lam)
+
+
+def _root_bracket(params: ValidatedParams, G, b: float, target: float) -> float:
+    """The top of the sign-change bracket [0, hi] of the G of :func:`_job_equation`.
+    It starts at the analytic upper bound T + |b| (1 + T/lambda_x)^psi + 1 and
+    is doubled while G is still negative there, which can happen for extreme
+    (psi near 1, tiny lambda_x) corners of the parameter space."""
+    hi = target + abs(b) * (1.0 + target / params.lambda_x) ** params.psi + 1.0
     for _ in range(2000):
-        if b * (hi / lam_x) ** psi + hi - target > 0.0:
+        if G(hi) > 0.0:
             return hi
         hi *= 2.0
     # G grows without bound, but with b < 0, psi near 1 and a tiny lambda_x
@@ -95,11 +94,7 @@ def solve_lambda(params: ValidatedParams, shock: AggregateShockState) -> float:
     Newton converges unconditionally.
     """
     psi, lam_x = params.psi, params.lambda_x
-    b, d = fixed_point_coefficients(params)
-    target = d * shock.z + shock.lambda_theta_t  # T > 0 for valid inputs
-
-    def G(lam: float) -> float:
-        return b * (lam / lam_x) ** psi + lam - target
+    G, b, target = _job_equation(params, shock)  # T > 0 for valid inputs
 
     def Gprime(lam: float) -> float:
         if psi == 0.0 or lam == 0.0:
@@ -123,7 +118,7 @@ def solve_lambda(params: ValidatedParams, shock: AggregateShockState) -> float:
             raise NoRoot("psi=1 equation has nonpositive slope; no nonnegative root")
         return target / slope
 
-    lo, hi = 0.0, _root_bracket(params, shock)
+    lo, hi = 0.0, _root_bracket(params, G, b, target)
 
     # bisection depth covers roots down to the denormal range: for psi near 0
     # with b > target the root is lambda_x (target/b)^(1/psi), which can be
@@ -155,42 +150,72 @@ def solve_lambda(params: ValidatedParams, shock: AggregateShockState) -> float:
                  f"(stalled at residual {G(x):.3g})")
 
 
+def _type_loadings(params: ValidatedParams, shock: AggregateShockState,
+                   lambda_t: float) -> tuple[float, float]:
+    """(ratio, eta_q_theta): the type ratio (lambda_t/lambda_x)^psi, log TFPQ's slope
+    in firm type, and log output's type loading -gamma z + (1 - psi) ratio."""
+    ratio = (lambda_t / params.lambda_x) ** params.psi
+    return ratio, -params.gamma * shock.z + (1.0 - params.psi) * ratio
+
+
+def tfpr_type_loading(params: ValidatedParams, shock: AggregateShockState,
+                      lambda_t: float) -> float:
+    """Slope of log TFPR in firm type, (lambda_t/lambda_x)^psi - eta_q eta_q_theta / xi."""
+    ratio, eta_q_theta = _type_loadings(params, shock, lambda_t)
+    return ratio - params.eta_q * eta_q_theta / params.xi
+
+
+def dispersions(params: ValidatedParams, shock: AggregateShockState,
+                lambda_t: float) -> tuple[float, float, float]:
+    """(var_log_wage, var_log_tfpq, var_log_tfpr) in closed form.
+
+    They need only lambda_t and the shock state, no prices, so they do not
+    depend on K.  A power beyond the float range raises NonFinite.
+    """
+    p = params
+    try:
+        ratio, _ = _type_loadings(params, shock, lambda_t)
+        var_wage = ((p.psi / p.gamma) ** 2 * p.lambda_x ** (-2.0 * p.psi)
+                    * lambda_t ** (2.0 * p.psi - 2.0))
+        var_tfpq = ratio ** 2 / shock.lambda_theta_t ** 2
+        bracket = tfpr_type_loading(params, shock, lambda_t)
+        var_tfpr = (bracket ** 2 / shock.lambda_theta_t ** 2
+                    + (p.eta_q / p.xi) ** 2 * (p.gamma ** 2 * shock.sigma1_t ** 2
+                                               + p.alpha ** 2 * shock.sigma2_t ** 2))
+    except OverflowError as exc:
+        raise NonFinite(f"a dispersion overflows at lambda_t={lambda_t:.6g}, "
+                        f"lambda_theta_t={shock.lambda_theta_t:.6g}") from exc
+    return (var_wage, var_tfpq, var_tfpr)
+
+
 @dataclass(frozen=True)
 class Coefficients:
     """Firm-block loadings and the lognormal market constants.
 
-    eta_q is the common demand-technology elasticity; eta_q_theta and
-    eta_l_theta are the firm-type loadings of output and employment.  B1, B2,
-    B3 collect the Gaussian wedge moments entering labor, capital and goods
-    market clearing; B2 and B3 carry the 1/(lambda_theta_t - kappa eta_q
-    eta_q_theta) factor from the type integral, which must stay positive or
-    capital demand diverges.
+    eta_q_theta and eta_l_theta are the firm-type loadings of output and
+    employment.  B1, B2, B3 collect the Gaussian wedge moments entering labor,
+    capital and goods market clearing; B2 and B3 carry the 1/margin factor
+    from the type integral, where margin = lambda_theta_t - kappa eta_q
+    eta_q_theta must stay positive or capital demand diverges.
     """
 
-    eta_q: float
     eta_q_theta: float
     eta_l_theta: float
     b1: float
     b2: float
     b3: float
-    kappa: float
-
-
-def capital_margin(shock: AggregateShockState, coeffs: Coefficients) -> float:
-    """lambda_theta_t - kappa*eta_q*eta_q_theta, the boundedness margin."""
-    return shock.lambda_theta_t - coeffs.kappa * coeffs.eta_q * coeffs.eta_q_theta
+    margin: float
 
 
 def coefficients(params: ValidatedParams, shock: AggregateShockState, lambda_t: float) -> Coefficients:
     """Evaluate the coefficient block at a solved lambda_t."""
-    a, g, xi, psi = params.alpha, params.gamma, params.xi, params.psi
+    a, g = params.alpha, params.gamma
     kappa = params.kappa
     eta_q = params.eta_q
     s1, s2 = shock.sigma1_t, shock.sigma2_t
 
-    ratio = (lambda_t / params.lambda_x) ** psi
-    eta_q_theta = -g * shock.z + (1.0 - psi) * ratio
-    eta_l_theta = kappa * eta_q * eta_q_theta - shock.z - (psi / g) * ratio
+    ratio, eta_q_theta = _type_loadings(params, shock, lambda_t)
+    eta_l_theta = kappa * eta_q * eta_q_theta - shock.z - (params.psi / g) * ratio
 
     margin = shock.lambda_theta_t - kappa * eta_q * eta_q_theta
     if margin <= 0.0:
@@ -201,8 +226,8 @@ def coefficients(params: ValidatedParams, shock: AggregateShockState, lambda_t: 
     b1 = _exp_checked(0.5 * ((ke * g + 1.0) ** 2 * s1 * s1 + (ke * a) ** 2 * s2 * s2))
     b2 = _exp_checked(0.5 * ((ke * g) ** 2 * s1 * s1 + (ke * a + 1.0) ** 2 * s2 * s2)) / margin
     b3 = _exp_checked(0.5 * ((ke * g) ** 2 * s1 * s1 + (ke * a) ** 2 * s2 * s2)) / margin
-    return Coefficients(eta_q=eta_q, eta_q_theta=eta_q_theta, eta_l_theta=eta_l_theta,
-                        b1=b1, b2=b2, b3=b3, kappa=kappa)
+    return Coefficients(eta_q_theta=eta_q_theta, eta_l_theta=eta_l_theta,
+                        b1=b1, b2=b2, b3=b3, margin=margin)
 
 
 @dataclass(frozen=True)
@@ -250,7 +275,7 @@ def aggregates(params: ValidatedParams, shock: AggregateShockState, lambda_t: fl
     if not K > 0.0:
         raise DomainError(f"capital stock must be positive, got {K}")
     a, g, xi = params.alpha, params.gamma, params.xi
-    kappa, eta_q = coeffs.kappa, coeffs.eta_q
+    kappa, eta_q = params.kappa, params.eta_q
     lt = shock.lambda_theta_t
     A = shock.A
 
@@ -305,13 +330,11 @@ def _factor_incomes_from(params: ValidatedParams, shock: AggregateShockState,
     The labor-income denominator carries the extra +z relative to the capital
     margin because workers are paid net of the type-correlated wedge.
     """
-    margin = capital_margin(shock, coeffs)
-    if margin <= 0.0:
-        raise UnboundedCapitalDemand(f"capital margin {margin:.6g} <= 0")
-    if margin + shock.z <= 0.0:
-        raise UnboundedCapitalDemand(f"labor-income margin {margin + shock.z:.6g} <= 0")
+    labor_margin = coeffs.margin + shock.z
+    if labor_margin <= 0.0:
+        raise UnboundedCapitalDemand(f"labor-income margin {labor_margin:.6g} <= 0")
     lt = shock.lambda_theta_t
-    y_l = params.gamma * lt * coeffs.b1 * chi_q / (margin + shock.z)
+    y_l = params.gamma * lt * coeffs.b1 * chi_q / labor_margin
     y_k = params.alpha * lt * coeffs.b2 * chi_q
     y_d = (params.xi / (params.xi - 1.0) - params.gamma - params.alpha) * lt * coeffs.b3 * chi_q
     return (y_l, y_k, y_d)
@@ -336,7 +359,8 @@ def measured_tfp(eq: StaticEquilibrium) -> float:
 def steady_state(params: ValidatedParams, z_fixed: float, A: float = 1.0) -> tuple[float, float]:
     """Deterministic steady state (K*, C*) of the fixed-shock economy.
 
-    K* solves beta (R(K*) + 1 - delta) = 1 by bisection; R is strictly
+    K* solves beta (R(K*) + 1 - delta) = 1 by bisection on the aggregates of
+    the K-free lambda_t and coefficients, solved once; R is strictly
     decreasing in K (its elasticity is alpha - 1 < 0).  The bisection stops
     once the midpoint rounds to an end of the bracket, after which no step
     could move it.  C* then follows from the budget constraint with
@@ -344,9 +368,11 @@ def steady_state(params: ValidatedParams, z_fixed: float, A: float = 1.0) -> tup
     """
     shock = AggregateShockState.from_params(params, z=z_fixed, A=A)
     r_star = 1.0 / params.beta - 1.0 + params.delta
+    lam = solve_lambda(params, shock)
+    coeffs = coefficients(params, shock, lam)
 
     def rental(K: float) -> float:
-        return solve_static(params, shock, K).R
+        return aggregates(params, shock, lam, coeffs, K).R
 
     lo = 1e-8
     if rental(lo) <= r_star:
@@ -367,6 +393,5 @@ def steady_state(params: ValidatedParams, z_fixed: float, A: float = 1.0) -> tup
         else:
             hi = mid
     k_star = 0.5 * (lo + hi)
-    eq = solve_static(params, shock, k_star)
-    c_star = eq.household_income - params.delta * k_star
-    return k_star, c_star
+    income = aggregates(params, shock, lam, coeffs, k_star).household_income
+    return k_star, income - params.delta * k_star

@@ -35,9 +35,8 @@ from .params import (AggregateShockState, ModelParams, ThetaRedrawProcess, Valid
                      validate)
 from .rng import block_uniforms, exponential_icdf
 from .errors import NoRoot
-from .firms import dispersions, tfpr_type_loading
-from .statics import (StaticEquilibrium, _root_bracket, capital_margin, fixed_point_residual,
-                      solve_lambda, solve_static)
+from .statics import (StaticEquilibrium, _job_equation, _root_bracket, dispersions,
+                      fixed_point_residual, solve_lambda, solve_static, tfpr_type_loading)
 
 GH_ORDER = 64
 #: composite Gauss-Legendre rule of the type integrals: panels, nodes per panel
@@ -161,7 +160,7 @@ def _gauss_legendre(f: Callable[[np.ndarray], np.ndarray], upper: float) -> floa
 def _type_integral(eq: StaticEquilibrium, firm_log: Callable[[dict], np.ndarray]) -> float:
     """Integrate an exp-weighted firm quantity against the type density, up
     to the type at which the integrand's exponential tail is ~exp(-40)."""
-    theta_max = 40.0 / max(capital_margin(eq.shock, eq.coefficients), 1e-3)
+    theta_max = 40.0 / max(eq.coefficients.margin, 1e-3)
     return _gauss_legendre(_type_density_integrand(eq, firm_log), theta_max)
 
 
@@ -265,7 +264,7 @@ def _strictly_monotone(values: np.ndarray, increasing: bool) -> bool:
 def bracket_scan_sign_changes(params: ValidatedParams, shock: AggregateShockState,
                               n_points: int = 10_000) -> int:
     """Count sign changes of G over the solver's bracket on a uniform scan."""
-    hi = _root_bracket(params, shock)
+    hi = _root_bracket(params, *_job_equation(params, shock))
     g = fixed_point_residual(params, shock, np.linspace(0.0, hi, n_points))
     signs = np.sign(g)
     signs = signs[signs != 0.0]

@@ -297,7 +297,7 @@ def simulate_oracle(policy, params, chain, T, burn_in, seed, K0=None, s0=0):
     for t in range(T):
         K = kpath[t]
         eq = sc.solve_static(params, shocks[int(states[t])], K)
-        vw, vq, vr = sc.analytic_moments(eq)
+        vw, vq, vr = sc.dispersions(eq.params, eq.shock, eq.lambda_t)
         income = eq.household_income
         row = {"z": eq.shock.z, "K": K, "Y": eq.Y,
                "C": (1.0 - params.delta) * K + income - kpath[t + 1],
@@ -342,7 +342,7 @@ def irf_oracle(policy, params, chain, horizon, n_sims, seed):
             for s, K in ((s_treat, K_t), (s_ctrl, K_c)):
                 eq = sc.solve_static(params, shocks[s], K)
                 rec.append((math.log(eq.Y), sc.measured_tfp(eq),
-                            *sc.analytic_moments(eq)))
+                            *sc.dispersions(eq.params, eq.shock, eq.lambda_t)))
             acc[h] += np.subtract(rec[0], rec[1])
             if h == horizon:
                 break

@@ -228,8 +228,8 @@ def test_criterion6_irf_qualitative(table, timed_policy):
     irf = sc.impulse_response(policy, horizon=20, n_sims=1000, seed=SEED)
     boom = sc.solve_static(params, sc.AggregateShockState.from_params(params, z=chain.z_low), 1.0)
     rec = sc.solve_static(params, sc.AggregateShockState.from_params(params, z=chain.z_high), 1.0)
-    vw0, vq0, vr0 = sc.analytic_moments(boom)
-    vwh, vqh, vrh = sc.analytic_moments(rec)
+    vw0, vq0, vr0 = sc.dispersions(boom.params, boom.shock, boom.lambda_t)
+    vwh, vqh, vrh = sc.dispersions(rec.params, rec.shock, rec.lambda_t)
     elapsed = solve_time + (time.perf_counter() - t0)
 
     signs_ok = (irf.d_log_Y[0] < -0.05 and irf.d_measured_tfp[0] < 0.0
@@ -259,7 +259,7 @@ def test_criterion7_monte_carlo_analytic_equivalence(table):
     shock = sc.AggregateShockState.from_params(params, z=chain.z_low)
     eq = sc.solve_static(params, shock, 1.0)
     panel = held_panel(eq, 1_000_000, seed=SEED)
-    vw, vq, vr = sc.analytic_moments(eq)
+    vw, vq, vr = sc.dispersions(eq.params, eq.shock, eq.lambda_t)
 
     def within_3se(series, target):
         centered = (series - series.mean()) ** 2

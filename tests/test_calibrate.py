@@ -166,12 +166,12 @@ class TestSigma1Inversion:
         sigma_star = 0.31
         shock = sc.AggregateShockState.from_params(params, z=0.0, sigma1_t=sigma_star)
         eq = sc.solve_static(params, shock, 1.0)
-        _, _, vr = sc.analytic_moments(eq)
+        _, _, vr = sc.dispersions(eq.params, eq.shock, eq.lambda_t)
         c = eq.coefficients
         ratio = (eq.lambda_t / params.lambda_x) ** params.psi
-        bracket = ratio - c.eta_q * c.eta_q_theta / params.xi
+        bracket = ratio - params.eta_q * c.eta_q_theta / params.xi
         implied = math.sqrt((vr - bracket ** 2 / params.lambda_theta ** 2)
-                            / ((c.eta_q / params.xi) ** 2 * params.gamma ** 2))
+                            / ((params.eta_q / params.xi) ** 2 * params.gamma ** 2))
         assert implied == pytest.approx(sigma_star, rel=1e-10)
 
     def test_one_dimensional_recovery_within_1pct(self, table_module, truth, pi):

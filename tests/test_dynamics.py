@@ -79,11 +79,12 @@ class TestSteadyState:
             assert sc.steady_state(params, z) == want, (params, z)
 
     def test_at_most_70_static_solves(self, steady_states, monkeypatch):
-        # the 200-step bisection took 208
+        # each bisection step evaluates the aggregates at one K; the 200-step
+        # bisection took 208
         calls = []
-        solve_static = statics.solve_static
-        monkeypatch.setattr(statics, "solve_static",
-                            lambda *args: calls.append(1) or solve_static(*args))
+        aggregates = statics.aggregates
+        monkeypatch.setattr(statics, "aggregates",
+                            lambda *args: calls.append(1) or aggregates(*args))
         for params, z, _ in steady_states:
             calls.clear()
             sc.steady_state(params, z)

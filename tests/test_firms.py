@@ -62,7 +62,7 @@ class TestWage:
         u = block_uniforms(99, "wage-var", 0, 1_000_000)[:, 0]
         x = exponential_icdf(u, params.lambda_x)
         logw = np.log(sc.wage(boom_eq, x))
-        vw, _, _ = sc.analytic_moments(boom_eq)
+        vw, _, _ = sc.dispersions(boom_eq.params, boom_eq.shock, boom_eq.lambda_t)
         sample_var = float(np.var(logw))
         centered = (logw - logw.mean()) ** 2
         se = float(np.std(centered) / math.sqrt(len(logw)))
@@ -168,7 +168,7 @@ class TestFirmOutcome:
             eq, shock = solve_at(params, z)
             c = eq.coefficients
             ratio = (eq.lambda_t / params.lambda_x) ** params.psi
-            assert ratio - c.eta_q * c.eta_q_theta / params.xi > 0.0
+            assert ratio - params.eta_q * c.eta_q_theta / params.xi > 0.0
 
     def test_overflow_raises_nonfinite(self, boom_eq):
         # a type rate of 0.001 draws types in the thousands, whose log
@@ -182,23 +182,23 @@ class TestAnalyticMoments:
         params, _ = table
         p0 = with_params(params, psi=0.0, lambda_theta=6.0)
         eq, _ = solve_at(p0, 0.0)
-        vw, vq, vr = sc.analytic_moments(eq)
+        vw, vq, vr = sc.dispersions(eq.params, eq.shock, eq.lambda_t)
         assert vw == 0.0
         assert vq > 0.0 and vr > 0.0
 
     def test_published_dispersion_levels(self, boom_eq):
         # rounded published parameters reproduce the reported boom-state
         # moments to within 15%
-        vw, vq, vr = sc.analytic_moments(boom_eq)
+        vw, vq, vr = sc.dispersions(boom_eq.params, boom_eq.shock, boom_eq.lambda_t)
         assert vq == pytest.approx(0.1203, rel=0.15)
         assert vw == pytest.approx(0.7901, rel=0.15)
 
     def test_sigma_separation(self, table, boom_eq):
         # perturbing the wedge volatilities moves TFPR dispersion only
         params, _ = table
-        base = sc.analytic_moments(boom_eq)
+        base = sc.dispersions(boom_eq.params, boom_eq.shock, boom_eq.lambda_t)
         bumped_shock = dataclasses.replace(boom_eq.shock, sigma1_t=0.4, sigma2_t=0.2)
-        bumped = firms.dispersions(params, bumped_shock, boom_eq.lambda_t)
+        bumped = sc.dispersions(params, bumped_shock, boom_eq.lambda_t)
         assert bumped[0] == base[0]
         assert bumped[1] == base[1]
         assert bumped[2] > base[2]
@@ -208,7 +208,7 @@ class TestAnalyticMoments:
         rows = []
         for z in np.linspace(0.0, 1.0, 20):
             eq, _ = solve_at(params, z)
-            rows.append(sc.analytic_moments(eq))
+            rows.append(sc.dispersions(eq.params, eq.shock, eq.lambda_t))
         vw, vq, vr = map(np.array, zip(*rows))
         assert np.all(np.diff(vw) < 0.0)
         assert np.all(np.diff(vq) > 0.0)
@@ -221,7 +221,7 @@ class TestAnalyticMoments:
         for lt in np.linspace(3.0, 6.0, 20):
             shock = sc.AggregateShockState.from_params(params, z=0.2, lambda_theta_t=lt)
             eq = sc.solve_static(params, shock, 1.0)
-            rows.append(sc.analytic_moments(eq))
+            rows.append(sc.dispersions(eq.params, eq.shock, eq.lambda_t))
         vw, vq, vr = map(np.array, zip(*rows))
         assert np.all(np.diff(vw) < 0.0)
         assert np.all(np.diff(vq) < 0.0)
@@ -255,7 +255,7 @@ class TestSampling:
 
     def test_moments_match_analytic_within_3se(self, boom_eq):
         panel = held_panel(boom_eq, 1_000_000, seed=31)
-        _, vq, vr = sc.analytic_moments(boom_eq)
+        _, vq, vr = sc.dispersions(boom_eq.params, boom_eq.shock, boom_eq.lambda_t)
         for series, target in ((panel.log_tfpq, vq), (panel.log_tfpr, vr)):
             centered = (series - series.mean()) ** 2
             se = float(np.std(centered) / math.sqrt(series.shape[0]))
@@ -319,7 +319,7 @@ class TestCrossSectionMoments:
         eq, _ = solve_at(p, 0.8)
         assert eq.lambda_t > p.lambda_theta
         m = sc.panel_moments(eq, 400_000, seed=9)
-        vw, _, _ = sc.analytic_moments(eq)
+        vw, _, _ = sc.dispersions(eq.params, eq.shock, eq.lambda_t)
         assert m.var_log_wage == pytest.approx(vw, rel=0.02)
 
     def test_labor_share_is_aggregate(self, boom_eq):

@@ -9,22 +9,72 @@ from pathlib import Path
 import pytest
 
 import sortcycles
+from sortcycles import statics
+
+from . import oracles
+
+
+SRC = Path(sortcycles.__file__).parent
+
+
+def imports(module: str) -> set[str]:
+    """What a submodule's source imports, at module level and inside functions:
+    the top-level name of each absolute import, ".name" for each of the
+    package's own modules."""
+    names = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            names.update("." + name for name in (
+                [node.module] if node.module else [alias.name for alias in node.names]))
+    return names
 
 
 class TestImports:
     def test_only_numpy_and_the_standard_library(self):
-        # every import statement in the package's source, at module level
-        # and inside functions, so an import that only some calls run is
+        # every import statement, so an import that only some calls run is
         # checked too; scipy serves the tests as an oracle and nothing else
-        requested = set()
-        for source in sorted(Path(sortcycles.__file__).parent.glob("*.py")):
-            for node in ast.walk(ast.parse(source.read_text(), filename=str(source))):
-                if isinstance(node, ast.Import):
-                    requested.update(alias.name.split(".")[0] for alias in node.names)
-                elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                    requested.add(node.module.split(".")[0])
+        requested = {name for source in SRC.glob("*.py") for name in imports(source.stem)
+                     if not name.startswith(".")}
         assert "numpy" in requested
         assert requested - {"numpy"} - set(sys.stdlib_module_names) == set()
+
+    def test_statics_imports_no_numpy(self):
+        # the period block is scalar; its one array caller passes the array in
+        assert {name for name in imports("statics") if not name.startswith(".")} <= set(
+            sys.stdlib_module_names)
+
+    def test_importtime_logs_lazily_loaded_submodules(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(SRC.resolve().parent), os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-c",
+                               "from sortcycles import statics"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        logged = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+        assert "sortcycles.statics" in logged
+
+
+class TestPeriodBlock:
+    def test_dynamics_and_verify_import_no_firms(self):
+        # the K-free dispersions are statics' closed forms
+        for module in ("dynamics", "verify"):
+            assert ".firms" not in imports(module), module
+
+    def test_steady_state_solves_lambda_once(self, table, monkeypatch):
+        params, chain = table
+        wants = [oracles.steady_state_oracle(params, z) for z in chain.z_states]
+        calls = []
+        solve_lambda = statics.solve_lambda
+        monkeypatch.setattr(statics, "solve_lambda",
+                            lambda *args: calls.append(1) or solve_lambda(*args))
+        for z, want in zip(chain.z_states, wants):
+            calls.clear()
+            assert statics.steady_state(params, z) == want, z
+            assert len(calls) == 1, z
 
 
 #: the package's exported names, by the submodule that defines them
@@ -35,9 +85,9 @@ EXPORTED = {
     "params": ("AggregateShockState", "MarkovChain2", "ModelParams", "ThetaRedrawProcess",
                "ValidatedParams", "load_config", "stationary_distribution",
                "published_calibration", "validate"),
-    "statics": ("Coefficients", "StaticEquilibrium", "aggregates", "coefficients",
+    "statics": ("Coefficients", "StaticEquilibrium", "aggregates", "coefficients", "dispersions",
                 "measured_tfp", "solve_lambda", "solve_static", "steady_state"),
-    "firms": ("CrossSectionMoments", "analytic_moments", "matching", "panel_moments", "wage"),
+    "firms": ("CrossSectionMoments", "matching", "panel_moments", "wage"),
     "dynamics": ("GridSpec", "IRFResult", "Policy", "SimulationPath", "euler_residuals",
                  "impulse_response", "simulate", "solve_policy"),
     "calibrate": ("CalibrationResult", "SimConfig", "TargetSet", "model_moments", "objective"),
@@ -155,3 +205,11 @@ class TestWorkerModules:
     def test_moments_and_verify_load_no_dynamics(self, loaded):
         for name in ("moments", "verify"):
             assert "sortcycles.dynamics" not in loaded[name], name
+
+    def test_only_moments_and_calibrate_load_firms(self, loaded):
+        # the dispersions are closed forms in statics; the panel sampler and
+        # the concentration shares are what firms is loaded for
+        for name in ("simulate", "irf", "verify"):
+            assert "sortcycles.firms" not in loaded[name], name
+        assert "sortcycles.firms" in loaded["moments"]
+        assert "sortcycles.firms" in loaded["calibrate"]

@@ -36,6 +36,20 @@ class TestBlockUniforms:
         assert u.min() > 0.0
         assert u.max() < 1.0
 
+    def test_extreme_words_stay_inside_the_open_interval(self):
+        # the top word's (2^53 - 1/2) 2^-53 rounds to 1, where the normal
+        # inverse cdf is NaN; it is clamped to the largest double below 1
+        u = rng._word_uniforms(np.array([0, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64))
+        assert u.tolist() == [2.0 ** -54, 0.5, 1.0 - 2.0 ** -53]
+        assert np.all(np.isfinite(rng.normal_icdf(u)))
+        assert np.all(np.isfinite(rng.exponential_icdf(u, 1.0)))
+
+    def test_the_clamp_moves_no_other_word(self):
+        raw = np.random.default_rng(5).integers(0, 2 ** 64 - 2 ** 11, 100_000,
+                                                 dtype=np.uint64, endpoint=False)
+        plain = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+        assert np.array_equal(rng._word_uniforms(raw), plain)
+
     def test_deterministic(self):
         assert np.array_equal(rng.block_uniforms(42, "x", 5, 8),
                               rng.block_uniforms(42, "x", 5, 8))

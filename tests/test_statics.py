@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import sortcycles as sc
 from sortcycles import UnboundedCapitalDemand
-from sortcycles.statics import capital_margin, fixed_point_residual
+from sortcycles.statics import fixed_point_residual
 
 from .oracles import central_diff, gaussian_expectation, lambda_oracle
 
@@ -162,7 +162,8 @@ class TestCoefficients:
         lam = sc.solve_lambda(p, shock)
         c = sc.coefficients(p, shock, lam)
         ke = p.kappa * p.eta_q
-        margin = capital_margin(shock, c)
+        margin = shock.lambda_theta_t - ke * c.eta_q_theta
+        assert c.margin == margin
 
         e1_l = gaussian_expectation(lambda e: np.exp(-(ke * p.gamma + 1.0) * e), p.sigma1)
         e2_l = gaussian_expectation(lambda e: np.exp(-ke * p.alpha * e), p.sigma2)
@@ -291,9 +292,9 @@ class TestFactorIncomes:
         shock = eq.shock
         slope = (params.psi / params.gamma) * (params.lambda_x / eq.lambda_t) ** (1.0 - params.psi)
         c = eq.coefficients
-        ke = params.kappa * c.eta_q
+        ke = params.kappa * params.eta_q
         lt = shock.lambda_theta_t
-        margin = capital_margin(shock, c)
+        margin = c.margin
 
         gauss_l = gaussian_expectation(
             lambda e: np.exp(-(ke * params.gamma + 1.0) * e), shock.sigma1_t)

@@ -7,7 +7,6 @@ import pytest
 
 import sortcycles as sc
 from sortcycles import verify
-from sortcycles.statics import capital_margin
 
 from . import oracles
 from .oracles import held_panel
@@ -99,7 +98,7 @@ class TestPropositionSuite:
         p0 = with_params(params, psi=0.0, lambda_theta=6.0)
         for z in np.linspace(0.0, 1.0, 5):
             eq = sc.solve_static(p0, sc.AggregateShockState.from_params(p0, z=z), 1.0)
-            vw, _, _ = sc.analytic_moments(eq)
+            vw, _, _ = sc.dispersions(eq.params, eq.shock, eq.lambda_t)
             assert vw == 0.0
 
     def test_random_params_are_reproducible(self):
@@ -180,7 +179,7 @@ class TestTypeQuadrature:
         for j, eq in enumerate(verified_equilibria):
             firm_log = FIRM_LOGS[quantity](eq)
             for upper in (40.0 / eq.lambda_t,
-                          40.0 / max(capital_margin(eq.shock, eq.coefficients), 1e-3)):
+                          40.0 / max(eq.coefficients.margin, 1e-3)):
                 got = verify._gauss_legendre(verify._type_density_integrand(eq, firm_log),
                                              upper)
                 want = oracles.type_integral_oracle(eq, firm_log, upper)

@@ -18,7 +18,9 @@ come from the exact Pareto-lognormal share formulas applied to the table's
 per-state equilibria).  Neither mode solves the dynamic model.  Each moment
 weights its two per-state values by two state weights (w_boom, w_recession),
 and TFP volatility, a two-valued series, is the gap times sqrt(w_boom ·
-w_recession).  The modes differ only in those weights (:func:`state_weights`):
+w_recession): :func:`sortcycles.dynamics.state_moments`, the formula of a
+simulated path's summary too.  The modes differ only in those weights
+(:func:`state_weights`):
 
 * fast - the chain's stationary distribution, so the objective involves no
   sampling at all.
@@ -138,9 +140,8 @@ def state_weights(chain: MarkovChain2, sim_config: SimConfig,
     and they are not calibrated, so one draw serves every parameter point."""
     if sim_config.fast:
         return stationary_distribution(chain)
-    states = dynamics.draw_state_path(chain, sim_config.T, seed)[sim_config.burn_in:]
-    f = float(np.mean(states))
-    return (1.0 - f, f)
+    return dynamics.state_shares(
+        dynamics.draw_state_path(chain, sim_config.T, seed)[sim_config.burn_in:])
 
 
 def model_moments(free_params, fixed_params: ValidatedParams, chain: MarkovChain2,
@@ -149,20 +150,10 @@ def model_moments(free_params, fixed_params: ValidatedParams, chain: MarkovChain
     per-state values weighted by the :func:`state_weights`."""
     params, chain = assemble(free_params, fixed_params, chain)
     table = dynamics.state_table(params, chain)
-    w0, w1 = weights
-
-    def mix(column):
-        return w0 * column[0] + w1 * column[1]
-
     top10, p50_p90 = zip(*(revenue_concentration(eq) for eq in table.equilibria))
-    tfp = table.measured_tfp
-    return {
-        "labor_share": mix(table.labor_share),
-        "wage_inequality": mix(table.var_log_wage),
-        "rev_share_top10": mix(top10),
-        "rev_share_p50_p90": mix(p50_p90),
-        "std_tfp": abs(tfp[1] - tfp[0]) * math.sqrt(w0 * w1),
-    }
+    return dynamics.state_moments(weights, table.measured_tfp, labor_share=table.labor_share,
+                                  wage_inequality=table.var_log_wage, rev_share_top10=top10,
+                                  rev_share_p50_p90=p50_p90)
 
 
 def residuals(free_params, fixed_params: ValidatedParams, targets: TargetSet,

@@ -242,18 +242,11 @@ def _cmd_moments(args, params, chain, out):
 
 
 def _cmd_simulate(args, params, chain, out):
-    import numpy as np
-
     from . import dynamics
 
     policy = dynamics.solve_policy(params, chain, grid_spec=dynamics.GridSpec(n=args.grid_size))
     path = dynamics.simulate(policy, T=args.T, burn_in=args.burn_in, seed=args.seed)
-    cols = {"t": np.arange(args.T, dtype=float), "z": path.z, "K": path.K, "Y": path.Y,
-            "C": path.C, "measured_tfp": path.measured_tfp, "lambda_t": path.lambda_t,
-            "var_log_wage": path.var_log_wage, "var_log_tfpq": path.var_log_tfpq,
-            "var_log_tfpr": path.var_log_tfpr, "labor_share": path.labor_share,
-            "R": path.R, "w0": path.w0}
-    _write_csv(out / "path.csv", cols)
+    _write_csv(out / "path.csv", path.columns())
     _summary({"subcommand": "simulate", **path.moments()})
     return EXIT_OK
 

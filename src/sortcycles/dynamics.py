@@ -8,13 +8,14 @@ fixed, Y, factor incomes and w0 are homogeneous of degree alpha in K and R of
 degree alpha-1, while lambda_t, the labor share, measured TFP and the three
 dispersions do not depend on K at all.  The chain has two states, so one
 table of K=1 statics per state (:func:`state_table`) serves everything: the
-policy solver evaluates resources and rental rates at the nodes from it,
-simulations and impulse responses index it with the state path and scale by
-the matching power of K, and calibration reads its moments from it (the
-revenue-concentration shares, which no path records, from the table's
-per-state equilibria).  A solved :class:`Policy` carries its parameters,
-chain, table and per-state steady-state capital, so simulations and impulse
-responses take the policy alone and nothing downstream re-solves them.
+policy solver evaluates resources and rental rates at the nodes from it, a
+path's columns index it with the states and scale by the power of K, and a
+K-free moment of any history is its two values weighted by the history's
+state shares (:func:`state_moments`, for paths and calibration alike; an
+impulse response's is the gap times the treated-minus-control recession
+share).  A solved :class:`Policy` carries its parameters, chain, table and
+per-state steady-state capital, so simulations and impulse responses take
+the policy alone and nothing downstream re-solves them.
 
 The solver is Carroll's endogenous grid method on resources: given next
 period's consumption rule at the K' nodes, the Euler equation gives today's
@@ -82,42 +83,43 @@ class Policy:
 
 @dataclass(frozen=True)
 class SimulationPath:
-    """Per-period record of a simulated economy."""
+    """A simulated economy: its state path, capital and consumption, and the
+    policy whose state table gives every other column."""
 
     states: np.ndarray
-    z: np.ndarray
     K: np.ndarray
-    Y: np.ndarray
     C: np.ndarray
-    measured_tfp: np.ndarray
-    lambda_t: np.ndarray
-    var_log_wage: np.ndarray
-    var_log_tfpq: np.ndarray
-    var_log_tfpr: np.ndarray
-    labor_share: np.ndarray
-    R: np.ndarray
-    w0: np.ndarray
-    income: np.ndarray
+    policy: Policy
     seed: int
     burn_in: int
 
     def __len__(self) -> int:
-        return self.z.shape[0]
+        return self.states.shape[0]
+
+    def columns(self) -> dict[str, np.ndarray]:
+        """The columns of ``path.csv``, in order: each period's K=1 table row
+        scaled by the matching power of K_t."""
+        table, alpha, s, K = self.policy.table, self.policy.params.alpha, self.states, self.K
+        K_alpha = K ** alpha
+        return {"t": np.arange(len(self), dtype=float), "z": table.z[s], "K": K,
+                "Y": table.Y[s] * K_alpha, "C": self.C, "measured_tfp": table.measured_tfp[s],
+                "lambda_t": table.lambda_t[s], "var_log_wage": table.var_log_wage[s],
+                "var_log_tfpq": table.var_log_tfpq[s], "var_log_tfpr": table.var_log_tfpr[s],
+                "labor_share": table.labor_share[s], "R": table.R[s] * K ** (alpha - 1.0),
+                "w0": table.w0[s] * K_alpha}
 
     def moments(self) -> dict[str, float]:
-        """Time-averaged moments over the post-burn-in sample."""
-        sl = slice(self.burn_in, None)
-        return {
-            "labor_share": float(np.mean(self.labor_share[sl])),
-            "wage_inequality": float(np.mean(self.var_log_wage[sl])),
-            "var_log_tfpq": float(np.mean(self.var_log_tfpq[sl])),
-            "var_log_tfpr": float(np.mean(self.var_log_tfpr[sl])),
-            "std_tfp": float(np.std(self.measured_tfp[sl])),
-            "mean_Y": float(np.mean(self.Y[sl])),
-            "mean_C": float(np.mean(self.C[sl])),
-            "mean_K": float(np.mean(self.K[sl])),
-            "recession_frequency": float(np.mean(self.states[sl])),
-        }
+        """Moments over the post-burn-in sample: the K-free ones from its
+        state shares, the means of Y, C and K period by period."""
+        sl, table = slice(self.burn_in, None), self.policy.table
+        weights = state_shares(self.states[sl])
+        return {**state_moments(weights, table.measured_tfp, labor_share=table.labor_share,
+                                wage_inequality=table.var_log_wage,
+                                var_log_tfpq=table.var_log_tfpq,
+                                var_log_tfpr=table.var_log_tfpr),
+                "mean_Y": float(np.mean(self.columns()["Y"][sl])),
+                "mean_C": float(np.mean(self.C[sl])), "mean_K": float(np.mean(self.K[sl])),
+                "recession_frequency": weights[1]}
 
 
 @dataclass(frozen=True)
@@ -166,6 +168,22 @@ def state_table(params: ValidatedParams, chain: MarkovChain2) -> StateTable:
              eq.labor_share, measured_tfp(eq), *dispersions(eq.params, eq.shock, eq.lambda_t))
             for eq in eqs]
     return StateTable(*(np.array(col) for col in zip(*rows)), equilibria=eqs)
+
+
+def state_shares(states: np.ndarray) -> tuple[float, float]:
+    """(w_boom, w_recession): the shares of the two states in a state path."""
+    f = float(np.mean(states))
+    return (1.0 - f, f)
+
+
+def state_moments(weights: tuple[float, float], measured_tfp,
+                  **columns) -> dict[str, float]:
+    """The K-free moments of a history whose two states have shares
+    ``weights``: each named per-state column's average w_0·c_0 + w_1·c_1,
+    then std_tfp, the std of two-valued measured TFP, |gap|·sqrt(w_0·w_1)."""
+    w0, w1 = weights
+    return {**{name: w0 * c[0] + w1 * c[1] for name, c in columns.items()},
+            "std_tfp": abs(measured_tfp[1] - measured_tfp[0]) * math.sqrt(w0 * w1)}
 
 
 def solve_policy(params: ValidatedParams, chain: MarkovChain2,
@@ -241,16 +259,16 @@ def euler_residuals(policy: Policy, params: ValidatedParams, points: np.ndarray,
     return np.abs(params.beta * c * q - 1.0)
 
 
-def draw_state_path(chain: MarkovChain2 | ThetaRedrawProcess, T: int, seed: int, s0: int = 0,
+def draw_state_path(chain: MarkovChain2 | ThetaRedrawProcess, T: int, seed: int,
                     stream_label: str = "simulate-z") -> np.ndarray:
     """Seeded path s_1..s_T of a two-state chain's state indices (0 = boom,
-    1 = recession, for the z chain) that starts in s0: the chain stays while
-    u_t is below the current state's stay probability and switches otherwise.
+    1 = recession, for the z chain) from state 0: the chain stays while u_t
+    is below the current state's stay probability and switches otherwise.
     """
     u = block_uniforms(seed, stream_label, 0, T)[:, 0]
     stay = (chain.p_stay_low, chain.p_stay_high)
     s = np.empty(T, dtype=np.int64)
-    cur = s0
+    cur = 0
     for t, u_t in enumerate(u.tolist()):
         if u_t >= stay[cur]:
             cur = 1 - cur
@@ -285,42 +303,34 @@ def _capital_path(policy: Policy, K0: float, states: np.ndarray) -> np.ndarray:
 
 
 def simulate(policy: Policy, T: int = 10_000, burn_in: int = 100, seed: int = 0,
-             K0: float | None = None, s0: int = 0) -> SimulationPath:
-    """Simulate the economy for T periods and record the full period statics.
+             K0: float | None = None) -> SimulationPath:
+    """Simulate the economy for T periods.
 
-    The states follow the policy's chain.  The capital recursion interpolates
-    the policy's savings rule and starts, unless K0 is given, at the steady
-    state of state s0.  Each recorded period's statics are the state's K=1
-    values from the policy's state table scaled by the exact power of K_t, so
-    consumption satisfies the budget identity at the simulated capital stock
-    rather than by grid interpolation.
+    The states follow the policy's chain from the boom.  The capital
+    recursion interpolates the policy's savings rule and starts, unless K0
+    is given, at the boom steady state.  Consumption is each period's
+    income, the state's K=1 value scaled by K_t**alpha, plus undepreciated
+    capital less the savings, so it satisfies the budget identity at the
+    simulated capital stock rather than by grid interpolation.
     """
     if burn_in < 0:
         raise DomainError(f"burn_in={burn_in} must be nonnegative")
     if T <= burn_in:
         raise DomainError(f"T={T} must exceed burn_in={burn_in}")
     states = draw_state_path(policy.chain, T, seed)
-    kpath = _capital_path(policy, policy.k_star[s0] if K0 is None else float(K0), states)
+    kpath = _capital_path(policy, policy.k_star[0] if K0 is None else float(K0), states)
     lo, hi = policy.K_grid[0], policy.K_grid[-1]
     bad = np.where((kpath < lo) | (kpath > hi))[0]
     if bad.size:
         raise GridExit(int(bad[0]), float(kpath[bad[0]]))
 
-    table, params = policy.table, policy.params
     K = kpath[:-1]
-    K_alpha = K ** params.alpha
-    income = table.income[states] * K_alpha
-    C = (1.0 - params.delta) * K + income - kpath[1:]
+    income = policy.table.income[states] * K ** policy.params.alpha
+    C = (1.0 - policy.params.delta) * K + income - kpath[1:]
     if np.any(C <= 0.0):
         t_bad = int(np.argmax(C <= 0.0))
         raise NoConvergence(f"nonpositive consumption at period {t_bad}; grid too narrow")
-    return SimulationPath(
-        states=states, z=table.z[states], K=K, Y=table.Y[states] * K_alpha, C=C,
-        measured_tfp=table.measured_tfp[states], lambda_t=table.lambda_t[states],
-        var_log_wage=table.var_log_wage[states], var_log_tfpq=table.var_log_tfpq[states],
-        var_log_tfpr=table.var_log_tfpr[states], labor_share=table.labor_share[states],
-        R=table.R[states] * K ** (params.alpha - 1.0), w0=table.w0[states] * K_alpha,
-        income=income, seed=seed, burn_in=burn_in)
+    return SimulationPath(states=states, K=K, C=C, policy=policy, seed=seed, burn_in=burn_in)
 
 
 def impulse_response(policy: Policy, horizon: int = 20, n_sims: int = 1000,
@@ -331,7 +341,8 @@ def impulse_response(policy: Policy, horizon: int = 20, n_sims: int = 1000,
     Initial capital stocks are boom-period values from a presimulated path;
     each episode then runs a treated path (forced z = z_high at horizon 0)
     and a control path (z = z_low) under common innovations of the policy's
-    own chain.
+    own chain.  Only log Y is evaluated pair by pair: a K-free column's
+    deviation is its gap times the treated-minus-control recession share.
     """
     if n_sims < 1:
         raise DomainError("n_sims must be at least 1")
@@ -357,16 +368,18 @@ def impulse_response(policy: Policy, horizon: int = 20, n_sims: int = 1000,
     # row 0 is the treated path of every episode, row 1 its control
     s = np.array([np.ones(n_sims, dtype=np.int64), np.zeros(n_sims, dtype=np.int64)])
     K = np.array([inits, inits])
-    acc = np.empty((horizon + 1, 5))
+    d_log_Y, d_share = np.empty(horizon + 1), np.empty(horizon + 1)
     for h in range(horizon + 1):
-        rec = np.array([np.log(table.Y[s] * K ** alpha), table.measured_tfp[s],
-                        table.var_log_wage[s], table.var_log_tfpq[s], table.var_log_tfpr[s]])
-        acc[h] = np.mean(rec[:, 0] - rec[:, 1], axis=1)
+        log_Y = np.log(table.Y[s] * K ** alpha)
+        d_log_Y[h] = np.mean(log_Y[0] - log_Y[1])
+        d_share[h] = np.mean(s[0] - s[1])
         if h == horizon:
             break
         K = np.where(s == 0, np.interp(K, policy.K_grid, policy.K_next[0]),
                      np.interp(K, policy.K_grid, policy.K_next[1]))
         s = np.where(u_all[:, h] < stay[s], s, 1 - s)
-    return IRFResult(horizon=horizon, d_log_Y=acc[:, 0], d_measured_tfp=acc[:, 1],
-                     d_var_log_wage=acc[:, 2], d_var_log_tfpq=acc[:, 3],
-                     d_var_log_tfpr=acc[:, 4], n_episodes=n_sims)
+    # the K-free deviations, in IRFResult's field order: each column's gap times d_share
+    kfree = np.array([table.measured_tfp, table.var_log_wage, table.var_log_tfpq,
+                      table.var_log_tfpr])
+    return IRFResult(horizon, d_log_Y, *np.outer(kfree[:, 1] - kfree[:, 0], d_share),
+                     n_episodes=n_sims)

@@ -236,8 +236,10 @@ class StaticEquilibrium:
 
     Scale constants (Q_bar, k_bar, chi_bar, l_bar) are the firm-level values
     at theta = eps1 = eps2 = 0; M and C_in are the goods-market composites;
-    Y_l, Y_k, Y_d are the factor incomes actually received by the household,
-    which fall short of Y whenever wedges destroy resources.
+    Y_l, Y_k, Y_d are the factor incomes the household receives.  Firms pay
+    their wedge times the wage bill workers receive, so the incomes can
+    exceed Y or fall short of it: at the published parameters they sum to
+    1.0966 Y in booms and 0.7444 Y in recessions.
     """
 
     lambda_t: float

@@ -279,7 +279,7 @@ def topshare_fixed_bisection(a, s, rate, q):
 
 
 
-def simulate_oracle(policy, params, chain, T, burn_in, seed, K0=None, s0=0):
+def simulate_oracle(policy, params, chain, T, burn_in, seed, K0=None):
     """Per-period recorder: a full static solve at every (s_t, K_t).
 
     Shares the state path and the capital recursion with ``simulate`` (its
@@ -288,7 +288,7 @@ def simulate_oracle(policy, params, chain, T, burn_in, seed, K0=None, s0=0):
     """
     states = dynamics.draw_state_path(chain, T, seed)
     if K0 is None:
-        K0 = sc.steady_state(params, chain.z_states[s0])[0]
+        K0 = sc.steady_state(params, chain.z_states[0])[0]
     kpath = dynamics._capital_path(policy, float(K0), states)
     shocks = [sc.AggregateShockState.from_params(params, z=z) for z in chain.z_states]
     cols = {name: np.empty(T) for name in
@@ -357,9 +357,10 @@ def full_mode_moments_oracle(free_params, fixed_params, chain_template, T, burn_
                              seed):
     """Full-mode calibration moments the long way: a per-state static solve
     for the revenue shares, then a policy solve on ``grid_n`` nodes and a
-    T-period simulation whose recorded path gives the state frequency, TFP
-    volatility and the period averages.  Raises what those solves raise
-    (``GridExit`` when the simulated capital leaves the grid)."""
+    T-period simulation whose state path, indexing the policy's state table
+    period by period, gives the state frequency, TFP volatility and the
+    period averages.  Raises what those solves raise (``GridExit`` when the
+    simulated capital leaves the grid)."""
     params, chain = cal.assemble(free_params, fixed_params, chain_template)
     shares = []
     for z in chain.z_states:
@@ -367,14 +368,15 @@ def full_mode_moments_oracle(free_params, fixed_params, chain_template, T, burn_
         shares.append(revenue_concentration(sc.solve_static(params, shock, 1.0)))
     policy = sc.solve_policy(params, chain, grid_spec=sc.GridSpec(n=grid_n))
     path = sc.simulate(policy, T=T, burn_in=burn_in, seed=seed)
-    f_high = float(np.mean(path.states[burn_in:]))
+    states = path.states[burn_in:]
+    f_high = float(np.mean(states))
     freq = (1.0 - f_high, f_high)
     return {
-        "labor_share": float(np.mean(path.labor_share[burn_in:])),
-        "wage_inequality": float(np.mean(path.var_log_wage[burn_in:])),
+        "labor_share": float(np.mean(policy.table.labor_share[states])),
+        "wage_inequality": float(np.mean(policy.table.var_log_wage[states])),
         "rev_share_top10": freq[0] * shares[0][0] + freq[1] * shares[1][0],
         "rev_share_p50_p90": freq[0] * shares[0][1] + freq[1] * shares[1][1],
-        "std_tfp": float(np.std(path.measured_tfp[burn_in:])),
+        "std_tfp": float(np.std(policy.table.measured_tfp[states])),
     }
 
 

@@ -295,8 +295,9 @@ def test_criterion8_dynamic_accuracy(table, timed_policy):
     p99 = float(np.quantile(sc.euler_residuals(policy, params, pts, states), 0.99))
 
     path = sc.simulate(policy, T=2000, burn_in=100, seed=SEED + 8)
+    income = policy.table.income[path.states] * path.K ** params.alpha
     budget = np.max(np.abs((path.C[:-1] + path.K[1:] - (1.0 - params.delta) * path.K[:-1]
-                            - path.income[:-1]) / path.income[:-1]))
+                            - income[:-1]) / income[:-1]))
 
     quiet = dataclasses.replace(chain, p_stay_low=1.0, p_stay_high=0.0)
     pol0 = sc.solve_policy(params, quiet, grid_spec=sc.GridSpec(n=300))

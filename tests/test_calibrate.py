@@ -406,6 +406,18 @@ class TestStateWeights:
         assert cal.state_weights(chain, cfg, seed) == (1.0 - f, f)
         assert f == np.count_nonzero(states) / states.size
 
+    @pytest.mark.parametrize("seed", [1, 7, 12])
+    def test_simulated_path_moments_are_full_mode_moments(self, table_module, truth, policy,
+                                                          seed):
+        # the same seed, T and burn-in give the same states, and both take
+        # their K-free moments from them through one formula
+        params, chain = table_module
+        cfg = cal.SimConfig(fast=False, T=10_000, burn_in=100)
+        got = sc.simulate(policy, T=cfg.T, burn_in=cfg.burn_in, seed=seed).moments()
+        want = cal.model_moments(truth, params, chain, cal.state_weights(chain, cfg, seed))
+        for name in ("labor_share", "wage_inequality", "std_tfp"):
+            assert got[name] == want[name], name
+
     def test_weights_read_only_the_stay_probabilities(self, table_module):
         _, chain = table_module
         cfg = cal.SimConfig(fast=False, T=600, burn_in=60)

@@ -248,12 +248,13 @@ class TestSimulate:
         quiet = absorbing_boom(chain)
         pol = sc.solve_policy(params, quiet, grid_spec=sc.GridSpec(n=300))
         path = sc.simulate(pol, T=600, burn_in=100, seed=5, K0=K_STAR_BOOM)
-        assert np.all(path.z == 0.0)
+        cols = path.columns()
+        assert np.all(cols["z"] == 0.0)
         # the recorded series settle to the grid's fixed point, within 0.1%
         # of the analytic steady state, and stop moving
         assert np.max(np.abs(path.K / K_STAR_BOOM - 1.0)) < 1e-3
         assert np.ptp(path.K[-100:]) / K_STAR_BOOM < 1e-9
-        assert np.ptp(path.Y[-100:]) / path.Y[-1] < 1e-9
+        assert np.ptp(cols["Y"][-100:]) / cols["Y"][-1] < 1e-9
 
     def test_degenerate_chain_converges_from_afar(self, table):
         params, chain = table
@@ -262,23 +263,35 @@ class TestSimulate:
         path = sc.simulate(pol, T=501, burn_in=1, seed=5, K0=0.6 * K_STAR_BOOM)
         assert abs(path.K[-1] / K_STAR_BOOM - 1.0) < 1e-3
 
-    def test_budget_identity_every_period(self, table, table_path):
+    def test_budget_identity_every_period(self, table, policy, table_path):
         params, _ = table
         path = table_path
+        income = policy.table.income[path.states] * path.K ** params.alpha
         resid = (path.C[:-1] + path.K[1:] - (1.0 - params.delta) * path.K[:-1]
-                 - path.income[:-1])
-        assert np.max(np.abs(resid / path.income[:-1])) < 1e-10
+                 - income[:-1])
+        assert np.max(np.abs(resid / income[:-1])) < 1e-10
 
     def test_bit_identical_reruns(self, policy):
-        a = sc.simulate(policy, T=400, burn_in=50, seed=9)
-        b = sc.simulate(policy, T=400, burn_in=50, seed=9)
-        for name in ("K", "Y", "C", "measured_tfp", "z"):
-            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        a = sc.simulate(policy, T=400, burn_in=50, seed=9).columns()
+        b = sc.simulate(policy, T=400, burn_in=50, seed=9).columns()
+        assert list(a) == list(b)
+        for name in a:
+            assert np.array_equal(a[name], b[name]), name
 
     def test_published_moments_where_attainable(self, table_path):
         m = table_path.moments()
         assert m["labor_share"] == pytest.approx(0.6102, abs=0.02)
         assert m["wage_inequality"] == pytest.approx(0.7666, rel=0.15)
+
+    def test_k_free_moments_are_period_averages(self, policy, table_path):
+        # the state-share formula against averaging the per-period values
+        m, table = table_path.moments(), policy.table
+        s = table_path.states[table_path.burn_in:]
+        for name, column in (("labor_share", "labor_share"), ("wage_inequality", "var_log_wage"),
+                             ("var_log_tfpq", "var_log_tfpq"), ("var_log_tfpr", "var_log_tfpr")):
+            assert m[name] == pytest.approx(np.mean(getattr(table, column)[s]), rel=1e-14,
+                                           abs=0.0), name
+        assert m["std_tfp"] == pytest.approx(np.std(table.measured_tfp[s]), rel=1e-14, abs=0.0)
 
     def test_t_must_exceed_burn_in(self, policy):
         with pytest.raises(sc.DomainError):
@@ -295,7 +308,7 @@ class TestSimulate:
         _, chain = table
         variant = variant_chain(chain)
         path = sc.simulate(variant_policy, T=2000, burn_in=10, seed=11)
-        assert set(np.unique(path.z)) <= {0.0, 0.1}
+        assert set(np.unique(path.columns()["z"])) <= {0.0, 0.1}
         assert np.array_equal(path.states, dynamics.draw_state_path(variant, 2000, 11))
 
     def test_grid_exit_reported_with_period(self, policy):
@@ -320,10 +333,12 @@ class TestSimulate:
         ref = oracles.simulate_oracle(policy, params, chain, T=250, burn_in=20, seed=seed,
                                       K0=K0)
         assert np.array_equal(path.states, ref["states"])
+        cols = path.columns()
+        cols["income"] = policy.table.income[path.states] * path.K ** params.alpha
         for name in ("z", "K", "lambda_t", "var_log_wage", "var_log_tfpq", "var_log_tfpr"):
-            assert np.array_equal(getattr(path, name), ref[name]), name
+            assert np.array_equal(cols[name], ref[name]), name
         for name in ("Y", "C", "measured_tfp", "labor_share", "R", "w0", "income"):
-            np.testing.assert_allclose(getattr(path, name), ref[name], rtol=1e-12, atol=0,
+            np.testing.assert_allclose(cols[name], ref[name], rtol=1e-12, atol=0,
                                        err_msg=name)
 
     def test_state_path_marginals(self, table):

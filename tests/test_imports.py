@@ -213,3 +213,11 @@ class TestWorkerModules:
             assert "sortcycles.firms" not in loaded[name], name
         assert "sortcycles.firms" in loaded["moments"]
         assert "sortcycles.firms" in loaded["calibrate"]
+
+    def test_calibrate_loads_dynamics_for_the_state_table_and_path(self, loaded):
+        # the per-state table, the state path and the one moments formula
+        # live in dynamics; firms gives the concentration shares
+        assert {m for m in loaded["calibrate"] if m.split(".")[0] == "sortcycles"} == {
+            "sortcycles", "sortcycles.cli", "sortcycles.errors", "sortcycles.params",
+            "sortcycles.rng", "sortcycles.statics", "sortcycles.firms", "sortcycles.dynamics",
+            "sortcycles.calibrate"}

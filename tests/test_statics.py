@@ -267,7 +267,12 @@ class TestFactorIncomes:
         eq = sc.solve_static(clean, sc.AggregateShockState.from_params(clean, z=0.0), 3.0)
         assert eq.Y_l + eq.Y_k + eq.Y_d == pytest.approx(eq.Y, rel=1e-10)
 
-    def test_wedges_create_income_output_gap(self, recession_eq):
+    def test_wedges_create_income_output_gap(self, boom_eq, recession_eq):
+        # the wedges move resources both ways: at the published parameters the
+        # household receives 1.0966 Y in booms and 0.7444 Y in recessions
+        assert boom_eq.household_income / boom_eq.Y == pytest.approx(1.0966, abs=1e-4)
+        assert recession_eq.household_income / recession_eq.Y == pytest.approx(0.7444, abs=1e-4)
+        assert boom_eq.Y_l + boom_eq.Y_k + boom_eq.Y_d > boom_eq.Y
         assert recession_eq.Y_l + recession_eq.Y_k + recession_eq.Y_d < recession_eq.Y
 
     def test_capital_income_share(self, table, boom_eq, recession_eq):

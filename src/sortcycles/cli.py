@@ -4,10 +4,11 @@ Subcommands: solve | moments | simulate | irf | calibrate | verify.
 Exit codes: 0 success, 1 domain error, 2 usage error, 3 verification failure.
 
 Every file this tool writes is a pure function of (config, flags, seed):
-floats are emitted with 17 significant digits, key order is fixed, and no
-timestamps appear, so reruns are byte-identical.  A JSON artifact that would
-hold NaN or Infinity is a domain error instead.  All randomness descends
-from the single --seed through named streams.  --threads (at least 1) sets
+JSON floats are written as the shortest repr that round-trips, CSV cells
+with 17 significant digits, key order is fixed, and no timestamps appear,
+so reruns are byte-identical.  A JSON artifact that would hold NaN or
+Infinity is a domain error instead.  All randomness descends from the
+single --seed through named streams.  --threads (at least 1) sets
 the processes ``moments`` reduces its panel with, capped at the cores
 available and the panel's chunks; the other subcommands ignore it, and every
 artifact is the same for every value.  A run that needs more memory than it
@@ -48,31 +49,23 @@ EXIT_VERIFY = 3
 
 #: rows formatted per write of a CSV file
 CSV_BLOCK_ROWS = 4096
-#: the columns of panel.csv, in order
-PANEL_CSV_COLUMNS = ("theta", "eps1", "eps2", "Q", "k", "l", "chi", "revenue",
-                     "log_tfpq", "log_tfpr")
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return float(f"{value:.17g}")
-    if isinstance(value, dict):
-        return {k: _fmt(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_fmt(v) for v in value]
+def _number(value):
+    """json.dumps's ``default``: a numpy scalar as a plain int or float."""
     # a numpy scalar can only come from a run that has loaded numpy
     np = sys.modules.get("numpy")
     if np is not None:
         if isinstance(value, np.floating):
-            return float(f"{float(value):.17g}")
+            return float(value)
         if isinstance(value, np.integer):
             return int(value)
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _write_json(path: Path, payload: dict) -> None:
     try:
-        text = json.dumps(_fmt(payload), indent=2, sort_keys=False, allow_nan=False)
+        text = json.dumps(payload, indent=2, sort_keys=False, allow_nan=False, default=_number)
     except ValueError as exc:
         raise NonFinite(f"{path.name} would hold a non-finite number") from exc
     path.write_text(text + "\n")
@@ -96,10 +89,6 @@ def _write_rows(fh: TextIO, cols: Sequence[np.ndarray]) -> None:
         fh.write(_csv_rows([col[start:start + CSV_BLOCK_ROWS] for col in cols]))
 
 
-def _write_panel_rows(fh: TextIO, chunk: dict[str, np.ndarray]) -> None:
-    _write_rows(fh, [chunk[name] for name in PANEL_CSV_COLUMNS])
-
-
 @contextlib.contextmanager
 def _csv_file(path: Path, names: Sequence[str]) -> Iterator[TextIO]:
     """The CSV file ``path``, open for writing after its header; it is removed
@@ -119,7 +108,7 @@ def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
 
 
 def _summary(payload: dict) -> None:
-    sys.stdout.write(json.dumps(_fmt(payload), sort_keys=False) + "\n")
+    sys.stdout.write(json.dumps(payload, sort_keys=False, default=_number) + "\n")
 
 
 def _equilibrium_payload(eq: StaticEquilibrium) -> dict:
@@ -132,7 +121,9 @@ def _equilibrium_payload(eq: StaticEquilibrium) -> dict:
         "w0": eq.w0, "R": eq.R, "Y": eq.Y, "Q_bar": eq.Q_bar, "k_bar": eq.k_bar,
         "chi_bar": eq.chi_bar, "l_bar": eq.l_bar, "M": eq.M, "C_in": eq.C_in,
         "Y_l": eq.Y_l, "Y_k": eq.Y_k, "Y_d": eq.Y_d,
-        "shock": dataclasses.asdict(eq.shock), "K": eq.K,
+        "shock": {"z": eq.shock.z, "A": eq.shock.A, "lambda_theta_t": eq.params.lambda_theta,
+                  "sigma1_t": eq.params.sigma1, "sigma2_t": eq.params.sigma2},
+        "K": eq.K,
     }
 
 
@@ -204,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_solve(args, params, chain, out):
     from . import statics
 
-    shock = AggregateShockState.from_params(params, z=args.z, A=args.A)
+    shock = AggregateShockState(z=args.z, A=args.A)
     K = args.K if args.K is not None else statics.steady_state(params, args.z, args.A)[0]
     eq = statics.solve_static(params, shock, K)
     _write_json(out / "equilibrium.json", _equilibrium_payload(eq))
@@ -225,14 +216,13 @@ def _cores() -> int:
 def _cmd_moments(args, params, chain, out):
     from . import firms, statics
 
-    shock = AggregateShockState.from_params(params, z=args.z, A=args.A)
+    shock = AggregateShockState(z=args.z, A=args.A)
     K = args.K if args.K is not None else statics.steady_state(params, args.z, args.A)[0]
     eq = statics.solve_static(params, shock, K)
     workers = min(args.threads, _cores())
     if args.panel_csv:
-        with _csv_file(out / "panel.csv", PANEL_CSV_COLUMNS) as fh:
-            moments = firms.panel_moments(eq, args.n_firms, args.seed, workers,
-                                          fh, _write_panel_rows)
+        with _csv_file(out / "panel.csv", firms.PANEL_COLUMNS) as fh:
+            moments = firms.panel_moments(eq, args.n_firms, args.seed, workers, fh, _write_rows)
     else:
         moments = firms.panel_moments(eq, args.n_firms, args.seed, workers)
     payload = dataclasses.asdict(moments)
@@ -252,23 +242,15 @@ def _cmd_simulate(args, params, chain, out):
 
 
 def _cmd_irf(args, params, chain, out):
-    import numpy as np
-
     from . import dynamics
 
     policy = dynamics.solve_policy(params, chain, grid_spec=dynamics.GridSpec(n=args.grid_size))
     irf = dynamics.impulse_response(policy, horizon=args.horizon, n_sims=args.n_sims,
                                     seed=args.seed)
-    cols = {"h": np.arange(args.horizon + 1, dtype=float), "d_log_Y": irf.d_log_Y,
-            "d_measured_tfp": irf.d_measured_tfp, "d_var_log_wage": irf.d_var_log_wage,
-            "d_var_log_tfpq": irf.d_var_log_tfpq, "d_var_log_tfpr": irf.d_var_log_tfpr}
+    cols = irf.columns()
     _write_csv(out / "irf.csv", cols)
     _summary({"subcommand": "irf", "n_episodes": irf.n_episodes,
-              "impact_d_log_Y": float(irf.d_log_Y[0]),
-              "impact_d_measured_tfp": float(irf.d_measured_tfp[0]),
-              "impact_d_var_log_wage": float(irf.d_var_log_wage[0]),
-              "impact_d_var_log_tfpq": float(irf.d_var_log_tfpq[0]),
-              "impact_d_var_log_tfpr": float(irf.d_var_log_tfpr[0])})
+              **{f"impact_{name}": float(col[0]) for name, col in cols.items() if name != "h"}})
     return EXIT_OK
 
 
@@ -306,7 +288,7 @@ def _cmd_calibrate(args, params, chain, out):
 def _cmd_verify(args, params, chain, out):
     from . import verify
 
-    shocks = [AggregateShockState.from_params(params, z=z) for z in chain.z_states]
+    shocks = [AggregateShockState(z=z) for z in chain.z_states]
     report = verify.run_verification(params, shocks, n_prop_points=args.n_prop_points)
     payload = {"passed": report.passed,
                "checks": [dataclasses.asdict(c) for c in report.checks]}

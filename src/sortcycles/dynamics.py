@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -124,7 +124,7 @@ class SimulationPath:
 
 @dataclass(frozen=True)
 class IRFResult:
-    """Mean treated-minus-control deviations by horizon."""
+    """Mean treated-minus-control deviations by horizon: the d_ fields."""
 
     horizon: int
     d_log_Y: np.ndarray
@@ -133,6 +133,13 @@ class IRFResult:
     d_var_log_tfpq: np.ndarray
     d_var_log_tfpr: np.ndarray
     n_episodes: int
+
+    def columns(self) -> dict[str, np.ndarray]:
+        """The columns of ``irf.csv``, in order: the horizon h, then each
+        deviation in field order."""
+        return {"h": np.arange(self.horizon + 1, dtype=float),
+                **{f.name: getattr(self, f.name) for f in fields(self)
+                   if f.name.startswith("d_")}}
 
 
 @dataclass(frozen=True)
@@ -162,8 +169,7 @@ class StateTable:
 
 def state_table(params: ValidatedParams, chain: MarkovChain2) -> StateTable:
     """Solve the statics once per chain state at K=1."""
-    eqs = tuple(solve_static(params, AggregateShockState.from_params(params, z=z), 1.0)
-                for z in chain.z_states)
+    eqs = tuple(solve_static(params, AggregateShockState(z=z), 1.0) for z in chain.z_states)
     rows = [(eq.shock.z, eq.Y, eq.household_income, eq.R, eq.w0, eq.lambda_t,
              eq.labor_share, measured_tfp(eq), *dispersions(eq.params, eq.shock, eq.lambda_t))
             for eq in eqs]
@@ -378,8 +384,7 @@ def impulse_response(policy: Policy, horizon: int = 20, n_sims: int = 1000,
         K = np.where(s == 0, np.interp(K, policy.K_grid, policy.K_next[0]),
                      np.interp(K, policy.K_grid, policy.K_next[1]))
         s = np.where(u_all[:, h] < stay[s], s, 1 - s)
-    # the K-free deviations, in IRFResult's field order: each column's gap times d_share
-    kfree = np.array([table.measured_tfp, table.var_log_wage, table.var_log_tfpq,
-                      table.var_log_tfpr])
-    return IRFResult(horizon, d_log_Y, *np.outer(kfree[:, 1] - kfree[:, 0], d_share),
-                     n_episodes=n_sims)
+    # each K-free deviation d_<column> is the column's gap times d_share
+    kfree = {f"d_{name}": (getattr(table, name)[1] - getattr(table, name)[0]) * d_share
+             for name in ("measured_tfp", "var_log_wage", "var_log_tfpq", "var_log_tfpr")}
+    return IRFResult(horizon, d_log_Y, n_episodes=n_sims, **kfree)

@@ -32,6 +32,10 @@ from .errors import EmptyPanel, NonFinite, SortCyclesError
 from .rng import block_uniforms, exponential_icdf, normal_icdf
 from .statics import EXP_CAP, StaticEquilibrium, _type_loadings, tfpr_type_loading
 
+#: the columns of a sampled chunk and of panel.csv, in order
+PANEL_COLUMNS = ("theta", "eps1", "eps2", "Q", "k", "l", "chi", "revenue", "log_tfpq",
+                 "log_tfpr")
+
 #: firms per sampling chunk, the unit of the moments' reduction, of panel.csv
 #: and of the runs that worker processes reduce; a chunk's 10 columns and their
 #: temporaries peak at about 3 MB.  Since each firm owns one Philox block the
@@ -91,9 +95,9 @@ def _wedge(sigma: float, u: np.ndarray) -> np.ndarray:
 
 def _sample_chunk(eq: StaticEquilibrium, seed: int, start: int,
                   stop: int) -> dict[str, np.ndarray]:
-    """Firms start to stop - 1 of the seeded panel: the columns of panel.csv, in its order.
+    """Firms start to stop - 1 of the seeded panel: the PANEL_COLUMNS, in order.
 
-    theta ~ Exp(lambda_theta_t) and eps_i ~ N(0, sigma_it^2), i.i.d.  Firm i
+    theta ~ Exp(lambda_theta) and eps_i ~ N(0, sigma_i^2), i.i.d.  Firm i
     consumes exactly one counter block of the (seed, "panel") stream, so the
     panel is a pure function of (n, seed) whatever the chunk size.  A log
     quantity beyond EXP_CAP raises NonFinite.
@@ -102,9 +106,9 @@ def _sample_chunk(eq: StaticEquilibrium, seed: int, start: int,
     a, g, xi = params.alpha, params.gamma, params.xi
     kappa, eta_q = params.kappa, params.eta_q
     u = block_uniforms(seed, "panel", start, stop - start)
-    theta = exponential_icdf(u[:, 0], shock.lambda_theta_t)
-    eps1 = _wedge(shock.sigma1_t, u[:, 1])
-    eps2 = _wedge(shock.sigma2_t, u[:, 2])
+    theta = exponential_icdf(u[:, 0], params.lambda_theta)
+    eps1 = _wedge(params.sigma1, u[:, 1])
+    eps2 = _wedge(params.sigma2, u[:, 2])
 
     core = c.eta_q_theta * theta - g * eps1 - a * eps2
     logs = (math.log(eq.Q_bar) + eta_q * core,
@@ -117,16 +121,16 @@ def _sample_chunk(eq: StaticEquilibrium, seed: int, start: int,
         raise NonFinite(f"firm log magnitude {worst:.3g} exceeds the exp cap {EXP_CAP:g}")
     Q, k, l, chi = (np.exp(v) for v in logs)
     ratio, _ = _type_loadings(params, shock, eq.lambda_t)
-    return {
-        "theta": theta, "eps1": eps1, "eps2": eps2, "Q": Q, "k": k, "l": l, "chi": chi,
-        "revenue": (xi / (xi - 1.0)) * chi * Q,  # price times quantity
-        "log_tfpq": ratio * theta,
-        # log P + log TFPQ; the chi_bar term keeps it a true revenue residual
-        # rather than the dispersion-only display that drops the period constant
-        "log_tfpr": (math.log(xi / (xi - 1.0)) + math.log(eq.chi_bar)
-                     + tfpr_type_loading(params, shock, eq.lambda_t) * theta
-                     + (eta_q / xi) * (g * eps1 + a * eps2)),
-    }
+    return dict(zip(PANEL_COLUMNS, (
+        theta, eps1, eps2, Q, k, l, chi,
+        (xi / (xi - 1.0)) * chi * Q,  # revenue: price times quantity
+        ratio * theta,  # log TFPQ
+        # log TFPR = log P + log TFPQ; the chi_bar term keeps it a true revenue
+        # residual rather than the dispersion-only display that drops the
+        # period constant
+        (math.log(xi / (xi - 1.0)) + math.log(eq.chi_bar)
+         + tfpr_type_loading(params, shock, eq.lambda_t) * theta
+         + (eta_q / xi) * (g * eps1 + a * eps2)))))
 
 
 _Spread = tuple[float, float, float]
@@ -153,7 +157,7 @@ def _merge_spread(a: _Spread, b: _Spread) -> _Spread:
 
 def panel_moments(eq: StaticEquilibrium, n: int, seed: int, workers: int = 1,
                   out: TextIO | None = None,
-                  write_rows: Callable[[TextIO, dict[str, np.ndarray]], None] | None = None,
+                  write_rows: Callable[[TextIO, list[np.ndarray]], None] | None = None,
                   ) -> CrossSectionMoments:
     """Empirical dispersion and concentration moments of the seeded n-firm panel.
 
@@ -178,10 +182,10 @@ def panel_moments(eq: StaticEquilibrium, n: int, seed: int, workers: int = 1,
     shared anonymous map, and their chunks' spreads are merged in chunk order,
     so the moments are bit for bit the same whatever ``workers``.
 
-    With ``out``, ``write_rows(fh, chunk)`` writes each chunk: the calling
-    process's straight into ``out``, each worker's into an unnamed temporary
-    file that is then appended to ``out``, so ``out`` receives the chunks in
-    draw order.  A worker's exception is raised here with its own class, the
+    With ``out``, ``write_rows(fh, columns)`` writes each chunk's PANEL_COLUMNS
+    in order: the calling process's straight into ``out``, each worker's into
+    an unnamed temporary file that is then appended to ``out``, so ``out``
+    receives the chunks in draw order.  A worker's exception is raised here with its own class, the
     lowest failing chunk's first, as in one process.  A revenue map that the
     system refuses raises MemoryError at the call.
     """
@@ -206,7 +210,7 @@ def panel_moments(eq: StaticEquilibrium, n: int, seed: int, workers: int = 1,
             stop = min(start + SAMPLE_CHUNK, bounds[k + 1])
             chunk = _sample_chunk(eq, seed, start, stop)
             if fh is not None:
-                write_rows(fh, chunk)
+                write_rows(fh, [chunk[name] for name in PANEL_COLUMNS])
             revenue[start:stop] = chunk["revenue"]
             spreads.append((_spread(_log_wage(eq, chunk["theta"]), chunk["l"]),
                             _spread(chunk["log_tfpq"]), _spread(chunk["log_tfpr"])))
@@ -441,12 +445,12 @@ def revenue_concentration(eq: StaticEquilibrium) -> tuple[float, float]:
     finite panels understate concentration at any feasible size, while the
     continuum value is what the model's cross-section actually implies.
     """
-    c, params, shock = eq.coefficients, eq.params, eq.shock
+    c, params = eq.coefficients, eq.params
     ke = params.kappa * params.eta_q
     a = ke * c.eta_q_theta
-    s = ke * math.sqrt((params.gamma * shock.sigma1_t) ** 2
-                       + (params.alpha * shock.sigma2_t) ** 2)
-    top10 = pareto_lognormal_topshare(a, s, shock.lambda_theta_t, 0.10)
-    top50 = pareto_lognormal_topshare(a, s, shock.lambda_theta_t, 0.50)
+    s = ke * math.sqrt((params.gamma * params.sigma1) ** 2
+                       + (params.alpha * params.sigma2) ** 2)
+    top10 = pareto_lognormal_topshare(a, s, params.lambda_theta, 0.10)
+    top50 = pareto_lognormal_topshare(a, s, params.lambda_theta, 0.50)
     return top10, top50 - top10
 

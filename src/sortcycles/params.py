@@ -96,39 +96,26 @@ def validate(params: ModelParams) -> ValidatedParams:
 
 @dataclass(frozen=True)
 class AggregateShockState:
-    """The time-varying exogenous drivers of one period.
+    """The time-varying exogenous drivers of one period, held as Python floats.
 
     z is the market-efficiency level: the loading of the labor wedge on firm
     type.  z = 0 is admitted (it is the boom state of the calibration) even
     though the theory's maintained assumption is z > 0; every formula is
-    continuous at z = 0.
+    continuous at z = 0.  A is total factor productivity.  The firm-type rate
+    and the wedge volatilities are structural: every formula reads them from
+    the parameters.
     """
 
     z: float
     A: float = 1.0
-    lambda_theta_t: float = float("nan")
-    sigma1_t: float = float("nan")
-    sigma2_t: float = float("nan")
 
     def __post_init__(self):
         if not self.z >= 0.0:
             raise DomainError(f"z must be nonnegative, got {self.z}")
         if not self.A > 0.0:
             raise DomainError(f"A must be positive, got {self.A}")
-
-    @staticmethod
-    def from_params(params: ValidatedParams, z: float, A: float = 1.0,
-                    lambda_theta_t: float | None = None,
-                    sigma1_t: float | None = None,
-                    sigma2_t: float | None = None) -> "AggregateShockState":
-        """Shock state with unspecified drivers pinned at their baseline values."""
-        return AggregateShockState(
-            z=float(z),
-            A=float(A),
-            lambda_theta_t=params.lambda_theta if lambda_theta_t is None else float(lambda_theta_t),
-            sigma1_t=params.sigma1 if sigma1_t is None else float(sigma1_t),
-            sigma2_t=params.sigma2 if sigma2_t is None else float(sigma2_t),
-        )
+        object.__setattr__(self, "z", float(self.z))
+        object.__setattr__(self, "A", float(self.A))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ The period problem separates cleanly.  The employment-weighted distribution
 of job types is exponential with rate lambda_t, and lambda_t solves a single
 scalar equation
 
-    G(lam) = b * (lam/lambda_x)^psi + lam - (d*z + lambda_theta_t) = 0
+    G(lam) = b * (lam/lambda_x)^psi + lam - (d*z + lambda_theta) = 0
 
 that involves no prices.  Given lambda_t, a block of loadings (eta's) and
 lognormal market constants (B1, B2, B3) turns the three market-clearing
@@ -16,7 +16,9 @@ an exponential tilt of the scale constants Q_bar, k_bar, chi_bar, l_bar.
 Each K-free formula is written here once: G, the type ratio with eta_q_theta,
 the coefficients and the dispersions.  The lambda-level formulas
 (:func:`dispersions`, :func:`tfpr_type_loading`) take (params, shock,
-lambda_t), since they also serve where no equilibrium is solved.
+lambda_t), since they also serve where no equilibrium is solved.  The shock
+state is (z, A) alone: the firm-type rate lambda_theta and the wedge
+volatilities sigma1, sigma2 come from ``params``.
 
 All powers are evaluated in log space: the xi/(xi-1)-type exponents applied
 to large market constants would otherwise overflow for thick-tailed
@@ -38,7 +40,7 @@ from .params import AggregateShockState, ValidatedParams
 #: |log x| above which exp(x) is treated as an overflow rather than a value
 EXP_CAP = 700.0
 
-#: residual tolerance for the fixed point, scaled by max(1, lambda_theta_t)
+#: residual tolerance for the fixed point, scaled by max(1, lambda_theta)
 LAMBDA_TOL = 1e-12
 
 _EPS = sys.float_info.epsilon
@@ -52,13 +54,13 @@ def _exp_checked(logx: float) -> float:
 
 def _job_equation(params: ValidatedParams, shock: AggregateShockState):
     """(G, b, T): the job-distribution residual G(lam) = b (lam/lambda_x)^psi + lam - T,
-    with b, d and T = d z + lambda_theta_t computed once for every evaluation.
+    with b, d and T = d z + lambda_theta computed once for every evaluation.
     b may take either sign; d > 0 scales the market-efficiency shock."""
     a, g, psi, xi, lam_x = params.alpha, params.gamma, params.psi, params.xi, params.lambda_x
     denom = 1.0 + (1.0 - a - g) * (xi - 1.0)
     b = ((xi - 1.0) * (g - psi * (1.0 - a)) - psi) / (g * denom)
     d = (1.0 + (xi - 1.0) * (1.0 - a)) / denom
-    target = d * shock.z + shock.lambda_theta_t
+    target = d * shock.z + params.lambda_theta
 
     def G(lam):
         return b * (lam / lam_x) ** psi + lam - target
@@ -123,7 +125,7 @@ def solve_lambda(params: ValidatedParams, shock: AggregateShockState) -> float:
     # bisection depth covers roots down to the denormal range: for psi near 0
     # with b > target the root is lambda_x (target/b)^(1/psi), which can be
     # astronomically small yet still representable
-    tol = LAMBDA_TOL * max(1.0, shock.lambda_theta_t)
+    tol = LAMBDA_TOL * max(1.0, params.lambda_theta)
     x = 0.5 * (lo + hi)
     for _ in range(1200):
         gx = G(x)
@@ -177,14 +179,14 @@ def dispersions(params: ValidatedParams, shock: AggregateShockState,
         ratio, _ = _type_loadings(params, shock, lambda_t)
         var_wage = ((p.psi / p.gamma) ** 2 * p.lambda_x ** (-2.0 * p.psi)
                     * lambda_t ** (2.0 * p.psi - 2.0))
-        var_tfpq = ratio ** 2 / shock.lambda_theta_t ** 2
+        var_tfpq = ratio ** 2 / p.lambda_theta ** 2
         bracket = tfpr_type_loading(params, shock, lambda_t)
-        var_tfpr = (bracket ** 2 / shock.lambda_theta_t ** 2
-                    + (p.eta_q / p.xi) ** 2 * (p.gamma ** 2 * shock.sigma1_t ** 2
-                                               + p.alpha ** 2 * shock.sigma2_t ** 2))
+        var_tfpr = (bracket ** 2 / p.lambda_theta ** 2
+                    + (p.eta_q / p.xi) ** 2 * (p.gamma ** 2 * p.sigma1 ** 2
+                                               + p.alpha ** 2 * p.sigma2 ** 2))
     except OverflowError as exc:
         raise NonFinite(f"a dispersion overflows at lambda_t={lambda_t:.6g}, "
-                        f"lambda_theta_t={shock.lambda_theta_t:.6g}") from exc
+                        f"lambda_theta={p.lambda_theta:.6g}") from exc
     return (var_wage, var_tfpq, var_tfpr)
 
 
@@ -195,7 +197,7 @@ class Coefficients:
     eta_q_theta and eta_l_theta are the firm-type loadings of output and
     employment.  B1, B2, B3 collect the Gaussian wedge moments entering labor,
     capital and goods market clearing; B2 and B3 carry the 1/margin factor
-    from the type integral, where margin = lambda_theta_t - kappa eta_q
+    from the type integral, where margin = lambda_theta - kappa eta_q
     eta_q_theta must stay positive or capital demand diverges.
     """
 
@@ -212,15 +214,15 @@ def coefficients(params: ValidatedParams, shock: AggregateShockState, lambda_t: 
     a, g = params.alpha, params.gamma
     kappa = params.kappa
     eta_q = params.eta_q
-    s1, s2 = shock.sigma1_t, shock.sigma2_t
+    s1, s2 = params.sigma1, params.sigma2
 
     ratio, eta_q_theta = _type_loadings(params, shock, lambda_t)
     eta_l_theta = kappa * eta_q * eta_q_theta - shock.z - (params.psi / g) * ratio
 
-    margin = shock.lambda_theta_t - kappa * eta_q * eta_q_theta
+    margin = params.lambda_theta - kappa * eta_q * eta_q_theta
     if margin <= 0.0:
         raise UnboundedCapitalDemand(
-            f"lambda_theta_t - kappa*eta_q*eta_q_theta = {margin:.6g} <= 0")
+            f"lambda_theta - kappa*eta_q*eta_q_theta = {margin:.6g} <= 0")
 
     ke = kappa * eta_q
     b1 = _exp_checked(0.5 * ((ke * g + 1.0) ** 2 * s1 * s1 + (ke * a) ** 2 * s2 * s2))
@@ -278,7 +280,7 @@ def aggregates(params: ValidatedParams, shock: AggregateShockState, lambda_t: fl
         raise DomainError(f"capital stock must be positive, got {K}")
     a, g, xi = params.alpha, params.gamma, params.xi
     kappa, eta_q = params.kappa, params.eta_q
-    lt = shock.lambda_theta_t
+    lt = params.lambda_theta
     A = shock.A
 
     log_ltb1 = math.log(lt * coeffs.b1)
@@ -335,7 +337,7 @@ def _factor_incomes_from(params: ValidatedParams, shock: AggregateShockState,
     labor_margin = coeffs.margin + shock.z
     if labor_margin <= 0.0:
         raise UnboundedCapitalDemand(f"labor-income margin {labor_margin:.6g} <= 0")
-    lt = shock.lambda_theta_t
+    lt = params.lambda_theta
     y_l = params.gamma * lt * coeffs.b1 * chi_q / labor_margin
     y_k = params.alpha * lt * coeffs.b2 * chi_q
     y_d = (params.xi / (params.xi - 1.0) - params.gamma - params.alpha) * lt * coeffs.b3 * chi_q
@@ -368,7 +370,7 @@ def steady_state(params: ValidatedParams, z_fixed: float, A: float = 1.0) -> tup
     could move it.  C* then follows from the budget constraint with
     investment at replacement level.
     """
-    shock = AggregateShockState.from_params(params, z=z_fixed, A=A)
+    shock = AggregateShockState(z=z_fixed, A=A)
     r_star = 1.0 / params.beta - 1.0 + params.delta
     lam = solve_lambda(params, shock)
     coeffs = coefficients(params, shock, lam)

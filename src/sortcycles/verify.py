@@ -129,12 +129,12 @@ def _type_density_integrand(eq: StaticEquilibrium, firm_log: Callable[[dict], np
     """thetas -> the wedge average of exp(firm_log(firm solution)) times the
     type density at each theta, by Gauss-Hermite over both wedges.  All the
     thetas are solved in one call, broadcast against the wedge grid."""
-    shock = eq.shock
-    n1, w1 = _gauss_hermite(shock.sigma1_t)
-    n2, w2 = _gauss_hermite(shock.sigma2_t)
+    params = eq.params
+    n1, w1 = _gauss_hermite(params.sigma1)
+    n2, w2 = _gauss_hermite(params.sigma2)
     E1, E2 = np.meshgrid(n1, n2, indexing="ij")
     W = np.outer(w1, w2)
-    lt = shock.lambda_theta_t
+    lt = params.lambda_theta
 
     def integrand(thetas: np.ndarray) -> np.ndarray:
         theta = np.asarray(thetas, dtype=float)[:, None, None]
@@ -230,6 +230,7 @@ def random_valid_params(n: int, seed: int, z_max: float = 1.2) -> list[Validated
     residual) are rejected and redrawn.
     """
     out: list[ValidatedParams] = []
+    shock_max = AggregateShockState(z=z_max)
     block = 0
     while len(out) < n:
         u = block_uniforms(seed, "param-draws", 3 * block, 3).reshape(12)
@@ -248,7 +249,7 @@ def random_valid_params(n: int, seed: int, z_max: float = 1.2) -> list[Validated
                                          xi=xi, psi=psi, lambda_x=lam_x, lambda_theta=lam_th,
                                          sigma1=sigma1, sigma2=sigma2))
         try:
-            lam_hi = solve_lambda(candidate, AggregateShockState.from_params(candidate, z=z_max))
+            lam_hi = solve_lambda(candidate, shock_max)
         except NoRoot:  # pragma: no cover - collapse handling makes this rare
             continue
         if lam_hi < 1e4:
@@ -282,7 +283,10 @@ def proposition_suite(params_grid, n_z: int = 20, z_max: float = 1.2) -> Verific
     decreasing in lambda_theta (i.e. rising when the rate falls), together
     with the composite S-quantity from the redraw-shock analysis.
     """
-    z_grid = np.linspace(0.0, z_max, n_z)
+    z_shocks = [AggregateShockState(z=z) for z in np.linspace(0.0, z_max, n_z).tolist()]
+    z_fix = 0.5 * z_max
+    shock_mid = AggregateShockState(z=z_fix)
+    shocks_A = [AggregateShockState(z=z_fix, A=A) for A in (0.5, 1.0, 2.0)]
     violations = {
         "lambda_increasing_in_z": 0,
         "wage_var_decreasing_in_z": 0,
@@ -300,8 +304,7 @@ def proposition_suite(params_grid, n_z: int = 20, z_max: float = 1.2) -> Verific
     for p in params_grid:
         n_points += 1
         lams, vws, vqs, vrs = [], [], [], []
-        for z in z_grid:
-            shock = AggregateShockState.from_params(p, z=z)
+        for shock in z_shocks:
             lam = solve_lambda(p, shock)
             if not tfpr_type_loading(p, shock, lam) > 0.0:
                 violations["tfpr_bracket_positive"] += 1
@@ -319,26 +322,24 @@ def proposition_suite(params_grid, n_z: int = 20, z_max: float = 1.2) -> Verific
         if not _strictly_monotone(np.array(vrs), True):
             violations["tfpr_var_increasing_in_z"] += 1
 
-        shock_mid = AggregateShockState.from_params(p, z=0.5 * z_max)
         lam_ref = solve_lambda(p, shock_mid)
-        for A in (0.5, 1.0, 2.0):
-            if solve_lambda(p, replace(shock_mid, A=A)) != lam_ref:
+        for shock in shocks_A:
+            if solve_lambda(p, shock) != lam_ref:
                 violations["lambda_neutral_in_A"] += 1
         for s1 in (0.0, 0.3):
             for s2 in (0.0, 0.3):
-                if solve_lambda(p, replace(shock_mid, sigma1_t=s1, sigma2_t=s2)) != lam_ref:
+                if solve_lambda(replace(p, sigma1=s1, sigma2=s2), shock_mid) != lam_ref:
                     violations["lambda_neutral_in_sigma"] += 1
 
-        lt_grid = np.linspace(0.6 * p.lambda_theta, 1.6 * p.lambda_theta, n_z)
+        lt_grid = np.linspace(0.6 * p.lambda_theta, 1.6 * p.lambda_theta, n_z).tolist()
         denom = 1.0 + (1.0 - p.alpha - p.gamma) * (p.xi - 1.0)
         e_coef = 1.0 - (1.0 - p.psi) / denom
         m_coef = p.gamma / denom
-        z_fix = 0.5 * z_max
         vq2, vr2, vw2, s2q = [], [], [], []
         for lt in lt_grid:
-            shock = AggregateShockState.from_params(p, z=z_fix, lambda_theta_t=lt)
-            lam = solve_lambda(p, shock)
-            vw, vq, vr = dispersions(p, shock, lam)
+            p_lt = replace(p, lambda_theta=lt)
+            lam = solve_lambda(p_lt, shock_mid)
+            vw, vq, vr = dispersions(p_lt, shock_mid, lam)
             vq2.append(vq)
             vr2.append(vr)
             vw2.append(vw)

@@ -13,14 +13,14 @@ def table():
 @pytest.fixture(scope="session")
 def boom_eq(table):
     params, chain = table
-    shock = sc.AggregateShockState.from_params(params, z=chain.z_low)
+    shock = sc.AggregateShockState(z=chain.z_low)
     return sc.solve_static(params, shock, 1.0)
 
 
 @pytest.fixture(scope="session")
 def recession_eq(table):
     params, chain = table
-    shock = sc.AggregateShockState.from_params(params, z=chain.z_high)
+    shock = sc.AggregateShockState(z=chain.z_high)
     return sc.solve_static(params, shock, 1.0)
 
 

@@ -151,7 +151,7 @@ def lambda_oracle(params, z, lambda_theta=None):
 def steady_state_oracle(params, z_fixed, A=1.0):
     """(K*, C*) by the full 200-step bisection on beta (R(K) + 1 - delta) = 1,
     every step taken even after the bracket has stopped shrinking."""
-    shock = sc.AggregateShockState.from_params(params, z=z_fixed, A=A)
+    shock = sc.AggregateShockState(z=z_fixed, A=A)
     r_star = 1.0 / params.beta - 1.0 + params.delta
 
     def rental(K):
@@ -176,9 +176,9 @@ def steady_state_oracle(params, z_fixed, A=1.0):
 def type_density_oracle(eq, firm_log):
     """theta -> verify's type-density integrand at one theta, by one firm
     solve on the wedge grid."""
-    shock = eq.shock
+    params = eq.params
     grids = []
-    for sigma in (shock.sigma1_t, shock.sigma2_t):
+    for sigma in (params.sigma1, params.sigma2):
         if sigma == 0.0:
             grids.append((np.zeros(1), np.ones(1)))
         else:
@@ -187,7 +187,7 @@ def type_density_oracle(eq, firm_log):
     (n1, w1), (n2, w2) = grids
     E1, E2 = np.meshgrid(n1, n2, indexing="ij")
     W = np.outer(w1, w2)
-    lt = shock.lambda_theta_t
+    lt = params.lambda_theta
 
     def integrand(theta):
         logs = firm_log(verify.independent_firm_solution(eq, theta, E1, E2))
@@ -290,7 +290,7 @@ def simulate_oracle(policy, params, chain, T, burn_in, seed, K0=None):
     if K0 is None:
         K0 = sc.steady_state(params, chain.z_states[0])[0]
     kpath = dynamics._capital_path(policy, float(K0), states)
-    shocks = [sc.AggregateShockState.from_params(params, z=z) for z in chain.z_states]
+    shocks = [sc.AggregateShockState(z=z) for z in chain.z_states]
     cols = {name: np.empty(T) for name in
             ("z", "K", "Y", "C", "measured_tfp", "lambda_t", "var_log_wage",
              "var_log_tfpq", "var_log_tfpr", "labor_share", "R", "w0", "income")}
@@ -330,7 +330,7 @@ def irf_oracle(policy, params, chain, horizon, n_sims, seed):
     inits = boom_k[idx]
     u_all = block_uniforms(seed, "irf-chain", 0, n_sims * max(horizon, 1))[:, 0]
     u_all = u_all.reshape(n_sims, max(horizon, 1))
-    shocks = [sc.AggregateShockState.from_params(params, z=z) for z in chain.z_states]
+    shocks = [sc.AggregateShockState(z=z) for z in chain.z_states]
     stay = (chain.p_stay_low, chain.p_stay_high)
 
     acc = np.zeros((horizon + 1, 5))
@@ -364,7 +364,7 @@ def full_mode_moments_oracle(free_params, fixed_params, chain_template, T, burn_
     params, chain = cal.assemble(free_params, fixed_params, chain_template)
     shares = []
     for z in chain.z_states:
-        shock = sc.AggregateShockState.from_params(params, z=z)
+        shock = sc.AggregateShockState(z=z)
         shares.append(revenue_concentration(sc.solve_static(params, shock, 1.0)))
     policy = sc.solve_policy(params, chain, grid_spec=sc.GridSpec(n=grid_n))
     path = sc.simulate(policy, T=T, burn_in=burn_in, seed=seed)
@@ -431,7 +431,7 @@ def tfpq_tail_index(log_tfpq, top_fraction=0.1):
     """Hill estimator of the Pareto tail index of TFPQ levels.
 
     log TFPQ is exactly exponential, so levels are exact Pareto with index
-    lambda_theta_t / (lambda_t/lambda_x)^psi; the Hill estimate over the top
+    lambda_theta / (lambda_t/lambda_x)^psi; the Hill estimate over the top
     order statistics is the natural empirical counterpart.
     """
     logs = np.sort(log_tfpq)

@@ -62,10 +62,10 @@ def test_criterion1_fixed_point_correctness(table):
     worst_resid = 0.0
     sign_change_failures = 0
     for p, z in zip(draws, zs):
-        shock = sc.AggregateShockState.from_params(p, z=float(z))
+        shock = sc.AggregateShockState(z=float(z))
         lam = sc.solve_lambda(p, shock)
         resid = abs(float(fixed_point_residual(p, shock, lam)))
-        worst_resid = max(worst_resid, resid / max(1.0, shock.lambda_theta_t))
+        worst_resid = max(worst_resid, resid / max(1.0, p.lambda_theta))
         if verify.bracket_scan_sign_changes(p, shock) != 1:
             sign_change_failures += 1
     elapsed = time.perf_counter() - t0
@@ -89,7 +89,7 @@ def test_criterion2_firm_foc_oracle():
         K = 0.5 + 15.0 * float(u[i, 1])
         i += 1
         try:
-            shock = sc.AggregateShockState.from_params(p, z=z)
+            shock = sc.AggregateShockState(z=z)
             eq = sc.solve_static(p, shock, K)
         except sc.SortCyclesError:
             continue
@@ -122,7 +122,7 @@ def test_criterion3_market_clearing_quadrature(table):
     worst = 0.0
     controls_fired = True
     for z in chain.z_states:
-        shock = sc.AggregateShockState.from_params(params, z=z)
+        shock = sc.AggregateShockState(z=z)
         eq = sc.solve_static(params, shock, 1.0)
         mass, shape = verify.check_job_density(eq)
         goods = verify.check_goods_market(eq)
@@ -164,8 +164,8 @@ def published_targets_run(table, timed_policy):
     policy, solve_time = timed_policy
     t0 = time.perf_counter()
     path = sc.simulate(policy, T=10_000, burn_in=100, seed=SEED)
-    boom = sc.solve_static(params, sc.AggregateShockState.from_params(params, z=chain.z_low), 1.0)
-    rec = sc.solve_static(params, sc.AggregateShockState.from_params(params, z=chain.z_high), 1.0)
+    boom = sc.solve_static(params, sc.AggregateShockState(z=chain.z_low), 1.0)
+    rec = sc.solve_static(params, sc.AggregateShockState(z=chain.z_high), 1.0)
     shares = {
         0: firms.revenue_concentration(boom),
         1: firms.revenue_concentration(rec),
@@ -209,7 +209,7 @@ def test_criterion5_std_tfp(table, published_targets_run):
     err = abs(got / 0.0090 - 1.0)
     report("criterion 5 (published TFP volatility target)", err <= 0.30, elapsed,
            f"std of measured TFP {got:.4f} vs target 0.0090 +/- 30% (rel err {err:.2f})")
-    shocks = (sc.AggregateShockState.from_params(params, z=z) for z in (chain.z_low, chain.z_high))
+    shocks = (sc.AggregateShockState(z=z) for z in (chain.z_low, chain.z_high))
     tfp_boom, tfp_rec = (sc.measured_tfp(sc.solve_static(params, s, 1.0)) for s in shocks)
     gap = abs(tfp_rec - tfp_boom)
     freq = moments["recession_frequency"]
@@ -226,8 +226,8 @@ def test_criterion6_irf_qualitative(table, timed_policy):
     policy, solve_time = timed_policy
     t0 = time.perf_counter()
     irf = sc.impulse_response(policy, horizon=20, n_sims=1000, seed=SEED)
-    boom = sc.solve_static(params, sc.AggregateShockState.from_params(params, z=chain.z_low), 1.0)
-    rec = sc.solve_static(params, sc.AggregateShockState.from_params(params, z=chain.z_high), 1.0)
+    boom = sc.solve_static(params, sc.AggregateShockState(z=chain.z_low), 1.0)
+    rec = sc.solve_static(params, sc.AggregateShockState(z=chain.z_high), 1.0)
     vw0, vq0, vr0 = sc.dispersions(boom.params, boom.shock, boom.lambda_t)
     vwh, vqh, vrh = sc.dispersions(rec.params, rec.shock, rec.lambda_t)
     elapsed = solve_time + (time.perf_counter() - t0)
@@ -256,7 +256,7 @@ def test_criterion6_irf_qualitative(table, timed_policy):
 def test_criterion7_monte_carlo_analytic_equivalence(table):
     params, chain = table
     t0 = time.perf_counter()
-    shock = sc.AggregateShockState.from_params(params, z=chain.z_low)
+    shock = sc.AggregateShockState(z=chain.z_low)
     eq = sc.solve_static(params, shock, 1.0)
     panel = held_panel(eq, 1_000_000, seed=SEED)
     vw, vq, vr = sc.dispersions(eq.params, eq.shock, eq.lambda_t)
@@ -273,7 +273,7 @@ def test_criterion7_monte_carlo_analytic_equivalence(table):
     logw = np.log(sc.wage(eq, x))
     ok_w, se_w = within_3se(logw, vw)
     tail = tfpq_tail_index(panel.log_tfpq)
-    tail_target = shock.lambda_theta_t / (eq.lambda_t / params.lambda_x) ** params.psi
+    tail_target = params.lambda_theta / (eq.lambda_t / params.lambda_x) ** params.psi
     ok_tail = abs(tail / tail_target - 1.0) <= 0.05
     elapsed = time.perf_counter() - t0
     ok = ok_q and ok_r and ok_w and ok_tail and elapsed < 60.0

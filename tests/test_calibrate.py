@@ -164,8 +164,8 @@ class TestSigma1Inversion:
         # var_log_tfpr is analytically invertible for sigma1
         params, chain = table_module
         sigma_star = 0.31
-        shock = sc.AggregateShockState.from_params(params, z=0.0, sigma1_t=sigma_star)
-        eq = sc.solve_static(params, shock, 1.0)
+        eq = sc.solve_static(dataclasses.replace(params, sigma1=sigma_star),
+                             sc.AggregateShockState(z=0.0), 1.0)
         _, _, vr = sc.dispersions(eq.params, eq.shock, eq.lambda_t)
         c = eq.coefficients
         ratio = (eq.lambda_t / params.lambda_x) ** params.psi

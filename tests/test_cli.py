@@ -109,12 +109,12 @@ class TestMoments:
         assert rc == 0
         # the CLI's equilibrium: z = 0, A = 1, capital at its steady state
         params, _ = sortcycles.load_config(config_path)
-        shock = sortcycles.AggregateShockState.from_params(params, z=0.0, A=1.0)
+        shock = sortcycles.AggregateShockState(z=0.0, A=1.0)
         K = sortcycles.steady_state(params, 0.0, 1.0)[0]
         eq = sortcycles.solve_static(params, shock, K)
         panel = held_panel(eq, n, seed=5)
         write_csv_oracle(tmp_path / "whole.csv",
-                         {name: getattr(panel, name) for name in cli.PANEL_CSV_COLUMNS})
+                         {name: getattr(panel, name) for name in firms.PANEL_COLUMNS})
         assert (tmp_path / "panel.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
         got = json.loads((tmp_path / "moments.json").read_text())
         assert_moments_agree(sortcycles.CrossSectionMoments(**got),
@@ -199,9 +199,34 @@ PINNED = {
                      (0.32837737291526403, 0.23770258568533056, 0.14801376099045005,
                       0.27769209836312975, 0.7598732858341641, 0.17567100065501726)),
 }
+#: sha256 of equilibrium.json for ``solve`` with these flags on the shipped
+#: config, and of verify.json for ``verify --n-prop-points 20``, as written
+#: while each shock state still carried copies of lambda_theta, sigma1 and sigma2
+PINNED_SOLVE = {
+    (): "61559cc320186bb59257980a0d1473acb3f1f66027d40e222c0379d413243f87",
+    ("--z", "0.3984"): "54ff51264bf9565628e154cc91bbe5eb171472261f7d93f7d329a4a2fd813d26",
+    ("--z", "0.2", "--K", "7.5", "--A", "1.3"):
+        "a562fb40d1f40be0bc8269a0df5c57ed4ed2385b4a669e99d4cd4762076a164a",
+}
+PINNED_VERIFY_20 = "a8ca4de424022ee7f09df8ee5ce0e0e72f2b0293cb0ed8f1505095d95727465d"
 
 
 class TestPinnedArtifacts:
+    @pytest.mark.parametrize("flags", list(PINNED_SOLVE), ids=" ".join)
+    def test_equilibrium_bytes(self, tmp_path, capsys, flags):
+        assert cli.run(["solve", "--params", str(SHIPPED_CONFIG), *flags,
+                        "--out", str(tmp_path)]) == 0
+        got = hashlib.sha256((tmp_path / "equilibrium.json").read_bytes()).hexdigest()
+        assert got == PINNED_SOLVE[flags]
+        capsys.readouterr()
+
+    def test_verify_bytes(self, tmp_path, capsys):
+        assert cli.run(["verify", "--params", str(SHIPPED_CONFIG), "--n-prop-points", "20",
+                        "--out", str(tmp_path)]) == 0
+        got = hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest()
+        assert got == PINNED_VERIFY_20
+        capsys.readouterr()
+
     @pytest.mark.parametrize("z,seed", list(PINNED), ids=lambda v: str(v))
     def test_panel_bytes_and_moments_for_every_thread_count(self, tmp_path, capsys, z, seed):
         sha, moments = PINNED[z, seed]
@@ -236,13 +261,20 @@ class TestSimulate:
 
 
 class TestIrf:
-    def test_irf_csv_contract(self, config_path, tmp_path):
+    def test_irf_csv_contract(self, config_path, tmp_path, capsys):
         rc = cli.run(["irf", "--params", config_path, "--horizon", "4", "--n-sims", "16",
                       "--grid-size", "80", "--out", str(tmp_path)])
         assert rc == 0
         lines = (tmp_path / "irf.csv").read_text().splitlines()
         assert lines[0] == "h,d_log_Y,d_measured_tfp,d_var_log_wage,d_var_log_tfpq,d_var_log_tfpr"
         assert len(lines) == 6
+        # the summary's impact keys are the first row of every response column
+        summary = json.loads(capsys.readouterr().out)
+        first = dict(zip(lines[0].split(","), map(float, lines[1].split(","))))
+        assert list(summary) == ["subcommand", "n_episodes",
+                                 *(f"impact_{name}" for name in list(first)[1:])]
+        for name, value in list(first.items())[1:]:
+            assert summary[f"impact_{name}"] == value, name
 
     def test_zero_sims_is_usage_error(self, config_path):
         assert cli.run(["irf", "--params", config_path, "--n-sims", "0"]) == 2
@@ -594,11 +626,17 @@ class TestDeterminism:
                             "--out", str(out)]) == 0
         assert (out1 / "moments.json").read_bytes() == (out2 / "moments.json").read_bytes()
 
-    def test_numpy_scalars_are_written_as_plain_numbers(self):
-        got = cli._fmt({"a": np.float32(0.1), "b": [np.int64(3), (np.float64(1 / 3),)],
-                        "c": 0.1, "d": "text"})
-        assert json.dumps(got) == ('{"a": 0.10000000149011612, "b": [3, [0.3333333333333333]], '
-                                   '"c": 0.1, "d": "text"}')
+    def test_numpy_scalars_are_written_as_plain_numbers(self, capsys):
+        cli._summary({"a": np.float32(0.1), "b": [np.int64(3), (np.float64(1 / 3),)],
+                      "c": 0.1, "d": "text"})
+        assert capsys.readouterr().out == ('{"a": 0.10000000149011612, "b": [3, '
+                                           '[0.3333333333333333]], "c": 0.1, "d": "text"}\n')
+
+    def test_json_artifacts_write_numpy_scalars_as_plain_numbers(self, tmp_path):
+        cli._write_json(tmp_path / "x.json", {"a": np.float64(0.1), "b": np.int32(-2)})
+        assert (tmp_path / "x.json").read_text() == '{\n  "a": 0.1,\n  "b": -2\n}\n'
+        with pytest.raises(TypeError):
+            cli._write_json(tmp_path / "y.json", {"a": object()})
 
 
 class TestWriteCsv:

@@ -52,7 +52,7 @@ class TestSteadyState:
         params, chain = table
         for z, frozen in [(0.0, K_STAR_BOOM), (chain.z_high, K_STAR_RECESSION)]:
             k_star, c_star = sc.steady_state(params, z)
-            eq = sc.solve_static(params, sc.AggregateShockState.from_params(params, z=z), k_star)
+            eq = sc.solve_static(params, sc.AggregateShockState(z=z), k_star)
             assert params.beta * (eq.R + 1.0 - params.delta) == pytest.approx(1.0, abs=1e-10)
             assert eq.R == pytest.approx(R_STAR, abs=1e-10)
             assert k_star == pytest.approx(frozen, rel=1e-9)
@@ -68,7 +68,7 @@ class TestSteadyState:
     def test_consistency_with_capital_scaling(self, table):
         # R has exact elasticity alpha-1 in K, so K* solves a power equation
         params, _ = table
-        r1 = sc.solve_static(params, sc.AggregateShockState.from_params(params, z=0.0), 1.0).R
+        r1 = sc.solve_static(params, sc.AggregateShockState(z=0.0), 1.0).R
         implied = (r1 / R_STAR) ** (1.0 / (1.0 - params.alpha))
         assert sc.steady_state(params, 0.0)[0] == pytest.approx(implied, rel=1e-9)
 
@@ -131,7 +131,7 @@ class TestPolicy:
         # the full statics composition rather than the solver's tables
         params, chain = table
         for s in range(2):
-            shock = sc.AggregateShockState.from_params(params, z=chain.z_states[s])
+            shock = sc.AggregateShockState(z=chain.z_states[s])
             for j in range(0, policy.K_grid.shape[0], 37):
                 K = policy.K_grid[j]
                 income = sc.solve_static(params, shock, K).household_income

@@ -20,8 +20,8 @@ from .test_statics import LAMBDA_BOOM, with_params
 SEED = 20_260_816
 
 
-def solve_at(params, z, K=1.0, **shock_overrides):
-    shock = sc.AggregateShockState.from_params(params, z=z, **shock_overrides)
+def solve_at(params, z, K=1.0):
+    shock = sc.AggregateShockState(z=z)
     return sc.solve_static(params, shock, K), shock
 
 
@@ -69,10 +69,10 @@ class TestWage:
         assert abs(sample_var - vw) < 3.0 * se
 
 
-def drawn_from(eq, **shock_overrides):
+def drawn_from(eq, **param_overrides):
     """``eq`` with its panel drawn from another type rate or wedge volatility;
     the allocation's constants stay those of ``eq``."""
-    return dataclasses.replace(eq, shock=dataclasses.replace(eq.shock, **shock_overrides))
+    return dataclasses.replace(eq, params=dataclasses.replace(eq.params, **param_overrides))
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +80,7 @@ def equilibria(table):
     """Both published states at K = 1 and the first 20 solvable equilibria of
     seeded valid parameters, z in [0, 0.8) and K in [0.5, 15.5)."""
     params, chain = table
-    out = [sc.solve_static(params, sc.AggregateShockState.from_params(params, z=z), 1.0)
+    out = [sc.solve_static(params, sc.AggregateShockState(z=z), 1.0)
            for z in chain.z_states]
     u = block_uniforms(SEED, "log-wage", 0, 1000)
     i = 0
@@ -89,7 +89,7 @@ def equilibria(table):
         z, K = 0.8 * float(u[i, 0]), 0.5 + 15.0 * float(u[i, 1])
         i += 1
         with contextlib.suppress(sc.SortCyclesError):
-            out.append(sc.solve_static(p, sc.AggregateShockState.from_params(p, z=z), K))
+            out.append(sc.solve_static(p, sc.AggregateShockState(z=z), K))
     return out
 
 
@@ -121,7 +121,7 @@ class TestFirmOutcome:
     def test_zero_type_firm_sits_at_scale_constants(self, boom_eq):
         # a type rate of 1e300 draws types below 1e-298 and no wedges: every
         # firm is the zero-type firm, to the last bit of its log quantities
-        eq = drawn_from(boom_eq, lambda_theta_t=1e300, sigma1_t=0.0, sigma2_t=0.0)
+        eq = drawn_from(boom_eq, lambda_theta=1e300, sigma1=0.0, sigma2=0.0)
         chunk = firms._sample_chunk(eq, 1, 0, 100)
         assert np.all(chunk["theta"] < 1e-298)
         assert np.all(chunk["Q"] == boom_eq.Q_bar)
@@ -174,7 +174,7 @@ class TestFirmOutcome:
         # a type rate of 0.001 draws types in the thousands, whose log
         # quantities pass the exp cap
         with pytest.raises(sc.NonFinite, match="exp cap"):
-            firms._sample_chunk(drawn_from(boom_eq, lambda_theta_t=0.001), 1, 0, 1000)
+            firms._sample_chunk(drawn_from(boom_eq, lambda_theta=0.001), 1, 0, 1000)
 
 
 class TestAnalyticMoments:
@@ -197,8 +197,8 @@ class TestAnalyticMoments:
         # perturbing the wedge volatilities moves TFPR dispersion only
         params, _ = table
         base = sc.dispersions(boom_eq.params, boom_eq.shock, boom_eq.lambda_t)
-        bumped_shock = dataclasses.replace(boom_eq.shock, sigma1_t=0.4, sigma2_t=0.2)
-        bumped = sc.dispersions(params, bumped_shock, boom_eq.lambda_t)
+        bumped = sc.dispersions(with_params(params, sigma1=0.4, sigma2=0.2), boom_eq.shock,
+                                boom_eq.lambda_t)
         assert bumped[0] == base[0]
         assert bumped[1] == base[1]
         assert bumped[2] > base[2]
@@ -219,8 +219,7 @@ class TestAnalyticMoments:
         params, _ = table
         rows = []
         for lt in np.linspace(3.0, 6.0, 20):
-            shock = sc.AggregateShockState.from_params(params, z=0.2, lambda_theta_t=lt)
-            eq = sc.solve_static(params, shock, 1.0)
+            eq, _ = solve_at(with_params(params, lambda_theta=lt), 0.2)
             rows.append(sc.dispersions(eq.params, eq.shock, eq.lambda_t))
         vw, vq, vr = map(np.array, zip(*rows))
         assert np.all(np.diff(vw) < 0.0)
@@ -290,7 +289,7 @@ class TestSampling:
 
     def test_a_zero_width_wedge_draws_no_normal_deviates(self, boom_eq, monkeypatch):
         # the published sigma2 is 0: only the eps1 column needs AS 241
-        assert boom_eq.shock.sigma2_t == 0.0
+        assert boom_eq.params.sigma2 == 0.0
         calls = []
         monkeypatch.setattr(firms, "normal_icdf",
                             lambda u: calls.append(u.shape) or normal_icdf(u))
@@ -304,15 +303,12 @@ class TestCrossSectionMoments:
     def test_identical_firms_top_decile(self, table):
         # lambda_theta -> infinity limit: theta ~ 0, no wedge noise
         params, _ = table
-        clean = with_params(params, sigma1=0.0, sigma2=0.0)
-        shock = sc.AggregateShockState.from_params(clean, z=0.0, lambda_theta_t=1e12,
-                                                   sigma1_t=0.0, sigma2_t=0.0)
-        eq = sc.solve_static(clean, shock, 1.0)
+        eq, _ = solve_at(with_params(params, lambda_theta=1e12, sigma1=0.0, sigma2=0.0), 0.0)
         m = sc.panel_moments(eq, 1000, seed=2)
         assert m.rev_share_top10 == pytest.approx(0.10, abs=1e-6)
 
     def test_weighted_wage_variance_consistent_when_weights_are_light(self, table):
-        # employment falls with type here (lambda_t > lambda_theta_t), so the
+        # employment falls with type here (lambda_t > lambda_theta), so the
         # l-weights are bounded and the weighted estimator obeys the CLT
         params, _ = table
         p = with_params(params, xi=4.0, psi=0.3, lambda_theta=4.0, lambda_x=1.0, sigma1=0.1)
@@ -364,7 +360,7 @@ def assert_moments_agree(got, want):
 def tied_panel(revenue):
     """A hand-built panel with the given revenues and unit everything else."""
     ones = np.ones(len(revenue))
-    names = (*cli.PANEL_CSV_COLUMNS, "wage_bill")
+    names = (*firms.PANEL_COLUMNS, "wage_bill")
     return HeldPanel({**dict.fromkeys(names, ones), "revenue": np.asarray(revenue, dtype=float)},
                      seed=0)
 
@@ -372,7 +368,7 @@ def tied_panel(revenue):
 def sample_from(monkeypatch, panel):
     """Make the sampler hand out slices of ``panel``'s columns."""
     monkeypatch.setattr(firms, "_sample_chunk", lambda eq, seed, start, stop: {
-        name: getattr(panel, name)[start:stop] for name in cli.PANEL_CSV_COLUMNS})
+        name: getattr(panel, name)[start:stop] for name in firms.PANEL_COLUMNS})
 
 
 #: 2^16: a chunk boundary for every power-of-two SAMPLE_CHUNK up to it
@@ -436,9 +432,9 @@ class TestStreamedMoments:
             _SAMPLE_CHUNK(*args)) or chunks[-1])
         sc.panel_moments(boom_eq, n, 6)
         assert [len(c["theta"]) for c in chunks] == [firms.SAMPLE_CHUNK, 3]
-        assert all(tuple(c) == cli.PANEL_CSV_COLUMNS for c in chunks)
+        assert all(tuple(c) == firms.PANEL_COLUMNS for c in chunks)
         panel = held_panel(boom_eq, n, seed=6)
-        for name in cli.PANEL_CSV_COLUMNS:
+        for name in firms.PANEL_COLUMNS:
             assert np.array_equal(np.concatenate([c[name] for c in chunks]),
                                   getattr(panel, name)), name
 
@@ -450,7 +446,7 @@ class TestStreamedMoments:
         monkeypatch.setattr(firms, "_sample_chunk", refuse)
         with tempfile.TemporaryFile("w+") as fh:
             with pytest.raises(sc.EmptyPanel):
-                sc.panel_moments(boom_eq, 0, 1, 2, fh, cli._write_panel_rows)
+                sc.panel_moments(boom_eq, 0, 1, 2, fh, cli._write_rows)
             assert fh.tell() == 0
 
     def test_peak_memory_is_the_revenue_column_plus_a_chunk(self, boom_eq, monkeypatch):
@@ -506,8 +502,9 @@ class TestPanelMoments:
     def test_rows_arrive_in_draw_order(self, boom_eq):
         n = 3 * firms.SAMPLE_CHUNK + 5
 
-        def write_rows(fh, chunk):
-            fh.write("".join(f"{x!r}\n" for x in chunk["theta"]))
+        def write_rows(fh, columns):
+            theta = columns[firms.PANEL_COLUMNS.index("theta")]
+            fh.write("".join(f"{x!r}\n" for x in theta))
 
         texts = []
         for workers in (1, 3):
@@ -716,6 +713,6 @@ class TestParetoTails:
         params, _ = table
         panel = held_panel(boom_eq, 1_000_000, seed=77)
         ratio = (boom_eq.lambda_t / params.lambda_x) ** params.psi
-        analytic = boom_eq.shock.lambda_theta_t / ratio
+        analytic = params.lambda_theta / ratio
         est = tfpq_tail_index(panel.log_tfpq)
         assert est == pytest.approx(analytic, rel=0.05)

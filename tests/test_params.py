@@ -1,6 +1,7 @@
 import dataclasses
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import sortcycles as sc
 from sortcycles import DomainError
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def make_params(**overrides):
@@ -65,18 +68,18 @@ class TestValidate:
 
 
 class TestShockState:
-    def test_from_params_fills_baseline(self):
-        p = sc.validate(make_params())
-        s = sc.AggregateShockState.from_params(p, z=0.1)
-        assert s.lambda_theta_t == p.lambda_theta
-        assert s.sigma1_t == p.sigma1
-        assert s.sigma2_t == p.sigma2
-        assert s.A == 1.0
+    def test_holds_only_z_and_A_as_python_floats(self):
+        # the type rate and wedge volatilities are parameters, not shock drivers
+        assert tuple(f.name for f in dataclasses.fields(sc.AggregateShockState)) == ("z", "A")
+        assert sc.AggregateShockState(z=0.1).A == 1.0
+        for z, A in ((np.float64(0.25), np.float32(1.5)), (np.int64(0), np.int64(2)), (0, 3)):
+            s = sc.AggregateShockState(z=z, A=A)
+            assert type(s.z) is float and type(s.A) is float
+            assert (s.z, s.A) == (float(z), float(A))
 
     def test_negative_z_rejected(self):
-        p = sc.validate(make_params())
         with pytest.raises(DomainError):
-            sc.AggregateShockState.from_params(p, z=-0.01)
+            sc.AggregateShockState(z=-0.01)
 
 
 class TestStationaryDistribution:
@@ -142,6 +145,10 @@ class TestConfigLoading:
             "params": dataclasses.asdict(make_params()),
             "chain": {"z_high": 0.3984, "p_stay_low": 0.977, "p_stay_high": 0.688},
         }
+
+    def test_published_config_is_the_published_calibration(self):
+        # two copies of the published calibration: the code's and the file's
+        assert sc.load_config(CONFIGS / "published.json") == sc.published_calibration()
 
     def test_round_trip(self, tmp_path):
         params, chain = sc.load_config(self.write(tmp_path, self.good_payload()))

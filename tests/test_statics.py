@@ -26,7 +26,7 @@ class TestSolveLambda:
     def test_matches_bisection_oracle(self, table):
         params, chain = table
         for z, frozen in [(0.0, LAMBDA_BOOM), (chain.z_high, LAMBDA_RECESSION)]:
-            shock = sc.AggregateShockState.from_params(params, z=z)
+            shock = sc.AggregateShockState(z=z)
             got = sc.solve_lambda(params, shock)
             assert got == pytest.approx(lambda_oracle(params, z), abs=1e-10)
             assert got == pytest.approx(frozen, abs=1e-9)
@@ -34,23 +34,23 @@ class TestSolveLambda:
     def test_residual_tolerance(self, table):
         params, chain = table
         for z in (0.0, chain.z_high):
-            shock = sc.AggregateShockState.from_params(params, z=z)
+            shock = sc.AggregateShockState(z=z)
             lam = sc.solve_lambda(params, shock)
             resid = abs(float(fixed_point_residual(params, shock, lam)))
-            assert resid <= 1e-12 * max(1.0, shock.lambda_theta_t)
+            assert resid <= 1e-12 * max(1.0, params.lambda_theta)
 
     def test_recession_root_is_strictly_larger(self, table):
         # lambda_t falls when z falls; z_h > 0 means a larger root than the boom
         params, chain = table
         assert LAMBDA_RECESSION > LAMBDA_BOOM
-        lam0 = sc.solve_lambda(params, sc.AggregateShockState.from_params(params, z=0.0))
-        lamh = sc.solve_lambda(params, sc.AggregateShockState.from_params(params, z=chain.z_high))
+        lam0 = sc.solve_lambda(params, sc.AggregateShockState(z=0.0))
+        lamh = sc.solve_lambda(params, sc.AggregateShockState(z=chain.z_high))
         assert lamh > lam0
 
     def test_psi_zero_closed_form(self, table):
         params, _ = table
         p0 = with_params(params, psi=0.0, lambda_theta=6.0)
-        shock = sc.AggregateShockState.from_params(p0, z=0.25)
+        shock = sc.AggregateShockState(z=0.25)
         denom = 1.0 + (1.0 - p0.alpha - p0.gamma) * (p0.xi - 1.0)
         b = (p0.xi - 1.0) / denom
         d = (1.0 + (p0.xi - 1.0) * (1.0 - p0.alpha)) / denom
@@ -60,7 +60,7 @@ class TestSolveLambda:
         params, _ = table
         p0 = with_params(params, psi=0.0, lambda_theta=2.0)  # b = 4.44 > target
         with pytest.raises(sc.NoRoot):
-            sc.solve_lambda(p0, sc.AggregateShockState.from_params(p0, z=0.0))
+            sc.solve_lambda(p0, sc.AggregateShockState(z=0.0))
 
     def test_tiny_psi_underflowing_root_raises(self, table):
         # b = 4.44 > target = 2.616, so the root lambda_x (target/b)^(1/psi)
@@ -68,7 +68,7 @@ class TestSolveLambda:
         params, _ = table
         p = with_params(params, psi=1.8463183175100548e-05)
         with pytest.raises(sc.NoRoot):
-            sc.solve_lambda(p, sc.AggregateShockState.from_params(p, z=0.0))
+            sc.solve_lambda(p, sc.AggregateShockState(z=0.0))
 
     def test_underflowing_slope_raises_the_underflowing_root(self, table):
         # psi near 0 and a large lambda_x: the Newton slope meets a
@@ -78,7 +78,7 @@ class TestSolveLambda:
                         lambda_theta=0.3088276072852493, gamma=0.23570371159269,
                         xi=4.304384207882934)
         with pytest.raises(sc.NoRoot, match="underflows"):
-            sc.solve_lambda(p, sc.AggregateShockState.from_params(p, z=0.06250966489027221))
+            sc.solve_lambda(p, sc.AggregateShockState(z=0.06250966489027221))
 
     def test_root_beyond_the_float_range_raises(self, table):
         # b = -3.6 and (lam/lambda_x)^psi ~ 4700 lam: G stays negative while
@@ -87,24 +87,24 @@ class TestSolveLambda:
         p = with_params(params, psi=0.99039, lambda_x=2.1066e-4, lambda_theta=0.9087,
                         gamma=0.27466, xi=1.8848)
         with pytest.raises(sc.NoRoot, match="bracket"):
-            sc.solve_lambda(p, sc.AggregateShockState.from_params(p, z=0.1463))
+            sc.solve_lambda(p, sc.AggregateShockState(z=0.1463))
 
     def test_monotone_in_z_on_grid(self, table):
         params, _ = table
         zs = np.linspace(0.0, 1.5, 50)
-        lams = [sc.solve_lambda(params, sc.AggregateShockState.from_params(params, z=z))
+        lams = [sc.solve_lambda(params, sc.AggregateShockState(z=z))
                 for z in zs]
         assert np.all(np.diff(lams) > 0.0)
 
     def test_neutral_in_A_and_sigma_bitwise(self, table):
         params, chain = table
-        base = sc.AggregateShockState.from_params(params, z=chain.z_high)
+        base = sc.AggregateShockState(z=chain.z_high)
         ref = sc.solve_lambda(params, base)
         for A in (0.5, 1.0, 2.0):
             assert sc.solve_lambda(params, dataclasses.replace(base, A=A)) == ref
         for s1 in (0.0, 0.3):
             for s2 in (0.0, 0.3):
-                got = sc.solve_lambda(params, dataclasses.replace(base, sigma1_t=s1, sigma2_t=s2))
+                got = sc.solve_lambda(with_params(params, sigma1=s1, sigma2=s2), base)
                 assert got == ref
 
     def test_negative_b_branch(self, table):
@@ -112,7 +112,7 @@ class TestSolveLambda:
         # on the increasing branch and matches the oracle
         params, _ = table
         p = with_params(params, psi=0.9, gamma=0.2, alpha=0.3, lambda_theta=3.0)
-        shock = sc.AggregateShockState.from_params(p, z=0.4)
+        shock = sc.AggregateShockState(z=0.4)
         got = sc.solve_lambda(p, shock)
         assert got == pytest.approx(lambda_oracle(p, 0.4, 3.0), rel=1e-10)
 
@@ -131,12 +131,12 @@ class TestSolveLambda:
         p = sc.validate(sc.ModelParams(alpha=alpha, gamma=gamma, delta=0.1, beta=0.96,
                                        xi=xi, psi=psi, lambda_x=lam_x, lambda_theta=lam_th,
                                        sigma1=0.1, sigma2=0.0))
-        shock = sc.AggregateShockState.from_params(p, z=z)
+        shock = sc.AggregateShockState(z=z)
         lam = sc.solve_lambda(p, shock)
         assert lam >= 0.0
         assume(lam < 1e4)
         assert abs(float(fixed_point_residual(p, shock, lam))) <= 1e-12 * max(1.0, lam_th)
-        lam_up = sc.solve_lambda(p, sc.AggregateShockState.from_params(p, z=z + 0.05))
+        lam_up = sc.solve_lambda(p, sc.AggregateShockState(z=z + 0.05))
         assert lam_up > lam
 
 
@@ -145,7 +145,7 @@ class TestCoefficients:
         # sigma1=sigma2=0, z=0, psi=0: B1=1 and B2=B3=1/(lambda_theta - kappa eta_q)
         params, _ = table
         p0 = with_params(params, psi=0.0, sigma1=0.0, sigma2=0.0, lambda_theta=6.0)
-        shock = sc.AggregateShockState.from_params(p0, z=0.0)
+        shock = sc.AggregateShockState(z=0.0)
         lam = sc.solve_lambda(p0, shock)
         c = sc.coefficients(p0, shock, lam)
         assert c.eta_q_theta == pytest.approx(1.0, abs=0)
@@ -158,11 +158,11 @@ class TestCoefficients:
         # the numerators are E[exp(loading * eps)] products; integrate them
         params, _ = table
         p = with_params(params, sigma2=0.15)  # make the eps2 dimension live
-        shock = sc.AggregateShockState.from_params(p, z=0.0)
+        shock = sc.AggregateShockState(z=0.0)
         lam = sc.solve_lambda(p, shock)
         c = sc.coefficients(p, shock, lam)
         ke = p.kappa * p.eta_q
-        margin = shock.lambda_theta_t - ke * c.eta_q_theta
+        margin = p.lambda_theta - ke * c.eta_q_theta
         assert c.margin == margin
 
         e1_l = gaussian_expectation(lambda e: np.exp(-(ke * p.gamma + 1.0) * e), p.sigma1)
@@ -180,7 +180,7 @@ class TestCoefficients:
         # at the solved lambda, eta_l_theta = lambda_theta - lambda_t
         params, chain = table
         for z in (0.0, chain.z_high):
-            shock = sc.AggregateShockState.from_params(params, z=z)
+            shock = sc.AggregateShockState(z=z)
             lam = sc.solve_lambda(params, shock)
             c = sc.coefficients(params, shock, lam)
             assert c.eta_l_theta == pytest.approx(params.lambda_theta - lam, abs=1e-12)
@@ -188,7 +188,7 @@ class TestCoefficients:
     def test_guard_raises(self, table):
         params, _ = table
         thin = with_params(params, lambda_theta=0.5)  # margin goes negative
-        shock = sc.AggregateShockState.from_params(thin, z=0.0)
+        shock = sc.AggregateShockState(z=0.0)
         lam = sc.solve_lambda(thin, shock)
         with pytest.raises(UnboundedCapitalDemand):
             sc.coefficients(thin, shock, lam)
@@ -217,7 +217,7 @@ class TestAggregates:
         # frozen output, cross-validated by the verify module's independent
         # market-clearing quadrature (test_verify / acceptance criterion 3)
         params, _ = table
-        shock = sc.AggregateShockState.from_params(params, z=0.0)
+        shock = sc.AggregateShockState(z=0.0)
         eq = sc.solve_static(params, shock, GOLDEN_K)
         for name, value in GOLDEN_BOOM.items():
             assert getattr(eq, name) == pytest.approx(value, rel=1e-12), name
@@ -247,10 +247,10 @@ class TestAggregates:
     def test_w0_homogeneity(self, table):
         params, _ = table
         z = 0.1
-        base = sc.solve_static(params, sc.AggregateShockState.from_params(params, z=z), 5.0)
-        double_a = sc.solve_static(params, sc.AggregateShockState.from_params(params, z=z, A=2.0), 5.0)
+        base = sc.solve_static(params, sc.AggregateShockState(z=z), 5.0)
+        double_a = sc.solve_static(params, sc.AggregateShockState(z=z, A=2.0), 5.0)
         assert double_a.w0 == pytest.approx(2.0 * base.w0, rel=1e-12)
-        double_k = sc.solve_static(params, sc.AggregateShockState.from_params(params, z=z), 10.0)
+        double_k = sc.solve_static(params, sc.AggregateShockState(z=z), 10.0)
         assert double_k.w0 == pytest.approx(2.0 ** params.alpha * base.w0, rel=1e-12)
 
     def test_rejects_nonpositive_capital(self, table, boom_eq):
@@ -264,7 +264,7 @@ class TestFactorIncomes:
         # z=0 and sigma1=sigma2=0: factor incomes exhaust output
         params, _ = table
         clean = with_params(params, sigma1=0.0, sigma2=0.0)
-        eq = sc.solve_static(clean, sc.AggregateShockState.from_params(clean, z=0.0), 3.0)
+        eq = sc.solve_static(clean, sc.AggregateShockState(z=0.0), 3.0)
         assert eq.Y_l + eq.Y_k + eq.Y_d == pytest.approx(eq.Y, rel=1e-10)
 
     def test_wedges_create_income_output_gap(self, boom_eq, recession_eq):
@@ -298,11 +298,11 @@ class TestFactorIncomes:
         slope = (params.psi / params.gamma) * (params.lambda_x / eq.lambda_t) ** (1.0 - params.psi)
         c = eq.coefficients
         ke = params.kappa * params.eta_q
-        lt = shock.lambda_theta_t
+        lt = params.lambda_theta
         margin = c.margin
 
         gauss_l = gaussian_expectation(
-            lambda e: np.exp(-(ke * params.gamma + 1.0) * e), shock.sigma1_t)
+            lambda e: np.exp(-(ke * params.gamma + 1.0) * e), params.sigma1)
 
         def labor_income_density(theta):
             log_wl = (slope * (eq.lambda_t / params.lambda_x) * theta
@@ -313,7 +313,7 @@ class TestFactorIncomes:
                                 epsabs=1e-13, epsrel=1e-12, limit=400)
         assert y_l == pytest.approx(eq.Y_l, rel=1e-8)
 
-        gauss_k = gaussian_expectation(lambda e: np.exp(-ke * params.gamma * e), shock.sigma1_t)
+        gauss_k = gaussian_expectation(lambda e: np.exp(-ke * params.gamma * e), params.sigma1)
 
         def capital_density(theta):
             return eq.R * eq.k_bar * gauss_k * lt * math.exp((ke * c.eta_q_theta - lt) * theta)
@@ -325,7 +325,7 @@ class TestFactorIncomes:
     def test_labor_income_guard(self, table):
         params, _ = table
         thin = with_params(params, lambda_theta=0.5)
-        shock = sc.AggregateShockState.from_params(thin, z=0.0)
+        shock = sc.AggregateShockState(z=0.0)
         lam = sc.solve_lambda(thin, shock)
         with pytest.raises(UnboundedCapitalDemand):
             sc.coefficients(thin, shock, lam)
@@ -339,7 +339,7 @@ class TestMeasuredTFP:
         # exact from the price-block composition; checked by finite difference
         params, _ = table
         p0 = with_params(params, psi=0.0, lambda_theta=6.0)
-        shock0 = sc.AggregateShockState.from_params(p0, z=0.0)
+        shock0 = sc.AggregateShockState(z=0.0)
 
         def tfp_of_log_a(log_a):
             shock = dataclasses.replace(shock0, A=math.exp(log_a))
@@ -351,13 +351,13 @@ class TestMeasuredTFP:
     def test_recession_tfp_is_lower(self, table):
         params, chain = table
         K = 12.0
-        boom = sc.solve_static(params, sc.AggregateShockState.from_params(params, z=0.0), K)
-        rec = sc.solve_static(params, sc.AggregateShockState.from_params(params, z=chain.z_high), K)
+        boom = sc.solve_static(params, sc.AggregateShockState(z=0.0), K)
+        rec = sc.solve_static(params, sc.AggregateShockState(z=chain.z_high), K)
         assert sc.measured_tfp(boom) > sc.measured_tfp(rec)
 
     def test_invariant_to_capital(self, table):
         # Y scales exactly with K^alpha, so measured TFP is capital-free
         params, _ = table
-        shock = sc.AggregateShockState.from_params(params, z=0.1)
+        shock = sc.AggregateShockState(z=0.1)
         tfps = [sc.measured_tfp(sc.solve_static(params, shock, K)) for K in (0.5, 3.0, 40.0)]
         assert np.ptp(tfps) < 1e-12

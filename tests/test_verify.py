@@ -31,7 +31,7 @@ class TestMarketClearingChecks:
         # lognormal factors collapse to one; only type-quadrature error remains
         params, _ = table
         clean = with_params(params, sigma1=0.0, sigma2=0.0)
-        shock = sc.AggregateShockState.from_params(clean, z=0.0)
+        shock = sc.AggregateShockState(z=0.0)
         eq = sc.solve_static(clean, shock, 1.0)
         mass, shape = verify.check_job_density(eq)
         assert mass.statistic < 1e-12
@@ -40,7 +40,7 @@ class TestMarketClearingChecks:
     @pytest.mark.parametrize("z", [0.0, 0.3984])
     def test_calibrated_params_all_clear(self, table, z):
         params, _ = table
-        shock = sc.AggregateShockState.from_params(params, z=z)
+        shock = sc.AggregateShockState(z=z)
         eq = sc.solve_static(params, shock, 1.0)
         mass, shape = verify.check_job_density(eq)
         assert mass.passed and mass.statistic < 1e-8
@@ -76,7 +76,7 @@ class TestBracketScan:
     def test_exactly_one_sign_change_at_table_params(self, table):
         params, chain = table
         for z in (0.0, chain.z_high):
-            shock = sc.AggregateShockState.from_params(params, z=z)
+            shock = sc.AggregateShockState(z=z)
             assert verify.bracket_scan_sign_changes(params, shock) == 1
 
 
@@ -89,15 +89,15 @@ class TestPropositionSuite:
 
     def test_single_point_lambda_direction(self, table):
         params, _ = table
-        lam1 = sc.solve_lambda(params, sc.AggregateShockState.from_params(params, z=0.1))
-        lam2 = sc.solve_lambda(params, sc.AggregateShockState.from_params(params, z=0.6))
+        lam1 = sc.solve_lambda(params, sc.AggregateShockState(z=0.1))
+        lam2 = sc.solve_lambda(params, sc.AggregateShockState(z=0.6))
         assert lam1 < lam2
 
     def test_psi_zero_boundary_degenerates_gracefully(self, table):
         params, _ = table
         p0 = with_params(params, psi=0.0, lambda_theta=6.0)
         for z in np.linspace(0.0, 1.0, 5):
-            eq = sc.solve_static(p0, sc.AggregateShockState.from_params(p0, z=z), 1.0)
+            eq = sc.solve_static(p0, sc.AggregateShockState(z=z), 1.0)
             vw, _, _ = sc.dispersions(eq.params, eq.shock, eq.lambda_t)
             assert vw == 0.0
 
@@ -132,7 +132,7 @@ class TestThetaProcess:
 class TestRunVerification:
     def test_full_report_passes_and_is_ordered(self, table):
         params, chain = table
-        shocks = [sc.AggregateShockState.from_params(params, z=z) for z in chain.z_states]
+        shocks = [sc.AggregateShockState(z=z) for z in chain.z_states]
         report = verify.run_verification(params, shocks, n_prop_points=20)
         assert report.passed
         names = [c.name for c in report.checks]
@@ -140,7 +140,7 @@ class TestRunVerification:
 
     def test_deterministic_rerun(self, table):
         params, chain = table
-        shocks = [sc.AggregateShockState.from_params(params, z=z) for z in chain.z_states]
+        shocks = [sc.AggregateShockState(z=z) for z in chain.z_states]
         a = verify.run_verification(params, shocks, n_prop_points=10)
         b = verify.run_verification(params, shocks, n_prop_points=10)
         assert a == b
@@ -151,12 +151,12 @@ def verified_equilibria(table):
     """Both published states at K = 1 and the first 10 solvable equilibria of
     seeded valid parameters at z = 0 or the published z_high, K = 1."""
     params, chain = table
-    out = [sc.solve_static(params, sc.AggregateShockState.from_params(params, z=z), 1.0)
+    out = [sc.solve_static(params, sc.AggregateShockState(z=z), 1.0)
            for z in chain.z_states]
     for i, p in enumerate(verify.random_valid_params(30, seed=20_261_019)):
         with contextlib.suppress(sc.SortCyclesError):
             z = chain.z_states[i % 2]
-            out.append(sc.solve_static(p, sc.AggregateShockState.from_params(p, z=z), 1.0))
+            out.append(sc.solve_static(p, sc.AggregateShockState(z=z), 1.0))
         if len(out) == 12:
             return out
     raise AssertionError("fewer than 10 of 30 parameter points solve")
@@ -198,6 +198,6 @@ class TestTypeQuadrature:
         verify.check_goods_market(boom_eq)
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", None)
         monkeypatch.setattr(np.polynomial.hermite_e, "hermegauss", None)
-        eq = dataclasses.replace(boom_eq, shock=dataclasses.replace(boom_eq.shock,
-                                                                    sigma2_t=0.1))
+        eq = dataclasses.replace(boom_eq, params=dataclasses.replace(boom_eq.params,
+                                                                     sigma2=0.1))
         verify.check_capital_market(eq)

@@ -34,8 +34,8 @@ _EXPORTS = {
     # so the submodule itself is not shadowed by a function of the same name
     **dict.fromkeys(("CalibrationResult", "SimConfig", "TargetSet", "model_moments",
                      "objective"), "calibrate"),
-    **dict.fromkeys(("CheckResult", "VerificationReport", "check_capital_market",
-                     "check_goods_market", "check_job_density", "check_worker_clearing",
+    **dict.fromkeys(("CheckResult", "VerificationReport", "capital_market_residual",
+                     "goods_market_residual", "job_density_residuals", "worker_clearing_residual",
                      "proposition_suite", "run_verification", "theta_process_check"), "verify"),
 }
 _SUBMODULES = ("errors", "params", "rng", "statics", "firms", "dynamics", "calibrate", "verify")

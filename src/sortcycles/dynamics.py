@@ -90,7 +90,6 @@ class SimulationPath:
     K: np.ndarray
     C: np.ndarray
     policy: Policy
-    seed: int
     burn_in: int
 
     def __len__(self) -> int:
@@ -336,7 +335,7 @@ def simulate(policy: Policy, T: int = 10_000, burn_in: int = 100, seed: int = 0,
     if np.any(C <= 0.0):
         t_bad = int(np.argmax(C <= 0.0))
         raise NoConvergence(f"nonpositive consumption at period {t_bad}; grid too narrow")
-    return SimulationPath(states=states, K=K, C=C, policy=policy, seed=seed, burn_in=burn_in)
+    return SimulationPath(states=states, K=K, C=C, policy=policy, burn_in=burn_in)
 
 
 def impulse_response(policy: Policy, horizon: int = 20, n_sims: int = 1000,

@@ -122,7 +122,8 @@ class AggregateShockState:
 class MarkovChain2:
     """Two-state market-efficiency chain: z in {z_low, z_high}.
 
-    State 0 is the boom (low z), state 1 the recession (high z).
+    State 0 is the boom (low z), state 1 the recession (high z), so z_low
+    may not exceed z_high.
     p_stay_low / p_stay_high are the probabilities of remaining in each state.
     """
 
@@ -141,6 +142,9 @@ class MarkovChain2:
             raise DomainError(f"z_low must be nonnegative, got {self.z_low}")
         if not self.z_high >= 0.0:
             raise DomainError(f"z_high must be nonnegative, got {self.z_high}")
+        if not self.z_low <= self.z_high:
+            raise DomainError(f"z_low must not exceed z_high (state 0 is the boom), got "
+                              f"z_low={self.z_low}, z_high={self.z_high}")
 
     @property
     def z_states(self) -> tuple[float, float]:

@@ -24,8 +24,7 @@ All powers are evaluated in log space: the xi/(xi-1)-type exponents applied
 to large market constants would otherwise overflow for thick-tailed
 calibrations.
 
-Everything here is scalar and needs the standard library alone;
-:func:`fixed_point_residual` also takes a numpy array, without importing numpy.
+Everything here is scalar and needs the standard library alone.
 """
 
 from __future__ import annotations
@@ -66,11 +65,6 @@ def _job_equation(params: ValidatedParams, shock: AggregateShockState):
         return b * (lam / lam_x) ** psi + lam - target
 
     return G, b, target
-
-
-def fixed_point_residual(params: ValidatedParams, shock: AggregateShockState, lam):
-    """G(lam), lam a float or an array; lambda_t is its unique nonnegative root."""
-    return _job_equation(params, shock)[0](lam)
 
 
 def _root_bracket(params: ValidatedParams, G, b: float, target: float) -> float:

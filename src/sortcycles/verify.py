@@ -2,30 +2,32 @@
 integration or simulation, plus a harness for the comparative-statics claims.
 
 Independence is the point: nothing here evaluates the closed-form exponential
-tilts or the B constants.  Firm behavior is re-derived from the primitive
-problem - cost minimization against the wage schedule, rental rate and CES
-demand - given only the equilibrium prices (w0, R, Y, lambda_t).  Market
-clearing is then checked by numerical integration: a composite Gauss-Legendre
-rule (8 panels of 20 nodes) over the firm-type dimension and order-64
-Gauss-Hermite in each wedge dimension; the firm problem is solved at all of
-an integral's type nodes in one array evaluation.  The truncation point of
-the type integral is set where the integrand's exponential tail is below
-1e-17 of its mass.  On this smooth, exponentially damped integrand the fixed rule agrees
-with adaptive Gauss-Kronrod quadrature to a few 1e-15, so the reported
-residuals are those of the closed forms, not of the rule.
+tilts or the B constants, or imports another module's private helpers.  Firm
+behavior is re-derived from the primitive problem - cost minimization against
+the wage schedule, rental rate and CES demand - given only the equilibrium
+prices (w0, R, Y, lambda_t).  Market clearing is then checked by numerical
+integration: a composite Gauss-Legendre rule (8 panels of 20 nodes) over the
+firm-type dimension and order-64 Gauss-Hermite in each wedge dimension; the
+firm problem is solved at all of an integral's type nodes in one array
+evaluation.  The truncation point of the type integral is set where the
+integrand's exponential tail is below 1e-17 of its mass.  On this smooth,
+exponentially damped integrand the fixed rule agrees with adaptive
+Gauss-Kronrod quadrature to a few 1e-15, so the reported residuals are those
+of the closed forms, not of the rule.
 
-Every check ships with a negative control: the same residual evaluated under
-a deliberately perturbed equilibrium object must breach tolerance, otherwise
-the check could not detect the errors it exists to catch.
-
-Each check takes the solved equilibrium alone and reads its inputs from it
-(``eq.params``, ``eq.shock``, ``eq.K``), never from a second copy.
+Each residual function reads the model's inputs from the solved equilibrium
+(``eq.params``, ``eq.shock``, ``eq.K``), never from a second copy, and
+returns bare floats.  :func:`run_verification` names every check and sets its
+tolerance, and pairs it with a negative control: the same residual under a
+deliberately perturbed equilibrium must breach tolerance, otherwise the check
+could not detect the errors it exists to catch.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -35,12 +37,15 @@ from .params import (AggregateShockState, ModelParams, ThetaRedrawProcess, Valid
                      validate)
 from .rng import block_uniforms, exponential_icdf
 from .errors import NoRoot
-from .statics import (StaticEquilibrium, _job_equation, _root_bracket, dispersions,
-                      fixed_point_residual, solve_lambda, solve_static, tfpr_type_loading)
+from .statics import (StaticEquilibrium, dispersions, solve_lambda, solve_static,
+                      tfpr_type_loading)
 
 GH_ORDER = 64
 #: composite Gauss-Legendre rule of the type integrals: panels, nodes per panel
 GL_PANELS, GL_NODES = 8, 20
+#: the proposition suite's grids: Z_POINTS shocks on [0, Z_MAX] (where every
+#: parameter draw must solve) and Z_POINTS values of lambda_theta
+Z_POINTS, Z_MAX = 20, 1.2
 
 
 @dataclass(frozen=True)
@@ -164,62 +169,59 @@ def _type_integral(eq: StaticEquilibrium, firm_log: Callable[[dict], np.ndarray]
     return _gauss_legendre(_type_density_integrand(eq, firm_log), theta_max)
 
 
-def check_job_density(eq: StaticEquilibrium) -> tuple[CheckResult, CheckResult]:
-    """(a) total employment mass is one; (b) f(h) e^{lambda_t h} is flat.
+def job_density_residuals(eq: StaticEquilibrium) -> tuple[float, float]:
+    """(mass, shape): |total employment mass - 1|, and the coefficient of
+    variation of f(h) e^{lambda_t h}, which is flat at the right lambda_t.
 
     f(h) is built from the independent firm solver: the wedge-averaged
     employment of type-h firms times the type density.
     """
     density = _type_density_integrand(eq, lambda sol: sol["log_l"])
     mass = _gauss_legendre(density, 40.0 / eq.lambda_t)
-    mass_resid = abs(mass - 1.0)
 
     hs = np.linspace(0.05, 20.0, 20) / eq.lambda_t
     shaped = density(hs) * np.exp(eq.lambda_t * hs)
     # scale-free: f(h) carries a factor lambda_t, whose square can overflow
     shaped /= shaped.max()
-    cv = float(np.std(shaped) / np.mean(shaped))
-    return (CheckResult("job_density_mass", mass_resid, 1e-8, mass_resid < 1e-8),
-            CheckResult("job_density_shape", cv, 1e-8, cv < 1e-8))
+    return abs(mass - 1.0), float(np.std(shaped) / np.mean(shaped))
 
 
-def check_goods_market(eq: StaticEquilibrium) -> CheckResult:
-    """Final-good zero-profit: the price-index integral equals one."""
+def goods_market_residual(eq: StaticEquilibrium) -> float:
+    """Final-good zero-profit: |price-index integral - 1|."""
     xi = eq.params.xi
     val = _type_integral(
         eq, lambda sol: (1.0 - xi) * (math.log(xi / (xi - 1.0)) + sol["log_chi"]))
-    resid = abs(val - 1.0)
-    return CheckResult("goods_market", resid, 1e-8, resid < 1e-8)
+    return abs(val - 1.0)
 
 
-def check_capital_market(eq: StaticEquilibrium) -> CheckResult:
-    """Aggregate capital demand integrates back to the stock ``eq.K``."""
-    val = _type_integral(eq, lambda sol: sol["log_k"])
-    resid = abs(val / eq.K - 1.0)
-    return CheckResult("capital_market", resid, 1e-8, resid < 1e-8)
+def capital_market_residual(eq: StaticEquilibrium) -> float:
+    """Aggregate capital demand against the stock: |demand / ``eq.K`` - 1|."""
+    return abs(_type_integral(eq, lambda sol: sol["log_k"]) / eq.K - 1.0)
 
 
-def check_worker_clearing(eq: StaticEquilibrium, x_samples: np.ndarray,
-                          slope_factor: float = 1.0) -> CheckResult:
+def worker_clearing_residual(eq: StaticEquilibrium, x_samples: np.ndarray,
+                             slope_factor: float = 1.0) -> float:
     """Type-by-type labor market clearing under the matching function.
 
-    |lambda_x e^{-lambda_x x} - lambda_t mu'(x) e^{-lambda_t mu(x)}| at each
-    sampled x, with mu(x) = slope_factor * (lambda_x/lambda_t) x
+    max |lambda_x e^{-lambda_x x} - lambda_t mu'(x) e^{-lambda_t mu(x)}| over
+    the sampled x, with mu(x) = slope_factor * (lambda_x/lambda_t) x
     (slope_factor != 1 is the negative control's wrong assignment).
+
+    At slope_factor 1 this is an identity: lambda_t mu'(x) = lambda_x whatever
+    ``eq.lambda_t`` is, so a wrong lambda_t leaves it at rounding error.  The
+    job-density shape residual and its control are what catch one.
     """
     lx, lt = eq.params.lambda_x, eq.lambda_t
     mu_slope = slope_factor * lx / lt
     supply = lx * np.exp(-lx * x_samples)
     demand = lt * mu_slope * np.exp(-lt * mu_slope * x_samples)
-    resid = float(np.max(np.abs(supply - demand)))
-    name = "worker_clearing" if slope_factor == 1.0 else "worker_clearing_perturbed"
-    return CheckResult(name, resid, 1e-12, resid < 1e-12)
+    return float(np.max(np.abs(supply - demand)))
 
 
 # --- comparative-statics harness ---------------------------------------------
 
 
-def random_valid_params(n: int, seed: int, z_max: float = 1.2) -> list[ValidatedParams]:
+def random_valid_params(n: int, seed: int) -> list[ValidatedParams]:
     """Seeded draws from the interior of the admissible parameter region.
 
     psi stays inside (0, 1) so the uniqueness argument applies with the power
@@ -230,7 +232,7 @@ def random_valid_params(n: int, seed: int, z_max: float = 1.2) -> list[Validated
     residual) are rejected and redrawn.
     """
     out: list[ValidatedParams] = []
-    shock_max = AggregateShockState(z=z_max)
+    shock_max = AggregateShockState(z=Z_MAX)
     block = 0
     while len(out) < n:
         u = block_uniforms(seed, "param-draws", 3 * block, 3).reshape(12)
@@ -257,105 +259,68 @@ def random_valid_params(n: int, seed: int, z_max: float = 1.2) -> list[Validated
     return out
 
 
-def _strictly_monotone(values: np.ndarray, increasing: bool) -> bool:
+def _not_strictly_monotone(values, increasing: bool) -> int:
+    """1 unless the values rise (or fall) strictly at every step, else 0."""
     d = np.diff(values)
-    return bool(np.all(d > 0.0)) if increasing else bool(np.all(d < 0.0))
+    return int(not np.all(d > 0.0 if increasing else d < 0.0))
 
 
-def bracket_scan_sign_changes(params: ValidatedParams, shock: AggregateShockState,
-                              n_points: int = 10_000) -> int:
-    """Count sign changes of G over the solver's bracket on a uniform scan."""
-    hi = _root_bracket(params, *_job_equation(params, shock))
-    g = fixed_point_residual(params, shock, np.linspace(0.0, hi, n_points))
-    signs = np.sign(g)
-    signs = signs[signs != 0.0]
-    return int(np.sum(signs[1:] != signs[:-1]))
+def proposition_suite(params_grid) -> VerificationReport:
+    """Count each parameter point's violations of every stated
+    monotonicity/invariance claim, summed over the grid.
 
-
-def proposition_suite(params_grid, n_z: int = 20, z_max: float = 1.2) -> VerificationReport:
-    """Assert every stated monotonicity/invariance on a grid of shocks.
-
-    Per parameter point: lambda_t strictly increasing in z; wage dispersion
-    strictly decreasing, TFPQ and TFPR dispersion strictly increasing in z;
-    the TFPR type-loading bracket strictly positive; lambda_t bit-identical
-    across A and across (sigma1, sigma2); and on a lambda_theta grid, TFPQ
-    and TFPR dispersion strictly decreasing, wage dispersion strictly
-    decreasing in lambda_theta (i.e. rising when the rate falls), together
-    with the composite S-quantity from the redraw-shock analysis.
+    Per parameter point, on Z_POINTS shocks with z in [0, Z_MAX]: lambda_t
+    strictly increasing in z; wage dispersion strictly decreasing, TFPQ and
+    TFPR dispersion strictly increasing in z; the TFPR type-loading bracket
+    strictly positive.  At z = Z_MAX/2: lambda_t bit-identical across A and
+    across (sigma1, sigma2); and on a lambda_theta grid of Z_POINTS, TFPQ and
+    TFPR dispersion strictly decreasing, wage dispersion strictly decreasing in
+    lambda_theta (i.e. rising when the rate falls), together with the
+    composite S-quantity from the redraw-shock analysis.
     """
-    z_shocks = [AggregateShockState(z=z) for z in np.linspace(0.0, z_max, n_z).tolist()]
-    z_fix = 0.5 * z_max
-    shock_mid = AggregateShockState(z=z_fix)
-    shocks_A = [AggregateShockState(z=z_fix, A=A) for A in (0.5, 1.0, 2.0)]
-    violations = {
-        "lambda_increasing_in_z": 0,
-        "wage_var_decreasing_in_z": 0,
-        "tfpq_var_increasing_in_z": 0,
-        "tfpr_var_increasing_in_z": 0,
-        "tfpr_bracket_positive": 0,
-        "lambda_neutral_in_A": 0,
-        "lambda_neutral_in_sigma": 0,
-        "tfpq_var_decreasing_in_lambda_theta": 0,
-        "tfpr_var_decreasing_in_lambda_theta": 0,
-        "wage_var_decreasing_in_lambda_theta": 0,
-        "s_quantity_decreasing_in_lambda_theta": 0,
-    }
+    z_shocks = [AggregateShockState(z=z) for z in np.linspace(0.0, Z_MAX, Z_POINTS).tolist()]
+    shock_mid = AggregateShockState(z=0.5 * Z_MAX)
+    shocks_A = [AggregateShockState(z=shock_mid.z, A=A) for A in (0.5, 1.0, 2.0)]
+    violations: Counter[str] = Counter()
     n_points = 0
     for p in params_grid:
         n_points += 1
-        lams, vws, vqs, vrs = [], [], [], []
+        z_rows = []
         for shock in z_shocks:
             lam = solve_lambda(p, shock)
-            if not tfpr_type_loading(p, shock, lam) > 0.0:
-                violations["tfpr_bracket_positive"] += 1
-            vw, vq, vr = dispersions(p, shock, lam)
-            lams.append(lam)
-            vws.append(vw)
-            vqs.append(vq)
-            vrs.append(vr)
-        if not _strictly_monotone(np.array(lams), True):
-            violations["lambda_increasing_in_z"] += 1
-        if not _strictly_monotone(np.array(vws), False):
-            violations["wage_var_decreasing_in_z"] += 1
-        if not _strictly_monotone(np.array(vqs), True):
-            violations["tfpq_var_increasing_in_z"] += 1
-        if not _strictly_monotone(np.array(vrs), True):
-            violations["tfpr_var_increasing_in_z"] += 1
+            z_rows.append((lam, tfpr_type_loading(p, shock, lam), *dispersions(p, shock, lam)))
+        lams, loadings, vw, vq, vr = zip(*z_rows)
 
         lam_ref = solve_lambda(p, shock_mid)
-        for shock in shocks_A:
-            if solve_lambda(p, shock) != lam_ref:
-                violations["lambda_neutral_in_A"] += 1
-        for s1 in (0.0, 0.3):
-            for s2 in (0.0, 0.3):
-                if solve_lambda(replace(p, sigma1=s1, sigma2=s2), shock_mid) != lam_ref:
-                    violations["lambda_neutral_in_sigma"] += 1
-
-        lt_grid = np.linspace(0.6 * p.lambda_theta, 1.6 * p.lambda_theta, n_z).tolist()
         denom = 1.0 + (1.0 - p.alpha - p.gamma) * (p.xi - 1.0)
         e_coef = 1.0 - (1.0 - p.psi) / denom
         m_coef = p.gamma / denom
-        vq2, vr2, vw2, s2q = [], [], [], []
-        for lt in lt_grid:
+        lt_rows = []
+        for lt in np.linspace(0.6 * p.lambda_theta, 1.6 * p.lambda_theta, Z_POINTS).tolist():
             p_lt = replace(p, lambda_theta=lt)
             lam = solve_lambda(p_lt, shock_mid)
-            vw, vq, vr = dispersions(p_lt, shock_mid, lam)
-            vq2.append(vq)
-            vr2.append(vr)
-            vw2.append(vw)
-            ratio = (lam / p.lambda_x) ** p.psi
             # composite from the redraw-shock analysis, with the type ratio at
             # the first power: that is the power its own step-1 bound covers,
             # and the one consistent with the TFPR dispersion bracket
-            s2q.append((e_coef * ratio + m_coef * z_fix) ** 2 / lt ** 2)
-        if not _strictly_monotone(np.array(vq2), False):
-            violations["tfpq_var_decreasing_in_lambda_theta"] += 1
-        if not _strictly_monotone(np.array(vr2), False):
-            violations["tfpr_var_decreasing_in_lambda_theta"] += 1
-        if not _strictly_monotone(np.array(vw2), False):
-            violations["wage_var_decreasing_in_lambda_theta"] += 1
-        if not _strictly_monotone(np.array(s2q), False):
-            violations["s_quantity_decreasing_in_lambda_theta"] += 1
+            s_q = (e_coef * (lam / p.lambda_x) ** p.psi + m_coef * shock_mid.z) ** 2 / lt ** 2
+            lt_rows.append((*dispersions(p_lt, shock_mid, lam), s_q))
+        vw_lt, vq_lt, vr_lt, s_lt = zip(*lt_rows)
+
+        violations.update({
+            "lambda_increasing_in_z": _not_strictly_monotone(lams, True),
+            "wage_var_decreasing_in_z": _not_strictly_monotone(vw, False),
+            "tfpq_var_increasing_in_z": _not_strictly_monotone(vq, True),
+            "tfpr_var_increasing_in_z": _not_strictly_monotone(vr, True),
+            "tfpr_bracket_positive": sum(not loading > 0.0 for loading in loadings),
+            "lambda_neutral_in_A": sum(solve_lambda(p, shock) != lam_ref for shock in shocks_A),
+            "lambda_neutral_in_sigma": sum(
+                solve_lambda(replace(p, sigma1=s1, sigma2=s2), shock_mid) != lam_ref
+                for s1 in (0.0, 0.3) for s2 in (0.0, 0.3)),
+            "tfpq_var_decreasing_in_lambda_theta": _not_strictly_monotone(vq_lt, False),
+            "tfpr_var_decreasing_in_lambda_theta": _not_strictly_monotone(vr_lt, False),
+            "wage_var_decreasing_in_lambda_theta": _not_strictly_monotone(vw_lt, False),
+            "s_quantity_decreasing_in_lambda_theta": _not_strictly_monotone(s_lt, False),
+        })
 
     checks = [CheckResult(f"prop_{name}", float(count), 0.0, count == 0)
               for name, count in violations.items()]
@@ -405,36 +370,35 @@ def run_verification(params: ValidatedParams, shocks: list[AggregateShockState],
     """All oracles at the given shock states, each solved at K=1, plus the
     proposition suite on ``n_prop_points`` parameter draws of seed 2718.
 
-    Negative controls run alongside: a 1% perturbation of lambda_t must break
-    the density shape check, a perturbed output level the goods integral, and
-    a perturbed rental rate the capital integral.  Their CheckResults report
-    whether the detection fired.
+    Every check is named and given its tolerance here, and passes when its
+    residual is below it.  A negative control passes when the residual of a
+    wrong equilibrium is above it: a 1% perturbation of lambda_t must break
+    the density shape, of Y the goods integral, of R the capital integral,
+    and of the assignment's slope the worker clearing.
     """
     checks = []
     for i, shock in enumerate(shocks):
         eq = solve_static(params, shock, 1.0)
         tag = f"[z={shock.z:g}]"
         xs = exponential_icdf(block_uniforms(7, f"worker-x-{i}", 0, 20)[:, 0], params.lambda_x)
-
-        a, b = check_job_density(eq)
-        checks += [replace(a, name=a.name + tag), replace(b, name=b.name + tag)]
-        checks.append(replace(check_goods_market(eq), name="goods_market" + tag))
-        checks.append(replace(check_capital_market(eq), name="capital_market" + tag))
-        checks.append(replace(check_worker_clearing(eq, xs), name="worker_clearing" + tag))
-
-        _, shape = check_job_density(replace(eq, lambda_t=eq.lambda_t * 1.01))
-        checks.append(CheckResult("negative_control_density_shape" + tag, shape.statistic,
-                                  1e-3, shape.statistic > 1e-3))
-        # Y = M Q_bar with Q_bar perturbed
-        g = check_goods_market(replace(eq, Y=eq.Y * 1.01))
-        checks.append(CheckResult("negative_control_goods" + tag, g.statistic,
-                                  1e-8, g.statistic > 1e-8))
-        c = check_capital_market(replace(eq, R=eq.R * 1.01))
-        checks.append(CheckResult("negative_control_capital" + tag, c.statistic,
-                                  1e-8, c.statistic > 1e-8))
-        w = check_worker_clearing(eq, xs, slope_factor=1.01)
-        checks.append(CheckResult("negative_control_worker" + tag, w.statistic,
-                                  1e-12, w.statistic > 1e-12))
+        mass, shape = job_density_residuals(eq)
+        for name, residual, tol in (
+                ("job_density_mass", mass, 1e-8),
+                ("job_density_shape", shape, 1e-8),
+                ("goods_market", goods_market_residual(eq), 1e-8),
+                ("capital_market", capital_market_residual(eq), 1e-8),
+                ("worker_clearing", worker_clearing_residual(eq, xs), 1e-12)):
+            checks.append(CheckResult(name + tag, residual, tol, residual < tol))
+        for name, residual, tol in (
+                ("negative_control_density_shape",
+                 job_density_residuals(replace(eq, lambda_t=eq.lambda_t * 1.01))[1], 1e-3),
+                # Y = M Q_bar with Q_bar perturbed
+                ("negative_control_goods", goods_market_residual(replace(eq, Y=eq.Y * 1.01)),
+                 1e-8),
+                ("negative_control_capital",
+                 capital_market_residual(replace(eq, R=eq.R * 1.01)), 1e-8),
+                ("negative_control_worker", worker_clearing_residual(eq, xs, 1.01), 1e-12)):
+            checks.append(CheckResult(name + tag, residual, tol, residual > tol))
 
     checks += proposition_suite(random_valid_params(n_prop_points, seed=2718)).checks
     return VerificationReport.from_checks(checks)

@@ -9,7 +9,9 @@ cdf with its branches gathered by masks, the steady-state bisection with all
 of its 200 steps, and verify's type integrals one type node at a time.  None
 of it calls the closed forms or
 shortcuts it is used to check; the held panel is the library's own sampler,
-whose closed forms the firm-level tests check.
+whose closed forms the firm-level tests check.  The fixed-point residual and
+the bracket scan evaluate statics' own job-distribution equation: their
+subject is its root, not the equation.
 """
 
 import math
@@ -22,6 +24,7 @@ import sortcycles.calibrate as cal
 from sortcycles import dynamics, verify
 from sortcycles.firms import SAMPLE_CHUNK, _log_ndtr, _ndtr, _sample_chunk, revenue_concentration
 from sortcycles.rng import block_uniforms, normal_icdf
+from sortcycles.statics import _job_equation, _root_bracket
 
 
 def bisect_root(f, lo, hi, iters=200):
@@ -146,6 +149,20 @@ def lambda_oracle(params, z, lambda_theta=None):
     while g(hi) <= 0.0:
         hi *= 2.0
     return bisect_root(g, 0.0, hi)
+
+
+def fixed_point_residual(params, shock, lam):
+    """statics' own G(lam), lam a float or an array: the residual that
+    lambda_t, its unique nonnegative root, must zero."""
+    return _job_equation(params, shock)[0](lam)
+
+
+def bracket_scan_sign_changes(params, shock, n_points=10_000):
+    """Count sign changes of statics' G over the solver's bracket on a uniform scan."""
+    hi = _root_bracket(params, *_job_equation(params, shock))
+    signs = np.sign(fixed_point_residual(params, shock, np.linspace(0.0, hi, n_points)))
+    signs = signs[signs != 0.0]
+    return int(np.sum(signs[1:] != signs[:-1]))
 
 
 def steady_state_oracle(params, z_fixed, A=1.0):

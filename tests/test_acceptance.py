@@ -30,9 +30,9 @@ import pytest
 import sortcycles as sc
 from sortcycles import cli, firms, verify
 from sortcycles.rng import block_uniforms, exponential_icdf
-from sortcycles.statics import fixed_point_residual
 
-from .oracles import held_panel, tfpq_tail_index
+from .oracles import (bracket_scan_sign_changes, fixed_point_residual, held_panel,
+                      tfpq_tail_index)
 
 SEED = 20_260_808
 
@@ -66,7 +66,7 @@ def test_criterion1_fixed_point_correctness(table):
         lam = sc.solve_lambda(p, shock)
         resid = abs(float(fixed_point_residual(p, shock, lam)))
         worst_resid = max(worst_resid, resid / max(1.0, p.lambda_theta))
-        if verify.bracket_scan_sign_changes(p, shock) != 1:
+        if bracket_scan_sign_changes(p, shock) != 1:
             sign_change_failures += 1
     elapsed = time.perf_counter() - t0
     ok = worst_resid <= 1e-12 and sign_change_failures == 0 and elapsed < 5.0
@@ -124,18 +124,15 @@ def test_criterion3_market_clearing_quadrature(table):
     for z in chain.z_states:
         shock = sc.AggregateShockState(z=z)
         eq = sc.solve_static(params, shock, 1.0)
-        mass, shape = verify.check_job_density(eq)
-        goods = verify.check_goods_market(eq)
-        capital = verify.check_capital_market(eq)
-        for c in (mass, shape, goods, capital):
-            worst = max(worst, c.statistic)
+        worst = max(worst, *verify.job_density_residuals(eq), verify.goods_market_residual(eq),
+                    verify.capital_market_residual(eq))
         wrong_lambda = dataclasses.replace(eq, lambda_t=eq.lambda_t * 1.01)
-        _, bad_shape = verify.check_job_density(wrong_lambda)
-        controls_fired &= bad_shape.statistic > 1e-3
-        controls_fired &= verify.check_goods_market(
-            dataclasses.replace(eq, Y=eq.Y * 1.01)).statistic > 1e-8
-        controls_fired &= verify.check_capital_market(
-            dataclasses.replace(eq, R=eq.R * 1.01)).statistic > 1e-8
+        _, bad_shape = verify.job_density_residuals(wrong_lambda)
+        controls_fired &= bad_shape > 1e-3
+        controls_fired &= verify.goods_market_residual(
+            dataclasses.replace(eq, Y=eq.Y * 1.01)) > 1e-8
+        controls_fired &= verify.capital_market_residual(
+            dataclasses.replace(eq, R=eq.R * 1.01)) > 1e-8
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-8 and controls_fired and elapsed < 30.0
     report("criterion 3 (market-clearing quadrature)", ok, elapsed,
@@ -148,7 +145,7 @@ def test_criterion3_market_clearing_quadrature(table):
 def test_criterion4_proposition_suite():
     t0 = time.perf_counter()
     grid = verify.random_valid_params(100, seed=SEED + 4)
-    rep = verify.proposition_suite(grid, n_z=20)
+    rep = verify.proposition_suite(grid)
     elapsed = time.perf_counter() - t0
     failed = [c.name for c in rep.checks if not c.passed]
     ok = rep.passed and elapsed < 60.0

@@ -50,14 +50,16 @@ UNDERFLOWING_SLOPE = {**PUBLISHED, "params": {
 UNDERFLOWING_SLOPE_Z = "0.06250966489027221"
 
 #: configs that every subcommand named with them must reject with exit 1: an
-#: underflowing root or Newton slope, wedge moments beyond exp's range, and a
-#: squared type rate beyond the float range
+#: underflowing root or Newton slope, wedge moments beyond exp's range, a
+#: squared type rate beyond the float range, and a boom z above the recession
+#: z, which once ran with the two states' labels swapped
 BAD_CONFIGS = {
     "tiny-psi": TINY_PSI,
     "underflowing-slope": UNDERFLOWING_SLOPE,
     "sigma1-20": {**PUBLISHED, "params": {**PUBLISHED["params"], "sigma1": 20}},
     "lambda-theta-1e300": {**PUBLISHED, "params": {**PUBLISHED["params"],
                                                    "lambda_theta": 1e300}},
+    "swapped-chain": {**PUBLISHED, "chain": {**PUBLISHED["chain"], "z_low": 0.5, "z_high": 0.1}},
 }
 
 
@@ -430,6 +432,7 @@ class TestInputHoles:
         *[(sub, "--params", "sigma1-20") for sub in ("solve", "moments", "simulate", "irf",
                                                      "verify")],
         *[(sub, "--params", "lambda-theta-1e300") for sub in ("simulate", "irf")],
+        *[(sub, "--params", "swapped-chain") for sub in ("simulate", "irf", "calibrate")],
         ("solve", "--z", UNDERFLOWING_SLOPE_Z, "--params", "underflowing-slope"),
         # sizes refused at allocation, so nothing is allocated, and counts
         # beyond numpy's array range, refused before anything is drawn

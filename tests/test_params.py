@@ -48,6 +48,18 @@ class TestValidate:
         p2 = sc.validate(p1)
         assert p1 == p2
 
+    def test_derived_constants_follow_a_replaced_point(self):
+        # kappa and eta_q derive from the fields: a replaced point reads its own
+        p = sc.validate(make_params())
+        at_9 = (8.0 / 9.0, 9.0 / (1.0 + (1.0 - 0.3 - 0.6) * 8.0))
+        assert (p.kappa, p.eta_q) == at_9
+        q = dataclasses.replace(p, xi=5.0)
+        assert (q.kappa, q.eta_q) == (4.0 / 5.0, 5.0 / (1.0 + (1.0 - 0.3 - 0.6) * 4.0))
+        assert (p.kappa, p.eta_q) == at_9
+        # equality and hashing read the fields alone
+        assert q != p and dataclasses.replace(q, xi=9.0) == p
+        assert hash(dataclasses.replace(q, xi=9.0)) == hash(p)
+
     @given(st.builds(
         make_params,
         alpha=st.floats(-1.0, 2.0),
@@ -80,6 +92,18 @@ class TestShockState:
     def test_negative_z_rejected(self):
         with pytest.raises(DomainError):
             sc.AggregateShockState(z=-0.01)
+
+
+class TestMarkovChain:
+    def test_boom_z_above_recession_z_rejected(self):
+        # state 0 is the boom: a chain whose z_low exceeds z_high would label
+        # the recession the boom
+        with pytest.raises(DomainError, match="z_low must not exceed z_high"):
+            sc.MarkovChain2(z_high=0.1, p_stay_low=0.9, p_stay_high=0.7, z_low=0.5)
+
+    def test_equal_states_admitted(self):
+        chain = sc.MarkovChain2(z_high=0.3, p_stay_low=0.9, p_stay_high=0.7, z_low=0.3)
+        assert chain.z_states == (0.3, 0.3)
 
 
 class TestStationaryDistribution:

@@ -7,9 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import sortcycles as sc
 from sortcycles import UnboundedCapitalDemand
-from sortcycles.statics import fixed_point_residual
 
-from .oracles import central_diff, gaussian_expectation, lambda_oracle
+from .oracles import central_diff, fixed_point_residual, gaussian_expectation, lambda_oracle
 
 # frozen by the bisection oracle below (rerun live in test_matches_bisection_oracle)
 LAMBDA_BOOM = 0.7464676603475053

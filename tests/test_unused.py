@@ -19,8 +19,6 @@ ALLOWED = {
         "the README quick start loads the published parameters and chain with it",
     "sortcycles.verify.theta_process_check":
         "acceptance criterion 9 checks the theta-redraw process with it",
-    "sortcycles.verify.bracket_scan_sign_changes":
-        "the uniqueness harness counts the job-distribution root's sign changes with it",
     "sortcycles.calibrate.objective":
         "the tests' scalar measure of a fit and of the infeasible sentinel",
 }

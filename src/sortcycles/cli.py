@@ -5,20 +5,24 @@ Exit codes: 0 success, 1 domain error, 2 usage error, 3 verification failure.
 
 Every file this tool writes is a pure function of (config, flags, seed):
 JSON floats are written as the shortest repr that round-trips, CSV cells
-with 17 significant digits, key order is fixed, and no timestamps appear,
-so reruns are byte-identical.  A JSON artifact that would hold NaN or
-Infinity is a domain error instead.  All randomness descends from the
-single --seed through named streams.  --threads (at least 1) sets
-the processes ``moments`` reduces its panel with, capped at the cores
-available and the panel's chunks; the other subcommands ignore it, and every
-artifact is the same for every value.  A run that needs more memory than it
-can have is a domain error.
+as ``"%.17g" % x`` gives them (formatted in numpy by :mod:`csvtext`, 512
+rows at a time; the cells that ``%.17g`` prints in exponent notation, inf,
+nan and exact ties go to ``%.17g`` itself, so the bytes are the same), key
+order is fixed, and no timestamps appear, so reruns are byte-identical.  A
+JSON artifact that would hold NaN or Infinity is a domain error instead.
+All randomness descends from the single --seed through named streams.
+--threads (at least 1) sets the processes ``moments`` reduces its panel
+with, capped at the cores available and the panel's chunks; the other
+subcommands ignore it, and every artifact is the same for every value.  A
+run that needs more memory than it can have is a domain error.
 
 Each subcommand imports the modules it runs when it runs.  Parsing, --help
 and every usage error (exit 2) load the standard library alone, and reading
 the config adds only ``errors`` and ``params``.  ``solve`` adds ``statics``
 and so needs the standard library alone too; every other subcommand loads
-numpy.
+numpy.  Only the subcommands that write a CSV file (``simulate``, ``irf``
+and ``moments --panel-csv``) load ``csvtext``, whose kernel and tables cost
+about 1.5 ms to compile and build; ``moments`` loads it before it forks.
 
 A CLI process (``main``) runs with the cyclic garbage collector off and
 freezes its heap before it exits.  Loading numpy would otherwise trigger
@@ -34,22 +38,18 @@ the collector as it finds it, so an in-process caller keeps its own.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import gc
 import json
 import os
 import sys
-from collections.abc import Iterator, Sequence
 from pathlib import Path
-from typing import TYPE_CHECKING, TextIO
+from typing import TYPE_CHECKING
 
 from .errors import NonFinite, SortCyclesError
 from .params import AggregateShockState, load_config, read_json_object
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .calibrate import TargetSet
     from .statics import StaticEquilibrium
 
@@ -57,9 +57,6 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
-
-#: rows formatted per write of a CSV file
-CSV_BLOCK_ROWS = 4096
 
 
 def _number(value):
@@ -80,61 +77,6 @@ def _write_json(path: Path, payload: dict) -> None:
     except ValueError as exc:
         raise NonFinite(f"{path.name} would hold a non-finite number") from exc
     path.write_text(text + "\n")
-
-
-def _csv_rows(cols: list[np.ndarray], keys: np.ndarray) -> str:
-    """CSV lines of equal-length columns, each cell with 17 significant digits.
-
-    Rows with equal ``keys`` form a class with one row format, in which each
-    column that is bitwise constant over the class's rows is already
-    formatted (bitwise, since 0.0 and -0.0 print apart); one ``%`` then
-    formats the remaining cells of every row."""
-    import numpy as np
-
-    block = np.column_stack(cols)
-    bits = block.view(np.uint64)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    formats, variable = [], np.empty((first.shape[0], block.shape[1]), dtype=bool)
-    for k, i in enumerate(first.tolist()):
-        variable[k] = (bits[inverse == k] != bits[i]).any(axis=0)
-        formats.append(",".join("%.17g" if v else "%.17g" % x
-                                for v, x in zip(variable[k].tolist(), block[i].tolist())) + "\n")
-    row_formats = "".join([formats[k] for k in inverse.tolist()])
-    return row_formats % tuple(block[variable[inverse]].tolist())
-
-
-def _write_rows(fh: TextIO, cols: Sequence[np.ndarray], keys: np.ndarray | None = None) -> None:
-    """Append the rows of equal-length columns to ``fh``, CSV_BLOCK_ROWS at a time,
-    so the text held at once is bounded.  ``keys``, one per row, groups rows
-    whose equal cells are formatted once per block (see ``_csv_rows``); without
-    it all rows form one class."""
-    import numpy as np
-
-    cols = [np.asarray(col, dtype=np.float64) for col in cols]
-    n = cols[0].shape[0]
-    keys = np.zeros(n, dtype=np.intp) if keys is None else np.asarray(keys)
-    for start in range(0, n, CSV_BLOCK_ROWS):
-        stop = start + CSV_BLOCK_ROWS
-        fh.write(_csv_rows([col[start:stop] for col in cols], keys[start:stop]))
-
-
-@contextlib.contextmanager
-def _csv_file(path: Path, names: Sequence[str]) -> Iterator[TextIO]:
-    """The CSV file ``path``, open for writing after its header; it is removed
-    if the block fails, whatever the exception."""
-    try:
-        with path.open("w") as fh:
-            fh.write(",".join(names) + "\n")
-            yield fh
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
-
-
-def _write_csv(path: Path, columns: dict[str, np.ndarray],
-               keys: np.ndarray | None = None) -> None:
-    with _csv_file(path, list(columns)) as fh:
-        _write_rows(fh, list(columns.values()), keys)
 
 
 def _summary(payload: dict) -> None:
@@ -251,8 +193,11 @@ def _cmd_moments(args, params, chain, out):
     eq = statics.solve_static(params, shock, K)
     workers = min(args.threads, _cores())
     if args.panel_csv:
-        with _csv_file(out / "panel.csv", firms.PANEL_COLUMNS) as fh:
-            moments = firms.panel_moments(eq, args.n_firms, args.seed, workers, fh, _write_rows)
+        from . import csvtext  # before panel_moments forks its workers
+
+        with csvtext.csv_file(out / "panel.csv", firms.PANEL_COLUMNS) as fh:
+            moments = firms.panel_moments(eq, args.n_firms, args.seed, workers, fh,
+                                          csvtext.write_rows)
     else:
         moments = firms.panel_moments(eq, args.n_firms, args.seed, workers)
     payload = dataclasses.asdict(moments)
@@ -262,23 +207,23 @@ def _cmd_moments(args, params, chain, out):
 
 
 def _cmd_simulate(args, params, chain, out):
-    from . import dynamics
+    from . import csvtext, dynamics
 
     policy = dynamics.solve_policy(params, chain, grid_spec=dynamics.GridSpec(n=args.grid_size))
     path = dynamics.simulate(policy, T=args.T, burn_in=args.burn_in, seed=args.seed)
-    _write_csv(out / "path.csv", path.columns(), keys=path.states)
+    csvtext.write_csv(out / "path.csv", path.columns(), keys=path.states)
     _summary({"subcommand": "simulate", **path.moments()})
     return EXIT_OK
 
 
 def _cmd_irf(args, params, chain, out):
-    from . import dynamics
+    from . import csvtext, dynamics
 
     policy = dynamics.solve_policy(params, chain, grid_spec=dynamics.GridSpec(n=args.grid_size))
     irf = dynamics.impulse_response(policy, horizon=args.horizon, n_sims=args.n_sims,
                                     seed=args.seed)
     cols = irf.columns()
-    _write_csv(out / "irf.csv", cols)
+    csvtext.write_csv(out / "irf.csv", cols)
     _summary({"subcommand": "irf", "n_episodes": irf.n_episodes,
               **{f"impact_{name}": float(col[0]) for name, col in cols.items() if name != "h"}})
     return EXIT_OK

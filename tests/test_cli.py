@@ -18,7 +18,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import sortcycles
-from sortcycles import calibrate, cli, firms, verify
+from sortcycles import calibrate, cli, csvtext, firms, verify
 
 from .oracles import cross_section_moments_oracle, held_panel, write_csv_oracle
 from .test_firms import (CHUNK_BYTES, assert_moments_agree, failing_chunks,
@@ -672,7 +672,7 @@ class TestWriteCsv:
                             np.inf, -np.inf, np.nan, 0.1, 1 / 3, 2.0 ** 53 + 1])
         columns = {"t": np.arange(mixed.size), "mixed": mixed,
                    "special": np.resize(special, mixed.size)}
-        cli._write_csv(tmp_path / "out.csv", columns)
+        csvtext.write_csv(tmp_path / "out.csv", columns)
         # reference: one f-string per cell
         lines = [",".join(columns)]
         for i in range(mixed.size):
@@ -681,22 +681,22 @@ class TestWriteCsv:
 
     def test_more_rows_than_one_block_match_the_whole_file_writer(self, tmp_path):
         rng = np.random.default_rng(11)
-        n = 2 * cli.CSV_BLOCK_ROWS + 3
+        n = 2 * csvtext.BLOCK_ROWS + 3
         columns = {"t": np.arange(n), "a": rng.standard_normal(n),
                    "b": np.exp(50.0 * rng.standard_normal(n))}
-        cli._write_csv(tmp_path / "blocks.csv", columns)
+        csvtext.write_csv(tmp_path / "blocks.csv", columns)
         write_csv_oracle(tmp_path / "whole.csv", columns)
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
         # the same rows appended in uneven chunks, as panel.csv is written
-        cuts = [0, 5, cli.CSV_BLOCK_ROWS + 6, n]
-        with cli._csv_file(tmp_path / "chunks.csv", list(columns)) as fh:
+        cuts = [0, 5, csvtext.BLOCK_ROWS + 6, n]
+        with csvtext.csv_file(tmp_path / "chunks.csv", list(columns)) as fh:
             for a, b in zip(cuts, cuts[1:]):
-                cli._write_rows(fh, [col[a:b] for col in columns.values()])
+                csvtext.write_rows(fh, [col[a:b] for col in columns.values()])
         assert (tmp_path / "chunks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
     def test_keyed_rows_match_the_one_format_writer(self, tmp_path):
         rng = np.random.default_rng(5)
-        block = cli.CSV_BLOCK_ROWS
+        block = csvtext.BLOCK_ROWS
         n = 2 * block + 17
         # class 0 fills the first block but for row 7, a class of one row;
         # classes 1 and 2 appear only after it
@@ -709,8 +709,8 @@ class TestWriteCsv:
         columns = {"t": np.arange(n), "signed_zero": signed_zero,
                    "per_class": np.array([np.nan, np.inf, -1e-320, 0, 0, 0, 0, 0, 0, 0.1])[keys],
                    "constant": np.full(n, np.pi), "noise": rng.standard_normal(n)}
-        with cli._csv_file(tmp_path / "keyed.csv", list(columns)) as fh:
-            cli._write_rows(fh, list(columns.values()), keys)
+        with csvtext.csv_file(tmp_path / "keyed.csv", list(columns)) as fh:
+            csvtext.write_rows(fh, list(columns.values()), keys)
         write_csv_oracle(tmp_path / "whole.csv", columns)
         assert (tmp_path / "keyed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
@@ -724,8 +724,8 @@ class TestWriteCsv:
         cols = [np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
                 for _ in range(n_cols)]
         fh = io.StringIO()
-        with mock.patch.object(cli, "CSV_BLOCK_ROWS", block):
-            cli._write_rows(fh, cols, keys)
+        with mock.patch.object(csvtext, "BLOCK_ROWS", block):
+            csvtext.write_rows(fh, cols, keys)
         want = "".join(",".join(f"{float(col[i]):.17g}" for col in cols) + "\n"
                        for i in range(n))
         assert fh.getvalue() == want
@@ -734,8 +734,8 @@ class TestWriteCsv:
         # a failure after rows were written, of any class, removes the file
         for failure in (sortcycles.NonFinite, KeyboardInterrupt):
             with pytest.raises(failure):
-                with cli._csv_file(tmp_path / "x.csv", ["x"]) as fh:
-                    cli._write_rows(fh, [np.arange(3.0)])
+                with csvtext.csv_file(tmp_path / "x.csv", ["x"]) as fh:
+                    csvtext.write_rows(fh, [np.arange(3.0)])
                     raise failure("stub")
             assert not (tmp_path / "x.csv").exists(), failure
 

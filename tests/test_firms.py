@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sortcycles as sc
-from sortcycles import cli, firms, verify
+from sortcycles import csvtext, firms, verify
 from sortcycles.rng import block_uniforms, normal_icdf
 
 from .oracles import (HeldPanel, central_diff, cross_section_moments_oracle, held_panel,
@@ -446,7 +446,7 @@ class TestStreamedMoments:
         monkeypatch.setattr(firms, "_sample_chunk", refuse)
         with tempfile.TemporaryFile("w+") as fh:
             with pytest.raises(sc.EmptyPanel):
-                sc.panel_moments(boom_eq, 0, 1, 2, fh, cli._write_rows)
+                sc.panel_moments(boom_eq, 0, 1, 2, fh, csvtext.write_rows)
             assert fh.tell() == 0
 
     def test_peak_memory_is_the_revenue_column_plus_a_chunk(self, boom_eq, monkeypatch):

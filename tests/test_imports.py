@@ -155,6 +155,7 @@ COMMANDS = {
     "calibrate": ["calibrate", "--fast", "--n-starts", "1", "--max-iter", "2"],
     "verify": ["verify", "--n-prop-points", "2"],
     "moments": ["moments", "--n-firms", "40000", "--panel-csv"],
+    "moments-no-csv": ["moments", "--n-firms", "40000"],
 }
 
 _LOADED_SCRIPT = """
@@ -221,6 +222,14 @@ class TestWorkerModules:
             assert "sortcycles.firms" not in loaded[name], name
         assert "sortcycles.firms" in loaded["moments"]
         assert "sortcycles.firms" in loaded["calibrate"]
+
+    def test_only_the_csv_writers_load_csvtext(self, loaded):
+        # the numpy cell kernel and its tables are compiled and built only
+        # where a CSV file is written
+        for name in ("simulate", "irf", "moments"):
+            assert "sortcycles.csvtext" in loaded[name], name
+        for name in ("help", "solve", "calibrate", "verify", "moments-no-csv"):
+            assert "sortcycles.csvtext" not in loaded[name], name
 
     def test_calibrate_loads_dynamics_for_the_state_table_and_path(self, loaded):
         # the per-state table, the state path and the one moments formula

@@ -19,11 +19,11 @@ __version__ = "0.1.0"
 #: the submodule that defines each exported name
 _EXPORTS = {
     **dict.fromkeys(("BracketFailure", "DomainError", "EmptyPanel", "GridExit",
-                     "InvalidProcess", "NoConvergence", "NonFinite", "NoRoot",
-                     "SortCyclesError", "UnboundedCapitalDemand"), "errors"),
-    **dict.fromkeys(("AggregateShockState", "MarkovChain2", "ModelParams",
-                     "ThetaRedrawProcess", "ValidatedParams", "load_config",
-                     "stationary_distribution", "published_calibration", "validate"), "params"),
+                     "NoConvergence", "NonFinite", "NoRoot", "SortCyclesError",
+                     "UnboundedCapitalDemand"), "errors"),
+    **dict.fromkeys(("AggregateShockState", "MarkovChain2", "ModelParams", "ValidatedParams",
+                     "load_config", "stationary_distribution", "published_calibration",
+                     "validate"), "params"),
     **dict.fromkeys(("Coefficients", "StaticEquilibrium", "aggregates", "coefficients",
                      "dispersions", "measured_tfp", "solve_lambda", "solve_static",
                      "steady_state"), "statics"),
@@ -32,11 +32,11 @@ _EXPORTS = {
                      "impulse_response", "simulate", "solve_policy"), "dynamics"),
     # the calibrate() entry point stays on its submodule (sortcycles.calibrate.calibrate)
     # so the submodule itself is not shadowed by a function of the same name
-    **dict.fromkeys(("CalibrationResult", "SimConfig", "TargetSet", "model_moments",
-                     "objective"), "calibrate"),
+    **dict.fromkeys(("CalibrationResult", "SimConfig", "TargetSet", "model_moments"),
+                    "calibrate"),
     **dict.fromkeys(("CheckResult", "VerificationReport", "capital_market_residual",
                      "goods_market_residual", "job_density_residuals", "worker_clearing_residual",
-                     "proposition_suite", "run_verification", "theta_process_check"), "verify"),
+                     "proposition_suite", "run_verification"), "verify"),
 }
 _SUBMODULES = ("errors", "params", "rng", "statics", "firms", "dynamics", "calibrate", "verify")
 

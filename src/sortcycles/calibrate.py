@@ -45,8 +45,6 @@ from . import dynamics
 FREE_PARAM_NAMES = ("psi", "z_high", "lambda_theta", "lambda_x", "sigma1")
 DEFAULT_BOUNDS = ((0.01, 0.99), (0.0, 2.0), (0.1, 20.0), (0.1, 20.0), (0.0, 2.0))
 
-#: the objective where a guard fails: no feasible point reaches it
-INFEASIBLE = math.inf
 #: Latin hypercubes of n_starts points drawn, at most, to find n_starts feasible starts
 START_BATCHES = 8
 #: stop tolerances of each least-squares start: relative cost decrease, step
@@ -85,6 +83,9 @@ class TargetSet:
                 and all(_is_finite_number(w) and w >= 0.0 for w in self.weights)):
             raise DomainError(f"weights must be a list of {len(MOMENT_NAMES)} finite nonnegative "
                               f"numbers, one per moment, got {self.weights!r}")
+        if not any(w > 0.0 for w in self.weights):
+            raise DomainError("at least one weight must be positive: with every weight 0 "
+                              "every parameter point fits perfectly")
 
     def values(self) -> tuple[float, ...]:
         return (self.labor_share, self.wage_inequality, self.rev_share_top10,
@@ -167,15 +168,6 @@ def residuals(free_params, fixed_params: ValidatedParams, targets: TargetSet,
     return np.array([math.sqrt(w) * (moments[name] if target == 0.0
                                      else moments[name] / target - 1.0)
                      for w, name, target in zip(targets.weights, MOMENT_NAMES, targets.values())])
-
-
-def objective(free_params, fixed_params: ValidatedParams, targets: TargetSet,
-              chain: MarkovChain2, weights: tuple[float, float]) -> float:
-    """Squared norm of the residuals: the weighted sum of squared proportional
-    deviations, or INFEASIBLE (infinite) on guard failure."""
-    r = residuals(free_params, fixed_params, targets, chain, weights)
-    total = float(r @ r)
-    return total if math.isfinite(total) else INFEASIBLE
 
 
 def _feasible_starts(fun, lo, hi, seed: int,

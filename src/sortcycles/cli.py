@@ -9,7 +9,8 @@ as ``"%.17g" % x`` gives them (formatted in numpy by :mod:`csvtext`, 512
 rows at a time; the cells that ``%.17g`` prints in exponent notation, inf,
 nan and exact ties go to ``%.17g`` itself, so the bytes are the same), key
 order is fixed, and no timestamps appear, so reruns are byte-identical.  A
-JSON artifact that would hold NaN or Infinity is a domain error instead.
+JSON artifact that would hold NaN or Infinity is a domain error instead, and
+so is an artifact that cannot be written (exit 1, one ``error:`` line).
 All randomness descends from the single --seed through named streams.
 --threads (at least 1) sets the processes ``moments`` reduces its panel
 with, capped at the cores available and the panel's chunks; the other
@@ -76,7 +77,10 @@ def _write_json(path: Path, payload: dict) -> None:
         text = json.dumps(payload, indent=2, sort_keys=False, allow_nan=False, default=_number)
     except ValueError as exc:
         raise NonFinite(f"{path.name} would hold a non-finite number") from exc
-    path.write_text(text + "\n")
+    try:
+        path.write_text(text + "\n")
+    except OSError as exc:
+        raise SortCyclesError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _summary(payload: dict) -> None:

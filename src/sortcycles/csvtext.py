@@ -26,6 +26,8 @@ from typing import TextIO
 
 import numpy as np
 
+from .errors import SortCyclesError
+
 #: rows formatted per write of a CSV file
 BLOCK_ROWS = 512
 
@@ -163,9 +165,14 @@ def write_rows(fh: TextIO, cols: Sequence[np.ndarray], keys: np.ndarray | None =
 @contextlib.contextmanager
 def csv_file(path: Path, names: Sequence[str]) -> Iterator[TextIO]:
     """The CSV file ``path``, open for writing after its header; it is removed
-    if the block fails, whatever the exception."""
+    if the block fails, whatever the exception.  A path that cannot be opened
+    is a SortCyclesError and is left as it is."""
     try:
-        with path.open("w") as fh:
+        fh = path.open("w")
+    except OSError as exc:
+        raise SortCyclesError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    try:
+        with fh:
             fh.write(",".join(names) + "\n")
             yield fh
     except BaseException:

@@ -44,7 +44,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError, GridExit, NoConvergence
-from .params import AggregateShockState, MarkovChain2, ThetaRedrawProcess, ValidatedParams
+from .params import AggregateShockState, MarkovChain2, ValidatedParams
 from .rng import block_uniforms
 from .statics import StaticEquilibrium, dispersions, measured_tfp, solve_static, steady_state
 
@@ -264,11 +264,11 @@ def euler_residuals(policy: Policy, params: ValidatedParams, points: np.ndarray,
     return np.abs(params.beta * c * q - 1.0)
 
 
-def draw_state_path(chain: MarkovChain2 | ThetaRedrawProcess, T: int, seed: int,
+def draw_state_path(chain: MarkovChain2, T: int, seed: int,
                     stream_label: str = "simulate-z") -> np.ndarray:
-    """Seeded path s_1..s_T of a two-state chain's state indices (0 = boom,
-    1 = recession, for the z chain) from state 0: the chain stays while u_t
-    is below the current state's stay probability and switches otherwise.
+    """Seeded path s_1..s_T of the chain's state indices (0 = boom,
+    1 = recession) from state 0: the chain stays while u_t is below the
+    current state's stay probability and switches otherwise.
     """
     u = block_uniforms(seed, stream_label, 0, T)[:, 0]
     stay = (chain.p_stay_low, chain.p_stay_high)

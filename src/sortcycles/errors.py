@@ -41,6 +41,3 @@ class GridExit(SortCyclesError):
 class EmptyPanel(SortCyclesError):
     """A cross-section operation received an empty firm panel."""
 
-
-class InvalidProcess(SortCyclesError):
-    """A firm-type redraw process violates its parameter restriction."""

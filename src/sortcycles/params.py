@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import DomainError, InvalidProcess
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -174,46 +174,6 @@ def stationary_distribution(chain: MarkovChain2) -> tuple[float, float]:
     if total == 0.0:
         return (0.5, 0.5)
     return (leave_high / total, leave_low / total)
-
-
-@dataclass(frozen=True)
-class ThetaRedrawProcess:
-    """Firm-type redraw law with a two-state Markov rate lambda_theta_t.
-
-    theta' = rho*theta with probability p_{t+1}, else rho*theta + Exp(lambda_{t+1}),
-    where p_{t+1} = rho * lambda_{t+1} / lambda_t.  The cross-section stays
-    exactly Exp(lambda_theta_t) provided lambda_low < lambda_high < lambda_low/rho.
-    """
-
-    rho: float
-    lambda_low: float
-    lambda_high: float
-    p_stay_low: float
-    p_stay_high: float
-
-    def __post_init__(self):
-        # rho = 0 is the full-redraw (i.i.d.) limit and is admitted
-        if not 0.0 <= self.rho < 1.0:
-            raise DomainError(f"rho must lie in [0, 1), got {self.rho}")
-        if not (self.lambda_low > 0.0 and self.lambda_high > 0.0):
-            raise DomainError("redraw rates must be positive")
-        if not 0.0 <= self.p_stay_low <= 1.0 or not 0.0 <= self.p_stay_high <= 1.0:
-            raise DomainError("stay probabilities must lie in [0, 1]")
-
-    @property
-    def rates(self) -> tuple[float, float]:
-        return (self.lambda_low, self.lambda_high)
-
-    def check_valid(self) -> None:
-        """Raise InvalidProcess unless every implied keep probability lies in [0, 1]."""
-        for lam_from in self.rates:
-            for lam_to in self.rates:
-                p = self.rho * lam_to / lam_from
-                if not 0.0 <= p <= 1.0:
-                    raise InvalidProcess(
-                        f"keep probability rho*lambda'/lambda = {p:.6g} outside [0, 1] "
-                        f"(requires lambda_low < lambda_high < lambda_low/rho; got "
-                        f"lambda_low={self.lambda_low}, lambda_high={self.lambda_high}, rho={self.rho})")
 
 
 # --- JSON configuration -----------------------------------------------------

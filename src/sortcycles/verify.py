@@ -33,8 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .params import (AggregateShockState, ModelParams, ThetaRedrawProcess, ValidatedParams,
-                     validate)
+from .params import AggregateShockState, ModelParams, ValidatedParams, validate
 from .rng import block_uniforms, exponential_icdf
 from .errors import NoRoot
 from .statics import (StaticEquilibrium, dispersions, solve_lambda, solve_static,
@@ -326,40 +325,6 @@ def proposition_suite(params_grid) -> VerificationReport:
               for name, count in violations.items()]
     checks.append(CheckResult("prop_points_tested", float(n_points), 0.0, n_points > 0))
     return VerificationReport.from_checks(checks)
-
-
-def theta_process_check(process: ThetaRedrawProcess, n: int, T: int, seed: int) -> CheckResult:
-    """Simulate the firm-type redraw law and KS-test exponential stationarity.
-
-    Start from the exact stationary cross-section, evolve n firms T periods
-    under theta' = rho theta (+ Exp(lambda') with prob 1 - rho lambda'/lambda),
-    and compare the empirical distribution against Exp(lambda_t) at five
-    checkpoints.  Passing requires sqrt(n) * KS < 1.95 at >= 4 of 5.
-    """
-    from .dynamics import draw_state_path
-
-    process.check_valid()
-    states = draw_state_path(process, T, seed, stream_label="theta-state")
-    rates = np.array(process.rates)[np.concatenate(([0], states))]
-
-    theta = exponential_icdf(block_uniforms(seed, "theta-init", 0, n)[:, 0], rates[0])
-    checkpoints = sorted(set(np.linspace(T // 5, T, 5, dtype=int)))
-    passes = 0
-    blocks_per_period = (n + 1) // 2  # two firms per block: (keep-u, redraw-u) pairs
-    for t in range(1, T + 1):
-        u = block_uniforms(seed, "theta-step", (t - 1) * blocks_per_period, blocks_per_period)
-        u = u.reshape(-1, 2)[:n]
-        p_keep = process.rho * rates[t] / rates[t - 1]
-        eps = exponential_icdf(u[:, 1], rates[t])
-        theta = process.rho * theta + np.where(u[:, 0] < p_keep, 0.0, eps)
-        if t in checkpoints:
-            sorted_theta = np.sort(theta)
-            cdf = 1.0 - np.exp(-rates[t] * sorted_theta)
-            grid = np.arange(1, n + 1) / n
-            ks = float(max(np.max(np.abs(grid - cdf)), np.max(np.abs(grid - 1.0 / n - cdf))))
-            if math.sqrt(n) * ks < 1.95:
-                passes += 1
-    return CheckResult("theta_process_stationarity", float(passes), 4.0, passes >= 4)
 
 
 # --- full report --------------------------------------------------------------

@@ -11,10 +11,14 @@ of it calls the closed forms or
 shortcuts it is used to check; the held panel is the library's own sampler,
 whose closed forms the firm-level tests check.  The fixed-point residual and
 the bracket scan evaluate statics' own job-distribution equation: their
-subject is its root, not the equation.
+subject is its root, not the equation.  Two pieces model what no subcommand
+computes: the scalar calibration objective, the squared norm of
+``calibrate.residuals``, and a firm-type redraw law with a Markov type rate,
+whose cross-section acceptance criterion 9 checks for stationarity.
 """
 
 import math
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,7 +27,7 @@ import sortcycles as sc
 import sortcycles.calibrate as cal
 from sortcycles import dynamics, verify
 from sortcycles.firms import SAMPLE_CHUNK, _log_ndtr, _ndtr, _sample_chunk, revenue_concentration
-from sortcycles.rng import block_uniforms, normal_icdf
+from sortcycles.rng import block_uniforms, exponential_icdf, normal_icdf
 from sortcycles.statics import _job_equation, _root_bracket
 
 
@@ -397,6 +401,17 @@ def full_mode_moments_oracle(free_params, fixed_params, chain_template, T, burn_
     }
 
 
+#: the objective where a guard fails: no feasible point reaches it
+INFEASIBLE = math.inf
+
+
+def objective(free_params, fixed_params, targets, chain, weights):
+    """Squared norm of ``calibrate.residuals``: the weighted sum of squared
+    proportional deviations, or INFEASIBLE (infinite) on guard failure."""
+    r = cal.residuals(free_params, fixed_params, targets, chain, weights)
+    total = float(r @ r)
+    return total if math.isfinite(total) else INFEASIBLE
+
 def firm_columns(eq, chunk):
     """A chunk of the library's sampler with the columns only the tests read:
     the price P, the wedges tau1 and tau2, the matched worker type and the
@@ -543,3 +558,82 @@ def normal_icdf_masked(p):
         out[tails] = np.where(qt < 0.0, -val, val)
 
     return out[0] if scalar else out
+
+
+class InvalidProcess(sc.SortCyclesError):
+    """A firm-type redraw process violates its parameter restriction."""
+
+
+@dataclass(frozen=True)
+class ThetaRedrawProcess:
+    """Firm-type redraw law with a two-state Markov rate lambda_theta_t.
+
+    theta' = rho*theta with probability p_{t+1}, else rho*theta + Exp(lambda_{t+1}),
+    where p_{t+1} = rho * lambda_{t+1} / lambda_t.  The cross-section stays
+    exactly Exp(lambda_theta_t) provided lambda_low < lambda_high < lambda_low/rho.
+    """
+
+    rho: float
+    lambda_low: float
+    lambda_high: float
+    p_stay_low: float
+    p_stay_high: float
+
+    def __post_init__(self):
+        # rho = 0 is the full-redraw (i.i.d.) limit and is admitted
+        if not 0.0 <= self.rho < 1.0:
+            raise sc.DomainError(f"rho must lie in [0, 1), got {self.rho}")
+        if not (self.lambda_low > 0.0 and self.lambda_high > 0.0):
+            raise sc.DomainError("redraw rates must be positive")
+        if not 0.0 <= self.p_stay_low <= 1.0 or not 0.0 <= self.p_stay_high <= 1.0:
+            raise sc.DomainError("stay probabilities must lie in [0, 1]")
+
+    @property
+    def rates(self):
+        return (self.lambda_low, self.lambda_high)
+
+    def check_valid(self):
+        """Raise InvalidProcess unless every implied keep probability lies in [0, 1]."""
+        for lam_from in self.rates:
+            for lam_to in self.rates:
+                p = self.rho * lam_to / lam_from
+                if not 0.0 <= p <= 1.0:
+                    raise InvalidProcess(
+                        f"keep probability rho*lambda'/lambda = {p:.6g} outside [0, 1] "
+                        f"(requires lambda_low < lambda_high < lambda_low/rho; got "
+                        f"lambda_low={self.lambda_low}, lambda_high={self.lambda_high}, rho={self.rho})")
+
+
+def theta_process_check(process, n, T, seed):
+    """Simulate the firm-type redraw law and KS-test exponential stationarity.
+
+    Start from the exact stationary cross-section, evolve n firms T periods
+    under theta' = rho theta (+ Exp(lambda') with prob 1 - rho lambda'/lambda),
+    and compare the empirical distribution against Exp(lambda_t) at five
+    checkpoints.  Passing requires sqrt(n) * KS < 1.95 at >= 4 of 5.  The
+    rate follows a two-state chain with the process's stay probabilities.
+    """
+    process.check_valid()
+    rate_chain = sc.MarkovChain2(z_high=0.0, p_stay_low=process.p_stay_low,
+                                 p_stay_high=process.p_stay_high)
+    states = dynamics.draw_state_path(rate_chain, T, seed, stream_label="theta-state")
+    rates = np.array(process.rates)[np.concatenate(([0], states))]
+
+    theta = exponential_icdf(block_uniforms(seed, "theta-init", 0, n)[:, 0], rates[0])
+    checkpoints = sorted(set(np.linspace(T // 5, T, 5, dtype=int)))
+    passes = 0
+    blocks_per_period = (n + 1) // 2  # two firms per block: (keep-u, redraw-u) pairs
+    for t in range(1, T + 1):
+        u = block_uniforms(seed, "theta-step", (t - 1) * blocks_per_period, blocks_per_period)
+        u = u.reshape(-1, 2)[:n]
+        p_keep = process.rho * rates[t] / rates[t - 1]
+        eps = exponential_icdf(u[:, 1], rates[t])
+        theta = process.rho * theta + np.where(u[:, 0] < p_keep, 0.0, eps)
+        if t in checkpoints:
+            sorted_theta = np.sort(theta)
+            cdf = 1.0 - np.exp(-rates[t] * sorted_theta)
+            grid = np.arange(1, n + 1) / n
+            ks = float(max(np.max(np.abs(grid - cdf)), np.max(np.abs(grid - 1.0 / n - cdf))))
+            if math.sqrt(n) * ks < 1.95:
+                passes += 1
+    return verify.CheckResult("theta_process_stationarity", float(passes), 4.0, passes >= 4)

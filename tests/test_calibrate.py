@@ -9,7 +9,7 @@ import sortcycles.calibrate as cal
 from sortcycles import dynamics, firms, rng
 from sortcycles.params import stationary_distribution
 
-from .oracles import full_mode_moments_oracle
+from .oracles import INFEASIBLE, full_mode_moments_oracle, objective
 
 
 @pytest.fixture(scope="module")
@@ -88,35 +88,35 @@ def curve_invariants(x):
 class TestObjective:
     def test_self_target_is_exactly_zero(self, table_module, truth, self_targets, pi):
         params, chain = table_module
-        assert cal.objective(truth, params, self_targets, chain, pi) == 0.0
+        assert objective(truth, params, self_targets, chain, pi) == 0.0
 
     def test_common_random_numbers_make_it_deterministic(self, table_module, truth, pi):
         params, chain = table_module
         x = truth * 1.07
-        a = cal.objective(x, params, sc.TargetSet(), chain, pi)
-        b = cal.objective(x, params, sc.TargetSet(), chain, pi)
+        a = objective(x, params, sc.TargetSet(), chain, pi)
+        b = objective(x, params, sc.TargetSet(), chain, pi)
         assert a == b
 
     def test_lambda_x_perturbation_strictly_increases(self, table_module, truth, self_targets, pi):
         # local identification in the lambda_x direction (off the scaling curve)
         params, chain = table_module
         bumped = truth * np.array([1.0, 1.0, 1.0, 1.1, 1.0])
-        assert cal.objective(bumped, params, self_targets, chain, pi) > 0.0
+        assert objective(bumped, params, self_targets, chain, pi) > 0.0
 
     def test_out_of_bounds_returns_the_infinite_sentinel(self, table_module, truth,
                                                          self_targets, pi):
         params, chain = table_module
         bad = truth.copy()
         bad[0] = 1.5  # psi above its bound
-        val = cal.objective(bad, params, self_targets, chain, pi)
-        assert val == cal.INFEASIBLE == math.inf
+        val = objective(bad, params, self_targets, chain, pi)
+        assert val == INFEASIBLE == math.inf
 
     def test_guard_failure_returns_the_infinite_sentinel(self, table_module, self_targets, pi):
         # tiny lambda_theta trips the capital-demand guard inside the solve
         params, chain = table_module
         bad = np.array([0.4022, 0.3984, 0.11, 0.8681, 0.2293])
-        val = cal.objective(bad, params, self_targets, chain, pi)
-        assert val == cal.INFEASIBLE == math.inf
+        val = objective(bad, params, self_targets, chain, pi)
+        assert val == INFEASIBLE == math.inf
 
     def test_a_far_feasible_point_is_not_infeasible(self, table_module, pi):
         # seed 13's one-start draw is feasible, with an objective above the
@@ -124,8 +124,8 @@ class TestObjective:
         params, chain = table_module
         x = start_point(13, 1, params.lambda_theta)
         assert np.all(np.isfinite(cal.residuals(x, params, sc.TargetSet(), chain, pi)))
-        val = cal.objective(x, params, sc.TargetSet(), chain, pi)
-        assert math.isfinite(val) and val < cal.INFEASIBLE
+        val = objective(x, params, sc.TargetSet(), chain, pi)
+        assert math.isfinite(val) and val < INFEASIBLE
         assert val == pytest.approx(1.07e10, rel=0.01)
 
     def test_scaling_symmetry_gives_equal_objective(self, table_module, truth, self_targets, pi):
@@ -134,7 +134,7 @@ class TestObjective:
         params, chain = table_module
         c = 1.8
         x = truth * np.array([1.0, c, c, c ** (-(1.0 - truth[0]) / truth[0]), 1.0])
-        val = cal.objective(x, params, self_targets, chain, pi)
+        val = objective(x, params, self_targets, chain, pi)
         assert val < 1e-18
 
     def test_panel_a_fits_the_attainable_targets(self, table_module, truth, pi):
@@ -143,19 +143,19 @@ class TestObjective:
         # volatility row, which the model cannot produce (decisions ledger)
         params, chain = table_module
         no_tfp = sc.TargetSet(weights=(1.0, 1.0, 1.0, 1.0, 0.0))
-        assert cal.objective(truth, params, no_tfp, chain, pi) < 0.05
-        full = cal.objective(truth, params, sc.TargetSet(), chain, pi)
+        assert objective(truth, params, no_tfp, chain, pi) < 0.05
+        full = objective(truth, params, sc.TargetSet(), chain, pi)
         assert full > 50.0  # the documented inconsistency, kept visible
 
     def test_proportional_deviations_weighting(self, table_module, truth, pi):
         # doubling one weight doubles that term's contribution
         params, chain = table_module
         x = truth * 1.05
-        base = cal.objective(x, params, sc.TargetSet(), chain, pi)
+        base = objective(x, params, sc.TargetSet(), chain, pi)
         heavy = sc.TargetSet(weights=(2.0, 1.0, 1.0, 1.0, 1.0))
         m = cal.model_moments(x, params, chain, pi)
         extra = (m["labor_share"] / heavy.labor_share - 1.0) ** 2
-        got = cal.objective(x, params, heavy, chain, pi)
+        got = objective(x, params, heavy, chain, pi)
         assert got == pytest.approx(base + extra, rel=1e-12)
 
 
@@ -252,7 +252,7 @@ class TestCalibrate:
         # infeasible Latin-hypercube draws (about 1 in 8 of the box; seed 20's
         # first) are replaced before the search
         res = one_start_fit(seed)
-        assert res.objective < cal.INFEASIBLE
+        assert res.objective < INFEASIBLE
         assert all(math.isfinite(v) for v in res.moments.values())
 
     @pytest.mark.parametrize("seed", range(21))
@@ -370,13 +370,13 @@ class TestCalibrate:
         point = np.array([res.params[name] for name in cal.FREE_PARAM_NAMES])
         weights = cal.state_weights(chain, cfg, seed=6)
         assert res.moments == cal.model_moments(point, params, chain, weights)
-        assert res.objective == cal.objective(point, params, sc.TargetSet(), chain, weights)
+        assert res.objective == objective(point, params, sc.TargetSet(), chain, weights)
 
     def test_full_mode_runs_and_is_deterministic(self, table_module, truth, self_targets):
         params, chain = table_module
         cfg = cal.SimConfig(fast=False, T=600, burn_in=60)
-        a = cal.objective(truth, params, self_targets, chain, cal.state_weights(chain, cfg, 0))
-        b = cal.objective(truth, params, self_targets, chain, cal.state_weights(chain, cfg, 0))
+        a = objective(truth, params, self_targets, chain, cal.state_weights(chain, cfg, 0))
+        b = objective(truth, params, self_targets, chain, cal.state_weights(chain, cfg, 0))
         assert a == b
         assert 0.0 <= a < 1.0  # realized frequencies differ from ergodic ones
 
@@ -500,6 +500,14 @@ class TestFullModeAgainstOracle:
     def test_negative_burn_in_is_rejected(self, fast):
         with pytest.raises(sc.DomainError):
             cal.SimConfig(fast=fast, T=1, burn_in=-3)
+
+
+class TestTargetSet:
+    @pytest.mark.parametrize("weights", [(0.0,) * 5, (0, 0, 0, 0, 0)])
+    def test_all_zero_weights_are_rejected(self, weights):
+        # every parameter point would fit them with objective 0
+        with pytest.raises(sc.DomainError, match="at least one weight must be positive"):
+            sc.TargetSet(weights=weights)
 
 
 class TestAssemble:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import sortcycles
 from sortcycles import calibrate, cli, csvtext, firms, verify
 
-from .oracles import cross_section_moments_oracle, held_panel, write_csv_oracle
+from .oracles import INFEASIBLE, cross_section_moments_oracle, held_panel, write_csv_oracle
 from .test_firms import (CHUNK_BYTES, assert_moments_agree, failing_chunks,
                          no_child_process_left, recorded_maps)
 
@@ -213,6 +213,14 @@ PINNED_SOLVE = {
         "a562fb40d1f40be0bc8269a0df5c57ed4ed2385b4a669e99d4cd4762076a164a",
 }
 PINNED_VERIFY_20 = "a8ca4de424022ee7f09df8ee5ce0e0e72f2b0293cb0ed8f1505095d95727465d"
+#: sha256 of calibration.json on the shipped config for the benchmark's two
+#: calibrations, recorded while the package still held a scalar objective
+PINNED_CALIBRATE = {
+    ("--fast", "--n-starts", "4"):
+        "54da5b0b5ec3a40327f66ce9b931bee967bdb91efd71ce1aa19e3f05a7e19d86",
+    ("--n-starts", "1", "--max-iter", "4"):
+        "1d6e2fb5ca890fd1554d6e8c8d72ca2c90a4b3b23048ef86eb96a0c29e5fb591",
+}
 #: --seed: sha256 of path.csv (``simulate --T 10000 --burn-in 100``) and of
 #: irf.csv (``irf --n-sims 1000 --horizon 20``) on the shipped config with
 #: --grid-size 400, as written while every cell of path.csv was formatted on its own
@@ -238,6 +246,14 @@ class TestPinnedArtifacts:
                         "--out", str(tmp_path)]) == 0
         got = hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest()
         assert got == PINNED_VERIFY_20
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("flags", list(PINNED_CALIBRATE), ids=" ".join)
+    def test_calibration_bytes(self, tmp_path, capsys, flags):
+        assert cli.run(["calibrate", "--params", str(SHIPPED_CONFIG), *flags,
+                        "--out", str(tmp_path)]) == 0
+        got = hashlib.sha256((tmp_path / "calibration.json").read_bytes()).hexdigest()
+        assert got == PINNED_CALIBRATE[flags]
         capsys.readouterr()
 
     @pytest.mark.parametrize("seed", list(PINNED_DYNAMICS))
@@ -339,7 +355,7 @@ class TestCalibrate:
                       "--out", str(tmp_path)])
         assert rc == 0
         objective = strict_json((tmp_path / "calibration.json").read_text())["objective"]
-        assert math.isfinite(objective) and 0.0 <= objective < calibrate.INFEASIBLE
+        assert math.isfinite(objective) and 0.0 <= objective < INFEASIBLE
 
     def test_custom_targets_and_unknown_key(self, config_path, tmp_path):
         good = tmp_path / "targets.json"
@@ -436,6 +452,7 @@ TARGET_FILES = {
     "short-weights": json.dumps({"weights": [1.0, 2.0]}),
     "non-list-weights": json.dumps({"weights": 3}),
     "negative-weight": json.dumps({"weights": [1.0, 1.0, 1.0, 1.0, -1.0]}),
+    "zero-weights": json.dumps({"weights": [0, 0, 0, 0, 0]}),
     "non-object": json.dumps([0.6]),
 }
 
@@ -500,6 +517,43 @@ class TestInputHoles:
         assert capsys.readouterr().err == ""
         report = strict_json((tmp_path / "verify.json").read_text())
         assert report["passed"] is True
+
+
+#: (subcommand and flags, artifact): every file a subcommand writes, at small sizes
+ARTIFACTS = (
+    (("solve",), "equilibrium.json"),
+    (("moments", "--n-firms", "100"), "moments.json"),
+    (("moments", "--n-firms", "100", "--panel-csv"), "panel.csv"),
+    (("simulate", "--T", "60", "--burn-in", "10", "--grid-size", "40"), "path.csv"),
+    (("irf", "--horizon", "2", "--n-sims", "4", "--grid-size", "40"), "irf.csv"),
+    (("calibrate", "--fast", "--n-starts", "1", "--max-iter", "1"), "calibration.json"),
+    (("verify", "--n-prop-points", "1"), "verify.json"),
+)
+
+
+class TestUnwritableArtifact:
+    @pytest.mark.parametrize("argv,artifact", ARTIFACTS, ids=[name for _, name in ARTIFACTS])
+    def test_directory_at_the_artifact_path(self, config_path, tmp_path, capsys, argv,
+                                            artifact):
+        # an artifact that cannot be opened is a domain error, and what is at
+        # its path is left as it is
+        (tmp_path / artifact).mkdir()
+        rc = cli.run([*argv, "--params", config_path, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert artifact in err
+        assert (tmp_path / artifact).is_dir()
+
+    def test_unopenable_csv_is_kept(self, tmp_path):
+        # a file that csv_file could not open is not its to remove
+        path = tmp_path / "path.csv"
+        path.write_text("kept\n")
+        denied = PermissionError(13, "Permission denied", str(path))
+        with mock.patch.object(Path, "open", side_effect=denied):
+            with pytest.raises(sortcycles.SortCyclesError, match="path.csv: Permission denied"):
+                csvtext.write_csv(path, {"a": np.zeros(2)})
+        assert path.read_text() == "kept\n"
 
 
 def strict_json(text: str):

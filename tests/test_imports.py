@@ -87,21 +87,19 @@ class TestPeriodBlock:
 
 #: the package's exported names, by the submodule that defines them
 EXPORTED = {
-    "errors": ("BracketFailure", "DomainError", "EmptyPanel", "GridExit", "InvalidProcess",
-               "NoConvergence", "NonFinite", "NoRoot", "SortCyclesError",
-               "UnboundedCapitalDemand"),
-    "params": ("AggregateShockState", "MarkovChain2", "ModelParams", "ThetaRedrawProcess",
-               "ValidatedParams", "load_config", "stationary_distribution",
-               "published_calibration", "validate"),
+    "errors": ("BracketFailure", "DomainError", "EmptyPanel", "GridExit", "NoConvergence",
+               "NonFinite", "NoRoot", "SortCyclesError", "UnboundedCapitalDemand"),
+    "params": ("AggregateShockState", "MarkovChain2", "ModelParams", "ValidatedParams",
+               "load_config", "stationary_distribution", "published_calibration", "validate"),
     "statics": ("Coefficients", "StaticEquilibrium", "aggregates", "coefficients", "dispersions",
                 "measured_tfp", "solve_lambda", "solve_static", "steady_state"),
     "firms": ("CrossSectionMoments", "matching", "panel_moments", "wage"),
     "dynamics": ("GridSpec", "IRFResult", "Policy", "SimulationPath", "euler_residuals",
                  "impulse_response", "simulate", "solve_policy"),
-    "calibrate": ("CalibrationResult", "SimConfig", "TargetSet", "model_moments", "objective"),
+    "calibrate": ("CalibrationResult", "SimConfig", "TargetSet", "model_moments"),
     "verify": ("CheckResult", "VerificationReport", "capital_market_residual",
                "goods_market_residual", "job_density_residuals", "worker_clearing_residual",
-               "proposition_suite", "run_verification", "theta_process_check"),
+               "proposition_suite", "run_verification"),
 }
 SUBMODULES = (*EXPORTED, "rng")
 

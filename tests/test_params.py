@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 import sortcycles as sc
 from sortcycles import DomainError
 
+from .oracles import InvalidProcess, ThetaRedrawProcess
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
@@ -141,20 +143,20 @@ class TestStationaryDistribution:
 
 class TestThetaRedrawProcess:
     def test_restriction_accepts_valid(self):
-        proc = sc.ThetaRedrawProcess(rho=0.7, lambda_low=2.0, lambda_high=2.5,
-                                     p_stay_low=0.9, p_stay_high=0.8)
+        proc = ThetaRedrawProcess(rho=0.7, lambda_low=2.0, lambda_high=2.5,
+                                  p_stay_low=0.9, p_stay_high=0.8)
         proc.check_valid()
 
     def test_restriction_rejects_lambda_high_at_bound(self):
         # lambda_high = 3 > lambda_low / rho = 2.857
-        proc = sc.ThetaRedrawProcess(rho=0.7, lambda_low=2.0, lambda_high=3.0,
-                                     p_stay_low=0.9, p_stay_high=0.8)
-        with pytest.raises(sc.InvalidProcess):
+        proc = ThetaRedrawProcess(rho=0.7, lambda_low=2.0, lambda_high=3.0,
+                                  p_stay_low=0.9, p_stay_high=0.8)
+        with pytest.raises(InvalidProcess):
             proc.check_valid()
 
     def test_full_redraw_limit_allowed(self):
-        proc = sc.ThetaRedrawProcess(rho=0.0, lambda_low=2.0, lambda_high=2.0,
-                                     p_stay_low=0.5, p_stay_high=0.5)
+        proc = ThetaRedrawProcess(rho=0.0, lambda_low=2.0, lambda_high=2.0,
+                                  p_stay_low=0.5, p_stay_high=0.5)
         proc.check_valid()
 
 

@@ -4,7 +4,8 @@ from pathlib import Path
 import sortcycles
 
 SRC = Path(sortcycles.__file__).resolve().parent
-#: modules whose public functions and classes the package itself must use: every submodule
+#: modules whose public functions, classes and constants the package itself must use:
+#: every submodule
 CHECKED = tuple(sorted(path.stem for path in SRC.glob("*.py") if not path.stem.startswith("_")))
 
 #: public names that nothing in the package uses, with the reason they stay
@@ -17,19 +18,29 @@ ALLOWED = {
         "the benchmark and acceptance criterion 8 measure the policy's Euler residuals with it",
     "sortcycles.params.published_calibration":
         "the README quick start loads the published parameters and chain with it",
-    "sortcycles.verify.theta_process_check":
-        "acceptance criterion 9 checks the theta-redraw process with it",
-    "sortcycles.calibrate.objective":
-        "the tests' scalar measure of a fit and of the infeasible sentinel",
 }
 
 
+def defined_names(node: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a function's or a class's, or
+    each name an assignment binds (``A = B = 1``, ``A, B = 1, 2``, ``A: int = 1``)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [name.id for target in targets for name in ast.walk(target)
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)]
+
+
 def public_definitions(module: str) -> list[str]:
-    """Public functions and classes defined at the top level of a submodule."""
+    """Public functions, classes and constants defined at the top level of a submodule."""
     tree = ast.parse((SRC / f"{module}.py").read_text())
-    return [f"sortcycles.{module}.{node.name}" for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+    return [f"sortcycles.{module}.{name}" for node in tree.body for name in defined_names(node)
+            if not name.startswith("_")]
 
 
 def used_names() -> set[str]:
@@ -56,10 +67,19 @@ def unused() -> list[str]:
 
 class TestNoTestOnlyCode:
     def test_every_public_definition_is_used_by_the_package(self):
-        # a public function or class that only the tests call is a second
-        # code path; it belongs in tests/oracles.py
+        # a public function, class or constant that only the tests read is a
+        # second code path, or a leftover of one; it belongs in tests/oracles.py
         offenders = [name for name in unused() if name not in ALLOWED]
         assert offenders == [], "used by nothing in src/: " + ", ".join(offenders)
+
+    def test_assigned_constants_are_definitions(self):
+        # a constant whose only reader moved to the tests is a leftover too
+        def names(source):
+            return defined_names(ast.parse(source).body[0])
+        assert names("A = B = 1") == ["A", "B"]
+        assert names("A, (B, C) = 1, (2, 3)") == ["A", "B", "C"]
+        assert names("A: int = 1") == ["A"]
+        assert names("A[0] = 1") == names("A.b = 1") == names("import A") == []
 
     def test_every_allowed_name_is_still_defined_and_unused(self):
         assert set(ALLOWED) <= set(unused())

@@ -9,7 +9,7 @@ import sortcycles as sc
 from sortcycles import verify
 
 from . import oracles
-from .oracles import held_panel
+from .oracles import InvalidProcess, ThetaRedrawProcess, held_panel, theta_process_check
 from .test_statics import with_params
 
 
@@ -105,24 +105,24 @@ class TestPropositionSuite:
 
 class TestThetaProcess:
     def test_valid_process_passes_ks(self):
-        proc = sc.ThetaRedrawProcess(rho=0.7, lambda_low=2.0, lambda_high=2.5,
-                                     p_stay_low=0.9, p_stay_high=0.8)
-        res = verify.theta_process_check(proc, n=100_000, T=50, seed=21)
+        proc = ThetaRedrawProcess(rho=0.7, lambda_low=2.0, lambda_high=2.5,
+                                  p_stay_low=0.9, p_stay_high=0.8)
+        res = theta_process_check(proc, n=100_000, T=50, seed=21)
         assert res.passed
         assert res.statistic >= 4.0
 
     def test_full_redraw_limit(self):
         # rho = 0: the cross-section is redrawn i.i.d. every period
-        proc = sc.ThetaRedrawProcess(rho=0.0, lambda_low=2.0, lambda_high=2.0,
-                                     p_stay_low=0.5, p_stay_high=0.5)
-        res = verify.theta_process_check(proc, n=50_000, T=25, seed=3)
+        proc = ThetaRedrawProcess(rho=0.0, lambda_low=2.0, lambda_high=2.0,
+                                  p_stay_low=0.5, p_stay_high=0.5)
+        res = theta_process_check(proc, n=50_000, T=25, seed=3)
         assert res.passed
 
     def test_invalid_process_raises(self):
-        proc = sc.ThetaRedrawProcess(rho=0.7, lambda_low=2.0, lambda_high=3.0,
-                                     p_stay_low=0.9, p_stay_high=0.8)
-        with pytest.raises(sc.InvalidProcess):
-            verify.theta_process_check(proc, n=100, T=5, seed=1)
+        proc = ThetaRedrawProcess(rho=0.7, lambda_low=2.0, lambda_high=3.0,
+                                  p_stay_low=0.9, p_stay_high=0.8)
+        with pytest.raises(InvalidProcess):
+            theta_process_check(proc, n=100, T=5, seed=1)
 
 
 class TestRunVerification:

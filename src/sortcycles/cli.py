@@ -39,6 +39,7 @@ the collector as it finds it, so an in-process caller keeps its own.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import gc
 import json
@@ -196,16 +197,18 @@ def _cmd_moments(args, params, chain, out):
     K = args.K if args.K is not None else statics.steady_state(params, args.z, args.A)[0]
     eq = statics.solve_static(params, shock, K)
     workers = min(args.threads, _cores())
+    panel, write_rows = contextlib.nullcontext(), None
     if args.panel_csv:
         from . import csvtext  # before panel_moments forks its workers
 
-        with csvtext.csv_file(out / "panel.csv", firms.PANEL_COLUMNS) as fh:
-            moments = firms.panel_moments(eq, args.n_firms, args.seed, workers, fh,
-                                          csvtext.write_rows)
-    else:
-        moments = firms.panel_moments(eq, args.n_firms, args.seed, workers)
-    payload = dataclasses.asdict(moments)
-    _write_json(out / "moments.json", payload)
+        panel = csvtext.csv_file(out / "panel.csv", firms.PANEL_COLUMNS)
+        write_rows = csvtext.write_rows
+    # moments.json is written inside the panel's block, so a run that cannot
+    # write it leaves no panel.csv either
+    with panel as fh:
+        moments = firms.panel_moments(eq, args.n_firms, args.seed, workers, fh, write_rows)
+        payload = dataclasses.asdict(moments)
+        _write_json(out / "moments.json", payload)
     _summary({"subcommand": "moments", **payload})
     return EXIT_OK
 
@@ -215,7 +218,7 @@ def _cmd_simulate(args, params, chain, out):
 
     policy = dynamics.solve_policy(params, chain, grid_spec=dynamics.GridSpec(n=args.grid_size))
     path = dynamics.simulate(policy, T=args.T, burn_in=args.burn_in, seed=args.seed)
-    csvtext.write_csv(out / "path.csv", path.columns(), keys=path.states)
+    csvtext.write_csv(out / "path.csv", path.columns())
     _summary({"subcommand": "simulate", **path.moments()})
     return EXIT_OK
 
@@ -289,7 +292,8 @@ _DISPATCH = {
 
 
 #: lower bounds of integer options: (subcommand, or None for all; option; minimum)
-_MINIMUMS = ((None, "threads", 1), ("irf", "n_sims", 1), ("irf", "horizon", 0),
+_MINIMUMS = ((None, "threads", 1), ("moments", "n_firms", 1), ("irf", "n_sims", 1),
+             ("irf", "horizon", 0), ("simulate", "grid_size", 2), ("irf", "grid_size", 2),
              ("simulate", "burn_in", 0), ("calibrate", "burn_in", 0),
              ("calibrate", "n_starts", 1), ("calibrate", "max_iter", 1),
              ("verify", "n_prop_points", 1))

@@ -133,33 +133,13 @@ def _text(fields: np.ndarray) -> str:
     return text.tobytes().translate(None, b"\0")[1:].decode("ascii") + "\n"
 
 
-def write_rows(fh: TextIO, cols: Sequence[np.ndarray], keys: np.ndarray | None = None) -> None:
+def write_rows(fh: TextIO, cols: Sequence[np.ndarray]) -> None:
     """Append the rows of equal-length columns to ``fh``, BLOCK_ROWS at a time,
-    so the text held at once is bounded.
-
-    Rows with equal ``keys`` form a class.  A column that is bitwise constant
-    over a class's rows (bitwise, since 0.0 and -0.0 print apart) is
-    formatted once for the class, and its bytes are copied to the class's
-    rows; the other cells are formatted block by block.  Without ``keys``
-    every cell is formatted."""
+    so the text held at once is bounded."""
     cols = [np.asarray(col, dtype=np.float64) for col in cols]
-    if keys is not None:
-        table = np.stack(cols, axis=1)
-        bits = table.view(np.uint64)
-        _, first, classes = np.unique(keys, return_index=True, return_inverse=True)
-        variable = np.array([(bits[classes == k] != bits[i]).any(axis=0)
-                             for k, i in enumerate(first.tolist())])
-        constants = _cells(table[first].ravel()).reshape(first.shape[0], len(cols), 5)
-        del table, bits  # the whole file's copy, before the blocks are formatted
     for start in range(0, cols[0].shape[0], BLOCK_ROWS):
         block = np.stack([col[start:start + BLOCK_ROWS] for col in cols], axis=1)
-        if keys is None:
-            fields = _cells(block.ravel()).reshape(*block.shape, 5)
-        else:
-            fields = constants[classes[start:start + BLOCK_ROWS]]
-            cells = variable[classes[start:start + BLOCK_ROWS]]
-            fields[cells] = _cells(block[cells])
-        fh.write(_text(fields))
+        fh.write(_text(_cells(block.ravel()).reshape(*block.shape, 5)))
 
 
 @contextlib.contextmanager
@@ -180,9 +160,7 @@ def csv_file(path: Path, names: Sequence[str]) -> Iterator[TextIO]:
         raise
 
 
-def write_csv(path: Path, columns: dict[str, np.ndarray],
-              keys: np.ndarray | None = None) -> None:
-    """Write ``columns``, name -> values, to the CSV file ``path`` (see
-    ``write_rows`` for ``keys``)."""
+def write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
+    """Write ``columns``, name -> values, to the CSV file ``path``."""
     with csv_file(path, list(columns)) as fh:
-        write_rows(fh, list(columns.values()), keys)
+        write_rows(fh, list(columns.values()))

@@ -295,6 +295,26 @@ class TestSimulate:
                             "var_log_tfpr,labor_share,R,w0")
         assert len(lines) == 301
 
+    def test_path_csv_write_memory_does_not_grow_with_t(self, config_path, tmp_path,
+                                                        monkeypatch):
+        # the writer holds one block of rows at a time, so its traced peak at
+        # T = 10^5 (1.3 million cells, 25 MB of text) stays that of one block
+        write_csv, peaks = csvtext.write_csv, []
+
+        def traced(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                write_csv(*args, **kwargs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(csvtext, "write_csv", traced)
+        rc = cli.run(["simulate", "--params", config_path, "--T", "100000",
+                      "--grid-size", "40", "--out", str(tmp_path)])
+        assert rc == 0
+        assert len(peaks) == 1 and peaks[0] < 4_000_000, peaks
+
     def test_t_not_above_burn_in_is_usage_error(self, config_path):
         assert cli.run(["simulate", "--params", config_path, "--T", "50",
                         "--burn-in", "100"]) == 2
@@ -463,6 +483,9 @@ class TestInputHoles:
         ("calibrate", "--fast", "--n-starts", "0"),
         ("calibrate", "--fast", "--max-iter", "0"),
         ("verify", "--n-prop-points", "0"),
+        ("moments", "--n-firms", "0"),
+        ("simulate", "--grid-size", "1"),
+        ("irf", "--grid-size", "1"),
         ("simulate", "--T", "0", "--burn-in", "-1"),
         ("simulate", "--T", "20", "--burn-in", "-5"),
         ("calibrate", "--T", "1", "--burn-in", "-3", "--n-starts", "1", "--max-iter", "2"),
@@ -545,6 +568,19 @@ class TestUnwritableArtifact:
         assert artifact in err
         assert (tmp_path / artifact).is_dir()
 
+    def test_unwritable_moments_json_leaves_no_panel(self, config_path, tmp_path, capsys):
+        # moments.json is written before panel.csv's block ends, so a run
+        # that fails on it does not leave a finished-looking panel behind
+        (tmp_path / "moments.json").mkdir()
+        rc = cli.run(["moments", "--n-firms", "1000", "--panel-csv", "--params", config_path,
+                      "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "moments.json" in err
+        assert (tmp_path / "moments.json").is_dir()
+        assert not (tmp_path / "panel.csv").exists()
+
     def test_unopenable_csv_is_kept(self, tmp_path):
         # a file that csv_file could not open is not its to remove
         path = tmp_path / "path.csv"
@@ -608,8 +644,8 @@ def cli_cases(draw):
     if sub in ("solve", "moments"):
         options += [(flag, FLOATS, lambda v: True) for flag in ("--z", "--A", "--K")]
     if sub == "moments":
-        options += [("--n-firms", st.one_of(st.integers(1, 1000), REFUSED_COUNTS),
-                     lambda v: True)]
+        options += [("--n-firms", st.one_of(st.integers(0, 1000), REFUSED_COUNTS),
+                     lambda v: v >= 1)]
     if sub == "verify":
         options += [("--n-prop-points", st.integers(1, 3), lambda v: True)]
     pairs, usage_error = [], False
@@ -628,7 +664,9 @@ def cli_cases(draw):
         pairs += [("--fast", None), ("--n-starts", "1"),
                   ("--max-iter", repr(draw(st.integers(1, 5))))]
     if sub in ("simulate", "irf"):
-        pairs.append(("--grid-size", repr(draw(st.integers(2, 100)))))
+        grid_size = draw(st.integers(1, 100))
+        pairs.append(("--grid-size", repr(grid_size)))
+        usage_error = usage_error or grid_size < 2
     if sub == "simulate":
         T = draw(st.one_of(st.integers(1, 500), REFUSED_COUNTS))
         burn_in = draw(st.integers(0, min(T, 50)))
@@ -748,38 +786,38 @@ class TestWriteCsv:
                 csvtext.write_rows(fh, [col[a:b] for col in columns.values()])
         assert (tmp_path / "chunks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
-    def test_keyed_rows_match_the_one_format_writer(self, tmp_path):
+    def test_special_values_across_block_edges_match_the_whole_file_writer(self, tmp_path):
         rng = np.random.default_rng(5)
         block = csvtext.BLOCK_ROWS
         n = 2 * block + 17
         # class 0 fills the first block but for row 7, a class of one row;
         # classes 1 and 2 appear only after it
-        keys = np.zeros(n, dtype=np.int64)
-        keys[7] = 9
-        keys[block:] = rng.integers(0, 3, n - block)
+        classes = np.zeros(n, dtype=np.int64)
+        classes[7] = 9
+        classes[block:] = rng.integers(0, 3, n - block)
         # 0.0 in classes 0 and 2 but for one -0.0 in class 0, -0.0 in class 1
-        signed_zero = np.where(keys == 1, -0.0, 0.0)
+        signed_zero = np.where(classes == 1, -0.0, 0.0)
         signed_zero[3] = -0.0
         columns = {"t": np.arange(n), "signed_zero": signed_zero,
-                   "per_class": np.array([np.nan, np.inf, -1e-320, 0, 0, 0, 0, 0, 0, 0.1])[keys],
+                   "per_class": np.array([np.nan, np.inf, -1e-320, 0, 0, 0, 0, 0, 0,
+                                          0.1])[classes],
                    "constant": np.full(n, np.pi), "noise": rng.standard_normal(n)}
-        with csvtext.csv_file(tmp_path / "keyed.csv", list(columns)) as fh:
-            csvtext.write_rows(fh, list(columns.values()), keys)
+        with csvtext.csv_file(tmp_path / "blocks.csv", list(columns)) as fh:
+            csvtext.write_rows(fh, list(columns.values()))
         write_csv_oracle(tmp_path / "whole.csv", columns)
-        assert (tmp_path / "keyed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), block=st.integers(1, 6), n=st.integers(1, 30),
            n_cols=st.integers(1, 4))
-    def test_keyed_rows_match_cell_by_cell_formatting(self, data, block, n, n_cols):
-        # few distinct values and keys, so that many columns are constant in a class
+    def test_small_blocks_match_cell_by_cell_formatting(self, data, block, n, n_cols):
+        # signed zeros, a denormal, infinities and nan in blocks of 1-6 rows
         values = st.sampled_from([0.0, -0.0, 1.0, 0.1, 5e-324, np.inf, -np.inf, np.nan])
-        keys = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
         cols = [np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
                 for _ in range(n_cols)]
         fh = io.StringIO()
         with mock.patch.object(csvtext, "BLOCK_ROWS", block):
-            csvtext.write_rows(fh, cols, keys)
+            csvtext.write_rows(fh, cols)
         want = "".join(",".join(f"{float(col[i]):.17g}" for col in cols) + "\n"
                        for i in range(n))
         assert fh.getvalue() == want

@@ -18,8 +18,8 @@ from sortcycles import csvtext
 from .oracles import write_csv_oracle
 
 
-def assert_same_file(tmp_path, columns, keys=None):
-    csvtext.write_csv(tmp_path / "kernel.csv", columns, keys)
+def assert_same_file(tmp_path, columns):
+    csvtext.write_csv(tmp_path / "kernel.csv", columns)
     write_csv_oracle(tmp_path / "oracle.csv", columns)
     assert (tmp_path / "kernel.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
@@ -130,4 +130,3 @@ class TestCellKernel:
         columns = {"t": np.arange(n), "noise": rng.standard_normal(n) * 1e3,
                    "per_key": np.array([0.1, -2.5])[keys], "tiny": rng.random(n) * 1e-6}
         assert_same_file(tmp_path, columns)
-        assert_same_file(tmp_path, columns, keys)

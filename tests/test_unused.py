@@ -20,6 +20,17 @@ ALLOWED = {
         "the README quick start loads the published parameters and chain with it",
 }
 
+#: defaulted parameters that no call in the package passes, with the reason they stay
+ALLOWED_PARAMETERS = {
+    "sortcycles.calibrate.calibrate(bounds)": "tests narrow the search box",
+    "sortcycles.cli.run(argv)":
+        "tests and perfbench/run.py --trace 1 call the command line in-process",
+    "sortcycles.dynamics.simulate(K0)":
+        "acceptance and dynamics tests start the path off the steady state",
+    "sortcycles.dynamics.solve_policy(tol)": "tests tighten it to 1e-10",
+    "sortcycles.dynamics.solve_policy(max_iter)": "a test forces NoConvergence with it",
+}
+
 
 def defined_names(node: ast.stmt) -> list[str]:
     """The names a top-level statement defines: a function's or a class's, or
@@ -65,6 +76,43 @@ def unused() -> list[str]:
             if name.rsplit(".", 1)[1] not in used and name not in used]
 
 
+def calls_by_name() -> dict[str, list[ast.Call]]:
+    """Every call in the package, by the name it calls: ``f(...)`` and
+    ``x.f(...)`` both count as calls to f."""
+    calls = {}
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def unpassed_parameters() -> list[str]:
+    """``sortcycles.<module>.<function>(<parameter>)`` for each parameter with
+    a default, of a public top-level function, that no call in the package to
+    a function of that name passes, by keyword or by position."""
+    calls, unpassed = calls_by_name(), []
+    for module in CHECKED:
+        for node in ast.parse((SRC / f"{module}.py").read_text()).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i, arg.arg) for i, arg in enumerate(positional) if i >= first]
+            defaulted += [(None, arg.arg) for arg, default in zip(args.kwonlyargs,
+                                                                  args.kw_defaults)
+                          if default is not None]
+            for position, name in defaulted:
+                if not any(any(keyword.arg == name for keyword in call.keywords)
+                           or (position is not None and len(call.args) > position)
+                           for call in calls.get(node.name, [])):
+                    unpassed.append(f"sortcycles.{module}.{node.name}({name})")
+    return unpassed
+
+
 class TestNoTestOnlyCode:
     def test_every_public_definition_is_used_by_the_package(self):
         # a public function, class or constant that only the tests read is a
@@ -83,3 +131,12 @@ class TestNoTestOnlyCode:
 
     def test_every_allowed_name_is_still_defined_and_unused(self):
         assert set(ALLOWED) <= set(unused())
+
+    def test_every_defaulted_parameter_is_passed_by_the_package(self):
+        # a default that only the tests override is a knob the program never
+        # turns: a second code path that no subcommand reaches
+        offenders = [name for name in unpassed_parameters() if name not in ALLOWED_PARAMETERS]
+        assert offenders == [], "passed by nothing in src/: " + ", ".join(offenders)
+
+    def test_every_allowed_parameter_is_still_defaulted_and_unpassed(self):
+        assert set(ALLOWED_PARAMETERS) <= set(unpassed_parameters())

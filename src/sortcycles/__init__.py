@@ -21,9 +21,8 @@ _EXPORTS = {
     **dict.fromkeys(("BracketFailure", "DomainError", "EmptyPanel", "GridExit",
                      "NoConvergence", "NonFinite", "NoRoot", "SortCyclesError",
                      "UnboundedCapitalDemand"), "errors"),
-    **dict.fromkeys(("AggregateShockState", "MarkovChain2", "ModelParams", "ValidatedParams",
-                     "load_config", "stationary_distribution", "published_calibration",
-                     "validate"), "params"),
+    **dict.fromkeys(("AggregateShockState", "MarkovChain2", "ModelParams", "load_config",
+                     "stationary_distribution", "published_calibration"), "params"),
     **dict.fromkeys(("Coefficients", "StaticEquilibrium", "aggregates", "coefficients",
                      "dispersions", "measured_tfp", "solve_lambda", "solve_static",
                      "steady_state"), "statics"),

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError, SortCyclesError
 from .firms import revenue_concentration
-from .params import MarkovChain2, ValidatedParams, stationary_distribution, validate
+from .params import MarkovChain2, ModelParams, stationary_distribution
 from .rng import latin_hypercube
 from . import dynamics
 
@@ -86,6 +86,7 @@ class TargetSet:
         if not any(w > 0.0 for w in self.weights):
             raise DomainError("at least one weight must be positive: with every weight 0 "
                               "every parameter point fits perfectly")
+        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
 
     def values(self) -> tuple[float, ...]:
         return (self.labor_share, self.wage_inequality, self.rev_share_top10,
@@ -122,12 +123,12 @@ class CalibrationResult:
     n_starts: int
 
 
-def assemble(free_params, fixed_params: ValidatedParams,
-             chain_template: MarkovChain2) -> tuple[ValidatedParams, MarkovChain2]:
+def assemble(free_params, fixed_params: ModelParams,
+             chain_template: MarkovChain2) -> tuple[ModelParams, MarkovChain2]:
     """Overlay the free block on the fixed parameters."""
     psi, z_high, lambda_theta, lambda_x, sigma1 = [float(v) for v in free_params]
-    params = validate(replace(fixed_params, psi=psi, lambda_theta=lambda_theta,
-                              lambda_x=lambda_x, sigma1=sigma1))
+    params = replace(fixed_params, psi=psi, lambda_theta=lambda_theta, lambda_x=lambda_x,
+                     sigma1=sigma1)
     chain = replace(chain_template, z_high=z_high)
     return params, chain
 
@@ -145,7 +146,7 @@ def state_weights(chain: MarkovChain2, sim_config: SimConfig,
         dynamics.draw_state_path(chain, sim_config.T, seed)[sim_config.burn_in:])
 
 
-def model_moments(free_params, fixed_params: ValidatedParams, chain: MarkovChain2,
+def model_moments(free_params, fixed_params: ModelParams, chain: MarkovChain2,
                   weights: tuple[float, float]) -> dict[str, float]:
     """The five calibration moments at one parameter point: the closed-form
     per-state values weighted by the :func:`state_weights`."""
@@ -157,7 +158,7 @@ def model_moments(free_params, fixed_params: ValidatedParams, chain: MarkovChain
                                   rev_share_p50_p90=p50_p90)
 
 
-def residuals(free_params, fixed_params: ValidatedParams, targets: TargetSet,
+def residuals(free_params, fixed_params: ModelParams, targets: TargetSet,
               chain: MarkovChain2, weights: tuple[float, float]) -> np.ndarray:
     """Weighted proportional deviations sqrt(w)·(m/t - 1), sqrt(w)·m where a
     target is 0, one per moment; all infinite on guard failure."""
@@ -290,7 +291,7 @@ def _least_squares(fun, x0: np.ndarray, f0: np.ndarray, lo: np.ndarray, hi: np.n
     return x, f
 
 
-def calibrate(fixed_params: ValidatedParams, targets: TargetSet,
+def calibrate(fixed_params: ModelParams, targets: TargetSet,
               bounds=DEFAULT_BOUNDS, seed: int = 0, n_starts: int = 4,
               sim_config: SimConfig | None = None, *, chain_template: MarkovChain2,
               max_iter_per_start: int = 800) -> CalibrationResult:

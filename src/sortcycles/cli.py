@@ -30,10 +30,8 @@ freezes its heap before it exits.  Loading numpy would otherwise trigger
 some 34 collector passes, and interpreter shutdown a forced full collection
 over about 22,000 tracked objects; together they find only the ~750
 unreachable objects the imports leave behind, and no run leaves more cyclic
-garbage the longer it runs.  Skipping them saves 4-17 ms of each call's
-wall time (median of 25 fresh processes per subcommand on a 2-core machine:
-``solve`` 47 -> 43 ms, ``simulate`` 146 -> 134 ms).  ``run`` itself leaves
-the collector as it finds it, so an in-process caller keeps its own.
+garbage the longer it runs, so skipping them costs nothing.  ``run`` itself
+leaves the collector as it finds it, so an in-process caller keeps its own.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import NonFinite, SortCyclesError
-from .params import AggregateShockState, load_config, read_json_object
+from .params import AggregateShockState, load_config, read_json_object, require_keys
 
 if TYPE_CHECKING:
     from .calibrate import TargetSet
@@ -242,12 +240,8 @@ def _load_targets(path: str | None) -> TargetSet:
     if path is None:
         return TargetSet()
     raw = read_json_object(path, "targets")
-    allowed = {field.name for field in dataclasses.fields(TargetSet)}
-    unknown = sorted(set(raw) - allowed)
-    if unknown:
-        raise SortCyclesError(f"unknown key(s) in targets file: {', '.join(unknown)}")
-    if isinstance(raw.get("weights"), list):
-        raw["weights"] = tuple(raw["weights"])
+    require_keys(raw, tuple(field.name for field in dataclasses.fields(TargetSet)), (),
+                 "targets file")
     return TargetSet(**raw)
 
 

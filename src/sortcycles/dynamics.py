@@ -44,7 +44,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError, GridExit, NoConvergence
-from .params import AggregateShockState, MarkovChain2, ValidatedParams
+from .params import AggregateShockState, MarkovChain2, ModelParams
 from .rng import block_uniforms
 from .statics import StaticEquilibrium, dispersions, measured_tfp, solve_static, steady_state
 
@@ -69,7 +69,7 @@ class Policy:
     """Converged savings/consumption rule on the capital grid, with the
     parameters, chain, K=1 state table and per-state K* it was solved with."""
 
-    params: ValidatedParams
+    params: ModelParams
     chain: MarkovChain2
     K_grid: np.ndarray
     C: np.ndarray        # (2, n) consumption at nodes
@@ -166,7 +166,7 @@ class StateTable:
     equilibria: tuple[StaticEquilibrium, ...]
 
 
-def state_table(params: ValidatedParams, chain: MarkovChain2) -> StateTable:
+def state_table(params: ModelParams, chain: MarkovChain2) -> StateTable:
     """Solve the statics once per chain state at K=1."""
     eqs = tuple(solve_static(params, AggregateShockState(z=z), 1.0) for z in chain.z_states)
     rows = [(eq.shock.z, eq.Y, eq.household_income, eq.R, eq.w0, eq.lambda_t,
@@ -191,7 +191,7 @@ def state_moments(weights: tuple[float, float], measured_tfp,
             "std_tfp": abs(measured_tfp[1] - measured_tfp[0]) * math.sqrt(w0 * w1)}
 
 
-def solve_policy(params: ValidatedParams, chain: MarkovChain2,
+def solve_policy(params: ModelParams, chain: MarkovChain2,
                  grid_spec: GridSpec | None = None, tol: float = 1e-9,
                  max_iter: int = 10_000) -> Policy:
     """Endogenous-grid iteration on the Euler equation until the consumption
@@ -245,7 +245,7 @@ def solve_policy(params: ValidatedParams, chain: MarkovChain2,
                   sup_diff=sup)
 
 
-def euler_residuals(policy: Policy, params: ValidatedParams, points: np.ndarray,
+def euler_residuals(policy: Policy, params: ModelParams, points: np.ndarray,
                     states: np.ndarray) -> np.ndarray:
     """Unit-free Euler residuals |beta E[(C/C')(R'+1-delta)] - 1| off grid."""
     if params != policy.params:

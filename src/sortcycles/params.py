@@ -1,18 +1,26 @@
 """Structural parameters, exogenous shock processes, and configuration loading.
 
-Everything here is an immutable value object.  Model code only accepts
-``ValidatedParams`` (produced by :func:`validate`), so the technology and
-distribution assumptions are enforced once, at the boundary.
+Everything here is an immutable value object that checks itself whenever it
+is built, ``dataclasses.replace`` included: a ``ModelParams`` that exists
+satisfies the technology and distribution assumptions, so model code never
+sees an unchecked point.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import DomainError
+
+
+def _require_finite_reals(obj, names: tuple[str, ...]) -> None:
+    for name in names:
+        v = getattr(obj, name)
+        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+            raise DomainError(f"{name} must be a finite real number, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -26,6 +34,11 @@ class ModelParams:
     lambda_x       rate of the exponential worker-type distribution
     lambda_theta   rate of the exponential firm-type distribution (baseline)
     sigma1, sigma2 std devs of the labor- and capital-wedge shocks
+
+    Construction raises DomainError naming the violated assumption and stores
+    every field as a Python float.  kappa = (xi-1)/xi and
+    eta_q = xi / (1 + (1-alpha-gamma)(xi-1)) are derived once per point;
+    equality and hashing read the ten fields alone.
     """
 
     alpha: float
@@ -38,60 +51,45 @@ class ModelParams:
     lambda_theta: float
     sigma1: float
     sigma2: float
+    kappa: float = field(init=False, repr=False, compare=False)
+    eta_q: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _require_finite_reals(self, _PARAM_KEYS)
+        if not self.alpha > 0.0:
+            raise DomainError(f"alpha must be positive, got {self.alpha}")
+        if not self.gamma > 0.0:
+            raise DomainError(f"gamma must be positive, got {self.gamma}")
+        if not self.alpha + self.gamma < 1.0:
+            raise DomainError(f"alpha+gamma must be < 1 (decreasing returns), "
+                              f"got {self.alpha + self.gamma}")
+        if not self.xi > 1.0:
+            raise DomainError(f"xi must exceed 1, got {self.xi}")
+        if not 0.0 <= self.psi <= 1.0:
+            raise DomainError(f"psi must lie in [0, 1], got {self.psi}")
+        if not self.lambda_x > 0.0:
+            raise DomainError(f"lambda_x must be positive, got {self.lambda_x}")
+        if not self.lambda_theta > 0.0:
+            raise DomainError(f"lambda_theta must be positive, got {self.lambda_theta}")
+        if not self.sigma1 >= 0.0:
+            raise DomainError(f"sigma1 must be nonnegative, got {self.sigma1}")
+        if not self.sigma2 >= 0.0:
+            raise DomainError(f"sigma2 must be nonnegative, got {self.sigma2}")
+        if not 0.0 < self.beta < 1.0:
+            raise DomainError(f"beta must lie in (0, 1), got {self.beta}")
+        if not 0.0 <= self.delta <= 1.0:
+            raise DomainError(f"delta must lie in [0, 1], got {self.delta}")
+        for name in _PARAM_KEYS:
+            value = getattr(self, name)
+            if type(value) is not float:  # skips the write for a replaced point's old fields
+                object.__setattr__(self, name, float(value))
+        object.__setattr__(self, "kappa", (self.xi - 1.0) / self.xi)
+        object.__setattr__(self, "eta_q",
+                           self.xi / (1.0 + (1.0 - self.alpha - self.gamma) * (self.xi - 1.0)))
 
 
-@dataclass(frozen=True)
-class ValidatedParams(ModelParams):
-    """ModelParams that passed :func:`validate`; safe for all downstream operations."""
-
-    @property
-    def kappa(self) -> float:
-        return (self.xi - 1.0) / self.xi
-
-    @property
-    def eta_q(self) -> float:
-        return self.xi / (1.0 + (1.0 - self.alpha - self.gamma) * (self.xi - 1.0))
-
-
-def _require_finite_reals(obj, names: tuple[str, ...]) -> None:
-    for name in names:
-        v = getattr(obj, name)
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-            raise DomainError(f"{name} must be a finite real number, got {v!r}")
-
-
-def validate(params: ModelParams) -> ValidatedParams:
-    """Check the maintained assumptions and wrap the values as validated.
-
-    Raises DomainError naming the violated constraint.  Idempotent: validating
-    a ValidatedParams returns an equal object.
-    """
-    p = params
-    _require_finite_reals(p, ("alpha", "gamma", "delta", "beta", "xi", "psi", "lambda_x",
-                              "lambda_theta", "sigma1", "sigma2"))
-    if not p.alpha > 0.0:
-        raise DomainError(f"alpha must be positive, got {p.alpha}")
-    if not p.gamma > 0.0:
-        raise DomainError(f"gamma must be positive, got {p.gamma}")
-    if not p.alpha + p.gamma < 1.0:
-        raise DomainError(f"alpha+gamma must be < 1 (decreasing returns), got {p.alpha + p.gamma}")
-    if not p.xi > 1.0:
-        raise DomainError(f"xi must exceed 1, got {p.xi}")
-    if not 0.0 <= p.psi <= 1.0:
-        raise DomainError(f"psi must lie in [0, 1], got {p.psi}")
-    if not p.lambda_x > 0.0:
-        raise DomainError(f"lambda_x must be positive, got {p.lambda_x}")
-    if not p.lambda_theta > 0.0:
-        raise DomainError(f"lambda_theta must be positive, got {p.lambda_theta}")
-    if not p.sigma1 >= 0.0:
-        raise DomainError(f"sigma1 must be nonnegative, got {p.sigma1}")
-    if not p.sigma2 >= 0.0:
-        raise DomainError(f"sigma2 must be nonnegative, got {p.sigma2}")
-    if not 0.0 < p.beta < 1.0:
-        raise DomainError(f"beta must lie in (0, 1), got {p.beta}")
-    if not 0.0 <= p.delta <= 1.0:
-        raise DomainError(f"delta must lie in [0, 1], got {p.delta}")
-    return ValidatedParams(**{f.name: float(getattr(p, f.name)) for f in fields(ModelParams)})
+#: the fields a config's "params" object holds: the ten constructor arguments
+_PARAM_KEYS = tuple(f.name for f in fields(ModelParams) if f.init)
 
 
 @dataclass(frozen=True)
@@ -178,11 +176,12 @@ def stationary_distribution(chain: MarkovChain2) -> tuple[float, float]:
 
 # --- JSON configuration -----------------------------------------------------
 
-_PARAM_KEYS = tuple(f.name for f in fields(ModelParams))
 _CHAIN_KEYS = ("z_high", "p_stay_low", "p_stay_high", "z_low")
 
 
-def _require_keys(section: dict, allowed: tuple[str, ...], required: tuple[str, ...], where: str) -> None:
+def require_keys(section: dict, allowed: tuple[str, ...], required: tuple[str, ...], where: str) -> None:
+    """DomainError naming ``where`` unless every key of ``section`` is allowed
+    and every required key is present."""
     unknown = sorted(set(section) - set(allowed))
     if unknown:
         raise DomainError(f"unknown key(s) in {where}: {', '.join(unknown)}")
@@ -205,7 +204,7 @@ def read_json_object(path: str | Path, what: str) -> dict:
     return raw
 
 
-def load_config(path: str | Path) -> tuple[ValidatedParams, MarkovChain2]:
+def load_config(path: str | Path) -> tuple[ModelParams, MarkovChain2]:
     """Read a {"params": {...}, "chain": {...}} JSON file.
 
     Field names must match the dataclasses exactly; unknown keys are an error
@@ -213,20 +212,16 @@ def load_config(path: str | Path) -> tuple[ValidatedParams, MarkovChain2]:
     defaults.
     """
     raw = read_json_object(path, "config")
-    _require_keys(raw, ("params", "chain"), ("params", "chain"), "config root")
+    require_keys(raw, ("params", "chain"), ("params", "chain"), "config root")
     if not isinstance(raw["params"], dict) or not isinstance(raw["chain"], dict):
         raise DomainError("'params' and 'chain' must be JSON objects")
-    _require_keys(raw["params"], _PARAM_KEYS, _PARAM_KEYS, "'params'")
-    _require_keys(raw["chain"], _CHAIN_KEYS, _CHAIN_KEYS[:3], "'chain'")
-    params = validate(ModelParams(**raw["params"]))
-    chain = MarkovChain2(**raw["chain"])
-    return params, chain
+    require_keys(raw["params"], _PARAM_KEYS, _PARAM_KEYS, "'params'")
+    require_keys(raw["chain"], _CHAIN_KEYS, _CHAIN_KEYS[:3], "'chain'")
+    return ModelParams(**raw["params"]), MarkovChain2(**raw["chain"])
 
 
-def published_calibration() -> tuple[ValidatedParams, MarkovChain2]:
+def published_calibration() -> tuple[ModelParams, MarkovChain2]:
     """The published annual calibration (fixed block plus calibrated block)."""
-    params = validate(ModelParams(
-        alpha=0.3, gamma=0.6, delta=0.10, beta=0.96, xi=9.0,
-        psi=0.4022, lambda_x=0.8681, lambda_theta=2.6160, sigma1=0.2293, sigma2=0.0,
-    ))
+    params = ModelParams(alpha=0.3, gamma=0.6, delta=0.10, beta=0.96, xi=9.0, psi=0.4022,
+                         lambda_x=0.8681, lambda_theta=2.6160, sigma1=0.2293, sigma2=0.0)
     return params, PUBLISHED_CHAIN

@@ -34,7 +34,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import BracketFailure, DomainError, NonFinite, NoRoot, UnboundedCapitalDemand
-from .params import AggregateShockState, ValidatedParams
+from .params import AggregateShockState, ModelParams
 
 #: |log x| above which exp(x) is treated as an overflow rather than a value
 EXP_CAP = 700.0
@@ -51,7 +51,7 @@ def _exp_checked(logx: float) -> float:
     return math.exp(logx)
 
 
-def _job_equation(params: ValidatedParams, shock: AggregateShockState):
+def _job_equation(params: ModelParams, shock: AggregateShockState):
     """(G, b, T): the job-distribution residual G(lam) = b (lam/lambda_x)^psi + lam - T,
     with b, d and T = d z + lambda_theta computed once for every evaluation.
     b may take either sign; d > 0 scales the market-efficiency shock."""
@@ -67,7 +67,7 @@ def _job_equation(params: ValidatedParams, shock: AggregateShockState):
     return G, b, target
 
 
-def _root_bracket(params: ValidatedParams, G, b: float, target: float) -> float:
+def _root_bracket(params: ModelParams, G, b: float, target: float) -> float:
     """The top of the sign-change bracket [0, hi] of the G of :func:`_job_equation`.
     It starts at the analytic upper bound T + |b| (1 + T/lambda_x)^psi + 1 and
     is doubled while G is still negative there, which can happen for extreme
@@ -82,7 +82,7 @@ def _root_bracket(params: ValidatedParams, G, b: float, target: float) -> float:
     raise NoRoot("failed to bracket the job-distribution root")
 
 
-def solve_lambda(params: ValidatedParams, shock: AggregateShockState) -> float:
+def solve_lambda(params: ModelParams, shock: AggregateShockState) -> float:
     """Unique nonnegative root of the job-distribution equation.
 
     The root always lies on the increasing branch of G (strict convexity when
@@ -146,7 +146,7 @@ def solve_lambda(params: ValidatedParams, shock: AggregateShockState) -> float:
                  f"(stalled at residual {G(x):.3g})")
 
 
-def _type_loadings(params: ValidatedParams, shock: AggregateShockState,
+def _type_loadings(params: ModelParams, shock: AggregateShockState,
                    lambda_t: float) -> tuple[float, float]:
     """(ratio, eta_q_theta): the type ratio (lambda_t/lambda_x)^psi, log TFPQ's slope
     in firm type, and log output's type loading -gamma z + (1 - psi) ratio."""
@@ -154,14 +154,14 @@ def _type_loadings(params: ValidatedParams, shock: AggregateShockState,
     return ratio, -params.gamma * shock.z + (1.0 - params.psi) * ratio
 
 
-def tfpr_type_loading(params: ValidatedParams, shock: AggregateShockState,
+def tfpr_type_loading(params: ModelParams, shock: AggregateShockState,
                       lambda_t: float) -> float:
     """Slope of log TFPR in firm type, (lambda_t/lambda_x)^psi - eta_q eta_q_theta / xi."""
     ratio, eta_q_theta = _type_loadings(params, shock, lambda_t)
     return ratio - params.eta_q * eta_q_theta / params.xi
 
 
-def dispersions(params: ValidatedParams, shock: AggregateShockState,
+def dispersions(params: ModelParams, shock: AggregateShockState,
                 lambda_t: float) -> tuple[float, float, float]:
     """(var_log_wage, var_log_tfpq, var_log_tfpr) in closed form.
 
@@ -203,7 +203,7 @@ class Coefficients:
     margin: float
 
 
-def coefficients(params: ValidatedParams, shock: AggregateShockState, lambda_t: float) -> Coefficients:
+def coefficients(params: ModelParams, shock: AggregateShockState, lambda_t: float) -> Coefficients:
     """Evaluate the coefficient block at a solved lambda_t."""
     a, g = params.alpha, params.gamma
     kappa = params.kappa
@@ -254,7 +254,7 @@ class StaticEquilibrium:
     Y_d: float
     shock: AggregateShockState
     K: float
-    params: ValidatedParams  # carried for derived measures; not part of the wire format
+    params: ModelParams  # carried for derived measures; not part of the wire format
 
     @property
     def household_income(self) -> float:
@@ -265,7 +265,7 @@ class StaticEquilibrium:
         return self.Y_l / self.Y
 
 
-def aggregates(params: ValidatedParams, shock: AggregateShockState, lambda_t: float,
+def aggregates(params: ModelParams, shock: AggregateShockState, lambda_t: float,
                coeffs: Coefficients, K: float) -> StaticEquilibrium:
     """Aggregate prices and quantities, evaluated in the order
     M, w0, C_in, Q_bar, Y, R and then the scale constants chi_bar, k_bar, l_bar.
@@ -321,7 +321,7 @@ def aggregates(params: ValidatedParams, shock: AggregateShockState, lambda_t: fl
     )
 
 
-def _factor_incomes_from(params: ValidatedParams, shock: AggregateShockState,
+def _factor_incomes_from(params: ModelParams, shock: AggregateShockState,
                          coeffs: Coefficients, chi_q: float) -> tuple[float, float, float]:
     """(Y_l, Y_k, Y_d): labor income, capital income, distributed profits.
 
@@ -338,7 +338,7 @@ def _factor_incomes_from(params: ValidatedParams, shock: AggregateShockState,
     return (y_l, y_k, y_d)
 
 
-def solve_static(params: ValidatedParams, shock: AggregateShockState, K: float) -> StaticEquilibrium:
+def solve_static(params: ModelParams, shock: AggregateShockState, K: float) -> StaticEquilibrium:
     """Full within-period solve: lambda_t, coefficients, aggregates."""
     lam = solve_lambda(params, shock)
     coeffs = coefficients(params, shock, lam)
@@ -354,7 +354,7 @@ def measured_tfp(eq: StaticEquilibrium) -> float:
     return math.log(eq.Y) - eq.params.alpha * math.log(eq.K)
 
 
-def steady_state(params: ValidatedParams, z_fixed: float, A: float = 1.0) -> tuple[float, float]:
+def steady_state(params: ModelParams, z_fixed: float, A: float = 1.0) -> tuple[float, float]:
     """Deterministic steady state (K*, C*) of the fixed-shock economy.
 
     K* solves beta (R(K*) + 1 - delta) = 1 by bisection on the aggregates of

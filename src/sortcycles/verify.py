@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .params import AggregateShockState, ModelParams, ValidatedParams, validate
+from .params import AggregateShockState, ModelParams
 from .rng import block_uniforms, exponential_icdf
 from .errors import NoRoot
 from .statics import (StaticEquilibrium, dispersions, solve_lambda, solve_static,
@@ -220,7 +220,7 @@ def worker_clearing_residual(eq: StaticEquilibrium, x_samples: np.ndarray,
 # --- comparative-statics harness ---------------------------------------------
 
 
-def random_valid_params(n: int, seed: int) -> list[ValidatedParams]:
+def random_valid_params(n: int, seed: int) -> list[ModelParams]:
     """Seeded draws from the interior of the admissible parameter region.
 
     psi stays inside (0, 1) so the uniqueness argument applies with the power
@@ -230,7 +230,7 @@ def random_valid_params(n: int, seed: int) -> list[ValidatedParams]:
     economically meaningful scale and double precision cannot express the
     residual) are rejected and redrawn.
     """
-    out: list[ValidatedParams] = []
+    out: list[ModelParams] = []
     shock_max = AggregateShockState(z=Z_MAX)
     block = 0
     while len(out) < n:
@@ -246,9 +246,8 @@ def random_valid_params(n: int, seed: int) -> list[ValidatedParams]:
         sigma2 = 0.5 * u[7]
         beta = 0.90 + 0.08 * u[8]
         delta = 0.02 + 0.2 * u[9]
-        candidate = validate(ModelParams(alpha=alpha, gamma=gamma, delta=delta, beta=beta,
-                                         xi=xi, psi=psi, lambda_x=lam_x, lambda_theta=lam_th,
-                                         sigma1=sigma1, sigma2=sigma2))
+        candidate = ModelParams(alpha=alpha, gamma=gamma, delta=delta, beta=beta, xi=xi, psi=psi,
+                                lambda_x=lam_x, lambda_theta=lam_th, sigma1=sigma1, sigma2=sigma2)
         try:
             lam_hi = solve_lambda(candidate, shock_max)
         except NoRoot:  # pragma: no cover - collapse handling makes this rare
@@ -330,7 +329,7 @@ def proposition_suite(params_grid) -> VerificationReport:
 # --- full report --------------------------------------------------------------
 
 
-def run_verification(params: ValidatedParams, shocks: list[AggregateShockState],
+def run_verification(params: ModelParams, shocks: list[AggregateShockState],
                      n_prop_points: int = 100) -> VerificationReport:
     """All oracles at the given shock states, each solved at K=1, plus the
     proposition suite on ``n_prop_points`` parameter draws of seed 2718.

@@ -509,6 +509,13 @@ class TestTargetSet:
         with pytest.raises(sc.DomainError, match="at least one weight must be positive"):
             sc.TargetSet(weights=weights)
 
+    def test_weights_are_held_as_a_tuple_of_floats(self):
+        # a list from a JSON file would leave the frozen set unhashable and mutable
+        targets = sc.TargetSet(weights=[1, 2.0, 1, 1, 0])
+        assert targets.weights == (1.0, 2.0, 1.0, 1.0, 0.0)
+        assert all(type(w) is float for w in targets.weights)
+        assert hash(targets) == hash(sc.TargetSet(weights=(1.0, 2.0, 1.0, 1.0, 0.0)))
+
 
 class TestAssemble:
     def test_fixed_block_is_preserved(self, table_module, truth):

@@ -89,8 +89,8 @@ class TestPeriodBlock:
 EXPORTED = {
     "errors": ("BracketFailure", "DomainError", "EmptyPanel", "GridExit", "NoConvergence",
                "NonFinite", "NoRoot", "SortCyclesError", "UnboundedCapitalDemand"),
-    "params": ("AggregateShockState", "MarkovChain2", "ModelParams", "ValidatedParams",
-               "load_config", "stationary_distribution", "published_calibration", "validate"),
+    "params": ("AggregateShockState", "MarkovChain2", "ModelParams", "load_config",
+               "stationary_distribution", "published_calibration"),
     "statics": ("Coefficients", "StaticEquilibrium", "aggregates", "coefficients", "dispersions",
                 "measured_tfp", "solve_lambda", "solve_static", "steady_state"),
     "firms": ("CrossSectionMoments", "matching", "panel_moments", "wage"),

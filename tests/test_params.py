@@ -15,26 +15,28 @@ from .oracles import InvalidProcess, ThetaRedrawProcess
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
+#: the published calibration's parameters, as a config's "params" object holds them
+PUBLISHED = dict(alpha=0.3, gamma=0.6, delta=0.10, beta=0.96, xi=9.0, psi=0.4022,
+                 lambda_x=0.8681, lambda_theta=2.6160, sigma1=0.2293, sigma2=0.0)
+
+
 def make_params(**overrides):
-    base = dict(alpha=0.3, gamma=0.6, delta=0.10, beta=0.96, xi=9.0, psi=0.4022,
-                lambda_x=0.8681, lambda_theta=2.6160, sigma1=0.2293, sigma2=0.0)
-    base.update(overrides)
-    return sc.ModelParams(**base)
+    return sc.ModelParams(**{**PUBLISHED, **overrides})
 
 
 class TestValidate:
     def test_published_calibration_is_valid(self):
-        p = sc.validate(make_params())
-        assert isinstance(p, sc.ValidatedParams)
+        p = make_params()
+        assert isinstance(p, sc.ModelParams)
         assert p.kappa == pytest.approx(8.0 / 9.0, abs=0)
 
     def test_alpha_plus_gamma_boundary(self):
         with pytest.raises(DomainError, match="alpha\\+gamma"):
-            sc.validate(make_params(alpha=0.5, gamma=0.5))
+            make_params(alpha=0.5, gamma=0.5)
 
     def test_psi_outside_unit_interval(self):
         with pytest.raises(DomainError, match="psi"):
-            sc.validate(make_params(psi=1.2))
+            make_params(psi=1.2)
 
     @pytest.mark.parametrize("field,value", [
         ("alpha", 0.0), ("gamma", -0.1), ("xi", 1.0), ("lambda_x", 0.0),
@@ -43,16 +45,33 @@ class TestValidate:
     ])
     def test_each_constraint_is_enforced(self, field, value):
         with pytest.raises(DomainError, match=field):
-            sc.validate(make_params(**{field: value}))
+            make_params(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("alpha", 0.9), ("xi", 1.0), ("psi", -0.1), ("beta", 1.0), ("sigma1", float("inf")),
+    ])
+    def test_replace_checks_the_new_point(self, field, value):
+        # replace builds through the constructor, so it cannot skip the checks
+        with pytest.raises(DomainError, match=field):
+            dataclasses.replace(make_params(), **{field: value})
+
+    def test_holds_python_floats(self):
+        # configs may give ints ("xi": 9, "sigma2": 0) and array code numpy scalars
+        p = make_params(xi=9, sigma2=0, delta=np.float64(0.1), alpha=np.float64(0.3))
+        assert p == make_params()
+        for q in (p, dataclasses.replace(p, psi=np.float64(0.5), lambda_x=2)):
+            for f in dataclasses.fields(q):
+                assert type(getattr(q, f.name)) is float, f.name
 
     def test_idempotent(self):
-        p1 = sc.validate(make_params())
-        p2 = sc.validate(p1)
+        # rebuilding a checked point from its fields gives an equal point
+        p1 = make_params()
+        p2 = dataclasses.replace(p1)
         assert p1 == p2
 
     def test_derived_constants_follow_a_replaced_point(self):
         # kappa and eta_q derive from the fields: a replaced point reads its own
-        p = sc.validate(make_params())
+        p = make_params()
         at_9 = (8.0 / 9.0, 9.0 / (1.0 + (1.0 - 0.3 - 0.6) * 8.0))
         assert (p.kappa, p.eta_q) == at_9
         q = dataclasses.replace(p, xi=5.0)
@@ -62,23 +81,22 @@ class TestValidate:
         assert q != p and dataclasses.replace(q, xi=9.0) == p
         assert hash(dataclasses.replace(q, xi=9.0)) == hash(p)
 
-    @given(st.builds(
-        make_params,
+    @given(st.fixed_dictionaries(dict(
         alpha=st.floats(-1.0, 2.0),
         gamma=st.floats(-1.0, 2.0),
         xi=st.floats(0.0, 50.0),
         psi=st.floats(-0.5, 1.5),
         beta=st.floats(-0.5, 1.5),
         delta=st.floats(-0.5, 1.5),
-    ))
+    )))
     @settings(max_examples=60, deadline=None)
-    def test_total_over_finite_reals(self, params):
-        # either a ValidatedParams or a DomainError, never another exception
+    def test_total_over_finite_reals(self, overrides):
+        # either a valid point or a DomainError, never another exception
         try:
-            out = sc.validate(params)
+            out = make_params(**overrides)
         except DomainError:
             return
-        assert isinstance(out, sc.ValidatedParams)
+        assert isinstance(out, sc.ModelParams)
 
 
 class TestShockState:
@@ -95,6 +113,11 @@ class TestShockState:
         with pytest.raises(DomainError):
             sc.AggregateShockState(z=-0.01)
 
+    @pytest.mark.parametrize("field,value", [("z", -0.01), ("A", 0.0)])
+    def test_replace_checks_the_new_state(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            dataclasses.replace(sc.AggregateShockState(z=0.1), **{field: value})
+
 
 class TestMarkovChain:
     def test_boom_z_above_recession_z_rejected(self):
@@ -106,6 +129,14 @@ class TestMarkovChain:
     def test_equal_states_admitted(self):
         chain = sc.MarkovChain2(z_high=0.3, p_stay_low=0.9, p_stay_high=0.7, z_low=0.3)
         assert chain.z_states == (0.3, 0.3)
+
+    @pytest.mark.parametrize("field,value", [
+        ("p_stay_low", 1.5), ("p_stay_high", -0.1), ("z_high", -0.1), ("z_low", 0.5),
+    ])
+    def test_replace_checks_the_new_chain(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            dataclasses.replace(sc.MarkovChain2(z_high=0.3984, p_stay_low=0.977,
+                                                p_stay_high=0.688), **{field: value})
 
 
 class TestStationaryDistribution:
@@ -168,7 +199,7 @@ class TestConfigLoading:
 
     def good_payload(self):
         return {
-            "params": dataclasses.asdict(make_params()),
+            "params": dict(PUBLISHED),
             "chain": {"z_high": 0.3984, "p_stay_low": 0.977, "p_stay_high": 0.688},
         }
 

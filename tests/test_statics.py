@@ -16,9 +16,7 @@ LAMBDA_RECESSION = 1.5612864644124769
 
 
 def with_params(params, **overrides):
-    fields = {f.name: getattr(params, f.name) for f in dataclasses.fields(sc.ModelParams)}
-    fields.update(overrides)
-    return sc.validate(sc.ModelParams(**fields))
+    return dataclasses.replace(params, **overrides)
 
 
 class TestSolveLambda:
@@ -127,9 +125,8 @@ class TestSolveLambda:
         # floor of G's terms, which is a representation limit, not a solver
         # property.
         gamma = gamma_frac * (0.97 - alpha)
-        p = sc.validate(sc.ModelParams(alpha=alpha, gamma=gamma, delta=0.1, beta=0.96,
-                                       xi=xi, psi=psi, lambda_x=lam_x, lambda_theta=lam_th,
-                                       sigma1=0.1, sigma2=0.0))
+        p = sc.ModelParams(alpha=alpha, gamma=gamma, delta=0.1, beta=0.96, xi=xi, psi=psi,
+                           lambda_x=lam_x, lambda_theta=lam_th, sigma1=0.1, sigma2=0.0)
         shock = sc.AggregateShockState(z=z)
         lam = sc.solve_lambda(p, shock)
         assert lam >= 0.0

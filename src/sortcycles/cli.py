@@ -5,33 +5,28 @@ Exit codes: 0 success, 1 domain error, 2 usage error, 3 verification failure.
 
 Every file this tool writes is a pure function of (config, flags, seed):
 JSON floats are written as the shortest repr that round-trips, CSV cells
-as ``"%.17g" % x`` gives them (formatted in numpy by :mod:`csvtext`, 512
-rows at a time; the cells that ``%.17g`` prints in exponent notation, inf,
-nan and exact ties go to ``%.17g`` itself, so the bytes are the same), key
-order is fixed, and no timestamps appear, so reruns are byte-identical.  A
-JSON artifact that would hold NaN or Infinity is a domain error instead, and
-so is an artifact that cannot be written (exit 1, one ``error:`` line).
+as ``"%.17g" % x`` gives them (formatted in numpy by :mod:`csvtext`), key
+order is fixed, and no timestamps appear, so reruns are byte-identical.
 All randomness descends from the single --seed through named streams.
 --threads (at least 1) sets the processes ``moments`` reduces its panel
 with, capped at the cores available and the panel's chunks; the other
 subcommands ignore it, and every artifact is the same for every value.  A
 run that needs more memory than it can have is a domain error.
 
+Artifacts appear whole or not at all: each is written to a new temporary
+beside it in --out, opened before the work, and all move into place after
+it.  One that cannot be written, or a JSON one that would hold NaN or
+Infinity, is a domain error (exit 1, one ``error:`` line); a path that was
+a symlink or had a mode of its own becomes a new file with the default
+mode.  The summary line follows the artifacts; a closed stdout drops it.
+
 Each subcommand imports the modules it runs when it runs.  Parsing, --help
 and every usage error (exit 2) load the standard library alone, and reading
 the config adds only ``errors`` and ``params``.  ``solve`` adds ``statics``
 and so needs the standard library alone too; every other subcommand loads
 numpy.  Only the subcommands that write a CSV file (``simulate``, ``irf``
-and ``moments --panel-csv``) load ``csvtext``, whose kernel and tables cost
-about 1.5 ms to compile and build; ``moments`` loads it before it forks.
-
-A CLI process (``main``) runs with the cyclic garbage collector off and
-freezes its heap before it exits.  Loading numpy would otherwise trigger
-some 34 collector passes, and interpreter shutdown a forced full collection
-over about 22,000 tracked objects; together they find only the ~750
-unreachable objects the imports leave behind, and no run leaves more cyclic
-garbage the longer it runs, so skipping them costs nothing.  ``run`` itself
-leaves the collector as it finds it, so an in-process caller keeps its own.
+and ``moments --panel-csv``) load ``csvtext``; ``moments`` loads it before
+it forks.
 """
 
 from __future__ import annotations
@@ -43,8 +38,9 @@ import gc
 import json
 import os
 import sys
+from collections.abc import Iterator, Sequence
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TextIO
 
 from .errors import NonFinite, SortCyclesError
 from .params import AggregateShockState, load_config, read_json_object, require_keys
@@ -71,19 +67,47 @@ def _number(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_json(files: dict[str, TextIO], name: str, payload: dict) -> None:
     try:
         text = json.dumps(payload, indent=2, sort_keys=False, allow_nan=False, default=_number)
     except ValueError as exc:
-        raise NonFinite(f"{path.name} would hold a non-finite number") from exc
+        raise NonFinite(f"{name} would hold a non-finite number") from exc
+    files[name].write(text + "\n")
+
+
+@contextlib.contextmanager
+def _artifacts(out: Path, names: Sequence[str]) -> Iterator[dict[str, TextIO]]:
+    """Name -> a handle on a new temporary beside that artifact, moved into place
+    after the block; a failure names the artifact at hand, else the first."""
+    files = {}
     try:
-        path.write_text(text + "\n")
-    except OSError as exc:
-        raise SortCyclesError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        for path in map(out.joinpath, names):
+            if path.is_dir():
+                raise SortCyclesError(f"cannot write {path}: Is a directory")
+            files[path] = out.joinpath(f".{path.name}.{os.getpid()}.tmp").open("x")
+        path = out / names[0]
+        yield {target.name: fh for target, fh in files.items()}
+        for path, fh in files.items():
+            fh.close()
+        for path, fh in files.items():
+            os.replace(fh.name, path)
+    except BaseException as exc:
+        for fh in files.values():
+            with contextlib.suppress(OSError):
+                fh.close()
+            Path(fh.name).unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise SortCyclesError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise
 
 
 def _summary(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=False, default=_number) + "\n")
+    # a closed stdout loses only this line; os.devnull takes the flush at exit
+    try:
+        sys.stdout.write(json.dumps(payload, sort_keys=False, default=_number) + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _equilibrium_payload(eq: StaticEquilibrium) -> dict:
@@ -167,16 +191,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_solve(args, params, chain, out):
+def _cmd_solve(args, params, chain, files):
     from . import statics
 
     shock = AggregateShockState(z=args.z, A=args.A)
     K = args.K if args.K is not None else statics.steady_state(params, args.z, args.A)[0]
     eq = statics.solve_static(params, shock, K)
-    _write_json(out / "equilibrium.json", _equilibrium_payload(eq))
-    _summary({"subcommand": "solve", "z": args.z, "lambda_t": eq.lambda_t, "Y": eq.Y,
-              "out": str(out / "equilibrium.json")})
-    return EXIT_OK
+    _write_json(files, "equilibrium.json", _equilibrium_payload(eq))
+    return EXIT_OK, {"subcommand": "solve", "z": args.z, "lambda_t": eq.lambda_t, "Y": eq.Y,
+                     "out": str(Path(args.out, "equilibrium.json"))}
 
 
 def _cores() -> int:
@@ -188,50 +211,44 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _cmd_moments(args, params, chain, out):
+def _cmd_moments(args, params, chain, files):
     from . import firms, statics
 
     shock = AggregateShockState(z=args.z, A=args.A)
     K = args.K if args.K is not None else statics.steady_state(params, args.z, args.A)[0]
     eq = statics.solve_static(params, shock, K)
     workers = min(args.threads, _cores())
-    panel, write_rows = contextlib.nullcontext(), None
-    if args.panel_csv:
+    panel, write_rows = files.get("panel.csv"), None
+    if panel is not None:
         from . import csvtext  # before panel_moments forks its workers
 
-        panel = csvtext.csv_file(out / "panel.csv", firms.PANEL_COLUMNS)
+        panel.write(",".join(firms.PANEL_COLUMNS) + "\n")
         write_rows = csvtext.write_rows
-    # moments.json is written inside the panel's block, so a run that cannot
-    # write it leaves no panel.csv either
-    with panel as fh:
-        moments = firms.panel_moments(eq, args.n_firms, args.seed, workers, fh, write_rows)
-        payload = dataclasses.asdict(moments)
-        _write_json(out / "moments.json", payload)
-    _summary({"subcommand": "moments", **payload})
-    return EXIT_OK
+    moments = firms.panel_moments(eq, args.n_firms, args.seed, workers, panel, write_rows)
+    payload = dataclasses.asdict(moments)
+    _write_json(files, "moments.json", payload)
+    return EXIT_OK, {"subcommand": "moments", **payload}
 
 
-def _cmd_simulate(args, params, chain, out):
+def _cmd_simulate(args, params, chain, files):
     from . import csvtext, dynamics
 
     policy = dynamics.solve_policy(params, chain, grid_spec=dynamics.GridSpec(n=args.grid_size))
     path = dynamics.simulate(policy, T=args.T, burn_in=args.burn_in, seed=args.seed)
-    csvtext.write_csv(out / "path.csv", path.columns())
-    _summary({"subcommand": "simulate", **path.moments()})
-    return EXIT_OK
+    csvtext.write_csv(files["path.csv"], path.columns())
+    return EXIT_OK, {"subcommand": "simulate", **path.moments()}
 
 
-def _cmd_irf(args, params, chain, out):
+def _cmd_irf(args, params, chain, files):
     from . import csvtext, dynamics
 
     policy = dynamics.solve_policy(params, chain, grid_spec=dynamics.GridSpec(n=args.grid_size))
     irf = dynamics.impulse_response(policy, horizon=args.horizon, n_sims=args.n_sims,
                                     seed=args.seed)
     cols = irf.columns()
-    csvtext.write_csv(out / "irf.csv", cols)
-    _summary({"subcommand": "irf", "n_episodes": irf.n_episodes,
-              **{f"impact_{name}": float(col[0]) for name, col in cols.items() if name != "h"}})
-    return EXIT_OK
+    csvtext.write_csv(files["irf.csv"], cols)
+    impacts = {f"impact_{name}": float(col[0]) for name, col in cols.items() if name != "h"}
+    return EXIT_OK, {"subcommand": "irf", "n_episodes": irf.n_episodes, **impacts}
 
 
 def _load_targets(path: str | None) -> TargetSet:
@@ -245,7 +262,7 @@ def _load_targets(path: str | None) -> TargetSet:
     return TargetSet(**raw)
 
 
-def _cmd_calibrate(args, params, chain, out):
+def _cmd_calibrate(args, params, chain, files):
     from . import calibrate
 
     targets = _load_targets(args.targets)
@@ -256,32 +273,32 @@ def _cmd_calibrate(args, params, chain, out):
     payload = {"params": result.params, "objective": result.objective,
                "moments": result.moments, "n_evaluations": result.n_evaluations,
                "seed": result.seed, "n_starts": result.n_starts}
-    _write_json(out / "calibration.json", payload)
-    _summary({"subcommand": "calibrate", "objective": result.objective, **result.params})
-    return EXIT_OK
+    _write_json(files, "calibration.json", payload)
+    return EXIT_OK, {"subcommand": "calibrate", "objective": result.objective, **result.params}
 
 
-def _cmd_verify(args, params, chain, out):
+def _cmd_verify(args, params, chain, files):
     from . import verify
 
     shocks = [AggregateShockState(z=z) for z in chain.z_states]
     report = verify.run_verification(params, shocks, n_prop_points=args.n_prop_points)
     payload = {"passed": report.passed,
                "checks": [dataclasses.asdict(c) for c in report.checks]}
-    _write_json(out / "verify.json", payload)
+    _write_json(files, "verify.json", payload)
     n_fail = sum(0 if c.passed else 1 for c in report.checks)
-    _summary({"subcommand": "verify", "passed": report.passed,
-              "n_checks": len(report.checks), "n_failed": n_fail})
-    return EXIT_OK if report.passed else EXIT_VERIFY
+    return EXIT_OK if report.passed else EXIT_VERIFY, {
+        "subcommand": "verify", "passed": report.passed, "n_checks": len(report.checks),
+        "n_failed": n_fail}
 
 
+#: subcommand -> (its function, its artifact); ``--panel-csv`` puts panel.csv first
 _DISPATCH = {
-    "solve": _cmd_solve,
-    "moments": _cmd_moments,
-    "simulate": _cmd_simulate,
-    "irf": _cmd_irf,
-    "calibrate": _cmd_calibrate,
-    "verify": _cmd_verify,
+    "solve": (_cmd_solve, "equilibrium.json"),
+    "moments": (_cmd_moments, "moments.json"),
+    "simulate": (_cmd_simulate, "path.csv"),
+    "irf": (_cmd_irf, "irf.csv"),
+    "calibrate": (_cmd_calibrate, "calibration.json"),
+    "verify": (_cmd_verify, "verify.json"),
 }
 
 
@@ -317,18 +334,23 @@ def run(argv=None) -> int:
         except OSError as exc:
             raise SortCyclesError(f"output directory {out} is not writable: {exc}") from exc
         params, chain = load_config(args.params)
-        return _DISPATCH[args.subcommand](args, params, chain, out)
+        command, name = _DISPATCH[args.subcommand]
+        names = ("panel.csv", name) if getattr(args, "panel_csv", False) else (name,)
+        with _artifacts(out, names) as files:
+            code, summary = command(args, params, chain, files)
     except SortCyclesError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DOMAIN
     except MemoryError as exc:
         sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return EXIT_DOMAIN
+    _summary(summary)
+    return code
 
 
 def main() -> None:
-    """The process's entry point: ``run`` with the cyclic collector off, and
-    the heap frozen before shutdown (see the module docstring)."""
+    """The process's entry point: ``run`` with the cyclic collector off and the
+    heap frozen before exit, whose passes would find only the imports' garbage."""
     gc.disable()
     code = run()
     gc.freeze()

@@ -1,4 +1,4 @@
-"""CSV text: a file's bytes, each cell as ``"%.17g" % x`` gives it.
+"""CSV text, to a handle the caller opens, each cell as ``"%.17g" % x`` gives it.
 
 Cells are formatted in numpy, a block of rows at a time.  A double x that
 ``%.17g`` prints in fixed notation has E = floor(log10|x|) in [-4, 16], so
@@ -19,14 +19,10 @@ the next decade.  So the bytes are those of ``%.17g``.
 
 from __future__ import annotations
 
-import contextlib
-from collections.abc import Iterator, Sequence
-from pathlib import Path
+from collections.abc import Sequence
 from typing import TextIO
 
 import numpy as np
-
-from .errors import SortCyclesError
 
 #: rows formatted per write of a CSV file
 BLOCK_ROWS = 512
@@ -142,25 +138,7 @@ def write_rows(fh: TextIO, cols: Sequence[np.ndarray]) -> None:
         fh.write(_text(_cells(block.ravel()).reshape(*block.shape, 5)))
 
 
-@contextlib.contextmanager
-def csv_file(path: Path, names: Sequence[str]) -> Iterator[TextIO]:
-    """The CSV file ``path``, open for writing after its header; it is removed
-    if the block fails, whatever the exception.  A path that cannot be opened
-    is a SortCyclesError and is left as it is."""
-    try:
-        fh = path.open("w")
-    except OSError as exc:
-        raise SortCyclesError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    try:
-        with fh:
-            fh.write(",".join(names) + "\n")
-            yield fh
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
-
-
-def write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
-    """Write ``columns``, name -> values, to the CSV file ``path``."""
-    with csv_file(path, list(columns)) as fh:
-        write_rows(fh, list(columns.values()))
+def write_csv(fh: TextIO, columns: dict[str, np.ndarray]) -> None:
+    """Write ``columns``, name -> values, to ``fh`` as a CSV table: the header, then the rows."""
+    fh.write(",".join(columns) + "\n")
+    write_rows(fh, list(columns.values()))

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -18,7 +19,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import sortcycles
-from sortcycles import calibrate, cli, csvtext, firms, verify
+from sortcycles import calibrate, cli, csvtext, dynamics, firms, verify
 
 from .oracles import INFEASIBLE, cross_section_moments_oracle, held_panel, write_csv_oracle
 from .test_firms import (CHUNK_BYTES, assert_moments_agree, failing_chunks,
@@ -582,14 +583,65 @@ class TestUnwritableArtifact:
         assert not (tmp_path / "panel.csv").exists()
 
     def test_unopenable_csv_is_kept(self, tmp_path):
-        # a file that csv_file could not open is not its to remove
+        # an artifact whose temporary could not be opened is left as it is
         path = tmp_path / "path.csv"
         path.write_text("kept\n")
         denied = PermissionError(13, "Permission denied", str(path))
         with mock.patch.object(Path, "open", side_effect=denied):
             with pytest.raises(sortcycles.SortCyclesError, match="path.csv: Permission denied"):
-                csvtext.write_csv(path, {"a": np.zeros(2)})
+                with cli._artifacts(tmp_path, ["path.csv"]) as files:
+                    csvtext.write_csv(files["path.csv"], {"a": np.zeros(2)})
         assert path.read_text() == "kept\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("argv,artifact,target", [
+        (("calibrate", "--fast", "--n-starts", "4"), "calibration.json",
+         (calibrate, "calibrate")),
+        (("simulate",), "path.csv", (dynamics, "solve_policy")),
+    ], ids=["calibrate", "simulate"])
+    def test_unwritable_artifact_fails_before_the_work(self, config_path, tmp_path, capsys,
+                                                       monkeypatch, argv, artifact, target):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the work ran")
+
+        monkeypatch.setattr(*target, refuse)
+        (tmp_path / artifact).mkdir()
+        rc = cli.run([*argv, "--params", config_path, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert artifact in err
+        assert [p.name for p in tmp_path.iterdir()] == [artifact]
+
+
+#: runs whose artifact a file-size limit of half its size cuts short; the
+#: panel's 3 chunks are cut 1 to the calling process and 2 to a forked
+#: worker, so there it is the worker's rows that pass the limit
+FILE_SIZE_CASES = {
+    "simulate": ["simulate", "--T", "3000", "--grid-size", "60"],
+    "verify": ["verify", "--n-prop-points", "2"],
+    "moments": ["moments", "--n-firms", str(3 * firms.SAMPLE_CHUNK), "--panel-csv",
+                "--threads", "2"],
+}
+
+
+class TestFileSizeLimit:
+    @pytest.mark.parametrize("name", list(FILE_SIZE_CASES))
+    def test_a_cut_short_write_keeps_the_earlier_artifacts(self, config_path, tmp_path, name):
+        argv = ["-m", "sortcycles", *FILE_SIZE_CASES[name], "--params", config_path,
+                "--out", str(tmp_path)]
+        assert _fresh_python(*argv, cwd=tmp_path).returncode == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        cap = max(map(len, before.values())) // 2
+
+        def limit():  # in the child only
+            resource.setrlimit(resource.RLIMIT_FSIZE, (cap, cap))
+
+        proc = _fresh_python(*argv, cwd=tmp_path, preexec_fn=limit)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: cannot write ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr and "File too large" in proc.stderr, proc.stderr
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def strict_json(text: str):
@@ -749,11 +801,12 @@ class TestDeterminism:
         assert capsys.readouterr().out == ('{"a": 0.10000000149011612, "b": [3, '
                                            '[0.3333333333333333]], "c": 0.1, "d": "text"}\n')
 
-    def test_json_artifacts_write_numpy_scalars_as_plain_numbers(self, tmp_path):
-        cli._write_json(tmp_path / "x.json", {"a": np.float64(0.1), "b": np.int32(-2)})
-        assert (tmp_path / "x.json").read_text() == '{\n  "a": 0.1,\n  "b": -2\n}\n'
+    def test_json_artifacts_write_numpy_scalars_as_plain_numbers(self):
+        files = {"x.json": io.StringIO(), "y.json": io.StringIO()}
+        cli._write_json(files, "x.json", {"a": np.float64(0.1), "b": np.int32(-2)})
+        assert files["x.json"].getvalue() == '{\n  "a": 0.1,\n  "b": -2\n}\n'
         with pytest.raises(TypeError):
-            cli._write_json(tmp_path / "y.json", {"a": object()})
+            cli._write_json(files, "y.json", {"a": object()})
 
 
 class TestWriteCsv:
@@ -764,7 +817,8 @@ class TestWriteCsv:
                             np.inf, -np.inf, np.nan, 0.1, 1 / 3, 2.0 ** 53 + 1])
         columns = {"t": np.arange(mixed.size), "mixed": mixed,
                    "special": np.resize(special, mixed.size)}
-        csvtext.write_csv(tmp_path / "out.csv", columns)
+        with open(tmp_path / "out.csv", "w") as fh:
+            csvtext.write_csv(fh, columns)
         # reference: one f-string per cell
         lines = [",".join(columns)]
         for i in range(mixed.size):
@@ -776,12 +830,14 @@ class TestWriteCsv:
         n = 2 * csvtext.BLOCK_ROWS + 3
         columns = {"t": np.arange(n), "a": rng.standard_normal(n),
                    "b": np.exp(50.0 * rng.standard_normal(n))}
-        csvtext.write_csv(tmp_path / "blocks.csv", columns)
+        with open(tmp_path / "blocks.csv", "w") as fh:
+            csvtext.write_csv(fh, columns)
         write_csv_oracle(tmp_path / "whole.csv", columns)
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
         # the same rows appended in uneven chunks, as panel.csv is written
         cuts = [0, 5, csvtext.BLOCK_ROWS + 6, n]
-        with csvtext.csv_file(tmp_path / "chunks.csv", list(columns)) as fh:
+        with open(tmp_path / "chunks.csv", "w") as fh:
+            fh.write(",".join(columns) + "\n")
             for a, b in zip(cuts, cuts[1:]):
                 csvtext.write_rows(fh, [col[a:b] for col in columns.values()])
         assert (tmp_path / "chunks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
@@ -802,8 +858,8 @@ class TestWriteCsv:
                    "per_class": np.array([np.nan, np.inf, -1e-320, 0, 0, 0, 0, 0, 0,
                                           0.1])[classes],
                    "constant": np.full(n, np.pi), "noise": rng.standard_normal(n)}
-        with csvtext.csv_file(tmp_path / "blocks.csv", list(columns)) as fh:
-            csvtext.write_rows(fh, list(columns.values()))
+        with open(tmp_path / "blocks.csv", "w") as fh:
+            csvtext.write_csv(fh, columns)
         write_csv_oracle(tmp_path / "whole.csv", columns)
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
@@ -826,19 +882,27 @@ class TestWriteCsv:
         # a failure after rows were written, of any class, removes the file
         for failure in (sortcycles.NonFinite, KeyboardInterrupt):
             with pytest.raises(failure):
-                with csvtext.csv_file(tmp_path / "x.csv", ["x"]) as fh:
-                    csvtext.write_rows(fh, [np.arange(3.0)])
+                with cli._artifacts(tmp_path, ["x.csv"]) as files:
+                    csvtext.write_csv(files["x.csv"], {"x": np.arange(3.0)})
                     raise failure("stub")
             assert not (tmp_path / "x.csv").exists(), failure
+            assert list(tmp_path.iterdir()) == [], failure
 
 
-def _fresh_python(*args, cwd):
-    """Run a new interpreter that imports sortcycles from the same source tree."""
+def _fresh_env(**extra):
+    """The environment of a new interpreter that imports sortcycles from the
+    same source tree, with ``extra`` set."""
     src = str(Path(sortcycles.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = {**os.environ, **extra}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
-                          text=True, timeout=300)
+    return env
+
+
+def _fresh_python(*args, cwd, **kwargs):
+    """Run a new interpreter that imports sortcycles from the same source tree;
+    ``kwargs`` go to subprocess.run."""
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=_fresh_env(),
+                          capture_output=True, text=True, timeout=300, **kwargs)
 
 
 _NO_SCIPY_SCRIPT = """
@@ -940,6 +1004,37 @@ def _unreachable_after(config_path, out, *argv):
     assert proc.returncode == 0, proc.stderr
     code, unreachable = map(int, proc.stdout.splitlines()[-1].split())
     return code, unreachable
+
+
+_FAILING_VERIFY_SCRIPT = """
+import sys
+from sortcycles import cli, verify
+report = verify.VerificationReport.from_checks([verify.CheckResult("stub", 1.0, 0.5, False)])
+verify.run_verification = lambda *args, **kwargs: report
+sys.argv[0] = "sortcycles"
+cli.main()
+"""
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("code", [0, 3])
+    def test_keeps_the_exit_code_and_writes_no_error(self, config_path, tmp_path, code,
+                                                     unbuffered):
+        # the summary line only repeats the artifacts, which are in place
+        program = ["-m", "sortcycles"] if code == 0 else ["-c", _FAILING_VERIFY_SCRIPT]
+        read, write = os.pipe()
+        os.close(read)  # no reader from the start: the first write fails
+        try:
+            proc = subprocess.run(
+                [sys.executable, *program, "verify", "--n-prop-points", "2",
+                 "--params", config_path, "--out", str(tmp_path)],
+                cwd=tmp_path, env=_fresh_env(PYTHONUNBUFFERED=unbuffered), stdout=write,
+                stderr=subprocess.PIPE, text=True, timeout=300)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (code, "")
+        assert json.loads((tmp_path / "verify.json").read_text())["passed"] is (code == 0)
 
 
 class TestCollector:

@@ -19,7 +19,8 @@ from .oracles import write_csv_oracle
 
 
 def assert_same_file(tmp_path, columns):
-    csvtext.write_csv(tmp_path / "kernel.csv", columns)
+    with open(tmp_path / "kernel.csv", "w") as fh:
+        csvtext.write_csv(fh, columns)
     write_csv_oracle(tmp_path / "oracle.csv", columns)
     assert (tmp_path / "kernel.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 

@@ -47,6 +47,18 @@ class TestImports:
         assert {name for name in imports("statics") if not name.startswith(".")} <= set(
             sys.stdlib_module_names)
 
+    def test_csvtext_writes_text_alone(self):
+        # which file a CSV goes to, and how a failed one is undone, is cli's
+        assert imports("csvtext") & {".errors", "pathlib", "contextlib"} == set()
+
+    def test_only_cli_moves_files_into_place(self):
+        # one owner for artifact files: a second writer cannot creep back
+        movers = {source.stem for source in SRC.glob("*.py")
+                  for node in ast.walk(ast.parse(source.read_text()))
+                  if isinstance(node, ast.Attribute) and node.attr in ("replace", "rename")
+                  and isinstance(node.value, ast.Name) and node.value.id == "os"}
+        assert movers == {"cli"}
+
     def test_importtime_logs_lazily_loaded_submodules(self):
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (str(SRC.resolve().parent), os.environ.get("PYTHONPATH")) if p)}

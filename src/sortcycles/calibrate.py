@@ -31,14 +31,13 @@ simulated path's summary too.  The modes differ only in those weights
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError, SortCyclesError
 from .firms import revenue_concentration
-from .params import MarkovChain2, ModelParams, stationary_distribution
+from .params import MarkovChain2, ModelParams, is_finite_real, stationary_distribution
 from .rng import latin_hypercube
 from . import dynamics
 
@@ -59,14 +58,11 @@ MOMENT_NAMES = ("labor_share", "wage_inequality", "rev_share_top10",
                 "rev_share_p50_p90", "std_tfp")
 
 
-def _is_finite_number(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
 @dataclass(frozen=True)
 class TargetSet:
-    """Empirical targets with optional weights (defaults are the data column)."""
+    """Empirical targets with optional weights (defaults are the data column).
+    Each is checked by ``ModelParams``' rule, ``params.is_finite_real``; weights
+    are nonnegative, one of them positive."""
 
     labor_share: float = 0.6097
     wage_inequality: float = 0.7666
@@ -77,10 +73,10 @@ class TargetSet:
 
     def __post_init__(self):
         for name, value in zip(MOMENT_NAMES, self.values()):
-            if not _is_finite_number(value):
+            if not is_finite_real(value):
                 raise DomainError(f"target {name} must be a finite number, got {value!r}")
         if not (isinstance(self.weights, (tuple, list)) and len(self.weights) == len(MOMENT_NAMES)
-                and all(_is_finite_number(w) and w >= 0.0 for w in self.weights)):
+                and all(is_finite_real(w) and w >= 0.0 for w in self.weights)):
             raise DomainError(f"weights must be a list of {len(MOMENT_NAMES)} finite nonnegative "
                               f"numbers, one per moment, got {self.weights!r}")
         if not any(w > 0.0 for w in self.weights):

@@ -11,7 +11,9 @@ All randomness descends from the single --seed through named streams.
 --threads (at least 1) sets the processes ``moments`` reduces its panel
 with, capped at the cores available and the panel's chunks; the other
 subcommands ignore it, and every artifact is the same for every value.  A
-run that needs more memory than it can have is a domain error.
+run that needs more memory than it can have is a domain error, and so is a
+``moments`` worker that cannot start ("cannot start a worker process") and
+a --z, --A or --K that is not finite (the line names z, A or K).
 
 Artifacts appear whole or not at all: each is written to a new temporary
 beside it in --out, opened before the work, and all move into place after
@@ -55,21 +57,9 @@ EXIT_USAGE = 2
 EXIT_VERIFY = 3
 
 
-def _number(value):
-    """json.dumps's ``default``: a numpy scalar as a plain int or float."""
-    # a numpy scalar can only come from a run that has loaded numpy
-    np = sys.modules.get("numpy")
-    if np is not None:
-        if isinstance(value, np.floating):
-            return float(value)
-        if isinstance(value, np.integer):
-            return int(value)
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
 def _write_json(files: dict[str, TextIO], name: str, payload: dict) -> None:
     try:
-        text = json.dumps(payload, indent=2, sort_keys=False, allow_nan=False, default=_number)
+        text = json.dumps(payload, indent=2, sort_keys=False, allow_nan=False)
     except ValueError as exc:
         raise NonFinite(f"{name} would hold a non-finite number") from exc
     files[name].write(text + "\n")
@@ -104,7 +94,7 @@ def _artifacts(out: Path, names: Sequence[str]) -> Iterator[dict[str, TextIO]]:
 def _summary(payload: dict) -> None:
     # a closed stdout loses only this line; os.devnull takes the flush at exit
     try:
-        sys.stdout.write(json.dumps(payload, sort_keys=False, default=_number) + "\n")
+        sys.stdout.write(json.dumps(payload, sort_keys=False) + "\n")
         sys.stdout.flush()
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

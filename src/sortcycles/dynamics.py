@@ -73,8 +73,7 @@ class Policy:
     chain: MarkovChain2
     K_grid: np.ndarray
     C: np.ndarray        # (2, n) consumption at nodes
-    K_next: np.ndarray   # (2, n) savings at nodes; C = resources - K_next
-    resources: np.ndarray
+    K_next: np.ndarray   # (2, n) savings at nodes; C + K_next = the node's resources
     table: StateTable
     k_star: tuple[float, float]  # steady-state capital per state
     n_iterations: int
@@ -241,8 +240,7 @@ def solve_policy(params: ModelParams, chain: MarkovChain2,
         raise NoConvergence(f"endogenous-grid iteration stalled after {sweep} sweeps "
                             f"(sup diff {sup:.3g})")
     return Policy(params=params, chain=chain, K_grid=K_grid, C=C, K_next=K_next,
-                  resources=res, table=table, k_star=k_star, n_iterations=sweep,
-                  sup_diff=sup)
+                  table=table, k_star=k_star, n_iterations=sweep, sup_diff=sup)
 
 
 def euler_residuals(policy: Policy, params: ModelParams, points: np.ndarray,

@@ -249,9 +249,11 @@ def _in_workers(task: Callable[[int, TextIO | None], object], count: int,
     appended to ``out`` after the output of the tasks before k; otherwise it
     is None.  A worker sends back its result, or the exception it raised,
     pickled through a pipe.  Results are taken in task order, so the first
-    failure in that order is raised.  Workers write nothing to stdout or
-    stderr and end through os._exit; every worker is reaped, and one still
-    running when this returns or raises is killed first.
+    failure in that order is raised.  An OSError in creating a worker's
+    temporary file, its pipe or its process raises SortCyclesError("cannot
+    start a worker process: <reason>") before any task runs.  Workers write
+    nothing to stdout or stderr and end through os._exit; every worker is
+    reaped, and one still running when this returns or raises is killed first.
     """
     import pickle
     import shutil
@@ -260,23 +262,26 @@ def _in_workers(task: Callable[[int, TextIO | None], object], count: int,
 
     files = [out]
     workers, reaped = [], set()  # workers: (pid, read end of its pipe)
+    sys.stdout.flush()  # so that no worker holds a copy of unwritten output
+    sys.stderr.flush()
     try:
-        for _ in range(1, count):
-            files.append(None if out is None else tempfile.TemporaryFile("w+"))
-        sys.stdout.flush()  # so that no worker holds a copy of unwritten output
-        sys.stderr.flush()
-        for k in range(1, count):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read)
+        try:
+            for _ in range(1, count):
+                files.append(None if out is None else tempfile.TemporaryFile("w+"))
+            for k in range(1, count):
+                read, write = os.pipe()
+                try:
+                    pid = os.fork()
+                except BaseException:
+                    os.close(read)
+                    os.close(write)
+                    raise
+                if pid == 0:
+                    _work(task, k, files[k], write)
                 os.close(write)
-                raise
-            if pid == 0:
-                _work(task, k, files[k], write)
-            os.close(write)
-            workers.append((pid, read))
+                workers.append((pid, read))
+        except OSError as exc:
+            raise SortCyclesError(f"cannot start a worker process: {exc.strerror or exc}") from exc
         results = [task(0, out)]
         for (pid, read), fh in zip(workers, files[1:]):
             with open(read, "rb", closefd=False) as pipe:

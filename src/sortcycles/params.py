@@ -16,10 +16,16 @@ from pathlib import Path
 from .errors import DomainError
 
 
+def is_finite_real(value) -> bool:
+    """Whether value is a finite int or float (a bool is neither): the one
+    rule every number the package reads from a user must pass."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _require_finite_reals(obj, names: tuple[str, ...]) -> None:
     for name in names:
         v = getattr(obj, name)
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+        if not is_finite_real(v):
             raise DomainError(f"{name} must be a finite real number, got {v!r}")
 
 
@@ -94,7 +100,7 @@ _PARAM_KEYS = tuple(f.name for f in fields(ModelParams) if f.init)
 
 @dataclass(frozen=True)
 class AggregateShockState:
-    """The time-varying exogenous drivers of one period, held as Python floats.
+    """The time-varying exogenous drivers of one period, held as finite Python floats.
 
     z is the market-efficiency level: the loading of the labor wedge on firm
     type.  z = 0 is admitted (it is the boom state of the calibration) even
@@ -114,6 +120,7 @@ class AggregateShockState:
             raise DomainError(f"A must be positive, got {self.A}")
         object.__setattr__(self, "z", float(self.z))
         object.__setattr__(self, "A", float(self.A))
+        _require_finite_reals(self, ("z", "A"))  # after float() has taken numpy's scalars
 
 
 @dataclass(frozen=True)

@@ -272,6 +272,8 @@ def aggregates(params: ModelParams, shock: AggregateShockState, lambda_t: float,
     """
     if not K > 0.0:
         raise DomainError(f"capital stock must be positive, got {K}")
+    if not math.isfinite(K):
+        raise DomainError(f"K must be a finite real number, got {K}")
     a, g, xi = params.alpha, params.gamma, params.xi
     kappa, eta_q = params.kappa, params.eta_q
     lt = params.lambda_theta

@@ -11,7 +11,10 @@ of it calls the closed forms or
 shortcuts it is used to check; the held panel is the library's own sampler,
 whose closed forms the firm-level tests check.  The fixed-point residual and
 the bracket scan evaluate statics' own job-distribution equation: their
-subject is its root, not the equation.  Two pieces model what no subcommand
+subject is its root, not the equation.  The closed-form savings rule of
+full depreciation (delta = 1) is exact: it checks the policy solver, the
+simulated path and the impulse response against the model, not against
+themselves.  Two pieces model what no subcommand
 computes: the scalar calibration objective, the squared norm of
 ``calibrate.residuals``, and a firm-type redraw law with a Markov type rate,
 whose cross-section acceptance criterion 9 checks for stationarity.
@@ -111,14 +114,67 @@ def time_iteration_oracle(C, K_grid, res, R1, am1, one_minus_delta, P, beta, tol
     return C, it, sup
 
 
+def node_resources(policy):
+    """(2, n) resources (1 - delta) K + I1_s K^alpha at ``policy``'s nodes, from
+    its state table's K = 1 household income I1."""
+    params, K = policy.params, policy.K_grid[None, :]
+    return (1.0 - params.delta) * K + policy.table.income[:, None] * K ** params.alpha
+
+
 def policy_oracle(params, policy, tol=1e-9, max_iter=10_000):
     """(C, sweeps, sup diff) of the oracle time iteration on ``policy``'s grid,
     resources, state table and chain, from the rule max(res - K, 0.05 res)."""
-    res = policy.resources
+    res = node_resources(policy)
     C0 = np.maximum(res - policy.K_grid[None, :], 0.05 * res)
     P = np.asarray(policy.chain.transition_matrix, dtype=float)
     return time_iteration_oracle(C0, policy.K_grid, res, policy.table.R, params.alpha - 1.0,
                                  1.0 - params.delta, P, params.beta, tol, max_iter)
+
+
+def full_depreciation_shares(policy):
+    """(sigma_boom, sigma_recession): the exact shares of income saved at
+    delta = 1, the two-state case of Brock and Mirman (1972).
+
+    Utility is logarithmic and income and R scale as K^alpha and K^(alpha-1)
+    per state, so at delta = 1 the savings rule is K' = sigma_s I1_s K^alpha
+    (:func:`full_depreciation_savings`).  With rho_s = R1_s / I1_s from the
+    K = 1 state table, x_s = sigma_s / (1 - sigma_s) solves the linear system
+    x = beta P diag(rho) (1 + x).
+    """
+    params, table = policy.params, policy.table
+    assert params.delta == 1.0, "the closed form holds at delta = 1 only"
+    M = params.beta * np.asarray(policy.chain.transition_matrix, dtype=float) * (
+        table.R / table.income)[None, :]
+    x = np.linalg.solve(np.eye(2) - M, M.sum(axis=1))
+    return x / (1.0 + x)
+
+
+def full_depreciation_savings(policy, K, states):
+    """The exact savings rule at delta = 1, sigma_s I1_s K^alpha, at capital K
+    in states ``states``."""
+    sigma = full_depreciation_shares(policy)
+    s = np.asarray(states)
+    return sigma[s] * policy.table.income[s] * np.asarray(K, dtype=float) ** policy.params.alpha
+
+
+def full_depreciation_log_y_response(policy, d_share):
+    """The mean log Y response of an impulse response at delta = 1, as a linear
+    filter of its treated-minus-control recession share d_share.
+
+    Under the exact rule log K' = c_s + alpha log K, c_s = log(sigma_s I1_s),
+    and log Y = log Y1_s + alpha log K, so each episode's gap in log K obeys
+    dk[h+1] = (c_1 - c_0) ds[h] + alpha dk[h] from dk[0] = 0, and its gap in
+    log Y is (log Y1_1 - log Y1_0) ds[h] + alpha dk[h]; both are linear, so
+    the means over episodes obey the same filter in d_share.
+    """
+    alpha, table = policy.params.alpha, policy.table
+    c = np.log(full_depreciation_shares(policy) * table.income)
+    log_y1 = np.log(table.Y)
+    dk, out = 0.0, np.empty(len(d_share))
+    for h, ds in enumerate(d_share):
+        out[h] = (log_y1[1] - log_y1[0]) * ds + alpha * dk
+        dk = (c[1] - c[0]) * ds + alpha * dk
+    return out
 
 
 def euler_residuals_oracle(policy, params, points, states):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -515,6 +516,23 @@ class TestTargetSet:
         assert targets.weights == (1.0, 2.0, 1.0, 1.0, 0.0)
         assert all(type(w) is float for w in targets.weights)
         assert hash(targets) == hash(sc.TargetSet(weights=(1.0, 2.0, 1.0, 1.0, 0.0)))
+
+    @pytest.mark.parametrize("value", [1, 0.5, np.float64(0.5), True, None, "0.5", math.inf,
+                                       math.nan, Fraction(1, 2), np.float32(0.5)])
+    def test_accepts_what_model_params_accepts(self, value):
+        # one finite-real rule: an int or a float, finite, not a bool
+        def accepts(build):
+            try:
+                build()
+            except sc.DomainError:
+                return False
+            return True
+
+        published, _ = sc.published_calibration()
+        as_param = accepts(lambda: dataclasses.replace(published, psi=value))
+        assert accepts(lambda: sc.TargetSet(labor_share=value)) == as_param
+        assert accepts(lambda: sc.TargetSet(weights=(value, 1, 1, 1, 1))) == as_param
+        assert as_param == (type(value) in (int, float, np.float64) and math.isfinite(value))
 
 
 class TestAssemble:

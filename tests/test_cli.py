@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import gc
 import hashlib
 import io
@@ -452,6 +453,11 @@ class TestUsageAndConfigErrors:
         want = f"error: z_high must be a finite real number, got {value!r}\n"
         assert capsys.readouterr().err == want
 
+    @pytest.mark.parametrize("flag", ["--z", "--A", "--K"])
+    def test_non_finite_shock_or_capital_flag(self, config_path, tmp_path, capsys, flag):
+        assert cli.run(["solve", "--params", config_path, "--out", str(tmp_path), flag, "inf"]) == 1
+        assert capsys.readouterr().err == f"error: {flag[2:]} must be a finite real number, got inf\n"
+
     def test_bad_seed(self, config_path):
         assert cli.run(["solve", "--params", config_path, "--seed", "-5"]) == 2
 
@@ -644,6 +650,35 @@ class TestFileSizeLimit:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+class TestWorkerStart:
+    @pytest.mark.parametrize("panel", [False, True], ids=["moments", "panel-csv"])
+    @pytest.mark.parametrize("threads", ["2", "3"])
+    def test_a_fork_that_fails_is_its_own_error(self, config_path, tmp_path, monkeypatch,
+                                                capfd, panel, threads):
+        # the last fork of the run fails with EAGAIN; with 3 threads the first
+        # worker is already running and must be killed and reaped
+        real_fork, forked = os.fork, []
+
+        def fork():
+            if len(forked) == int(threads) - 2:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            pid = real_fork()
+            forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(os, "fork", fork)
+        argv = ["moments", "--params", config_path, "--n-firms", str(3 * firms.SAMPLE_CHUNK),
+                "--threads", threads, "--out", str(tmp_path), *(["--panel-csv"] * panel)]
+        assert cli.run(argv) == 1
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot start a worker process: Resource temporarily unavailable\n"
+        assert list(tmp_path.iterdir()) == []
+        assert len(forked) == int(threads) - 2
+        assert no_child_process_left()
+
+
 def strict_json(text: str):
     """Parse JSON, refusing the non-standard NaN and Infinity tokens."""
     def refuse(token):
@@ -796,14 +831,13 @@ class TestDeterminism:
         assert (out1 / "moments.json").read_bytes() == (out2 / "moments.json").read_bytes()
 
     def test_numpy_scalars_are_written_as_plain_numbers(self, capsys):
-        cli._summary({"a": np.float32(0.1), "b": [np.int64(3), (np.float64(1 / 3),)],
-                      "c": 0.1, "d": "text"})
-        assert capsys.readouterr().out == ('{"a": 0.10000000149011612, "b": [3, '
-                                           '[0.3333333333333333]], "c": 0.1, "d": "text"}\n')
+        # np.float64, the one numpy type a payload holds, is a float subclass
+        cli._summary({"b": [(np.float64(1 / 3),)], "c": 0.1, "d": "text"})
+        assert capsys.readouterr().out == '{"b": [[0.3333333333333333]], "c": 0.1, "d": "text"}\n'
 
     def test_json_artifacts_write_numpy_scalars_as_plain_numbers(self):
         files = {"x.json": io.StringIO(), "y.json": io.StringIO()}
-        cli._write_json(files, "x.json", {"a": np.float64(0.1), "b": np.int32(-2)})
+        cli._write_json(files, "x.json", {"a": np.float64(0.1), "b": -2})
         assert files["x.json"].getvalue() == '{\n  "a": 0.1,\n  "b": -2\n}\n'
         with pytest.raises(TypeError):
             cli._write_json(files, "y.json", {"a": object()})

@@ -1,5 +1,7 @@
 import contextlib
 import dataclasses
+import inspect
+import math
 
 import numpy as np
 import pytest
@@ -214,7 +216,7 @@ class TestTimeIteration:
         # rounding on both sides of the floor (-2 to +6 ulps at the
         # calibration point), so binding means within 16 ulps of it
         floor = policy.K_grid[0]
-        oracle_binds = policy.resources - C <= floor + 16 * np.spacing(floor)
+        oracle_binds = oracles.node_resources(policy) - C <= floor + 16 * np.spacing(floor)
         assert np.array_equal(policy.K_next <= floor, oracle_binds)
         if case == "calibration-point":
             assert np.sum(oracle_binds) == 15
@@ -466,3 +468,126 @@ class TestImpulseResponse:
     def test_requires_at_least_one_episode(self, policy):
         with pytest.raises(sc.DomainError):
             sc.impulse_response(policy, n_sims=0)
+
+
+#: solve_policy's stopping tolerance: the last sweep changed C by less than this
+POLICY_TOL = inspect.signature(sc.solve_policy).parameters["tol"].default
+#: room for rounding in the powers, logs, products and means, relative
+ROUNDING = 1e3 * np.finfo(float).eps
+
+
+@pytest.fixture(scope="module")
+def full_depreciation(table):
+    """The published point with delta = 1, where the savings rule is exact."""
+    params, chain = table
+    return dataclasses.replace(params, delta=1.0), chain
+
+
+@pytest.fixture(scope="module")
+def full_depreciation_policy(full_depreciation):
+    return sc.solve_policy(*full_depreciation)
+
+
+def one_row_scaled(policy, s):
+    """``policy`` with the savings of state s scaled by 1.0001: the negative control."""
+    K_next = policy.K_next.copy()
+    K_next[s] *= 1.0001
+    return dataclasses.replace(policy, K_next=K_next)
+
+
+def log_step(policy):
+    return float(np.max(np.diff(np.log(policy.K_grid))))
+
+
+def node_bound(policy):
+    """(2, n) bound on |K_next - sigma_s I1_s K^alpha| at the nodes from the
+    solver's tolerance.
+
+    At delta = 1 a sweep maps a relative error e in C to at most sigma_s
+    e^(Delta ln K) times e: the Euler equation passes e on to consumption at
+    K', and inverting resources m = c + K', whose slope in K' is 1/sigma,
+    passes on sigma times it, interpolated within one cell.  A contraction of
+    modulus q ends within q / (1 - q) of its last change, and the last change
+    is below tol / min C in relative terms.  K_next = resources - C carries
+    C's error.
+    """
+    sigma = oracles.full_depreciation_shares(policy)
+    rule = oracles.full_depreciation_savings(policy, policy.K_grid[None, :], [[0], [1]])
+    C = oracles.node_resources(policy) - rule
+    q = np.max(sigma) * math.exp(log_step(policy))
+    return q / (1.0 - q) * POLICY_TOL * C / np.min(C)
+
+
+def path_bound(policy):
+    """Relative bound on the savings rule between the nodes: the nodes' error
+    plus linear interpolation's a-priori error for c K^alpha on a cell from a
+    to a e^h, alpha (1 - alpha) / 8 ((b - a) / a)^2 = alpha (1 - alpha) / 8
+    (e^h - 1)^2, with f'' at its largest, at a."""
+    alpha, h = policy.params.alpha, log_step(policy)
+    rule = oracles.full_depreciation_savings(policy, policy.K_grid[None, :], [[0], [1]])
+    nodes = np.max(node_bound(policy) / rule) * math.exp(alpha * h)
+    return alpha * (1.0 - alpha) / 8.0 * math.expm1(h) ** 2 + nodes + ROUNDING
+
+
+class TestFullDepreciationOracle:
+    """The dynamic block against the exact savings rule of delta = 1
+    (``oracles.full_depreciation_shares``).  Each check passes on the solved
+    policy and fails on it with one row of K_next scaled by 1.0001."""
+
+    @staticmethod
+    def node_excess(policy):
+        rule = oracles.full_depreciation_savings(policy, policy.K_grid[None, :], [[0], [1]])
+        return np.max(np.abs(policy.K_next - rule) / node_bound(policy))
+
+    @staticmethod
+    def path_excess(policy, solved):
+        path = sc.simulate(policy, T=10_000, burn_in=100, seed=1)
+        rule = oracles.full_depreciation_savings(policy, path.K[:-1], path.states[:-1])
+        return np.max(np.abs(path.K[1:] / rule - 1.0)) / path_bound(solved)
+
+    @staticmethod
+    def consumption_excess(policy, solved):
+        path = sc.simulate(policy, T=10_000, burn_in=100, seed=1)
+        sigma = oracles.full_depreciation_shares(solved)
+        exact = (1.0 - sigma[path.states]) * solved.table.income[path.states] * path.K ** solved.params.alpha
+        # C = income - K' carries K''s error, sigma / (1 - sigma) times C's size
+        bound = path_bound(solved) * np.max(sigma / (1.0 - sigma)) + ROUNDING
+        return np.max(np.abs(path.C / exact - 1.0)) / bound
+
+    @staticmethod
+    def irf_excess(policy, solved):
+        irf = sc.impulse_response(policy, horizon=20, n_sims=1000, seed=3)
+        gap = solved.table.measured_tfp[1] - solved.table.measured_tfp[0]
+        predicted = oracles.full_depreciation_log_y_response(solved, irf.d_measured_tfp / gap)
+        # each path's log K' is off the rule by at most -log(1 - path_bound);
+        # the gap of two paths carries twice that, damped by alpha per period
+        alpha, step = solved.params.alpha, -math.log1p(-path_bound(solved))
+        bound = alpha * 2.0 * step / (1.0 - alpha) + ROUNDING
+        return np.max(np.abs(irf.d_log_Y - predicted)) / bound
+
+    @pytest.mark.parametrize("n", [50, 400])
+    @pytest.mark.parametrize("lo_frac", [0.5, 0.3, 0.1])
+    def test_policy_at_every_node(self, full_depreciation, n, lo_frac):
+        policy = sc.solve_policy(*full_depreciation, grid_spec=sc.GridSpec(n=n, lo_frac=lo_frac))
+        assert self.node_excess(policy) <= 1.0
+        for s in (0, 1):
+            assert self.node_excess(one_row_scaled(policy, s)) > 1.0, s
+
+    def test_savings_rule_along_a_path(self, full_depreciation_policy):
+        policy = full_depreciation_policy
+        assert self.path_excess(policy, policy) <= 1.0
+        for s in (0, 1):
+            assert self.path_excess(one_row_scaled(policy, s), policy) > 1.0, s
+
+    def test_simulated_consumption(self, full_depreciation_policy):
+        policy = full_depreciation_policy
+        assert self.consumption_excess(policy, policy) <= 1.0
+        for s in (0, 1):
+            assert self.consumption_excess(one_row_scaled(policy, s), policy) > 1.0, s
+
+    def test_impulse_response_is_a_linear_filter_of_the_state_gap(self,
+                                                                  full_depreciation_policy):
+        policy = full_depreciation_policy
+        assert self.irf_excess(policy, policy) <= 1.0
+        for s in (0, 1):
+            assert self.irf_excess(one_row_scaled(policy, s), policy) > 1.0, s

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import sortcycles
@@ -29,6 +30,16 @@ ALLOWED_PARAMETERS = {
         "acceptance and dynamics tests start the path off the steady state",
     "sortcycles.dynamics.solve_policy(tol)": "tests tighten it to 1e-10",
     "sortcycles.dynamics.solve_policy(max_iter)": "a test forces NoConvergence with it",
+}
+
+#: dataclass fields that no code in the package reads, with the reason they stay
+ALLOWED_FIELDS = {
+    "sortcycles.dynamics.Policy.n_iterations":
+        "the solver's sweeps: perfbench/run.py reads them as dynamics.solve_policy.sweeps, "
+        "and the planned run report (ROADMAP item 3) prints them",
+    "sortcycles.dynamics.Policy.sup_diff":
+        "the solver's last change in C, a run diagnostic that the planned run report "
+        "(ROADMAP item 3) prints",
 }
 
 
@@ -113,6 +124,90 @@ def unpassed_parameters() -> list[str]:
     return unpassed
 
 
+def modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+
+
+def dataclass_fields(trees: dict[str, ast.Module]) -> dict[str, tuple[str, dict[str, str]]]:
+    """Class name -> (its module, {field: the text of its annotation}) for every
+    dataclass in the package."""
+    found = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                found[node.name] = (module, {stmt.target.id: ast.unparse(stmt.annotation)
+                                             for stmt in node.body
+                                             if isinstance(stmt, ast.AnnAssign)})
+    return found
+
+
+def read_whole(trees: dict[str, ast.Module], classes: dict) -> set[str]:
+    """The dataclasses whose every field the package reads through ``fields()``
+    or ``asdict()``: the class named in the call, the method's own class for
+    ``self``, or the class of a local name as its binding in the function
+    declares it: the return annotation of the function whose result it is
+    assigned, or the annotation of the field whose items a loop over it runs
+    through."""
+    returns = {node.name: ast.unparse(node.returns) for tree in trees.values()
+               for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.returns}
+
+    def named(text):
+        return {word for word in re.findall(r"\w+", text) if word in classes}
+
+    def types(expr, function, owner):
+        if isinstance(expr, ast.Attribute):
+            return {name for cls in types(expr.value, function, owner)
+                    for name in named(classes[cls][1].get(expr.attr, ""))}
+        if not isinstance(expr, ast.Name):
+            return set()
+        if expr.id in classes:
+            return {expr.id}
+        if expr.id == "self" and owner is not None:
+            return {owner}
+        found = set()
+        for node in ast.walk(function):
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                    and any(isinstance(t, ast.Name) and t.id == expr.id for t in node.targets)):
+                callee = node.value.func
+                callee = getattr(callee, "id", None) or getattr(callee, "attr", "")
+                found |= named(returns.get(callee, ""))
+            elif (isinstance(node, (ast.For, ast.comprehension))
+                  and isinstance(node.target, ast.Name) and node.target.id == expr.id):
+                found |= types(node.iter, function, owner)
+        return found
+
+    def functions(tree):
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                yield node, None
+            elif isinstance(node, ast.ClassDef):
+                yield from ((f, node.name) for f in node.body if isinstance(f, ast.FunctionDef))
+
+    whole = set()
+    for tree in trees.values():
+        for function, owner in functions(tree):
+            for call in ast.walk(function):
+                if (isinstance(call, ast.Call) and call.args
+                        and (getattr(call.func, "id", None) or getattr(call.func, "attr", None))
+                        in ("fields", "asdict")):
+                    whole |= types(call.args[0], function, owner)
+    return whole
+
+
+def unread_fields() -> list[str]:
+    """``sortcycles.<module>.<Class>.<field>`` for each dataclass field that no
+    code in the package reads as an attribute (of any object) and whose class
+    it never reads whole through ``fields()`` or ``asdict()``."""
+    trees = modules()
+    classes = dataclass_fields(trees)
+    attributes = {node.attr for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    whole = read_whole(trees, classes)
+    return [f"sortcycles.{module}.{cls}.{name}" for cls, (module, names) in classes.items()
+            if cls not in whole for name in names if name not in attributes]
+
+
 class TestNoTestOnlyCode:
     def test_every_public_definition_is_used_by_the_package(self):
         # a public function, class or constant that only the tests read is a
@@ -140,3 +235,13 @@ class TestNoTestOnlyCode:
 
     def test_every_allowed_parameter_is_still_defaulted_and_unpassed(self):
         assert set(ALLOWED_PARAMETERS) <= set(unpassed_parameters())
+
+    def test_every_dataclass_field_is_read_by_the_package(self):
+        # a field that only the tests read is state the program carries for
+        # nothing; CheckResult's statistic and IRFResult's d_ columns are read
+        # only whole, through asdict(c) and fields(self)
+        offenders = [name for name in unread_fields() if name not in ALLOWED_FIELDS]
+        assert offenders == [], "read by nothing in src/: " + ", ".join(offenders)
+
+    def test_every_allowed_field_is_still_defined_and_unread(self):
+        assert set(ALLOWED_FIELDS) <= set(unread_fields())

@@ -12,8 +12,9 @@ All randomness descends from the single --seed through named streams.
 with, capped at the cores available and the panel's chunks; the other
 subcommands ignore it, and every artifact is the same for every value.  A
 run that needs more memory than it can have is a domain error, and so is a
-``moments`` worker that cannot start ("cannot start a worker process") and
-a --z, --A or --K that is not finite (the line names z, A or K).
+``moments`` worker that cannot start ("cannot start a worker process") or
+that dies ("worker process <pid> ended without a result"), and a --z, --A
+or --K that is not finite (the line names z, A or K).
 
 Artifacts appear whole or not at all: each is written to a new temporary
 beside it in --out, opened before the work, and all move into place after
@@ -27,8 +28,9 @@ and every usage error (exit 2) load the standard library alone, and reading
 the config adds only ``errors`` and ``params``.  ``solve`` adds ``statics``
 and so needs the standard library alone too; every other subcommand loads
 numpy.  Only the subcommands that write a CSV file (``simulate``, ``irf``
-and ``moments --panel-csv``) load ``csvtext``; ``moments`` loads it before
-it forks.
+and ``moments --panel-csv``) load ``csvtext``; ``moments`` loads it (in
+``firms``) before it forks.  Every artifact has one writer, this process:
+``moments``' workers send their panel rows home through their pipes.
 """
 
 from __future__ import annotations
@@ -208,13 +210,7 @@ def _cmd_moments(args, params, chain, files):
     K = args.K if args.K is not None else statics.steady_state(params, args.z, args.A)[0]
     eq = statics.solve_static(params, shock, K)
     workers = min(args.threads, _cores())
-    panel, write_rows = files.get("panel.csv"), None
-    if panel is not None:
-        from . import csvtext  # before panel_moments forks its workers
-
-        panel.write(",".join(firms.PANEL_COLUMNS) + "\n")
-        write_rows = csvtext.write_rows
-    moments = firms.panel_moments(eq, args.n_firms, args.seed, workers, panel, write_rows)
+    moments = firms.panel_moments(eq, args.n_firms, args.seed, workers, files.get("panel.csv"))
     payload = dataclasses.asdict(moments)
     _write_json(files, "moments.json", payload)
     return EXIT_OK, {"subcommand": "moments", **payload}
@@ -260,10 +256,7 @@ def _cmd_calibrate(args, params, chain, files):
     result = calibrate.calibrate(params, targets, seed=args.seed,
                                  n_starts=args.n_starts, sim_config=sim_config,
                                  chain_template=chain, max_iter_per_start=args.max_iter)
-    payload = {"params": result.params, "objective": result.objective,
-               "moments": result.moments, "n_evaluations": result.n_evaluations,
-               "seed": result.seed, "n_starts": result.n_starts}
-    _write_json(files, "calibration.json", payload)
+    _write_json(files, "calibration.json", dataclasses.asdict(result))
     return EXIT_OK, {"subcommand": "calibrate", "objective": result.objective, **result.params}
 
 

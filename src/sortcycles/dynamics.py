@@ -111,11 +111,12 @@ class SimulationPath:
         state shares, the means of Y, C and K period by period."""
         sl, table = slice(self.burn_in, None), self.policy.table
         weights = state_shares(self.states[sl])
+        Y = table.Y[self.states] * self.K ** self.policy.params.alpha  # as in columns()
         return {**state_moments(weights, table.measured_tfp, labor_share=table.labor_share,
                                 wage_inequality=table.var_log_wage,
                                 var_log_tfpq=table.var_log_tfpq,
                                 var_log_tfpr=table.var_log_tfpr),
-                "mean_Y": float(np.mean(self.columns()["Y"][sl])),
+                "mean_Y": float(np.mean(Y[sl])),
                 "mean_C": float(np.mean(self.C[sl])), "mean_K": float(np.mean(self.K[sl])),
                 "recession_frequency": weights[1]}
 

@@ -9,8 +9,8 @@ continuum as a finite panel with counter-based draws, which makes panels
 deterministic in (n, seed) and independent of chunking.  :func:`panel_moments`
 is the one reduction of a panel: it draws and reduces it chunk by chunk, each
 chunk holding only the columns of panel.csv, so a panel is never held whole,
-and runs of chunks can be reduced by forked worker processes with the same
-result.
+and chunks can be dealt to forked worker processes, which send their results
+and rows home through pipes, with the same result.
 
 Every function here takes a solved equilibrium and reads ``eq.params`` and
 ``eq.shock`` from it.  The closed-form dispersions, which need lambda_t
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import NoReturn, TextIO
 
@@ -37,7 +37,7 @@ PANEL_COLUMNS = ("theta", "eps1", "eps2", "Q", "k", "l", "chi", "revenue", "log_
                  "log_tfpr")
 
 #: firms per sampling chunk, the unit of the moments' reduction, of panel.csv
-#: and of the runs that worker processes reduce; a chunk's 10 columns and their
+#: and of the work dealt to worker processes; a chunk's 10 columns and their
 #: temporaries peak at about 3 MB.  Since each firm owns one Philox block the
 #: panel does not depend on it
 SAMPLE_CHUNK = 1 << 14
@@ -156,9 +156,7 @@ def _merge_spread(a: _Spread, b: _Spread) -> _Spread:
 
 
 def panel_moments(eq: StaticEquilibrium, n: int, seed: int, workers: int = 1,
-                  out: TextIO | None = None,
-                  write_rows: Callable[[TextIO, list[np.ndarray]], None] | None = None,
-                  ) -> CrossSectionMoments:
+                  out: TextIO | None = None) -> CrossSectionMoments:
     """Empirical dispersion and concentration moments of the seeded n-firm panel.
 
     The panel is drawn in chunks of SAMPLE_CHUNK firms (:func:`_sample_chunk`),
@@ -175,54 +173,52 @@ def panel_moments(eq: StaticEquilibrium, n: int, seed: int, workers: int = 1,
     underlying equilibrium, matching the way the empirical target is
     constructed.
 
-    The chunks are cut into min(workers, number of chunks) contiguous runs,
-    equal to within one chunk.  The calling process reduces the first run and
-    a process forked for each later run reduces that one (POSIX only); each
-    holds one chunk at a time.  All of them write their revenues into one
-    shared anonymous map, and their chunks' spreads are merged in chunk order,
-    so the moments are bit for bit the same whatever ``workers``.
+    With w = min(workers, number of chunks), chunk i is reduced by the calling
+    process where i % w == 0 and otherwise by a process forked for i % w
+    (POSIX only); each holds one chunk at a time, and all of them write their
+    revenues into one shared anonymous map.  The calling process takes the
+    chunks' spreads in chunk order (:func:`_in_workers`), so the moments are
+    bit for bit the same whatever ``workers``.
 
-    With ``out``, ``write_rows(fh, columns)`` writes each chunk's PANEL_COLUMNS
-    in order: the calling process's straight into ``out``, each worker's into
-    an unnamed temporary file that is then appended to ``out``, so ``out``
-    receives the chunks in draw order.  A worker's exception is raised here with its own class, the
-    lowest failing chunk's first, as in one process.  A revenue map that the
-    system refuses raises MemoryError at the call.
+    With ``out``, the header and then each chunk's PANEL_COLUMNS rows, in draw
+    order, are written to ``out`` by :func:`csvtext.write_rows`: the calling
+    process's own chunks straight, a worker's as the text it sends.  A
+    worker's exception is raised here with its own class, the lowest failing
+    chunk's first, as in one process.  A revenue map that the system refuses
+    raises MemoryError at the call.
     """
     import mmap
 
     if n < 1:
         raise EmptyPanel("panel size must be at least 1")
+    if out is not None:
+        from .csvtext import write_rows  # before the workers fork
+
+        out.write(",".join(PANEL_COLUMNS) + "\n")
     n_chunks = -(-n // SAMPLE_CHUNK)
-    runs = max(1, min(workers, n_chunks))
-    bounds = [min(k * n_chunks // runs * SAMPLE_CHUNK, n) for k in range(runs + 1)]
     try:
         shared = mmap.mmap(-1, 8 * n)
     except (OSError, OverflowError) as exc:
         raise MemoryError(f"cannot map {8 * n} bytes for the revenue column: {exc}") from exc
     revenue = np.frombuffer(shared, dtype=np.float64)
 
-    def reduce_run(k: int, fh: TextIO | None) -> list[tuple[_Spread, _Spread, _Spread]]:
-        """Each chunk's (log wage, log TFPQ, log TFPR) spreads in run k, in order,
-        with its revenues copied into the shared column."""
-        spreads = []
-        for start in range(bounds[k], bounds[k + 1], SAMPLE_CHUNK):
-            stop = min(start + SAMPLE_CHUNK, bounds[k + 1])
-            chunk = _sample_chunk(eq, seed, start, stop)
-            if fh is not None:
-                write_rows(fh, [chunk[name] for name in PANEL_COLUMNS])
-            revenue[start:stop] = chunk["revenue"]
-            spreads.append((_spread(_log_wage(eq, chunk["theta"]), chunk["l"]),
-                            _spread(chunk["log_tfpq"]), _spread(chunk["log_tfpr"])))
-            del chunk  # before the next chunk is drawn
-        return spreads
+    def reduce_chunk(i: int, fh: TextIO | None) -> tuple[_Spread, _Spread, _Spread]:
+        """Chunk i's (log wage, log TFPQ, log TFPR) spreads, with its revenues
+        copied into the shared column and its rows written to ``fh``."""
+        start = i * SAMPLE_CHUNK
+        stop = min(start + SAMPLE_CHUNK, n)
+        chunk = _sample_chunk(eq, seed, start, stop)
+        if fh is not None:
+            write_rows(fh, [chunk[name] for name in PANEL_COLUMNS])
+        revenue[start:stop] = chunk["revenue"]
+        return (_spread(_log_wage(eq, chunk["theta"]), chunk["l"]),
+                _spread(chunk["log_tfpq"]), _spread(chunk["log_tfpr"]))
 
     log_w = log_q = log_r = (0.0, 0.0, 0.0)
-    for run in _in_workers(reduce_run, runs, out):
-        for w, q, r in run:
-            log_w = _merge_spread(log_w, w)
-            log_q = _merge_spread(log_q, q)
-            log_r = _merge_spread(log_r, r)
+    for w, q, r in _in_workers(reduce_chunk, n_chunks, max(1, min(workers, n_chunks)), out):
+        log_w = _merge_spread(log_w, w)
+        log_q = _merge_spread(log_q, q)
+        log_r = _merge_spread(log_r, r)
     revenue.sort()
     descending = revenue[::-1]
     total = float(descending.sum())
@@ -240,35 +236,37 @@ def panel_moments(eq: StaticEquilibrium, n: int, seed: int, workers: int = 1,
     )
 
 
-def _in_workers(task: Callable[[int, TextIO | None], object], count: int,
-                out: TextIO | None) -> list:
-    """[task(k, fh_k) for k in range(count)]: task 0 runs here with fh_0 = out,
-    each later one in a process forked for it.
+class _Blocks(list):
+    """The text blocks written to it, in order: a worker's stand-in for ``out``."""
 
-    Where ``out`` is given, each later fh_k is an unnamed temporary file,
-    appended to ``out`` after the output of the tasks before k; otherwise it
-    is None.  A worker sends back its result, or the exception it raised,
-    pickled through a pipe.  Results are taken in task order, so the first
-    failure in that order is raised.  An OSError in creating a worker's
-    temporary file, its pipe or its process raises SortCyclesError("cannot
-    start a worker process: <reason>") before any task runs.  Workers write
-    nothing to stdout or stderr and end through os._exit; every worker is
-    reaped, and one still running when this returns or raises is killed first.
+    write = list.append
+
+
+def _in_workers(task: Callable[[int, TextIO | None], object], count: int, workers: int,
+                out: TextIO | None) -> Iterator:
+    """Yield task(i, fh_i) for i in range(count), in order: task i runs here
+    with fh_i = out where i % workers == 0, and otherwise in the process forked
+    for i % workers (:func:`_work`), which sends the result and any text the
+    task wrote home through its pipe; here that text is written to ``out``, so
+    ``out`` receives all text in task order.
+
+    The first failure in task order is raised, a worker's exception with its
+    own class.  A worker whose pipe ends early raises SortCyclesError("worker
+    process <pid> ended without a result (exit status <n>)"), and an OSError in
+    creating a worker's pipe or process SortCyclesError("cannot start a worker
+    process: <reason>") before any task runs.  Workers write nothing to stdout
+    or stderr; every worker is reaped, and one still running when the
+    iteration stops or raises is killed first.
     """
     import pickle
-    import shutil
     import signal
-    import tempfile
 
-    files = [out]
-    workers, reaped = [], set()  # workers: (pid, read end of its pipe)
+    procs, reaped = [], set()  # procs: (pid, the read end of its pipe)
     sys.stdout.flush()  # so that no worker holds a copy of unwritten output
     sys.stderr.flush()
     try:
         try:
-            for _ in range(1, count):
-                files.append(None if out is None else tempfile.TemporaryFile("w+"))
-            for k in range(1, count):
+            for k in range(1, workers):
                 read, write = os.pipe()
                 try:
                     pid = os.fork()
@@ -277,55 +275,64 @@ def _in_workers(task: Callable[[int, TextIO | None], object], count: int,
                     os.close(write)
                     raise
                 if pid == 0:
-                    _work(task, k, files[k], write)
+                    _work(task, range(k, count, workers), out is not None, write)
                 os.close(write)
-                workers.append((pid, read))
+                procs.append((pid, open(read, "rb")))
         except OSError as exc:
             raise SortCyclesError(f"cannot start a worker process: {exc.strerror or exc}") from exc
-        results = [task(0, out)]
-        for (pid, read), fh in zip(workers, files[1:]):
-            with open(read, "rb", closefd=False) as pipe:
-                payload = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            reaped.add(pid)
-            if not payload:
-                raise SortCyclesError(f"worker process {pid} ended without a result "
-                                      f"(exit status {os.waitstatus_to_exitcode(status)})")
-            ok, value = pickle.loads(payload)
+        for i in range(count):
+            if i % workers == 0:
+                yield task(i, out)
+                continue
+            pid, pipe = procs[i % workers - 1]
+            try:
+                ok, value, blocks = pickle.load(pipe)
+                for _ in range(blocks):
+                    out.write(pickle.load(pipe))
+            except (EOFError, pickle.UnpicklingError):
+                _, status = os.waitpid(pid, 0)
+                reaped.add(pid)
+                raise SortCyclesError(f"worker process {pid} ended without a result (exit "
+                                      f"status {os.waitstatus_to_exitcode(status)})") from None
             if not ok:
                 raise value
-            results.append(value)
-            if fh is not None:
-                fh.seek(0)
-                shutil.copyfileobj(fh, out)
-        return results
+            yield value
+        for pid, _ in procs:
+            os.waitpid(pid, 0)
+            reaped.add(pid)
     finally:
-        for pid, read in workers:
-            os.close(read)
+        for pid, pipe in procs:
+            pipe.close()
             if pid not in reaped:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-        for fh in files[1:]:
-            if fh is not None:
-                fh.close()
 
 
-def _work(task: Callable[[int, TextIO | None], object], k: int, fh: TextIO | None,
+def _work(task: Callable[[int, TextIO | None], object], tasks: range, text: bool,
           write: int) -> NoReturn:
-    """A forked worker: run task(k, fh), send its outcome down the pipe ``write``
-    and end the process without the clean-up that belongs to its parent."""
+    """A forked worker: run task(i, fh) for each i in ``tasks``, fh a
+    :class:`_Blocks` if ``text`` else None, and send each outcome down the pipe
+    ``write`` once its text is whole, so that a full pipe holds the worker up
+    only between tasks: (True, result, number of blocks) and then one pickle
+    per block, or (False, exception, 0), which ends the run.  The process ends
+    through os._exit, without the clean-up that belongs to its parent."""
     import pickle
 
     status = 1
     try:
-        try:
-            outcome = (True, task(k, fh))
-            if fh is not None:
-                fh.flush()
-        except BaseException as exc:  # the parent raises it again
-            outcome = (False, exc)
         with open(write, "wb") as pipe:
-            pipe.write(pickle.dumps(outcome))
+            for i in tasks:
+                fh = _Blocks() if text else None
+                try:
+                    value = task(i, fh)
+                except BaseException as exc:  # the parent raises it again
+                    pickle.dump((False, exc, 0), pipe)
+                    break
+                blocks = fh or []
+                pickle.dump((True, value, len(blocks)), pipe)
+                for block in blocks:
+                    pickle.dump(block, pipe)
+                pipe.flush()
         status = 0
     finally:
         os._exit(status)

@@ -6,9 +6,12 @@ import io
 import json
 import math
 import os
+import pickle
+import re
 import resource
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -23,7 +26,7 @@ import sortcycles
 from sortcycles import calibrate, cli, csvtext, dynamics, firms, verify
 
 from .oracles import INFEASIBLE, cross_section_moments_oracle, held_panel, write_csv_oracle
-from .test_firms import (CHUNK_BYTES, assert_moments_agree, failing_chunks,
+from .test_firms import (_SAMPLE_CHUNK, CHUNK_BYTES, assert_moments_agree, failing_chunks,
                          no_child_process_left, recorded_maps)
 
 
@@ -620,9 +623,9 @@ class TestUnwritableArtifact:
         assert [p.name for p in tmp_path.iterdir()] == [artifact]
 
 
-#: runs whose artifact a file-size limit of half its size cuts short; the
-#: panel's 3 chunks are cut 1 to the calling process and 2 to a forked
-#: worker, so there it is the worker's rows that pass the limit
+#: runs whose artifact a file-size limit of half its size cuts short; of the
+#: panel's 3 chunks the middle one is a forked worker's, so there it is the
+#: worker's rows, written by the calling process, that pass the limit
 FILE_SIZE_CASES = {
     "simulate": ["simulate", "--T", "3000", "--grid-size", "60"],
     "verify": ["verify", "--n-prop-points", "2"],
@@ -676,6 +679,78 @@ class TestWorkerStart:
         assert captured.err == "error: cannot start a worker process: Resource temporarily unavailable\n"
         assert list(tmp_path.iterdir()) == []
         assert len(forked) == int(threads) - 2
+        assert no_child_process_left()
+
+
+class TestWorkerEnd:
+    """A worker that ends before its results are home, and a panel whose rows
+    come home through the workers' pipes with no TMPDIR to stage them in."""
+
+    @staticmethod
+    def moments(config_path, out, *flags):
+        return cli.run(["moments", "--params", config_path, "--out", str(out), *flags])
+
+    @staticmethod
+    def assert_died(capfd, out, rc):
+        captured = capfd.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert re.fullmatch(r"error: worker process \d+ ended without a result "
+                            r"\(exit status 7\)\n", captured.err), captured.err
+        assert list(out.iterdir()) == []
+        assert no_child_process_left()
+
+    @pytest.mark.parametrize("panel", [False, True], ids=["moments", "panel-csv"])
+    def test_a_worker_that_dies_is_its_own_error(self, config_path, tmp_path, monkeypatch,
+                                                 capfd, panel):
+        parent = os.getpid()
+
+        def sample(*args):
+            if os.getpid() != parent:
+                os._exit(7)
+            return _SAMPLE_CHUNK(*args)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(firms, "_sample_chunk", sample)
+        rc = self.moments(config_path, tmp_path, "--n-firms", str(3 * firms.SAMPLE_CHUNK),
+                          "--threads", "2", *(["--panel-csv"] * panel))
+        self.assert_died(capfd, tmp_path, rc)
+
+    @pytest.mark.parametrize("cut", [tuple, str], ids=["result", "text"])
+    def test_a_pipe_that_ends_inside_a_message(self, config_path, tmp_path, monkeypatch,
+                                               capfd, cut):
+        # the worker sends half of the first pickle of the kind ``cut`` and dies
+        parent, dump = os.getpid(), pickle.dump
+
+        def half_dump(obj, fh):
+            if os.getpid() == parent or not isinstance(obj, cut):
+                return dump(obj, fh)
+            data = pickle.dumps(obj)
+            fh.write(data[:len(data) // 2])
+            fh.flush()
+            os._exit(7)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(pickle, "dump", half_dump)
+        rc = self.moments(config_path, tmp_path, "--n-firms", str(3 * firms.SAMPLE_CHUNK),
+                          "--threads", "2", "--panel-csv")
+        self.assert_died(capfd, tmp_path, rc)
+
+    def test_moments_needs_no_temporary_file(self, config_path, tmp_path, monkeypatch, capfd):
+        def refuse(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
+        files = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            assert self.moments(config_path, out, "--n-firms", "100000", "--panel-csv",
+                                "--threads", threads) == 0
+            files[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert capfd.readouterr().err == ""
+        assert sorted(files["2"]) == ["moments.json", "panel.csv"]
+        assert files["2"] == files["1"]
         assert no_child_process_left()
 
 

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import sortcycles as sc
-from sortcycles import csvtext, firms, verify
+from sortcycles import firms, verify
 from sortcycles.rng import block_uniforms, normal_icdf
 
 from .oracles import (HeldPanel, central_diff, cross_section_moments_oracle, held_panel,
-                      tfpq_tail_index, topshare_fixed_bisection, topshare_mc)
+                      tfpq_tail_index, topshare_fixed_bisection, topshare_mc,
+                      write_csv_oracle)
 from .test_statics import LAMBDA_BOOM, with_params
 
 SEED = 20_260_816
@@ -446,7 +447,7 @@ class TestStreamedMoments:
         monkeypatch.setattr(firms, "_sample_chunk", refuse)
         with tempfile.TemporaryFile("w+") as fh:
             with pytest.raises(sc.EmptyPanel):
-                sc.panel_moments(boom_eq, 0, 1, 2, fh, csvtext.write_rows)
+                sc.panel_moments(boom_eq, 0, 1, 2, fh)
             assert fh.tell() == 0
 
     def test_peak_memory_is_the_revenue_column_plus_a_chunk(self, boom_eq, monkeypatch):
@@ -499,21 +500,18 @@ class TestPanelMoments:
         assert sc.panel_moments(boom_eq, n, 17, workers) == want
         assert no_child_process_left()
 
-    def test_rows_arrive_in_draw_order(self, boom_eq):
+    def test_rows_arrive_in_draw_order(self, boom_eq, tmp_path):
         n = 3 * firms.SAMPLE_CHUNK + 5
-
-        def write_rows(fh, columns):
-            theta = columns[firms.PANEL_COLUMNS.index("theta")]
-            fh.write("".join(f"{x!r}\n" for x in theta))
-
         texts = []
         for workers in (1, 3):
             with tempfile.TemporaryFile("w+") as fh:
-                sc.panel_moments(boom_eq, n, 4, workers, fh, write_rows)
+                sc.panel_moments(boom_eq, n, 4, workers, fh)
                 fh.seek(0)
                 texts.append(fh.read())
         panel = held_panel(boom_eq, n, seed=4)
-        assert texts == ["".join(f"{x!r}\n" for x in panel.theta)] * 2
+        write_csv_oracle(tmp_path / "panel.csv",
+                         {name: getattr(panel, name) for name in firms.PANEL_COLUMNS})
+        assert texts == [(tmp_path / "panel.csv").read_text()] * 2
 
     def test_one_worker_forks_nothing(self, boom_eq, monkeypatch):
         def refuse():
@@ -525,7 +523,7 @@ class TestPanelMoments:
         assert sc.panel_moments(boom_eq, n, 2, workers=1) == want
 
     def test_the_lowest_failing_chunk_wins(self, boom_eq, monkeypatch):
-        # four chunks in three runs: [0], [1], [2, 3]
+        # four chunks dealt to three processes: [0, 3] here, [1] and [2] to workers
         chunk = firms.SAMPLE_CHUNK
         n = 4 * chunk
         for starts, first in (({3 * chunk, chunk}, chunk), ({3 * chunk}, 3 * chunk),

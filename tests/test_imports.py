@@ -59,6 +59,13 @@ class TestImports:
                   and isinstance(node.value, ast.Name) and node.value.id == "os"}
         assert movers == {"cli"}
 
+    def test_no_module_stages_files_of_its_own(self):
+        # every artifact is written by cli's handles alone: a worker's rows come
+        # home through its pipe, not through a temporary file copied in
+        stagers = {source.stem for source in SRC.glob("*.py")
+                   if imports(source.stem) & {"tempfile", "shutil"}}
+        assert stagers == set()
+
     def test_importtime_logs_lazily_loaded_submodules(self):
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (str(SRC.resolve().parent), os.environ.get("PYTHONPATH")) if p)}
@@ -151,8 +158,9 @@ class TestNamespace:
         assert sortcycles.solve_static is wrapped
 
 
-#: standard modules that only the worker processes of ``moments`` need: the
-#: shared revenue map, the workers' temporary files, the results' pickles
+#: standard modules that ``help`` and ``solve`` must not load: the shared
+#: revenue map and the pickles of ``moments``' workers, and tempfile, which
+#: no module of the package imports
 WORKER_MODULES = ("mmap", "tempfile", "pickle", "_pickle")
 
 #: the command lines whose loaded modules are compared; "help" is ``--help``

@@ -31,8 +31,7 @@ _EXPORTS = {
                      "impulse_response", "simulate", "solve_policy"), "dynamics"),
     # the calibrate() entry point stays on its submodule (sortcycles.calibrate.calibrate)
     # so the submodule itself is not shadowed by a function of the same name
-    **dict.fromkeys(("CalibrationResult", "SimConfig", "TargetSet", "model_moments"),
-                    "calibrate"),
+    **dict.fromkeys(("CalibrationResult", "TargetSet", "model_moments"), "calibrate"),
     **dict.fromkeys(("CheckResult", "VerificationReport", "capital_market_residual",
                      "goods_market_residual", "job_density_residuals", "worker_clearing_residual",
                      "proposition_suite", "run_verification"), "verify"),

@@ -4,7 +4,7 @@ The objective is the weighted sum of squared proportional deviations of five
 model moments from their targets: targets span two orders of magnitude, so
 absolute squares would let the large concentration moments drown out TFP
 volatility.  All randomness is held fixed across evaluations (common random
-numbers): the only stochastic input, the state weights of the full mode,
+numbers): the only stochastic input, the state weights of a sampled path,
 depends on the seed and on the transition probabilities alone, and the
 probabilities are not calibrated - so the residuals are smooth deterministic
 functions of the parameters and least squares with finite-difference
@@ -15,17 +15,18 @@ unchanged), so the search holds lambda_theta at its configured value.
 All five moments are K-free, so each takes one closed-form value per z-state
 (:func:`sortcycles.dynamics.state_table`; the revenue-concentration moments
 come from the exact Pareto-lognormal share formulas applied to the table's
-per-state equilibria).  Neither mode solves the dynamic model.  Each moment
+per-state equilibria).  The dynamic model is never solved.  Each moment
 weights its two per-state values by two state weights (w_boom, w_recession),
 and TFP volatility, a two-valued series, is the gap times sqrt(w_boom ·
 w_recession): :func:`sortcycles.dynamics.state_moments`, the formula of a
-simulated path's summary too.  The modes differ only in those weights
+simulated path's summary too.  The path length T sets those weights
 (:func:`state_weights`):
 
-* fast - the chain's stationary distribution, so the objective involves no
-  sampling at all.
-* full - the state shares of the seeded path of T periods after burn-in, so
-  TFP volatility and the averages are those of that finite history.
+* ``T=None`` - the chain's stationary distribution, the limit of a path's
+  state shares as T grows, so the objective involves no sampling at all.
+* an int T - the state shares of the seeded path of T periods after
+  burn-in, so TFP volatility and the averages are those of that finite
+  history.
 """
 
 from __future__ import annotations
@@ -90,26 +91,6 @@ class TargetSet:
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    """Knobs of one objective evaluation.
-
-    ``fast`` weights the per-state values by the stationary distribution;
-    otherwise by the state shares of a sampled path of ``T`` periods whose
-    first ``burn_in`` are dropped (:func:`state_weights`).
-    """
-
-    T: int = 10_000
-    burn_in: int = 100
-    fast: bool = True
-
-    def __post_init__(self):
-        if self.burn_in < 0:
-            raise DomainError(f"burn_in={self.burn_in} must be nonnegative")
-        if not self.fast and self.T <= self.burn_in:
-            raise DomainError(f"T={self.T} must exceed burn_in={self.burn_in}")
-
-
-@dataclass(frozen=True)
 class CalibrationResult:
     params: dict[str, float]
     objective: float
@@ -129,17 +110,20 @@ def assemble(free_params, fixed_params: ModelParams,
     return params, chain
 
 
-def state_weights(chain: MarkovChain2, sim_config: SimConfig,
+def state_weights(chain: MarkovChain2, T: int | None, burn_in: int,
                   seed: int) -> tuple[float, float]:
     """(w_boom, w_recession), the weights of the two z-states in every
-    moment: the one place where the modes differ.  Fast mode takes the
-    chain's stationary distribution; full mode the state shares of the seeded
-    path of T periods after burn-in.  Only the stay probabilities are read,
-    and they are not calibrated, so one draw serves every parameter point."""
-    if sim_config.fast:
+    moment.  ``T=None`` takes the chain's stationary distribution; an int T
+    the state shares of the seeded path of T periods after its first
+    ``burn_in``.  Only the stay probabilities are read, and they are not
+    calibrated, so one draw serves every parameter point."""
+    if burn_in < 0:
+        raise DomainError(f"burn_in={burn_in} must be nonnegative")
+    if T is None:
         return stationary_distribution(chain)
-    return dynamics.state_shares(
-        dynamics.draw_state_path(chain, sim_config.T, seed)[sim_config.burn_in:])
+    if T <= burn_in:
+        raise DomainError(f"T={T} must exceed burn_in={burn_in}")
+    return dynamics.state_shares(dynamics.draw_state_path(chain, T, seed)[burn_in:])
 
 
 def model_moments(free_params, fixed_params: ModelParams, chain: MarkovChain2,
@@ -288,8 +272,8 @@ def _least_squares(fun, x0: np.ndarray, f0: np.ndarray, lo: np.ndarray, hi: np.n
 
 
 def calibrate(fixed_params: ModelParams, targets: TargetSet,
-              bounds=DEFAULT_BOUNDS, seed: int = 0, n_starts: int = 4,
-              sim_config: SimConfig | None = None, *, chain_template: MarkovChain2,
+              bounds=DEFAULT_BOUNDS, seed: int = 0, n_starts: int = 4, *,
+              chain_template: MarkovChain2, T: int | None = None, burn_in: int = 100,
               max_iter_per_start: int = 800) -> CalibrationResult:
     """Bounded least squares on the residuals from Latin-hypercube starts.
 
@@ -302,16 +286,16 @@ def calibrate(fixed_params: ModelParams, targets: TargetSet,
     (:func:`_least_squares`) with at most ``max_iter_per_start``
     evaluations of its start, made once when the start is screened, and of
     its trial steps (the finite-difference Jacobians come on top).  The
-    :func:`state_weights` are computed once.  Deterministic given the seed.
+    :func:`state_weights` of ``T`` and ``burn_in`` are computed once.
+    Deterministic given the seed.
     ``n_evaluations`` counts every residual evaluation: the starts'
     screening, the trial steps and the Jacobians; the reported objective is
     the best fit's own.
     """
     if n_starts < 1:
-        raise ValueError("n_starts must be at least 1")
+        raise DomainError("n_starts must be at least 1")
     if max_iter_per_start < 1:
-        raise ValueError("max_iter_per_start must be at least 1")
-    sim_config = sim_config or SimConfig()
+        raise DomainError("max_iter_per_start must be at least 1")
     lo = np.array([float(b[0]) for b in bounds])
     hi = np.array([float(b[1]) for b in bounds])
     if lo.shape != (len(FREE_PARAM_NAMES),) or not np.all(lo <= hi):
@@ -325,7 +309,7 @@ def calibrate(fixed_params: ModelParams, targets: TargetSet,
     free = lo < hi
     if not np.any(free):
         raise DomainError("every parameter is pinned: nothing to calibrate")
-    weights = state_weights(chain_template, sim_config, seed)
+    weights = state_weights(chain_template, T, burn_in, seed)
     n_calls = 0
 
     def expand(x):

@@ -252,10 +252,9 @@ def _cmd_calibrate(args, params, chain, files):
     from . import calibrate
 
     targets = _load_targets(args.targets)
-    sim_config = calibrate.SimConfig(fast=args.fast, T=args.T, burn_in=args.burn_in)
-    result = calibrate.calibrate(params, targets, seed=args.seed,
-                                 n_starts=args.n_starts, sim_config=sim_config,
-                                 chain_template=chain, max_iter_per_start=args.max_iter)
+    result = calibrate.calibrate(params, targets, seed=args.seed, n_starts=args.n_starts,
+                                 chain_template=chain, T=None if args.fast else args.T,
+                                 burn_in=args.burn_in, max_iter_per_start=args.max_iter)
     _write_json(files, "calibration.json", dataclasses.asdict(result))
     return EXIT_OK, {"subcommand": "calibrate", "objective": result.objective, **result.params}
 

@@ -44,20 +44,24 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError, GridExit, NoConvergence
-from .params import AggregateShockState, MarkovChain2, ModelParams
+from .params import AggregateShockState, MarkovChain2, ModelParams, require_finite_floats
 from .rng import block_uniforms
 from .statics import StaticEquilibrium, dispersions, measured_tfp, solve_static, steady_state
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Capital grid: n log-spaced nodes spanning the scaled steady-state hull."""
+    """Capital grid: n log-spaced nodes spanning the scaled steady-state hull.
+    The fractions are held as finite Python floats."""
 
     n: int = 400
     lo_frac: float = 0.5
     hi_frac: float = 1.5
 
     def __post_init__(self):
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
+            raise DomainError(f"n must be an integer, got {self.n!r}")
+        require_finite_floats(self, ("lo_frac", "hi_frac"))
         if self.n < 2:
             raise DomainError("grid needs at least 2 nodes")
         if not 0.0 < self.lo_frac < self.hi_frac:

@@ -10,7 +10,9 @@ deterministic in (n, seed) and independent of chunking.  :func:`panel_moments`
 is the one reduction of a panel: it draws and reduces it chunk by chunk, each
 chunk holding only the columns of panel.csv, so a panel is never held whole,
 and chunks can be dealt to forked worker processes, which send their results
-and rows home through pipes, with the same result.
+and rows home through pipes, with the same result.  The workers are
+processes, not threads: a thread pool gave the same bytes but ran slower and
+larger on the measured 2-core machine (README, ``--threads``).
 
 Every function here takes a solved equilibrium and reads ``eq.params`` and
 ``eq.shock`` from it.  The closed-form dispersions, which need lambda_t

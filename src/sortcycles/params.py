@@ -22,11 +22,16 @@ def is_finite_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def _require_finite_reals(obj, names: tuple[str, ...]) -> None:
+def require_finite_floats(obj, names: tuple[str, ...]) -> None:
+    """Check each named field of the frozen dataclass ``obj`` with
+    :func:`is_finite_real`, DomainError naming the first that fails, and store
+    it as a Python float."""
     for name in names:
-        v = getattr(obj, name)
-        if not is_finite_real(v):
-            raise DomainError(f"{name} must be a finite real number, got {v!r}")
+        value = getattr(obj, name)
+        if not is_finite_real(value):
+            raise DomainError(f"{name} must be a finite real number, got {value!r}")
+        if type(value) is not float:  # skips the write for a replaced point's old fields
+            object.__setattr__(obj, name, float(value))
 
 
 @dataclass(frozen=True)
@@ -61,7 +66,7 @@ class ModelParams:
     eta_q: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _require_finite_reals(self, _PARAM_KEYS)
+        require_finite_floats(self, _PARAM_KEYS)
         if not self.alpha > 0.0:
             raise DomainError(f"alpha must be positive, got {self.alpha}")
         if not self.gamma > 0.0:
@@ -85,10 +90,6 @@ class ModelParams:
             raise DomainError(f"beta must lie in (0, 1), got {self.beta}")
         if not 0.0 <= self.delta <= 1.0:
             raise DomainError(f"delta must lie in [0, 1], got {self.delta}")
-        for name in _PARAM_KEYS:
-            value = getattr(self, name)
-            if type(value) is not float:  # skips the write for a replaced point's old fields
-                object.__setattr__(self, name, float(value))
         object.__setattr__(self, "kappa", (self.xi - 1.0) / self.xi)
         object.__setattr__(self, "eta_q",
                            self.xi / (1.0 + (1.0 - self.alpha - self.gamma) * (self.xi - 1.0)))
@@ -114,13 +115,13 @@ class AggregateShockState:
     A: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "z", float(self.z))
+        object.__setattr__(self, "A", float(self.A))
+        require_finite_floats(self, ("z", "A"))  # after float() has taken numpy's scalars
         if not self.z >= 0.0:
             raise DomainError(f"z must be nonnegative, got {self.z}")
         if not self.A > 0.0:
             raise DomainError(f"A must be positive, got {self.A}")
-        object.__setattr__(self, "z", float(self.z))
-        object.__setattr__(self, "A", float(self.A))
-        _require_finite_reals(self, ("z", "A"))  # after float() has taken numpy's scalars
 
 
 @dataclass(frozen=True)
@@ -130,6 +131,7 @@ class MarkovChain2:
     State 0 is the boom (low z), state 1 the recession (high z), so z_low
     may not exceed z_high.
     p_stay_low / p_stay_high are the probabilities of remaining in each state.
+    Every field is held as a finite Python float.
     """
 
     z_high: float
@@ -138,7 +140,7 @@ class MarkovChain2:
     z_low: float = 0.0
 
     def __post_init__(self):
-        _require_finite_reals(self, ("z_high", "p_stay_low", "p_stay_high", "z_low"))
+        require_finite_floats(self, _CHAIN_KEYS)
         if not 0.0 <= self.p_stay_low <= 1.0:
             raise DomainError(f"p_stay_low must lie in [0, 1], got {self.p_stay_low}")
         if not 0.0 <= self.p_stay_high <= 1.0:
@@ -161,6 +163,9 @@ class MarkovChain2:
                 (1.0 - self.p_stay_high, self.p_stay_high))
 
 
+#: the fields a config's "chain" object may hold, z_low optional
+_CHAIN_KEYS = tuple(f.name for f in fields(MarkovChain2))
+
 #: the published two-state chain: z in {0, 0.3984}, stay probabilities per state
 PUBLISHED_CHAIN = MarkovChain2(z_high=0.3984, p_stay_low=0.977, p_stay_high=0.688)
 
@@ -182,8 +187,6 @@ def stationary_distribution(chain: MarkovChain2) -> tuple[float, float]:
 
 
 # --- JSON configuration -----------------------------------------------------
-
-_CHAIN_KEYS = ("z_high", "p_stay_low", "p_stay_high", "z_low")
 
 
 def require_keys(section: dict, allowed: tuple[str, ...], required: tuple[str, ...], where: str) -> None:

@@ -270,10 +270,10 @@ def aggregates(params: ModelParams, shock: AggregateShockState, lambda_t: float,
     """Aggregate prices and quantities, evaluated in the order
     M, w0, C_in, Q_bar, Y, R and then the scale constants chi_bar, k_bar, l_bar.
     """
-    if not K > 0.0:
-        raise DomainError(f"capital stock must be positive, got {K}")
     if not math.isfinite(K):
         raise DomainError(f"K must be a finite real number, got {K}")
+    if not K > 0.0:
+        raise DomainError(f"capital stock must be positive, got {K}")
     a, g, xi = params.alpha, params.gamma, params.xi
     kappa, eta_q = params.kappa, params.eta_q
     lt = params.lambda_theta
@@ -382,7 +382,7 @@ def steady_state(params: ModelParams, z_fixed: float, A: float = 1.0) -> tuple[f
         if rental(hi) < r_star:
             break
         hi *= 2.0
-    else:  # pragma: no cover
+    else:
         raise BracketFailure("could not bracket the steady-state capital stock")
     for _ in range(200):
         mid = 0.5 * (lo + hi)

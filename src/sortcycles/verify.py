@@ -250,7 +250,7 @@ def random_valid_params(n: int, seed: int) -> list[ModelParams]:
                                 lambda_x=lam_x, lambda_theta=lam_th, sigma1=sigma1, sigma2=sigma2)
         try:
             lam_hi = solve_lambda(candidate, shock_max)
-        except NoRoot:  # pragma: no cover - collapse handling makes this rare
+        except NoRoot:  # collapse handling makes this rare
             continue
         if lam_hi < 1e4:
             out.append(candidate)

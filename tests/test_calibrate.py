@@ -38,9 +38,6 @@ def self_targets(table_module, truth, pi):
     return sc.TargetSet(**{k: m[k] for k in cal.MOMENT_NAMES})
 
 
-FAST = cal.SimConfig(fast=True)
-
-
 #: the best fit's objective on the published config and the default targets
 OPTIMUM = 5.256774e-4
 #: its parameters (lambda_theta is held at the config's 2.616)
@@ -74,7 +71,7 @@ def one_start_fit(table_module):
     def fit(seed):
         if seed not in fits:
             fits[seed] = cal.calibrate(params, sc.TargetSet(), seed=seed, n_starts=1,
-                                       sim_config=FAST, chain_template=chain)
+                                       T=None, chain_template=chain)
         return fits[seed]
 
     return fit
@@ -186,7 +183,7 @@ class TestSigma1Inversion:
         targets = sc.TargetSet(**{k: m[k] for k in cal.MOMENT_NAMES})
         bounds = [(v, v) for v in truth[:4]] + [(0.0, 2.0)]
         res = cal.calibrate(params, targets, bounds=bounds, seed=2, n_starts=3,
-                            sim_config=FAST, chain_template=chain)
+                            T=None, chain_template=chain)
         assert res.params["sigma1"] == pytest.approx(sigma_star, rel=0.01)
 
 
@@ -198,7 +195,7 @@ class TestCalibrate:
         params, chain = table_module
         bounds = [(0.01, 0.99)] + [(v, v) for v in truth[1:4]] + [(0.0, 2.0)]
         res = cal.calibrate(params, self_targets, bounds=bounds, seed=3, n_starts=3,
-                            sim_config=FAST, chain_template=chain,
+                            T=None, chain_template=chain,
                             max_iter_per_start=2000)
         assert res.objective < 1e-12
         assert res.params["psi"] == pytest.approx(truth[0], abs=1e-6)
@@ -212,7 +209,7 @@ class TestCalibrate:
         # identify); the moment fit is essentially perfect
         params, chain = table_module
         res = cal.calibrate(params, self_targets, seed=7, n_starts=6,
-                            sim_config=FAST, chain_template=chain,
+                            T=None, chain_template=chain,
                             max_iter_per_start=1200)
         assert res.objective < 1e-10
         assert res.params["psi"] == pytest.approx(truth[0], rel=1e-3)
@@ -227,7 +224,7 @@ class TestCalibrate:
 
     def test_deterministic_given_seed(self, table_module, self_targets):
         params, chain = table_module
-        kw = dict(seed=11, n_starts=2, sim_config=FAST, chain_template=chain,
+        kw = dict(seed=11, n_starts=2, T=None, chain_template=chain,
                   max_iter_per_start=150)
         a = cal.calibrate(params, self_targets, **kw)
         b = cal.calibrate(params, self_targets, **kw)
@@ -236,7 +233,7 @@ class TestCalibrate:
     def test_reports_best_found_even_without_improvement(self, table_module, self_targets):
         params, chain = table_module
         res = cal.calibrate(params, self_targets, seed=5, n_starts=1,
-                            sim_config=FAST, chain_template=chain, max_iter_per_start=1)
+                            T=None, chain_template=chain, max_iter_per_start=1)
         assert math.isfinite(res.objective)
         assert res.n_evaluations > 0
 
@@ -246,7 +243,7 @@ class TestCalibrate:
         params, chain = table_module
         for seed in range(21):
             assert_at_the_optimum(cal.calibrate(params, sc.TargetSet(), seed=seed, n_starts=4,
-                                                sim_config=FAST, chain_template=chain))
+                                                T=None, chain_template=chain))
 
     @pytest.mark.parametrize("seed", range(21))
     def test_one_start_never_reports_infeasible(self, one_start_fit, seed):
@@ -266,7 +263,7 @@ class TestCalibrate:
     def test_lambda_theta_is_reported_at_its_config_value(self, table_module):
         params, chain = table_module
         varied = dataclasses.replace(params, lambda_theta=3.1)
-        res = cal.calibrate(varied, sc.TargetSet(), seed=4, n_starts=1, sim_config=FAST,
+        res = cal.calibrate(varied, sc.TargetSet(), seed=4, n_starts=1, T=None,
                             chain_template=chain, max_iter_per_start=20)
         assert tuple(res.params) == cal.FREE_PARAM_NAMES
         assert res.params["lambda_theta"] == 3.1
@@ -280,7 +277,7 @@ class TestCalibrate:
         bounds = list(cal.DEFAULT_BOUNDS)
         bounds[2] = (0.1, 30.0)
         res = cal.calibrate(varied, sc.TargetSet(), bounds=bounds, seed=0, n_starts=1,
-                            sim_config=FAST, chain_template=chain)
+                            T=None, chain_template=chain)
         assert res.params["lambda_theta"] == 25.0
         assert res.objective == pytest.approx(OPTIMUM, rel=1e-6)
         for name in ("psi", "sigma1"):
@@ -299,7 +296,7 @@ class TestCalibrate:
         bounds[2] = (params.lambda_theta + 0.5, 20.0)
         with pytest.raises(sc.DomainError, match="lambda_theta"):
             cal.calibrate(params, sc.TargetSet(), bounds=bounds, seed=0, n_starts=1,
-                          sim_config=FAST, chain_template=chain)
+                          T=None, chain_template=chain)
 
     def test_no_feasible_start_raises(self, table_module):
         # lambda_theta = 0.11 trips the capital-demand guard whatever sigma1 is
@@ -309,13 +306,11 @@ class TestCalibrate:
                   (0.0, 2.0)]
         with pytest.raises(sc.DomainError, match="feasible start"):
             cal.calibrate(tiny, sc.TargetSet(), bounds=bounds, seed=0, n_starts=2,
-                          sim_config=FAST, chain_template=chain)
+                          T=None, chain_template=chain)
 
-    @pytest.mark.parametrize("sim_config", [FAST, cal.SimConfig(fast=False, T=600,
-                                                                burn_in=60)],
-                             ids=["fast", "full"])
+    @pytest.mark.parametrize("T, burn_in", [(None, 100), (600, 60)], ids=["fast", "full"])
     def test_n_evaluations_counts_every_residual_call(self, table_module, monkeypatch,
-                                                      sim_config):
+                                                      T, burn_in):
         params, chain = table_module
         calls = []
         residuals = cal.residuals
@@ -325,8 +320,8 @@ class TestCalibrate:
             return residuals(*args, **kwargs)
 
         monkeypatch.setattr(cal, "residuals", counted)
-        res = cal.calibrate(params, sc.TargetSet(), seed=6, n_starts=2, sim_config=sim_config,
-                            chain_template=chain, max_iter_per_start=6)
+        res = cal.calibrate(params, sc.TargetSet(), seed=6, n_starts=2, chain_template=chain,
+                            T=T, burn_in=burn_in, max_iter_per_start=6)
         assert res.n_evaluations == len(calls)
         # the cap bounds each start's point and trial steps; every start
         # begins with a finite-difference Jacobian, four calls or more
@@ -344,7 +339,7 @@ class TestCalibrate:
             return residuals(*args, **kwargs)
 
         monkeypatch.setattr(cal, "residuals", counted)
-        res = cal.calibrate(params, sc.TargetSet(), seed=12345, n_starts=4, sim_config=FAST,
+        res = cal.calibrate(params, sc.TargetSet(), seed=12345, n_starts=4, T=None,
                             chain_template=chain)
         assert_at_the_optimum(res)
         assert res.n_evaluations == len(calls) <= 800
@@ -355,7 +350,6 @@ class TestCalibrate:
 
     def test_full_mode_draws_its_state_path_once(self, table_module, monkeypatch):
         params, chain = table_module
-        cfg = cal.SimConfig(fast=False, T=600, burn_in=60)
         draws = []
         draw = dynamics.draw_state_path
 
@@ -364,28 +358,27 @@ class TestCalibrate:
             return draw(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, "draw_state_path", counted)
-        res = cal.calibrate(params, sc.TargetSet(), seed=6, n_starts=2, sim_config=cfg,
-                            chain_template=chain, max_iter_per_start=6)
+        res = cal.calibrate(params, sc.TargetSet(), seed=6, n_starts=2, chain_template=chain,
+                            T=600, burn_in=60, max_iter_per_start=6)
         assert len(draws) == 1 and res.n_evaluations > 2 * 6
         # the one draw's weights are the weights of every evaluation
         point = np.array([res.params[name] for name in cal.FREE_PARAM_NAMES])
-        weights = cal.state_weights(chain, cfg, seed=6)
+        weights = cal.state_weights(chain, T=600, burn_in=60, seed=6)
         assert res.moments == cal.model_moments(point, params, chain, weights)
         assert res.objective == objective(point, params, sc.TargetSet(), chain, weights)
 
     def test_full_mode_runs_and_is_deterministic(self, table_module, truth, self_targets):
         params, chain = table_module
-        cfg = cal.SimConfig(fast=False, T=600, burn_in=60)
-        a = objective(truth, params, self_targets, chain, cal.state_weights(chain, cfg, 0))
-        b = objective(truth, params, self_targets, chain, cal.state_weights(chain, cfg, 0))
+        a = objective(truth, params, self_targets, chain, cal.state_weights(chain, 600, 60, 0))
+        b = objective(truth, params, self_targets, chain, cal.state_weights(chain, 600, 60, 0))
         assert a == b
         assert 0.0 <= a < 1.0  # realized frequencies differ from ergodic ones
 
     def test_full_mode_moments_near_fast_mode(self, table_module, truth, pi):
         params, chain = table_module
         fast = cal.model_moments(truth, params, chain, pi)
-        cfg = cal.SimConfig(fast=False, T=2000, burn_in=100)
-        full = cal.model_moments(truth, params, chain, cal.state_weights(chain, cfg, seed=0))
+        full = cal.model_moments(truth, params, chain,
+                                 cal.state_weights(chain, T=2000, burn_in=100, seed=0))
         for k in ("labor_share", "wage_inequality", "rev_share_top10", "rev_share_p50_p90"):
             assert full[k] == pytest.approx(fast[k], rel=0.10)
 
@@ -394,17 +387,16 @@ class TestStateWeights:
     @pytest.mark.parametrize("seed", [0, 6, 12345])
     def test_fast_mode_weights_are_the_stationary_distribution(self, table_module, seed):
         _, chain = table_module
-        assert cal.state_weights(chain, FAST, seed) == stationary_distribution(chain)
+        assert cal.state_weights(chain, None, 100, seed) == stationary_distribution(chain)
 
     @pytest.mark.parametrize("T, burn_in, seed", [(600, 60, 0), (2000, 100, 6),
                                                   (10_000, 100, 12345)])
     def test_full_mode_weights_are_the_paths_state_shares(self, table_module, T, burn_in,
                                                           seed):
         _, chain = table_module
-        cfg = cal.SimConfig(fast=False, T=T, burn_in=burn_in)
         states = dynamics.draw_state_path(chain, T, seed)[burn_in:]
         f = float(np.mean(states))
-        assert cal.state_weights(chain, cfg, seed) == (1.0 - f, f)
+        assert cal.state_weights(chain, T, burn_in, seed) == (1.0 - f, f)
         assert f == np.count_nonzero(states) / states.size
 
     @pytest.mark.parametrize("seed", [1, 7, 12])
@@ -413,19 +405,17 @@ class TestStateWeights:
         # the same seed, T and burn-in give the same states, and both take
         # their K-free moments from them through one formula
         params, chain = table_module
-        cfg = cal.SimConfig(fast=False, T=10_000, burn_in=100)
-        got = sc.simulate(policy, T=cfg.T, burn_in=cfg.burn_in, seed=seed).moments()
-        want = cal.model_moments(truth, params, chain, cal.state_weights(chain, cfg, seed))
+        got = sc.simulate(policy, T=10_000, burn_in=100, seed=seed).moments()
+        want = cal.model_moments(truth, params, chain,
+                                 cal.state_weights(chain, T=10_000, burn_in=100, seed=seed))
         for name in ("labor_share", "wage_inequality", "std_tfp"):
             assert got[name] == want[name], name
 
     def test_weights_read_only_the_stay_probabilities(self, table_module):
         _, chain = table_module
-        cfg = cal.SimConfig(fast=False, T=600, burn_in=60)
         moved = dataclasses.replace(chain, z_high=2.5 * chain.z_high)
-        for sim_config in (FAST, cfg):
-            assert (cal.state_weights(moved, sim_config, 3)
-                    == cal.state_weights(chain, sim_config, 3))
+        for T in (None, 600):
+            assert cal.state_weights(moved, T, 60, 3) == cal.state_weights(chain, T, 60, 3)
 
 
 def _lhs_points(n, seed):
@@ -443,8 +433,8 @@ class TestFullModeAgainstOracle:
     T, BURN_IN, GRID_N, SEED = 600, 60, 120, 0
 
     def full(self, x, params, chain):
-        cfg = cal.SimConfig(fast=False, T=self.T, burn_in=self.BURN_IN)
-        return cal.model_moments(x, params, chain, cal.state_weights(chain, cfg, self.SEED))
+        weights = cal.state_weights(chain, self.T, self.BURN_IN, self.SEED)
+        return cal.model_moments(x, params, chain, weights)
 
     @pytest.mark.parametrize("point", ["truth", *range(8)])
     def test_equals_policy_and_simulation_oracle(self, table_module, truth, point):
@@ -493,14 +483,27 @@ class TestFullModeAgainstOracle:
         assert got["rev_share_p50_p90"] == mix(p50_p90)
         assert got["std_tfp"] == gap * math.sqrt(f * (1.0 - f))
 
-    def test_t_not_above_burn_in_is_rejected(self):
-        with pytest.raises(sc.DomainError):
-            cal.SimConfig(fast=False, T=50, burn_in=100)
+    def test_t_not_above_burn_in_is_rejected(self, table_module):
+        params, chain = table_module
+        with pytest.raises(sc.DomainError, match=r"^T=50 must exceed burn_in=100$"):
+            cal.state_weights(chain, T=50, burn_in=100, seed=0)
+        with pytest.raises(sc.DomainError, match=r"^T=50 must exceed burn_in=100$"):
+            cal.calibrate(params, sc.TargetSet(), chain_template=chain, T=50, burn_in=100)
 
     @pytest.mark.parametrize("fast", [True, False])
-    def test_negative_burn_in_is_rejected(self, fast):
-        with pytest.raises(sc.DomainError):
-            cal.SimConfig(fast=fast, T=1, burn_in=-3)
+    def test_negative_burn_in_is_rejected(self, table_module, fast):
+        params, chain = table_module
+        T = None if fast else 1
+        with pytest.raises(sc.DomainError, match=r"^burn_in=-3 must be nonnegative$"):
+            cal.state_weights(chain, T=T, burn_in=-3, seed=0)
+        with pytest.raises(sc.DomainError, match=r"^burn_in=-3 must be nonnegative$"):
+            cal.calibrate(params, sc.TargetSet(), chain_template=chain, T=T, burn_in=-3)
+
+    @pytest.mark.parametrize("name", ["n_starts", "max_iter_per_start"])
+    def test_counts_below_one_are_rejected(self, table_module, name):
+        params, chain = table_module
+        with pytest.raises(sc.DomainError, match=rf"^{name} must be at least 1$"):
+            cal.calibrate(params, sc.TargetSet(), chain_template=chain, **{name: 0})
 
 
 class TestTargetSet:

@@ -456,10 +456,30 @@ class TestUsageAndConfigErrors:
         want = f"error: z_high must be a finite real number, got {value!r}\n"
         assert capsys.readouterr().err == want
 
-    @pytest.mark.parametrize("flag", ["--z", "--A", "--K"])
-    def test_non_finite_shock_or_capital_flag(self, config_path, tmp_path, capsys, flag):
-        assert cli.run(["solve", "--params", config_path, "--out", str(tmp_path), flag, "inf"]) == 1
-        assert capsys.readouterr().err == f"error: {flag[2:]} must be a finite real number, got inf\n"
+    @pytest.mark.parametrize("flag, value", [
+        ("--z", "inf"), ("--A", "inf"), ("--K", "inf"),
+        ("--z", "nan"), ("--A", "nan"), ("--K", "nan"),
+    ], ids=["--z", "--A", "--K", "--z-nan", "--A-nan", "--K-nan"])
+    def test_non_finite_shock_or_capital_flag(self, config_path, tmp_path, capsys, flag, value):
+        assert cli.run(["solve", "--params", config_path, "--out", str(tmp_path), flag, value]) == 1
+        want = f"error: {flag[2:]} must be a finite real number, got {value}\n"
+        assert capsys.readouterr().err == want
+
+    @pytest.mark.parametrize("argv, message", [
+        (("solve", "--A", "1e-300"), "rental rate below the Euler target even at minimal capital"),
+        (("solve", "--A", "1e200"), "could not bracket the steady-state capital stock"),
+        (("moments", "--A", "1e200", "--n-firms", "10"),
+         "could not bracket the steady-state capital stock"),
+    ], ids=["solve-A-1e-300", "solve-A-1e200", "moments-A-1e200"])
+    def test_steady_state_without_a_bracket(self, config_path, tmp_path, capsys, argv, message):
+        # both BracketFailure raises of statics.steady_state: at A = 1e-300
+        # the rental rate is below the Euler target at K = 1e-8, and at
+        # A = 1e200 it is above it up to K = 2^199
+        out = tmp_path / "out"
+        rc = cli.run([argv[0], "--params", config_path, *argv[1:], "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert list(out.iterdir()) == []
 
     def test_bad_seed(self, config_path):
         assert cli.run(["solve", "--params", config_path, "--seed", "-5"]) == 2

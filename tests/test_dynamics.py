@@ -108,6 +108,48 @@ def steady_states(table):
     raise AssertionError("fewer than 20 of 40 parameter points have steady states")
 
 
+class TestGridSpec:
+    def test_defaults(self):
+        # perfbench/record_references.py derives the capital hull from these
+        spec = sc.GridSpec()
+        assert (spec.n, spec.lo_frac, spec.hi_frac) == (400, 0.5, 1.5)
+        assert sc.GridSpec(n=400) == spec
+
+    def test_holds_the_fractions_as_python_floats(self):
+        spec = sc.GridSpec(n=50, lo_frac=20, hi_frac=np.float64(21.0))
+        assert (spec.lo_frac, spec.hi_frac) == (20.0, 21.0)
+        assert type(spec.lo_frac) is float and type(spec.hi_frac) is float
+
+    @pytest.mark.parametrize("field, value", [
+        ("lo_frac", math.nan), ("lo_frac", True), ("lo_frac", "0.5"), ("lo_frac", None),
+        ("hi_frac", math.inf), ("hi_frac", math.nan), ("hi_frac", np.float32(2.0)),
+    ])
+    def test_fraction_that_is_no_finite_real_is_named(self, field, value):
+        with pytest.raises(sc.DomainError, match=rf"^{field} must be a finite real number"):
+            sc.GridSpec(**{field: value})
+
+    @pytest.mark.parametrize("n", [2.5, 400.0, True, "400", None])
+    def test_node_count_that_is_no_integer_is_named(self, n):
+        with pytest.raises(sc.DomainError, match=r"^n must be an integer, got "):
+            sc.GridSpec(n=n)
+
+    def test_infinite_ceiling_is_no_policy(self, table):
+        # it once gave a Policy whose ceiling node was inf, with numpy
+        # RuntimeWarnings as the only sign
+        params, chain = table
+        with pytest.raises(sc.DomainError, match="hi_frac"):
+            sc.solve_policy(params, chain, grid_spec=sc.GridSpec(hi_frac=math.inf))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(n=1), "grid needs at least 2 nodes"),
+        (dict(lo_frac=0.0), "grid fractions must satisfy 0 < lo < hi"),
+        (dict(lo_frac=1.5, hi_frac=1.5), "grid fractions must satisfy 0 < lo < hi"),
+    ])
+    def test_range_rules_still_hold(self, kwargs, message):
+        with pytest.raises(sc.DomainError, match=message):
+            sc.GridSpec(**kwargs)
+
+
 class TestPolicy:
     def test_grid_covers_spec_hull(self, table, policy):
         params, chain = table

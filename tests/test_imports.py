@@ -115,7 +115,7 @@ EXPORTED = {
     "firms": ("CrossSectionMoments", "matching", "panel_moments", "wage"),
     "dynamics": ("GridSpec", "IRFResult", "Policy", "SimulationPath", "euler_residuals",
                  "impulse_response", "simulate", "solve_policy"),
-    "calibrate": ("CalibrationResult", "SimConfig", "TargetSet", "model_moments"),
+    "calibrate": ("CalibrationResult", "TargetSet", "model_moments"),
     "verify": ("CheckResult", "VerificationReport", "capital_market_residual",
                "goods_market_residual", "job_density_residuals", "worker_clearing_residual",
                "proposition_suite", "run_verification"),

@@ -118,6 +118,13 @@ class TestShockState:
         with pytest.raises(DomainError, match=field):
             dataclasses.replace(sc.AggregateShockState(z=0.1), **{field: value})
 
+    @pytest.mark.parametrize("field", ["z", "A"])
+    @pytest.mark.parametrize("value", [float("nan"), np.float64("nan"), -np.inf])
+    def test_non_finite_shock_is_named_before_its_sign(self, field, value):
+        # nan fails every sign test too; the finiteness rule speaks first
+        with pytest.raises(DomainError, match=rf"^{field} must be a finite real number, got "):
+            sc.AggregateShockState(**{"z": 0.1, field: value})
+
 
 class TestMarkovChain:
     def test_boom_z_above_recession_z_rejected(self):
@@ -137,6 +144,13 @@ class TestMarkovChain:
         with pytest.raises(DomainError, match=field):
             dataclasses.replace(sc.MarkovChain2(z_high=0.3984, p_stay_low=0.977,
                                                 p_stay_high=0.688), **{field: value})
+
+    def test_holds_python_floats(self):
+        # configs may give ints ("p_stay_low": 1, "z_low": 0) and array code numpy scalars
+        chain = sc.MarkovChain2(z_high=np.float64(0.5), p_stay_low=1, p_stay_high=0.5, z_low=0)
+        assert chain == sc.MarkovChain2(z_high=0.5, p_stay_low=1.0, p_stay_high=0.5)
+        for f in dataclasses.fields(chain):
+            assert type(getattr(chain, f.name)) is float, f.name
 
 
 class TestStationaryDistribution:

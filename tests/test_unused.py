@@ -245,3 +245,19 @@ class TestNoTestOnlyCode:
 
     def test_every_allowed_field_is_still_defined_and_unread(self):
         assert set(ALLOWED_FIELDS) <= set(unread_fields())
+
+
+def coverage_exclusions() -> list[str]:
+    """``<file>:<line>`` for each line of the package that carries a coverage
+    tool's exclusion comment."""
+    return [f"{path.name}:{number}" for path in sorted(SRC.glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"#\s*pragma:\s*no\s*cover", line)]
+
+
+class TestNoCoverageExclusions:
+    def test_no_line_is_excluded_from_coverage(self):
+        # no coverage tool is a dependency or configured, so nothing reads
+        # these comments, and one marked a line the command line reaches
+        # (steady_state's "could not bracket" raise)
+        assert coverage_exclusions() == []

@@ -26,12 +26,12 @@ _EXPORTS = {
     **dict.fromkeys(("Coefficients", "StaticEquilibrium", "aggregates", "coefficients",
                      "dispersions", "measured_tfp", "solve_lambda", "solve_static",
                      "steady_state"), "statics"),
-    **dict.fromkeys(("CrossSectionMoments", "matching", "panel_moments", "wage"), "firms"),
-    **dict.fromkeys(("GridSpec", "IRFResult", "Policy", "SimulationPath", "euler_residuals",
+    **dict.fromkeys(("matching", "panel_moments", "wage"), "firms"),
+    **dict.fromkeys(("GridSpec", "Policy", "SimulationPath", "euler_residuals",
                      "impulse_response", "simulate", "solve_policy"), "dynamics"),
     # the calibrate() entry point stays on its submodule (sortcycles.calibrate.calibrate)
     # so the submodule itself is not shadowed by a function of the same name
-    **dict.fromkeys(("CalibrationResult", "TargetSet", "model_moments"), "calibrate"),
+    **dict.fromkeys(("TargetSet", "model_moments"), "calibrate"),
     **dict.fromkeys(("CheckResult", "VerificationReport", "capital_market_residual",
                      "goods_market_residual", "job_density_residuals", "worker_clearing_residual",
                      "proposition_suite", "run_verification"), "verify"),

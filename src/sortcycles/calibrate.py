@@ -38,7 +38,8 @@ import numpy as np
 
 from .errors import DomainError, SortCyclesError
 from .firms import revenue_concentration
-from .params import MarkovChain2, ModelParams, is_finite_real, stationary_distribution
+from .params import (MarkovChain2, ModelParams, is_finite_real, require_ints,
+                     stationary_distribution)
 from .rng import latin_hypercube
 from . import dynamics
 
@@ -90,16 +91,6 @@ class TargetSet:
                 self.rev_share_p50_p90, self.std_tfp)
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
-    params: dict[str, float]
-    objective: float
-    moments: dict[str, float]
-    n_evaluations: int
-    seed: int
-    n_starts: int
-
-
 def assemble(free_params, fixed_params: ModelParams,
              chain_template: MarkovChain2) -> tuple[ModelParams, MarkovChain2]:
     """Overlay the free block on the fixed parameters."""
@@ -117,10 +108,12 @@ def state_weights(chain: MarkovChain2, T: int | None, burn_in: int,
     the state shares of the seeded path of T periods after its first
     ``burn_in``.  Only the stay probabilities are read, and they are not
     calibrated, so one draw serves every parameter point."""
+    require_ints(burn_in=burn_in)
     if burn_in < 0:
         raise DomainError(f"burn_in={burn_in} must be nonnegative")
     if T is None:
         return stationary_distribution(chain)
+    require_ints(T=T)
     if T <= burn_in:
         raise DomainError(f"T={T} must exceed burn_in={burn_in}")
     return dynamics.state_shares(dynamics.draw_state_path(chain, T, seed)[burn_in:])
@@ -274,7 +267,7 @@ def _least_squares(fun, x0: np.ndarray, f0: np.ndarray, lo: np.ndarray, hi: np.n
 def calibrate(fixed_params: ModelParams, targets: TargetSet,
               bounds=DEFAULT_BOUNDS, seed: int = 0, n_starts: int = 4, *,
               chain_template: MarkovChain2, T: int | None = None, burn_in: int = 100,
-              max_iter_per_start: int = 800) -> CalibrationResult:
+              max_iter_per_start: int = 800) -> dict:
     """Bounded least squares on the residuals from Latin-hypercube starts.
 
     ``lambda_theta`` is held at ``fixed_params.lambda_theta``, the
@@ -288,10 +281,13 @@ def calibrate(fixed_params: ModelParams, targets: TargetSet,
     its trial steps (the finite-difference Jacobians come on top).  The
     :func:`state_weights` of ``T`` and ``burn_in`` are computed once.
     Deterministic given the seed.
-    ``n_evaluations`` counts every residual evaluation: the starts'
-    screening, the trial steps and the Jacobians; the reported objective is
-    the best fit's own.
+
+    Returns the ``calibration.json`` dict: the fitted ``params`` by name, the
+    ``objective`` of the best fit and its ``moments``, ``n_evaluations``, which
+    counts every residual evaluation (the starts' screening, the trial steps
+    and the Jacobians), and the ``seed`` and ``n_starts``.
     """
+    require_ints(n_starts=n_starts, max_iter_per_start=max_iter_per_start)
     if n_starts < 1:
         raise DomainError("n_starts must be at least 1")
     if max_iter_per_start < 1:
@@ -330,11 +326,11 @@ def calibrate(fixed_params: ModelParams, targets: TargetSet,
             for x0, f0 in starts]
     best, f = min(fits, key=lambda fit: (float(fit[1] @ fit[1]), tuple(fit[0])))
     point = expand(best)
-    return CalibrationResult(
-        params={name: float(v) for name, v in zip(FREE_PARAM_NAMES, point)},
-        objective=float(f @ f),
-        moments=model_moments(point, fixed_params, chain_template, weights),
-        n_evaluations=n_calls,
-        seed=seed,
-        n_starts=n_starts,
-    )
+    return {
+        "params": {name: float(v) for name, v in zip(FREE_PARAM_NAMES, point)},
+        "objective": float(f @ f),
+        "moments": model_moments(point, fixed_params, chain_template, weights),
+        "n_evaluations": n_calls,
+        "seed": seed,
+        "n_starts": n_starts,
+    }

@@ -8,13 +8,16 @@ JSON floats are written as the shortest repr that round-trips, CSV cells
 as ``"%.17g" % x`` gives them (formatted in numpy by :mod:`csvtext`), key
 order is fixed, and no timestamps appear, so reruns are byte-identical.
 All randomness descends from the single --seed through named streams.
---threads (at least 1) sets the processes ``moments`` reduces its panel
-with, capped at the cores available and the panel's chunks; the other
-subcommands ignore it, and every artifact is the same for every value.  A
-run that needs more memory than it can have is a domain error, and so is a
-``moments`` worker that cannot start ("cannot start a worker process") or
-that dies ("worker process <pid> ended without a result"), and a --z, --A
-or --K that is not finite (the line names z, A or K).
+``moments.json``, ``irf.csv`` and ``calibration.json`` are written as
+``firms.panel_moments``, ``dynamics.impulse_response`` and
+``calibrate.calibrate`` return them.  --threads (at least 1) sets the
+processes ``moments`` reduces its panel with, capped at the cores available
+and the panel's chunks; the other subcommands ignore it, and every artifact
+is the same for every value.  A run that needs more memory than it can have
+is a domain error, and so is a ``moments`` worker that cannot start ("cannot
+start a worker process") or that dies ("worker process <pid> ended without
+a result"), and a --z, --A or --K that is not finite (the line names z, A
+or K).
 
 Artifacts appear whole or not at all: each is written to a new temporary
 beside it in --out, opened before the work, and all move into place after
@@ -211,9 +214,8 @@ def _cmd_moments(args, params, chain, files):
     eq = statics.solve_static(params, shock, K)
     workers = min(args.threads, _cores())
     moments = firms.panel_moments(eq, args.n_firms, args.seed, workers, files.get("panel.csv"))
-    payload = dataclasses.asdict(moments)
-    _write_json(files, "moments.json", payload)
-    return EXIT_OK, {"subcommand": "moments", **payload}
+    _write_json(files, "moments.json", moments)
+    return EXIT_OK, {"subcommand": "moments", **moments}
 
 
 def _cmd_simulate(args, params, chain, files):
@@ -229,12 +231,11 @@ def _cmd_irf(args, params, chain, files):
     from . import csvtext, dynamics
 
     policy = dynamics.solve_policy(params, chain, grid_spec=dynamics.GridSpec(n=args.grid_size))
-    irf = dynamics.impulse_response(policy, horizon=args.horizon, n_sims=args.n_sims,
-                                    seed=args.seed)
-    cols = irf.columns()
+    cols = dynamics.impulse_response(policy, horizon=args.horizon, n_sims=args.n_sims,
+                                     seed=args.seed)
     csvtext.write_csv(files["irf.csv"], cols)
     impacts = {f"impact_{name}": float(col[0]) for name, col in cols.items() if name != "h"}
-    return EXIT_OK, {"subcommand": "irf", "n_episodes": irf.n_episodes, **impacts}
+    return EXIT_OK, {"subcommand": "irf", "n_episodes": args.n_sims, **impacts}
 
 
 def _load_targets(path: str | None) -> TargetSet:
@@ -255,8 +256,9 @@ def _cmd_calibrate(args, params, chain, files):
     result = calibrate.calibrate(params, targets, seed=args.seed, n_starts=args.n_starts,
                                  chain_template=chain, T=None if args.fast else args.T,
                                  burn_in=args.burn_in, max_iter_per_start=args.max_iter)
-    _write_json(files, "calibration.json", dataclasses.asdict(result))
-    return EXIT_OK, {"subcommand": "calibrate", "objective": result.objective, **result.params}
+    _write_json(files, "calibration.json", result)
+    return EXIT_OK, {"subcommand": "calibrate", "objective": result["objective"],
+                     **result["params"]}
 
 
 def _cmd_verify(args, params, chain, files):

@@ -39,12 +39,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, GridExit, NoConvergence
-from .params import AggregateShockState, MarkovChain2, ModelParams, require_finite_floats
+from .params import (AggregateShockState, MarkovChain2, ModelParams, require_finite_floats,
+                     require_ints)
 from .rng import block_uniforms
 from .statics import StaticEquilibrium, dispersions, measured_tfp, solve_static, steady_state
 
@@ -59,8 +60,7 @@ class GridSpec:
     hi_frac: float = 1.5
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise DomainError(f"n must be an integer, got {self.n!r}")
+        require_ints(n=self.n)
         require_finite_floats(self, ("lo_frac", "hi_frac"))
         if self.n < 2:
             raise DomainError("grid needs at least 2 nodes")
@@ -123,26 +123,6 @@ class SimulationPath:
                 "mean_Y": float(np.mean(Y[sl])),
                 "mean_C": float(np.mean(self.C[sl])), "mean_K": float(np.mean(self.K[sl])),
                 "recession_frequency": weights[1]}
-
-
-@dataclass(frozen=True)
-class IRFResult:
-    """Mean treated-minus-control deviations by horizon: the d_ fields."""
-
-    horizon: int
-    d_log_Y: np.ndarray
-    d_measured_tfp: np.ndarray
-    d_var_log_wage: np.ndarray
-    d_var_log_tfpq: np.ndarray
-    d_var_log_tfpr: np.ndarray
-    n_episodes: int
-
-    def columns(self) -> dict[str, np.ndarray]:
-        """The columns of ``irf.csv``, in order: the horizon h, then each
-        deviation in field order."""
-        return {"h": np.arange(self.horizon + 1, dtype=float),
-                **{f.name: getattr(self, f.name) for f in fields(self)
-                   if f.name.startswith("d_")}}
 
 
 @dataclass(frozen=True)
@@ -321,6 +301,7 @@ def simulate(policy: Policy, T: int = 10_000, burn_in: int = 100, seed: int = 0,
     capital less the savings, so it satisfies the budget identity at the
     simulated capital stock rather than by grid interpolation.
     """
+    require_ints(T=T, burn_in=burn_in)
     if burn_in < 0:
         raise DomainError(f"burn_in={burn_in} must be nonnegative")
     if T <= burn_in:
@@ -342,7 +323,7 @@ def simulate(policy: Policy, T: int = 10_000, burn_in: int = 100, seed: int = 0,
 
 
 def impulse_response(policy: Policy, horizon: int = 20, n_sims: int = 1000,
-                     seed: int = 0) -> IRFResult:
+                     seed: int = 0) -> dict[str, np.ndarray]:
     """Generalized IRF to entering the high-z state, averaged over the
     ergodic boom distribution of capital.
 
@@ -351,7 +332,11 @@ def impulse_response(policy: Policy, horizon: int = 20, n_sims: int = 1000,
     and a control path (z = z_low) under common innovations of the policy's
     own chain.  Only log Y is evaluated pair by pair: a K-free column's
     deviation is its gap times the treated-minus-control recession share.
+    Returns the columns of ``irf.csv``, in order: the horizon h = 0..horizon,
+    then the mean deviations d_log_Y, d_measured_tfp, d_var_log_wage,
+    d_var_log_tfpq and d_var_log_tfpr.
     """
+    require_ints(horizon=horizon, n_sims=n_sims)
     if n_sims < 1:
         raise DomainError("n_sims must be at least 1")
     if horizon < 0:
@@ -389,4 +374,8 @@ def impulse_response(policy: Policy, horizon: int = 20, n_sims: int = 1000,
     # each K-free deviation d_<column> is the column's gap times d_share
     kfree = {f"d_{name}": (getattr(table, name)[1] - getattr(table, name)[0]) * d_share
              for name in ("measured_tfp", "var_log_wage", "var_log_tfpq", "var_log_tfpr")}
-    return IRFResult(horizon, d_log_Y, n_episodes=n_sims, **kfree)
+    return {
+        "h": np.arange(horizon + 1, dtype=float),
+        "d_log_Y": d_log_Y,
+        **kfree,
+    }

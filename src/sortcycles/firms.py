@@ -25,12 +25,12 @@ import math
 import os
 import sys
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from typing import NoReturn, TextIO
 
 import numpy as np
 
 from .errors import EmptyPanel, NonFinite, SortCyclesError
+from .params import require_ints
 from .rng import block_uniforms, exponential_icdf, normal_icdf
 from .statics import EXP_CAP, StaticEquilibrium, _type_loadings, tfpr_type_loading
 
@@ -48,20 +48,6 @@ _SQRT_HALF = math.sqrt(0.5)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 #: the top-share threshold is found once its step is this fraction of |t| + s
 _TOPSHARE_XTOL = 4.0 * sys.float_info.epsilon
-
-
-@dataclass(frozen=True)
-class CrossSectionMoments:
-    """Targets-and-fit block computed from one sampled cross-section."""
-
-    var_log_wage: float
-    var_log_tfpq: float
-    var_log_tfpr: float
-    labor_share: float
-    rev_share_top10: float
-    rev_share_p50_p90: float
-    n_firms: int
-    seed: int
 
 
 def matching(eq: StaticEquilibrium, x) -> float | np.ndarray:
@@ -158,8 +144,11 @@ def _merge_spread(a: _Spread, b: _Spread) -> _Spread:
 
 
 def panel_moments(eq: StaticEquilibrium, n: int, seed: int, workers: int = 1,
-                  out: TextIO | None = None) -> CrossSectionMoments:
-    """Empirical dispersion and concentration moments of the seeded n-firm panel.
+                  out: TextIO | None = None) -> dict[str, float | int]:
+    """Empirical dispersion and concentration moments of the seeded n-firm panel,
+    as the ``moments.json`` dict: var_log_wage, var_log_tfpq, var_log_tfpr,
+    labor_share, rev_share_top10 and rev_share_p50_p90, then n as n_firms and
+    the seed.
 
     The panel is drawn in chunks of SAMPLE_CHUNK firms (:func:`_sample_chunk`),
     each reduced to a weight, mean and M2 per log-variance as it comes; the
@@ -191,6 +180,7 @@ def panel_moments(eq: StaticEquilibrium, n: int, seed: int, workers: int = 1,
     """
     import mmap
 
+    require_ints(n=n, workers=workers)
     if n < 1:
         raise EmptyPanel("panel size must be at least 1")
     if out is not None:
@@ -226,16 +216,16 @@ def panel_moments(eq: StaticEquilibrium, n: int, seed: int, workers: int = 1,
     total = float(descending.sum())
     k10 = int(round(0.10 * n))
     k50 = int(round(0.50 * n))
-    return CrossSectionMoments(
-        var_log_wage=log_w[2] / log_w[0],
-        var_log_tfpq=log_q[2] / log_q[0],
-        var_log_tfpr=log_r[2] / log_r[0],
-        labor_share=eq.labor_share,
-        rev_share_top10=float(descending[:k10].sum()) / total,
-        rev_share_p50_p90=float(descending[k10:k50].sum()) / total,
-        n_firms=n,
-        seed=seed,
-    )
+    return {
+        "var_log_wage": log_w[2] / log_w[0],
+        "var_log_tfpq": log_q[2] / log_q[0],
+        "var_log_tfpr": log_r[2] / log_r[0],
+        "labor_share": eq.labor_share,
+        "rev_share_top10": float(descending[:k10].sum()) / total,
+        "rev_share_p50_p90": float(descending[k10:k50].sum()) / total,
+        "n_firms": n,
+        "seed": seed,
+    }
 
 
 class _Blocks(list):

@@ -34,6 +34,14 @@ def require_finite_floats(obj, names: tuple[str, ...]) -> None:
             object.__setattr__(obj, name, float(value))
 
 
+def require_ints(**counts) -> None:
+    """DomainError naming the first of ``counts`` that is no int (a bool is
+    not one): the rule of every count the package takes."""
+    for name, value in counts.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Structural constants: technology, preferences, type and wedge distributions.
@@ -115,9 +123,7 @@ class AggregateShockState:
     A: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "z", float(self.z))
-        object.__setattr__(self, "A", float(self.A))
-        require_finite_floats(self, ("z", "A"))  # after float() has taken numpy's scalars
+        require_finite_floats(self, ("z", "A"))
         if not self.z >= 0.0:
             raise DomainError(f"z must be nonnegative, got {self.z}")
         if not self.A > 0.0:

@@ -34,7 +34,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import BracketFailure, DomainError, NonFinite, NoRoot, UnboundedCapitalDemand
-from .params import AggregateShockState, ModelParams
+from .params import AggregateShockState, ModelParams, is_finite_real
 
 #: |log x| above which exp(x) is treated as an overflow rather than a value
 EXP_CAP = 700.0
@@ -270,7 +270,7 @@ def aggregates(params: ModelParams, shock: AggregateShockState, lambda_t: float,
     """Aggregate prices and quantities, evaluated in the order
     M, w0, C_in, Q_bar, Y, R and then the scale constants chi_bar, k_bar, l_bar.
     """
-    if not math.isfinite(K):
+    if not is_finite_real(K):
         raise DomainError(f"K must be a finite real number, got {K}")
     if not K > 0.0:
         raise DomainError(f"capital stock must be positive, got {K}")

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .params import AggregateShockState, ModelParams
+from .params import AggregateShockState, ModelParams, require_ints
 from .rng import block_uniforms, exponential_icdf
 from .errors import NoRoot
 from .statics import (StaticEquilibrium, dispersions, solve_lambda, solve_static,
@@ -340,6 +340,7 @@ def run_verification(params: ModelParams, shocks: list[AggregateShockState],
     the density shape, of Y the goods integral, of R the capital integral,
     and of the assignment's slope the worker clearing.
     """
+    require_ints(n_prop_points=n_prop_points)
     checks = []
     for i, shock in enumerate(shocks):
         eq = solve_static(params, shock, 1.0)

@@ -390,8 +390,8 @@ def simulate_oracle(policy, params, chain, T, burn_in, seed, K0=None):
 def irf_oracle(policy, params, chain, horizon, n_sims, seed):
     """Scalar IRF: one treated/control pair at a time, a full static solve per
     record and ``interp_scalar`` for each capital step, presimulation
-    included.  Returns the (horizon+1, 5) mean differences in IRFResult
-    column order."""
+    included.  Returns the (horizon+1, 5) mean differences in the order of
+    impulse_response's d_ columns."""
     presim_T = 200 + 10 * n_sims
     pre_states = dynamics.draw_state_path(chain, presim_T, seed, stream_label="irf-presim")
     K0 = sc.steady_state(params, chain.z_states[0])[0]
@@ -541,16 +541,16 @@ def cross_section_moments_oracle(panel, eq, log_wage=None):
     if log_wage is None:
         log_wage = np.log(panel.wage_bill / panel.l)
     mean = float(np.average(log_wage, weights=panel.l))
-    return sc.CrossSectionMoments(
-        var_log_wage=float(np.average((log_wage - mean) ** 2, weights=panel.l)),
-        var_log_tfpq=float(np.var(panel.log_tfpq)),
-        var_log_tfpr=float(np.var(panel.log_tfpr)),
-        labor_share=eq.labor_share,
-        rev_share_top10=float(rev_sorted[:k10].sum()) / total,
-        rev_share_p50_p90=float(rev_sorted[k10:k50].sum()) / total,
-        n_firms=n,
-        seed=panel.seed,
-    )
+    return {
+        "var_log_wage": float(np.average((log_wage - mean) ** 2, weights=panel.l)),
+        "var_log_tfpq": float(np.var(panel.log_tfpq)),
+        "var_log_tfpr": float(np.var(panel.log_tfpr)),
+        "labor_share": eq.labor_share,
+        "rev_share_top10": float(rev_sorted[:k10].sum()) / total,
+        "rev_share_p50_p90": float(rev_sorted[k10:k50].sum()) / total,
+        "n_firms": n,
+        "seed": panel.seed,
+    }
 
 
 def write_csv_oracle(path, columns):

@@ -230,16 +230,16 @@ def test_criterion6_irf_qualitative(table, timed_policy):
     vwh, vqh, vrh = sc.dispersions(rec.params, rec.shock, rec.lambda_t)
     elapsed = solve_time + (time.perf_counter() - t0)
 
-    signs_ok = (irf.d_log_Y[0] < -0.05 and irf.d_measured_tfp[0] < 0.0
-                and irf.d_var_log_tfpq[0] > 0.0 and irf.d_var_log_tfpr[0] > 0.0
-                and irf.d_var_log_wage[0] < 0.0)
+    signs_ok = (irf["d_log_Y"][0] < -0.05 and irf["d_measured_tfp"][0] < 0.0
+                and irf["d_var_log_tfpq"][0] > 0.0 and irf["d_var_log_tfpr"][0] > 0.0
+                and irf["d_var_log_wage"][0] < 0.0)
     pairs = {
         "TFPQ variance": ((vq0, 0.1203), (vqh, 0.2254)),
         "TFPR variance": ((vr0, 0.0546), (vrh, 0.1330)),
         "wage inequality": ((vw0, 0.7901), (vwh, 0.3132)),
     }
     levels_ok = True
-    detail = [f"impact dlogY {irf.d_log_Y[0]:.3f}"]
+    detail = [f"impact dlogY {irf['d_log_Y'][0]:.3f}"]
     for name, ((got_b, want_b), (got_r, want_r)) in pairs.items():
         eb, er = abs(got_b / want_b - 1.0), abs(got_r / want_r - 1.0)
         levels_ok &= eb <= 0.20 and er <= 0.20

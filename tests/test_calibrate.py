@@ -46,9 +46,9 @@ OPTIMUM_PARAMS = {"psi": 0.5387192031, "z_high": 0.1079615775, "lambda_theta": 2
 
 
 def assert_at_the_optimum(res):
-    assert res.objective == pytest.approx(OPTIMUM, rel=1e-6)
+    assert res["objective"] == pytest.approx(OPTIMUM, rel=1e-6)
     for name in cal.FREE_PARAM_NAMES:
-        assert res.params[name] == pytest.approx(OPTIMUM_PARAMS[name], rel=1e-6), name
+        assert res["params"][name] == pytest.approx(OPTIMUM_PARAMS[name], rel=1e-6), name
 
 
 def start_point(seed, n_starts, lambda_theta):
@@ -184,7 +184,7 @@ class TestSigma1Inversion:
         bounds = [(v, v) for v in truth[:4]] + [(0.0, 2.0)]
         res = cal.calibrate(params, targets, bounds=bounds, seed=2, n_starts=3,
                             T=None, chain_template=chain)
-        assert res.params["sigma1"] == pytest.approx(sigma_star, rel=0.01)
+        assert res["params"]["sigma1"] == pytest.approx(sigma_star, rel=0.01)
 
 
 class TestCalibrate:
@@ -197,9 +197,9 @@ class TestCalibrate:
         res = cal.calibrate(params, self_targets, bounds=bounds, seed=3, n_starts=3,
                             T=None, chain_template=chain,
                             max_iter_per_start=2000)
-        assert res.objective < 1e-12
-        assert res.params["psi"] == pytest.approx(truth[0], abs=1e-6)
-        assert res.params["sigma1"] == pytest.approx(truth[4], abs=1e-6)
+        assert res["objective"] < 1e-12
+        assert res["params"]["psi"] == pytest.approx(truth[0], abs=1e-6)
+        assert res["params"]["sigma1"] == pytest.approx(truth[4], abs=1e-6)
 
     def test_full_search_recovers_identified_quantities(self, table_module, truth,
                                                         self_targets):
@@ -211,16 +211,16 @@ class TestCalibrate:
         res = cal.calibrate(params, self_targets, seed=7, n_starts=6,
                             T=None, chain_template=chain,
                             max_iter_per_start=1200)
-        assert res.objective < 1e-10
-        assert res.params["psi"] == pytest.approx(truth[0], rel=1e-3)
-        assert res.params["sigma1"] == pytest.approx(truth[4], rel=1e-3)
-        rec = np.array([res.params[k] for k in cal.FREE_PARAM_NAMES])
+        assert res["objective"] < 1e-10
+        assert res["params"]["psi"] == pytest.approx(truth[0], rel=1e-3)
+        assert res["params"]["sigma1"] == pytest.approx(truth[4], rel=1e-3)
+        rec = np.array([res["params"][k] for k in cal.FREE_PARAM_NAMES])
         got_i1, got_i2 = curve_invariants(rec)
         want_i1, want_i2 = curve_invariants(truth)
         assert got_i1 == pytest.approx(want_i1, rel=0.02)
         assert got_i2 == pytest.approx(want_i2, rel=0.02)
         for name, target in zip(cal.MOMENT_NAMES, self_targets.values()):
-            assert res.moments[name] == pytest.approx(target, rel=1e-4)
+            assert res["moments"][name] == pytest.approx(target, rel=1e-4)
 
     def test_deterministic_given_seed(self, table_module, self_targets):
         params, chain = table_module
@@ -234,8 +234,8 @@ class TestCalibrate:
         params, chain = table_module
         res = cal.calibrate(params, self_targets, seed=5, n_starts=1,
                             T=None, chain_template=chain, max_iter_per_start=1)
-        assert math.isfinite(res.objective)
-        assert res.n_evaluations > 0
+        assert math.isfinite(res["objective"])
+        assert res["n_evaluations"] > 0
 
     def test_fast_mode_reaches_one_optimum_from_every_seed(self, table_module):
         # with lambda_theta normalized the default targets have one best fit;
@@ -250,8 +250,8 @@ class TestCalibrate:
         # infeasible Latin-hypercube draws (about 1 in 8 of the box; seed 20's
         # first) are replaced before the search
         res = one_start_fit(seed)
-        assert res.objective < INFEASIBLE
-        assert all(math.isfinite(v) for v in res.moments.values())
+        assert res["objective"] < INFEASIBLE
+        assert all(math.isfinite(v) for v in res["moments"].values())
 
     @pytest.mark.parametrize("seed", range(21))
     def test_one_start_reaches_the_optimum(self, one_start_fit, seed):
@@ -265,8 +265,8 @@ class TestCalibrate:
         varied = dataclasses.replace(params, lambda_theta=3.1)
         res = cal.calibrate(varied, sc.TargetSet(), seed=4, n_starts=1, T=None,
                             chain_template=chain, max_iter_per_start=20)
-        assert tuple(res.params) == cal.FREE_PARAM_NAMES
-        assert res.params["lambda_theta"] == 3.1
+        assert tuple(res["params"]) == cal.FREE_PARAM_NAMES
+        assert res["params"]["lambda_theta"] == 3.1
 
     def test_the_search_box_is_the_callers(self, table_module):
         # lambda_theta = 25 lies outside the default box but inside these
@@ -278,10 +278,10 @@ class TestCalibrate:
         bounds[2] = (0.1, 30.0)
         res = cal.calibrate(varied, sc.TargetSet(), bounds=bounds, seed=0, n_starts=1,
                             T=None, chain_template=chain)
-        assert res.params["lambda_theta"] == 25.0
-        assert res.objective == pytest.approx(OPTIMUM, rel=1e-6)
+        assert res["params"]["lambda_theta"] == 25.0
+        assert res["objective"] == pytest.approx(OPTIMUM, rel=1e-6)
         for name in ("psi", "sigma1"):
-            assert res.params[name] == pytest.approx(OPTIMUM_PARAMS[name], rel=1e-6), name
+            assert res["params"][name] == pytest.approx(OPTIMUM_PARAMS[name], rel=1e-6), name
 
     def test_residuals_know_no_search_box(self, table_module, truth, pi):
         # z_high = 2.5 lies outside the default box, and the model is fine there
@@ -322,7 +322,7 @@ class TestCalibrate:
         monkeypatch.setattr(cal, "residuals", counted)
         res = cal.calibrate(params, sc.TargetSet(), seed=6, n_starts=2, chain_template=chain,
                             T=T, burn_in=burn_in, max_iter_per_start=6)
-        assert res.n_evaluations == len(calls)
+        assert res["n_evaluations"] == len(calls)
         # the cap bounds each start's point and trial steps; every start
         # begins with a finite-difference Jacobian, four calls or more
         assert len(calls) > 2 * 6
@@ -342,7 +342,7 @@ class TestCalibrate:
         res = cal.calibrate(params, sc.TargetSet(), seed=12345, n_starts=4, T=None,
                             chain_template=chain)
         assert_at_the_optimum(res)
-        assert res.n_evaluations == len(calls) <= 800
+        assert res["n_evaluations"] == len(calls) <= 800
         # the screened start points go into the fits, and the objective is
         # the best fit's own: no point is evaluated twice
         assert len(set(calls)) == len(calls)
@@ -360,12 +360,12 @@ class TestCalibrate:
         monkeypatch.setattr(dynamics, "draw_state_path", counted)
         res = cal.calibrate(params, sc.TargetSet(), seed=6, n_starts=2, chain_template=chain,
                             T=600, burn_in=60, max_iter_per_start=6)
-        assert len(draws) == 1 and res.n_evaluations > 2 * 6
+        assert len(draws) == 1 and res["n_evaluations"] > 2 * 6
         # the one draw's weights are the weights of every evaluation
-        point = np.array([res.params[name] for name in cal.FREE_PARAM_NAMES])
+        point = np.array([res["params"][name] for name in cal.FREE_PARAM_NAMES])
         weights = cal.state_weights(chain, T=600, burn_in=60, seed=6)
-        assert res.moments == cal.model_moments(point, params, chain, weights)
-        assert res.objective == objective(point, params, sc.TargetSet(), chain, weights)
+        assert res["moments"] == cal.model_moments(point, params, chain, weights)
+        assert res["objective"] == objective(point, params, sc.TargetSet(), chain, weights)
 
     def test_full_mode_runs_and_is_deterministic(self, table_module, truth, self_targets):
         params, chain = table_module

@@ -126,8 +126,7 @@ class TestMoments:
                          {name: getattr(panel, name) for name in firms.PANEL_COLUMNS})
         assert (tmp_path / "panel.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
         got = json.loads((tmp_path / "moments.json").read_text())
-        assert_moments_agree(sortcycles.CrossSectionMoments(**got),
-                             cross_section_moments_oracle(panel, eq))
+        assert_moments_agree(got, cross_section_moments_oracle(panel, eq))
 
     def test_panel_csv_peak_memory_is_bounded(self, config_path, tmp_path, monkeypatch):
         # the held panel and its whole-file text took over 1 kB per firm;
@@ -393,6 +392,43 @@ class TestCalibrate:
         rc = cli.run(["calibrate", "--params", config_path, "--targets", str(bad),
                       "--fast", "--n-starts", "1", "--out", str(tmp_path)])
         assert rc == 1
+
+
+class TestArtifactsAreTheReturns:
+    # each artifact holds what its library function returns, called here with
+    # the run's inputs, in the same order
+    def test_moments_json(self, config_path, tmp_path, capsys):
+        n = firms.SAMPLE_CHUNK + 3
+        assert cli.run(["moments", "--params", config_path, "--n-firms", str(n), "--seed", "3",
+                        "--threads", "2", "--panel-csv", "--out", str(tmp_path)]) == 0
+        params, _ = sortcycles.load_config(config_path)
+        K = sortcycles.steady_state(params, 0.0, 1.0)[0]
+        eq = sortcycles.solve_static(params, sortcycles.AggregateShockState(z=0.0), K)
+        want = firms.panel_moments(eq, n, 3)
+        got = json.loads((tmp_path / "moments.json").read_text())
+        assert list(got.items()) == list(want.items())
+        assert json.loads(capsys.readouterr().out) == {"subcommand": "moments", **want}
+
+    def test_irf_csv(self, config_path, tmp_path):
+        assert cli.run(["irf", "--params", config_path, "--horizon", "5", "--n-sims", "30",
+                        "--grid-size", "60", "--seed", "4", "--out", str(tmp_path)]) == 0
+        params, chain = sortcycles.load_config(config_path)
+        policy = dynamics.solve_policy(params, chain, grid_spec=dynamics.GridSpec(n=60))
+        want = dynamics.impulse_response(policy, horizon=5, n_sims=30, seed=4)
+        header, *rows = (tmp_path / "irf.csv").read_text().splitlines()
+        assert header.split(",") == list(want)
+        got = np.array([[float(cell) for cell in row.split(",")] for row in rows])
+        for j, (name, col) in enumerate(want.items()):
+            assert np.array_equal(got[:, j], col), name
+
+    def test_calibration_json(self, config_path, tmp_path):
+        assert cli.run(["calibrate", "--params", config_path, "--fast", "--n-starts", "2",
+                        "--max-iter", "20", "--seed", "5", "--out", str(tmp_path)]) == 0
+        params, chain = sortcycles.load_config(config_path)
+        want = calibrate.calibrate(params, calibrate.TargetSet(), seed=5, n_starts=2,
+                                   chain_template=chain, T=None, max_iter_per_start=20)
+        got = json.loads((tmp_path / "calibration.json").read_text())
+        assert list(got.items()) == list(want.items())
 
 
 class TestVerify:

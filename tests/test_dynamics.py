@@ -41,8 +41,8 @@ def variant_policy(table):
 def assert_irf_matches_oracle(irf, ref, horizon):
     # each column measured against its largest magnitude, since K-free
     # columns can cross zero
-    cols = (irf.d_log_Y, irf.d_measured_tfp, irf.d_var_log_wage, irf.d_var_log_tfpq,
-            irf.d_var_log_tfpr)
+    cols = (irf["d_log_Y"], irf["d_measured_tfp"], irf["d_var_log_wage"],
+            irf["d_var_log_tfpq"], irf["d_var_log_tfpr"])
     for j, col in enumerate(cols):
         assert col.shape == (horizon + 1,)
         scale = np.max(np.abs(ref[:, j]))
@@ -139,6 +139,15 @@ class TestGridSpec:
         params, chain = table
         with pytest.raises(sc.DomainError, match="hi_frac"):
             sc.solve_policy(params, chain, grid_spec=sc.GridSpec(hi_frac=math.inf))
+
+    def test_floor_above_a_nodes_resources_is_no_policy(self, table):
+        # a floor of 10 times the boom steady state exceeds what the lowest
+        # nodes can produce and keep
+        params, chain = table
+        with pytest.raises(sc.DomainError, match=r"^grid floor K=177\.595 leaves no consumption "
+                                                 r"at 2 nodes: resources there do not exceed it$"):
+            sc.solve_policy(params, chain, grid_spec=sc.GridSpec(n=50, lo_frac=10.0,
+                                                                 hi_frac=11.0))
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(n=1), "grid needs at least 2 nodes"),
@@ -457,25 +466,25 @@ class TestImpulseResponse:
         irf = sc.impulse_response(pol, horizon=6, n_sims=40, seed=3)
         # the two (identical) states mix the expectation with different
         # weights, so the policy rows differ by ulps; zero holds to 1e-13
-        for series in (irf.d_log_Y, irf.d_measured_tfp, irf.d_var_log_wage,
-                       irf.d_var_log_tfpq, irf.d_var_log_tfpr):
+        for series in (irf["d_log_Y"], irf["d_measured_tfp"], irf["d_var_log_wage"],
+                       irf["d_var_log_tfpq"], irf["d_var_log_tfpr"]):
             assert np.max(np.abs(series)) < 1e-13
 
     def test_impact_signs_and_magnitude(self, policy):
         irf = sc.impulse_response(policy, horizon=10, n_sims=300, seed=6)
-        assert irf.d_log_Y[0] < -0.05
-        assert irf.d_measured_tfp[0] < 0.0
-        assert irf.d_var_log_tfpq[0] > 0.0
-        assert irf.d_var_log_tfpr[0] > 0.0
-        assert irf.d_var_log_wage[0] < 0.0
+        assert irf["d_log_Y"][0] < -0.05
+        assert irf["d_measured_tfp"][0] < 0.0
+        assert irf["d_var_log_tfpq"][0] > 0.0
+        assert irf["d_var_log_tfpr"][0] > 0.0
+        assert irf["d_var_log_wage"][0] < 0.0
 
     def test_output_gap_persists_beyond_impact(self, policy):
         # the treated path carries a lower capital stock for several periods
         # (the mean gap shrinks as treated episodes exit the recession, so
         # persistence, not deepening, is the testable statement)
         irf = sc.impulse_response(policy, horizon=10, n_sims=300, seed=6)
-        assert np.all(irf.d_log_Y[:6] < 0.0)
-        assert np.all(irf.d_measured_tfp[:6] < 0.0)
+        assert np.all(irf["d_log_Y"][:6] < 0.0)
+        assert np.all(irf["d_measured_tfp"][:6] < 0.0)
 
     @pytest.mark.parametrize("horizon,n_sims,seed", [(0, 9, 4), (1, 5, 8), (6, 70, 8)])
     def test_matches_scalar_oracle(self, table, policy, horizon, n_sims, seed):
@@ -504,8 +513,8 @@ class TestImpulseResponse:
         variant = dataclasses.replace(chain, z_high=z_high)
         pol = sc.solve_policy(params, variant, grid_spec=sc.GridSpec(n=120))
         irf = sc.impulse_response(pol, horizon=0, n_sims=8, seed=2)
-        assert irf.d_log_Y[0] < 0.0
-        assert irf.d_measured_tfp[0] < 0.0
+        assert irf["d_log_Y"][0] < 0.0
+        assert irf["d_measured_tfp"][0] < 0.0
 
     def test_requires_at_least_one_episode(self, policy):
         with pytest.raises(sc.DomainError):
@@ -600,12 +609,12 @@ class TestFullDepreciationOracle:
     def irf_excess(policy, solved):
         irf = sc.impulse_response(policy, horizon=20, n_sims=1000, seed=3)
         gap = solved.table.measured_tfp[1] - solved.table.measured_tfp[0]
-        predicted = oracles.full_depreciation_log_y_response(solved, irf.d_measured_tfp / gap)
+        predicted = oracles.full_depreciation_log_y_response(solved, irf["d_measured_tfp"] / gap)
         # each path's log K' is off the rule by at most -log(1 - path_bound);
         # the gap of two paths carries twice that, damped by alpha per period
         alpha, step = solved.params.alpha, -math.log1p(-path_bound(solved))
         bound = alpha * 2.0 * step / (1.0 - alpha) + ROUNDING
-        return np.max(np.abs(irf.d_log_Y - predicted)) / bound
+        return np.max(np.abs(irf["d_log_Y"] - predicted)) / bound
 
     @pytest.mark.parametrize("n", [50, 400])
     @pytest.mark.parametrize("lo_frac", [0.5, 0.3, 0.1])

@@ -114,8 +114,7 @@ class TestClosedFormLogWage:
             got = sc.panel_moments(eq, n, j)
             want = cross_section_moments_oracle(held_panel(eq, n, seed=j), eq)
             for name in (*VARIANCES, *SHARES):
-                assert math.isclose(getattr(got, name), getattr(want, name), rel_tol=1e-12,
-                                    abs_tol=0.0), (j, name)
+                assert math.isclose(got[name], want[name], rel_tol=1e-12, abs_tol=0.0), (j, name)
 
 
 class TestFirmOutcome:
@@ -306,7 +305,7 @@ class TestCrossSectionMoments:
         params, _ = table
         eq, _ = solve_at(with_params(params, lambda_theta=1e12, sigma1=0.0, sigma2=0.0), 0.0)
         m = sc.panel_moments(eq, 1000, seed=2)
-        assert m.rev_share_top10 == pytest.approx(0.10, abs=1e-6)
+        assert m["rev_share_top10"] == pytest.approx(0.10, abs=1e-6)
 
     def test_weighted_wage_variance_consistent_when_weights_are_light(self, table):
         # employment falls with type here (lambda_t > lambda_theta), so the
@@ -317,11 +316,11 @@ class TestCrossSectionMoments:
         assert eq.lambda_t > p.lambda_theta
         m = sc.panel_moments(eq, 400_000, seed=9)
         vw, _, _ = sc.dispersions(eq.params, eq.shock, eq.lambda_t)
-        assert m.var_log_wage == pytest.approx(vw, rel=0.02)
+        assert m["var_log_wage"] == pytest.approx(vw, rel=0.02)
 
     def test_labor_share_is_aggregate(self, boom_eq):
         m = sc.panel_moments(boom_eq, 100, seed=4)
-        assert m.labor_share == boom_eq.labor_share
+        assert m["labor_share"] == boom_eq.labor_share
 
     def test_empty_panel_rejected(self, boom_eq):
         # a negative size too, before any revenue map is asked for
@@ -352,10 +351,9 @@ def recorded_maps(monkeypatch) -> list[tuple[int, int]]:
 def assert_moments_agree(got, want):
     """Log-variances within 1e-13 relative, everything else bit for bit."""
     for name in VARIANCES:
-        assert math.isclose(getattr(got, name), getattr(want, name), rel_tol=1e-13,
-                            abs_tol=0.0), name
+        assert math.isclose(got[name], want[name], rel_tol=1e-13, abs_tol=0.0), name
     for name in (*SHARES, "labor_share", "n_firms", "seed"):
-        assert getattr(got, name) == getattr(want, name), name
+        assert got[name] == want[name], name
 
 
 def tied_panel(revenue):
@@ -407,8 +405,8 @@ class TestStreamedMoments:
         revenue = [4, 3, 5, 1, 3, 4, 2, 3, 1, 4, 3, 2, 1, 3, 4, 3, 3, 2, 1, 3]
         sample_from(monkeypatch, tied_panel(revenue))
         m = sc.panel_moments(boom_eq, len(revenue), 0)
-        assert m.rev_share_top10 == 9.0 / 55.0
-        assert m.rev_share_p50_p90 == 27.0 / 55.0
+        assert m["rev_share_top10"] == 9.0 / 55.0
+        assert m["rev_share_p50_p90"] == 27.0 / 55.0
 
     def test_ties_across_chunks_match_the_oracle_exactly(self, boom_eq, monkeypatch):
         n = 2 * firms.SAMPLE_CHUNK + 7
@@ -416,14 +414,14 @@ class TestStreamedMoments:
         sample_from(monkeypatch, panel)
         m = sc.panel_moments(boom_eq, n, 0)
         want = cross_section_moments_oracle(panel, boom_eq)
-        assert (m.rev_share_top10, m.rev_share_p50_p90) == (want.rev_share_top10,
-                                                            want.rev_share_p50_p90)
+        assert (m["rev_share_top10"], m["rev_share_p50_p90"]) == (want["rev_share_top10"],
+                                                                  want["rev_share_p50_p90"])
         # integer revenues: every partial sum is exact
         ranked = np.sort(panel.revenue)[::-1]
         k10, k50 = round(0.1 * n), round(0.5 * n)
         total = int(ranked.sum())
-        assert m.rev_share_top10 == int(ranked[:k10].sum()) / total
-        assert m.rev_share_p50_p90 == int(ranked[k10:k50].sum()) / total
+        assert m["rev_share_top10"] == int(ranked[:k10].sum()) / total
+        assert m["rev_share_p50_p90"] == int(ranked[k10:k50].sum()) / total
 
     def test_chunks_are_the_held_panel(self, boom_eq, monkeypatch):
         # the chunks the moments reduce hold exactly the columns of panel.csv

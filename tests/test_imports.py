@@ -112,10 +112,10 @@ EXPORTED = {
                "stationary_distribution", "published_calibration"),
     "statics": ("Coefficients", "StaticEquilibrium", "aggregates", "coefficients", "dispersions",
                 "measured_tfp", "solve_lambda", "solve_static", "steady_state"),
-    "firms": ("CrossSectionMoments", "matching", "panel_moments", "wage"),
-    "dynamics": ("GridSpec", "IRFResult", "Policy", "SimulationPath", "euler_residuals",
+    "firms": ("matching", "panel_moments", "wage"),
+    "dynamics": ("GridSpec", "Policy", "SimulationPath", "euler_residuals",
                  "impulse_response", "simulate", "solve_policy"),
-    "calibrate": ("CalibrationResult", "TargetSet", "model_moments"),
+    "calibrate": ("TargetSet", "model_moments"),
     "verify": ("CheckResult", "VerificationReport", "capital_market_residual",
                "goods_market_residual", "job_density_residuals", "worker_clearing_residual",
                "proposition_suite", "run_verification"),

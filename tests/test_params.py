@@ -2,6 +2,7 @@ import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -104,10 +105,22 @@ class TestShockState:
         # the type rate and wedge volatilities are parameters, not shock drivers
         assert tuple(f.name for f in dataclasses.fields(sc.AggregateShockState)) == ("z", "A")
         assert sc.AggregateShockState(z=0.1).A == 1.0
-        for z, A in ((np.float64(0.25), np.float32(1.5)), (np.int64(0), np.int64(2)), (0, 3)):
+        for z, A in ((np.float64(0.25), 1.5), (0, 3)):
             s = sc.AggregateShockState(z=z, A=A)
             assert type(s.z) is float and type(s.A) is float
             assert (s.z, s.A) == (float(z), float(A))
+        # numpy's other scalars fail the rule of ModelParams and TargetSet here too
+        for z, A, field in ((np.float64(0.25), np.float32(1.5), "A"),
+                            (np.int64(0), np.int64(2), "z")):
+            with pytest.raises(DomainError, match=rf"^{field} must be a finite real number, got "):
+                sc.AggregateShockState(z=z, A=A)
+
+    @pytest.mark.parametrize("field", ["z", "A"])
+    @pytest.mark.parametrize("value", ["0.1", "abc", True])
+    def test_shock_that_is_no_real_number_is_named(self, field, value):
+        # float() once turned "0.1" into 0.1 and True into 1.0, and "abc" into a traceback
+        with pytest.raises(DomainError, match=rf"^{field} must be a finite real number, got "):
+            sc.AggregateShockState(**{"z": 0.1, field: value})
 
     def test_negative_z_rejected(self):
         with pytest.raises(DomainError):
@@ -252,3 +265,37 @@ class TestConfigLoading:
         payload["params"]["gamma"] = 0.5
         with pytest.raises(DomainError, match="alpha\\+gamma"):
             sc.load_config(self.write(tmp_path, payload))
+
+
+
+#: every count the library takes must be a non-bool int (T=None aside): a call
+#: that passes one that is not, by id, with the name its DomainError gives
+COUNT_CALLS = {
+    "simulate-T": (lambda c: sc.simulate(c.policy, T=600.5, burn_in=60), "T"),
+    "simulate-burn_in": (lambda c: sc.simulate(c.policy, T=600, burn_in=60.5), "burn_in"),
+    "simulate-burn_in-bool": (lambda c: sc.simulate(c.policy, T=600, burn_in=True), "burn_in"),
+    "state_weights-T": (lambda c: sc.calibrate.state_weights(c.chain, 600.5, 60, 0), "T"),
+    "state_weights-burn_in-bool": (
+        lambda c: sc.calibrate.state_weights(c.chain, None, True, 0), "burn_in"),
+    "impulse_response-horizon": (
+        lambda c: sc.impulse_response(c.policy, horizon=2.5, n_sims=4), "horizon"),
+    "impulse_response-n_sims": (
+        lambda c: sc.impulse_response(c.policy, horizon=2, n_sims=2.5), "n_sims"),
+    "panel_moments-n-bool": (lambda c: sc.panel_moments(c.eq, True, 1), "n"),
+    "panel_moments-workers": (lambda c: sc.panel_moments(c.eq, 10, 1, workers=1.5), "workers"),
+    "calibrate-n_starts": (lambda c: sc.calibrate.calibrate(
+        c.params, sc.TargetSet(), n_starts=2.5, chain_template=c.chain), "n_starts"),
+    "calibrate-max_iter_per_start": (lambda c: sc.calibrate.calibrate(
+        c.params, sc.TargetSet(), chain_template=c.chain, max_iter_per_start=2.5),
+        "max_iter_per_start"),
+    "run_verification-n_prop_points": (lambda c: sc.run_verification(
+        c.params, [sc.AggregateShockState(z=0.0)], n_prop_points=2.5), "n_prop_points"),
+}
+
+
+@pytest.mark.parametrize("case", list(COUNT_CALLS))
+def test_count_that_is_no_integer_is_named(table, policy, boom_eq, case):
+    call, name = COUNT_CALLS[case]
+    params, chain = table
+    with pytest.raises(DomainError, match=rf"^{name} must be an integer, got "):
+        call(SimpleNamespace(params=params, chain=chain, policy=policy, eq=boom_eq))

@@ -254,6 +254,12 @@ class TestAggregates:
         with pytest.raises(sc.DomainError):
             sc.aggregates(params, boom_eq.shock, boom_eq.lambda_t, boom_eq.coefficients, 0.0)
 
+    @pytest.mark.parametrize("K", [math.nan, math.inf, True, "5"])
+    def test_capital_that_is_no_finite_real_is_named(self, table, boom_eq, K):
+        params, _ = table
+        with pytest.raises(sc.DomainError, match=r"^K must be a finite real number, got "):
+            sc.aggregates(params, boom_eq.shock, boom_eq.lambda_t, boom_eq.coefficients, K)
+
 
 class TestFactorIncomes:
     def test_no_wedges_no_resource_loss(self, table):

@@ -238,8 +238,7 @@ class TestNoTestOnlyCode:
 
     def test_every_dataclass_field_is_read_by_the_package(self):
         # a field that only the tests read is state the program carries for
-        # nothing; CheckResult's statistic and IRFResult's d_ columns are read
-        # only whole, through asdict(c) and fields(self)
+        # nothing; CheckResult's statistic is read only whole, through asdict(c)
         offenders = [name for name in unread_fields() if name not in ALLOWED_FIELDS]
         assert offenders == [], "read by nothing in src/: " + ", ".join(offenders)
 
